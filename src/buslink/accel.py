@@ -1,53 +1,32 @@
-"""Hot numeric kernels: numba-jitted when numba is available, else numpy.
+"""Hot numeric kernels: point-to-polyline projection and the Markov transform.
 
 The two inner loops that dominate runtime on real feeds live here:
 batch point-to-polyline projection (every ping of every traversal) and
-the M-run Markov simulation transform. Both exist in two versions:
-
-* ``_*_scalar`` -- scalar loops, compiled with ``@njit`` into
-  ``_*_jit`` when numba is in use;
-* ``_*_numpy`` -- vectorized numpy with the same elementwise expressions
-  and sequential reductions.
-
-The two paths agree to within float rounding (libm vs numpy SIMD
-transcendentals can differ by an ulp); within one backend results are
-bit-reproducible. The tests also call the scalar twins as plain Python,
-the reference both backends are checked against, so the parity checks
-compare two implementations whether or not numba is installed.
-
-numba is optional (the ``numba`` extra). Backend selection happens once
-at import: numba is used when importable unless the environment variable
-``BUSLINK_NO_NUMBA`` is set to a non-empty value; otherwise the numpy
-path runs. ``benchmarks/bench_kernels.py`` times both paths when numba
-is in use.
+the M-run Markov simulation transform. ``project_onto_polyline`` and
+``markov_offsets`` are vectorized numpy; ``_project_scalar`` and
+``_markov_scalar`` are plain loops over the same elementwise
+expressions, kept as the reference the tests check the kernels against.
+The kernels agree with their references to float rounding and are
+bit-reproducible.
 
 Random variates are never drawn in here; callers pass pre-drawn uniform
-and normal arrays so that determinism is owned by one numpy Generator
-regardless of backend.
+and normal arrays so that determinism is owned by one numpy Generator.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-USE_NUMBA = False
-if not os.environ.get("BUSLINK_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:  # numba is optional: fall back to numpy
-        USE_NUMBA = False
+from .components import bootstrap_pick, lognormal_from_z
 
 
 # ---------------------------------------------------------------------------
 # point-to-polyline projection
 # ---------------------------------------------------------------------------
 
-def _project_numpy(qx, qy, vx, vy, cum):
+def project_onto_polyline(qx, qy, vx, vy, cum):
     n = qx.shape[0]
     best_d2 = np.full(n, np.inf)
     best_arc = np.zeros(n)
@@ -108,7 +87,7 @@ def _project_scalar(qx, qy, vx, vy, cum):
 # The output offset at link i is the running total, i.e. the remaining
 # time until *departure from* the link's end stop.
 
-def _markov_numpy(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
+def markov_offsets(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
                   x_mu, x_sigma, x_start, x_len, z_x, delta_t):
     m_runs, n_links = u_road.shape
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,36 +125,16 @@ def _markov_scalar(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
                 if not (f >= 1.0):
                     f = 1.0
             t = f * delta_t
-            idx = int(u_dwell[m, i] * dwell_len[i])
-            if idx >= dwell_len[i]:
-                idx = dwell_len[i] - 1
-            t += dwell_flat[dwell_start[i] + idx]
+            pool = dwell_flat[dwell_start[i]:dwell_start[i] + dwell_len[i]]
+            t += bootstrap_pick(pool, u_dwell[m, i])
             acc = 0.0
-            for k in range(x_len[i]):
-                j = x_start[i] + k
-                acc += math.exp(x_mu[j] + x_sigma[j] * z_x[m, j])
-            t += acc
-            cum += t
+            for j in range(x_start[i], x_start[i] + x_len[i]):
+                acc += lognormal_from_z(x_mu[j], x_sigma[j], z_x[m, j])
+            cum += t + acc
             out[m, i] = cum
     return out
 
 
-if USE_NUMBA:
-    _project_jit = njit(cache=True)(_project_scalar)
-    _markov_jit = njit(cache=True)(_markov_scalar)
-
-    def project_onto_polyline(qx, qy, vx, vy, cum):
-        return _project_jit(qx, qy, vx, vy, cum)
-
-    def markov_offsets(*args):
-        return _markov_jit(*args)
-else:
-    def project_onto_polyline(qx, qy, vx, vy, cum):
-        return _project_numpy(qx, qy, vx, vy, cum)
-
-    def markov_offsets(*args):
-        return _markov_numpy(*args)
-
-
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the numeric backend; the benchmark record reads it."""
+    return "numpy"

@@ -1,10 +1,11 @@
 """Stop dwell (empirical bootstrap) and intersection time (log-normal) models.
 
 Dwell keeps the raw sample pool because skipped stops put a spike at
-zero that no unimodal fit survives; sampling is a bootstrap draw so the
-spike is preserved. Intersection times are fitted log-normal from the
-strictly positive samples only, with the excluded-zero fraction kept as
-metadata.
+zero that no unimodal fit survives; sampling is a bootstrap draw
+(``bootstrap_pick``) so the spike is preserved. Intersection times are
+fitted log-normal from the strictly positive samples only, with the
+excluded-zero fraction kept as metadata; ``lognormal_from_z`` turns a
+standard normal variate into a draw.
 """
 
 from __future__ import annotations
@@ -39,15 +40,12 @@ def fit_dwell(stop_id: str, samples, min_samples: int = DEFAULT_MIN_COMPONENT_SA
 
 def bootstrap_pick(samples: np.ndarray, u: float) -> float:
     """Uniform draw from a sample pool given a uniform variate; this is the
-    single bootstrap definition shared with the simulation kernels."""
+    single bootstrap definition, used by ``markov.simulate_once`` and the
+    scalar reference ``accel._markov_scalar``."""
     idx = int(u * samples.shape[0])
     if idx >= samples.shape[0]:
         idx = samples.shape[0] - 1
     return float(samples[idx])
-
-
-def sample_dwell(d: EmpiricalDwell, rng: np.random.Generator) -> float:
-    return bootstrap_pick(d.samples, rng.random())
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,6 @@ def fit_intersection(intersection_id: str, samples,
                                  pooled=pooled)
 
 
-def predict_intersection(m: IntersectionLogNormal) -> float:
-    """Median waiting/passing time, exp(mu)."""
-    return float(np.exp(m.mu_s))
-
-
 def lognormal_from_z(mu: float, sigma: float, z: float) -> float:
+    """Log-normal variate from a standard normal one; z = 0 gives the median."""
     return float(np.exp(mu + sigma * z))
-
-
-def sample_intersection(m: IntersectionLogNormal, rng: np.random.Generator) -> float:
-    return lognormal_from_z(m.mu_s, m.sigma_s, rng.standard_normal())

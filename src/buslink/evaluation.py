@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, MetricError
-from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
+from .hetlognorm import (PredictionWithBounds, _active_mask, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
+from .inference import group_by_link
 from .ingest import local_date_hour
 from .stats import normal_quantile
 
@@ -72,10 +73,7 @@ def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
     if n < min_samples:
         raise FitError("insufficient_data", f"need {min_samples} samples, have {n}")
     Z_full = design_matrix(X)
-    mask = np.ones(Z_full.shape[1], dtype=bool)
-    for j in range(1, Z_full.shape[1]):
-        if np.all(Z_full[:, j] == Z_full[0, j]):
-            mask[j] = False
+    mask = _active_mask(Z_full)
     Z = Z_full[:, mask]
     k = Z.shape[1]
     if np.linalg.matrix_rank(Z) < k:
@@ -179,11 +177,11 @@ def evaluate_split(observations, cut_date: str, tz_offset: float,
     if not test or not train:
         raise MetricError("empty_split", f"train={len(train)} test={len(test)} at cut {cut_date}")
 
-    keys = sorted({(o.route_key, o.link_index) for o in observations})
+    train_by_link, test_by_link = group_by_link(train), group_by_link(test)
     results = []
-    for route_key, link_index in keys:
-        tr = [o for o in train if (o.route_key, o.link_index) == (route_key, link_index)]
-        te = [o for o in test if (o.route_key, o.link_index) == (route_key, link_index)]
+    for key in sorted(train_by_link.keys() | test_by_link.keys()):
+        route_key, link_index = key
+        tr, te = train_by_link.get(key, []), test_by_link.get(key, [])
         base = dict(route_key=route_key, link_index=link_index,
                     n_train=len(tr), n_test=len(te))
         if not tr or not te:

@@ -109,7 +109,6 @@ class RouteModel:
     links: tuple  # (Link, ...)
     buffer_radius: float
     merge_log: tuple = field(default=())
-    representative_trip: str = ""
 
     @property
     def first_arc(self) -> float:
@@ -148,8 +147,7 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
     excluded; intersections whose buffer zone would overlap another
     feature's zone are merged away and recorded in the merge log.
     """
-    trip_id = _modal_trip(net, route_key)
-    trip = net.trips[trip_id]
+    trip = net.trips[_modal_trip(net, route_key)]
     polyline = build_polyline(net.shapes[trip.shape_id])
 
     stop_lats = [net.stops[s][0] for s in trip.stop_ids]
@@ -200,7 +198,7 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
                       projected_stops=projected_stops,
                       projected_intersections=tuple(kept),
                       links=tuple(links), buffer_radius=buffer_radius,
-                      merge_log=tuple(merge_log), representative_trip=trip_id)
+                      merge_log=tuple(merge_log))
 
 
 def feature_zone_test(rm: RouteModel, arc_pos: float) -> Zone:

@@ -219,6 +219,15 @@ class LinkObservation:
         return self.total_time - parts
 
 
+def group_by_link(observations) -> dict:
+    """Observations per (route_key, link_index), keys in sorted order and
+    each group in input order."""
+    groups: dict = {}
+    for o in observations:
+        groups.setdefault((o.route_key, o.link_index), []).append(o)
+    return {key: groups[key] for key in sorted(groups)}
+
+
 def resolve_threshold(speed_threshold, link_index: int) -> float:
     """The congestion threshold is configurable globally (a float) or per
     link (a mapping from link index, falling back to the global default)."""

@@ -9,6 +9,7 @@ date) applies a single signed ``tz_offset`` in hours.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -69,8 +70,24 @@ def _req(row: dict, key: str, table: str):
     return val
 
 
+_BAD_ID_CHAR = re.compile(r"[\s,;=\[\]]")
+
+
+def _checked_id(value: str, what: str) -> str:
+    """Reject an id that the observation file (split on ``,`` ``;`` ``=``)
+    or the model store's ``[kind id ...]`` headers (split on whitespace)
+    could not read back."""
+    if _BAD_ID_CHAR.search(value):
+        raise IngestError("bad_id", f"{what} {value!r} contains whitespace or one of , ; = [ ]")
+    return value
+
+
 def load_gtfs_static(dir_path) -> StaticNetwork:
-    """Parse the five core GTFS tables into a validated StaticNetwork."""
+    """Parse the five core GTFS tables into a validated StaticNetwork.
+
+    The route and stop ids that trips use must be usable in the output
+    files (see ``_checked_id``); others are kept as read.
+    """
     dir_path = Path(dir_path)
 
     stops = {}
@@ -106,7 +123,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
     trip_rows = {}
     for row in _read_table(dir_path, "trips.txt"):
         tid = _req(row, "trip_id", "trips.txt")
-        rid = _req(row, "route_id", "trips.txt")
+        rid = _checked_id(_req(row, "route_id", "trips.txt"), "route_id")
         if rid not in route_ids:
             raise IngestError("referential", f"trip {tid} references unknown route {rid}")
         shape_id = _req(row, "shape_id", "trips.txt")
@@ -122,7 +139,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         tid = _req(row, "trip_id", "stop_times.txt")
         if tid not in trip_rows:
             raise IngestError("referential", f"stop_times references unknown trip {tid}")
-        sid = _req(row, "stop_id", "stop_times.txt")
+        sid = _checked_id(_req(row, "stop_id", "stop_times.txt"), "stop_id")
         if sid not in stops:
             raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
         seq.setdefault(tid, []).append((int(_req(row, "stop_sequence", "stop_times.txt")), sid))
@@ -294,7 +311,7 @@ def load_intersections(path) -> IntersectionSet:
             parts = line.split(",")
             if len(parts) != 3:
                 raise IngestError("parse", f"intersections:{lineno}: expected 3 fields")
-            xid = parts[0]
+            xid = _checked_id(parts[0], "intersection_id")
             if xid in seen:
                 raise IngestError("duplicate", f"duplicate intersection id {xid}")
             seen.add(xid)

@@ -1,4 +1,4 @@
-"""Link-state Markov chain: transition rows from predicted speeds, M-run
+"""Link-state Markov chain: stay probabilities from predicted speeds, M-run
 Monte-Carlo simulation of remaining time to every downstream stop.
 
 The per-link step count is geometric with success probability
@@ -33,13 +33,6 @@ class MarkovConfig:
     delta_t: float = 5.0
     runs: int = 1000
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class TransitionRow:
-    link_index: int
-    p_stay: float
-    p_advance: float
 
 
 @dataclass(frozen=True)
@@ -127,15 +120,6 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
-def transition_rows(plans) -> list:
-    """Explicit transition rows; the terminal state is absorbing."""
-    rows = [TransitionRow(link_index=p.link_index, p_stay=p.p_stay,
-                          p_advance=1.0 - p.p_stay) for p in plans]
-    rows.append(TransitionRow(link_index=plans[-1].link_index + 1, p_stay=1.0,
-                              p_advance=0.0))
-    return rows
-
-
 def geometric_steps(u: float, p_stay: float) -> float:
     """Steps spent on a link: inverse-CDF geometric draw, support 1, 2, ..."""
     if p_stay <= 0.0:
@@ -164,7 +148,7 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
 
     Deterministic given the seed: all variates are drawn up front from one
     Generator (road uniforms, dwell uniforms, intersection normals, in that
-    order) and transformed by the backend kernel.
+    order) and transformed by ``accel.markov_offsets``.
     """
     m = int(config.runs)
     if m < 1:

@@ -17,7 +17,7 @@ from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersect
 from .errors import BuslinkError, ConfigError, FitError, InferenceError
 from .geometry import build_route_model
 from .hetlognorm import fit as ln_fit, predict_interval, predict_point
-from .inference import (DEFAULT_PEAK_HOURS, build_covariates,
+from .inference import (DEFAULT_PEAK_HOURS, build_covariates, group_by_link,
                         observations_from_traversal, project_traversal,
                         repair_monotonic)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET,
@@ -135,9 +135,7 @@ def run_infer(cfg: RunConfig) -> InferReport:
 
     route_keys = sorted({(net.trips[t.trip_id].route_id, net.trips[t.trip_id].direction_id)
                          for t in series.segments if t.trip_id in net.trips})
-    models = {rk: build_route_model(net, xs, rk, buffer_radius=cfg.buffer_radius,
-                                    off_route_m=cfg.off_route)
-              for rk in route_keys}
+    models = _route_models_for(net, xs, cfg, route_keys)
 
     observations = []
     skipped = []
@@ -202,12 +200,8 @@ def fit_all(observations, cfg: RunConfig, route_models: dict) -> tuple:
     """
     store = ModelStore(road={}, dwell={}, intersections={})
     fitted, failed = [], []
-    by_link: dict = {}
-    for o in observations:
-        by_link.setdefault((o.route_key, o.link_index), []).append(o)
-
-    for key in sorted(by_link):
-        rows = by_link[key]
+    by_link = group_by_link(observations)
+    for key, rows in by_link.items():
         y = np.array([o.road_time for o in rows])
         X = np.array([o.covariates.as_array() for o in rows])
         try:
@@ -289,17 +283,14 @@ class ValidationRow:
 def run_validate(cfg: RunConfig) -> list:
     observations = read_observations(Path(cfg.out_dir) / cfg.observations)
     rows = []
-    by_link: dict = {}
     x_samples: dict = {}
     for o in observations:
-        by_link.setdefault((o.route_key, o.link_index), []).append(o)
         for xid, secs, interpolated in o.intersection_times:
             if secs > 0.0 and not interpolated:
                 x_samples.setdefault((o.route_key, xid), []).append(secs)
 
-    for key in sorted(by_link):
-        rk, li = key
-        obs = sorted(by_link[key], key=lambda o: o.depart_prev)
+    for (rk, li), link_obs in group_by_link(observations).items():
+        obs = sorted(link_obs, key=lambda o: o.depart_prev)
         label = f"road {rk[0]}/{rk[1]} link {li}"
         road = np.array([o.road_time for o in obs])
         Z = np.column_stack([np.ones(len(obs))] +

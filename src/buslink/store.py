@@ -1,8 +1,9 @@
 """Plain-text persistence: the link-observation file and the model store.
 
 Model-store floats are written with 17 significant digits so that
-write -> read -> write reproduces the file byte for byte. Section ids
-must not contain whitespace (GTFS ids in practice never do).
+write -> read -> write reproduces the file byte for byte. Ids never
+contain whitespace or any of ``, ; = [ ]``: ingest rejects them
+(``bad_id``), since neither file could read them back.
 """
 
 from __future__ import annotations

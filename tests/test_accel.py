@@ -1,8 +1,6 @@
-"""Backend equivalence for the hot kernels: the selected backend, the numpy
-path and the scalar twins run as plain Python (the exact source that numba
-compiles) must agree to float rounding, and each must be deterministic.
-Without numba the selected backend is the numpy path, so the scalar twins
-are what keeps the parity tests comparing two distinct implementations."""
+"""The vectorized hot kernels against their scalar references: the public
+kernels must agree with ``_project_scalar`` and ``_markov_scalar`` to float
+rounding, and each kernel must be deterministic."""
 
 import numpy as np
 
@@ -39,10 +37,9 @@ def markov_case(seed=1, m=400):
 def test_projection_backends_agree():
     qx, qy, vx, vy, cum = projection_case()
     a1, o1 = accel.project_onto_polyline(qx, qy, vx, vy, cum)
-    for reference in (accel._project_numpy, accel._project_scalar):
-        a2, o2 = reference(qx, qy, vx, vy, cum)
-        np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(o1, o2, rtol=0, atol=1e-9)
+    a2, o2 = accel._project_scalar(qx, qy, vx, vy, cum)
+    np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(o1, o2, rtol=0, atol=1e-9)
 
 
 def test_projection_bounds_and_determinism():
@@ -56,10 +53,8 @@ def test_projection_bounds_and_determinism():
 
 def test_markov_backends_agree():
     args = markov_case()
-    r1 = accel.markov_offsets(*args)
-    for reference in (accel._markov_numpy, accel._markov_scalar):
-        r2 = reference(*args)
-        np.testing.assert_allclose(r1, r2, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(accel.markov_offsets(*args), accel._markov_scalar(*args),
+                               rtol=1e-12, atol=1e-9)
 
 
 def test_markov_offsets_monotone_per_run():
@@ -71,35 +66,3 @@ def test_markov_deterministic_per_backend():
     args = markov_case(seed=9)
     assert np.array_equal(accel.markov_offsets(*args), accel.markov_offsets(*args))
 
-
-def test_env_flag_selects_numpy():
-    """The flag forces numpy; without it numba is used exactly when it
-    imports. An installed numba that fails to import also falls back, so
-    the expectation follows ``import numba``, not the package's presence."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    try:
-        import numba  # noqa: F401
-        default_backend = "numba"
-    except ImportError:
-        default_backend = "numpy"
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import buslink.accel as a; print(a.backend_name())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
-    env["BUSLINK_NO_NUMBA"] = "1"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-    env.pop("BUSLINK_NO_NUMBA")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == default_backend

@@ -131,6 +131,16 @@ def test_missing_weather_hour_exit_2(workdir, tmp_path, capsys):
     assert "hour" in err
 
 
+def test_delimiter_in_intersection_id_exit_2(workdir, tmp_path, capsys):
+    bad = tmp_path / "intersections.csv"
+    bad.write_text("intersection_id,lat,lon\nX=1,29.0,-82.0\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--intersections", str(bad),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bad_id" in capsys.readouterr().err
+    assert not (tmp_path / "observations.csv").exists()
+
+
 def test_fit_partial_failure_reports_gap(tmp_path, workdir, capsys):
     # link 1 has plenty of rows; link 2 too few to fit
     rng = np.random.default_rng(0)

@@ -59,6 +59,34 @@ def test_dangling_stop_reference(tmp_path):
     assert e.value.kind == "referential"
 
 
+@pytest.mark.parametrize("bad", ["Stop 1", "A]", "[A", "A,1", "A;1", "A=1", "A\t1"])
+def test_stop_id_that_breaks_output_files_rejected(tmp_path, bad):
+    tables = dict(GTFS_MINIMAL)
+    tables["stops.txt"] = ("stop_id,stop_name,stop_lat,stop_lon\n"
+                           f'A,Alpha,29.0,-82.0\n"{bad}",Beta,29.0,-81.99\n')
+    tables["stop_times.txt"] = ("trip_id,arrival_time,departure_time,stop_id,stop_sequence\n"
+                                f'T1,06:00:00,06:00:00,A,1\nT1,06:05:00,06:05:00,"{bad}",2\n')
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert e.value.kind == "bad_id"
+
+
+def test_route_id_that_breaks_output_files_rejected(tmp_path):
+    tables = dict(GTFS_MINIMAL)
+    tables["routes.txt"] = "route_id,route_short_name\nR 1,R\n"
+    tables["trips.txt"] = "trip_id,route_id,direction_id,shape_id\nT1,R 1,0,S\n"
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert e.value.kind == "bad_id"
+
+
+def test_unused_stop_id_is_not_checked(tmp_path):
+    tables = dict(GTFS_MINIMAL)
+    tables["stops.txt"] = GTFS_MINIMAL["stops.txt"] + "Stop 9,Unused,29.0,-81.98\n"
+    net = load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert "Stop 9" in net.stops
+
+
 def test_two_routes_two_directions(tmp_path):
     tables = dict(GTFS_MINIMAL)
     tables["routes.txt"] = "route_id,route_short_name\nR,R\nQ,Q\n"
@@ -212,3 +240,13 @@ def test_intersections_load_and_duplicates(tmp_path):
     with pytest.raises(IngestError) as e:
         load_intersections(p)
     assert e.value.kind == "duplicate"
+
+
+@pytest.mark.parametrize("bad", ["X=1", "X 1", "X;1", "X]"])
+def test_intersection_id_that_breaks_output_files_rejected(tmp_path, bad):
+    p = tmp_path / "x.csv"
+    p.write_text(f"intersection_id,lat,lon\nX0,29.0,-82.0\n{bad},29.1,-82.1\n",
+                 encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        load_intersections(p)
+    assert e.value.kind == "bad_id"

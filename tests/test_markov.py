@@ -8,8 +8,7 @@ from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
 from buslink.hetlognorm import HetLogNormalModel
 from buslink.markov import (LinkPlan, MarkovConfig, build_plan, geometric_steps,
-                            simulate, simulate_once, steps_to_complete,
-                            transition_rows)
+                            simulate, simulate_once, steps_to_complete)
 
 from test_geometry import network_with
 
@@ -50,19 +49,6 @@ class TestSteps:
             steps_to_complete(0.0, 10.0, 5.0)
         with pytest.raises(SimError):
             steps_to_complete(100.0, -1.0, 5.0)
-
-
-class TestTransitionRows:
-    def test_probabilities(self):
-        rows = transition_rows([plan(0.75, index=1), plan(0.9, index=2)])
-        assert rows[0].p_stay == 0.75 and rows[0].p_advance == 0.25
-        assert rows[1].p_stay == 0.9
-        assert rows[-1].p_stay == 1.0 and rows[-1].p_advance == 0.0  # absorbing
-
-    def test_rows_sum_to_one(self):
-        for p in (0.0, 0.3, 0.9999):
-            rows = transition_rows([plan(p)])
-            assert rows[0].p_stay + rows[0].p_advance == 1.0
 
 
 class TestGeometricSteps:
