@@ -88,7 +88,7 @@ def _project_scalar(qx, qy, vx, vy, cum):
 # time until *departure from* the link's end stop.
 
 def markov_offsets(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
-                  x_mu, x_sigma, x_start, x_len, z_x, delta_t):
+                   x_mu, x_sigma, x_start, x_len, z_x, delta_t):
     m_runs, n_links = u_road.shape
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.log(p_stay)
