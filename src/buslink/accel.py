@@ -5,12 +5,14 @@ batch point-to-polyline projection (every ping of every traversal) and
 the M-run Markov simulation transform. ``project_onto_polyline`` and
 ``markov_offsets`` are vectorized numpy; ``_project_scalar`` and
 ``_markov_scalar`` are plain loops over the same elementwise
-expressions, kept as the reference the tests check the kernels against.
+expressions, each the one reference the tests check its kernel against.
 The kernels agree with their references to float rounding and are
 bit-reproducible.
 
-Random variates are never drawn in here; callers pass pre-drawn uniform
-and normal arrays so that determinism is owned by one numpy Generator.
+``markov_offsets`` reads the ``markov.LinkPlan`` of each in-scope link:
+it loops over the links and is vectorized over the M runs. Variates are
+never drawn in here; callers pass pre-drawn uniform and normal arrays so
+that determinism is owned by one numpy Generator.
 """
 
 from __future__ import annotations
@@ -79,45 +81,48 @@ def _project_scalar(qx, qy, vx, vy, cum):
 # ---------------------------------------------------------------------------
 # Markov M-run offsets
 # ---------------------------------------------------------------------------
-# Per run m and per in-scope link i (origin link first):
+# Per run m and per in-scope link i (origin link first), read from the
+# link's ``markov.LinkPlan``:
 #   steps  f = max(1, ceil(log1p(-u) / log(p_stay)))   (geometric, support 1,2,...)
 #   road   = f * delta_t
 #   dwell  = bootstrap pick from the end stop's sample pool
 #   signal = sum of exp(mu + sigma * z) over the link's intersections
 # The output offset at link i is the running total, i.e. the remaining
-# time until *departure from* the link's end stop.
+# time until *departure from* the link's end stop. ``z_x`` has one column
+# per intersection, taken link by link in plan order.
 
-def markov_offsets(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
-                   x_mu, x_sigma, x_start, x_len, z_x, delta_t):
-    m_runs, n_links = u_road.shape
+def markov_offsets(plans, u_road, u_dwell, z_x, delta_t):
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.log(p_stay)
-        f = np.ceil(np.log1p(-u_road) / logp[None, :])
+        f = np.ceil(np.log1p(-u_road) / np.log([p.p_stay for p in plans]))
     f = np.where(np.isfinite(f), f, 1.0)
-    f = np.maximum(f, 1.0)
-    total = f * delta_t
+    road = np.maximum(f, 1.0) * delta_t
 
-    idx = (u_dwell * dwell_len[None, :]).astype(np.int64)
-    idx = np.minimum(idx, dwell_len[None, :] - 1)
-    total += dwell_flat[dwell_start[None, :] + idx]
+    out = np.empty_like(road)
+    cum = np.zeros(road.shape[0])
+    j = 0
+    for i, plan in enumerate(plans):
+        pool = plan.dwell.samples
+        idx = np.minimum((u_dwell[:, i] * pool.shape[0]).astype(np.int64), pool.shape[0] - 1)
+        total = road[:, i] + pool[idx]
+        k = len(plan.intersections)
+        if k:
+            mu = np.array([x.mu_s for x in plan.intersections])
+            sigma = np.array([x.sigma_s for x in plan.intersections])
+            total += np.exp(mu + sigma * z_x[:, j:j + k]).sum(axis=1)
+            j += k
+        cum += total
+        out[:, i] = cum
+    return out
 
-    if x_mu.shape[0] > 0:
-        x_t = np.exp(x_mu[None, :] + x_sigma[None, :] * z_x)
-        for i in range(n_links):
-            if x_len[i] > 0:
-                sl = x_t[:, x_start[i]:x_start[i] + x_len[i]]
-                total[:, i] += sl.sum(axis=1)
-    return np.cumsum(total, axis=1)
 
-
-def _markov_scalar(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
-                   x_mu, x_sigma, x_start, x_len, z_x, delta_t):
+def _markov_scalar(plans, u_road, u_dwell, z_x, delta_t):
     m_runs, n_links = u_road.shape
     out = np.empty((m_runs, n_links))
     for m in range(m_runs):
         cum = 0.0
-        for i in range(n_links):
-            p = p_stay[i]
+        j = 0
+        for i, plan in enumerate(plans):
+            p = plan.p_stay
             if p <= 0.0:
                 f = 1.0
             else:
@@ -125,11 +130,11 @@ def _markov_scalar(p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
                 if not (f >= 1.0):
                     f = 1.0
             t = f * delta_t
-            pool = dwell_flat[dwell_start[i]:dwell_start[i] + dwell_len[i]]
-            t += bootstrap_pick(pool, u_dwell[m, i])
+            t += bootstrap_pick(plan.dwell.samples, u_dwell[m, i])
             acc = 0.0
-            for j in range(x_start[i], x_start[i] + x_len[i]):
-                acc += lognormal_from_z(x_mu[j], x_sigma[j], z_x[m, j])
+            for x in plan.intersections:
+                acc += lognormal_from_z(x.mu_s, x.sigma_s, z_x[m, j])
+                j += 1
             cum += t + acc
             out[m, i] = cum
     return out

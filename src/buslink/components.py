@@ -40,8 +40,8 @@ def fit_dwell(stop_id: str, samples, min_samples: int = DEFAULT_MIN_COMPONENT_SA
 
 def bootstrap_pick(samples: np.ndarray, u: float) -> float:
     """Uniform draw from a sample pool given a uniform variate; this is the
-    single bootstrap definition, used by ``markov.simulate_once`` and the
-    scalar reference ``accel._markov_scalar``."""
+    single bootstrap definition, used by the scalar reference
+    ``accel._markov_scalar`` and vectorized in ``accel.markov_offsets``."""
     idx = int(u * samples.shape[0])
     if idx >= samples.shape[0]:
         idx = samples.shape[0] - 1

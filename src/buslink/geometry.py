@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -118,11 +119,20 @@ class RouteModel:
     def last_arc(self) -> float:
         return self.projected_stops[-1][1]
 
-    def ordered_features(self):
+    @cached_property
+    def features(self) -> tuple:
+        """((kind, feature_id, arc), ...) over stops and intersections, by arc."""
         feats = [("stop", sid, arc) for sid, arc in self.projected_stops]
         feats += [("intersection", xid, arc) for xid, arc in self.projected_intersections]
-        feats.sort(key=lambda f: f[2])
-        return feats
+        return tuple(sorted(feats, key=lambda f: f[2]))
+
+    @cached_property
+    def feature_arcs(self) -> tuple:
+        return tuple(f[2] for f in self.features)
+
+    @cached_property
+    def stop_arcs(self) -> tuple:
+        return tuple(arc for _, arc in self.projected_stops)
 
 
 def _modal_trip(net: StaticNetwork, route_key) -> str:
@@ -204,7 +214,7 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
 def feature_zone_test(rm: RouteModel, arc_pos: float) -> Zone:
     """Zone tag at an arc position: the unique feature within the buffer
     radius (boundary inclusive), else open road."""
-    for kind, fid, arc in rm.ordered_features():
+    for kind, fid, arc in rm.features:
         if abs(arc_pos - arc) <= rm.buffer_radius:
             return Zone(kind=kind, feature_id=fid, arc=arc)
     return ROAD_ZONE

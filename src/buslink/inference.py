@@ -12,6 +12,7 @@ construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,7 +91,7 @@ def detect_events(pps, rm: RouteModel,
     n_interp = 0
     i = 0
     prev_dep = -np.inf
-    for kind, fid, farc in rm.ordered_features():
+    for kind, fid, farc in rm.features:
         while i < n and arcs[i] < farc - buffer:
             i += 1
         if i == n:
@@ -298,24 +299,21 @@ def observations_from_traversal(trav: Traversal, rm: RouteModel, weather: Weathe
     return observations, skip_log
 
 
-def open_road_link_of(pps, rm: RouteModel) -> np.ndarray:
+def open_road_link_of(pps, rm: RouteModel) -> list:
     """Per ping: the 1-based link index if the ping is open road inside a
-    link, else -1 (in a buffer zone or off the stop span)."""
-    arcs = np.array([p.arc_pos for p in pps], dtype=float)
-    feat_arcs = np.array([f[2] for f in rm.ordered_features()], dtype=float)
-    pos = np.searchsorted(feat_arcs, arcs)
-    dist = np.full(arcs.shape, np.inf)
-    left_ok = pos > 0
-    dist[left_ok] = arcs[left_ok] - feat_arcs[pos[left_ok] - 1]
-    right_ok = pos < feat_arcs.shape[0]
-    dist[right_ok] = np.minimum(dist[right_ok], feat_arcs[pos[right_ok]] - arcs[right_ok])
-    in_zone = dist <= rm.buffer_radius
-
-    stop_arcs = np.array([a for _, a in rm.projected_stops], dtype=float)
-    link_idx = np.searchsorted(stop_arcs, arcs)
-    on_span = (link_idx >= 1) & (link_idx <= len(rm.links)) & (arcs > stop_arcs[0]) \
-        & (arcs < stop_arcs[-1])
-    return np.where(on_span & ~in_zone, link_idx, -1)
+    link, else -1 (in a buffer zone, boundary inclusive, or not strictly
+    inside the stop span)."""
+    feats, stops = rm.feature_arcs, rm.stop_arcs
+    buffer = rm.buffer_radius
+    tags = []
+    for p in pps:
+        arc = p.arc_pos
+        k = bisect_left(feats, arc)
+        in_zone = ((k > 0 and arc - feats[k - 1] <= buffer)
+                   or (k < len(feats) and feats[k] - arc <= buffer))
+        on_span = stops[0] < arc < stops[-1]
+        tags.append(bisect_left(stops, arc) if on_span and not in_zone else -1)
+    return tags
 
 
 def _open_road_speeds(pps, rm: RouteModel) -> dict:
@@ -325,5 +323,5 @@ def _open_road_speeds(pps, rm: RouteModel) -> dict:
     for j in range(1, len(pps)):
         li = tags[j]
         if li >= 1 and tags[j - 1] == li and pps[j].timestamp > pps[j - 1].timestamp:
-            speeds.setdefault(int(li), []).append(space_mean_speed(pps[j - 1], pps[j]))
+            speeds.setdefault(li, []).append(space_mean_speed(pps[j - 1], pps[j]))
     return speeds

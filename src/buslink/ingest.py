@@ -63,11 +63,14 @@ def _read_table(dir_path: Path, name: str):
         return list(reader)
 
 
-def _req(row: dict, key: str, table: str):
+def _req(row: dict, key: str, table: str, conv=str):
     val = row.get(key)
     if val is None or val == "":
         raise IngestError("parse", f"{table}: missing field {key!r} in row {row}")
-    return val
+    try:
+        return conv(val)
+    except ValueError:
+        raise IngestError("parse", f"{table}: field {key!r} is not a number: {val!r}") from None
 
 
 _BAD_ID_CHAR = re.compile(r"[\s,;=\[\]]")
@@ -93,17 +96,17 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
     stops = {}
     for row in _read_table(dir_path, "stops.txt"):
         sid = _req(row, "stop_id", "stops.txt")
-        stops[sid] = (float(_req(row, "stop_lat", "stops.txt")),
-                      float(_req(row, "stop_lon", "stops.txt")),
+        stops[sid] = (_req(row, "stop_lat", "stops.txt", float),
+                      _req(row, "stop_lon", "stops.txt", float),
                       row.get("stop_name", ""))
 
     shape_pts = {}
     for row in _read_table(dir_path, "shapes.txt"):
         sid = _req(row, "shape_id", "shapes.txt")
         shape_pts.setdefault(sid, []).append(
-            (int(_req(row, "shape_pt_sequence", "shapes.txt")),
-             float(_req(row, "shape_pt_lat", "shapes.txt")),
-             float(_req(row, "shape_pt_lon", "shapes.txt"))))
+            (_req(row, "shape_pt_sequence", "shapes.txt", int),
+             _req(row, "shape_pt_lat", "shapes.txt", float),
+             _req(row, "shape_pt_lon", "shapes.txt", float)))
     shapes = {}
     for sid, pts in shape_pts.items():
         pts.sort(key=lambda p: p[0])
@@ -129,7 +132,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         shape_id = _req(row, "shape_id", "trips.txt")
         if shape_id not in shapes:
             raise IngestError("referential", f"trip {tid} references unknown shape {shape_id}")
-        direction = int(row.get("direction_id") or 0)
+        direction = _req(row, "direction_id", "trips.txt", int) if row.get("direction_id") else 0
         if direction not in (0, 1):
             raise IngestError("parse", f"trip {tid}: direction_id must be 0 or 1")
         trip_rows[tid] = (rid, direction, shape_id)
@@ -142,7 +145,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         sid = _checked_id(_req(row, "stop_id", "stop_times.txt"), "stop_id")
         if sid not in stops:
             raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
-        seq.setdefault(tid, []).append((int(_req(row, "stop_sequence", "stop_times.txt")), sid))
+        seq.setdefault(tid, []).append((_req(row, "stop_sequence", "stop_times.txt", int), sid))
 
     trips = {}
     for tid, (rid, direction, shape_id) in trip_rows.items():

@@ -5,21 +5,21 @@ The per-link step count is geometric with success probability
 ``1 - p_stay``; drawing it directly (inverse CDF of a pre-drawn uniform)
 is distribution-identical to stepping the chain and exponentially
 faster. Dwell and intersection times are sampled once per run and
-feature. Remaining time to a stop means time until *departure from*
-that stop, matching the link-total telescoping of the decomposition
-identity.
+feature. ``simulate`` draws every variate up front and hands them, with
+the plans themselves, to ``accel.markov_offsets``, whose scalar twin
+``accel._markov_scalar`` is the one reference for the transform.
+Remaining time to a stop means time until *departure from* that stop,
+matching the link-total telescoping of the decomposition identity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .accel import markov_offsets
-from .components import (EmpiricalDwell, IntersectionLogNormal, bootstrap_pick,
-                         lognormal_from_z)
+from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel, link_index_at
 from .hetlognorm import HetLogNormalModel, predict_point
@@ -120,66 +120,24 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
-def geometric_steps(u: float, p_stay: float) -> float:
-    """Steps spent on a link: inverse-CDF geometric draw, support 1, 2, ..."""
-    if p_stay <= 0.0:
-        return 1.0
-    f = math.ceil(math.log1p(-u) / math.log(p_stay))
-    return f if f >= 1.0 else 1.0
-
-
-def simulate_once(plans, delta_t: float, rng: np.random.Generator) -> np.ndarray:
-    """One Markov run: remaining seconds until departure from each
-    downstream stop. Reference implementation of the vectorized kernel."""
-    out = np.empty(len(plans))
-    cum = 0.0
-    for i, plan in enumerate(plans):
-        cum += geometric_steps(rng.random(), plan.p_stay) * delta_t
-        cum += bootstrap_pick(plan.dwell.samples, rng.random())
-        for x in plan.intersections:
-            cum += lognormal_from_z(x.mu_s, x.sigma_s, rng.standard_normal())
-        out[i] = cum
-    return out
-
-
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
              origin_time: float = float("nan")) -> SimulationSummary:
     """M-run simulation summary: mean and 2.5/97.5 percentiles per stop.
 
     Deterministic given the seed: all variates are drawn up front from one
-    Generator (road uniforms, dwell uniforms, intersection normals, in that
-    order) and transformed by ``accel.markov_offsets``.
+    Generator, in this order: road uniforms (M x links), dwell uniforms
+    (M x links), then intersection normals (M x all intersections of the
+    plans, none when there are none). ``accel.markov_offsets`` transforms
+    them on the plans.
     """
     m = int(config.runs)
     if m < 1:
         raise SimError("nonpositive", "runs must be >= 1")
-    n_links = len(plans)
     rng = np.random.default_rng(config.seed)
-    u_road = rng.random((m, n_links))
-    u_dwell = rng.random((m, n_links))
-
-    p_stay = np.array([p.p_stay for p in plans])
-    dwell_pools = [p.dwell.samples for p in plans]
-    dwell_len = np.array([s.shape[0] for s in dwell_pools], dtype=np.int64)
-    dwell_start = np.concatenate(([0], np.cumsum(dwell_len)[:-1])).astype(np.int64)
-    dwell_flat = (np.concatenate(dwell_pools) if dwell_pools
-                  else np.zeros(0)).astype(float)
-
-    x_mu, x_sigma, x_len = [], [], []
-    for p in plans:
-        x_len.append(len(p.intersections))
-        for x in p.intersections:
-            x_mu.append(x.mu_s)
-            x_sigma.append(x.sigma_s)
-    x_len = np.array(x_len, dtype=np.int64)
-    x_start = np.concatenate(([0], np.cumsum(x_len)[:-1])).astype(np.int64)
-    x_mu = np.array(x_mu, dtype=float)
-    x_sigma = np.array(x_sigma, dtype=float)
-    z_x = rng.standard_normal((m, x_mu.shape[0])) if x_mu.shape[0] else np.zeros((m, 0))
-
-    offsets = markov_offsets(p_stay, u_road, dwell_flat, dwell_start, dwell_len,
-                             u_dwell, x_mu, x_sigma, x_start, x_len, z_x,
-                             float(config.delta_t))
+    u_road = rng.random((m, len(plans)))
+    u_dwell = rng.random((m, len(plans)))
+    z_x = rng.standard_normal((m, sum(len(p.intersections) for p in plans)))
+    offsets = markov_offsets(plans, u_road, u_dwell, z_x, float(config.delta_t))
 
     means = offsets.mean(axis=0)
     lo, hi = np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")
@@ -216,6 +174,7 @@ class PredictionSession:
         self.speed_threshold = speed_threshold
         self.traffic = initial_traffic
         self._prev_ping = None
+        self._prev_tag = -1  # open_road_link_of tag of the previous ping; -1: none
         self._emissions = 0
 
     def _locate(self, ping):
@@ -240,21 +199,25 @@ class PredictionSession:
 
     def _advance(self, ping) -> bool:
         """Fold one ping into the indicator state; True when it flipped."""
-        prev, self._prev_ping = self._prev_ping, ping
-        if prev is None:
-            return False
-        pair_link = _shared_open_road_link(self.rm, prev, ping)
-        if pair_link is None:
-            return False
+        prev, prev_tag = self._prev_ping, self._prev_tag
+        tag = self._remember(ping)
+        if tag < 1 or tag != prev_tag:
+            return False  # not an open-road pair on one link
         v = space_mean_speed(prev, ping)
-        new_traffic = 1 if v < resolve_threshold(self.speed_threshold, pair_link) else 0
+        new_traffic = 1 if v < resolve_threshold(self.speed_threshold, tag) else 0
         if new_traffic == self.traffic:
             return False
         self.traffic = new_traffic
         return True
 
-    def start(self, ping) -> SimulationSummary | None:
+    def _remember(self, ping) -> int:
+        """Make ``ping`` the previous ping, classified once; its tag."""
         self._prev_ping = ping
+        self._prev_tag = open_road_link_of([ping], self.rm)[0]
+        return self._prev_tag
+
+    def start(self, ping) -> SimulationSummary | None:
+        self._remember(ping)
         return self._emit(ping)
 
     def observe(self, ping) -> None:
@@ -268,10 +231,3 @@ class PredictionSession:
         self._advance(ping)
         return self._emit(ping)
 
-
-def _shared_open_road_link(rm: RouteModel, a, b):
-    """Link index when both pings are open road on the same link, else None."""
-    tags = open_road_link_of([a, b], rm)
-    if tags[0] >= 1 and tags[0] == tags[1]:
-        return int(tags[0])
-    return None

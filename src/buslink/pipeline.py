@@ -67,10 +67,11 @@ class RunConfig:
         table: dict = {None: self.speed_threshold}
         for tok in self.link_speed_thresholds.split(","):
             link, _, value = tok.partition(":")
-            if not value:
-                raise ConfigError("bad_config",
-                                  f"link_speed_thresholds entry {tok!r} is not index:value")
-            table[int(link)] = float(value)
+            try:
+                table[int(link)] = float(value)
+            except ValueError:
+                raise ConfigError("bad_config", f"link_speed_thresholds entry {tok!r} "
+                                  "is not index:value") from None
         return table
 
 
@@ -81,13 +82,16 @@ _TUPLE_KEYS = {"peak_hours": int, "rain_labels": str}
 
 
 def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _TUPLE_KEYS:
-        conv = _TUPLE_KEYS[key]
-        return tuple(conv(tok.strip()) for tok in value.split(",") if tok.strip())
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+        if key in _TUPLE_KEYS:
+            conv = _TUPLE_KEYS[key]
+            return tuple(conv(tok.strip()) for tok in value.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError("bad_config", f"{key} = {value!r} is not a valid number") from None
     return value
 
 
@@ -164,9 +168,7 @@ def run_infer(cfg: RunConfig) -> InferReport:
     out_path = Path(cfg.out_dir) / cfg.observations
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_observations(out_path, observations)
-    counts: dict = {}
-    for o in observations:
-        counts[(o.route_key, o.link_index)] = counts.get((o.route_key, o.link_index), 0) + 1
+    counts = {key: len(rows) for key, rows in group_by_link(observations).items()}
     n_interp = sum(1 for o in observations
                    if any(f.startswith("interp") for f in o.flags))
     return InferReport(observations_path=str(out_path), n_traversals=len(series.segments),
@@ -398,8 +400,8 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
         raise ConfigError("not_found", f"no ping segment for trip {trip_id}"
                           + (f" at {at}" if at is not None else ""))
     trav = candidates[-1]
-    rm = build_route_model(net, xs, (trip.route_id, trip.direction_id),
-                           buffer_radius=cfg.buffer_radius, off_route_m=cfg.off_route)
+    route_key = (trip.route_id, trip.direction_id)
+    rm = _route_models_for(net, xs, cfg, [route_key])[route_key]
     pps = repair_monotonic(project_traversal(trav, rm), cfg.backward_tolerance)
     if at is not None:
         pps = [p for p in pps if p.timestamp <= at]

@@ -134,7 +134,40 @@ def write_store(path, store: ModelStore) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _coefs(value: str) -> np.ndarray:
+    return np.array([np.nan if t == "absent" else float(t) for t in value.split(",")])
+
+
+def _floats(value: str) -> np.ndarray:
+    return np.array([float(t) for t in value.split(",")])
+
+
+# model-store field -> parser of its value; other fields are kept as text
+_STORE_FIELDS = {
+    "n": int, "pooled": lambda v: bool(int(v)),
+    "loglik": float, "mu_s": float, "sigma_s": float, "excluded_zero_fraction": float,
+    "active_mask": lambda v: np.array([c == "1" for c in v.split(",")]),
+    "beta": _coefs, "gamma": _coefs, "fim": _floats, "samples": _floats,
+}
+
+
+def _store_line(line: str):
+    """(None, (kind, route_key, id)) for a section header, else (field,
+    parsed value); ValueError when a number does not parse."""
+    if line.startswith("["):
+        parts = line.strip("[]").split()
+        if len(parts) != 4:
+            raise ValueError(f"bad section header {line!r}")
+        kind, route_id, direction, ident = parts
+        return None, (kind, (route_id, int(direction)), int(ident) if kind == "road" else ident)
+    key, _, value = line.partition("=")
+    key = key.strip()
+    return key, _STORE_FIELDS.get(key, str)(value.strip())
+
+
 def read_store(path) -> ModelStore:
+    """Parse a model store; a malformed section header or a value that is
+    not a number raises IngestError("parse") naming the file and line."""
     path = Path(path)
     store = ModelStore(road={}, dwell={}, intersections={})
     section = None
@@ -146,48 +179,37 @@ def read_store(path) -> ModelStore:
             return
         kind, rk, ident = section
         if kind == "road":
-            mask = np.array([c == "1" for c in fields["active_mask"].split(",")])
-            beta = np.array([np.nan if t == "absent" else float(t)
-                             for t in fields["beta"].split(",")])
-            gamma = np.array([np.nan if t == "absent" else float(t)
-                              for t in fields["gamma"].split(",")])
-            fim = np.array(fim_rows, dtype=float)
-            if fim.shape != (2 * COEF_COUNT, 2 * COEF_COUNT):
-                raise IngestError("parse", f"{path.name}: bad FIM shape {fim.shape} in {section}")
-            store.road[(rk, int(ident))] = HetLogNormalModel(
-                beta=beta, gamma=gamma, fim=fim, n=int(fields["n"]),
-                active_mask=mask, loglik=float(fields["loglik"]))
+            size = 2 * COEF_COUNT
+            if len(fim_rows) != size or any(r.shape != (size,) for r in fim_rows):
+                raise IngestError("parse", f"{path.name}: FIM in {section} is not {size}x{size}")
+            store.road[(rk, ident)] = HetLogNormalModel(
+                beta=fields["beta"], gamma=fields["gamma"], fim=np.array(fim_rows),
+                n=fields["n"], active_mask=fields["active_mask"], loglik=fields["loglik"])
         elif kind == "dwell":
-            samples = np.array([float(t) for t in fields["samples"].split(",")])
+            samples = fields["samples"]
             store.dwell[(rk, ident)] = EmpiricalDwell(
                 stop_id=ident, samples=samples, mean=float(np.mean(samples)),
-                pooled=bool(int(fields.get("pooled", "0"))))
+                pooled=fields.get("pooled", False))
         elif kind == "intersection":
             store.intersections[(rk, ident)] = IntersectionLogNormal(
-                intersection_id=ident, mu_s=float(fields["mu_s"]),
-                sigma_s=float(fields["sigma_s"]), n=int(fields["n"]),
-                excluded_zero_fraction=float(fields.get("excluded_zero_fraction", "0")),
-                pooled=bool(int(fields.get("pooled", "0"))))
+                intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"],
+                n=fields["n"], excluded_zero_fraction=fields.get("excluded_zero_fraction", 0.0),
+                pooled=fields.get("pooled", False))
 
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("["):
+            try:
+                key, value = _store_line(line)
+            except ValueError as exc:
+                raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
+            if key is None:
                 flush()
-                parts = line.strip("[]").split()
-                if len(parts) != 4:
-                    raise IngestError("parse", f"{path.name}: bad section header {line!r}")
-                section = (parts[0], (parts[1], int(parts[2])), parts[3])
-                fields = {}
-                fim_rows = []
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "fim":
-                fim_rows.append([float(t) for t in value.split(",")])
+                section, fields, fim_rows = value, {}, []
+            elif key == "fim":
+                fim_rows.append(value)
             else:
                 fields[key] = value
     flush()

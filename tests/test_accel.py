@@ -5,6 +5,8 @@ rounding, and each kernel must be deterministic."""
 import numpy as np
 
 from buslink import accel
+from buslink.components import EmpiricalDwell, IntersectionLogNormal
+from buslink.markov import LinkPlan
 
 
 def projection_case(seed=0, n=500):
@@ -18,20 +20,22 @@ def projection_case(seed=0, n=500):
 
 
 def markov_case(seed=1, m=400):
+    """Four link plans (pools of 3, 2, 1 and 2 samples; one, two, zero and
+    zero intersections) and the variates for ``m`` runs."""
     rng = np.random.default_rng(seed)
-    p_stay = np.array([0.75, 0.9, 0.5, 1e-9])
+    p_stay = (0.75, 0.9, 0.5, 1e-9)
+    pools = ([0.0, 5.0, 10.0], [3.0, 3.0], [8.0], [1.0, 2.0])
+    xs = ([(2.0, 0.3)], [(2.5, 0.4), (1.5, 0.2)], [], [])
+    plans = [LinkPlan(link_index=i + 1, end_stop_id=f"S{i + 1}", remaining_dist=100.0,
+                      speed=10.0, steps=1.0 / (1.0 - p), p_stay=p,
+                      dwell=EmpiricalDwell(f"S{i + 1}", np.array(pool), float(np.mean(pool))),
+                      intersections=tuple(IntersectionLogNormal(f"X{i + 1}{k}", mu, sigma, 10)
+                                          for k, (mu, sigma) in enumerate(x)))
+             for i, (p, pool, x) in enumerate(zip(p_stay, pools, xs))]
     u_road = rng.random((m, 4))
     u_dwell = rng.random((m, 4))
-    dwell_flat = np.array([0.0, 5.0, 10.0, 3.0, 3.0, 8.0, 1.0, 2.0])
-    dwell_start = np.array([0, 3, 5, 6], dtype=np.int64)
-    dwell_len = np.array([3, 2, 1, 2], dtype=np.int64)
-    x_mu = np.array([2.0, 2.5])
-    x_sigma = np.array([0.3, 0.4])
-    x_start = np.array([0, 1, 2, 2], dtype=np.int64)
-    x_len = np.array([1, 1, 0, 0], dtype=np.int64)
-    z_x = rng.standard_normal((m, 2))
-    return (p_stay, u_road, dwell_flat, dwell_start, dwell_len, u_dwell,
-            x_mu, x_sigma, x_start, x_len, z_x, 5.0)
+    z_x = rng.standard_normal((m, 3))
+    return plans, u_road, u_dwell, z_x, 5.0
 
 
 def test_projection_backends_agree():

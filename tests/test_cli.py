@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,55 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("nonsense = 1\n", encoding="utf-8")
     rc = main(["validate", "--config", str(cfg)])
     assert rc == 2
+
+
+def assert_input_error(rc, capsys, *words):
+    """Exit 2 with exactly one ``error:`` line on stderr naming ``words``."""
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    for word in words:
+        assert word in lines[0]
+
+
+def test_bad_number_in_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("runs = abc\n", encoding="utf-8")
+    rc = main(["validate", "--config", str(cfg)])
+    assert_input_error(rc, capsys, "bad_config", "runs")
+
+
+def test_bad_link_speed_threshold_exit_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(workdir["cfg"].read_text(encoding="utf-8")
+                   + "link_speed_thresholds = a:4.0\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "bad_config", "a:4.0")
+    assert not (tmp_path / "observations.csv").exists()
+
+
+def test_bad_number_in_gtfs_table_exit_2(workdir, tmp_path, capsys):
+    gtfs = tmp_path / "gtfs"
+    shutil.copytree(workdir["paths"].gtfs_dir, gtfs)
+    lines = (gtfs / "stops.txt").read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("stop_lat")
+    row = lines[1].split(",")
+    row[col] = "north"
+    lines[1] = ",".join(row)
+    (gtfs / "stops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--gtfs", str(gtfs),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "parse", "stops.txt", "stop_lat")
+
+
+def test_bad_number_in_model_store_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("loglik"))
+    lines[lineno - 1] = "loglik = -12.5x"
+    (tmp_path / "models.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["predict", "--config", str(workdir["cfg"]), "--out", str(tmp_path),
+               "--route", "R1", "--link", "1"])
+    assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:")
 
 
 def test_console_entrypoint_subprocess(workdir):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from buslink.errors import InferenceError
-from buslink.geometry import build_route_model
+from buslink.geometry import build_route_model, feature_zone_test, link_index_at
 from buslink.inference import (FeatureEvent, ProjectedPing,
                                build_covariates, decompose_link, detect_events,
-                               repair_monotonic, space_mean_speed,
+                               open_road_link_of, repair_monotonic, space_mean_speed,
                                traffic_indicator)
 from buslink.ingest import load_weather
 
@@ -200,3 +200,46 @@ def test_extra_open_road_pings_do_not_change_times(single_link_rm):
     obs2 = {(e.kind, e.feature_id): (e.t_arrival, e.t_departure)
             for e in e2 if not e.interpolated}
     assert obs1 == obs2
+
+
+class TestOpenRoadLinkOf:
+    """The per-ping classifier against the brute-force zone test and link
+    lookup: open road strictly inside the stop span gives the link, any
+    buffer zone (boundary inclusive) or a position off the span gives -1."""
+
+    @pytest.fixture
+    def rm(self):
+        net, xs = network_with([0.0, 500.0, 1200.0, 1500.0], [("X1", 250.0), ("X2", 900.0)])
+        return build_route_model(net, xs, ("R", 0))
+
+    @staticmethod
+    def oracle(rm, arc):
+        if feature_zone_test(rm, arc).kind != "road" or not rm.first_arc < arc < rm.last_arc:
+            return -1
+        return link_index_at(rm, arc)
+
+    def check(self, rm, arcs):
+        tags = open_road_link_of([pp(0, a) for a in arcs], rm)
+        assert tags == [self.oracle(rm, float(a)) for a in arcs]
+        return tags
+
+    def test_random_arcs(self, rm):
+        arcs = np.random.default_rng(0).uniform(-100.0, rm.last_arc + 100.0, 2000)
+        tags = self.check(rm, arcs)
+        assert set(tags) == {-1, 1, 2, 3}
+
+    def test_exact_arcs(self, rm):
+        r = rm.buffer_radius
+        arcs = []
+        for _, _, farc in rm.features:
+            for a in (farc - r, farc + r, farc):
+                arcs += [a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)]
+        arcs += [rm.first_arc - 1.0, rm.last_arc + 1.0, -1e9, 1e9]
+        tags = self.check(rm, arcs)
+        assert tags[-4:] == [-1, -1, -1, -1]
+
+    def test_features_are_sorted_once(self, rm):
+        assert [f[1] for f in rm.features] == ["S0", "X1", "S1", "X2", "S2", "S3"]
+        assert rm.features is rm.features
+        assert rm.feature_arcs == tuple(f[2] for f in rm.features)
+        assert rm.stop_arcs == tuple(a for _, a in rm.projected_stops)

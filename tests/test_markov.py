@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from buslink.accel import _markov_scalar, markov_offsets
 from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
 from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
 from buslink.hetlognorm import HetLogNormalModel
-from buslink.markov import (LinkPlan, MarkovConfig, build_plan, geometric_steps,
-                            simulate, simulate_once, steps_to_complete)
+from buslink.markov import LinkPlan, MarkovConfig, build_plan, simulate, steps_to_complete
 
 from test_geometry import network_with
 
@@ -51,54 +51,48 @@ class TestSteps:
             steps_to_complete(100.0, -1.0, 5.0)
 
 
+def one_run(plans, u_road, u_dwell, z=(), delta_t=5.0):
+    """Offsets of one run with fixed variates, from the kernel; the scalar
+    reference must give the same."""
+    args = (plans, np.array([u_road], dtype=float), np.array([u_dwell], dtype=float),
+            np.array(z, dtype=float).reshape(1, -1), delta_t)
+    out = markov_offsets(*args)
+    np.testing.assert_allclose(out, _markov_scalar(*args), rtol=1e-12, atol=1e-9)
+    return out[0]
+
+
 class TestGeometricSteps:
     def test_expected_value_matches_steps(self):
-        # mean of geometric(1-p_stay) is S
-        rng = np.random.default_rng(0)
+        # mean of geometric(1-p_stay) is S: with delta_t 1 and no dwell the
+        # simulated remaining time is the step count
         s = 4.0
         p_stay = (s - 1.0) / s
-        draws = [geometric_steps(rng.random(), p_stay) for _ in range(200000)]
-        assert np.mean(draws) == pytest.approx(s, abs=0.05)
+        summary = simulate([plan(p_stay)], MarkovConfig(delta_t=1.0, runs=200000, seed=0))
+        assert summary.stops[0].mean_remaining == pytest.approx(s, abs=0.05)
 
     def test_zero_stay_always_one(self):
-        assert geometric_steps(0.999, 0.0) == 1.0
-        assert geometric_steps(0.0, 0.75) == 1.0
-
-
-class StubRng:
-    """Deterministic stand-in feeding chosen uniforms/normals in order."""
-
-    def __init__(self, uniforms, normals=()):
-        self._u = list(uniforms)
-        self._z = list(normals)
-
-    def random(self):
-        return self._u.pop(0)
-
-    def standard_normal(self):
-        return self._z.pop(0)
+        assert one_run([plan(0.0)], [0.999], [0.0], delta_t=1.0)[0] == 1.0
+        assert one_run([plan(0.75)], [0.0], [0.0], delta_t=1.0)[0] == 1.0
 
 
 class TestSimulateOnce:
+    """One Markov run with fixed variates, then the mean over many runs."""
+
     def test_degenerate_chain(self):
         # p_stay=0, delta_t=5, constant dwell 10, no intersections -> 15
-        out = simulate_once([plan(0.0, dwell=10.0)], 5.0, np.random.default_rng(0))
-        assert out[0] == 15.0
+        assert one_run([plan(0.0, dwell=10.0)], [0.3], [0.5])[0] == 15.0
 
     def test_forced_four_steps(self):
         # u=0.6 with p_stay=0.75 -> ceil(ln0.4/ln0.75)=4; 4*5 + 15 + 10 = 45
         x = IntersectionLogNormal(intersection_id="X", mu_s=math.log(15.0),
                                   sigma_s=0.0, n=10)
-        rng = StubRng(uniforms=[0.6, 0.0], normals=[0.0])
-        out = simulate_once([plan(0.75, dwell=10.0, intersections=[x])], 5.0, rng)
+        out = one_run([plan(0.75, dwell=10.0, intersections=[x])], [0.6], [0.0], z=[0.0])
         assert out[0] == pytest.approx(45.0, rel=1e-12)
 
     def test_expected_remaining(self):
         # S=4 (200 m at 10 m/s, delta_t 5), dwell 10 -> E = 4*5 + 10 = 30
-        rng = np.random.default_rng(11)
-        draws = np.array([simulate_once([plan(0.75, dwell=10.0)], 5.0, rng)[0]
-                          for _ in range(10 ** 5)])
-        assert draws.mean() == pytest.approx(30.0, abs=0.3)
+        s = simulate([plan(0.75, dwell=10.0)], MarkovConfig(delta_t=5.0, runs=10 ** 5, seed=11))
+        assert s.stops[0].mean_remaining == pytest.approx(30.0, abs=0.3)
 
 
 class TestSimulate:
@@ -131,12 +125,23 @@ class TestSimulate:
             assert f.mean_remaining > prev
             prev = f.mean_remaining
 
-    def test_matches_simulate_once_distribution(self):
-        plans = [plan(0.75, dwell=10.0)]
-        s = simulate(plans, MarkovConfig(delta_t=5.0, runs=10 ** 5, seed=5))
-        rng = np.random.default_rng(6)
-        ref = np.array([simulate_once(plans, 5.0, rng)[0] for _ in range(10 ** 4)])
-        assert s.stops[0].mean_remaining == pytest.approx(ref.mean(), abs=0.6)
+    def test_matches_scalar_reference(self):
+        # simulate draws road uniforms, dwell uniforms, then one normal per
+        # intersection, and summarizes the transformed runs
+        xs = [IntersectionLogNormal(f"X{k}", mu_s=2.0 + k / 4, sigma_s=0.3, n=10)
+              for k in range(3)]
+        plans = [plan(0.75, dwell=10.0, intersections=xs[:1], index=1),
+                 plan(0.6, dwell=4.0, index=2),
+                 plan(0.9, dwell=8.0, intersections=xs[1:], index=3)]
+        m = 2000
+        s = simulate(plans, MarkovConfig(delta_t=5.0, runs=m, seed=5))
+        rng = np.random.default_rng(5)
+        u_road, u_dwell = rng.random((m, 3)), rng.random((m, 3))
+        ref = _markov_scalar(plans, u_road, u_dwell, rng.standard_normal((m, 3)), 5.0)
+        lo, hi = np.percentile(ref, [2.5, 97.5], axis=0)
+        for i, f in enumerate(s.stops):
+            np.testing.assert_allclose([f.mean_remaining, f.p2_5, f.p97_5],
+                                       [ref[:, i].mean(), lo[i], hi[i]], rtol=1e-12)
 
 
 @pytest.mark.parametrize("delta_t", [5.0, 2.0, 1.0])
@@ -159,6 +164,9 @@ class TestSessionUpdateRule:
 
     @pytest.fixture
     def session(self):
+        return self.new_session()
+
+    def new_session(self):
         from buslink.inference import CovariateVector
         from buslink.markov import PredictionSession
         net, xs = network_with([0.0, 800.0, 1600.0], [])
@@ -196,6 +204,37 @@ class TestSessionUpdateRule:
         # second ping inside the S1 buffer zone: pair not open road, no update
         assert session.update(self.ping(10, 790.0)) is None
         assert session.traffic == 0
+
+    def test_slow_pair_across_two_links_does_not_update(self, session):
+        assert session.start(self.ping(0, 700.0)) is not None
+        # 2 m/s from open road on link 1 to open road on link 2: no update
+        assert session.update(self.ping(100, 900.0)) is None
+        assert session.traffic == 0
+        # the next slow pair on link 2 alone flips
+        assert session.update(self.ping(110, 930.0)) is not None
+        assert session.traffic == 1
+
+    def test_zone_to_open_road_pair_does_not_update(self, session):
+        assert session.start(self.ping(0, 10.0)) is not None  # inside the S0 zone
+        # 3 m/s out of the zone onto open road: pair not open road, no update
+        assert session.update(self.ping(10, 40.0)) is None
+        assert session.traffic == 0
+        assert session.update(self.ping(20, 70.0)) is not None
+        assert session.traffic == 1
+
+    def test_observe_then_emit_at_flips_as_update_would(self, session):
+        pings = [self.ping(0, 10.0), self.ping(10, 40.0), self.ping(20, 70.0)]
+        session.start(pings[0])
+        session.observe(pings[1])
+        assert session.traffic == 0
+        emitted = session.emit_at(pings[2])
+        assert session.traffic == 1
+
+        replay = self.new_session()
+        replay.start(pings[0])
+        assert replay.update(pings[1]) is None
+        assert replay.update(pings[2]) == emitted
+        assert replay.traffic == 1
 
 
 class TestBuildPlan:
