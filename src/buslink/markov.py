@@ -230,4 +230,3 @@ class PredictionSession:
     def emit_at(self, ping) -> SimulationSummary | None:
         self._advance(ping)
         return self._emit(ping)
-
