@@ -288,9 +288,6 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return 2

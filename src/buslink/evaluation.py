@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, MetricError
-from .hetlognorm import (PredictionWithBounds, _active_mask, design_matrix, fit as ln_fit,
+from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
-from .inference import group_by_link
+from .inference import group_by_link, road_design
 from .ingest import local_date_hour
-from .stats import normal_quantile
+from .stats import active_columns, normal_quantile
 
 
 def quantile_interp(values, q: float) -> float:
@@ -73,7 +73,7 @@ def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
     if n < min_samples:
         raise FitError("insufficient_data", f"need {min_samples} samples, have {n}")
     Z_full = design_matrix(X)
-    mask = _active_mask(Z_full)
+    mask = active_columns(Z_full)
     Z = Z_full[:, mask]
     k = Z.shape[1]
     if np.linalg.matrix_rank(Z) < k:
@@ -124,10 +124,6 @@ def mae(obs, pred) -> float:
     return float(np.mean(np.abs(o - p)))
 
 
-def bound_width(b: PredictionWithBounds) -> float:
-    return b.upper - b.lower
-
-
 # ---------------------------------------------------------------------------
 # train/test comparison
 # ---------------------------------------------------------------------------
@@ -138,15 +134,15 @@ class LinkEvaluation:
     link_index: int
     n_train: int
     n_test: int
-    mae_ln: float | None
-    rmse_ln: float | None
-    bw_ln: float | None
-    mae_hm: float | None
-    rmse_hm: float | None
-    bw_hm: float | None
-    mae_lr: float | None
-    rmse_lr: float | None
-    bw_lr: float | None
+    mae_ln: float | None = None
+    rmse_ln: float | None = None
+    bw_ln: float | None = None
+    mae_hm: float | None = None
+    rmse_hm: float | None = None
+    bw_hm: float | None = None
+    mae_lr: float | None = None
+    rmse_lr: float | None = None
+    bw_lr: float | None = None
     note: str = ""
 
 
@@ -154,8 +150,7 @@ def modal_covariates(rows) -> tuple:
     """Most frequent covariate combination; ties break lexicographically."""
     counts: dict = {}
     for obs in rows:
-        key = obs.covariates.as_tuple()
-        counts[key] = counts.get(key, 0) + 1
+        counts[obs.covariates] = counts.get(obs.covariates, 0) + 1
     top = max(counts.values())
     return min(k for k, c in counts.items() if c == top)
 
@@ -185,44 +180,29 @@ def evaluate_split(observations, cut_date: str, tz_offset: float,
         base = dict(route_key=route_key, link_index=link_index,
                     n_train=len(tr), n_test=len(te))
         if not tr or not te:
-            results.append(LinkEvaluation(**base, mae_ln=None, rmse_ln=None, bw_ln=None,
-                                          mae_hm=None, rmse_hm=None, bw_hm=None,
-                                          mae_lr=None, rmse_lr=None, bw_lr=None,
-                                          note="empty side"))
+            results.append(LinkEvaluation(**base, note="empty side"))
             continue
-        y_tr = np.array([o.road_time for o in tr])
-        X_tr = np.array([o.covariates.as_array() for o in tr])
-        y_te = np.array([o.road_time for o in te])
-        X_te = np.array([o.covariates.as_array() for o in te])
+        y_tr, X_tr = road_design(tr)
+        y_te, X_te = road_design(te)
         modal = np.array(modal_covariates(tr), dtype=float)
-
+        # (name, fit, point at x, bounds at x), scored in this order
+        models = (
+            ("ln", lambda: ln_fit(np.log(y_tr), X_tr, min_samples=min_fit_samples),
+             predict_point, predict_interval),
+            ("hm", lambda: hm_fit(y_tr), lambda m, x: m.mean, lambda m, x: hm_predict(m)),
+            ("lr", lambda: lr_fit(y_tr, X_tr), lambda m, x: lr_predict(m, x).point, lr_predict),
+        )
         vals: dict = {}
         notes = []
-        try:
-            ln = ln_fit(np.log(y_tr), X_tr, min_samples=min_fit_samples)
-            pred = np.array([predict_point(ln, x) for x in X_te])
-            vals["mae_ln"] = mae(y_te, pred)
-            vals["rmse_ln"] = rmse(y_te, pred)
-            vals["bw_ln"] = bound_width(predict_interval(ln, modal))
-        except FitError as exc:
-            vals.update(mae_ln=None, rmse_ln=None, bw_ln=None)
-            notes.append(f"LN: {exc.kind}")
-        try:
-            hm = hm_fit(y_tr)
-            vals["mae_hm"] = mae(y_te, np.full(len(te), hm.mean))
-            vals["rmse_hm"] = rmse(y_te, np.full(len(te), hm.mean))
-            vals["bw_hm"] = bound_width(hm_predict(hm))
-        except FitError as exc:
-            vals.update(mae_hm=None, rmse_hm=None, bw_hm=None)
-            notes.append(f"HM: {exc.kind}")
-        try:
-            lr = lr_fit(y_tr, X_tr)
-            pred = np.array([lr_predict(lr, x).point for x in X_te])
-            vals["mae_lr"] = mae(y_te, pred)
-            vals["rmse_lr"] = rmse(y_te, pred)
-            vals["bw_lr"] = bound_width(lr_predict(lr, modal))
-        except FitError as exc:
-            vals.update(mae_lr=None, rmse_lr=None, bw_lr=None)
-            notes.append(f"LR: {exc.kind}")
+        for name, fit, point, bounds in models:
+            try:
+                m = fit()
+            except FitError as exc:
+                notes.append(f"{name.upper()}: {exc.kind}")
+                continue
+            pred = np.array([point(m, x) for x in X_te])
+            vals[f"mae_{name}"] = mae(y_te, pred)
+            vals[f"rmse_{name}"] = rmse(y_te, pred)
+            vals[f"bw_{name}"] = bounds(m, modal).width
         results.append(LinkEvaluation(**base, **vals, note="; ".join(notes)))
     return results

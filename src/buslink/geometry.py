@@ -33,10 +33,6 @@ class Polyline:
     anchor_lat: float
     anchor_lon: float
 
-    @property
-    def total_length(self) -> float:
-        return float(self.cum[-1])
-
 
 def planar_xy(lats, lons, anchor_lat: float, anchor_lon: float):
     lat = np.radians(np.asarray(lats, dtype=float))

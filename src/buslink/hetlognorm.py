@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, NumericalError
-from .stats import normal_quantile
+from .stats import active_columns, normal_quantile
 
 COVARIATE_COUNT = 4
 COEF_COUNT = COVARIATE_COUNT + 1  # intercept + covariates
@@ -83,18 +83,6 @@ class HetLogNormalModel:
     def beta_effective(self) -> np.ndarray:
         return np.where(self.active_mask, np.nan_to_num(self.beta), 0.0)
 
-    def gamma_effective(self) -> np.ndarray:
-        return np.where(self.active_mask, np.nan_to_num(self.gamma), 0.0)
-
-
-def _active_mask(Z: np.ndarray) -> np.ndarray:
-    mask = np.ones(Z.shape[1], dtype=bool)
-    for j in range(1, Z.shape[1]):
-        col = Z[:, j]
-        if np.all(col == col[0]):
-            mask[j] = False
-    return mask
-
 
 def fit(ys, X, min_samples: int = 30, tol: float = 1e-6,
         max_iter: int = 500) -> HetLogNormalModel:
@@ -110,7 +98,7 @@ def fit(ys, X, min_samples: int = 30, tol: float = 1e-6,
     if n < min_samples:
         raise FitError("insufficient_data", f"need at least {min_samples} observations, have {n}")
     Z_full = design_matrix(X)
-    mask = _active_mask(Z_full)
+    mask = active_columns(Z_full)
     Z = Z_full[:, mask]
     k = Z.shape[1]
     if np.linalg.matrix_rank(Z) < k:

@@ -174,18 +174,11 @@ def traffic_indicator(open_road_speeds, threshold: float) -> TrafficIndicator:
                             observed=True)
 
 
-@dataclass(frozen=True)
-class CovariateVector:
+class CovariateVector(NamedTuple):
     rain: int
     peak: int
     weekday: int
     traffic: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rain, self.peak, self.weekday, self.traffic], dtype=float)
-
-    def as_tuple(self) -> tuple:
-        return (self.rain, self.peak, self.weekday, self.traffic)
 
 
 def build_covariates(t: float, weather: WeatherTable, traffic: int,
@@ -229,6 +222,34 @@ def group_by_link(observations) -> dict:
     return {key: groups[key] for key in sorted(groups)}
 
 
+def road_design(rows):
+    """Road seconds and the n x 4 covariate matrix of the rows, in row order."""
+    return (np.array([o.road_time for o in rows]),
+            np.array([o.covariates for o in rows], dtype=float))
+
+
+def intersection_samples(rows):
+    """The intersection times that feed the log-normal fits: positive and
+    not interpolated.
+
+    Returns the samples per (route_key, intersection_id), all of them as
+    one pool, and the count of the times left out per key; samples and
+    pool in row order.
+    """
+    samples: dict = {}
+    pool = []
+    others: dict = {}
+    for o in rows:
+        for xid, secs, interpolated in o.intersection_times:
+            key = (o.route_key, xid)
+            if secs > 0.0 and not interpolated:
+                samples.setdefault(key, []).append(secs)
+                pool.append(secs)
+            else:
+                others[key] = others.get(key, 0) + 1
+    return samples, pool, others
+
+
 def resolve_threshold(speed_threshold, link_index: int) -> float:
     """The congestion threshold is configurable globally (a float) or per
     link (a mapping from link index, falling back to the global default)."""
@@ -247,8 +268,9 @@ def observations_from_traversal(trav: Traversal, rm: RouteModel, weather: Weathe
     """Full per-traversal inference: project, repair, detect, decompose.
 
     Returns (observations, skip_log); per-link failures are recorded and
-    skipped rather than raised. InferenceError("too_sparse") and weather
-    LookupError propagate (the whole traversal is unusable).
+    skipped rather than raised. InferenceError("too_sparse") and
+    IngestError("missing_weather") propagate (the whole traversal is
+    unusable).
     """
     pps = repair_monotonic(project_traversal(trav, rm), backward_tolerance)
     events = detect_events(pps, rm)

@@ -254,7 +254,7 @@ class WeatherTable:
     def condition(self, date: str, hour: int) -> str:
         key = (date, hour)
         if key not in self.entries:
-            raise LookupError(f"no weather entry for {date} hour {hour}")
+            raise IngestError("missing_weather", f"no weather entry for {date} hour {hour}")
         return self.entries[key]
 
 
@@ -287,8 +287,8 @@ def rain_indicator(w: WeatherTable, t: float, tz_offset: float,
                    rain_labels=DEFAULT_RAIN_LABELS) -> int:
     """1 iff the local hour's condition is a precipitation label.
 
-    Raises LookupError for hours absent from the table; missing weather is
-    never silently treated as dry.
+    Raises IngestError("missing_weather") for hours absent from the table;
+    missing weather is never silently treated as dry.
     """
     date, hour = local_date_hour(t, tz_offset)
     return 1 if w.condition(date, hour) in rain_labels else 0

@@ -86,7 +86,7 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     are unidentifiable otherwise); the partially completed origin link is
     clamped instead.
     """
-    x = covariates.as_array() if hasattr(covariates, "as_array") else np.asarray(covariates, float)
+    x = np.asarray(covariates, dtype=float)
     x_arc = dict(rm.projected_intersections)
     plans = []
     for link in rm.links:

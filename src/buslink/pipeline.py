@@ -16,10 +16,10 @@ from . import evaluation, stats
 from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersection)
 from .errors import BuslinkError, ConfigError, FitError, InferenceError
 from .geometry import build_route_model
-from .hetlognorm import fit as ln_fit, predict_interval, predict_point
+from .hetlognorm import design_matrix, fit as ln_fit, predict_interval, predict_point
 from .inference import (DEFAULT_PEAK_HOURS, build_covariates, group_by_link,
-                        observations_from_traversal, project_traversal,
-                        repair_monotonic)
+                        intersection_samples, observations_from_traversal,
+                        project_traversal, repair_monotonic, road_design)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET,
                      load_gtfs_static, load_intersections, load_pings, load_weather)
 from .markov import MarkovConfig, PredictionSession
@@ -193,6 +193,20 @@ def _route_models_for(net, xs, cfg, route_keys):
             for rk in route_keys}
 
 
+def _fit_feature(models: dict, key, fit, samples, pool, min_samples: int,
+                 failed: list, what: str, **kwargs) -> None:
+    """Fit a dwell or intersection model on the feature's own samples, else
+    on the route pool with ``pooled=True``; when both fail, record
+    ``(key, "<what> <kind>")`` in ``failed``."""
+    try:
+        models[key] = fit(key[1], samples, min_samples=min_samples, **kwargs)
+    except FitError:
+        try:
+            models[key] = fit(key[1], pool, min_samples=min_samples, pooled=True, **kwargs)
+        except FitError as exc:
+            failed.append((key, f"{what} {exc.kind}"))
+
+
 def fit_all(observations, cfg: RunConfig, route_models: dict) -> tuple:
     """Fit road/dwell/intersection models for every link with data.
 
@@ -204,55 +218,29 @@ def fit_all(observations, cfg: RunConfig, route_models: dict) -> tuple:
     fitted, failed = [], []
     by_link = group_by_link(observations)
     for key, rows in by_link.items():
-        y = np.array([o.road_time for o in rows])
-        X = np.array([o.covariates.as_array() for o in rows])
+        y, X = road_design(rows)
         try:
             store.road[key] = ln_fit(np.log(y), X, min_samples=cfg.min_fit_samples)
             fitted.append(key)
         except FitError as exc:
             failed.append((key, f"{exc.kind}"))
 
+    n_min = cfg.min_component_samples
     for rk, rm in sorted(route_models.items()):
-        link_obs = {li: by_link.get((rk, li), []) for li in (l.index for l in rm.links)}
-        pooled_dwell = [o.dwell_time for rows in link_obs.values() for o in rows]
+        link_obs = {link.index: by_link.get((rk, link.index), []) for link in rm.links}
+        route_rows = [o for rows in link_obs.values() for o in rows]
+        pooled_dwell = [o.dwell_time for o in route_rows]
         for link in rm.links:
             samples = [o.dwell_time for o in link_obs[link.index]]
-            try:
-                store.dwell[(rk, link.to_stop)] = fit_dwell(
-                    link.to_stop, samples, min_samples=cfg.min_component_samples)
-            except FitError:
-                try:
-                    store.dwell[(rk, link.to_stop)] = fit_dwell(
-                        link.to_stop, pooled_dwell,
-                        min_samples=cfg.min_component_samples, pooled=True)
-                except FitError as exc:
-                    failed.append(((rk, link.to_stop), f"dwell {exc.kind}"))
-        pooled_x = []
-        x_samples: dict = {}
-        x_zeros: dict = {}
-        for link in rm.links:
-            for o in link_obs[link.index]:
-                for xid, secs, interpolated in o.intersection_times:
-                    if secs > 0.0 and not interpolated:
-                        x_samples.setdefault(xid, []).append(secs)
-                        pooled_x.append(secs)
-                    else:
-                        x_zeros[xid] = x_zeros.get(xid, 0) + 1
+            _fit_feature(store.dwell, (rk, link.to_stop), fit_dwell, samples, pooled_dwell,
+                         n_min, failed, "dwell")
+        x_samples, pooled_x, x_others = intersection_samples(route_rows)
         for xid, _arc in rm.projected_intersections:
-            samples = x_samples.get(xid, [])
-            zeros = x_zeros.get(xid, 0)
-            frac = zeros / (zeros + len(samples)) if (zeros + len(samples)) else 0.0
-            try:
-                store.intersections[(rk, xid)] = fit_intersection(
-                    xid, samples, min_samples=cfg.min_component_samples,
-                    excluded_zero_fraction=frac)
-            except FitError:
-                try:
-                    store.intersections[(rk, xid)] = fit_intersection(
-                        xid, pooled_x, min_samples=cfg.min_component_samples,
-                        excluded_zero_fraction=frac, pooled=True)
-                except FitError as exc:
-                    failed.append(((rk, xid), f"intersection {exc.kind}"))
+            samples = x_samples.get((rk, xid), [])
+            others = x_others.get((rk, xid), 0)
+            frac = others / (others + len(samples)) if (others + len(samples)) else 0.0
+            _fit_feature(store.intersections, (rk, xid), fit_intersection, samples, pooled_x,
+                         n_min, failed, "intersection", excluded_zero_fraction=frac)
     return store, fitted, failed
 
 
@@ -285,19 +273,11 @@ class ValidationRow:
 def run_validate(cfg: RunConfig) -> list:
     observations = read_observations(Path(cfg.out_dir) / cfg.observations)
     rows = []
-    x_samples: dict = {}
-    for o in observations:
-        for xid, secs, interpolated in o.intersection_times:
-            if secs > 0.0 and not interpolated:
-                x_samples.setdefault((o.route_key, xid), []).append(secs)
-
     for (rk, li), link_obs in group_by_link(observations).items():
         obs = sorted(link_obs, key=lambda o: o.depart_prev)
         label = f"road {rk[0]}/{rk[1]} link {li}"
-        road = np.array([o.road_time for o in obs])
-        Z = np.column_stack([np.ones(len(obs))] +
-                            [np.array([o.covariates.as_array()[j] for o in obs])
-                             for j in range(4)])
+        road, X = road_design(obs)
+        Z = design_matrix(X)
         for name, runner in (("ks_lognormal", lambda: stats.ks_lognormal(road)),
                              ("breusch_pagan", lambda: stats.breusch_pagan(np.log(road), Z)),
                              ("runs", lambda: stats.runs_test(road))):
@@ -309,6 +289,7 @@ def run_validate(cfg: RunConfig) -> list:
                 rows.append(ValidationRow(component=label, test_name=name,
                                           statistic=None, p_value=None,
                                           n=len(obs), note=exc.kind))
+    x_samples, _pool, _others = intersection_samples(observations)
     for key in sorted(x_samples):
         rk, xid = key
         vals = np.array(x_samples[key])

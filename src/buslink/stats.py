@@ -185,6 +185,17 @@ def _ols_r2(y: np.ndarray, Z: np.ndarray):
     return coef, fitted, r2
 
 
+def active_columns(Z: np.ndarray) -> np.ndarray:
+    """Mask of the design columns a fit uses: the intercept (column 0) and
+    every other column that is not constant."""
+    mask = np.ones(Z.shape[1], dtype=bool)
+    for j in range(1, Z.shape[1]):
+        col = Z[:, j]
+        if np.all(col == col[0]):
+            mask[j] = False
+    return mask
+
+
 def breusch_pagan(ys, Z) -> TestResult:
     """Breusch-Pagan LM test: n * R^2 of squared OLS residuals on the design.
 
@@ -193,8 +204,7 @@ def breusch_pagan(ys, Z) -> TestResult:
     """
     y = np.asarray(ys, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    keep = [0] + [j for j in range(1, Z.shape[1]) if not np.all(Z[:, j] == Z[0, j])]
-    Za = Z[:, keep]
+    Za = Z[:, active_columns(Z)]
     n, k = Za.shape
     if n <= 10 * k:
         raise StatError("insufficient_data", f"need more than {10 * k} rows, have {n}")

@@ -55,8 +55,8 @@ def read_observations(path) -> list:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("route_id,"):
-                continue
+            if not line or (lineno == 1 and line.startswith("route_id,")):
+                continue  # the header; a route named route_id is a row
             parts = line.split(",")
             if len(parts) != 13:
                 raise IngestError("parse", f"{path.name}:{lineno}: expected 13 fields")
@@ -149,6 +149,12 @@ _STORE_FIELDS = {
     "active_mask": lambda v: np.array([c == "1" for c in v.split(",")]),
     "beta": _coefs, "gamma": _coefs, "fim": _floats, "samples": _floats,
 }
+# section kind -> the fields it cannot do without (road also needs its FIM rows)
+_REQUIRED_FIELDS = {
+    "road": ("n", "loglik", "active_mask", "beta", "gamma"),
+    "dwell": ("samples",),
+    "intersection": ("mu_s", "sigma_s", "n"),
+}
 
 
 def _store_line(line: str):
@@ -159,6 +165,8 @@ def _store_line(line: str):
         if len(parts) != 4:
             raise ValueError(f"bad section header {line!r}")
         kind, route_id, direction, ident = parts
+        if kind not in _REQUIRED_FIELDS:
+            raise ValueError(f"unknown section kind in {line!r}")
         return None, (kind, (route_id, int(direction)), int(ident) if kind == "road" else ident)
     key, _, value = line.partition("=")
     key = key.strip()
@@ -166,8 +174,10 @@ def _store_line(line: str):
 
 
 def read_store(path) -> ModelStore:
-    """Parse a model store; a malformed section header or a value that is
-    not a number raises IngestError("parse") naming the file and line."""
+    """Parse a model store; a malformed section header, a section of unknown
+    kind or a value that is not a number raises IngestError("parse") naming
+    the file and line, and a section without a required field one naming
+    the file and section."""
     path = Path(path)
     store = ModelStore(road={}, dwell={}, intersections={})
     section = None
@@ -178,6 +188,10 @@ def read_store(path) -> ModelStore:
         if section is None:
             return
         kind, rk, ident = section
+        missing = [f for f in _REQUIRED_FIELDS[kind] if f not in fields]
+        if missing:
+            raise IngestError("parse", f"{path.name}: [{kind} {rk[0]} {rk[1]} {ident}] "
+                              f"has no {', '.join(missing)}")
         if kind == "road":
             size = 2 * COEF_COUNT
             if len(fim_rows) != size or any(r.shape != (size,) for r in fim_rows):
@@ -190,7 +204,7 @@ def read_store(path) -> ModelStore:
             store.dwell[(rk, ident)] = EmpiricalDwell(
                 stop_id=ident, samples=samples, mean=float(np.mean(samples)),
                 pooled=fields.get("pooled", False))
-        elif kind == "intersection":
+        else:
             store.intersections[(rk, ident)] = IntersectionLogNormal(
                 intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"],
                 n=fields["n"], excluded_zero_fraction=fields.get("excluded_zero_fraction", 0.0),

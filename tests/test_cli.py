@@ -225,6 +225,38 @@ def test_bad_number_in_model_store_exit_2(workdir, tmp_path, capsys):
     assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:")
 
 
+def _predict_with_store(workdir, tmp_path, lines):
+    (tmp_path / "models.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return main(["predict", "--config", str(workdir["cfg"]), "--out", str(tmp_path),
+                 "--route", "R1", "--link", "1"])
+
+
+def test_model_store_missing_field_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    rc = _predict_with_store(workdir, tmp_path,
+                             [line for line in lines if not line.startswith("loglik")])
+    assert_input_error(rc, capsys, "parse", "models.txt", "[road R1 0 1]", "loglik")
+
+
+def test_model_store_unknown_section_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    i = lines.index("[road R1 0 2]")
+    lines[i] = "[bus R1 0 2]"
+    rc = _predict_with_store(workdir, tmp_path, lines)
+    assert_input_error(rc, capsys, "parse", f"models.txt:{i + 1}:", "[bus R1 0 2]")
+
+
+def test_program_lookup_error_is_not_input_error(workdir, monkeypatch):
+    from buslink import pipeline
+
+    def broken(cfg):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(pipeline, "run_validate", broken)
+    with pytest.raises(KeyError):
+        main(["validate", "--config", str(workdir["cfg"])])
+
+
 def test_console_entrypoint_subprocess(workdir):
     import os
     env = dict(os.environ)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from buslink.errors import FitError, MetricError
-from buslink.evaluation import (bound_width, evaluate_split, hm_fit, hm_predict,
+from buslink.evaluation import (evaluate_split, hm_fit, hm_predict,
                                 lr_fit, lr_predict, mae, modal_covariates,
                                 quantile_interp, rmse, split_by_date)
 from buslink.hetlognorm import PredictionWithBounds
@@ -39,7 +39,7 @@ class TestHistoricalMean:
         base = np.array([20.0, 25.0, 30.0, 35.0, 40.0] * 10)
         narrow = hm_fit(base)
         wide = hm_fit(30.0 + 2.0 * (base - 30.0))
-        assert bound_width(hm_predict(wide)) >= bound_width(hm_predict(narrow))
+        assert hm_predict(wide).width >= hm_predict(narrow).width
         assert wide.mean == pytest.approx(narrow.mean)
 
 
@@ -51,7 +51,7 @@ class TestLinearBaseline:
         m = lr_fit(y, X)
         b = lr_predict(m, [1, 1, 0, 0])
         assert b.point == pytest.approx(15.0, abs=1e-9)
-        assert bound_width(b) == pytest.approx(0.0, abs=1e-6)
+        assert b.width == pytest.approx(0.0, abs=1e-6)
 
     def test_intercept_only_closed_form(self):
         y = np.array([10.0, 20.0, 30.0])
@@ -83,7 +83,7 @@ class TestMetrics:
         assert rmse([1, 2], [1, 2]) == 0.0
 
     def test_bound_width(self):
-        assert bound_width(PredictionWithBounds(27.5, 26.436, 28.601)) == \
+        assert PredictionWithBounds(27.5, 26.436, 28.601).width == \
             pytest.approx(2.165, abs=1e-9)
 
     def test_length_mismatch(self):

@@ -154,12 +154,12 @@ class TestCovariates:
     def test_tuesday_peak_clear(self, weather):
         t = self._posix_local("2023-09-05", 8, 30)  # Tuesday
         cov = build_covariates(t, weather, 0, tz_offset=-5.0)
-        assert cov.as_tuple() == (0, 1, 1, 0)
+        assert cov == (0, 1, 1, 0)
 
     def test_saturday_rain_traffic(self, weather):
         t = self._posix_local("2023-09-09", 12, 0)  # Saturday
         cov = build_covariates(t, weather, 1, tz_offset=-5.0)
-        assert cov.as_tuple() == (1, 0, 0, 1)
+        assert cov == (1, 0, 0, 1)
 
     def test_friday_16_boundary_is_peak(self, weather):
         t = self._posix_local("2023-09-08", 16, 0)  # Friday

@@ -212,8 +212,9 @@ def test_rain_indicator_labels(tmp_path):
 
 def test_rain_indicator_missing_hour(tmp_path):
     w = load_weather(write_weather(tmp_path, ["2023-09-01,14,Clear"]))
-    with pytest.raises(LookupError):
+    with pytest.raises(IngestError) as e:
         rain_indicator(w, _posix(2023, 9, 1, 16, 0), 0)
+    assert e.value.kind == "missing_weather"
 
 
 def test_rain_indicator_tz_boundary(tmp_path):

@@ -1,0 +1,119 @@
+"""Round trips of the observation file and the model store on random
+content: write -> read gives the same rows, and writing them again gives
+the same bytes."""
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from buslink.components import EmpiricalDwell, IntersectionLogNormal
+from buslink.hetlognorm import COEF_COUNT, HetLogNormalModel
+from buslink.inference import CovariateVector, LinkObservation
+from buslink.store import (ModelStore, read_observations, read_store,
+                           write_observations, write_store)
+
+SETTINGS = settings(deadline=None, max_examples=60,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# ids may hold anything but whitespace and , ; = [ ] (ingest rejects those)
+ids = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"),
+                            blacklist_characters=",;=[]"), min_size=1, max_size=8)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+route_keys = st.tuples(ids, st.integers(0, 1))
+bits = st.integers(0, 1)
+
+
+@st.composite
+def observations(draw):
+    xids = draw(st.lists(ids, unique=True, max_size=3))
+    xs = tuple((xid, draw(finite), draw(st.booleans())) for xid in xids)
+    flags = (["interp_stop"] if draw(st.booleans()) else []) \
+        + [f"interp_x={xid}" for xid, _, interpolated in xs if interpolated] \
+        + (["unobs_traffic"] if draw(st.booleans()) else [])
+    return LinkObservation(
+        route_key=draw(route_keys), link_index=draw(st.integers(1, 99)),
+        depart_prev=draw(finite), total_time=draw(finite), dwell_time=draw(finite),
+        intersection_times=xs, road_time=draw(finite),
+        covariates=CovariateVector(*draw(st.tuples(bits, bits, bits, bits))),
+        flags=tuple(flags))
+
+
+@given(rows=st.lists(observations(), min_size=1, max_size=6))
+@example(rows=[LinkObservation(
+    route_key=("route_id", 0), link_index=1, depart_prev=0.0, total_time=1.0,
+    dwell_time=0.0, intersection_times=(), road_time=1.0,
+    covariates=CovariateVector(0, 0, 0, 0))])
+@SETTINGS
+def test_observation_file_round_trip(tmp_path, rows):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_observations(first, rows)
+    again = read_observations(first)
+    assert again == rows
+    write_observations(second, again)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@st.composite
+def road_entries(draw):
+    mask = np.array([True] + draw(st.lists(st.booleans(), min_size=COEF_COUNT - 1,
+                                           max_size=COEF_COUNT - 1)))
+    coefs = st.lists(finite, min_size=COEF_COUNT, max_size=COEF_COUNT)
+    size = 2 * COEF_COUNT
+    return (draw(route_keys), draw(st.integers(1, 99))), HetLogNormalModel(
+        beta=np.where(mask, draw(coefs), np.nan), gamma=np.where(mask, draw(coefs), np.nan),
+        fim=np.array(draw(st.lists(st.lists(finite, min_size=size, max_size=size),
+                                   min_size=size, max_size=size))),
+        n=draw(st.integers(0, 10**6)), active_mask=mask, loglik=draw(finite))
+
+
+@st.composite
+def dwell_entries(draw):
+    stop_id = draw(ids)
+    samples = np.sort(draw(st.lists(st.floats(0.0, 1e5), min_size=1, max_size=8)))
+    return (draw(route_keys), stop_id), EmpiricalDwell(
+        stop_id=stop_id, samples=samples, mean=float(np.mean(samples)),
+        pooled=draw(st.booleans()))
+
+
+@st.composite
+def intersection_entries(draw):
+    xid = draw(ids)
+    return (draw(route_keys), xid), IntersectionLogNormal(
+        intersection_id=xid, mu_s=draw(finite), sigma_s=draw(finite),
+        n=draw(st.integers(0, 10**6)), excluded_zero_fraction=draw(finite),
+        pooled=draw(st.booleans()))
+
+
+def _models(entries):
+    return st.lists(entries, max_size=3, unique_by=lambda e: e[0]).map(dict)
+
+
+stores = st.builds(ModelStore, road=_models(road_entries()), dwell=_models(dwell_entries()),
+                   intersections=_models(intersection_entries()))
+
+
+def assert_same_store(a: ModelStore, b: ModelStore):
+    assert a.road.keys() == b.road.keys()
+    for key, m in a.road.items():
+        r = b.road[key]
+        assert np.array_equal(m.active_mask, r.active_mask)
+        assert np.array_equal(m.beta, r.beta, equal_nan=True)
+        assert np.array_equal(m.gamma, r.gamma, equal_nan=True)
+        assert np.array_equal(m.fim, r.fim)
+        assert (m.n, m.loglik) == (r.n, r.loglik)
+    assert a.dwell.keys() == b.dwell.keys()
+    for key, d in a.dwell.items():
+        r = b.dwell[key]
+        assert np.array_equal(d.samples, r.samples)
+        assert (d.stop_id, d.mean, d.pooled) == (r.stop_id, r.mean, r.pooled)
+    assert a.intersections == b.intersections
+
+
+@given(store=stores.filter(lambda s: s.road or s.dwell or s.intersections))
+@SETTINGS
+def test_model_store_round_trip(tmp_path, store):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_store(first, store)
+    again = read_store(first)
+    assert_same_store(store, again)
+    write_store(second, again)
+    assert first.read_bytes() == second.read_bytes()

@@ -114,7 +114,7 @@ def test_end_to_end_coefficient_recovery(corpus, corpus_observations):
     for li, truth_link in enumerate(TRUTH["links"], start=1):
         rows = [o for o in observations if o.link_index == li]
         ys = np.log([o.road_time for o in rows])
-        X = np.array([o.covariates.as_array() for o in rows])
+        X = np.array([o.covariates for o in rows], dtype=float)
         m = fit(ys, X)
         assert np.all(np.abs(m.beta - np.array(truth_link["beta"])) < 0.05), li
 
