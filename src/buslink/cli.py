@@ -27,25 +27,35 @@ def _fmt(v, digits: int = 3) -> str:
     return f"{v:.{digits}f}"
 
 
-def _shared_flags(sub):
+# input flag -> (config key, help); each command takes its own subset
+_INPUT_FLAGS = {
+    "gtfs": ("gtfs_dir", "GTFS static directory"),
+    "pings": ("pings", "ping record file"),
+    "weather": ("weather", "weather file"),
+    "intersections": ("intersections", "intersection file"),
+    "observations": ("observations", "observation file name"),
+    "store": ("model_store", "model store file name"),
+    "cut": ("cut_date", "test period start date YYYY-MM-DD"),
+}
+
+
+def _shared_flags(sub, *inputs):
     sub.add_argument("--config", help="key = value configuration file")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--json", action="store_true", help="JSON output instead of tables")
+    for flag in inputs:
+        sub.add_argument(f"--{flag}", help=_INPUT_FLAGS[flag][1])
 
 
-def _config_from(args, **extra) -> pipeline.RunConfig:
-    overrides = {k: v for k, v in extra.items() if v is not None}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
+def _config_from(args) -> pipeline.RunConfig:
+    overrides = {key: getattr(args, flag, None) for flag, (key, _) in _INPUT_FLAGS.items()}
+    overrides.update(seed=args.seed, out_dir=args.out)
     return pipeline.load_config(args.config, overrides)
 
 
 def cmd_infer(args) -> int:
-    cfg = _config_from(args, gtfs_dir=args.gtfs, pings=args.pings,
-                       weather=args.weather, intersections=args.intersections)
+    cfg = _config_from(args)
     report = pipeline.run_infer(cfg)
     if args.json:
         print(json.dumps({
@@ -69,8 +79,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _config_from(args, gtfs_dir=args.gtfs, intersections=args.intersections,
-                       observations=args.observations, model_store=args.store)
+    cfg = _config_from(args)
     report = pipeline.run_fit(cfg)
     if args.json:
         print(json.dumps({
@@ -91,7 +100,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _config_from(args, observations=args.observations)
+    cfg = _config_from(args)
     rows = pipeline.run_validate(cfg)
     if args.json:
         print(json.dumps([{
@@ -108,7 +117,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _config_from(args, model_store=args.store)
+    cfg = _config_from(args)
     x = [args.rain, args.peak, args.weekday, args.traffic]
     point, bounds = pipeline.run_predict(cfg, args.route, args.direction,
                                          args.link, x, level=args.level)
@@ -124,9 +133,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config_from(args, gtfs_dir=args.gtfs, pings=args.pings,
-                       weather=args.weather, intersections=args.intersections,
-                       model_store=args.store)
+    cfg = _config_from(args)
     batches = pipeline.run_simulate(cfg, args.trip, at=args.at, replay=args.replay)
     if args.json:
         payload = [{
@@ -151,7 +158,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from(args, observations=args.observations, cut_date=args.cut)
+    cfg = _config_from(args)
     rows = pipeline.run_evaluate(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,29 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("infer", help="infer link observations from pings")
-    _shared_flags(p)
-    p.add_argument("--gtfs", help="GTFS static directory")
-    p.add_argument("--pings", help="ping record file")
-    p.add_argument("--weather", help="weather file")
-    p.add_argument("--intersections", help="intersection file")
+    _shared_flags(p, "gtfs", "pings", "weather", "intersections")
     p.set_defaults(func=cmd_infer)
 
     p = subs.add_parser("fit", help="fit per-link models from observations")
-    _shared_flags(p)
-    p.add_argument("--gtfs", help="GTFS static directory")
-    p.add_argument("--intersections", help="intersection file")
-    p.add_argument("--observations", help="observation file name")
-    p.add_argument("--store", help="model store file name")
+    _shared_flags(p, "gtfs", "intersections", "observations", "store")
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("validate", help="statistical tests per link")
-    _shared_flags(p)
-    p.add_argument("--observations", help="observation file name")
+    _shared_flags(p, "observations")
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("predict", help="point + interval for one link")
-    _shared_flags(p)
-    p.add_argument("--store", help="model store file name")
+    _shared_flags(p, "store")
     p.add_argument("--route", required=True)
     p.add_argument("--direction", type=int, default=0)
     p.add_argument("--link", type=int, required=True)
@@ -251,12 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("simulate", help="remaining-time simulation for a trip")
-    _shared_flags(p)
-    p.add_argument("--gtfs", help="GTFS static directory")
-    p.add_argument("--pings", help="ping record file")
-    p.add_argument("--weather", help="weather file")
-    p.add_argument("--intersections", help="intersection file")
-    p.add_argument("--store", help="model store file name")
+    _shared_flags(p, "gtfs", "pings", "weather", "intersections", "store")
     p.add_argument("--trip", required=True)
     p.add_argument("--at", type=float, default=None, help="POSIX timestamp")
     p.add_argument("--replay", action="store_true",
@@ -264,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("evaluate", help="train/test comparison against baselines")
-    _shared_flags(p)
-    p.add_argument("--observations", help="observation file name")
-    p.add_argument("--cut", help="test period start date YYYY-MM-DD")
+    _shared_flags(p, "observations", "cut")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("synth", help="generate a synthetic corpus from a truth spec")

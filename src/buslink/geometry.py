@@ -68,11 +68,6 @@ def project_many(polyline: Polyline, lats, lons):
     return project_onto_polyline(qx, qy, polyline.xs, polyline.ys, polyline.cum)
 
 
-def project_point(polyline: Polyline, lat: float, lon: float):
-    arcs, offs = project_many(polyline, [lat], [lon])
-    return float(arcs[0]), float(offs[0])
-
-
 @dataclass(frozen=True)
 class Link:
     index: int

@@ -196,8 +196,7 @@ def build_covariates(t: float, weather: WeatherTable, traffic: int,
                            traffic=int(traffic))
 
 
-@dataclass(frozen=True)
-class LinkObservation:
+class LinkObservation(NamedTuple):
     route_key: tuple
     link_index: int
     depart_prev: float

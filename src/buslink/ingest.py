@@ -3,24 +3,27 @@
 All loaders are pure functions of their input files and return frozen
 structures that are safe to share between threads. Timestamps are POSIX
 seconds UTC throughout; calendar logic (hour of day, weekday, service
-date) applies a single signed ``tz_offset`` in hours.
+date) applies a single signed ``tz_offset`` in hours. Every
+line-oriented text input of the package is read by ``data_lines``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import IngestError
 
 DEFAULT_TZ_OFFSET = -5  # US Eastern standard time; the feeds carry no zone info
 DEFAULT_MAX_GAP_S = 120.0
 DEFAULT_RAIN_LABELS = frozenset({"Rain", "Thunderstorm", "Drizzle"})
-
-_GTFS_TABLES = ("stops.txt", "shapes.txt", "trips.txt", "routes.txt", "stop_times.txt")
 
 
 def local_datetime(t: float, tz_offset: float) -> datetime:
@@ -31,6 +34,50 @@ def local_datetime(t: float, tz_offset: float) -> datetime:
 def local_date_hour(t: float, tz_offset: float):
     dt = local_datetime(t, tz_offset)
     return dt.strftime("%Y-%m-%d"), dt.hour
+
+
+# ---------------------------------------------------------------------------
+# Text lines and fields
+# ---------------------------------------------------------------------------
+
+def data_lines(path):
+    """Yield ``(line number, stripped line)`` for every line of a text file
+    that is neither blank nor a ``#`` comment."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def read_rows(path, columns, convert, header: bool = True):
+    """Yield ``convert(fields)`` for each data line of a comma-separated file
+    with the given ``columns``. With ``header``, line 1 is skipped if its
+    first field is the first column name, ignoring case. A wrong field
+    count or a ValueError from ``convert`` raises IngestError("parse")
+    naming file:line."""
+    path = Path(path)
+    first = columns[0].lower()
+    for lineno, line in data_lines(path):
+        parts = line.split(",")
+        if header and lineno == 1 and parts[0].lower() == first:
+            continue
+        if len(parts) != len(columns):
+            raise IngestError("parse", f"{path.name}:{lineno}: expected {len(columns)} "
+                              f"fields, got {len(parts)}")
+        try:
+            row = convert(parts)
+        except ValueError as exc:
+            raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from None
+        yield row
+
+
+def finite_float(text: str) -> float:
+    """float() that also rejects ``nan`` and ``inf`` with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +120,16 @@ def _req(row: dict, key: str, table: str, conv=str):
         raise IngestError("parse", f"{table}: field {key!r} is not a number: {val!r}") from None
 
 
-_BAD_ID_CHAR = re.compile(r"[\s,;=\[\]]")
+_BAD_ID = re.compile(r"^#|[\s,;=\[\]]")
 
 
 def _checked_id(value: str, what: str) -> str:
     """Reject an id that the observation file (split on ``,`` ``;`` ``=``)
     or the model store's ``[kind id ...]`` headers (split on whitespace)
-    could not read back."""
-    if _BAD_ID_CHAR.search(value):
-        raise IngestError("bad_id", f"{what} {value!r} contains whitespace or one of , ; = [ ]")
+    could not read back, or that would start a line every reader skips."""
+    if _BAD_ID.search(value):
+        raise IngestError("bad_id", f"{what} {value!r} begins with # or contains "
+                          "whitespace or one of , ; = [ ]")
     return value
 
 
@@ -96,8 +144,8 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
     stops = {}
     for row in _read_table(dir_path, "stops.txt"):
         sid = _req(row, "stop_id", "stops.txt")
-        stops[sid] = (_req(row, "stop_lat", "stops.txt", float),
-                      _req(row, "stop_lon", "stops.txt", float),
+        stops[sid] = (_req(row, "stop_lat", "stops.txt", finite_float),
+                      _req(row, "stop_lon", "stops.txt", finite_float),
                       row.get("stop_name", ""))
 
     shape_pts = {}
@@ -105,8 +153,8 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         sid = _req(row, "shape_id", "shapes.txt")
         shape_pts.setdefault(sid, []).append(
             (_req(row, "shape_pt_sequence", "shapes.txt", int),
-             _req(row, "shape_pt_lat", "shapes.txt", float),
-             _req(row, "shape_pt_lon", "shapes.txt", float)))
+             _req(row, "shape_pt_lat", "shapes.txt", finite_float),
+             _req(row, "shape_pt_lon", "shapes.txt", finite_float)))
     shapes = {}
     for sid, pts in shape_pts.items():
         pts.sort(key=lambda p: p[0])
@@ -165,8 +213,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
 # Vehicle position records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ping:
+class Ping(NamedTuple):
     trip_id: str
     vehicle_id: str
     timestamp: int
@@ -188,59 +235,32 @@ class PingSeries:
     max_gap_s: float
 
 
+def _ping(f) -> Ping:
+    return Ping(f[0], f[1], int(f[2]), finite_float(f[3]), finite_float(f[4]))
+
+
 def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S) -> PingSeries:
-    """Load newline-delimited ``trip_id,vehicle_id,timestamp,lat,lon`` records.
-
-    Records are grouped by (trip_id, vehicle_id), deduplicated on identical
-    timestamps, and sorted; gaps larger than ``max_gap_s`` split a group
-    into separate traversal segments.
-    """
-    path = Path(path)
-    by_group: dict = {}
-    n_lines = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            n_lines += 1
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise IngestError("parse", f"{path.name}:{lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                ping = Ping(trip_id=parts[0], vehicle_id=parts[1],
-                            timestamp=int(parts[2]), lat=float(parts[3]), lon=float(parts[4]))
-            except ValueError as exc:
-                raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
-            # first record wins on duplicate (trip, vehicle, timestamp)
-            by_group.setdefault((ping.trip_id, ping.vehicle_id), {}).setdefault(ping.timestamp, ping)
-    if n_lines == 0:
+    """Load ``trip_id,vehicle_id,timestamp,lat,lon`` lines (no header),
+    grouped by (trip_id, vehicle_id) and sorted by timestamp. Of records
+    with one timestamp the file's first is kept; gaps larger than
+    ``max_gap_s`` split a group into separate traversal segments."""
+    pings = sorted(read_rows(path, Ping._fields, _ping, header=False),
+                   key=itemgetter(0, 1, 2))  # stable: the file's first duplicate leads
+    if not pings:
         raise IngestError("empty", f"{path} contains no records")
-
-    records = []
-    segments = []
-    for key in sorted(by_group):
-        group = [by_group[key][t] for t in sorted(by_group[key])]
-        records.extend(group)
-        current = [group[0]]
-        for ping in group[1:]:
-            if ping.timestamp - current[-1].timestamp > max_gap_s:
-                segments.append(Traversal(trip_id=key[0], vehicle_id=key[1], pings=tuple(current)))
-                current = [ping]
-            else:
-                current.append(ping)
-        segments.append(Traversal(trip_id=key[0], vehicle_id=key[1], pings=tuple(current)))
+    records, segments = [], []
+    for (trip_id, vehicle_id), group in groupby(pings, key=itemgetter(0, 1)):
+        current = []
+        for ping in group:
+            if current and ping.timestamp == current[-1].timestamp:
+                continue
+            if current and ping.timestamp - current[-1].timestamp > max_gap_s:
+                segments.append(Traversal(trip_id, vehicle_id, tuple(current)))
+                current = []
+            current.append(ping)
+            records.append(ping)
+        segments.append(Traversal(trip_id, vehicle_id, tuple(current)))
     return PingSeries(records=tuple(records), segments=tuple(segments), max_gap_s=max_gap_s)
-
-
-def format_ping(p: Ping) -> str:
-    return f"{p.trip_id},{p.vehicle_id},{p.timestamp},{p.lat!r},{p.lon!r}"
-
-
-def write_pings(series: PingSeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in series.records:
-            fh.write(format_ping(p) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +278,22 @@ class WeatherTable:
         return self.entries[key]
 
 
+def _weather_row(f) -> tuple:
+    day, hour = f[0], int(f[1])
+    if datetime.fromisoformat(day).date().isoformat() != day:
+        raise ValueError(f"{day!r} is not a YYYY-MM-DD date")
+    if not 0 <= hour <= 23:
+        raise ValueError(f"hour {hour} out of range")
+    return day, hour, f[2]
+
+
 def load_weather(path) -> WeatherTable:
     """Load ``date,hour,condition`` rows; duplicate (date, hour) is an error."""
     entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("date,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise IngestError("parse", f"weather:{lineno}: expected 3 fields")
-            date, hour_s, condition = parts[0], parts[1], parts[2]
-            try:
-                hour = int(hour_s)
-            except ValueError as exc:
-                raise IngestError("parse", f"weather:{lineno}: bad hour {hour_s!r}") from exc
-            if not 0 <= hour <= 23:
-                raise IngestError("parse", f"weather:{lineno}: hour {hour} out of range")
-            key = (date, hour)
-            if key in entries:
-                raise IngestError("duplicate", f"duplicate weather entry for {date} hour {hour}")
-            entries[key] = condition
+    for day, hour, condition in read_rows(path, ("date", "hour", "condition"), _weather_row):
+        if (day, hour) in entries:
+            raise IngestError("duplicate", f"duplicate weather entry for {day} hour {hour}")
+        entries[(day, hour)] = condition
     return WeatherTable(entries=entries)
 
 
@@ -304,22 +318,14 @@ class IntersectionSet:
 
 
 def load_intersections(path) -> IntersectionSet:
+    """Load ``intersection_id,lat,lon`` rows; a duplicate id is an error."""
     points = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("intersection_id,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise IngestError("parse", f"intersections:{lineno}: expected 3 fields")
-            xid = _checked_id(parts[0], "intersection_id")
-            if xid in seen:
-                raise IngestError("duplicate", f"duplicate intersection id {xid}")
-            seen.add(xid)
-            try:
-                points.append((xid, float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise IngestError("parse", f"intersections:{lineno}: {exc}") from exc
+    for xid, lat, lon in read_rows(path, ("intersection_id", "lat", "lon"),
+                                   lambda f: (f[0], finite_float(f[1]), finite_float(f[2]))):
+        _checked_id(xid, "intersection_id")
+        if xid in seen:
+            raise IngestError("duplicate", f"duplicate intersection id {xid}")
+        seen.add(xid)
+        points.append((xid, lat, lon))
     return IntersectionSet(points=tuple(points))

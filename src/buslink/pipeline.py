@@ -7,8 +7,9 @@ inputs and the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .hetlognorm import design_matrix, fit as ln_fit, predict_interval, predict_
 from .inference import (DEFAULT_PEAK_HOURS, build_covariates, group_by_link,
                         intersection_samples, observations_from_traversal,
                         project_traversal, repair_monotonic, road_design)
-from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET,
-                     load_gtfs_static, load_intersections, load_pings, load_weather)
+from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
+                     finite_float, load_gtfs_static, load_intersections, load_pings,
+                     load_weather)
 from .markov import MarkovConfig, PredictionSession
 from .store import ModelStore, read_observations, read_store, write_observations, write_store
 
@@ -68,47 +70,41 @@ class RunConfig:
         for tok in self.link_speed_thresholds.split(","):
             link, _, value = tok.partition(":")
             try:
-                table[int(link)] = float(value)
+                table[int(link)] = finite_float(value)
             except ValueError:
                 raise ConfigError("bad_config", f"link_speed_thresholds entry {tok!r} "
                                   "is not index:value") from None
         return table
 
 
-_INT_KEYS = {"runs", "seed", "min_fit_samples", "min_component_samples"}
-_FLOAT_KEYS = {"tz_offset", "buffer_radius", "off_route", "speed_threshold",
-               "delta_t", "max_gap", "backward_tolerance"}
-_TUPLE_KEYS = {"peak_hours": int, "rain_labels": str}
+_FIELD_TYPES = get_type_hints(RunConfig)
+_DEFAULTS = RunConfig()
+_PARSERS = {float: finite_float}  # other types parse with their constructor
 
 
 def _coerce(key: str, value: str):
+    """A config value as its RunConfig field's annotated type; a tuple's
+    elements take the type of the default's elements."""
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _TUPLE_KEYS:
-            conv = _TUPLE_KEYS[key]
-            return tuple(conv(tok.strip()) for tok in value.split(",") if tok.strip())
+        if kind is tuple:
+            item = type(getattr(_DEFAULTS, key)[0])
+            parse = _PARSERS.get(item, item)
+            return tuple(parse(tok.strip()) for tok in value.split(",") if tok.strip())
+        return _PARSERS.get(kind, kind)(value)
     except ValueError:
         raise ConfigError("bad_config", f"{key} = {value!r} is not a valid number") from None
-    return value
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                key = key.strip()
-                if not sep or key not in known:
-                    raise ConfigError("bad_config", f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, value.strip())
+        for lineno, line in data_lines(path):
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _FIELD_TYPES:
+                raise ConfigError("bad_config", f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = _coerce(key, value.strip())
     for key, value in (overrides or {}).items():
         if value is None:
             continue

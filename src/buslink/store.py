@@ -17,6 +17,7 @@ from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
 from .inference import CovariateVector, LinkObservation
+from .ingest import data_lines, finite_float, read_rows
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
               "intersection_times,rain,peak,weekday,traffic,flags")
@@ -49,35 +50,25 @@ def write_observations(path, observations) -> None:
             fh.write(format_observation(obs) + "\n")
 
 
+def _observation(f) -> LinkObservation:
+    flags = tuple(t for t in f[12].split(";") if t)
+    interp_ids = {t.split("=", 1)[1] for t in flags if t.startswith("interp_x=")}
+    xs = []
+    for tok in f[7].split(";") if f[7] else ():
+        xid, sep, secs = tok.partition("=")
+        if not sep:
+            raise ValueError(f"intersection time {tok!r} is not id=seconds")
+        xs.append((xid, finite_float(secs), xid in interp_ids))
+    return LinkObservation(
+        route_key=(f[0], int(f[1])), link_index=int(f[2]), depart_prev=finite_float(f[3]),
+        total_time=finite_float(f[4]), dwell_time=finite_float(f[5]),
+        road_time=finite_float(f[6]), intersection_times=tuple(xs),
+        covariates=CovariateVector(int(f[8]), int(f[9]), int(f[10]), int(f[11])),
+        flags=flags)
+
+
 def read_observations(path) -> list:
-    path = Path(path)
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or (lineno == 1 and line.startswith("route_id,")):
-                continue  # the header; a route named route_id is a row
-            parts = line.split(",")
-            if len(parts) != 13:
-                raise IngestError("parse", f"{path.name}:{lineno}: expected 13 fields")
-            try:
-                flags = tuple(t for t in parts[12].split(";") if t)
-                interp_ids = {t.split("=", 1)[1] for t in flags if t.startswith("interp_x=")}
-                xs = []
-                if parts[7]:
-                    for tok in parts[7].split(";"):
-                        xid, secs = tok.split("=", 1)
-                        xs.append((xid, float(secs), xid in interp_ids))
-                out.append(LinkObservation(
-                    route_key=(parts[0], int(parts[1])), link_index=int(parts[2]),
-                    depart_prev=float(parts[3]), total_time=float(parts[4]),
-                    dwell_time=float(parts[5]), road_time=float(parts[6]),
-                    intersection_times=tuple(xs),
-                    covariates=CovariateVector(rain=int(parts[8]), peak=int(parts[9]),
-                                               weekday=int(parts[10]), traffic=int(parts[11])),
-                    flags=flags))
-            except (ValueError, IndexError) as exc:
-                raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
+    out = list(read_rows(path, OBS_HEADER.split(","), _observation))
     if not out:
         raise IngestError("empty", f"{path} contains no observations")
     return out
@@ -152,8 +143,8 @@ _STORE_FIELDS = {
 # section kind -> the fields it cannot do without (road also needs its FIM rows)
 _REQUIRED_FIELDS = {
     "road": ("n", "loglik", "active_mask", "beta", "gamma"),
-    "dwell": ("samples",),
-    "intersection": ("mu_s", "sigma_s", "n"),
+    "dwell": ("samples", "pooled"),
+    "intersection": ("mu_s", "sigma_s", "n", "excluded_zero_fraction", "pooled"),
 }
 
 
@@ -203,29 +194,25 @@ def read_store(path) -> ModelStore:
             samples = fields["samples"]
             store.dwell[(rk, ident)] = EmpiricalDwell(
                 stop_id=ident, samples=samples, mean=float(np.mean(samples)),
-                pooled=fields.get("pooled", False))
+                pooled=fields["pooled"])
         else:
             store.intersections[(rk, ident)] = IntersectionLogNormal(
                 intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"],
-                n=fields["n"], excluded_zero_fraction=fields.get("excluded_zero_fraction", 0.0),
-                pooled=fields.get("pooled", False))
+                n=fields["n"], excluded_zero_fraction=fields["excluded_zero_fraction"],
+                pooled=fields["pooled"])
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, value = _store_line(line)
-            except ValueError as exc:
-                raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
-            if key is None:
-                flush()
-                section, fields, fim_rows = value, {}, []
-            elif key == "fim":
-                fim_rows.append(value)
-            else:
-                fields[key] = value
+    for lineno, line in data_lines(path):
+        try:
+            key, value = _store_line(line)
+        except ValueError as exc:
+            raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
+        if key is None:
+            flush()
+            section, fields, fim_rows = value, {}, []
+        elif key == "fim":
+            fim_rows.append(value)
+        else:
+            fields[key] = value
     flush()
     if not store.road and not store.dwell and not store.intersections:
         raise IngestError("empty", f"{path} contains no models")

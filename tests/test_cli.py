@@ -192,6 +192,17 @@ def test_bad_number_in_config_exit_2(tmp_path, capsys):
     assert_input_error(rc, capsys, "bad_config", "runs")
 
 
+@pytest.mark.parametrize("line", ["delta_t = nan", "off_route = inf", "tz_offset = -inf",
+                                  "link_speed_thresholds = 2:nan"])
+def test_non_finite_number_in_config_exit_2(workdir, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(workdir["cfg"].read_text(encoding="utf-8") + line + "\n",
+                   encoding="utf-8")
+    rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "bad_config", line.split(" = ")[1])
+    assert not (tmp_path / "observations.csv").exists()
+
+
 def test_bad_link_speed_threshold_exit_2(workdir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(workdir["cfg"].read_text(encoding="utf-8")
@@ -233,9 +244,14 @@ def _predict_with_store(workdir, tmp_path, lines):
 
 def test_model_store_missing_field_exit_2(workdir, tmp_path, capsys):
     lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
-    rc = _predict_with_store(workdir, tmp_path,
-                             [line for line in lines if not line.startswith("loglik")])
-    assert_input_error(rc, capsys, "parse", "models.txt", "[road R1 0 1]", "loglik")
+    for field, kind in (("loglik", "road"), ("pooled", "dwell"),
+                        ("excluded_zero_fraction", "intersection"), ("pooled", "intersection")):
+        # drop the field from the first section of the kind on
+        header = next(line for line in lines if line.startswith(f"[{kind} "))
+        start = lines.index(header)
+        rc = _predict_with_store(workdir, tmp_path, lines[:start] + [
+            line for line in lines[start:] if not line.startswith(f"{field} =")])
+        assert_input_error(rc, capsys, "parse", "models.txt", header, field)
 
 
 def test_model_store_unknown_section_exit_2(workdir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from buslink.errors import GeometryError
 from buslink.geometry import (EARTH_RADIUS_M, Polyline, build_polyline,
                               build_route_model, feature_zone_test, link_index_at,
-                              project_point)
+                              project_many)
 from buslink.ingest import IntersectionSet, StaticNetwork, Trip
 
 LAT0 = 29.65
@@ -28,14 +28,14 @@ def straight_polyline(length=1000.0, n=3) -> Polyline:
 
 def test_project_point_midpoint():
     pl = straight_polyline()
-    arc, off = project_point(pl, LAT0, lon_at(500.0))
+    (arc,), (off,) = project_many(pl, [LAT0], [lon_at(500.0)])
     assert arc == pytest.approx(500.0, abs=1e-3)
     assert off == pytest.approx(0.0, abs=1e-6)
 
 
 def test_project_point_perpendicular():
     pl = straight_polyline()
-    arc, off = project_point(pl, lat_at(30.0), lon_at(500.0))
+    (arc,), (off,) = project_many(pl, [lat_at(30.0)], [lon_at(500.0)])
     assert arc == pytest.approx(500.0, abs=0.1)
     assert off == pytest.approx(30.0, abs=0.1)
 
@@ -54,7 +54,7 @@ def test_project_point_l_shape_tie_smaller_arc():
 
 def test_project_point_clamps_to_ends():
     pl = straight_polyline()
-    arc, off = project_point(pl, LAT0, lon_at(-50.0))
+    (arc,), (off,) = project_many(pl, [LAT0], [lon_at(-50.0)])
     assert arc == pytest.approx(0.0, abs=1e-6)
     assert off == pytest.approx(50.0, abs=0.1)
 
@@ -64,7 +64,7 @@ def test_vertex_projection_recovers_cumulative_length():
            (lat_at(300), lon_at(900))]
     pl = build_polyline(pts)
     for k in range(len(pts)):
-        arc, off = project_point(pl, pts[k][0], pts[k][1])
+        (arc,), (off,) = project_many(pl, [pts[k][0]], [pts[k][1]])
         assert arc == pytest.approx(pl.cum[k], abs=1e-6)
         assert off == pytest.approx(0.0, abs=1e-6)
 

@@ -1,10 +1,11 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buslink.errors import IngestError
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
-                            load_weather, rain_indicator, write_pings)
+                            load_weather, rain_indicator)
 
 GTFS_MINIMAL = {
     "stops.txt": "stop_id,stop_name,stop_lat,stop_lon\nA,Alpha,29.0,-82.0\nB,Beta,29.0,-81.99\n",
@@ -59,7 +60,9 @@ def test_dangling_stop_reference(tmp_path):
     assert e.value.kind == "referential"
 
 
-@pytest.mark.parametrize("bad", ["Stop 1", "A]", "[A", "A,1", "A;1", "A=1", "A\t1"])
+# "#A": every reader skips a line that begins with #, so rows keyed by it
+# would vanish when the observation file is read back
+@pytest.mark.parametrize("bad", ["Stop 1", "A]", "[A", "A,1", "A;1", "A=1", "A\t1", "#A"])
 def test_stop_id_that_breaks_output_files_rejected(tmp_path, bad):
     tables = dict(GTFS_MINIMAL)
     tables["stops.txt"] = ("stop_id,stop_name,stop_lat,stop_lon\n"
@@ -72,12 +75,13 @@ def test_stop_id_that_breaks_output_files_rejected(tmp_path, bad):
 
 
 def test_route_id_that_breaks_output_files_rejected(tmp_path):
-    tables = dict(GTFS_MINIMAL)
-    tables["routes.txt"] = "route_id,route_short_name\nR 1,R\n"
-    tables["trips.txt"] = "trip_id,route_id,direction_id,shape_id\nT1,R 1,0,S\n"
-    with pytest.raises(IngestError) as e:
-        load_gtfs_static(write_gtfs(tmp_path, tables))
-    assert e.value.kind == "bad_id"
+    for bad in ("R 1", "#R"):
+        tables = dict(GTFS_MINIMAL)
+        tables["routes.txt"] = f"route_id,route_short_name\n{bad},R\n"
+        tables["trips.txt"] = f"trip_id,route_id,direction_id,shape_id\nT1,{bad},0,S\n"
+        with pytest.raises(IngestError) as e:
+            load_gtfs_static(write_gtfs(tmp_path, tables))
+        assert e.value.kind == "bad_id"
 
 
 def test_unused_stop_id_is_not_checked(tmp_path):
@@ -107,6 +111,21 @@ def test_duplicate_shape_points_dropped(tmp_path):
                             "S,29.0,-82.0,1\nS,29.0,-82.0,2\nS,29.0,-81.99,3\n")
     net = load_gtfs_static(write_gtfs(tmp_path, tables))
     assert len(net.shapes["S"]) == 2
+
+
+@pytest.mark.parametrize("table,column,value", [
+    ("stops.txt", "stop_lat", "nan"), ("stops.txt", "stop_lon", "inf"),
+    ("shapes.txt", "shape_pt_lat", "-inf"), ("shapes.txt", "shape_pt_lon", "NaN")])
+def test_gtfs_non_finite_number_rejected(tmp_path, table, column, value):
+    tables = dict(GTFS_MINIMAL)
+    lines = tables[table].splitlines()
+    row = lines[1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    tables[table] = "\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n"
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert e.value.kind == "parse"
+    assert table in str(e.value) and column in str(e.value)
 
 
 def write_ping_file(tmp_path, lines):
@@ -150,14 +169,51 @@ def test_pings_empty(tmp_path):
     assert e.value.kind == "empty"
 
 
-def test_ping_round_trip(tmp_path):
-    lines = ["T1,V1,0,29.5,-82.25", "T1,V1,15,29.5001,-82.2499",
-             "T2,V1,7,29.0,-82.0", "T1,V2,3,29.9,-82.1", "T1,V1,200,29.51,-82.24"]
-    series = load_pings(write_ping_file(tmp_path, lines))
-    out = tmp_path / "out.csv"
-    write_pings(series, out)
-    series2 = load_pings(out)
-    assert series2 == series
+@pytest.mark.parametrize("line", ["T1,V1,0,nan,-82.0", "T1,V1,0,29.0,inf",
+                                  "T1,V1,0,-inf,-82.0", "T1,V1,0,29.0,NaN"])
+def test_pings_non_finite_number_rejected(tmp_path, line):
+    p = write_ping_file(tmp_path, ["T1,V1,15,29.0,-82.0", line])
+    with pytest.raises(IngestError) as e:
+        load_pings(p)
+    assert e.value.kind == "parse"
+    assert "pings.csv:2:" in str(e.value)
+
+
+ping_rows = st.lists(st.tuples(st.sampled_from(["T1", "T2"]), st.sampled_from(["V1", "V2"]),
+                               st.integers(0, 40).map(lambda k: 15 * k),
+                               st.floats(allow_nan=False, allow_infinity=False),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=40)
+
+
+@given(rows=ping_rows, max_gap=st.sampled_from([15.0, 40.0, 120.0]), data=st.data())
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_pings_matches_brute_force_grouping(tmp_path, rows, max_gap, data):
+    """Random lines in random order, with duplicate (trip, vehicle, timestamp)
+    records, blank lines and comments: the first record in the file wins,
+    groups are sorted and split at gaps, and floats round-trip through repr."""
+    lines = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    for filler in data.draw(st.lists(st.sampled_from(["", "   ", "# note", "#T1,V1,0,1.0,2.0"]),
+                                     max_size=4)):
+        lines.insert(data.draw(st.integers(0, len(lines))), filler)
+    series = load_pings(write_ping_file(tmp_path, lines), max_gap_s=max_gap)
+
+    first = {}
+    for row in rows:
+        first.setdefault(row[:3], row)
+    expected = []
+    for key in sorted({row[:2] for row in first}):
+        group = sorted((row for row in first.values() if row[:2] == key), key=lambda r: r[2])
+        segments = [[group[0]]]
+        for row in group[1:]:
+            if row[2] - segments[-1][-1][2] > max_gap:
+                segments.append([])
+            segments[-1].append(row)
+        expected.extend(segments)
+    assert [tuple(p) for p in series.records] == [row for seg in expected for row in seg]
+    assert [(s.trip_id, s.vehicle_id, [tuple(p) for p in s.pings]) for s in series.segments] \
+        == [(seg[0][0], seg[0][1], seg) for seg in expected]
 
 
 def test_grouping_is_partition(tmp_path):
@@ -251,3 +307,27 @@ def test_intersection_id_that_breaks_output_files_rejected(tmp_path, bad):
     with pytest.raises(IngestError) as e:
         load_intersections(p)
     assert e.value.kind == "bad_id"
+
+
+def test_weather_header_only_on_line_one(tmp_path):
+    with pytest.raises(IngestError) as e:
+        load_weather(write_weather(tmp_path, ["2023-09-01,14,Rain", "Date,2,Rain"]))
+    assert e.value.kind == "parse"
+    assert "weather.csv:3:" in str(e.value)
+
+
+def test_intersection_header_only_on_line_one(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("Intersection_ID,Lat,Lon\nX1,29.0,-82.0\nIntersection_ID,29.1,-82.1\n",
+                 encoding="utf-8")
+    assert [x[0] for x in load_intersections(p).points] == ["X1", "Intersection_ID"]
+
+
+@pytest.mark.parametrize("line", ["X3,nan,inf", "X3,29.1,nan", "X3,-inf,-82.1"])
+def test_intersection_non_finite_number_rejected(tmp_path, line):
+    p = tmp_path / "x.csv"
+    p.write_text(f"intersection_id,lat,lon\nX1,29.0,-82.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        load_intersections(p)
+    assert e.value.kind == "parse"
+    assert "x.csv:3:" in str(e.value)

@@ -35,6 +35,21 @@ def test_observation_round_trip_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("field,value", [(3, "nan"), (4, "inf"), (6, "-inf"),
+                                         (7, "X1=nan;X2=0.0")])
+def test_observation_non_finite_number_rejected(tmp_path, field, value):
+    path = tmp_path / "obs.csv"
+    write_observations(path, [sample_observation()])
+    header, line = path.read_text(encoding="utf-8").splitlines()
+    parts = line.split(",")
+    parts[field] = value
+    path.write_text(f"{header}\n{','.join(parts)}\n", encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        read_observations(path)
+    assert e.value.kind == "parse"
+    assert "obs.csv:2:" in str(e.value)
+
+
 def test_empty_observation_file(tmp_path):
     p = tmp_path / "obs.csv"
     p.write_text("route_id,direction_id\n", encoding="utf-8")

@@ -14,9 +14,11 @@ from buslink.store import (ModelStore, read_observations, read_store,
 SETTINGS = settings(deadline=None, max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-# ids may hold anything but whitespace and , ; = [ ] (ingest rejects those)
+# ids may hold anything but whitespace and , ; = [ ], and may not begin
+# with # (ingest rejects those)
 ids = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"),
-                            blacklist_characters=",;=[]"), min_size=1, max_size=8)
+                            blacklist_characters=",;=[]"), min_size=1, max_size=8
+              ).filter(lambda s: not s.startswith("#"))
 finite = st.floats(allow_nan=False, allow_infinity=False)
 route_keys = st.tuples(ids, st.integers(0, 1))
 bits = st.integers(0, 1)
