@@ -6,8 +6,21 @@ the M-run Markov simulation transform. ``project_onto_polyline`` and
 ``markov_offsets`` are vectorized numpy; ``_project_scalar`` and
 ``_markov_scalar`` are plain loops over the same elementwise
 expressions, each the one reference the tests check its kernel against.
-The kernels agree with their references to float rounding and are
-bit-reproducible.
+Both kernels are bit-reproducible; projection is bit-identical to its
+reference and the Markov transform agrees with its own to float rounding.
+
+``project_onto_polyline`` computes each segment's vector, squared length,
+length, start vertex and start arc once, then broadcasts a block of pings
+against all segments at once: the clamped parameter ``t``, the squared
+distance ``d2`` and the arc ``cum + t * seg`` of every ping x segment
+pair. Each ping takes the lexicographic minimum of (d2, arc): the
+smallest ``d2``, and among the segments at that distance the smallest
+arc, so a point equidistant from two passes of a looping shape lands on
+the earlier one. A zero-length segment counts as its start vertex
+(``t = 0``). Blocks hold at most ``PING_BLOCK_ELEMENTS`` ping x segment
+elements (at least one ping), which bounds memory on long ping batches
+and keeps the working buffers in cache; the only Python loop is over
+ping blocks.
 
 ``markov_offsets`` reads the ``markov.LinkPlan`` of each in-scope link:
 it loops over the links and is vectorized over the M runs. Variates are
@@ -28,24 +41,49 @@ from .components import bootstrap_pick, lognormal_from_z
 # point-to-polyline projection
 # ---------------------------------------------------------------------------
 
+PING_BLOCK_ELEMENTS = 1 << 14  # ping x segment elements per broadcast block
+
+
 def project_onto_polyline(qx, qy, vx, vy, cum):
+    x0, y0 = vx[:-1], vy[:-1]
+    dx = vx[1:] - x0
+    dy = vy[1:] - y0
+    seg2 = dx * dx + dy * dy
+    seg = np.sqrt(seg2)
+    den = np.where(seg2 > 0.0, seg2, 1.0)  # a zero-length segment is its start vertex
+    c0 = cum[:-1]
     n = qx.shape[0]
-    best_d2 = np.full(n, np.inf)
-    best_arc = np.zeros(n)
-    for j in range(vx.shape[0] - 1):
-        dx = vx[j + 1] - vx[j]
-        dy = vy[j + 1] - vy[j]
-        seg2 = dx * dx + dy * dy
-        seg = math.sqrt(seg2)
-        t = ((qx - vx[j]) * dx + (qy - vy[j]) * dy) / seg2
-        t = np.minimum(np.maximum(t, 0.0), 1.0)
-        ddx = qx - (vx[j] + t * dx)
-        ddy = qy - (vy[j] + t * dy)
-        d2 = ddx * ddx + ddy * ddy
-        arc = cum[j] + t * seg
-        take = (d2 < best_d2) | ((d2 == best_d2) & (arc < best_arc))
-        best_d2 = np.where(take, d2, best_d2)
-        best_arc = np.where(take, arc, best_arc)
+    best_arc = np.empty(n)
+    best_d2 = np.empty(n)
+    step = max(1, PING_BLOCK_ELEMENTS // dx.shape[0])
+    for lo in range(0, n, step):
+        bx = qx[lo:lo + step, None]
+        by = qy[lo:lo + step, None]
+        # Each block works in place in three (pings, segments) buffers.
+        ex = bx - x0
+        ey = by - y0
+        t = ex * dx
+        ey *= dy
+        t += ey
+        t /= den                                      # t = (ex*dx + ey*dy) / seg2
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, dx, out=ex)
+        ex += x0
+        np.subtract(bx, ex, out=ex)                   # ddx = qx - (x0 + t*dx)
+        np.multiply(t, dy, out=ey)
+        ey += y0
+        np.subtract(by, ey, out=ey)                   # ddy = qy - (y0 + t*dy)
+        ex *= ex
+        ey *= ey
+        ex += ey                                      # d2 = ddx*ddx + ddy*ddy
+        t *= seg
+        t += c0                                       # arc = cum + t*seg
+        # Tie rule: among the segments at the smallest distance, the
+        # smallest arc wins.
+        m = ex.min(axis=1)
+        np.copyto(t, np.inf, where=ex != m[:, None])
+        best_arc[lo:lo + step] = t.min(axis=1)
+        best_d2[lo:lo + step] = m
     return best_arc, np.sqrt(best_d2)
 
 
@@ -61,7 +99,7 @@ def _project_scalar(qx, qy, vx, vy, cum):
             dy = vy[j + 1] - vy[j]
             seg2 = dx * dx + dy * dy
             seg = math.sqrt(seg2)
-            t = ((qx[i] - vx[j]) * dx + (qy[i] - vy[j]) * dy) / seg2
+            t = ((qx[i] - vx[j]) * dx + (qy[i] - vy[j]) * dy) / (seg2 if seg2 > 0.0 else 1.0)
             if t < 0.0:
                 t = 0.0
             elif t > 1.0:

@@ -7,15 +7,17 @@ project-wide rule shared with the Markov percentiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .errors import FitError, MetricError
+from .errors import ConfigError, FitError, MetricError
 from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
 from .inference import group_by_link, road_design
-from .ingest import local_date_hour
+from .ingest import local_datetime
 from .stats import active_columns, normal_quantile
 
 
@@ -155,12 +157,29 @@ def modal_covariates(rows) -> tuple:
     return min(k for k, c in counts.items() if c == top)
 
 
+def _cut_instant(cut_date: str, tz_offset: float) -> float:
+    """The earliest POSIX timestamp whose local date (``local_datetime``)
+    is ``cut_date`` (``YYYY-MM-DD``) or later."""
+    try:
+        day = datetime.fromisoformat(cut_date).replace(tzinfo=timezone.utc)
+    except ValueError:
+        day = None
+    if day is None or day.date().isoformat() != cut_date:
+        raise ConfigError("bad_config", f"cut_date {cut_date!r} is not a YYYY-MM-DD date")
+    t = (day - timedelta(hours=tz_offset)).timestamp()
+    # datetime rounds a timestamp to the microsecond, so the instants just
+    # under half a microsecond before the cut already read as its date
+    while local_datetime(math.nextafter(t, -math.inf), tz_offset) >= day:
+        t = math.nextafter(t, -math.inf)
+    return t
+
+
 def split_by_date(observations, cut_date: str, tz_offset: float):
     """Date-cut split on depart_prev: local date < cut trains, >= cut tests."""
+    cut = _cut_instant(cut_date, tz_offset)
     train, test = [], []
     for obs in observations:
-        date, _ = local_date_hour(obs.depart_prev, tz_offset)
-        (train if date < cut_date else test).append(obs)
+        (train if obs.depart_prev < cut else test).append(obs)
     return train, test
 
 

@@ -102,22 +102,24 @@ class StaticNetwork:
 
 
 def _read_table(dir_path: Path, name: str):
+    """``(where, row)`` for each row of a GTFS table, where ``where`` is
+    ``table:line`` (the row's last physical line)."""
     path = dir_path / name
     if not path.is_file():
         raise IngestError("missing_table", f"{name} not found in {dir_path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        return list(reader)
+        return [(f"{name}:{reader.line_num}", row) for row in reader]
 
 
-def _req(row: dict, key: str, table: str, conv=str):
+def _req(row: dict, key: str, where: str, conv=str):
     val = row.get(key)
     if val is None or val == "":
-        raise IngestError("parse", f"{table}: missing field {key!r} in row {row}")
+        raise IngestError("parse", f"{where}: missing field {key!r}")
     try:
         return conv(val)
     except ValueError:
-        raise IngestError("parse", f"{table}: field {key!r} is not a number: {val!r}") from None
+        raise IngestError("parse", f"{where}: field {key!r} is not a number: {val!r}") from None
 
 
 _BAD_ID = re.compile(r"^#|[\s,;=\[\]]")
@@ -142,19 +144,19 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
     dir_path = Path(dir_path)
 
     stops = {}
-    for row in _read_table(dir_path, "stops.txt"):
-        sid = _req(row, "stop_id", "stops.txt")
-        stops[sid] = (_req(row, "stop_lat", "stops.txt", finite_float),
-                      _req(row, "stop_lon", "stops.txt", finite_float),
+    for where, row in _read_table(dir_path, "stops.txt"):
+        sid = _req(row, "stop_id", where)
+        stops[sid] = (_req(row, "stop_lat", where, finite_float),
+                      _req(row, "stop_lon", where, finite_float),
                       row.get("stop_name", ""))
 
     shape_pts = {}
-    for row in _read_table(dir_path, "shapes.txt"):
-        sid = _req(row, "shape_id", "shapes.txt")
+    for where, row in _read_table(dir_path, "shapes.txt"):
+        sid = _req(row, "shape_id", where)
         shape_pts.setdefault(sid, []).append(
-            (_req(row, "shape_pt_sequence", "shapes.txt", int),
-             _req(row, "shape_pt_lat", "shapes.txt", finite_float),
-             _req(row, "shape_pt_lon", "shapes.txt", finite_float)))
+            (_req(row, "shape_pt_sequence", where, int),
+             _req(row, "shape_pt_lat", where, finite_float),
+             _req(row, "shape_pt_lon", where, finite_float)))
     shapes = {}
     for sid, pts in shape_pts.items():
         pts.sort(key=lambda p: p[0])
@@ -168,32 +170,32 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         shapes[sid] = tuple(coords)
 
     route_ids = set()
-    for row in _read_table(dir_path, "routes.txt"):
-        route_ids.add(_req(row, "route_id", "routes.txt"))
+    for where, row in _read_table(dir_path, "routes.txt"):
+        route_ids.add(_req(row, "route_id", where))
 
     trip_rows = {}
-    for row in _read_table(dir_path, "trips.txt"):
-        tid = _req(row, "trip_id", "trips.txt")
-        rid = _checked_id(_req(row, "route_id", "trips.txt"), "route_id")
+    for where, row in _read_table(dir_path, "trips.txt"):
+        tid = _req(row, "trip_id", where)
+        rid = _checked_id(_req(row, "route_id", where), "route_id")
         if rid not in route_ids:
             raise IngestError("referential", f"trip {tid} references unknown route {rid}")
-        shape_id = _req(row, "shape_id", "trips.txt")
+        shape_id = _req(row, "shape_id", where)
         if shape_id not in shapes:
             raise IngestError("referential", f"trip {tid} references unknown shape {shape_id}")
-        direction = _req(row, "direction_id", "trips.txt", int) if row.get("direction_id") else 0
+        direction = _req(row, "direction_id", where, int) if row.get("direction_id") else 0
         if direction not in (0, 1):
-            raise IngestError("parse", f"trip {tid}: direction_id must be 0 or 1")
+            raise IngestError("parse", f"{where}: trip {tid}: direction_id must be 0 or 1")
         trip_rows[tid] = (rid, direction, shape_id)
 
     seq = {}
-    for row in _read_table(dir_path, "stop_times.txt"):
-        tid = _req(row, "trip_id", "stop_times.txt")
+    for where, row in _read_table(dir_path, "stop_times.txt"):
+        tid = _req(row, "trip_id", where)
         if tid not in trip_rows:
             raise IngestError("referential", f"stop_times references unknown trip {tid}")
-        sid = _checked_id(_req(row, "stop_id", "stop_times.txt"), "stop_id")
+        sid = _checked_id(_req(row, "stop_id", where), "stop_id")
         if sid not in stops:
             raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
-        seq.setdefault(tid, []).append((_req(row, "stop_sequence", "stop_times.txt", int), sid))
+        seq.setdefault(tid, []).append((_req(row, "stop_sequence", where, int), sid))
 
     trips = {}
     for tid, (rid, direction, shape_id) in trip_rows.items():

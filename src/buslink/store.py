@@ -126,17 +126,19 @@ def write_store(path, store: ModelStore) -> None:
 
 
 def _coefs(value: str) -> np.ndarray:
-    return np.array([np.nan if t == "absent" else float(t) for t in value.split(",")])
+    return np.array([np.nan if t == "absent" else finite_float(t) for t in value.split(",")])
 
 
 def _floats(value: str) -> np.ndarray:
-    return np.array([float(t) for t in value.split(",")])
+    return np.array([finite_float(t) for t in value.split(",")])
 
 
-# model-store field -> parser of its value; other fields are kept as text
+# model-store field -> parser of its value; other fields are kept as text.
+# Every number is finite: only an ``absent`` coefficient reads as NaN.
 _STORE_FIELDS = {
     "n": int, "pooled": lambda v: bool(int(v)),
-    "loglik": float, "mu_s": float, "sigma_s": float, "excluded_zero_fraction": float,
+    "loglik": finite_float, "mu_s": finite_float, "sigma_s": finite_float,
+    "excluded_zero_fraction": finite_float,
     "active_mask": lambda v: np.array([c == "1" for c in v.split(",")]),
     "beta": _coefs, "gamma": _coefs, "fim": _floats, "samples": _floats,
 }
@@ -166,7 +168,7 @@ def _store_line(line: str):
 
 def read_store(path) -> ModelStore:
     """Parse a model store; a malformed section header, a section of unknown
-    kind or a value that is not a number raises IngestError("parse") naming
+    kind or a value that is not a finite number raises IngestError("parse") naming
     the file and line, and a section without a required field one naming
     the file and section."""
     path = Path(path)

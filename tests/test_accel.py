@@ -1,8 +1,12 @@
-"""The vectorized hot kernels against their scalar references: the public
-kernels must agree with ``_project_scalar`` and ``_markov_scalar`` to float
-rounding, and each kernel must be deterministic."""
+"""The vectorized hot kernels against their scalar references: projection
+must equal ``_project_scalar`` byte for byte, the Markov transform must
+agree with ``_markov_scalar`` to float rounding, and each kernel must be
+deterministic."""
+
+import warnings
 
 import numpy as np
+import pytest
 
 from buslink import accel
 from buslink.components import EmpiricalDwell, IntersectionLogNormal
@@ -38,12 +42,60 @@ def markov_case(seed=1, m=400):
     return plans, u_road, u_dwell, z_x, 5.0
 
 
+def assert_projection_matches_scalar(qx, qy, vx, vy, cum):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a1, o1 = accel.project_onto_polyline(qx, qy, vx, vy, cum)
+        a2, o2 = accel._project_scalar(qx, qy, vx, vy, cum)
+    assert a1.tobytes() == a2.tobytes()
+    assert o1.tobytes() == o2.tobytes()
+    return a1, o1
+
+
 def test_projection_backends_agree():
-    qx, qy, vx, vy, cum = projection_case()
-    a1, o1 = accel.project_onto_polyline(qx, qy, vx, vy, cum)
-    a2, o2 = accel._project_scalar(qx, qy, vx, vy, cum)
-    np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(o1, o2, rtol=0, atol=1e-9)
+    assert_projection_matches_scalar(*projection_case())
+
+
+def collinear_case(n_pings, seed=5):
+    """250 vertices 20 m apart on the x axis; pings on vertices, between
+    them, off to the side and past both ends."""
+    rng = np.random.default_rng(seed)
+    vx = np.arange(250) * 20.0
+    vy = np.zeros(250)
+    cum = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(vx), np.diff(vy)))))
+    qx = np.where(rng.random(n_pings) < 0.3, vx[rng.integers(0, 250, n_pings)],
+                  rng.uniform(-100.0, vx[-1] + 100.0, n_pings))
+    qy = np.where(rng.random(n_pings) < 0.5, 0.0, rng.uniform(-40.0, 40.0, n_pings))
+    return qx, qy, vx, vy, cum
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_projection_collinear_250_vertices_across_block_boundary(offset):
+    block = accel.PING_BLOCK_ELEMENTS // 249
+    n_pings = 1 if offset is None else block + offset
+    qx, qy, vx, vy, cum = collinear_case(n_pings)
+    arc, off = assert_projection_matches_scalar(qx, qy, vx, vy, cum)
+    on_line = (qy == 0.0) & (qx >= 0.0) & (qx <= vx[-1])
+    np.testing.assert_allclose(arc[on_line], qx[on_line], rtol=0, atol=1e-9)
+    assert np.all(off[on_line] == 0.0)
+
+
+def test_projection_zero_length_segment_is_its_vertex():
+    # a repeated vertex in the middle and at the end of the shape
+    vx = np.array([0.0, 100.0, 100.0, 200.0, 200.0])
+    vy = np.array([0.0, 0.0, 0.0, 50.0, 50.0])
+    cum = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(vx), np.diff(vy)))))
+    qx = np.array([100.0, 100.0, 250.0, 200.0, 50.0])
+    qy = np.array([0.0, 10.0, 80.0, 50.0, -5.0])
+    arc, off = assert_projection_matches_scalar(qx, qy, vx, vy, cum)
+    assert np.all(np.isfinite(arc)) and np.all(np.isfinite(off))
+    assert arc[0] == 100.0 and off[0] == 0.0
+    assert arc[3] == cum[-1] and off[3] == 0.0
+    # a shape that is one point: every ping projects onto it
+    arc, off = assert_projection_matches_scalar(qx, qy, np.array([3.0, 3.0]),
+                                                np.array([4.0, 4.0]), np.zeros(2))
+    assert np.all(arc == 0.0)
+    np.testing.assert_allclose(off, np.hypot(qx - 3.0, qy - 4.0), rtol=1e-15)
 
 
 def test_projection_bounds_and_determinism():

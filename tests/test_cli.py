@@ -223,7 +223,7 @@ def test_bad_number_in_gtfs_table_exit_2(workdir, tmp_path, capsys):
     (gtfs / "stops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc = main(["infer", "--config", str(workdir["cfg"]), "--gtfs", str(gtfs),
                "--out", str(tmp_path)])
-    assert_input_error(rc, capsys, "parse", "stops.txt", "stop_lat")
+    assert_input_error(rc, capsys, "parse", "stops.txt:2:", "stop_lat")
 
 
 def test_bad_number_in_model_store_exit_2(workdir, tmp_path, capsys):
@@ -240,6 +240,28 @@ def _predict_with_store(workdir, tmp_path, lines):
     (tmp_path / "models.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return main(["predict", "--config", str(workdir["cfg"]), "--out", str(tmp_path),
                  "--route", "R1", "--link", "1"])
+
+
+@pytest.mark.parametrize("field,value", [("mu_s", "nan"), ("sigma_s", "inf"),
+                                         ("loglik", "-inf"), ("beta", "nan"),
+                                         ("gamma", "inf"), ("fim", "nan"),
+                                         ("samples", "nan"),
+                                         ("excluded_zero_fraction", "nan")])
+def test_non_finite_number_in_model_store_exit_2(workdir, tmp_path, capsys, field, value):
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith(f"{field} = "))
+    values = lines[lineno - 1].split(" = ")[1].split(",")
+    lines[lineno - 1] = f"{field} = " + ",".join([value] + values[1:])
+    rc = _predict_with_store(workdir, tmp_path, lines)
+    assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:", repr(value))
+
+
+def test_fitted_model_store_round_trip_is_byte_stable(workdir, tmp_path):
+    from buslink.store import read_store, write_store
+    fitted = workdir["out"] / "models.txt"
+    write_store(tmp_path / "models.txt", read_store(fitted))
+    assert (tmp_path / "models.txt").read_bytes() == fitted.read_bytes()
 
 
 def test_model_store_missing_field_exit_2(workdir, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from buslink.errors import FitError, MetricError
+from buslink.errors import ConfigError, FitError, MetricError
 from buslink.evaluation import (evaluate_split, hm_fit, hm_predict,
                                 lr_fit, lr_predict, mae, modal_covariates,
                                 quantile_interp, rmse, split_by_date)
@@ -130,6 +130,25 @@ class TestSplit:
         assert all(local_date_hour(o.depart_prev, -5.0)[0] >= "2023-10-09" for o in test)
         assert len(train) + len(test) == len(rows)
         assert train and test
+
+    @pytest.mark.parametrize("tz_offset", [-5.0, 5.5])
+    def test_split_at_the_cut_instant(self, tz_offset):
+        # local midnight starting 2023-10-09, then rows around it: a row
+        # less than half a microsecond early reads as the cut date too
+        cut = 1696809600 - tz_offset * 3600
+        deltas = (-1e-6, -2.5e-7, 0.0, 1e-6)
+        rows = [_obs(("R", 0), 1, cut + d, 30.0, (0, 0, 1, 0)) for d in deltas]
+        train, test = split_by_date(rows, "2023-10-09", tz_offset)
+        assert train == rows[:1] and test == rows[1:]
+        from buslink.ingest import local_date_hour
+        assert [local_date_hour(o.depart_prev, tz_offset)[0] for o in rows] == \
+            ["2023-10-08"] + ["2023-10-09"] * 3
+
+    @pytest.mark.parametrize("cut_date", ["2023-10-9", "20231009", "2023-10-09x", ""])
+    def test_bad_cut_date_rejected(self, cut_date):
+        with pytest.raises(ConfigError) as e:
+            split_by_date(self._mk(), cut_date, tz_offset=-5.0)
+        assert e.value.kind == "bad_config"
 
     def test_empty_split_raises(self):
         rows = self._mk(n_test=0)

@@ -125,7 +125,26 @@ def test_gtfs_non_finite_number_rejected(tmp_path, table, column, value):
     with pytest.raises(IngestError) as e:
         load_gtfs_static(write_gtfs(tmp_path, tables))
     assert e.value.kind == "parse"
-    assert table in str(e.value) and column in str(e.value)
+    assert f"{table}:2:" in str(e.value) and column in str(e.value)
+
+
+@pytest.mark.parametrize("table,lineno,column,value,message", [
+    ("stops.txt", 3, "stop_lat", "north", "stops.txt:3: field 'stop_lat' is not a number: 'north'"),
+    ("stop_times.txt", 3, "stop_sequence", "2nd",
+     "stop_times.txt:3: field 'stop_sequence' is not a number: '2nd'"),
+    ("shapes.txt", 4, "shape_pt_lon", "", "shapes.txt:4: missing field 'shape_pt_lon'"),
+    ("trips.txt", 2, "shape_id", "", "trips.txt:2: missing field 'shape_id'"),
+    ("trips.txt", 2, "direction_id", "2", "trips.txt:2: trip T1: direction_id must be 0 or 1")])
+def test_gtfs_parse_error_names_line(tmp_path, table, lineno, column, value, message):
+    tables = dict(GTFS_MINIMAL)
+    lines = tables[table].splitlines()
+    row = lines[lineno - 1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[lineno - 1] = ",".join(row)
+    tables[table] = "\n".join(lines) + "\n"
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert str(e.value) == f"parse: {message}"
 
 
 def write_ping_file(tmp_path, lines):

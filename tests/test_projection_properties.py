@@ -1,0 +1,65 @@
+"""The vectorized projection kernel against its scalar reference on random
+shapes: open, looping and out-and-back polylines (the same street passed
+twice), with repeated vertices (zero-length segments), queried at random
+points, exactly on vertices and midway between two passes. The results
+must be equal byte for byte, finite, and free of numpy warnings."""
+
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from buslink import accel
+
+# small integer coordinates make exact ties (vertices, equidistant passes) common
+coord = st.integers(-60, 60).map(float)
+point = st.tuples(coord, coord)
+anywhere = st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0))
+
+
+@st.composite
+def shapes(draw):
+    pts = draw(st.lists(point, min_size=2, max_size=12))
+    kind = draw(st.sampled_from(("open", "loop", "out_and_back", "hairpin")))
+    if kind == "loop":
+        pts = pts + [pts[0]]
+    elif kind == "out_and_back":
+        pts = pts + pts[-2::-1]
+    elif kind == "hairpin":  # two parallel passes 2h apart
+        length, h = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+        pts = [(0.0, 0.0), (float(length), 0.0), (float(length), 2.0 * h), (0.0, 2.0 * h)]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(pts) - 1))
+        pts.insert(k, pts[k])
+    return pts
+
+
+@st.composite
+def cases(draw):
+    pts = draw(shapes())
+    vertex = st.sampled_from(pts)
+    midway = st.tuples(vertex, vertex).map(
+        lambda ab: ((ab[0][0] + ab[1][0]) / 2.0, (ab[0][1] + ab[1][1]) / 2.0))
+    queries = draw(st.lists(st.one_of(anywhere, vertex, midway), min_size=1, max_size=40))
+    return pts, queries
+
+
+def project_both(pts, queries):
+    vx, vy = (np.array(c) for c in zip(*pts))
+    cum = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(vx), np.diff(vy)))))
+    qx, qy = (np.array(c) for c in zip(*queries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (accel.project_onto_polyline(qx, qy, vx, vy, cum),
+                accel._project_scalar(qx, qy, vx, vy, cum))
+
+
+@given(case=cases())
+@example(case=([(0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (10.0, 10.0)], [(10.0, 0.0), (12.0, 5.0)]))
+@example(case=([(0.0, 0.0), (20.0, 0.0), (20.0, 6.0), (0.0, 6.0)], [(7.0, 3.0), (-1.0, 3.0)]))
+@settings(deadline=None, max_examples=300)
+def test_projection_equals_scalar_reference(case):
+    (arc, off), (ref_arc, ref_off) = project_both(*case)
+    assert arc.tobytes() == ref_arc.tobytes()
+    assert off.tobytes() == ref_off.tobytes()
+    assert np.all(np.isfinite(arc)) and np.all(np.isfinite(off))
