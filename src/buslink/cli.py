@@ -138,6 +138,7 @@ def cmd_simulate(args) -> int:
     if args.json:
         payload = [{
             "timestamp": b.timestamp, "trip_id": b.trip_id,
+            "segment_start": b.segment_start, "segment_count": b.segment_count,
             "origin": {"link_index": b.summary.origin_link,
                        "arc_pos_m": b.summary.origin_arc,
                        "timestamp": b.summary.origin_time},

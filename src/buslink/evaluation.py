@@ -92,11 +92,16 @@ def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
                           gram_inv=gram_inv, n=n)
 
 
+def lr_points(m: LinearBaseline, X) -> list:
+    """Mean predictions at the rows of X, one ``np.dot`` per row, with no interval."""
+    coef = m.coef_effective()
+    return [float(np.dot(coef, a)) for a in design_matrix(X)]
+
+
 def lr_predict(m: LinearBaseline, x, level: float = 0.95) -> PredictionWithBounds:
     """Mean prediction with its sampling CI (constant-variance normal errors)."""
-    a_full = np.concatenate([[1.0], np.asarray(x, dtype=float).reshape(-1)])
-    point = float(np.dot(m.coef_effective(), a_full))
-    a = a_full[m.active_mask]
+    point = lr_points(m, [x])[0]
+    a = design_matrix(x)[0, m.active_mask]
     half = normal_quantile(0.5 + level / 2.0) * np.sqrt(m.residual_variance * (a @ m.gram_inv @ a))
     return PredictionWithBounds(point=point, lower=point - float(half),
                                 upper=point + float(half), level=level)
@@ -204,22 +209,22 @@ def evaluate_split(observations, cut_date: str, tz_offset: float,
         y_tr, X_tr = road_design(tr)
         y_te, X_te = road_design(te)
         modal = np.array(modal_covariates(tr), dtype=float)
-        # (name, fit, point at x, bounds at x), scored in this order
+        # (name, fit, points at the test rows, bounds at x), scored in this order
         models = (
             ("ln", lambda: ln_fit(np.log(y_tr), X_tr, min_samples=min_fit_samples),
-             predict_point, predict_interval),
-            ("hm", lambda: hm_fit(y_tr), lambda m, x: m.mean, lambda m, x: hm_predict(m)),
-            ("lr", lambda: lr_fit(y_tr, X_tr), lambda m, x: lr_predict(m, x).point, lr_predict),
+             lambda m: [predict_point(m, x) for x in X_te], predict_interval),
+            ("hm", lambda: hm_fit(y_tr), lambda m: [m.mean] * len(te), lambda m, x: hm_predict(m)),
+            ("lr", lambda: lr_fit(y_tr, X_tr), lambda m: lr_points(m, X_te), lr_predict),
         )
         vals: dict = {}
         notes = []
-        for name, fit, point, bounds in models:
+        for name, fit, points, bounds in models:
             try:
                 m = fit()
             except FitError as exc:
                 notes.append(f"{name.upper()}: {exc.kind}")
                 continue
-            pred = np.array([point(m, x) for x in X_te])
+            pred = np.array(points(m))
             vals[f"mae_{name}"] = mae(y_te, pred)
             vals[f"rmse_{name}"] = rmse(y_te, pred)
             vals[f"bw_{name}"] = bounds(m, modal).width

@@ -50,16 +50,20 @@ def data_lines(path):
                 yield lineno, line
 
 
-def read_rows(path, columns, convert, header: bool = True):
+def read_rows(path, columns, convert, header: bool = True, only: str | None = None):
     """Yield ``convert(fields)`` for each data line of a comma-separated file
-    with the given ``columns``. With ``header``, line 1 is skipped if its
-    first field is the first column name, ignoring case. A wrong field
-    count or a ValueError from ``convert`` raises IngestError("parse")
-    naming file:line."""
+    with the given ``columns``, or only of those whose first field is
+    ``only``. With ``header``, line 1 is skipped if its first field is the
+    first column name, ignoring case. A wrong field count or a ValueError
+    from ``convert`` raises IngestError("parse") naming file:line."""
     path = Path(path)
     first = columns[0].lower()
     for lineno, line in data_lines(path):
+        if only is not None and not line.startswith(only):
+            continue
         parts = line.split(",")
+        if only is not None and parts[0] != only:
+            continue
         if header and lineno == 1 and parts[0].lower() == first:
             continue
         if len(parts) != len(columns):
@@ -241,27 +245,29 @@ def _ping(f) -> Ping:
     return Ping(f[0], f[1], int(f[2]), finite_float(f[3]), finite_float(f[4]))
 
 
-def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S) -> PingSeries:
+def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
+               trip_id: str | None = None) -> PingSeries:
     """Load ``trip_id,vehicle_id,timestamp,lat,lon`` lines (no header),
     grouped by (trip_id, vehicle_id) and sorted by timestamp. Of records
     with one timestamp the file's first is kept; gaps larger than
-    ``max_gap_s`` split a group into separate traversal segments."""
-    pings = sorted(read_rows(path, Ping._fields, _ping, header=False),
+    ``max_gap_s`` split a group into separate traversal segments. With
+    ``trip_id`` only that trip's lines are read and checked; none is no error."""
+    pings = sorted(read_rows(path, Ping._fields, _ping, header=False, only=trip_id),
                    key=itemgetter(0, 1, 2))  # stable: the file's first duplicate leads
-    if not pings:
+    if not pings and trip_id is None:
         raise IngestError("empty", f"{path} contains no records")
     records, segments = [], []
-    for (trip_id, vehicle_id), group in groupby(pings, key=itemgetter(0, 1)):
+    for (trip, vehicle), group in groupby(pings, key=itemgetter(0, 1)):
         current = []
         for ping in group:
             if current and ping.timestamp == current[-1].timestamp:
                 continue
             if current and ping.timestamp - current[-1].timestamp > max_gap_s:
-                segments.append(Traversal(trip_id, vehicle_id, tuple(current)))
+                segments.append(Traversal(trip, vehicle, tuple(current)))
                 current = []
             current.append(ping)
             records.append(ping)
-        segments.append(Traversal(trip_id, vehicle_id, tuple(current)))
+        segments.append(Traversal(trip, vehicle, tuple(current)))
     return PingSeries(records=tuple(records), segments=tuple(segments), max_gap_s=max_gap_s)
 
 

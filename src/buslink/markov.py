@@ -120,6 +120,18 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
+def percentile_band(offsets: np.ndarray) -> np.ndarray:
+    """The 2.5 and 97.5 percentiles of each column from one partition, bit for
+    bit ``np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")``, whose
+    lerp counts down from the upper value when the weight is >= 0.5."""
+    v = np.array([2.5, 97.5]) / 100 * (len(offsets) - 1)
+    lo = np.minimum(np.floor(v).astype(np.intp), len(offsets) - 2)  # M = 1: -1, weight v + 1
+    g = (v - lo)[:, None]
+    part = np.partition(offsets, [*lo, *lo + 1], axis=0)
+    a, b = part[lo], part[lo + 1]
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+
+
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
              origin_time: float = float("nan")) -> SimulationSummary:
     """M-run simulation summary: mean and 2.5/97.5 percentiles per stop.
@@ -140,7 +152,7 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
     offsets = markov_offsets(plans, u_road, u_dwell, z_x, float(config.delta_t))
 
     means = offsets.mean(axis=0)
-    lo, hi = np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")
+    lo, hi = percentile_band(offsets)
     stops = tuple(StopForecast(stop_id=p.end_stop_id, mean_remaining=float(means[i]),
                                p2_5=float(lo[i]), p97_5=float(hi[i]))
                   for i, p in enumerate(plans))

@@ -332,6 +332,8 @@ class SimulationBatch:
     timestamp: float
     trip_id: str
     summary: object
+    segment_start: float  # first ping time of the replayed ping segment
+    segment_count: int  # ping segments of the trip id in the file
 
 
 def _session_for(cfg: RunConfig, rm, store: ModelStore, weather):
@@ -357,21 +359,21 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
 
     With ``at``: one batch from the bus position at the last ping <= at.
     With ``replay``: a batch at the first ping and at every traffic
-    indicator flip.
+    indicator flip. Only the trip's own ping lines are read. The last of its
+    ping segments (with ``at``: the one running then) is replayed and named.
     """
     net = load_gtfs_static(cfg.gtfs_dir)
     xs = load_intersections(cfg.intersections)
     weather = load_weather(cfg.weather)
-    series = load_pings(cfg.pings, max_gap_s=cfg.max_gap)
+    series = load_pings(cfg.pings, max_gap_s=cfg.max_gap, trip_id=trip_id)
     store = read_store(Path(cfg.out_dir) / cfg.model_store)
 
     trip = net.trips.get(trip_id)
     if trip is None:
         raise ConfigError("not_found", f"trip {trip_id} not in the static feed")
-    candidates = [t for t in series.segments if t.trip_id == trip_id]
+    candidates = series.segments
     if at is not None:
-        candidates = [t for t in candidates
-                      if t.pings[0].timestamp <= at]
+        candidates = [t for t in candidates if t.pings[0].timestamp <= at]
         candidates = [t for t in candidates if t.pings[-1].timestamp >= at] or candidates[-1:]
     if not candidates:
         raise ConfigError("not_found", f"no ping segment for trip {trip_id}"
@@ -386,19 +388,18 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
             raise ConfigError("not_found", f"trip {trip_id} has no pings at or before {at}")
 
     session = _session_for(cfg, rm, store, weather)
+    segment = (trav.pings[0].timestamp, len(series.segments))
     batches = []
     if replay:
         for i, ping in enumerate(pps):
             summary = session.start(ping) if i == 0 else session.update(ping)
             if summary is not None:
-                batches.append(SimulationBatch(timestamp=ping.timestamp,
-                                               trip_id=trip_id, summary=summary))
+                batches.append(SimulationBatch(ping.timestamp, trip_id, summary, *segment))
     else:
         for ping in pps[:-1]:
             session.observe(ping)
         summary = session.emit_at(pps[-1])
         if summary is None:
             raise ConfigError("not_found", f"trip {trip_id} already past the terminal at {at}")
-        batches.append(SimulationBatch(timestamp=pps[-1].timestamp,
-                                       trip_id=trip_id, summary=summary))
+        batches.append(SimulationBatch(pps[-1].timestamp, trip_id, summary, *segment))
     return batches

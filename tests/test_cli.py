@@ -102,6 +102,70 @@ def test_simulate_replay_emits_batches(workdir, capsys):
 def test_simulate_unknown_trip(workdir, capsys):
     rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", "NOPE"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error: not_found: trip NOPE")
+
+
+def test_simulate_json_names_the_replayed_segment(workdir, capsys):
+    """The small corpus runs T000 on 6 service days; replay takes the last
+    day's segment, and ``--at`` the one running then."""
+    trip, t0 = _first_trip_start(workdir["paths"])
+    assert (trip, t0) == ("T000", 1692356400)
+    base = ["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--json"]
+    assert main(base + ["--replay"]) == 0
+    replay = json.loads(capsys.readouterr().out)
+    assert {(b["segment_start"], b["segment_count"]) for b in replay} == {(1692788400, 6)}
+    assert replay[0]["timestamp"] == 1692788400
+    assert main(base + ["--at", str(t0 + 150)]) == 0
+    (at,) = json.loads(capsys.readouterr().out)
+    assert (at["segment_start"], at["segment_count"]) == (1692356400, 6)
+
+
+def _pings_with(workdir, tmp_path, extra_line):
+    """A copy of the corpus ping file, named pings.csv, with one line appended;
+    returns it and the appended line's number."""
+    lines = workdir["paths"].pings.read_text(encoding="utf-8").splitlines() + [extra_line]
+    path = tmp_path / "pings.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, len(lines)
+
+
+def test_simulate_skips_malformed_line_of_other_trip(workdir, tmp_path, capsys):
+    trip, _ = _first_trip_start(workdir["paths"])
+    cmd = ["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--replay"]
+    assert main(cmd) == 0
+    expected = capsys.readouterr().out
+    pings, lineno = _pings_with(workdir, tmp_path, "T0001,B0,12,nan")
+    assert main(cmd + ["--pings", str(pings)]) == 0
+    assert capsys.readouterr().out == expected
+    # infer reads every line, so it still rejects the file
+    assert main(["infer", "--config", str(workdir["cfg"]), "--pings", str(pings),
+                 "--out", str(tmp_path)]) == 2
+    assert f"pings.csv:{lineno}:" in capsys.readouterr().err
+
+
+def test_simulate_malformed_line_of_its_trip_exit_2(workdir, tmp_path, capsys):
+    trip, t0 = _first_trip_start(workdir["paths"])
+    pings, lineno = _pings_with(workdir, tmp_path, f"{trip},B0,{t0 + 3},29.651")
+    rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--replay",
+               "--pings", str(pings)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: parse: pings.csv:{lineno}: expected 5 fields, got 4\n"
+
+
+def test_simulate_trip_without_pings_exit_2(workdir, tmp_path, capsys):
+    trip, _ = _first_trip_start(workdir["paths"])
+    pings = tmp_path / "pings.csv"
+    pings.write_text("".join(l + "\n" for l in workdir["paths"].pings.read_text().splitlines()
+                             if not l.startswith(trip + ",")), encoding="utf-8")
+    rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--replay",
+               "--pings", str(pings)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: not_found: no ping segment for trip {trip}")
+    pings.write_text("", encoding="utf-8")
+    assert main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip,
+                 "--pings", str(pings)]) == 2
+    assert capsys.readouterr().err.startswith("error: not_found:")
 
 
 def test_evaluate_writes_csv(workdir, capsys):

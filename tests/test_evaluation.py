@@ -5,7 +5,7 @@ import pytest
 
 from buslink.errors import ConfigError, FitError, MetricError
 from buslink.evaluation import (evaluate_split, hm_fit, hm_predict,
-                                lr_fit, lr_predict, mae, modal_covariates,
+                                lr_fit, lr_points, lr_predict, mae, modal_covariates,
                                 quantile_interp, rmse, split_by_date)
 from buslink.hetlognorm import PredictionWithBounds
 from buslink.inference import CovariateVector, LinkObservation
@@ -62,6 +62,19 @@ class TestLinearBaseline:
         assert m.residual_variance == pytest.approx(100.0)
         half = 1.959963984540054 * math.sqrt(100.0 / 3.0)
         assert b.upper - b.point == pytest.approx(half, rel=1e-9)
+
+    def test_points_match_per_row_dot_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 2, size=(400, 4)).astype(float)
+        X[:, 2] = 0.0  # a constant column: its coefficient is masked
+        y = rng.lognormal(4.0, 0.3, size=400) + 7.0 * X[:, 0]
+        m = lr_fit(y, X)
+        points = lr_points(m, X)
+        assert all(type(p) is float for p in points)
+        # per row, one np.dot of the effective coefficients with [1, x]
+        expected = [float(np.dot(m.coef_effective(), np.concatenate([[1.0], x]))) for x in X]
+        assert np.array(points).tobytes() == np.array(expected).tobytes()
+        assert [lr_predict(m, x).point for x in X] == points
 
     def test_rank_deficient(self):
         X = np.zeros((30, 4))

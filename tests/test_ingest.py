@@ -235,6 +235,50 @@ def test_load_pings_matches_brute_force_grouping(tmp_path, rows, max_gap, data):
         == [(seg[0][0], seg[0][1], seg) for seg in expected]
 
 
+colliding_rows = st.lists(st.tuples(st.sampled_from(["T1", "T10", "T1x", "T2"]),
+                                    st.sampled_from(["V1", "V2"]),
+                                    st.integers(0, 40).map(lambda k: 15 * k),
+                                    st.floats(allow_nan=False, allow_infinity=False),
+                                    st.floats(allow_nan=False, allow_infinity=False)),
+                          max_size=40)
+
+
+@given(rows=colliding_rows, trip=st.sampled_from(["T1", "T10", "T1x", "T2", "T"]),
+       max_gap=st.sampled_from([15.0, 40.0, 120.0]), data=st.data())
+@settings(deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_trip_read_is_full_read_filtered(tmp_path, rows, trip, max_gap, data):
+    """Ids that prefix one another (T1, T10, T1x), duplicates, gaps, blank
+    lines, comments and any order: reading one trip gives the segments and
+    records of the full read that belong to it."""
+    lines = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    for filler in data.draw(st.lists(st.sampled_from(["", "   ", "# T1", "#T1,V1,0,1.0,2.0"]),
+                                     max_size=4)):
+        lines.insert(data.draw(st.integers(0, len(lines))), filler)
+    path = write_ping_file(tmp_path, lines)
+    one = load_pings(path, max_gap_s=max_gap, trip_id=trip)
+    full_segments, full_records = (), ()
+    if rows:
+        full = load_pings(path, max_gap_s=max_gap)
+        full_segments, full_records = full.segments, full.records
+    assert one.segments == tuple(s for s in full_segments if s.trip_id == trip)
+    assert one.records == tuple(p for p in full_records if p.trip_id == trip)
+
+
+def test_one_trip_read_checks_only_its_lines(tmp_path):
+    p = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", "T10,V1,0,29.0", "T1,V1,15,29.0,-82.0",
+                                   "T1x,V1,0,nan,-82.0", "T1,V1,30,29.0"])
+    assert load_pings(p, trip_id="T10x").segments == ()
+    with pytest.raises(IngestError) as e:
+        load_pings(p, trip_id="T1")
+    assert str(e.value) == "parse: pings.csv:5: expected 5 fields, got 4"
+    with pytest.raises(IngestError) as e:
+        load_pings(p, trip_id="T1x")
+    assert e.value.kind == "parse" and "pings.csv:4:" in str(e.value)
+    p.write_text("T1,V1,0,29.0,-82.0\nT10,V1,0,29.0\nT1,V1,15,29.0,-82.0\n", encoding="utf-8")
+    assert [len(s.pings) for s in load_pings(p, trip_id="T1").segments] == [2]
+
+
 def test_grouping_is_partition(tmp_path):
     lines = [f"T{t % 2},V{v},{ts},29.0,-82.0"
              for t in range(2) for v in range(2) for ts in (0, 10, 400, 410)]

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from buslink.accel import _markov_scalar, markov_offsets
 from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
 from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
 from buslink.hetlognorm import HetLogNormalModel
-from buslink.markov import LinkPlan, MarkovConfig, build_plan, simulate, steps_to_complete
+from buslink.markov import (LinkPlan, MarkovConfig, build_plan, percentile_band, simulate,
+                            steps_to_complete)
 
 from test_geometry import network_with
 
@@ -142,6 +144,22 @@ class TestSimulate:
         for i, f in enumerate(s.stops):
             np.testing.assert_allclose([f.mean_remaining, f.p2_5, f.p97_5],
                                        [ref[:, i].mean(), lo[i], hi[i]], rtol=1e-12)
+
+
+@given(m=st.sampled_from([1, 2, 3, 39, 1000, 10000]), stops=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), ties=st.booleans(), spread=st.floats(1e-3, 1e6))
+@settings(deadline=None, max_examples=120)
+def test_percentile_band_is_numpy_linear_bit_for_bit(m, stops, seed, ties, spread):
+    """Random offsets, with many tied values and signed zeros when rounded:
+    the partition band equals np.percentile's linear rule byte for byte."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.standard_normal((m, stops)) * spread
+    if ties:
+        offsets = np.round(offsets / spread * 2)
+    expected = np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")
+    before = offsets.copy()
+    assert percentile_band(offsets).tobytes() == expected.tobytes()
+    assert offsets.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("delta_t", [5.0, 2.0, 1.0])
