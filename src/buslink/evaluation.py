@@ -1,8 +1,8 @@
 """Baselines (historical mean, linear regression on raw seconds), point
 metrics, and the train/test comparison driver.
 
-Quantiles everywhere use linear interpolation at position (n-1)*q, the
-project-wide rule shared with the Markov percentiles.
+The historical-mean band takes its 2.5/97.5 quantiles from
+``stats.percentile_band``, the rule of the Markov bands.
 """
 
 from __future__ import annotations
@@ -18,18 +18,7 @@ from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
 from .inference import group_by_link, road_design
 from .ingest import local_datetime
-from .stats import active_columns, normal_quantile
-
-
-def quantile_interp(values, q: float) -> float:
-    """Linear interpolation at position (n-1)*q of the sorted values."""
-    s = np.sort(np.asarray(values, dtype=float))
-    pos = (s.shape[0] - 1) * q
-    lo = int(np.floor(pos))
-    hi = int(np.ceil(pos))
-    if lo == hi:
-        return float(s[lo])
-    return float(s[lo] + (pos - lo) * (s[hi] - s[lo]))
+from .stats import active_columns, normal_quantile, percentile_band
 
 
 @dataclass(frozen=True)
@@ -44,10 +33,8 @@ def hm_fit(samples, min_samples: int = 10) -> HistoricalMean:
     s = np.asarray(samples, dtype=float)
     if s.shape[0] < min_samples:
         raise FitError("insufficient_data", f"need {min_samples} samples, have {s.shape[0]}")
-    return HistoricalMean(mean=float(np.mean(s)),
-                          q2_5=quantile_interp(s, 0.025),
-                          q97_5=quantile_interp(s, 0.975),
-                          n=int(s.shape[0]))
+    q2_5, q97_5 = percentile_band(s[:, None])[:, 0].tolist()
+    return HistoricalMean(mean=float(np.mean(s)), q2_5=q2_5, q97_5=q97_5, n=int(s.shape[0]))
 
 
 def hm_predict(m: HistoricalMean) -> PredictionWithBounds:

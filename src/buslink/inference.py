@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import InferenceError
 from .geometry import RouteModel, project_many
-from .ingest import (DEFAULT_RAIN_LABELS, Traversal, WeatherTable, local_datetime,
-                     rain_indicator)
+from .ingest import DEFAULT_RAIN_LABELS, Traversal, WeatherTable, local_datetime
 
 DEFAULT_SPEED_THRESHOLD_MS = 5.0
 DEFAULT_PEAK_HOURS = frozenset({7, 8, 16, 17})
@@ -29,7 +28,7 @@ DEFAULT_BACKWARD_TOLERANCE_M = 5.0
 DEFAULT_MAX_INTERP_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProjectedPing:
     timestamp: float
     arc_pos: float
@@ -51,40 +50,34 @@ class FeatureEvent:
 
 
 def project_traversal(trav: Traversal, rm: RouteModel) -> list:
-    lats = [p.lat for p in trav.pings]
-    lons = [p.lon for p in trav.pings]
-    arcs, offs = project_many(rm.polyline, lats, lons)
-    return [ProjectedPing(timestamp=float(p.timestamp), arc_pos=float(a), offset=float(o))
-            for p, a, o in zip(trav.pings, arcs, offs)]
+    arcs, offs = project_many(rm.polyline, trav.lats, trav.lons)
+    return list(map(ProjectedPing, trav.timestamps.astype(float).tolist(), arcs.tolist(),
+                    offs.tolist()))
+
+
+def repair_mask(arcs, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> np.ndarray:
+    """Keep mask of the monotone repair: drop a ping that regresses more than
+    the tolerance (>= 0) behind the running maximum arc position (GPS jitter
+    near stops). A dropped ping never raises that maximum, and ``fmax`` skips
+    NaN as the comparison does, so it is the maximum over the kept pings."""
+    arcs = np.asarray(arcs, dtype=float)
+    return ~(arcs < np.fmax.accumulate(arcs) - backward_tolerance)
 
 
 def repair_monotonic(pps, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> list:
-    """Drop pings that regress more than the tolerance behind the running
-    maximum arc position (GPS jitter near stops)."""
-    out = []
-    high = -np.inf
-    for p in pps:
-        if p.arc_pos < high - backward_tolerance:
-            continue
-        out.append(p)
-        if p.arc_pos > high:
-            high = p.arc_pos
-    return out
+    """The projected pings that ``repair_mask`` keeps."""
+    return [p for p, k in zip(pps, repair_mask([q.arc_pos for q in pps], backward_tolerance)) if k]
 
 
-def detect_events(pps, rm: RouteModel,
+def detect_events(times, arcs, rm: RouteModel,
                   max_interp_fraction: float = DEFAULT_MAX_INTERP_FRACTION) -> list:
     """Arrival/departure events for every feature the traversal crossed.
 
-    ``pps`` must already be monotonicity-repaired. Raises
-    InferenceError("too_sparse") when more than ``max_interp_fraction`` of
-    the crossed features had to be interpolated.
+    ``times`` and ``arcs`` are the pings' lists after the monotone repair.
+    Raises InferenceError("too_sparse") when more than
+    ``max_interp_fraction`` of the crossed features had to be interpolated.
     """
-    if not pps:
-        return []
-    arcs = [p.arc_pos for p in pps]
-    times = [p.timestamp for p in pps]
-    n = len(pps)
+    n = len(arcs)
     buffer = rm.buffer_radius
 
     events = []
@@ -111,7 +104,9 @@ def detect_events(pps, rm: RouteModel,
             if i == 0:
                 continue  # traversal starts beyond this feature: not crossed
             frac = (farc - arcs[i - 1]) / (arcs[i] - arcs[i - 1])
-            t_arr = t_dep = times[i - 1] + frac * (times[i] - times[i - 1])
+            # on the 2**-22 s grid that POSIX times after 2004 lie on already,
+            # so that the decomposition's sums and differences are exact
+            t_arr = t_dep = round((times[i - 1] + frac * (times[i] - times[i - 1])) * 2**22) / 2**22
             interpolated = True
             n_interp += 1
         # keep event times monotone when several zones fall in one ping gap
@@ -189,7 +184,7 @@ def build_covariates(t: float, weather: WeatherTable, traffic: int,
     local hour, weekday Mon-Fri, traffic passed through."""
     labels = DEFAULT_RAIN_LABELS if rain_labels is None else rain_labels
     local = local_datetime(t, tz_offset)
-    rain = rain_indicator(weather, t, tz_offset, labels)
+    rain = 1 if weather.condition(local.strftime("%Y-%m-%d"), local.hour) in labels else 0
     return CovariateVector(rain=rain,
                            peak=1 if local.hour in peak_hours else 0,
                            weekday=1 if local.weekday() < 5 else 0,
@@ -258,43 +253,36 @@ def resolve_threshold(speed_threshold, link_index: int) -> float:
     return float(speed_threshold)
 
 
-def observations_from_traversal(trav: Traversal, rm: RouteModel, weather: WeatherTable,
-                                *, tz_offset: float,
+def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteModel,
+                                weather: WeatherTable, *, tz_offset: float,
                                 speed_threshold=DEFAULT_SPEED_THRESHOLD_MS,
                                 peak_hours=DEFAULT_PEAK_HOURS,
                                 rain_labels=None,
                                 backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M):
-    """Full per-traversal inference: project, repair, detect, decompose.
+    """Per-traversal inference from the pings' arc positions on the route:
+    repair, detect, decompose.
 
     Returns (observations, skip_log); per-link failures are recorded and
     skipped rather than raised. InferenceError("too_sparse") and
     IngestError("missing_weather") propagate (the whole traversal is
     unusable).
     """
-    pps = repair_monotonic(project_traversal(trav, rm), backward_tolerance)
-    events = detect_events(pps, rm)
+    keep = repair_mask(arcs, backward_tolerance)
+    times, arcs = trav.timestamps[keep].astype(float).tolist(), arcs[keep].tolist()
+    events = detect_events(times, arcs, rm)
     by_key = {(e.kind, e.arc): e for e in events}
-    speeds_by_link = _open_road_speeds(pps, rm)
+    speeds_by_link = _open_road_speeds(times, arcs, rm)
 
     observations = []
     skip_log = []
-    stop_arcs = {sid_arc[0]: sid_arc[1] for sid_arc in rm.projected_stops}
+    stop_arcs = dict(rm.projected_stops)
     x_arcs = dict(rm.projected_intersections)
     for link in rm.links:
         ev_prev = by_key.get(("stop", stop_arcs[link.from_stop]))
         ev_stop = by_key.get(("stop", stop_arcs[link.to_stop]))
-        if ev_prev is None or ev_stop is None:
+        x_events = [by_key.get(("intersection", x_arcs[xid])) for xid in link.intersection_ids]
+        if ev_prev is None or ev_stop is None or any(ev is None for ev in x_events):
             continue  # link not fully covered by this traversal
-        x_events = []
-        missing = False
-        for xid in link.intersection_ids:
-            ev = by_key.get(("intersection", x_arcs[xid]))
-            if ev is None:
-                missing = True
-                break
-            x_events.append(ev)
-        if missing:
-            continue
         try:
             lt = decompose_link(ev_stop, x_events, ev_prev.t_departure)
         except InferenceError as exc:
@@ -304,12 +292,8 @@ def observations_from_traversal(trav: Traversal, rm: RouteModel, weather: Weathe
                                     resolve_threshold(speed_threshold, link.index))
         cov = build_covariates(ev_prev.t_departure, weather, traffic.value,
                                tz_offset, peak_hours, rain_labels)
-        flags = []
-        if ev_stop.interpolated:
-            flags.append("interp_stop")
-        for ev in x_events:
-            if ev.interpolated:
-                flags.append(f"interp_x={ev.feature_id}")
+        flags = ["interp_stop"] if ev_stop.interpolated else []
+        flags += [f"interp_x={ev.feature_id}" for ev in x_events if ev.interpolated]
         if not traffic.observed:
             flags.append("unobs_traffic")
         observations.append(LinkObservation(
@@ -320,15 +304,14 @@ def observations_from_traversal(trav: Traversal, rm: RouteModel, weather: Weathe
     return observations, skip_log
 
 
-def open_road_link_of(pps, rm: RouteModel) -> list:
-    """Per ping: the 1-based link index if the ping is open road inside a
+def open_road_link_of(arcs, rm: RouteModel) -> list:
+    """Per arc position: the 1-based link index if it is open road inside a
     link, else -1 (in a buffer zone, boundary inclusive, or not strictly
     inside the stop span)."""
     feats, stops = rm.feature_arcs, rm.stop_arcs
     buffer = rm.buffer_radius
     tags = []
-    for p in pps:
-        arc = p.arc_pos
+    for arc in arcs:
         k = bisect_left(feats, arc)
         in_zone = ((k > 0 and arc - feats[k - 1] <= buffer)
                    or (k < len(feats) and feats[k] - arc <= buffer))
@@ -337,12 +320,12 @@ def open_road_link_of(pps, rm: RouteModel) -> list:
     return tags
 
 
-def _open_road_speeds(pps, rm: RouteModel) -> dict:
+def _open_road_speeds(times, arcs, rm: RouteModel) -> dict:
     """Space-mean speeds of consecutive open-road ping pairs, per link."""
-    tags = open_road_link_of(pps, rm)
+    tags = open_road_link_of(arcs, rm)
     speeds: dict = {}
-    for j in range(1, len(pps)):
+    for j in range(1, len(arcs)):
         li = tags[j]
-        if li >= 1 and tags[j - 1] == li and pps[j].timestamp > pps[j - 1].timestamp:
-            speeds.setdefault(li, []).append(space_mean_speed(pps[j - 1], pps[j]))
+        if li >= 1 and tags[j - 1] == li and times[j] > times[j - 1]:
+            speeds.setdefault(li, []).append((arcs[j] - arcs[j - 1]) / (times[j] - times[j - 1]))
     return speeds

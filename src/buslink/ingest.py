@@ -1,9 +1,11 @@
 """Loaders for GTFS static tables, ping records, weather, and intersections.
 
-All loaders are pure functions of their input files and return frozen
-structures that are safe to share between threads. Timestamps are POSIX
-seconds UTC throughout; calendar logic (hour of day, weekday, service
-date) applies a single signed ``tz_offset`` in hours. Every
+All loaders are pure functions of their input files and return
+structures that are not changed after loading. Pings are columnar: each
+traversal segment holds int64 timestamp and float lat/lon arrays, and
+its ``Ping`` rows are built only when something reads them. Timestamps
+are POSIX seconds UTC throughout; calendar logic (hour of day, weekday,
+service date) applies a single signed ``tz_offset`` in hours. Every
 line-oriented text input of the package is read by ``data_lines``.
 """
 
@@ -14,10 +16,13 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import groupby
-from operator import itemgetter
+from functools import cached_property
+from itertools import count, islice, repeat
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import IngestError
 
@@ -40,11 +45,13 @@ def local_date_hour(t: float, tz_offset: float):
 # Text lines and fields
 # ---------------------------------------------------------------------------
 
-def data_lines(path):
+def data_lines(path, only: str | None = None):
     """Yield ``(line number, stripped line)`` for every line of a text file
-    that is neither blank nor a ``#`` comment."""
+    that is neither blank nor a ``#`` comment and, with ``only``, contains it."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if only is not None and only not in raw:
+                continue
             line = raw.strip()
             if line and not line.startswith("#"):
                 yield lineno, line
@@ -58,9 +65,7 @@ def read_rows(path, columns, convert, header: bool = True, only: str | None = No
     from ``convert`` raises IngestError("parse") naming file:line."""
     path = Path(path)
     first = columns[0].lower()
-    for lineno, line in data_lines(path):
-        if only is not None and not line.startswith(only):
-            continue
+    for lineno, line in data_lines(path, only):
         parts = line.split(",")
         if only is not None and parts[0] != only:
             continue
@@ -227,22 +232,53 @@ class Ping(NamedTuple):
     lon: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Traversal:
     trip_id: str
     vehicle_id: str
-    pings: tuple  # (Ping, ...) strictly increasing timestamps
+    timestamps: np.ndarray  # int64, strictly increasing
+    lats: np.ndarray
+    lons: np.ndarray
+
+    @cached_property
+    def pings(self) -> tuple:
+        """The segment as ``Ping`` rows, built on first use."""
+        return tuple(map(Ping, repeat(self.trip_id), repeat(self.vehicle_id),
+                         self.timestamps.tolist(), self.lats.tolist(), self.lons.tolist()))
 
 
 @dataclass(frozen=True)
 class PingSeries:
-    records: tuple  # all pings after dedup, sorted within groups
     segments: tuple  # (Traversal, ...) split at gaps > max_gap_s
     max_gap_s: float
 
+    @cached_property
+    def records(self) -> tuple:
+        """All pings after dedup as ``Ping`` rows, sorted within groups."""
+        return tuple(p for seg in self.segments for p in seg.pings)
+
+
+PING_BLOCK_LINES = 1 << 14  # lines parsed per vectorized block
+
 
 def _ping(f) -> Ping:
-    return Ping(f[0], f[1], int(f[2]), finite_float(f[3]), finite_float(f[4]))
+    ts = int(f[2])
+    if not -2**63 <= ts < 2**63:
+        raise ValueError(f"timestamp {ts} is outside int64")
+    return Ping(f[0], f[1], ts, finite_float(f[3]), finite_float(f[4]))
+
+
+def _ping_block(lines):
+    """Trip ids, vehicle ids, int64 timestamps and 2 x n lats and lons of ping
+    lines, each field converted with ``int`` or ``float`` as ``_ping`` does;
+    a ValueError or OverflowError means some line is not valid for ``_ping``."""
+    if set(map(methodcaller("count", ","), lines)) != {len(Ping._fields) - 1}:
+        raise ValueError("wrong field count")
+    f = ",".join(lines).split(",")
+    coords = np.array([f[3::5], f[4::5]], dtype=float)
+    if not np.isfinite(coords).all():
+        raise ValueError("non-finite coordinate")
+    return f[0::5], f[1::5], np.array(f[2::5], dtype=np.int64), coords
 
 
 def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
@@ -251,24 +287,45 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     grouped by (trip_id, vehicle_id) and sorted by timestamp. Of records
     with one timestamp the file's first is kept; gaps larger than
     ``max_gap_s`` split a group into separate traversal segments. With
-    ``trip_id`` only that trip's lines are read and checked; none is no error."""
-    pings = sorted(read_rows(path, Ping._fields, _ping, header=False, only=trip_id),
-                   key=itemgetter(0, 1, 2))  # stable: the file's first duplicate leads
-    if not pings and trip_id is None:
-        raise IngestError("empty", f"{path} contains no records")
-    records, segments = [], []
-    for (trip, vehicle), group in groupby(pings, key=itemgetter(0, 1)):
-        current = []
-        for ping in group:
-            if current and ping.timestamp == current[-1].timestamp:
-                continue
-            if current and ping.timestamp - current[-1].timestamp > max_gap_s:
-                segments.append(Traversal(trip, vehicle, tuple(current)))
-                current = []
-            current.append(ping)
-            records.append(ping)
-        segments.append(Traversal(trip, vehicle, tuple(current)))
-    return PingSeries(records=tuple(records), segments=tuple(segments), max_gap_s=max_gap_s)
+    ``trip_id`` only that trip's lines are read and checked; none is no error.
+
+    Lines are parsed in blocks of ``PING_BLOCK_LINES``. A block that fails
+    the vectorized checks is re-read row by row through ``_ping``, so the
+    first bad line raises IngestError("parse") naming file:line.
+    """
+    numbered = data_lines(path, trip_id)
+    lines = map(itemgetter(1), numbered)
+    if trip_id is not None:
+        lines = (line for line in lines if line.partition(",")[0] == trip_id)
+    codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
+    blocks = []
+    while block := list(islice(lines, PING_BLOCK_LINES)):
+        try:
+            trips, vehicles, ts, coords = _ping_block(block)
+        except (ValueError, OverflowError):
+            numbered.close()
+            for _ in read_rows(path, Ping._fields, _ping, header=False, only=trip_id):
+                pass  # raises at the file's first bad line, which is in this block
+            raise
+        keys = list(zip(trips, vehicles))
+        codes.update(zip(dict.fromkeys(keys).keys() - codes.keys(), count(len(codes))))
+        blocks.append((np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys)), ts, coords))
+    if not blocks:
+        if trip_id is None:
+            raise IngestError("empty", f"{path} contains no records")
+        return PingSeries(segments=(), max_gap_s=max_gap_s)
+    group, ts, coords = (np.concatenate(columns, axis=-1) for columns in zip(*blocks))
+    keys = sorted(codes)
+    group = np.argsort([codes[key] for key in keys])[group]  # code -> its key's sorted place
+    order = np.lexsort((ts, group))  # stable: the file's first duplicate leads
+    group, ts, coords = group[order], ts[order], coords[:, order]
+    keep = np.concatenate(([True], (group[1:] != group[:-1]) | (ts[1:] != ts[:-1])))
+    group, ts, lats, lons = group[keep], ts[keep], *coords[:, keep]
+    # unsigned differences cannot overflow within a sorted group
+    split = (group[1:] != group[:-1]) | (np.diff(ts.view(np.uint64)) > max_gap_s)
+    bounds = np.flatnonzero(np.concatenate(([True], split, [True]))).tolist()
+    return PingSeries(segments=tuple(Traversal(*keys[group[a]], ts[a:b], lats[a:b], lons[a:b])
+                                     for a, b in zip(bounds, bounds[1:])), max_gap_s=max_gap_s)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import ConfigError, SimError
 from .geometry import RouteModel, link_index_at
 from .hetlognorm import HetLogNormalModel, predict_point
 from .inference import open_road_link_of, resolve_threshold, space_mean_speed
+from .stats import percentile_band
 
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
 
@@ -120,18 +121,6 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
-def percentile_band(offsets: np.ndarray) -> np.ndarray:
-    """The 2.5 and 97.5 percentiles of each column from one partition, bit for
-    bit ``np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")``, whose
-    lerp counts down from the upper value when the weight is >= 0.5."""
-    v = np.array([2.5, 97.5]) / 100 * (len(offsets) - 1)
-    lo = np.minimum(np.floor(v).astype(np.intp), len(offsets) - 2)  # M = 1: -1, weight v + 1
-    g = (v - lo)[:, None]
-    part = np.partition(offsets, [*lo, *lo + 1], axis=0)
-    a, b = part[lo], part[lo + 1]
-    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
-
-
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
              origin_time: float = float("nan")) -> SimulationSummary:
     """M-run simulation summary: mean and 2.5/97.5 percentiles per stop.
@@ -225,7 +214,7 @@ class PredictionSession:
     def _remember(self, ping) -> int:
         """Make ``ping`` the previous ping, classified once; its tag."""
         self._prev_ping = ping
-        self._prev_tag = open_road_link_of([ping], self.rm)[0]
+        self._prev_tag = open_road_link_of([ping.arc_pos], self.rm)[0]
         return self._prev_tag
 
     def start(self, ping) -> SimulationSummary | None:

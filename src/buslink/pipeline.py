@@ -16,7 +16,7 @@ import numpy as np
 from . import evaluation, stats
 from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersection)
 from .errors import BuslinkError, ConfigError, FitError, InferenceError
-from .geometry import build_route_model
+from .geometry import build_route_model, project_many
 from .hetlognorm import design_matrix, fit as ln_fit, predict_interval, predict_point
 from .inference import (DEFAULT_PEAK_HOURS, build_covariates, group_by_link,
                         intersection_samples, observations_from_traversal,
@@ -52,6 +52,10 @@ class RunConfig:
     backward_tolerance: float = 5.0
     rain_labels: tuple = tuple(sorted(DEFAULT_RAIN_LABELS))
     link_speed_thresholds: str = ""  # per-link overrides, e.g. "2:4.0,5:6.5"
+
+    def __post_init__(self):
+        if not self.backward_tolerance >= 0.0:
+            raise ConfigError("bad_config", "backward_tolerance must be >= 0")
 
     @property
     def peak_hour_set(self):
@@ -133,9 +137,17 @@ def run_infer(cfg: RunConfig) -> InferReport:
     weather = load_weather(cfg.weather)
     series = load_pings(cfg.pings, max_gap_s=cfg.max_gap)
 
-    route_keys = sorted({(net.trips[t.trip_id].route_id, net.trips[t.trip_id].direction_id)
-                         for t in series.segments if t.trip_id in net.trips})
-    models = _route_models_for(net, xs, cfg, route_keys)
+    by_route: dict = {}  # route key -> its segments
+    for trav in series.segments:
+        trip = net.trips.get(trav.trip_id)
+        if trip is not None:
+            by_route.setdefault((trip.route_id, trip.direction_id), []).append(trav)
+    models = _route_models_for(net, xs, cfg, sorted(by_route))
+    arcs = {}  # segment -> arc positions of its pings; one projection per route
+    for rk, segs in by_route.items():
+        route_arcs, _ = project_many(models[rk].polyline, np.concatenate([t.lats for t in segs]),
+                                     np.concatenate([t.lons for t in segs]))
+        arcs.update(zip(segs, np.split(route_arcs, np.cumsum([len(t.lats) for t in segs[:-1]]))))
 
     observations = []
     skipped = []
@@ -148,12 +160,12 @@ def run_infer(cfg: RunConfig) -> InferReport:
         rm = models[(trip.route_id, trip.direction_id)]
         try:
             obs, skips = observations_from_traversal(
-                trav, rm, weather, tz_offset=cfg.tz_offset,
+                trav, arcs[trav], rm, weather, tz_offset=cfg.tz_offset,
                 speed_threshold=cfg.speed_threshold_by_link,
                 peak_hours=cfg.peak_hour_set, rain_labels=cfg.rain_label_set,
                 backward_tolerance=cfg.backward_tolerance)
         except InferenceError as exc:
-            skipped.append(f"{trav.trip_id}@{trav.pings[0].timestamp}: {exc}")
+            skipped.append(f"{trav.trip_id}@{trav.timestamps[0]}: {exc}")
             continue
         observations.extend(obs)
         skipped.extend(skips)
@@ -373,8 +385,8 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
         raise ConfigError("not_found", f"trip {trip_id} not in the static feed")
     candidates = series.segments
     if at is not None:
-        candidates = [t for t in candidates if t.pings[0].timestamp <= at]
-        candidates = [t for t in candidates if t.pings[-1].timestamp >= at] or candidates[-1:]
+        candidates = [t for t in candidates if t.timestamps[0] <= at]
+        candidates = [t for t in candidates if t.timestamps[-1] >= at] or candidates[-1:]
     if not candidates:
         raise ConfigError("not_found", f"no ping segment for trip {trip_id}"
                           + (f" at {at}" if at is not None else ""))
@@ -388,7 +400,7 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
             raise ConfigError("not_found", f"trip {trip_id} has no pings at or before {at}")
 
     session = _session_for(cfg, rm, store, weather)
-    segment = (trav.pings[0].timestamp, len(series.segments))
+    segment = (int(trav.timestamps[0]), len(series.segments))
     batches = []
     if replay:
         for i, ping in enumerate(pps):

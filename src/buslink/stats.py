@@ -1,5 +1,5 @@
-"""Validation tests (K-S log-normality, Breusch-Pagan, runs test) and the
-special functions they need.
+"""Validation tests (K-S log-normality, Breusch-Pagan, runs test), the
+special functions they need, and the package's one quantile rule.
 
 The special functions are implemented here rather than imported: normal
 CDF/quantile via the C library error function, the regularized upper
@@ -21,6 +21,18 @@ from .errors import StatError
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
+
+def percentile_band(offsets: np.ndarray) -> np.ndarray:
+    """The 2.5 and 97.5 percentiles of each column from one partition, bit for
+    bit ``np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")``, whose
+    lerp counts down from the upper value when the weight is >= 0.5."""
+    v = np.array([2.5, 97.5]) / 100 * (len(offsets) - 1)
+    lo = np.minimum(np.floor(v).astype(np.intp), len(offsets) - 2)  # M = 1: -1, weight v + 1
+    g = (v - lo)[:, None]
+    part = np.partition(offsets, [*lo, *lo + 1], axis=0)
+    a, b = part[lo], part[lo + 1]
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+
 
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from buslink import synth
-from buslink.geometry import build_route_model
+from buslink.geometry import build_route_model, project_many
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
@@ -79,9 +79,10 @@ def corpus(tmp_path_factory):
 def corpus_observations(corpus):
     observations = []
     skipped = []
+    rm = corpus["rm"]
     for trav in corpus["series"].segments:
-        obs, sk = observations_from_traversal(trav, corpus["rm"], corpus["weather"],
-                                              tz_offset=TZ)
+        arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
+        obs, sk = observations_from_traversal(trav, arcs, rm, corpus["weather"], tz_offset=TZ)
         observations.extend(obs)
         skipped.extend(sk)
     return observations, skipped

@@ -256,6 +256,14 @@ def test_bad_number_in_config_exit_2(tmp_path, capsys):
     assert_input_error(rc, capsys, "bad_config", "runs")
 
 
+def test_negative_backward_tolerance_exit_2(tmp_path, capsys):
+    """The monotone repair's running maximum needs a tolerance >= 0."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("backward_tolerance = -1\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "bad_config", "backward_tolerance")
+
+
 @pytest.mark.parametrize("line", ["delta_t = nan", "off_route = inf", "tz_offset = -inf",
                                   "link_speed_thresholds = 2:nan"])
 def test_non_finite_number_in_config_exit_2(workdir, tmp_path, capsys, line):

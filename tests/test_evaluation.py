@@ -6,9 +6,10 @@ import pytest
 from buslink.errors import ConfigError, FitError, MetricError
 from buslink.evaluation import (evaluate_split, hm_fit, hm_predict,
                                 lr_fit, lr_points, lr_predict, mae, modal_covariates,
-                                quantile_interp, rmse, split_by_date)
+                                rmse, split_by_date)
 from buslink.hetlognorm import PredictionWithBounds
 from buslink.inference import CovariateVector, LinkObservation
+from buslink.stats import percentile_band
 
 
 class TestHistoricalMean:
@@ -187,9 +188,13 @@ def test_lr_on_log_homoscedastic_data_recovers_coefficients():
     assert np.all(np.abs(m.coef - beta) < 5 * se)
 
 
-def test_quantile_interp_matches_numpy():
+def test_hm_quantiles_match_numpy():
+    """The historical-mean band is numpy's linear percentile rule bit for bit."""
     rng = np.random.default_rng(5)
-    vals = rng.normal(size=37)
-    for q in (0.025, 0.5, 0.975):
-        assert quantile_interp(vals, q) == pytest.approx(
-            float(np.percentile(vals, 100 * q, method="linear")), abs=1e-12)
+    for n in (1, 2, 10, 37, 301):
+        vals = rng.lognormal(3.0, 0.5, size=n).round(n % 3)
+        expected = np.percentile(vals, [2.5, 97.5], method="linear")
+        assert percentile_band(vals[:, None])[:, 0].tobytes() == expected.tobytes()
+        if n >= 10:
+            m = hm_fit(vals)
+            assert (m.q2_5, m.q97_5) == tuple(expected.tolist())

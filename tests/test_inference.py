@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from buslink.errors import InferenceError
 from buslink.geometry import build_route_model, feature_zone_test, link_index_at
 from buslink.inference import (FeatureEvent, ProjectedPing,
                                build_covariates, decompose_link, detect_events,
-                               open_road_link_of, repair_monotonic, space_mean_speed,
-                               traffic_indicator)
-from buslink.ingest import load_weather
+                               observations_from_traversal, open_road_link_of, repair_mask,
+                               repair_monotonic, space_mean_speed, traffic_indicator)
+from buslink.ingest import Traversal, load_weather
 
 from test_geometry import network_with
 
@@ -22,6 +25,10 @@ def pp(t, arc):
     return ProjectedPing(timestamp=float(t), arc_pos=float(arc), offset=0.0)
 
 
+def events_of(pings, rm, **kwargs):
+    return detect_events([p.timestamp for p in pings], [p.arc_pos for p in pings], rm, **kwargs)
+
+
 def arcs_of(rm):
     return {sid: a for sid, a in rm.projected_stops}
 
@@ -30,7 +37,7 @@ class TestDetectEvents:
     def test_zone_entry_and_exit(self, single_link_rm):
         # stop S1 near arc 800, buffer 20: 770 road, 790 in, 805 in, 825 out
         pings = [pp(0, 770), pp(10, 790), pp(20, 805), pp(30, 825)]
-        events = detect_events(pings, single_link_rm)
+        events = events_of(pings, single_link_rm)
         stop = [e for e in events if e.feature_id == "S1"][0]
         assert stop.t_arrival == 10
         assert stop.t_departure == 30
@@ -38,7 +45,7 @@ class TestDetectEvents:
 
     def test_jumped_feature_interpolated(self, single_link_rm):
         pings = [pp(0, 700), pp(20, 900)]
-        events = detect_events(pings, single_link_rm, max_interp_fraction=1.0)
+        events = events_of(pings, single_link_rm, max_interp_fraction=1.0)
         stop = [e for e in events if e.feature_id == "S1"][0]
         assert stop.interpolated
         stop_arc = arcs_of(single_link_rm)["S1"]
@@ -48,7 +55,7 @@ class TestDetectEvents:
 
     def test_dwell_with_jitter(self, single_link_rm):
         pings = [pp(0, 790), pp(10, 795), pp(20, 792), pp(30, 825)]
-        events = detect_events(pings, single_link_rm)
+        events = events_of(pings, single_link_rm)
         stop = [e for e in events if e.feature_id == "S1"][0]
         assert stop.t_arrival == 0
         assert stop.t_departure == 30
@@ -57,13 +64,13 @@ class TestDetectEvents:
         # both X1 and S1 jumped: 2 of 2 crossed features interpolated
         pings = [pp(0, 30), pp(60, 830)]
         with pytest.raises(InferenceError) as e:
-            detect_events(pings, single_link_rm)
+            events_of(pings, single_link_rm)
         assert e.value.kind == "too_sparse"
 
     def test_event_times_monotone(self, single_link_rm):
         pings = [pp(0, 30), pp(10, 200), pp(25, 370), pp(40, 430), pp(50, 600),
                  pp(62, 790), pp(75, 830)]
-        events = detect_events(pings, single_link_rm)
+        events = events_of(pings, single_link_rm)
         for a, b in zip(events, events[1:]):
             assert a.t_departure <= b.t_arrival
 
@@ -179,6 +186,77 @@ class TestRepair:
         assert len(kept) == 4
 
 
+def running_max_repair(arcs, backward_tolerance):
+    """The monotone repair as a loop over the pings (the reference for
+    ``repair_mask``): keep a ping unless it lies more than the tolerance
+    behind the highest arc kept so far."""
+    keep = []
+    high = -math.inf
+    for arc in arcs:
+        keep.append(not arc < high - backward_tolerance)
+        if keep[-1] and arc > high:
+            high = arc
+    return keep
+
+
+@given(arcs=st.lists(st.one_of(st.integers(0, 12).map(float),
+                               st.sampled_from([2.5, 7.25, -math.inf, math.inf, math.nan])),
+                     max_size=30),
+       tolerance=st.sampled_from([0.0, 0.5, 1.0, 5.0, 1e300]))  # finite, as the config reads it
+@settings(deadline=None, max_examples=300)
+def test_repair_mask_is_the_running_max_loop(arcs, tolerance):
+    """Ties, plateaus, infinities and NaN arcs: the vectorized mask and the
+    ping-list repair both keep exactly the pings the loop keeps."""
+    expected = running_max_repair(arcs, tolerance)
+    assert repair_mask(arcs, tolerance).tolist() == expected
+    pings = [pp(t, a) for t, a in enumerate(arcs)]
+    kept = repair_monotonic(pings, tolerance)
+    assert [p.timestamp for p in kept] == [t for t, k in enumerate(expected) if k]
+
+
+class AnyWeather:
+    def condition(self, date, hour):
+        return "Rain" if hour % 2 else "Clear"
+
+
+@pytest.fixture(scope="module")
+def three_link_rm():
+    net, xs = network_with([0.0, 500.0, 1200.0, 1500.0], [("X1", 250.0), ("X2", 900.0)])
+    return build_route_model(net, xs, ("R", 0))
+
+
+@given(start=st.one_of(st.integers(-10**4, 10**4), st.integers(-2**34, 2**34)),
+       start_arc=st.floats(-60.0, 200.0),
+       steps=st.lists(st.tuples(st.integers(1, 45),
+                                st.one_of(st.just(0.0), st.floats(0.0, 160.0))),
+                      min_size=1, max_size=60))
+# an interpolated stop departure at small timestamps, where event times are
+# not all on one grid unless interpolation snaps them
+@example(start=0, start_arc=-35.0, steps=[(5, 67.0), (20, 115.0), (12, 108.0), (7, 0.0),
+                                          (39, 111.0), (9, 123.0), (39, 46.0)])
+@settings(deadline=None, max_examples=300)
+def test_monotone_pings_give_the_identity_or_a_typed_skip(three_link_rm, start, start_arc,
+                                                          steps):
+    """Random strictly increasing timestamps with stops, slow and fast
+    stretches and jumped zones: every observation satisfies
+    total = road + dwell + sum(intersections) exactly; the rest is a skip
+    with a typed kind."""
+    ts = start + np.cumsum([0] + [dt for dt, _ in steps])
+    arcs = start_arc + np.cumsum([0.0] + [da for _, da in steps])
+    trav = Traversal("T1", "V1", ts.astype(np.int64), np.zeros(len(ts)), np.zeros(len(ts)))
+    try:
+        observations, skips = observations_from_traversal(trav, arcs, three_link_rm,
+                                                          AnyWeather(), tz_offset=-5.0)
+    except InferenceError as exc:
+        assert exc.kind == "too_sparse"
+        return
+    for obs in observations:
+        assert obs.identity_residual() == 0.0
+        assert obs.road_time > 0.0
+    for skip in skips:
+        assert skip.split(": ")[1] == "nonpositive_road_time"
+
+
 def test_identity_holds_on_corpus(corpus_observations):
     observations, _ = corpus_observations
     assert observations
@@ -193,8 +271,8 @@ def test_extra_open_road_pings_do_not_change_times(single_link_rm):
     # any zone transition, so the detected events cannot change
     extra = sorted(base + [pp(18, 180), pp(31, 300), pp(66, 660)],
                    key=lambda p: p.timestamp)
-    e1 = detect_events(base, single_link_rm)
-    e2 = detect_events(extra, single_link_rm)
+    e1 = events_of(base, single_link_rm)
+    e2 = events_of(extra, single_link_rm)
     obs1 = {(e.kind, e.feature_id): (e.t_arrival, e.t_departure)
             for e in e1 if not e.interpolated}
     obs2 = {(e.kind, e.feature_id): (e.t_arrival, e.t_departure)
@@ -219,7 +297,7 @@ class TestOpenRoadLinkOf:
         return link_index_at(rm, arc)
 
     def check(self, rm, arcs):
-        tags = open_road_link_of([pp(0, a) for a in arcs], rm)
+        tags = open_road_link_of([float(a) for a in arcs], rm)
         assert tags == [self.oracle(rm, float(a)) for a in arcs]
         return tags
 

@@ -3,9 +3,10 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from buslink import ingest
 from buslink.errors import IngestError
-from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
-                            load_weather, rain_indicator)
+from buslink.ingest import (Ping, _ping, load_gtfs_static, load_intersections, load_pings,
+                            load_weather, rain_indicator, read_rows)
 
 GTFS_MINIMAL = {
     "stops.txt": "stop_id,stop_name,stop_lat,stop_lon\nA,Alpha,29.0,-82.0\nB,Beta,29.0,-81.99\n",
@@ -217,7 +218,12 @@ def test_load_pings_matches_brute_force_grouping(tmp_path, rows, max_gap, data):
                                      max_size=4)):
         lines.insert(data.draw(st.integers(0, len(lines))), filler)
     series = load_pings(write_ping_file(tmp_path, lines), max_gap_s=max_gap)
+    assert_brute_force_grouping(series, rows, max_gap)
 
+
+def assert_brute_force_grouping(series, rows, max_gap):
+    """The first record of each (trip, vehicle, timestamp) in file order,
+    grouped, sorted and split at gaps, as records and as segments."""
     first = {}
     for row in rows:
         first.setdefault(row[:3], row)
@@ -233,6 +239,109 @@ def test_load_pings_matches_brute_force_grouping(tmp_path, rows, max_gap, data):
     assert [tuple(p) for p in series.records] == [row for seg in expected for row in seg]
     assert [(s.trip_id, s.vehicle_id, [tuple(p) for p in s.pings]) for s in series.segments] \
         == [(seg[0][0], seg[0][1], seg) for seg in expected]
+
+
+@given(rows=ping_rows, max_gap=st.sampled_from([15.0, 40.0, 120.0]), block=st.integers(1, 5),
+       data=st.data())
+@settings(deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chunked_load_pings_matches_brute_force_grouping(tmp_path, monkeypatch, rows, max_gap,
+                                                         block, data):
+    """Blocks of 1-5 lines: groups, duplicates and gaps that straddle block
+    boundaries come out as from one block."""
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    lines = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    for filler in data.draw(st.lists(st.sampled_from(["", "# note"]), max_size=3)):
+        lines.insert(data.draw(st.integers(0, len(lines))), filler)
+    series = load_pings(write_ping_file(tmp_path, lines), max_gap_s=max_gap)
+    assert_brute_force_grouping(series, rows, max_gap)
+
+
+def test_duplicate_across_block_boundary_keeps_the_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", 2)
+    p = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", "T1,V1,15,29.5,-82.0",
+                                   "T1,V1,15,29.9,-82.0", "T1,V1,0,29.9,-82.0"])
+    assert [p.lat for p in load_pings(p).records] == [29.0, 29.5]
+
+
+def row_read(path):
+    """The row-by-row reading of a ping file: its rows, or its error."""
+    try:
+        return list(read_rows(path, Ping._fields, _ping, header=False))
+    except IngestError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("T1,V1,45,29.0", "pings.csv:8: expected 5 fields, got 4"),
+    ("T1,V1,45,29.0,-82.0,7", "pings.csv:8: expected 5 fields, got 6"),
+    ("T1,V1,4.5,29.0,-82.0", "pings.csv:8: invalid literal for int() with base 10: '4.5'"),
+    ("T1,V1,45,29.0,inf", "pings.csv:8: 'inf' is not a finite number"),
+    ("T1,V1,9223372036854775808,29.0,-82.0",
+     "pings.csv:8: timestamp 9223372036854775808 is outside int64"),
+    ("T1,V1,-9223372036854775809,29.0,-82.0",
+     "pings.csv:8: timestamp -9223372036854775809 is outside int64"),
+])
+def test_bad_line_in_a_later_block_names_its_line(tmp_path, monkeypatch, bad, message):
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", 2)
+    lines = ["T1,V1,0,29.0,-82.0", "", "T1,V1,15,29.0,-82.0", "# comment",
+             "T1,V1,30,29.0,-82.0", "T2,V1,0,29.0,-82.0", "T2,V1,15,29.0,-82.0", bad,
+             "T1,V1,60,29.0,-82.0", "also bad"]
+    path = write_ping_file(tmp_path, lines)
+    with pytest.raises(IngestError) as e:
+        load_pings(path)
+    assert str(e.value) == f"parse: {message}" == row_read(path)
+
+
+def test_a_bad_line_leaves_no_file_open(tmp_path, monkeypatch):
+    """The block reader is closed before the row-by-row re-read raises,
+    also while the error and its traceback are still held."""
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(ingest, "open", tracking_open, raising=False)
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", 1)
+    path = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", "bad line", "T1,V1,5,29.0,-82.0"])
+    with pytest.raises(IngestError) as e:
+        load_pings(path)
+    assert e.value.kind == "parse"
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+def test_int64_timestamp_limits_are_kept(tmp_path):
+    p = write_ping_file(tmp_path, ["T1,V1,9223372036854775807,29.0,-82.0",
+                                   "T1,V1,-9223372036854775808,29.0,-82.0"])
+    assert [s.pings[0].timestamp for s in load_pings(p).segments] == [-2**63, 2**63 - 1]
+
+
+# tokens on which int(), float() and numpy's conversion of str could disagree
+odd_token = st.sampled_from(["0", "15", " 30 ", "+45", "1_5", "\u0661\u0665", "4.5", "1e3", "nan",
+                             "-inf", "1e400", "", "x", "29.0", "-82.0", "0x1f",
+                             "9223372036854775807", "9223372036854775808",
+                             "-9223372036854775808", "-9223372036854775809"])
+
+
+@given(lines=st.lists(st.lists(odd_token, min_size=3, max_size=4).map(
+           lambda f: ",".join(["T1", "V1"] + f)), min_size=1, max_size=12),
+       block=st.integers(1, 4))
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_block_parse_accepts_what_the_row_parse_accepts(tmp_path, monkeypatch, lines, block):
+    """``_ping`` row by row is the definition of a valid line: the block
+    parse raises its error at its line, or reads the rows it reads."""
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    path = write_ping_file(tmp_path, lines)
+    expected = row_read(path)
+    if isinstance(expected, str):
+        with pytest.raises(IngestError) as e:
+            load_pings(path, max_gap_s=1e30)
+        assert str(e.value) == expected
+    else:
+        assert_brute_force_grouping(load_pings(path, max_gap_s=1e30),
+                                    [tuple(r) for r in expected], 1e30)
 
 
 colliding_rows = st.lists(st.tuples(st.sampled_from(["T1", "T10", "T1x", "T2"]),
@@ -261,7 +370,8 @@ def test_one_trip_read_is_full_read_filtered(tmp_path, rows, trip, max_gap, data
     if rows:
         full = load_pings(path, max_gap_s=max_gap)
         full_segments, full_records = full.segments, full.records
-    assert one.segments == tuple(s for s in full_segments if s.trip_id == trip)
+    assert [(s.trip_id, s.vehicle_id, s.pings) for s in one.segments] \
+        == [(s.trip_id, s.vehicle_id, s.pings) for s in full_segments if s.trip_id == trip]
     assert one.records == tuple(p for p in full_records if p.trip_id == trip)
 
 

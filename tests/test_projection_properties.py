@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from buslink import accel
+from buslink import accel, geometry
 
 # small integer coordinates make exact ties (vertices, equidistant passes) common
 coord = st.integers(-60, 60).map(float)
@@ -63,3 +63,24 @@ def test_projection_equals_scalar_reference(case):
     assert arc.tobytes() == ref_arc.tobytes()
     assert off.tobytes() == ref_off.tobytes()
     assert np.all(np.isfinite(arc)) and np.all(np.isfinite(off))
+
+
+@given(n_vertices=st.integers(2, 400), sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_one_projection_per_route_equals_one_per_traversal(n_vertices, sizes, seed):
+    """``run_infer`` projects all pings of a route in one call. The kernel
+    works per ping and its block size depends only on the segment count, so
+    each traversal's slice equals its own call byte for byte."""
+    rng = np.random.default_rng(seed)
+    polyline = geometry.build_polyline(
+        np.column_stack((29.65 + np.cumsum(rng.normal(0.0, 1e-4, n_vertices)),
+                         -82.33 + np.cumsum(rng.normal(0.0, 1e-4, n_vertices)))))
+    lats = [29.65 + rng.normal(0.0, 3e-4, k) for k in sizes]
+    lons = [-82.33 + rng.normal(0.0, 3e-4, k) for k in sizes]
+    arcs, offs = geometry.project_many(polyline, np.concatenate(lats), np.concatenate(lons))
+    ends = np.cumsum(sizes)[:-1]
+    for arc, off, lat, lon in zip(np.split(arcs, ends), np.split(offs, ends), lats, lons):
+        one_arc, one_off = geometry.project_many(polyline, lat, lon)
+        assert arc.tobytes() == one_arc.tobytes()
+        assert off.tobytes() == one_off.tobytes()

@@ -4,7 +4,7 @@ import pytest
 
 from buslink import synth
 from buslink.errors import ConfigError
-from buslink.geometry import build_route_model
+from buslink.geometry import build_route_model, project_many
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
@@ -88,7 +88,8 @@ def test_zero_variance_truth_recovered_within_quantization(tmp_path):
 
     checked = 0
     for trav in series.segments:
-        obs, _ = observations_from_traversal(trav, rm, weather, tz_offset=-5.0)
+        arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
+        obs, _ = observations_from_traversal(trav, arcs, rm, weather, tz_offset=-5.0)
         for o in obs:
             match = [v for (tid, li, dep), v in truth.items()
                      if tid == trav.trip_id and li == o.link_index
