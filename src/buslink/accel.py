@@ -9,18 +9,28 @@ expressions, each the one reference the tests check its kernel against.
 Both kernels are bit-reproducible; projection is bit-identical to its
 reference and the Markov transform agrees with its own to float rounding.
 
-``project_onto_polyline`` computes each segment's vector, squared length,
-length, start vertex and start arc once, then broadcasts a block of pings
-against all segments at once: the clamped parameter ``t``, the squared
-distance ``d2`` and the arc ``cum + t * seg`` of every ping x segment
-pair. Each ping takes the lexicographic minimum of (d2, arc): the
-smallest ``d2``, and among the segments at that distance the smallest
-arc, so a point equidistant from two passes of a looping shape lands on
-the earlier one. A zero-length segment counts as its start vertex
-(``t = 0``). Blocks hold at most ``PING_BLOCK_ELEMENTS`` ping x segment
-elements (at least one ping), which bounds memory on long ping batches
-and keeps the working buffers in cache; the only Python loop is over
-ping blocks.
+``project_onto_polyline`` evaluates the clamped parameter ``t``, the
+squared distance ``d2`` and the arc ``cum + t * seg`` of ping x segment
+pairs, and each ping takes the lexicographic minimum of (d2, arc): the
+smallest ``d2``, then the smallest arc, so a point equidistant from two
+passes of a looping shape lands on the earlier one, whatever the order
+in which pairs are visited. A zero-length segment is its start vertex.
+A shape of at most ``CHUNK_SEGMENTS`` segments, or a call of at most
+``PING_BLOCK_ELEMENTS`` pairs, is broadcast whole, block by block. A
+longer shape is cut into chunks of ``CHUNK_SEGMENTS`` consecutive
+segments, each with the bounding box of its vertices. A first pass
+evaluates each ping on its nearest box's chunk (grouped by chunk when
+there are at least ``CHUNK_SEGMENTS`` pings per chunk, else gathered),
+which gives it ``U``, a ``d2`` it has seen; a second pass evaluates it
+only on the chunks whose box lies within ``sqrt(U) + tau``. That pruning
+is exact: a segment lies in its box, and every computed distance is
+within a few ulps of ``1 + max |coordinate|`` (pings and vertices) of
+the exact one, about 1e-14 of it, while ``tau = 1e-9 * (1 + max
+|coordinate|)``. So every segment of a skipped chunk has a computed
+``d2`` above ``U`` and can neither win nor tie, and the result is
+bit-identical to ``_project_scalar``. Every work array with a segment or
+chunk axis holds at most ``PING_BLOCK_ELEMENTS`` elements (at least one
+ping).
 
 ``markov_offsets`` reads the ``markov.LinkPlan`` of each in-scope link:
 it loops over the links and is vectorized over the M runs. Variates are
@@ -42,6 +52,36 @@ from .components import bootstrap_pick, lognormal_from_z
 # ---------------------------------------------------------------------------
 
 PING_BLOCK_ELEMENTS = 1 << 14  # ping x segment elements per broadcast block
+CHUNK_SEGMENTS = 32  # consecutive segments per chunk of the pruned search
+
+
+def _nearest(bx, by, x0, y0, dx, dy, den, seg, c0, axis=0):
+    """``(d2, arc)`` of each ping's lexicographically nearest segment, with
+    segments along ``axis`` and pings along the other (they broadcast)."""
+    # Works in place in three ping x segment buffers.
+    ex = bx - x0
+    ey = by - y0
+    t = ex * dx
+    ey *= dy
+    t += ey
+    t /= den                                      # t = (ex*dx + ey*dy) / seg2
+    np.clip(t, 0.0, 1.0, out=t)
+    np.multiply(t, dx, out=ex)
+    ex += x0
+    np.subtract(bx, ex, out=ex)                   # ddx = qx - (x0 + t*dx)
+    np.multiply(t, dy, out=ey)
+    ey += y0
+    np.subtract(by, ey, out=ey)                   # ddy = qy - (y0 + t*dy)
+    ex *= ex
+    ey *= ey
+    ex += ey                                      # d2 = ddx*ddx + ddy*ddy
+    t *= seg
+    t += c0                                       # arc = cum + t*seg
+    # Tie rule: among the segments at the smallest distance, the smallest
+    # arc wins.
+    m = ex.min(axis=axis, keepdims=True)
+    np.copyto(t, np.inf, where=ex != m)
+    return m.reshape(-1), t.min(axis=axis)
 
 
 def project_onto_polyline(qx, qy, vx, vy, cum):
@@ -49,42 +89,69 @@ def project_onto_polyline(qx, qy, vx, vy, cum):
     dx = vx[1:] - x0
     dy = vy[1:] - y0
     seg2 = dx * dx + dy * dy
-    seg = np.sqrt(seg2)
     den = np.where(seg2 > 0.0, seg2, 1.0)  # a zero-length segment is its start vertex
-    c0 = cum[:-1]
-    n = qx.shape[0]
-    best_arc = np.empty(n)
-    best_d2 = np.empty(n)
-    step = max(1, PING_BLOCK_ELEMENTS // dx.shape[0])
+    segs = (x0, y0, dx, dy, den, np.sqrt(seg2), cum[:-1])
+    n, s = qx.shape[0], dx.shape[0]
+    if s <= CHUNK_SEGMENTS or n * s <= PING_BLOCK_ELEMENTS:  # broadcast whole
+        d2, arc = np.empty(n), np.empty(n)
+        step = max(1, PING_BLOCK_ELEMENTS // s)
+        for lo in range(0, n, step):
+            d2[lo:lo + step], arc[lo:lo + step] = _nearest(
+                qx[lo:lo + step, None], qy[lo:lo + step, None], *segs, axis=1)
+        return arc, np.sqrt(d2)
+
+    d2, arc = np.full(n, np.inf), np.full(n, np.inf)
+    k = -(-s // CHUNK_SEGMENTS)
+    # Chunk c is column c of (C, k) arrays: segments c*C to c*C + C - 1, the
+    # last chunk padded with copies of the last segment.
+    idx = np.minimum(np.arange(k * CHUNK_SEGMENTS), s - 1).reshape(k, CHUNK_SEGMENTS)
+    chunks = [np.ascontiguousarray(a[idx].T) for a in segs]
+    iv = np.minimum(idx[:, :1] + np.arange(CHUNK_SEGMENTS + 1), s)  # chunk vertices
+    box = [f(v, axis=1, keepdims=True) for v in (vx[iv], vy[iv]) for f in (np.min, np.max)]
+    tau = 1e-9 * (1.0 + max(np.abs(a).max(initial=0.0) for a in (qx, qy, vx, vy)))
+    step = max(1, PING_BLOCK_ELEMENTS // k)
+    pairs = PING_BLOCK_ELEMENTS // CHUNK_SEGMENTS
+
+    def box_distance(lo):  # (chunks, pings): from a block of pings to each box
+        bx, by = qx[lo:lo + step], qy[lo:lo + step]
+        gx = bx - np.minimum(np.maximum(bx, box[0]), box[1])
+        gy = by - np.minimum(np.maximum(by, box[2]), box[3])
+        return np.sqrt(gx * gx + gy * gy)
+
+    def merge(lo, ps, cs):  # evaluate pings lo + ps on chunks cs, merge by the rule
+        bd2, barc = d2[lo:lo + step], arc[lo:lo + step]
+        for i in range(0, ps.shape[0], pairs):
+            p = ps[i:i + pairs]
+            pd2, parc = _nearest(qx[lo + p], qy[lo + p],
+                                 *(np.take(a, cs[i:i + pairs], axis=1) for a in chunks))
+            m = bd2.copy()
+            np.minimum.at(m, p, pd2)
+            np.copyto(barc, np.inf, where=bd2 != m)
+            np.minimum.at(barc, p, np.where(pd2 == m[p], parc, np.inf))
+            bd2[:] = m
+
+    first = np.empty(n, dtype=np.intp)  # each ping's nearest box
+    sliced = n >= CHUNK_SEGMENTS * k
+    if sliced:  # broadcast each chunk's pings against its segments, no gather
+        for lo in range(0, n, step):
+            first[lo:lo + step] = box_distance(lo).argmin(axis=0)
+        for c in range(k):
+            group = np.flatnonzero(first == c)
+            for i in range(0, group.shape[0], pairs):
+                sel = group[i:i + pairs]
+                d2[sel], arc[sel] = _nearest(qx[sel], qy[sel], *(a[:, c:c + 1] for a in chunks))
     for lo in range(0, n, step):
-        bx = qx[lo:lo + step, None]
-        by = qy[lo:lo + step, None]
-        # Each block works in place in three (pings, segments) buffers.
-        ex = bx - x0
-        ey = by - y0
-        t = ex * dx
-        ey *= dy
-        t += ey
-        t /= den                                      # t = (ex*dx + ey*dy) / seg2
-        np.clip(t, 0.0, 1.0, out=t)
-        np.multiply(t, dx, out=ex)
-        ex += x0
-        np.subtract(bx, ex, out=ex)                   # ddx = qx - (x0 + t*dx)
-        np.multiply(t, dy, out=ey)
-        ey += y0
-        np.subtract(by, ey, out=ey)                   # ddy = qy - (y0 + t*dy)
-        ex *= ex
-        ey *= ey
-        ex += ey                                      # d2 = ddx*ddx + ddy*ddy
-        t *= seg
-        t += c0                                       # arc = cum + t*seg
-        # Tie rule: among the segments at the smallest distance, the
-        # smallest arc wins.
-        m = ex.min(axis=1)
-        np.copyto(t, np.inf, where=ex != m[:, None])
-        best_arc[lo:lo + step] = t.min(axis=1)
-        best_d2[lo:lo + step] = m
-    return best_arc, np.sqrt(best_d2)
+        near = box_distance(lo)
+        ps = np.arange(near.shape[1])
+        if not sliced:  # first pass, gathered
+            first[lo:lo + step] = near.argmin(axis=0)
+            merge(lo, ps, first[lo:lo + step])
+        # Second pass: every other chunk whose box lies within sqrt(U) + tau.
+        visit = near <= np.sqrt(d2[lo:lo + step]) + tau
+        visit[first[lo:lo + step], ps] = False
+        cs, vs = np.nonzero(visit)
+        merge(lo, vs, cs)
+    return arc, np.sqrt(d2)
 
 
 def _project_scalar(qx, qy, vx, vy, cum):

@@ -11,6 +11,7 @@ sample-size division.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,9 @@ class HetLogNormalModel:
     active_mask: np.ndarray  # (5,) bool, intercept always True
     loglik: float
 
+    @cached_property
     def beta_effective(self) -> np.ndarray:
+        """``beta`` with masked terms 0, computed once per model."""
         return np.where(self.active_mask, np.nan_to_num(self.beta), 0.0)
 
 
@@ -167,7 +170,7 @@ def _augmented(model: HetLogNormalModel, x) -> np.ndarray:
 def predict_point(model: HetLogNormalModel, x) -> float:
     """Median road time in seconds: exp(beta' [1, x]), masked terms = 0."""
     a = _augmented(model, x)
-    return float(np.exp(np.dot(model.beta_effective(), a)))
+    return float(np.exp(np.dot(model.beta_effective, a)))
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def mu_interval_stddev(model: HetLogNormalModel, x) -> float:
 def predict_interval(model: HetLogNormalModel, x, level: float = 0.95) -> PredictionWithBounds:
     """Point estimate with confidence bounds exp(mu_hat -+ z * sd(mu_hat))."""
     a = _augmented(model, x)
-    mu = float(np.dot(model.beta_effective(), a))
+    mu = float(np.dot(model.beta_effective, a))
     sd = mu_interval_stddev(model, x)
     z = normal_quantile(0.5 + level / 2.0)
     return PredictionWithBounds(point=float(np.exp(mu)),

@@ -89,6 +89,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def position(lat: float, lon: float) -> tuple:
+    """``(lat, lon)``, or ValueError unless both are in [-90, 90] x [-180, 180]."""
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise ValueError(f"({lat!r}, {lon!r}) is outside [-90, 90] x [-180, 180]")
+    return lat, lon
+
+
 # ---------------------------------------------------------------------------
 # GTFS static
 # ---------------------------------------------------------------------------
@@ -131,6 +138,13 @@ def _req(row: dict, key: str, where: str, conv=str):
         raise IngestError("parse", f"{where}: field {key!r} is not a number: {val!r}") from None
 
 
+def _req_position(row: dict, prefix: str, where: str) -> tuple:
+    try:
+        return position(*(_req(row, prefix + c, where, finite_float) for c in ("lat", "lon")))
+    except ValueError as exc:
+        raise IngestError("parse", f"{where}: {exc}") from None
+
+
 _BAD_ID = re.compile(r"^#|[\s,;=\[\]]")
 
 
@@ -155,8 +169,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
     stops = {}
     for where, row in _read_table(dir_path, "stops.txt"):
         sid = _req(row, "stop_id", where)
-        stops[sid] = (_req(row, "stop_lat", where, finite_float),
-                      _req(row, "stop_lon", where, finite_float),
+        stops[sid] = (*_req_position(row, "stop_", where),
                       row.get("stop_name", ""))
 
     shape_pts = {}
@@ -164,8 +177,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         sid = _req(row, "shape_id", where)
         shape_pts.setdefault(sid, []).append(
             (_req(row, "shape_pt_sequence", where, int),
-             _req(row, "shape_pt_lat", where, finite_float),
-             _req(row, "shape_pt_lon", where, finite_float)))
+             *_req_position(row, "shape_pt_", where)))
     shapes = {}
     for sid, pts in shape_pts.items():
         pts.sort(key=lambda p: p[0])
@@ -265,7 +277,7 @@ def _ping(f) -> Ping:
     ts = int(f[2])
     if not -2**63 <= ts < 2**63:
         raise ValueError(f"timestamp {ts} is outside int64")
-    return Ping(f[0], f[1], ts, finite_float(f[3]), finite_float(f[4]))
+    return Ping(f[0], f[1], ts, *position(finite_float(f[3]), finite_float(f[4])))
 
 
 def _ping_block(lines):
@@ -276,8 +288,9 @@ def _ping_block(lines):
         raise ValueError("wrong field count")
     f = ",".join(lines).split(",")
     coords = np.array([f[3::5], f[4::5]], dtype=float)
-    if not np.isfinite(coords).all():
-        raise ValueError("non-finite coordinate")
+    bound = np.array([90.0, 180.0])  # a nan fails both comparisons
+    if not ((coords.min(axis=1) >= -bound) & (coords.max(axis=1) <= bound)).all():
+        raise ValueError("coordinate out of range or nan")
     return f[0::5], f[1::5], np.array(f[2::5], dtype=np.int64), coords
 
 
@@ -387,7 +400,7 @@ def load_intersections(path) -> IntersectionSet:
     points = []
     seen = set()
     for xid, lat, lon in read_rows(path, ("intersection_id", "lat", "lon"),
-                                   lambda f: (f[0], finite_float(f[1]), finite_float(f[2]))):
+                                   lambda f: (f[0], *position(*map(finite_float, f[1:])))):
         _checked_id(xid, "intersection_id")
         if xid in seen:
             raise IngestError("duplicate", f"duplicate intersection id {xid}")

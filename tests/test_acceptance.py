@@ -100,7 +100,7 @@ def test_criterion_03_ci_calibration():
         m = fit(ys, X)
         x = np.array(_modal_combo(X))
         mu_true = float(TRUE_BETA @ np.concatenate([[1.0], x]))
-        mu_hat = float(m.beta_effective() @ np.concatenate([[1.0], x]))
+        mu_hat = float(m.beta_effective @ np.concatenate([[1.0], x]))
         sd = mu_interval_stddev(m, x)
         if mu_hat - z * sd <= mu_true <= mu_hat + z * sd:
             covered += 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from buslink.errors import FitError
 from buslink.hetlognorm import (HetLogNormalModel, design_matrix, fisher_information,
@@ -149,6 +150,23 @@ class TestPrediction:
 
     def test_point_all_zero(self, fitted_model):
         assert predict_point(fitted_model, [0, 0, 0, 0]) == pytest.approx(27.50, abs=0.01)
+
+    @given(beta=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+           masked=st.lists(st.booleans(), min_size=4, max_size=4),
+           xs=st.lists(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-5.0, 5.0)),
+                                min_size=4, max_size=4), min_size=1, max_size=5))
+    @settings(deadline=None, max_examples=200)
+    def test_point_equals_the_per_call_expression(self, beta, masked, xs):
+        """The effective beta is computed once per model; every prediction
+        equals the expression that rebuilt it on each call, bit for bit."""
+        mask = np.array([True] + [not m for m in masked])
+        beta = np.where(mask, beta, np.nan)
+        m = HetLogNormalModel(beta=beta, gamma=np.zeros(5), fim=np.eye(10), n=1,
+                              active_mask=mask, loglik=0.0)
+        for x in xs:
+            expected = float(np.exp(np.dot(np.where(mask, np.nan_to_num(beta), 0.0),
+                                           np.concatenate([[1.0], np.asarray(x)]))))
+            assert predict_point(m, x) == expected
 
     def test_point_identity(self):
         m = HetLogNormalModel(beta=np.zeros(5), gamma=np.zeros(5), fim=np.eye(10),

@@ -27,6 +27,13 @@ def write_gtfs(tmp_path, tables):
     return d
 
 
+# a coordinate outside its range, and ones on or just inside the bound
+OUT_OF_RANGE = [("95", "-82.0", "(95.0, -82.0)"), ("29.0", "181", "(29.0, 181.0)"),
+                ("-1e300", "-82.0", "(-1e+300, -82.0)"), ("29.0", "1e300", "(29.0, 1e+300)")]
+BOUNDS = "is outside [-90, 90] x [-180, 180]"
+JUST_INSIDE = [("90", "-180"), ("-90", "180"), ("89.99999999999999", "-179.99999999999997")]
+
+
 def test_minimal_feed(tmp_path):
     net = load_gtfs_static(write_gtfs(tmp_path, GTFS_MINIMAL))
     assert len(net.trips) == 1
@@ -129,6 +136,29 @@ def test_gtfs_non_finite_number_rejected(tmp_path, table, column, value):
     assert f"{table}:2:" in str(e.value) and column in str(e.value)
 
 
+@pytest.mark.parametrize("table,lat_column,lon_column", [
+    ("stops.txt", "stop_lat", "stop_lon"), ("shapes.txt", "shape_pt_lat", "shape_pt_lon")])
+@pytest.mark.parametrize("lat,lon,message", OUT_OF_RANGE)
+def test_gtfs_out_of_range_coordinate_rejected(tmp_path, table, lat_column, lon_column,
+                                               lat, lon, message):
+    tables = dict(GTFS_MINIMAL)
+    lines = tables[table].splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index(lat_column)], row[header.index(lon_column)] = lat, lon
+    tables[table] = "\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n"
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert str(e.value) == f"parse: {table}:3: {message} {BOUNDS}"
+
+
+def test_gtfs_coordinate_on_the_bound_kept(tmp_path):
+    tables = dict(GTFS_MINIMAL)
+    tables["stops.txt"] = "stop_id,stop_name,stop_lat,stop_lon\nA,Alpha,90,-180\nB,Beta,-90,180\n"
+    assert load_gtfs_static(write_gtfs(tmp_path, tables)).stops == {
+        "A": (90.0, -180.0, "Alpha"), "B": (-90.0, 180.0, "Beta")}
+
+
 @pytest.mark.parametrize("table,lineno,column,value,message", [
     ("stops.txt", 3, "stop_lat", "north", "stops.txt:3: field 'stop_lat' is not a number: 'north'"),
     ("stop_times.txt", 3, "stop_sequence", "2nd",
@@ -199,10 +229,27 @@ def test_pings_non_finite_number_rejected(tmp_path, line):
     assert "pings.csv:2:" in str(e.value)
 
 
+@pytest.mark.parametrize("block", [1, 2, ingest.PING_BLOCK_LINES])
+@pytest.mark.parametrize("lat,lon,message", OUT_OF_RANGE)
+def test_pings_out_of_range_coordinate_rejected(tmp_path, monkeypatch, block, lat, lon, message):
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    p = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", "T1,V1,15,29.0,-82.0",
+                                   f"T1,V1,30,{lat},{lon}"])
+    with pytest.raises(IngestError) as e:
+        load_pings(p)
+    assert str(e.value) == f"parse: pings.csv:3: {message} {BOUNDS}"
+
+
+@pytest.mark.parametrize("lat,lon", JUST_INSIDE)
+def test_pings_coordinate_on_the_bound_kept(tmp_path, lat, lon):
+    p = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", f"T1,V1,15,{lat},{lon}"])
+    (seg,) = load_pings(p).segments
+    assert seg.lats[1] == float(lat) and seg.lons[1] == float(lon)
+
+
 ping_rows = st.lists(st.tuples(st.sampled_from(["T1", "T2"]), st.sampled_from(["V1", "V2"]),
                                st.integers(0, 40).map(lambda k: 15 * k),
-                               st.floats(allow_nan=False, allow_infinity=False),
-                               st.floats(allow_nan=False, allow_infinity=False)),
+                               st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
                      min_size=1, max_size=40)
 
 
@@ -347,8 +394,7 @@ def test_block_parse_accepts_what_the_row_parse_accepts(tmp_path, monkeypatch, l
 colliding_rows = st.lists(st.tuples(st.sampled_from(["T1", "T10", "T1x", "T2"]),
                                     st.sampled_from(["V1", "V2"]),
                                     st.integers(0, 40).map(lambda k: 15 * k),
-                                    st.floats(allow_nan=False, allow_infinity=False),
-                                    st.floats(allow_nan=False, allow_infinity=False)),
+                                    st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
                           max_size=40)
 
 
@@ -504,3 +550,19 @@ def test_intersection_non_finite_number_rejected(tmp_path, line):
         load_intersections(p)
     assert e.value.kind == "parse"
     assert "x.csv:3:" in str(e.value)
+
+
+@pytest.mark.parametrize("lat,lon,message", OUT_OF_RANGE)
+def test_intersection_out_of_range_coordinate_rejected(tmp_path, lat, lon, message):
+    p = tmp_path / "x.csv"
+    p.write_text(f"intersection_id,lat,lon\nX1,29.0,-82.0\nX3,{lat},{lon}\n", encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        load_intersections(p)
+    assert str(e.value) == f"parse: x.csv:3: {message} {BOUNDS}"
+
+
+@pytest.mark.parametrize("lat,lon", JUST_INSIDE)
+def test_intersection_coordinate_on_the_bound_kept(tmp_path, lat, lon):
+    p = tmp_path / "x.csv"
+    p.write_text(f"X1,{lat},{lon}\n", encoding="utf-8")
+    assert load_intersections(p).points == (("X1", float(lat), float(lon)),)

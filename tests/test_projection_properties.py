@@ -84,3 +84,75 @@ def test_one_projection_per_route_equals_one_per_traversal(n_vertices, sizes, se
         one_arc, one_off = geometry.project_many(polyline, lat, lon)
         assert arc.tobytes() == one_arc.tobytes()
         assert off.tobytes() == one_off.tobytes()
+
+
+# Shapes of several chunks: the pruned search must still find every pass.
+CHUNK = accel.CHUNK_SEGMENTS
+step = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda d: (float(d[0]), float(d[1])))
+
+
+@st.composite
+def long_shapes(draw):
+    """Random walks of 2 to 12 chunks, open, closed into a loop, or out and
+    back (the return pass lies in other chunks than the outward one), with
+    vertices repeated on chunk boundaries."""
+    steps = draw(st.lists(step, min_size=CHUNK + 1, max_size=6 * CHUNK))
+    pts = [(0.0, 0.0)]
+    for sx, sy in steps:
+        pts.append((pts[-1][0] + sx, pts[-1][1] + sy))
+    kind = draw(st.sampled_from(("open", "loop", "out_and_back")))
+    if kind == "loop":
+        pts = pts + [pts[0]]
+    elif kind == "out_and_back":
+        pts = pts + pts[-2::-1]
+    for k in draw(st.lists(st.integers(1, (len(pts) - 1) // CHUNK), max_size=3, unique=True)):
+        pts.insert(k * CHUNK, pts[k * CHUNK])
+    return pts
+
+
+@st.composite
+def long_cases(draw):
+    pts = draw(long_shapes())
+    vertex = st.sampled_from(pts)
+    boundary = st.sampled_from(pts[::CHUNK])
+    midway = st.tuples(vertex, vertex).map(
+        lambda ab: ((ab[0][0] + ab[1][0]) / 2.0, (ab[0][1] + ab[1][1]) / 2.0))
+    near = st.tuples(vertex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
+        lambda v: (v[0][0] + v[1], v[0][1] + v[2]))
+    queries = draw(st.lists(st.one_of(anywhere, vertex, boundary, midway, near),
+                            min_size=1, max_size=40))
+    return pts, queries
+
+
+@given(case=long_cases())
+@settings(deadline=None, max_examples=200)
+def test_multi_chunk_projection_equals_scalar_reference(case):
+    (arc, off), (ref_arc, ref_off) = project_both(*case)
+    assert arc.tobytes() == ref_arc.tobytes()
+    assert off.tobytes() == ref_off.tobytes()
+
+
+def test_2000_vertex_collinear_shape_equals_scalar_reference():
+    rng = np.random.default_rng(11)
+    pts = [(20.0 * i, 0.0) for i in range(2000)]
+    qx = np.concatenate((rng.uniform(-50.0, 40050.0, 60), 20.0 * rng.integers(0, 2000, 30),
+                         20.0 * CHUNK * rng.integers(0, 2000 // CHUNK, 10)))
+    qy = np.where(rng.random(100) < 0.5, 0.0, rng.uniform(-30.0, 30.0, 100))
+    (arc, off), (ref_arc, ref_off) = project_both(pts, list(zip(qx, qy)))
+    assert arc.tobytes() == ref_arc.tobytes()
+    assert off.tobytes() == ref_off.tobytes()
+
+
+def test_hairpin_passes_in_different_chunks_take_the_earlier_arc():
+    """Two parallel passes 2h apart, each longer than a chunk: a point
+    midway between them is equidistant and lands on the outward pass."""
+    length, h = 3 * CHUNK, 2.0
+    out = [(float(i), 0.0) for i in range(length + 1)]
+    back = [(float(i), 2.0 * h) for i in range(length, -1, -1)]
+    pts = out + back
+    # short of the turn, which is nearer than h
+    queries = [(x + d, h) for x in range(length - 3) for d in (0.0, 0.5)]
+    (arc, off), (ref_arc, ref_off) = project_both(pts, queries)
+    assert arc.tobytes() == ref_arc.tobytes()
+    assert off.tobytes() == ref_off.tobytes()
+    assert np.array_equal(arc, [q[0] for q in queries]) and np.all(off == h)
