@@ -61,7 +61,11 @@ def project_many(polyline: Polyline, lats, lons):
     """Arc position and perpendicular offset for a batch of lat/lon points.
 
     Ties between equidistant segments resolve to the smallest arc position.
+    The coordinates must be finite: a NaN or infinite one raises
+    GeometryError("non_finite").
     """
+    if not (np.isfinite(lats).all() and np.isfinite(lons).all()):
+        raise GeometryError("non_finite", "coordinates must be finite numbers")
     qx, qy = planar_xy(lats, lons, polyline.anchor_lat, polyline.anchor_lon)
     qx = np.atleast_1d(np.asarray(qx, dtype=float))
     qy = np.atleast_1d(np.asarray(qy, dtype=float))
@@ -124,6 +128,15 @@ class RouteModel:
     @cached_property
     def stop_arcs(self) -> tuple:
         return tuple(arc for _, arc in self.projected_stops)
+
+    @cached_property
+    def link_features(self) -> tuple:
+        """Per link: the positions in ``features`` of its start stop, its end
+        stop and then its intersections."""
+        stops = [k for k, f in enumerate(self.features) if f[0] == "stop"]
+        xs = {f[1]: k for k, f in enumerate(self.features) if f[0] == "intersection"}
+        return tuple((stops[link.index - 1], stops[link.index],
+                      *(xs[xid] for xid in link.intersection_ids)) for link in self.links)
 
 
 def _modal_trip(net: StaticNetwork, route_key) -> str:

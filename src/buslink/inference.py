@@ -25,7 +25,7 @@ from .ingest import DEFAULT_RAIN_LABELS, Traversal, WeatherTable, local_datetime
 DEFAULT_SPEED_THRESHOLD_MS = 5.0
 DEFAULT_PEAK_HOURS = frozenset({7, 8, 16, 17})
 DEFAULT_BACKWARD_TOLERANCE_M = 5.0
-DEFAULT_MAX_INTERP_FRACTION = 0.5
+MAX_INTERP_FRACTION = 0.5  # of the crossed features; above it a traversal is too sparse
 
 
 @dataclass(slots=True)
@@ -33,20 +33,6 @@ class ProjectedPing:
     timestamp: float
     arc_pos: float
     offset: float
-
-
-@dataclass(frozen=True)
-class FeatureEvent:
-    kind: str  # "stop" | "intersection"
-    feature_id: str
-    arc: float
-    t_arrival: float
-    t_departure: float
-    interpolated: bool = False
-
-    @property
-    def duration(self) -> float:
-        return self.t_departure - self.t_arrival
 
 
 def project_traversal(trav: Traversal, rm: RouteModel) -> list:
@@ -69,22 +55,22 @@ def repair_monotonic(pps, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE
     return [p for p, k in zip(pps, repair_mask([q.arc_pos for q in pps], backward_tolerance)) if k]
 
 
-def detect_events(times, arcs, rm: RouteModel,
-                  max_interp_fraction: float = DEFAULT_MAX_INTERP_FRACTION) -> list:
-    """Arrival/departure events for every feature the traversal crossed.
+def detect_events(times, arcs, rm: RouteModel) -> list:
+    """Per position of ``rm.features``: ``(t_arrival, t_departure,
+    interpolated)`` if the traversal crossed that feature, else None.
 
     ``times`` and ``arcs`` are the pings' lists after the monotone repair.
     Raises InferenceError("too_sparse") when more than
-    ``max_interp_fraction`` of the crossed features had to be interpolated.
+    ``MAX_INTERP_FRACTION`` of the crossed features had to be interpolated.
     """
     n = len(arcs)
     buffer = rm.buffer_radius
 
-    events = []
-    n_interp = 0
+    events = [None] * len(rm.features)
+    n_crossed = n_interp = 0
     i = 0
     prev_dep = -np.inf
-    for kind, fid, farc in rm.features:
+    for f, farc in enumerate(rm.feature_arcs):
         while i < n and arcs[i] < farc - buffer:
             i += 1
         if i == n:
@@ -113,37 +99,12 @@ def detect_events(times, arcs, rm: RouteModel,
         t_arr = max(t_arr, prev_dep)
         t_dep = max(t_dep, t_arr)
         prev_dep = t_dep
-        events.append(FeatureEvent(kind=kind, feature_id=fid, arc=farc,
-                                   t_arrival=t_arr, t_departure=t_dep,
-                                   interpolated=interpolated))
-    if events and n_interp > max_interp_fraction * len(events):
+        events[f] = (t_arr, t_dep, interpolated)
+        n_crossed += 1
+    if n_interp > MAX_INTERP_FRACTION * n_crossed:
         raise InferenceError("too_sparse",
-                             f"{n_interp}/{len(events)} features interpolated")
+                             f"{n_interp}/{n_crossed} features interpolated")
     return events
-
-
-class LinkTimes(NamedTuple):
-    total: float
-    dwell: float
-    intersections: tuple  # ((intersection_id, seconds, interpolated), ...)
-    road: float
-
-
-def decompose_link(stop_event: FeatureEvent, intersection_events,
-                   prev_stop_departure: float) -> LinkTimes:
-    """Split one link traversal into its time components.
-
-    total = t_dep(stop) - t_dep(prev stop); dwell = stop event duration;
-    road = t_arr(stop) - t_dep(prev stop) - sum of intersection durations.
-    """
-    total = stop_event.t_departure - prev_stop_departure
-    dwell = stop_event.t_departure - stop_event.t_arrival
-    xs = tuple((e.feature_id, e.duration, e.interpolated) for e in intersection_events)
-    road = stop_event.t_arrival - prev_stop_departure - sum(x[1] for x in xs)
-    if road <= 0.0:
-        raise InferenceError("nonpositive_road_time",
-                             f"road time {road:.3f}s at stop {stop_event.feature_id}")
-    return LinkTimes(total=total, dwell=dwell, intersections=xs, road=road)
 
 
 def space_mean_speed(ping_prev: ProjectedPing, ping_curr: ProjectedPing) -> float:
@@ -152,21 +113,6 @@ def space_mean_speed(ping_prev: ProjectedPing, ping_curr: ProjectedPing) -> floa
     if dt <= 0.0:
         raise InferenceError("bad_pair", "timestamps must strictly increase")
     return (ping_curr.arc_pos - ping_prev.arc_pos) / dt
-
-
-class TrafficIndicator(NamedTuple):
-    value: int
-    observed: bool
-
-
-def traffic_indicator(open_road_speeds, threshold: float) -> TrafficIndicator:
-    """1 if any open-road speed fell below the threshold; an empty list is
-    reported as 0 with observed=False."""
-    speeds = list(open_road_speeds)
-    if not speeds:
-        return TrafficIndicator(value=0, observed=False)
-    return TrafficIndicator(value=1 if any(v < threshold for v in speeds) else 0,
-                            observed=True)
 
 
 class CovariateVector(NamedTuple):
@@ -262,45 +208,51 @@ def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteMode
     """Per-traversal inference from the pings' arc positions on the route:
     repair, detect, decompose.
 
-    Returns (observations, skip_log); per-link failures are recorded and
-    skipped rather than raised. InferenceError("too_sparse") and
-    IngestError("missing_weather") propagate (the whole traversal is
-    unusable).
+    A link the traversal covered from its start stop's departure to its
+    end stop's departure gives total = t_dep(stop) - t_dep(prev stop),
+    dwell = t_dep(stop) - t_arr(stop) and road = t_arr(stop) -
+    t_dep(prev stop) - sum of its intersection durations. Its traffic
+    covariate is 1 when its slowest open-road ping pair is below the
+    link's threshold, and 0 with the flag ``unobs_traffic`` when it has
+    no open-road pair.
+
+    Returns (observations, skip_log); a link whose road time is not
+    positive is recorded and skipped rather than raised.
+    InferenceError("too_sparse") and IngestError("missing_weather")
+    propagate (the whole traversal is unusable).
     """
     keep = repair_mask(arcs, backward_tolerance)
     times, arcs = trav.timestamps[keep].astype(float).tolist(), arcs[keep].tolist()
     events = detect_events(times, arcs, rm)
-    by_key = {(e.kind, e.arc): e for e in events}
-    speeds_by_link = _open_road_speeds(times, arcs, rm)
+    slowest = _open_road_speeds(times, arcs, rm)
 
     observations = []
     skip_log = []
-    stop_arcs = dict(rm.projected_stops)
-    x_arcs = dict(rm.projected_intersections)
-    for link in rm.links:
-        ev_prev = by_key.get(("stop", stop_arcs[link.from_stop]))
-        ev_stop = by_key.get(("stop", stop_arcs[link.to_stop]))
-        x_events = [by_key.get(("intersection", x_arcs[xid])) for xid in link.intersection_ids]
-        if ev_prev is None or ev_stop is None or any(ev is None for ev in x_events):
+    for link, positions in zip(rm.links, rm.link_features):
+        link_events = [events[f] for f in positions]
+        if None in link_events:
             continue  # link not fully covered by this traversal
-        try:
-            lt = decompose_link(ev_stop, x_events, ev_prev.t_departure)
-        except InferenceError as exc:
-            skip_log.append(f"{trav.trip_id} link {link.index}: {exc}")
+        (_, depart_prev, _), (arrive, depart, interp_stop), *x_events = link_events
+        xs = tuple((xid, t_dep - t_arr, interpolated)
+                   for xid, (t_arr, t_dep, interpolated) in zip(link.intersection_ids, x_events))
+        road = arrive - depart_prev - sum(x[1] for x in xs)
+        if road <= 0.0:
+            skip_log.append(f"{trav.trip_id} link {link.index}: nonpositive_road_time: "
+                            f"road time {road:.3f}s at stop {link.to_stop}")
             continue
-        traffic = traffic_indicator(speeds_by_link.get(link.index, []),
-                                    resolve_threshold(speed_threshold, link.index))
-        cov = build_covariates(ev_prev.t_departure, weather, traffic.value,
-                               tz_offset, peak_hours, rain_labels)
-        flags = ["interp_stop"] if ev_stop.interpolated else []
-        flags += [f"interp_x={ev.feature_id}" for ev in x_events if ev.interpolated]
-        if not traffic.observed:
+        speed = slowest.get(link.index)
+        traffic = speed is not None and speed < resolve_threshold(speed_threshold, link.index)
+        cov = build_covariates(depart_prev, weather, traffic, tz_offset, peak_hours,
+                               rain_labels)
+        flags = ["interp_stop"] if interp_stop else []
+        flags += [f"interp_x={xid}" for xid, _, interpolated in xs if interpolated]
+        if speed is None:
             flags.append("unobs_traffic")
         observations.append(LinkObservation(
             route_key=rm.route_key, link_index=link.index,
-            depart_prev=ev_prev.t_departure, total_time=lt.total,
-            dwell_time=lt.dwell, intersection_times=lt.intersections,
-            road_time=lt.road, covariates=cov, flags=tuple(flags)))
+            depart_prev=depart_prev, total_time=depart - depart_prev,
+            dwell_time=depart - arrive, intersection_times=xs,
+            road_time=road, covariates=cov, flags=tuple(flags)))
     return observations, skip_log
 
 
@@ -321,11 +273,13 @@ def open_road_link_of(arcs, rm: RouteModel) -> list:
 
 
 def _open_road_speeds(times, arcs, rm: RouteModel) -> dict:
-    """Space-mean speeds of consecutive open-road ping pairs, per link."""
+    """Per link, the lowest space-mean speed of its consecutive open-road
+    ping pairs; a link without such a pair is absent."""
     tags = open_road_link_of(arcs, rm)
-    speeds: dict = {}
+    slowest: dict = {}
     for j in range(1, len(arcs)):
         li = tags[j]
         if li >= 1 and tags[j - 1] == li and times[j] > times[j - 1]:
-            speeds.setdefault(li, []).append((arcs[j] - arcs[j - 1]) / (times[j] - times[j - 1]))
-    return speeds
+            v = (arcs[j] - arcs[j - 1]) / (times[j] - times[j - 1])
+            slowest[li] = min(v, slowest.get(li, v))
+    return slowest

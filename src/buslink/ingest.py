@@ -375,17 +375,6 @@ def load_weather(path) -> WeatherTable:
     return WeatherTable(entries=entries)
 
 
-def rain_indicator(w: WeatherTable, t: float, tz_offset: float,
-                   rain_labels=DEFAULT_RAIN_LABELS) -> int:
-    """1 iff the local hour's condition is a precipitation label.
-
-    Raises IngestError("missing_weather") for hours absent from the table;
-    missing weather is never silently treated as dry.
-    """
-    date, hour = local_date_hour(t, tz_offset)
-    return 1 if w.condition(date, hour) in rain_labels else 0
-
-
 # ---------------------------------------------------------------------------
 # Intersections
 # ---------------------------------------------------------------------------

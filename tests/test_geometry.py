@@ -59,6 +59,21 @@ def test_project_point_clamps_to_ends():
     assert off == pytest.approx(50.0, abs=0.1)
 
 
+@pytest.mark.parametrize("lat, lon", [(math.nan, lon_at(500.0)), (LAT0, math.inf)])
+def test_non_finite_ping_rejected_before_the_kernel(monkeypatch, lat, lon):
+    """The kernel and its scalar reference disagree on a non-finite point
+    (arc inf against 0.0), so such a point never reaches either."""
+    from buslink import geometry
+
+    def kernel(*args):
+        raise AssertionError("non-finite point reached the kernel")
+
+    monkeypatch.setattr(geometry, "project_onto_polyline", kernel)
+    with pytest.raises(GeometryError) as e:
+        project_many(straight_polyline(), [LAT0, lat], [lon_at(100.0), lon])
+    assert e.value.kind == "non_finite"
+
+
 def test_vertex_projection_recovers_cumulative_length():
     pts = [(LAT0, lon_at(0)), (LAT0, lon_at(400)), (lat_at(300), lon_at(400)),
            (lat_at(300), lon_at(900))]

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from buslink.errors import InferenceError
 from buslink.geometry import build_route_model, feature_zone_test, link_index_at
-from buslink.inference import (FeatureEvent, ProjectedPing,
-                               build_covariates, decompose_link, detect_events,
+from buslink.inference import (ProjectedPing, build_covariates, detect_events,
                                observations_from_traversal, open_road_link_of, repair_mask,
-                               repair_monotonic, space_mean_speed, traffic_indicator)
+                               repair_monotonic, space_mean_speed)
 from buslink.ingest import Traversal, load_weather
 
 from test_geometry import network_with
@@ -25,40 +24,39 @@ def pp(t, arc):
     return ProjectedPing(timestamp=float(t), arc_pos=float(arc), offset=0.0)
 
 
-def events_of(pings, rm, **kwargs):
-    return detect_events([p.timestamp for p in pings], [p.arc_pos for p in pings], rm, **kwargs)
+def events_of(pings, rm):
+    return detect_events([p.timestamp for p in pings], [p.arc_pos for p in pings], rm)
 
 
 def arcs_of(rm):
     return {sid: a for sid, a in rm.projected_stops}
 
 
+# positions in single_link_rm.features
+S0, X1, S1 = 0, 1, 2
+
+
 class TestDetectEvents:
     def test_zone_entry_and_exit(self, single_link_rm):
         # stop S1 near arc 800, buffer 20: 770 road, 790 in, 805 in, 825 out
         pings = [pp(0, 770), pp(10, 790), pp(20, 805), pp(30, 825)]
-        events = events_of(pings, single_link_rm)
-        stop = [e for e in events if e.feature_id == "S1"][0]
-        assert stop.t_arrival == 10
-        assert stop.t_departure == 30
-        assert not stop.interpolated
+        assert events_of(pings, single_link_rm)[S1] == (10, 30, False)
 
     def test_jumped_feature_interpolated(self, single_link_rm):
-        pings = [pp(0, 700), pp(20, 900)]
-        events = events_of(pings, single_link_rm, max_interp_fraction=1.0)
-        stop = [e for e in events if e.feature_id == "S1"][0]
-        assert stop.interpolated
+        # X1 observed (395 and 405 inside its zone), S1 jumped between 700 and 900
+        pings = [pp(0, 395), pp(10, 405), pp(20, 700), pp(40, 900)]
+        events = events_of(pings, single_link_rm)
+        assert events[X1] == (0, 20, False)
+        t_arrival, t_departure, interpolated = events[S1]
+        assert interpolated
         stop_arc = arcs_of(single_link_rm)["S1"]
-        expected = 0 + (stop_arc - 700) / (900 - 700) * 20
-        assert stop.t_arrival == pytest.approx(expected, abs=1e-6)
-        assert stop.t_departure == stop.t_arrival
+        expected = 20 + (stop_arc - 700) / (900 - 700) * 20
+        assert t_arrival == pytest.approx(expected, abs=1e-6)
+        assert t_departure == t_arrival
 
     def test_dwell_with_jitter(self, single_link_rm):
         pings = [pp(0, 790), pp(10, 795), pp(20, 792), pp(30, 825)]
-        events = events_of(pings, single_link_rm)
-        stop = [e for e in events if e.feature_id == "S1"][0]
-        assert stop.t_arrival == 0
-        assert stop.t_departure == 30
+        assert events_of(pings, single_link_rm)[S1] == (0, 30, False)
 
     def test_too_sparse(self, single_link_rm):
         # both X1 and S1 jumped: 2 of 2 crossed features interpolated
@@ -70,49 +68,77 @@ class TestDetectEvents:
     def test_event_times_monotone(self, single_link_rm):
         pings = [pp(0, 30), pp(10, 200), pp(25, 370), pp(40, 430), pp(50, 600),
                  pp(62, 790), pp(75, 830)]
-        events = events_of(pings, single_link_rm)
-        for a, b in zip(events, events[1:]):
-            assert a.t_departure <= b.t_arrival
+        events = [e for e in events_of(pings, single_link_rm) if e is not None]
+        assert len(events) == 2
+        for (_, a_dep, _), (b_arr, _, _) in zip(events, events[1:]):
+            assert a_dep <= b_arr
+
+
+class AnyWeather:
+    def condition(self, date, hour):
+        return "Rain" if hour % 2 else "Clear"
+
+
+def infer(rm, pings, **kwargs):
+    """observations_from_traversal on (timestamp, arc) pairs."""
+    ts = np.array([t for t, _ in pings], dtype=np.int64)
+    trav = Traversal("T1", "V1", ts, np.zeros(len(ts)), np.zeros(len(ts)))
+    return observations_from_traversal(trav, np.array([a for _, a in pings], dtype=float), rm,
+                                       AnyWeather(), tz_offset=-5.0, **kwargs)
 
 
 class TestDecompose:
-    def test_worked_example(self):
-        stop = FeatureEvent(kind="stop", feature_id="S1", arc=800.0,
-                            t_arrival=150.0, t_departure=160.0)
-        x = FeatureEvent(kind="intersection", feature_id="X1", arc=400.0,
-                         t_arrival=120.0, t_departure=135.0)
-        lt = decompose_link(stop, [x], prev_stop_departure=100.0)
-        assert lt.total == 60.0
-        assert lt.dwell == 10.0
-        assert lt.intersections == (("X1", 15.0, False),)
-        assert lt.road == 35.0
-        assert lt.road + lt.dwell + sum(v for _, v, _ in lt.intersections) == lt.total
+    """Link times of crafted traversals over S0 (arc 0) -> X1 (400) -> S1
+    (800), buffer 20."""
 
-    def test_skipped_stop(self):
-        stop = FeatureEvent(kind="stop", feature_id="S1", arc=800.0,
-                            t_arrival=40.0, t_departure=40.0, interpolated=True)
-        lt = decompose_link(stop, [], prev_stop_departure=0.0)
-        assert lt.road == 40.0
-        assert lt.dwell == 0.0
+    def test_worked_example(self, single_link_rm):
+        # S0 left at 100, X1 from 120 to 135, S1 from 150 to 160
+        pings = [(90, 0), (100, 30), (110, 200), (120, 390), (135, 430), (150, 790), (160, 830)]
+        (obs,), skips = infer(single_link_rm, pings)
+        assert skips == []
+        assert obs.depart_prev == 100.0
+        assert obs.total_time == 60.0
+        assert obs.dwell_time == 10.0
+        assert obs.intersection_times == (("X1", 15.0, False),)
+        assert obs.road_time == 35.0
+        assert obs.road_time + obs.dwell_time + 15.0 == obs.total_time
+        assert obs.flags == ()
 
-    def test_interpolated_intersection_zero_kept_in_identity(self):
-        stop = FeatureEvent(kind="stop", feature_id="S1", arc=800.0,
-                            t_arrival=50.0, t_departure=58.0)
-        x = FeatureEvent(kind="intersection", feature_id="X1", arc=400.0,
-                         t_arrival=25.0, t_departure=25.0, interpolated=True)
-        lt = decompose_link(stop, [x], prev_stop_departure=0.0)
-        assert lt.intersections == (("X1", 0.0, True),)
-        assert lt.road == 50.0
-        assert lt.total == lt.road + lt.dwell + 0.0
+    def test_skipped_stop(self, single_link_rm):
+        # S1 jumped between 700 and 900: arrival = departure, interpolated
+        pings = [(90, 0), (100, 30), (110, 390), (120, 430), (130, 700), (150, 900)]
+        (obs,), _ = infer(single_link_rm, pings)
+        t_stop = 100.0 + obs.total_time
+        assert t_stop == pytest.approx(130 + (arcs_of(single_link_rm)["S1"] - 700) / 10, abs=1e-6)
+        assert obs.road_time == t_stop - 100.0 - 10.0
+        assert obs.dwell_time == 0.0
+        assert obs.flags == ("interp_stop",)
 
-    def test_nonpositive_road_time(self):
-        stop = FeatureEvent(kind="stop", feature_id="S1", arc=800.0,
-                            t_arrival=20.0, t_departure=30.0)
-        x = FeatureEvent(kind="intersection", feature_id="X1", arc=400.0,
-                         t_arrival=5.0, t_departure=30.0)
-        with pytest.raises(InferenceError) as e:
-            decompose_link(stop, [x], prev_stop_departure=0.0)
-        assert e.value.kind == "nonpositive_road_time"
+    def test_interpolated_intersection_zero_kept_in_identity(self, single_link_rm):
+        # X1 jumped between 300 and 500; S1 from 150 to 158
+        pings = [(90, 0), (100, 30), (110, 300), (130, 500), (150, 790), (158, 830)]
+        (obs,), _ = infer(single_link_rm, pings)
+        assert obs.intersection_times == (("X1", 0.0, True),)
+        assert obs.road_time == 50.0
+        assert obs.total_time == obs.road_time + obs.dwell_time + 0.0
+        assert obs.flags == ("interp_x=X1",)
+
+    def test_nonpositive_road_time(self, single_link_rm):
+        # zone to zone with no road between: S0 -> X1 at 110, X1 -> S1 at 130
+        pings = [(100, 10), (110, 390), (120, 410), (130, 790), (140, 830)]
+        observations, skips = infer(single_link_rm, pings)
+        assert observations == []
+        assert skips == ["T1 link 1: nonpositive_road_time: road time 0.000s at stop S1"]
+
+
+def through_link(speeds, dt=2):
+    """Pings over single_link_rm whose open-road pairs have the given
+    space-mean speeds (dt seconds apart, before X1); the other pairs
+    touch a buffer zone."""
+    arcs = 30.0 + np.cumsum([0.0] + [dt * v for v in speeds])
+    pings = [(0, 0.0)] + [(10 + dt * k, a) for k, a in enumerate(arcs)]
+    t = pings[-1][0]
+    return pings + [(t + 10, 400.0), (t + 20, 430.0), (t + 30, 790.0), (t + 40, 830.0)]
 
 
 class TestSpeeds:
@@ -121,10 +147,11 @@ class TestSpeeds:
         assert space_mean_speed(pp(0, 100), pp(15, 100)) == 0.0
         assert space_mean_speed(pp(0, 0), pp(15, 100)) == pytest.approx(100 / 15, abs=1e-9)
 
-    def test_traffic_indicator(self):
-        assert traffic_indicator([7.5, 2.0, 8.0], 5.0) == (1, True)
-        assert traffic_indicator([7.5, 8.0], 5.0) == (0, True)
-        assert traffic_indicator([], 5.0) == (0, False)
+    def test_traffic_indicator(self, single_link_rm):
+        for speeds, traffic, flags in (([7.5, 2.0, 8.0], 1, ()), ([7.5, 8.0], 0, ()),
+                                       ([], 0, ("unobs_traffic",))):
+            (obs,), _ = infer(single_link_rm, through_link(speeds), speed_threshold=5.0)
+            assert (obs.covariates.traffic, obs.flags) == (traffic, flags)
 
     def test_per_link_threshold_resolution(self):
         from buslink.inference import resolve_threshold
@@ -133,11 +160,12 @@ class TestSpeeds:
         assert resolve_threshold(table, 2) == 3.5
         assert resolve_threshold(table, 1) == 5.0
 
-    def test_traffic_monotone_in_threshold(self):
+    def test_traffic_monotone_in_threshold(self, single_link_rm):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            speeds = rng.uniform(0, 15, size=rng.integers(1, 8))
-            flags = [traffic_indicator(speeds, v).value for v in (2.0, 5.0, 8.0, 12.0)]
+            pings = through_link(rng.uniform(0, 15, size=rng.integers(1, 8)))
+            flags = [infer(single_link_rm, pings, speed_threshold=v)[0][0].covariates.traffic
+                     for v in (2.0, 5.0, 8.0, 12.0)]
             assert flags == sorted(flags)
 
 
@@ -214,11 +242,6 @@ def test_repair_mask_is_the_running_max_loop(arcs, tolerance):
     assert [p.timestamp for p in kept] == [t for t, k in enumerate(expected) if k]
 
 
-class AnyWeather:
-    def condition(self, date, hour):
-        return "Rain" if hour % 2 else "Clear"
-
-
 @pytest.fixture(scope="module")
 def three_link_rm():
     net, xs = network_with([0.0, 500.0, 1200.0, 1500.0], [("X1", 250.0), ("X2", 900.0)])
@@ -271,13 +294,9 @@ def test_extra_open_road_pings_do_not_change_times(single_link_rm):
     # any zone transition, so the detected events cannot change
     extra = sorted(base + [pp(18, 180), pp(31, 300), pp(66, 660)],
                    key=lambda p: p.timestamp)
-    e1 = events_of(base, single_link_rm)
-    e2 = events_of(extra, single_link_rm)
-    obs1 = {(e.kind, e.feature_id): (e.t_arrival, e.t_departure)
-            for e in e1 if not e.interpolated}
-    obs2 = {(e.kind, e.feature_id): (e.t_arrival, e.t_departure)
-            for e in e2 if not e.interpolated}
-    assert obs1 == obs2
+    observed = [[e if e is not None and not e[2] else None for e in events_of(p, single_link_rm)]
+                for p in (base, extra)]
+    assert observed[0] == observed[1]
 
 
 class TestOpenRoadLinkOf:

@@ -7,7 +7,7 @@ must be equal byte for byte, finite, and free of numpy warnings."""
 import warnings
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from buslink import accel, geometry
 
@@ -124,9 +124,17 @@ def long_cases(draw):
     return pts, queries
 
 
-@given(case=long_cases())
-@settings(deadline=None, max_examples=200)
-def test_multi_chunk_projection_equals_scalar_reference(case):
+@given(case=long_cases(), block=st.sampled_from([CHUNK, 4 * CHUNK, accel.PING_BLOCK_ELEMENTS]))
+# No shrink phase: shrinking a failing shape of up to 385 vertices against
+# the pure-Python reference takes minutes; the first failing example is
+# reported as drawn.
+@settings(deadline=None, max_examples=200, phases=[phase for phase in Phase if phase is not Phase.shrink],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_multi_chunk_projection_equals_scalar_reference(monkeypatch, case, block):
+    """At most 40 pings on at most 385 segments fit in one broadcast block of
+    the default size, so smaller blocks make the call take the pruned
+    search, gathered and in several blocks of pings."""
+    monkeypatch.setattr(accel, "PING_BLOCK_ELEMENTS", block)
     (arc, off), (ref_arc, ref_off) = project_both(*case)
     assert arc.tobytes() == ref_arc.tobytes()
     assert off.tobytes() == ref_off.tobytes()
