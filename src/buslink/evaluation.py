@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from statistics import NormalDist
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
 from .inference import group_by_link, road_design
 from .ingest import local_datetime
-from .stats import active_columns, normal_quantile, percentile_band
+from .stats import active_columns, percentile_band
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ def lr_predict(m: LinearBaseline, x, level: float = 0.95) -> PredictionWithBound
     """Mean prediction with its sampling CI (constant-variance normal errors)."""
     point = lr_points(m, [x])[0]
     a = design_matrix(x)[0, m.active_mask]
-    half = normal_quantile(0.5 + level / 2.0) * np.sqrt(m.residual_variance * (a @ m.gram_inv @ a))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    half = z * np.sqrt(m.residual_variance * (a @ m.gram_inv @ a))
     return PredictionWithBounds(point=point, lower=point - float(half),
                                 upper=point + float(half), level=level)
 

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import FitError, NumericalError
-from .stats import active_columns, normal_quantile
+from .stats import active_columns
 
 COVARIATE_COUNT = 4
 COEF_COUNT = COVARIATE_COUNT + 1  # intercept + covariates
 GAMMA_FLOOR = -30.0  # exp floor guarding 1/sigma^2 overflow
+SCORE_TOL = 1e-6  # converged when the score norm over n is at most this
+MAX_ITER = 500  # Fisher-scoring steps before no_convergence
 
 
 def design_matrix(X) -> np.ndarray:
@@ -87,14 +90,13 @@ class HetLogNormalModel:
         return np.where(self.active_mask, np.nan_to_num(self.beta), 0.0)
 
 
-def fit(ys, X, min_samples: int = 30, tol: float = 1e-6,
-        max_iter: int = 500) -> HetLogNormalModel:
+def fit(ys, X, min_samples: int = 30) -> HetLogNormalModel:
     """Maximum-likelihood fit of (beta, gamma) for one link.
 
     ys are log road seconds, X the (n, 4) binary covariates. Starts from
     OLS (gamma0 = log mean squared residual), then Fisher-scoring steps
     with halving on likelihood decrease until the score norm scaled by n
-    drops to ``tol``.
+    drops to ``SCORE_TOL``.
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[0]
@@ -117,12 +119,12 @@ def fit(ys, X, min_samples: int = 30, tol: float = 1e-6,
 
     ll = log_likelihood(beta, gamma, ys, Z)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if np.min(Z @ gamma) < GAMMA_FLOOR:
             raise FitError("degenerate_variance",
                            f"log variance below {GAMMA_FLOOR}; sample is (near) deterministic")
         grad = score(beta, gamma, ys, Z)
-        if np.linalg.norm(grad) / n <= tol:
+        if np.linalg.norm(grad) / n <= SCORE_TOL:
             converged = True
             break
         fim = fisher_information(beta, gamma, Z)
@@ -145,9 +147,9 @@ def fit(ys, X, min_samples: int = 30, tol: float = 1e-6,
             break
     if not converged:
         grad = score(beta, gamma, ys, Z)
-        if np.linalg.norm(grad) / n > tol:
+        if np.linalg.norm(grad) / n > SCORE_TOL:
             raise FitError("no_convergence",
-                           f"score norm {np.linalg.norm(grad) / n:.3e} after {max_iter} iterations")
+                           f"score norm {np.linalg.norm(grad) / n:.3e} after {MAX_ITER} iterations")
 
     beta5 = np.full(COEF_COUNT, np.nan)
     gamma5 = np.full(COEF_COUNT, np.nan)
@@ -206,7 +208,7 @@ def predict_interval(model: HetLogNormalModel, x, level: float = 0.95) -> Predic
     a = _augmented(model, x)
     mu = float(np.dot(model.beta_effective, a))
     sd = mu_interval_stddev(model, x)
-    z = normal_quantile(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return PredictionWithBounds(point=float(np.exp(mu)),
                                 lower=float(np.exp(mu - z * sd)),
                                 upper=float(np.exp(mu + z * sd)),

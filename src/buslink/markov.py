@@ -155,17 +155,17 @@ class PredictionSession:
 
     Feed projected pings in time order; a simulation summary comes back
     for the first ping and thereafter whenever the traffic indicator
-    flips. The indicator follows the latest open-road ping pair on the
-    current link: below the speed threshold switches it to 1, at or above
-    switches it back to 0. Rain/peak/weekday covariates are rebuilt at
-    each emission time through ``covariate_fn(t, traffic)``. Each emission
-    draws from a fresh seed derived from (base seed, emission index), so a
-    replay is deterministic.
+    flips. The indicator starts at 0 and follows the latest open-road
+    ping pair on the current link: below the speed threshold switches it
+    to 1, at or above switches it back to 0. Rain/peak/weekday covariates
+    are rebuilt at each emission time through ``covariate_fn(t, traffic)``.
+    Each emission draws from a fresh seed derived from (base seed, emission
+    index), so a replay is deterministic.
     """
 
     def __init__(self, rm: RouteModel, road_models: dict, dwell_models: dict,
                  intersection_models: dict, covariate_fn, config: MarkovConfig,
-                 speed_threshold: float, initial_traffic: int = 0):
+                 speed_threshold: float):
         self.rm = rm
         self.road_models = road_models
         self.dwell_models = dwell_models
@@ -173,7 +173,7 @@ class PredictionSession:
         self.covariate_fn = covariate_fn
         self.config = config
         self.speed_threshold = speed_threshold
-        self.traffic = initial_traffic
+        self.traffic = 0
         self._prev_ping = None
         self._prev_tag = -1  # open_road_link_of tag of the previous ping; -1: none
         self._emissions = 0

@@ -331,6 +331,8 @@ def run_evaluate(cfg: RunConfig) -> list:
 
 def run_predict(cfg: RunConfig, route_id: str, direction_id: int, link_index: int,
                 x, level: float = 0.95):
+    if not 0.0 < level < 1.0:  # also rejects NaN
+        raise ConfigError("bad_config", f"level {level!r} is not a number strictly between 0 and 1")
     store = read_store(Path(cfg.out_dir) / cfg.model_store)
     key = ((route_id, direction_id), link_index)
     if key not in store.road:

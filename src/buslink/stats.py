@@ -1,17 +1,20 @@
 """Validation tests (K-S log-normality, Breusch-Pagan, runs test), the
-special functions they need, and the package's one quantile rule.
+distribution tails they need, and the package's one quantile rule.
 
-The special functions are implemented here rather than imported: normal
-CDF/quantile via the C library error function, the regularized upper
-incomplete gamma for chi-square tails, and the alternating Kolmogorov
-series. Target accuracy 1e-10 absolute, checked against tabulated values
-in the test suite.
+The tails, and their distance from a 50-digit reference as measured: the
+normal quantile of the interval bounds is ``statistics.NormalDist().inv_cdf``
+(within 5 ulps over 3,000 random p from 1e-30 to 1 - 1e-15); the normal
+tails of the K-S and runs tests are ``math.erfc``; ``chi2_sf`` is a closed
+form (within 2.2 ulps at df 1 to 4 over 900 random x up to 400, where the
+``math.erfc`` that odd df add is itself up to 2.4 ulps off);
+``kolmogorov_sf`` truncates its series with an error below 2e-10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,112 +37,39 @@ def percentile_band(offsets: np.ndarray) -> np.ndarray:
     return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
 
 
-def normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational fit plus one Halley
-    refinement; good to ~1e-15 over (0, 1))."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile domain is (0, 1), got {p}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
-_GAMMA_EPS = 1e-14
-_GAMMA_ITMAX = 500
-
-
-def _gamma_series_p(a: float, x: float) -> float:
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cf_q(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x)."""
-    if a <= 0.0 or x < 0.0:
-        raise ValueError("reg_upper_gamma needs a > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series_p(a, x)
-    return _gamma_cf_q(a, x)
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution."""
+    """Upper tail of the chi-square distribution for a positive integer df.
+    With y = x/2 it is exp(-y) times the sum of y^a / Gamma(a + 1) over
+    a = 0, 1, ..., df/2 - 1 for even df; for odd df over a = 1/2, 3/2, ...,
+    df/2 - 1, plus erfc(sqrt(y)). The terms are positive: no cancellation,
+    no iteration cap. ``d`` is the rounding error of u = sqrt(y), which
+    erfc(u) would scale up y-fold (90 ulps at x = 220, df = 1)."""
     if x <= 0.0:
         return 1.0
-    return reg_upper_gamma(0.5 * df, 0.5 * x)
+    y = 0.5 * x
+    # the terms over the first one, which is 1 for even df and 2 sqrt(y / pi) for odd df
+    total, term, a = 0.0, 1.0, 1.0 + 0.5 * (df % 2)
+    for _ in range(df // 2):
+        total += term
+        term *= y / a
+        a += 1.0
+    if df % 2 == 0:
+        return math.exp(-y) * total
+    u = math.sqrt(y)
+    d = float(Fraction(y) - Fraction(u) ** 2) / (2.0 * u)  # sqrt(y) - u to first order
+    return math.erfc(u) + math.exp(-y) * (2.0 / math.sqrt(math.pi)) * (u * total + d * (total - 1.0))
 
 
-def kolmogorov_sf(lam: float, min_terms: int = 100, tol: float = 1e-10) -> float:
-    """Asymptotic Kolmogorov survival 2 * sum_j (-1)^(j-1) exp(-2 j^2 lam^2)."""
+def kolmogorov_sf(lam: float) -> float:
+    """Asymptotic Kolmogorov survival 2 * sum_j (-1)^(j-1) exp(-2 j^2 lam^2),
+    summed over at least 100 terms and until a term is below 1e-10."""
     if lam <= 0.005:
         return 1.0
     total = 0.0
     for j in range(1, 100000):
         term = math.exp(-2.0 * j * j * lam * lam)
         total += term if j % 2 == 1 else -term
-        if j >= min_terms and term < tol:
+        if j >= 100 and term < 1e-10:
             break
     return min(1.0, max(0.0, 2.0 * total))
 

@@ -133,7 +133,7 @@ def _floats(value: str) -> np.ndarray:
     return np.array([finite_float(t) for t in value.split(",")])
 
 
-# model-store field -> parser of its value; other fields are kept as text.
+# model-store field -> parser of its value.
 # Every number is finite: only an ``absent`` coefficient reads as NaN.
 _STORE_FIELDS = {
     "n": int, "pooled": lambda v: bool(int(v)),
@@ -142,80 +142,90 @@ _STORE_FIELDS = {
     "active_mask": lambda v: np.array([c == "1" for c in v.split(",")]),
     "beta": _coefs, "gamma": _coefs, "fim": _floats, "samples": _floats,
 }
-# section kind -> the fields it cannot do without (road also needs its FIM rows)
-_REQUIRED_FIELDS = {
-    "road": ("n", "loglik", "active_mask", "beta", "gamma"),
-    "dwell": ("samples", "pooled"),
+# section kind -> the fields its writer gives it, each once, except that a
+# road section has one ``fim`` line per row of its information matrix
+_SECTION_FIELDS = {
+    "road": ("n", "loglik", "active_mask", "beta", "gamma", "fim"),
+    "dwell": ("n", "pooled", "samples"),
     "intersection": ("mu_s", "sigma_s", "n", "excluded_zero_fraction", "pooled"),
 }
 
 
-def _store_line(line: str):
-    """(None, (kind, route_key, id)) for a section header, else (field,
-    parsed value); ValueError when a number does not parse."""
-    if line.startswith("["):
-        parts = line.strip("[]").split()
-        if len(parts) != 4:
-            raise ValueError(f"bad section header {line!r}")
-        kind, route_id, direction, ident = parts
-        if kind not in _REQUIRED_FIELDS:
-            raise ValueError(f"unknown section kind in {line!r}")
-        return None, (kind, (route_id, int(direction)), int(ident) if kind == "road" else ident)
-    key, _, value = line.partition("=")
-    key = key.strip()
-    return key, _STORE_FIELDS.get(key, str)(value.strip())
+def _section(line: str):
+    """``(kind, route_key, id)`` of a ``[kind route direction id]`` header."""
+    parts = line.strip("[]").split()
+    if len(parts) != 4 or parts[0] not in _SECTION_FIELDS:
+        raise ValueError(f"bad section header {line!r}: not [road|dwell|intersection "
+                         "route direction id]")
+    kind, route_id, direction, ident = parts
+    return kind, (route_id, int(direction)), int(ident) if kind == "road" else ident
+
+
+def _model(kind: str, ident, fields: dict):
+    """The model of one section; ValueError when a field is missing or the
+    fields disagree."""
+    missing = [f for f in _SECTION_FIELDS[kind] if f not in fields]
+    if missing:
+        raise ValueError(f"has no {', '.join(missing)}")
+    if kind == "road":
+        size = 2 * COEF_COUNT
+        fim = fields["fim"]
+        if len(fim) != size or any(r.shape != (size,) for r in fim):
+            raise ValueError(f"FIM is not {size}x{size}")
+        return HetLogNormalModel(beta=fields["beta"], gamma=fields["gamma"], fim=np.array(fim),
+                                 n=fields["n"], active_mask=fields["active_mask"],
+                                 loglik=fields["loglik"])
+    if kind == "dwell":
+        samples = fields["samples"]
+        if fields["n"] != samples.shape[0]:
+            raise ValueError(f"n = {fields['n']} but {samples.shape[0]} samples")
+        return EmpiricalDwell(stop_id=ident, samples=samples, mean=float(np.mean(samples)),
+                              pooled=fields["pooled"])
+    return IntersectionLogNormal(
+        intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"], n=fields["n"],
+        excluded_zero_fraction=fields["excluded_zero_fraction"], pooled=fields["pooled"])
 
 
 def read_store(path) -> ModelStore:
-    """Parse a model store; a malformed section header, a section of unknown
-    kind or a value that is not a finite number raises IngestError("parse") naming
-    the file and line, and a section without a required field one naming
-    the file and section."""
+    """Parse a model store. A line its writer would not write raises
+    IngestError("parse") naming the file and line, as does a section that
+    lacks a field or whose dwell ``n`` is not its sample count."""
     path = Path(path)
-    store = ModelStore(road={}, dwell={}, intersections={})
-    section = None
-    fields: dict = {}
-    fim_rows: list = []
-
-    def flush():
-        if section is None:
-            return
-        kind, rk, ident = section
-        missing = [f for f in _REQUIRED_FIELDS[kind] if f not in fields]
-        if missing:
-            raise IngestError("parse", f"{path.name}: [{kind} {rk[0]} {rk[1]} {ident}] "
-                              f"has no {', '.join(missing)}")
-        if kind == "road":
-            size = 2 * COEF_COUNT
-            if len(fim_rows) != size or any(r.shape != (size,) for r in fim_rows):
-                raise IngestError("parse", f"{path.name}: FIM in {section} is not {size}x{size}")
-            store.road[(rk, ident)] = HetLogNormalModel(
-                beta=fields["beta"], gamma=fields["gamma"], fim=np.array(fim_rows),
-                n=fields["n"], active_mask=fields["active_mask"], loglik=fields["loglik"])
-        elif kind == "dwell":
-            samples = fields["samples"]
-            store.dwell[(rk, ident)] = EmpiricalDwell(
-                stop_id=ident, samples=samples, mean=float(np.mean(samples)),
-                pooled=fields["pooled"])
-        else:
-            store.intersections[(rk, ident)] = IntersectionLogNormal(
-                intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"],
-                n=fields["n"], excluded_zero_fraction=fields["excluded_zero_fraction"],
-                pooled=fields["pooled"])
-
+    sections: dict = {}  # (kind, route_key, id) -> (header line number, fields)
+    fields = None
     for lineno, line in data_lines(path):
         try:
-            key, value = _store_line(line)
+            if line.startswith("["):
+                section = _section(line)
+                if section in sections:
+                    raise ValueError(f"section {line!r} repeated")
+                fields = {}
+                sections[section] = (lineno, fields)
+                continue
+            key, sep, value = (t.strip() for t in line.partition("="))
+            if not sep:
+                raise ValueError(f"{line!r} is neither a [section] header nor field = value")
+            if fields is None:
+                raise ValueError(f"field {key!r} before the first section header")
+            if key not in _SECTION_FIELDS[section[0]]:
+                raise ValueError(f"{section[0]} section has no field {key!r}")
+            parsed = _STORE_FIELDS[key](value)
+            if key == "fim":
+                fields.setdefault(key, []).append(parsed)
+            elif key in fields:
+                raise ValueError(f"field {key!r} repeated")
+            else:
+                fields[key] = parsed
         except ValueError as exc:
             raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
-        if key is None:
-            flush()
-            section, fields, fim_rows = value, {}, []
-        elif key == "fim":
-            fim_rows.append(value)
-        else:
-            fields[key] = value
-    flush()
+    store = ModelStore(road={}, dwell={}, intersections={})
+    by_kind = {"road": store.road, "dwell": store.dwell, "intersection": store.intersections}
+    for (kind, rk, ident), (lineno, fields) in sections.items():
+        try:
+            by_kind[kind][(rk, ident)] = _model(kind, ident, fields)
+        except ValueError as exc:
+            raise IngestError("parse", f"{path.name}:{lineno}: [{kind} {rk[0]} {rk[1]} {ident}] "
+                              f"{exc}") from exc
     if not store.road and not store.dwell and not store.intersections:
         raise IngestError("empty", f"{path} contains no models")
     return store

@@ -356,6 +356,50 @@ def test_model_store_unknown_section_exit_2(workdir, tmp_path, capsys):
     assert_input_error(rc, capsys, "parse", f"models.txt:{i + 1}:", "[bus R1 0 2]")
 
 
+def _insert_after(prefix, new_line):
+    """Edit inserting ``new_line`` after the first line that starts with
+    ``prefix``; returns the new lines and the inserted line's number."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 1
+        return lines[:i] + [new_line] + lines[i:], i + 1
+    return edit
+
+
+def _repeat_first_dwell_section(lines):
+    start = next(i for i, line in enumerate(lines) if line.startswith("[dwell "))
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("["))
+    return lines + lines[start:end], len(lines) + 1
+
+
+def _dwell_n_off_by_one(lines):
+    start = next(i for i, line in enumerate(lines) if line.startswith("[dwell "))
+    n = int(lines[start + 1].removeprefix("n = "))  # the writer puts n first
+    return lines[:start + 1] + [f"n = {n + 1}"] + lines[start + 2:], start + 1
+
+
+@pytest.mark.parametrize("edit,words", [
+    (_insert_after("[road ", "colour = red"), ["no field 'colour'"]),
+    (_insert_after("[road ", "loglik 2094.2"), ["'loglik 2094.2'", "field = value"]),
+    (_insert_after("# buslink", "n = 3540"), ["before the first section header"]),
+    (_repeat_first_dwell_section, ["[dwell R1 0 S1]", "repeated"]),
+    (_insert_after("loglik = ", "loglik = 1.5"), ["field 'loglik' repeated"]),
+    (_dwell_n_off_by_one, ["[dwell R1 0 S1]", "samples"]),
+], ids=["unknown_key", "no_equals", "field_before_header", "repeated_section",
+        "repeated_field", "dwell_n_not_sample_count"])
+def test_model_store_line_its_writer_never_writes_exit_2(workdir, tmp_path, capsys, edit, words):
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    lines, lineno = edit(lines)
+    rc = _predict_with_store(workdir, tmp_path, lines)
+    assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:", *words)
+
+
+@pytest.mark.parametrize("level", ["0", "1", "-0.5", "1.5", "nan"])
+def test_predict_level_outside_unit_interval_exit_2(workdir, capsys, level):
+    rc = main(["predict", "--config", str(workdir["cfg"]), "--route", "R1", "--link", "1",
+               "--level", level])
+    assert_input_error(rc, capsys, "bad_config", "level")
+
+
 def test_program_lookup_error_is_not_input_error(workdir, monkeypatch):
     from buslink import pipeline
 

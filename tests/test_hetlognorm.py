@@ -195,6 +195,16 @@ class TestPrediction:
         assert math.log(b.upper) == pytest.approx(3.35320, abs=1e-5)
         assert b.lower < b.point < b.upper
 
+    def test_interval_z_far_in_the_tail(self):
+        """At level 1 - 2e-10 (p = 1 - 1e-10) z is the 50-digit normal
+        quantile of that p, to 1e-12; with sd(mu) = 1 and mu = 0 the upper
+        bound is exp(z)."""
+        m = HetLogNormalModel(beta=np.zeros(5), gamma=np.zeros(5), fim=_fim_with_intercept_var(1.0),
+                              n=100, active_mask=np.ones(5, dtype=bool), loglik=0.0)
+        b = predict_interval(m, [0, 0, 0, 0], level=1 - 2e-10)
+        assert math.log(b.upper) == pytest.approx(6.3613408896974219, abs=1e-12)
+        assert math.log(b.lower) == pytest.approx(-6.3613408896974219, abs=1e-12)
+
     def test_interval_ordering(self, fitted_model):
         b = predict_interval(fitted_model, [1, 0, 1, 0])
         assert 0 < b.lower < b.point < b.upper

@@ -87,55 +87,96 @@ def test_one_projection_per_route_equals_one_per_traversal(n_vertices, sizes, se
 
 
 # Shapes of several chunks: the pruned search must still find every pass.
-CHUNK = accel.CHUNK_SEGMENTS
+CHUNK, PING_BLOCK = accel.CHUNK_SEGMENTS, accel.PING_BLOCK_ELEMENTS
 step = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda d: (float(d[0]), float(d[1])))
 
 
 @st.composite
-def long_shapes(draw):
-    """Random walks of 2 to 12 chunks, open, closed into a loop, or out and
-    back (the return pass lies in other chunks than the outward one), with
-    vertices repeated on chunk boundaries."""
-    steps = draw(st.lists(step, min_size=CHUNK + 1, max_size=6 * CHUNK))
+def long_shapes(draw, chunk):
+    """Shapes of 2 to 12 chunks of ``chunk`` segments: random walks, open,
+    closed into a loop, or out and back (the return pass lies in other
+    chunks than the outward one), with vertices repeated on chunk
+    boundaries; or a hairpin, two straight passes 2h apart joined by a
+    turn, each longer than a chunk."""
+    kind = draw(st.sampled_from(("open", "loop", "out_and_back", "hairpin")))
+    if kind == "hairpin":
+        length, h = draw(st.integers(chunk + 1, 6 * chunk)), draw(st.integers(1, chunk // 2))
+        return ([(float(i), 0.0) for i in range(length + 1)]
+                + [(float(i), 2.0 * h) for i in range(length, -1, -1)])
+    steps = draw(st.lists(step, min_size=chunk + 1, max_size=6 * chunk))
     pts = [(0.0, 0.0)]
     for sx, sy in steps:
         pts.append((pts[-1][0] + sx, pts[-1][1] + sy))
-    kind = draw(st.sampled_from(("open", "loop", "out_and_back")))
     if kind == "loop":
         pts = pts + [pts[0]]
     elif kind == "out_and_back":
         pts = pts + pts[-2::-1]
-    for k in draw(st.lists(st.integers(1, (len(pts) - 1) // CHUNK), max_size=3, unique=True)):
-        pts.insert(k * CHUNK, pts[k * CHUNK])
+    for k in draw(st.lists(st.integers(1, (len(pts) - 1) // chunk), max_size=3, unique=True)):
+        pts.insert(k * chunk, pts[k * chunk])
     return pts
+
+
+def _between(a, b, t):
+    return a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
 
 
 @st.composite
 def long_cases(draw):
-    pts = draw(long_shapes())
+    """A chunk size, a shape of several chunks and pings. Besides points
+    anywhere, on and near vertices and chunk boundaries, the pings include:
+    points midway between vertex i and vertex -1 - i within two chunks of
+    the middle, which on a hairpin lie between the passes near the turn,
+    where the turn's chunk is the nearest box but the outward pass is as
+    near; and points along segments, chiefly the last segment of a chunk,
+    which a box without the chunk's last vertex would miss. At the default
+    chunk size there are at most 40 pings; at a small one up to twice the
+    segment count, so the first pass also runs grouped by chunk."""
+    chunk = draw(st.sampled_from((4, 8, CHUNK)))
+    pts = draw(long_shapes(chunk))
+    segments = len(pts) - 1
     vertex = st.sampled_from(pts)
-    boundary = st.sampled_from(pts[::CHUNK])
-    midway = st.tuples(vertex, vertex).map(
-        lambda ab: ((ab[0][0] + ab[1][0]) / 2.0, (ab[0][1] + ab[1][1]) / 2.0))
+    boundary = st.sampled_from(pts[::chunk])
+    midway = st.tuples(vertex, vertex).map(lambda ab: _between(*ab, 0.5))
+    middle = len(pts) // 2
+    mirror = st.integers(max(0, middle - 2 * chunk), middle).map(
+        lambda i: _between(pts[i], pts[-1 - i], 0.5))
     near = st.tuples(vertex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
         lambda v: (v[0][0] + v[1], v[0][1] + v[2]))
-    queries = draw(st.lists(st.one_of(anywhere, vertex, boundary, midway, near),
-                            min_size=1, max_size=40))
-    return pts, queries
+    fraction = st.sampled_from((0.25, 0.5, 0.75, 0.875))
+    along = st.tuples(st.integers(0, segments - 1), fraction).map(
+        lambda jt: _between(pts[jt[0]], pts[jt[0] + 1], jt[1]))
+    chunk_end = st.tuples(st.integers(1, segments // chunk), fraction).map(
+        lambda ct: _between(pts[ct[0] * chunk - 1], pts[ct[0] * chunk], ct[1]))
+    n = draw(st.integers(1, 40 if chunk == CHUNK else 2 * segments))
+    queries = draw(st.lists(
+        st.one_of(anywhere, vertex, boundary, midway, mirror, near, along, chunk_end, chunk_end),
+        min_size=n, max_size=n))
+    return chunk, pts, queries
 
 
-@given(case=long_cases(), block=st.sampled_from([CHUNK, 4 * CHUNK, accel.PING_BLOCK_ELEMENTS]))
+@given(case=long_cases(), chunks_per_block=st.sampled_from([1, 4, None]))
+# The last segment of chunk 0 leaves the box of the chunk's other vertices.
+@example(case=(4, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (3.0, 10.0), (4.0, 10.0),
+                   (5.0, 10.0), (6.0, 10.0), (7.0, 10.0)], [(3.0, 8.0)]), chunks_per_block=1)
+# The turn's chunk is the nearest box, the outward pass exactly as near as its box.
+@example(case=(4, [(float(i), 0.0) for i in range(10)] + [(float(i), 2.0) for i in range(9, -1, -1)],
+               [(7.0, 1.0)]), chunks_per_block=1)
 # No shrink phase: shrinking a failing shape of up to 385 vertices against
 # the pure-Python reference takes minutes; the first failing example is
 # reported as drawn.
 @settings(deadline=None, max_examples=200, phases=[phase for phase in Phase if phase is not Phase.shrink],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_multi_chunk_projection_equals_scalar_reference(monkeypatch, case, block):
+def test_multi_chunk_projection_equals_scalar_reference(monkeypatch, case, chunks_per_block):
     """At most 40 pings on at most 385 segments fit in one broadcast block of
-    the default size, so smaller blocks make the call take the pruned
-    search, gathered and in several blocks of pings."""
-    monkeypatch.setattr(accel, "PING_BLOCK_ELEMENTS", block)
-    (arc, off), (ref_arc, ref_off) = project_both(*case)
+    the default size, so blocks of one or four chunks make the call take the
+    pruned search, gathered or grouped by chunk, and in several blocks of
+    pings. Both sizes are set on every example: the patch lasts for all of
+    them."""
+    chunk, pts, queries = case
+    monkeypatch.setattr(accel, "CHUNK_SEGMENTS", chunk)
+    monkeypatch.setattr(accel, "PING_BLOCK_ELEMENTS",
+                        chunk * chunks_per_block if chunks_per_block else PING_BLOCK)
+    (arc, off), (ref_arc, ref_off) = project_both(pts, queries)
     assert arc.tobytes() == ref_arc.tobytes()
     assert off.tobytes() == ref_off.tobytes()
 
