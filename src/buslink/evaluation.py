@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, FitError, MetricError
 from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
-from .inference import group_by_link, road_design
 from .ingest import local_datetime
 from .stats import active_columns, percentile_band
 
@@ -142,13 +141,10 @@ class LinkEvaluation:
     note: str = ""
 
 
-def modal_covariates(rows) -> tuple:
-    """Most frequent covariate combination; ties break lexicographically."""
-    counts: dict = {}
-    for obs in rows:
-        counts[obs.covariates] = counts.get(obs.covariates, 0) + 1
-    top = max(counts.values())
-    return min(k for k, c in counts.items() if c == top)
+def modal_covariates(X) -> np.ndarray:
+    """Most frequent row of a covariate matrix; ties break lexicographically."""
+    rows, counts = np.unique(X, axis=0, return_counts=True)
+    return rows[np.argmax(counts)]
 
 
 def _cut_instant(cut_date: str, tz_offset: float) -> float:
@@ -168,36 +164,34 @@ def _cut_instant(cut_date: str, tz_offset: float) -> float:
     return t
 
 
-def split_by_date(observations, cut_date: str, tz_offset: float):
-    """Date-cut split on depart_prev: local date < cut trains, >= cut tests."""
-    cut = _cut_instant(cut_date, tz_offset)
-    train, test = [], []
-    for obs in observations:
-        (train if obs.depart_prev < cut else test).append(obs)
-    return train, test
+def split_by_date(table, cut_date: str, tz_offset: float) -> np.ndarray:
+    """Date-cut split of an ``ObservationTable`` on depart_prev: True where
+    the local date is before the cut (train), False from it on (test)."""
+    return table.depart_prev < _cut_instant(cut_date, tz_offset)
 
 
-def evaluate_split(observations, cut_date: str, tz_offset: float,
+def evaluate_split(table, cut_date: str, tz_offset: float,
                    min_fit_samples: int = 30) -> list:
-    """Fit LN-MLE / HM / LR per link on the training side of the date cut and
-    score them on the test side. Per-link failures become table gaps."""
-    train, test = split_by_date(observations, cut_date, tz_offset)
-    if not test or not train:
-        raise MetricError("empty_split", f"train={len(train)} test={len(test)} at cut {cut_date}")
+    """Fit LN-MLE / HM / LR per link of an ``ObservationTable`` on the
+    training side of the date cut and score them on the test side. Per-link
+    failures become table gaps."""
+    train = split_by_date(table, cut_date, tz_offset)
+    n_train = int(np.count_nonzero(train))
+    if not 0 < n_train < train.size:
+        raise MetricError("empty_split", f"train={n_train} test={train.size - n_train} "
+                          f"at cut {cut_date}")
 
-    train_by_link, test_by_link = group_by_link(train), group_by_link(test)
     results = []
-    for key in sorted(train_by_link.keys() | test_by_link.keys()):
-        route_key, link_index = key
-        tr, te = train_by_link.get(key, []), test_by_link.get(key, [])
+    for (route_key, link_index), rows in table.groups.items():
+        tr, te = rows[train[rows]], rows[~train[rows]]
         base = dict(route_key=route_key, link_index=link_index,
                     n_train=len(tr), n_test=len(te))
-        if not tr or not te:
+        if not len(tr) or not len(te):
             results.append(LinkEvaluation(**base, note="empty side"))
             continue
-        y_tr, X_tr = road_design(tr)
-        y_te, X_te = road_design(te)
-        modal = np.array(modal_covariates(tr), dtype=float)
+        y_tr, X_tr = table.road[tr], table.covariates[tr]
+        y_te, X_te = table.road[te], table.covariates[te]
+        modal = modal_covariates(X_tr)
         # (name, fit, points at the test rows, bounds at x), scored in this order
         models = (
             ("ln", lambda: ln_fit(np.log(y_tr), X_tr, min_samples=min_fit_samples),

@@ -153,43 +153,6 @@ class LinkObservation(NamedTuple):
         return self.total_time - parts
 
 
-def group_by_link(observations) -> dict:
-    """Observations per (route_key, link_index), keys in sorted order and
-    each group in input order."""
-    groups: dict = {}
-    for o in observations:
-        groups.setdefault((o.route_key, o.link_index), []).append(o)
-    return {key: groups[key] for key in sorted(groups)}
-
-
-def road_design(rows):
-    """Road seconds and the n x 4 covariate matrix of the rows, in row order."""
-    return (np.array([o.road_time for o in rows]),
-            np.array([o.covariates for o in rows], dtype=float))
-
-
-def intersection_samples(rows):
-    """The intersection times that feed the log-normal fits: positive and
-    not interpolated.
-
-    Returns the samples per (route_key, intersection_id), all of them as
-    one pool, and the count of the times left out per key; samples and
-    pool in row order.
-    """
-    samples: dict = {}
-    pool = []
-    others: dict = {}
-    for o in rows:
-        for xid, secs, interpolated in o.intersection_times:
-            key = (o.route_key, xid)
-            if secs > 0.0 and not interpolated:
-                samples.setdefault(key, []).append(secs)
-                pool.append(secs)
-            else:
-                others[key] = others.get(key, 0) + 1
-    return samples, pool, others
-
-
 def resolve_threshold(speed_threshold, link_index: int) -> float:
     """The congestion threshold is configurable globally (a float) or per
     link (a mapping from link index, falling back to the global default)."""

@@ -7,6 +7,7 @@ inputs and the seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -18,9 +19,8 @@ from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersect
 from .errors import BuslinkError, ConfigError, FitError, InferenceError
 from .geometry import build_route_model, project_many
 from .hetlognorm import design_matrix, fit as ln_fit, predict_interval, predict_point
-from .inference import (DEFAULT_PEAK_HOURS, build_covariates, group_by_link,
-                        intersection_samples, observations_from_traversal,
-                        project_traversal, repair_monotonic, road_design)
+from .inference import (DEFAULT_PEAK_HOURS, build_covariates, observations_from_traversal,
+                        project_traversal, repair_monotonic)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
                      finite_float, load_gtfs_static, load_intersections, load_pings,
                      load_weather)
@@ -176,7 +176,7 @@ def run_infer(cfg: RunConfig) -> InferReport:
     out_path = Path(cfg.out_dir) / cfg.observations
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_observations(out_path, observations)
-    counts = {key: len(rows) for key, rows in group_by_link(observations).items()}
+    counts = dict(Counter((o.route_key, o.link_index) for o in observations))
     n_interp = sum(1 for o in observations
                    if any(f.startswith("interp") for f in o.flags))
     return InferReport(observations_path=str(out_path), n_traversals=len(series.segments),
@@ -215,37 +215,41 @@ def _fit_feature(models: dict, key, fit, samples, pool, min_samples: int,
             failed.append((key, f"{what} {exc.kind}"))
 
 
-def fit_all(observations, cfg: RunConfig, route_models: dict) -> tuple:
-    """Fit road/dwell/intersection models for every link with data.
+def fit_all(table, cfg: RunConfig, route_models: dict) -> tuple:
+    """Fit road/dwell/intersection models for every link of an
+    ``ObservationTable`` with data.
 
     Returns (ModelStore, fitted keys, failures). Dwell and intersection
-    models fall back to route-level pooled samples when a feature has too
-    few of its own.
+    models fall back to route-level pooled samples, in link order and then
+    file order, when a feature has too few of its own.
     """
     store = ModelStore(road={}, dwell={}, intersections={})
     fitted, failed = [], []
-    by_link = group_by_link(observations)
-    for key, rows in by_link.items():
-        y, X = road_design(rows)
+    for key, rows in table.groups.items():
         try:
-            store.road[key] = ln_fit(np.log(y), X, min_samples=cfg.min_fit_samples)
+            store.road[key] = ln_fit(np.log(table.road[rows]), table.covariates[rows],
+                                     min_samples=cfg.min_fit_samples)
             fitted.append(key)
         except FitError as exc:
             failed.append((key, f"{exc.kind}"))
 
     n_min = cfg.min_component_samples
+    none = np.zeros(0, dtype=np.int64)
     for rk, rm in sorted(route_models.items()):
-        link_obs = {link.index: by_link.get((rk, link.index), []) for link in rm.links}
-        route_rows = [o for rows in link_obs.values() for o in rows]
-        pooled_dwell = [o.dwell_time for o in route_rows]
-        for link in rm.links:
-            samples = [o.dwell_time for o in link_obs[link.index]]
-            _fit_feature(store.dwell, (rk, link.to_stop), fit_dwell, samples, pooled_dwell,
-                         n_min, failed, "dwell")
-        x_samples, pooled_x, x_others = intersection_samples(route_rows)
+        link_rows = [table.groups.get((rk, link.index), none) for link in rm.links]
+        route_rows = np.concatenate(link_rows)
+        pooled_dwell = table.dwell[route_rows]
+        for link, rows in zip(rm.links, link_rows):
+            _fit_feature(store.dwell, (rk, link.to_stop), fit_dwell, table.dwell[rows],
+                         pooled_dwell, n_min, failed, "dwell")
+        entries = table.intersections_of(route_rows)
+        usable = table.usable_intersections()[entries]
+        x_samples = table.by_intersection(entries[usable])
+        x_others = table.by_intersection(entries[~usable])
+        pooled_x = table.x_secs[entries[usable]]
         for xid, _arc in rm.projected_intersections:
-            samples = x_samples.get((rk, xid), [])
-            others = x_others.get((rk, xid), 0)
+            samples = table.x_secs[x_samples.get((rk, xid), none)]
+            others = len(x_others.get((rk, xid), none))
             frac = others / (others + len(samples)) if (others + len(samples)) else 0.0
             _fit_feature(store.intersections, (rk, xid), fit_intersection, samples, pooled_x,
                          n_min, failed, "intersection", excluded_zero_fraction=frac)
@@ -253,12 +257,11 @@ def fit_all(observations, cfg: RunConfig, route_models: dict) -> tuple:
 
 
 def run_fit(cfg: RunConfig) -> FitReport:
-    observations = read_observations(Path(cfg.out_dir) / cfg.observations)
+    table = read_observations(Path(cfg.out_dir) / cfg.observations)
     net = load_gtfs_static(cfg.gtfs_dir)
     xs = load_intersections(cfg.intersections)
-    route_keys = sorted({o.route_key for o in observations})
-    route_models = _route_models_for(net, xs, cfg, route_keys)
-    store, fitted, failed = fit_all(observations, cfg, route_models)
+    route_models = _route_models_for(net, xs, cfg, table.route_keys)
+    store, fitted, failed = fit_all(table, cfg, route_models)
     store_path = Path(cfg.out_dir) / cfg.model_store
     write_store(store_path, store)
     return FitReport(store_path=str(store_path), fitted_links=fitted, failed_links=failed)
@@ -278,38 +281,32 @@ class ValidationRow:
     note: str = ""
 
 
+def _validation_row(label: str, name: str, n: int, test) -> ValidationRow:
+    """The row of one test, or of its failure kind with the sample size ``n``."""
+    try:
+        r = test()
+    except BuslinkError as exc:
+        return ValidationRow(component=label, test_name=name, statistic=None, p_value=None,
+                             n=n, note=exc.kind)
+    return ValidationRow(component=label, test_name=r.test_name, statistic=r.statistic,
+                         p_value=r.p_value, n=r.n)
+
+
 def run_validate(cfg: RunConfig) -> list:
-    observations = read_observations(Path(cfg.out_dir) / cfg.observations)
+    table = read_observations(Path(cfg.out_dir) / cfg.observations)
     rows = []
-    for (rk, li), link_obs in group_by_link(observations).items():
-        obs = sorted(link_obs, key=lambda o: o.depart_prev)
-        label = f"road {rk[0]}/{rk[1]} link {li}"
-        road, X = road_design(obs)
-        Z = design_matrix(X)
-        for name, runner in (("ks_lognormal", lambda: stats.ks_lognormal(road)),
-                             ("breusch_pagan", lambda: stats.breusch_pagan(np.log(road), Z)),
-                             ("runs", lambda: stats.runs_test(road))):
-            try:
-                r = runner()
-                rows.append(ValidationRow(component=label, test_name=r.test_name,
-                                          statistic=r.statistic, p_value=r.p_value, n=r.n))
-            except BuslinkError as exc:
-                rows.append(ValidationRow(component=label, test_name=name,
-                                          statistic=None, p_value=None,
-                                          n=len(obs), note=exc.kind))
-    x_samples, _pool, _others = intersection_samples(observations)
-    for key in sorted(x_samples):
-        rk, xid = key
-        vals = np.array(x_samples[key])
-        label = f"intersection {rk[0]}/{rk[1]} {xid}"
-        try:
-            r = stats.ks_lognormal(vals)
-            rows.append(ValidationRow(component=label, test_name=r.test_name,
-                                      statistic=r.statistic, p_value=r.p_value, n=r.n))
-        except BuslinkError as exc:
-            rows.append(ValidationRow(component=label, test_name="ks_lognormal",
-                                      statistic=None, p_value=None,
-                                      n=len(vals), note=exc.kind))
+    for (rk, li), link_rows in table.groups.items():
+        by_time = link_rows[np.argsort(table.depart_prev[link_rows], kind="stable")]
+        road, Z = table.road[by_time], design_matrix(table.covariates[by_time])
+        rows += [_validation_row(f"road {rk[0]}/{rk[1]} link {li}", name, len(by_time), test)
+                 for name, test in (("ks_lognormal", lambda: stats.ks_lognormal(road)),
+                                    ("breusch_pagan", lambda: stats.breusch_pagan(np.log(road), Z)),
+                                    ("runs", lambda: stats.runs_test(road)))]
+    usable = np.flatnonzero(table.usable_intersections())
+    for (rk, xid), entries in table.by_intersection(usable).items():
+        vals = table.x_secs[entries]
+        rows.append(_validation_row(f"intersection {rk[0]}/{rk[1]} {xid}", "ks_lognormal",
+                                    len(vals), lambda: stats.ks_lognormal(vals)))
     return rows
 
 
@@ -320,8 +317,8 @@ def run_validate(cfg: RunConfig) -> list:
 def run_evaluate(cfg: RunConfig) -> list:
     if not cfg.cut_date:
         raise ConfigError("bad_config", "cut_date is required for evaluate")
-    observations = read_observations(Path(cfg.out_dir) / cfg.observations)
-    return evaluation.evaluate_split(observations, cfg.cut_date, cfg.tz_offset,
+    table = read_observations(Path(cfg.out_dir) / cfg.observations)
+    return evaluation.evaluate_split(table, cfg.cut_date, cfg.tz_offset,
                                      min_fit_samples=cfg.min_fit_samples)
 
 

@@ -1,6 +1,7 @@
 """Plain-text persistence: the link-observation file and the model store.
 
-Model-store floats are written with 17 significant digits so that
+The observation file is read whole into an ``ObservationTable`` of
+column arrays, its rows grouped by link. Model-store floats are written with 17 significant digits so that
 write -> read -> write reproduces the file byte for byte. Ids never
 contain whitespace or any of ``, ; = [ ]``: ingest rejects them
 (``bad_id``), since neither file could read them back.
@@ -9,6 +10,9 @@ contain whitespace or any of ``, ; = [ ]``: ingest rejects them
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, count
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,19 @@ def write_observations(path, observations) -> None:
             fh.write(format_observation(obs) + "\n")
 
 
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text!r} is outside int64")
+    return value
+
+
+def _bit(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ValueError(f"covariate {text!r} is not 0 or 1")
+    return int(text)
+
+
 def _observation(f) -> LinkObservation:
     flags = tuple(t for t in f[12].split(";") if t)
     interp_ids = {t.split("=", 1)[1] for t in flags if t.startswith("interp_x=")}
@@ -60,18 +77,144 @@ def _observation(f) -> LinkObservation:
             raise ValueError(f"intersection time {tok!r} is not id=seconds")
         xs.append((xid, finite_float(secs), xid in interp_ids))
     return LinkObservation(
-        route_key=(f[0], int(f[1])), link_index=int(f[2]), depart_prev=finite_float(f[3]),
+        route_key=(f[0], _int64(f[1])), link_index=_int64(f[2]), depart_prev=finite_float(f[3]),
         total_time=finite_float(f[4]), dwell_time=finite_float(f[5]),
         road_time=finite_float(f[6]), intersection_times=tuple(xs),
-        covariates=CovariateVector(int(f[8]), int(f[9]), int(f[10]), int(f[11])),
-        flags=flags)
+        covariates=CovariateVector(*map(_bit, f[8:12])), flags=flags)
 
 
-def read_observations(path) -> list:
-    out = list(read_rows(path, OBS_HEADER.split(","), _observation))
-    if not out:
+def _runs(major: np.ndarray, minor: np.ndarray) -> list:
+    """Positions grouped by equal ``(major, minor)``: groups in ascending key
+    order, positions ascending within each."""
+    if not major.size:
+        return []
+    order = np.lexsort((minor, major))  # stable
+    a, b = major[order], minor[order]
+    return np.split(order, np.flatnonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1])) + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """The observation file as columns, rows in file order. Route keys and
+    intersection ids are codes into their sorted distinct values; the
+    intersection times of all rows are flattened in file order."""
+    route_keys: list  # distinct (route_id, direction_id), sorted
+    route: np.ndarray  # per row: index into route_keys
+    link: np.ndarray  # per row: link index
+    depart_prev: np.ndarray
+    total: np.ndarray
+    dwell: np.ndarray
+    road: np.ndarray
+    covariates: np.ndarray  # n x 4 float: rain, peak, weekday, traffic
+    flags: list  # per row: its flags field
+    x_ids: list  # distinct intersection ids, sorted
+    x_row: np.ndarray  # per intersection time: its row
+    x_id: np.ndarray  # per intersection time: index into x_ids
+    x_secs: np.ndarray
+    x_interp: np.ndarray  # bool
+
+    def __iter__(self):
+        """The rows as ``LinkObservation``s, built as they are read."""
+        bounds = np.searchsorted(self.x_row, np.arange(self.link.shape[0] + 1)).tolist()
+        xs = list(zip(map(self.x_ids.__getitem__, self.x_id.tolist()), self.x_secs.tolist(),
+                      self.x_interp.tolist()))
+        rows = zip(self.route.tolist(), self.link.tolist(), self.depart_prev.tolist(),
+                   self.total.tolist(), self.dwell.tolist(), self.road.tolist(),
+                   self.covariates.astype(int).tolist(), self.flags)
+        for i, (route, link, dp, total, dwell, road, cov, flags) in enumerate(rows):
+            yield LinkObservation(
+                route_key=self.route_keys[route], link_index=link, depart_prev=dp,
+                total_time=total, dwell_time=dwell,
+                intersection_times=tuple(xs[bounds[i]:bounds[i + 1]]), road_time=road,
+                covariates=CovariateVector(*cov), flags=tuple(t for t in flags.split(";") if t))
+
+    @cached_property
+    def groups(self) -> dict:
+        """(route_key, link_index) -> row indices, keys sorted, rows in file order."""
+        return {(self.route_keys[self.route[p[0]]], int(self.link[p[0]])): p
+                for p in _runs(self.route, self.link)}
+
+    def intersections_of(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the intersection times of ``rows``, in the rows' order."""
+        start = np.searchsorted(self.x_row, rows)
+        count = np.searchsorted(self.x_row, rows, side="right") - start
+        return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+    def by_intersection(self, entries: np.ndarray) -> dict:
+        """(route_key, intersection_id) -> the ``entries`` (intersection-time
+        indices) of that key, keys sorted, each in the order given."""
+        route = self.route[self.x_row[entries]]
+        return {(self.route_keys[route[p[0]]], self.x_ids[self.x_id[entries[p[0]]]]): entries[p]
+                for p in _runs(route, self.x_id[entries])}
+
+    def usable_intersections(self) -> np.ndarray:
+        """Per intersection time: positive and not interpolated, so fitted."""
+        return (self.x_secs > 0.0) & ~self.x_interp
+
+
+def _codes(values: list) -> tuple:
+    """The sorted distinct values and each value's index into them."""
+    distinct = sorted(set(values))
+    index = dict(zip(distinct, count()))
+    return distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def _table(lines: list) -> ObservationTable:
+    """The table of data lines, each field converted with ``int`` or
+    ``float`` as ``_observation`` does; a ValueError or OverflowError means
+    some line is not valid for ``_observation``."""
+    width = len(OBS_HEADER.split(","))
+    if set(map(methodcaller("count", ","), lines)) != {width - 1}:
+        raise ValueError("wrong field count")
+    f = ",".join(lines).split(",")
+    ints = np.array([f[1::width], f[2::width]], dtype=np.int64)
+    floats = np.array([f[k::width] for k in (3, 4, 5, 6)], dtype=float)
+    cov = list(chain.from_iterable(f[k::width] for k in (8, 9, 10, 11)))
+    if not (np.isfinite(floats).all() and set(cov) <= {"0", "1"}):
+        raise ValueError("non-finite number or covariate not 0 or 1")
+    route_keys, route = _codes(list(zip(f[0::width], ints[0].tolist())))
+    cells, flags = f[7::width], f[12::width]
+    tokens = [t for c in cells if c for t in c.split(";")]
+    if set(map(methodcaller("count", "="), tokens)) - {1}:
+        raise ValueError("intersection time not id=seconds")
+    x_row = np.repeat(np.arange(len(lines)), [c.count(";") + 1 if c else 0 for c in cells])
+    pairs = "=".join(tokens).split("=") if tokens else []
+    x_secs = np.array(pairs[1::2], dtype=float)
+    if not np.isfinite(x_secs).all():
+        raise ValueError("non-finite intersection time")
+    marked = {(i, t.partition("=")[2]) for i, fl in enumerate(flags) if "interp_x=" in fl
+              for t in fl.split(";") if t.startswith("interp_x=")}
+    x_interp = np.fromiter(map(marked.__contains__, zip(x_row.tolist(), pairs[0::2])), bool,
+                           x_secs.shape[0])
+    x_ids, x_id = _codes(pairs[0::2])
+    # every covariate is the one character 0 or 1
+    covariates = (np.frombuffer("".join(cov).encode(), np.uint8) == ord("1")).reshape(4, -1)
+    return ObservationTable(
+        route_keys=route_keys, route=route, link=ints[1], depart_prev=floats[0],
+        total=floats[1], dwell=floats[2], road=floats[3],
+        covariates=np.ascontiguousarray(covariates.T, dtype=float), flags=flags,
+        x_ids=x_ids, x_row=x_row, x_id=x_id, x_secs=x_secs, x_interp=x_interp)
+
+
+def read_observations(path) -> ObservationTable:
+    """The observation file as one ``ObservationTable``, read and split
+    whole. A file that fails the vectorized checks is read again row by row
+    through ``_observation``, so the first bad line raises
+    IngestError("parse") naming file:line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    first = OBS_HEADER.partition(",")[0]
+    if lines[0].strip().partition(",")[0].lower() == first:
+        lines[0] = ""  # the header, allowed on line 1 only
+    lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if not lines:
         raise IngestError("empty", f"{path} contains no observations")
-    return out
+    try:
+        return _table(lines)
+    except (ValueError, OverflowError):
+        for _ in read_rows(path, OBS_HEADER.split(","), _observation):
+            pass  # raises at the file's first bad line
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +269,38 @@ def write_store(path, store: ModelStore) -> None:
 
 
 def _coefs(value: str) -> np.ndarray:
-    return np.array([np.nan if t == "absent" else finite_float(t) for t in value.split(",")])
+    out = np.array([np.nan if t == "absent" else finite_float(t) for t in value.split(",")])
+    if out.shape != (COEF_COUNT,):
+        raise ValueError(f"{out.shape[0]} coefficients, not {COEF_COUNT}")
+    return out
 
 
 def _floats(value: str) -> np.ndarray:
     return np.array([finite_float(t) for t in value.split(",")])
 
 
-# model-store field -> parser of its value.
-# Every number is finite: only an ``absent`` coefficient reads as NaN.
+def _bits(value: str, size: int) -> np.ndarray:
+    tokens = value.split(",")
+    if len(tokens) != size or not set(tokens) <= {"0", "1"}:
+        raise ValueError(f"{value!r} is not {size} comma-separated 0/1 values")
+    return np.array(tokens) == "1"
+
+
+def _count(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"count {n} is negative")
+    return n
+
+
+# model-store field -> parser of its value; each value is of the shape and
+# range its writer gives it. Every number is finite: only an ``absent``
+# coefficient reads as NaN.
 _STORE_FIELDS = {
-    "n": int, "pooled": lambda v: bool(int(v)),
+    "n": _count, "pooled": lambda v: bool(_bits(v, 1)[0]),
     "loglik": finite_float, "mu_s": finite_float, "sigma_s": finite_float,
     "excluded_zero_fraction": finite_float,
-    "active_mask": lambda v: np.array([c == "1" for c in v.split(",")]),
+    "active_mask": lambda v: _bits(v, COEF_COUNT),
     "beta": _coefs, "gamma": _coefs, "fim": _floats, "samples": _floats,
 }
 # section kind -> the fields its writer gives it, each once, except that a

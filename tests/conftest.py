@@ -8,6 +8,7 @@ from buslink.geometry import build_route_model, project_many
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
+from buslink.store import read_observations, write_observations
 
 # Five-link truth used by the end-to-end and acceptance tests. Chosen so that
 # every covariate combination stays inside the kinematically realizable road
@@ -73,6 +74,12 @@ def corpus(tmp_path_factory):
     rm = build_route_model(net, xs, (TRUTH["route_id"], TRUTH["direction_id"]))
     return {"spec": spec, "paths": paths, "net": net, "xs": xs,
             "weather": weather, "series": series, "rm": rm}
+
+
+def observation_table(path, rows):
+    """The ``ObservationTable`` of ``rows``, written to ``path`` and read back."""
+    write_observations(path, rows)
+    return read_observations(path)
 
 
 @pytest.fixture(scope="session")

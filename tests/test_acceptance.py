@@ -20,7 +20,7 @@ from buslink.markov import (LinkPlan, MarkovConfig, PredictionSession, build_pla
 from buslink.pipeline import RunConfig, fit_all
 from buslink.stats import breusch_pagan, ks_lognormal, runs_test
 
-from conftest import CUT_DATE, TZ
+from conftest import CUT_DATE, TZ, observation_table
 
 TRUE_BETA = np.array([3.0, 0.1, 0.2, -0.1, 0.5])
 TRUE_GAMMA = np.array([-2.0, 0.0, 0.3, 0.0, 0.8])
@@ -138,12 +138,13 @@ def test_criterion_05_decomposition_identity(corpus_observations):
 
 
 @pytest.fixture(scope="module")
-def fitted(corpus, corpus_observations):
+def fitted(corpus, corpus_observations, tmp_path_factory):
     observations, _ = corpus_observations
     train = [o for o in observations
              if local_date_hour(o.depart_prev, TZ)[0] < CUT_DATE]
+    table = observation_table(tmp_path_factory.mktemp("train") / "observations.csv", train)
     cfg = RunConfig(tz_offset=TZ, cut_date=CUT_DATE)
-    store, fitted_keys, failed = fit_all(train, cfg, {corpus["rm"].route_key: corpus["rm"]})
+    store, fitted_keys, failed = fit_all(table, cfg, {corpus["rm"].route_key: corpus["rm"]})
     assert len(fitted_keys) == 5 and not failed
     return store
 
@@ -235,9 +236,10 @@ def test_criterion_07_interval_coverage(corpus, fitted):
               f"evaluation points (rate {rate:.3f} >= 0.90, M=1000), {elapsed:.1f}s")
 
 
-def test_criterion_08_bound_width_ordering(corpus_observations):
+def test_criterion_08_bound_width_ordering(corpus_observations, tmp_path):
     observations, _ = corpus_observations
-    rows = evaluate_split(observations, CUT_DATE, TZ)
+    table = observation_table(tmp_path / "observations.csv", observations)
+    rows = evaluate_split(table, CUT_DATE, TZ)
     assert len(rows) == 5
     wins = sum(1 for r in rows if r.bw_ln < r.bw_hm and r.bw_ln < r.bw_lr)
     assert wins >= 4

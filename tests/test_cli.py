@@ -393,6 +393,32 @@ def test_model_store_line_its_writer_never_writes_exit_2(workdir, tmp_path, caps
     assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:", *words)
 
 
+def _replace_first(prefix, new_line):
+    """Edit replacing the first line that starts with ``prefix`` by
+    ``new_line``; returns the new lines and the replaced line's number."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:i] + [new_line] + lines[i + 1:], i + 1
+    return edit
+
+
+@pytest.mark.parametrize("edit,words", [
+    (_replace_first("beta = ", "beta = 4.1,0.1,0.2"), ["3 coefficients, not 5"]),
+    (_replace_first("gamma = ", "gamma = -4.4,0.1,0.2,0.3,0.4,0.5"), ["6 coefficients, not 5"]),
+    (_replace_first("active_mask = ", "active_mask = 1,1,1"), ["'1,1,1'", "5", "0/1"]),
+    (_replace_first("active_mask = ", "active_mask = 1,2,1,1,1"), ["'1,2,1,1,1'", "0/1"]),
+    (_replace_first("pooled = ", "pooled = 7"), ["'7'", "0/1"]),
+    (_replace_first("n = ", "n = -5"), ["count -5 is negative"]),
+], ids=["beta_3_values", "gamma_6_values", "mask_3_flags", "mask_flag_2", "pooled_7",
+        "negative_n"])
+def test_model_store_value_of_wrong_shape_or_range_exit_2(workdir, tmp_path, capsys, edit,
+                                                          words):
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    lines, lineno = edit(lines)
+    rc = _predict_with_store(workdir, tmp_path, lines)
+    assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:", *words)
+
+
 @pytest.mark.parametrize("level", ["0", "1", "-0.5", "1.5", "nan"])
 def test_predict_level_outside_unit_interval_exit_2(workdir, capsys, level):
     rc = main(["predict", "--config", str(workdir["cfg"]), "--route", "R1", "--link", "1",

@@ -11,6 +11,8 @@ from buslink.hetlognorm import PredictionWithBounds
 from buslink.inference import CovariateVector, LinkObservation
 from buslink.stats import percentile_band
 
+from conftest import observation_table
+
 
 class TestHistoricalMean:
     def test_four_point_quantiles(self):
@@ -137,43 +139,47 @@ class TestSplit:
                              (0, i % 2, 1, 0)))
         return rows
 
-    def test_no_test_observation_predates_cut(self):
-        rows = self._mk()
-        train, test = split_by_date(rows, "2023-10-09", tz_offset=-5.0)
+    def test_no_test_observation_predates_cut(self, tmp_path):
+        table = observation_table(tmp_path / "obs.csv", self._mk())
+        train = split_by_date(table, "2023-10-09", tz_offset=-5.0)
         from buslink.ingest import local_date_hour
-        assert all(local_date_hour(o.depart_prev, -5.0)[0] >= "2023-10-09" for o in test)
-        assert len(train) + len(test) == len(rows)
-        assert train and test
+        test_times = table.depart_prev[~train].tolist()
+        assert all(local_date_hour(t, -5.0)[0] >= "2023-10-09" for t in test_times)
+        assert train.shape == table.depart_prev.shape
+        assert train.any() and test_times
 
     @pytest.mark.parametrize("tz_offset", [-5.0, 5.5])
-    def test_split_at_the_cut_instant(self, tz_offset):
+    def test_split_at_the_cut_instant(self, tz_offset, tmp_path):
         # local midnight starting 2023-10-09, then rows around it: a row
         # less than half a microsecond early reads as the cut date too
         cut = 1696809600 - tz_offset * 3600
         deltas = (-1e-6, -2.5e-7, 0.0, 1e-6)
         rows = [_obs(("R", 0), 1, cut + d, 30.0, (0, 0, 1, 0)) for d in deltas]
-        train, test = split_by_date(rows, "2023-10-09", tz_offset)
-        assert train == rows[:1] and test == rows[1:]
+        table = observation_table(tmp_path / "obs.csv", rows)
+        train = split_by_date(table, "2023-10-09", tz_offset)
+        assert train.tolist() == [True, False, False, False]
         from buslink.ingest import local_date_hour
         assert [local_date_hour(o.depart_prev, tz_offset)[0] for o in rows] == \
             ["2023-10-08"] + ["2023-10-09"] * 3
 
     @pytest.mark.parametrize("cut_date", ["2023-10-9", "20231009", "2023-10-09x", ""])
-    def test_bad_cut_date_rejected(self, cut_date):
+    def test_bad_cut_date_rejected(self, cut_date, tmp_path):
+        table = observation_table(tmp_path / "obs.csv", self._mk())
         with pytest.raises(ConfigError) as e:
-            split_by_date(self._mk(), cut_date, tz_offset=-5.0)
+            split_by_date(table, cut_date, tz_offset=-5.0)
         assert e.value.kind == "bad_config"
 
-    def test_empty_split_raises(self):
-        rows = self._mk(n_test=0)
+    def test_empty_split_raises(self, tmp_path):
+        table = observation_table(tmp_path / "obs.csv", self._mk(n_test=0))
         with pytest.raises(MetricError) as e:
-            evaluate_split(rows, "2024-01-01", tz_offset=-5.0)
+            evaluate_split(table, "2024-01-01", tz_offset=-5.0)
         assert e.value.kind == "empty_split"
 
-    def test_modal_covariates(self):
+    def test_modal_covariates(self, tmp_path):
         rows = [_obs(("R", 0), 1, 0.0, 10.0, c)
                 for c in [(0, 1, 1, 0)] * 3 + [(1, 0, 0, 1)] * 2]
-        assert modal_covariates(rows) == (0, 1, 1, 0)
+        table = observation_table(tmp_path / "obs.csv", rows)
+        assert modal_covariates(table.covariates).tolist() == [0, 1, 1, 0]
 
 
 def test_lr_on_log_homoscedastic_data_recovers_coefficients():

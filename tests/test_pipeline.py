@@ -9,6 +9,7 @@ from buslink.geometry import build_route_model
 from buslink.inference import CovariateVector, LinkObservation
 from buslink.pipeline import RunConfig, fit_all
 
+from conftest import observation_table
 from test_geometry import network_with
 
 RK = ("R", 0)
@@ -40,7 +41,8 @@ def obs(link, i, dwell, xs):
     return LinkObservation(
         route_key=RK, link_index=link, depart_prev=1692354000.0 + 600.0 * i,
         total_time=100.0, dwell_time=dwell, intersection_times=tuple(xs),
-        road_time=60.0 + i, covariates=CovariateVector(0, i % 2, 1, 0))
+        road_time=60.0 + i, covariates=CovariateVector(0, i % 2, 1, 0),
+        flags=tuple(f"interp_x={xid}" for xid, _, interpolated in xs if interpolated))
 
 
 def corpus():
@@ -55,9 +57,10 @@ def corpus():
     return rows
 
 
-def test_dwell_falls_back_to_route_pool(route_models, calls):
+def test_dwell_falls_back_to_route_pool(route_models, calls, tmp_path):
     rows = corpus()
-    store, _fitted, failed = fit_all(rows, RunConfig(), route_models)
+    table = observation_table(tmp_path / "obs.csv", rows)
+    store, _fitted, failed = fit_all(table, RunConfig(), route_models)
     pool = [o.dwell_time for o in rows]  # link order, then row order
     d1 = store.dwell[(RK, "S1")]
     assert d1.pooled
@@ -69,9 +72,10 @@ def test_dwell_falls_back_to_route_pool(route_models, calls):
     assert not [f for f in failed if f[1].startswith("dwell")]
 
 
-def test_intersection_falls_back_to_route_pool_in_row_order(route_models, calls):
+def test_intersection_falls_back_to_route_pool_in_row_order(route_models, calls, tmp_path):
     rows = corpus()
-    store, _fitted, failed = fit_all(rows, RunConfig(), route_models)
+    table = observation_table(tmp_path / "obs.csv", rows)
+    store, _fitted, failed = fit_all(table, RunConfig(), route_models)
     # row order across both intersections of link 1, then link 2
     pool = [10.0, 30.0, 31.0, 32.0, 13.0, 33.0] + [40.0 + i for i in range(12)]
     assert [c for c in calls if c[0] == "X1"] == [("X1", [10.0, 13.0], False),
@@ -87,9 +91,10 @@ def test_intersection_falls_back_to_route_pool_in_row_order(route_models, calls)
     assert not [f for f in failed if f[1].startswith("intersection")]
 
 
-def test_pool_too_small_is_recorded_as_failure(route_models):
+def test_pool_too_small_is_recorded_as_failure(route_models, tmp_path):
     rows = [r for r in corpus() if r.link_index == 1]  # 4 dwell, 6 intersection samples
-    store, fitted, failed = fit_all(rows, RunConfig(), route_models)
+    table = observation_table(tmp_path / "obs.csv", rows)
+    store, fitted, failed = fit_all(table, RunConfig(), route_models)
     assert fitted == [] and store.dwell == {} and store.intersections == {}
     assert failed == [
         ((RK, 1), "insufficient_data"),

@@ -88,30 +88,27 @@ def test_one_projection_per_route_equals_one_per_traversal(n_vertices, sizes, se
 
 # Shapes of several chunks: the pruned search must still find every pass.
 CHUNK, PING_BLOCK = accel.CHUNK_SEGMENTS, accel.PING_BLOCK_ELEMENTS
-step = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda d: (float(d[0]), float(d[1])))
+FRACTIONS = np.array([0.25, 0.5, 0.75, 0.875])
 
 
-@st.composite
-def long_shapes(draw, chunk):
-    """Shapes of 2 to 12 chunks of ``chunk`` segments: random walks, open,
-    closed into a loop, or out and back (the return pass lies in other
-    chunks than the outward one), with vertices repeated on chunk
-    boundaries; or a hairpin, two straight passes 2h apart joined by a
-    turn, each longer than a chunk."""
-    kind = draw(st.sampled_from(("open", "loop", "out_and_back", "hairpin")))
+def long_shape(rng, chunk, kind, size):
+    """A shape of 2 to 12 chunks of ``chunk`` segments: a random walk of
+    ``size`` steps, open, closed into a loop, or out and back (the return
+    pass lies in other chunks than the outward one), with vertices repeated
+    on chunk boundaries; or a hairpin, two straight passes 2h apart joined
+    by a turn, each ``size`` long, so longer than a chunk."""
     if kind == "hairpin":
-        length, h = draw(st.integers(chunk + 1, 6 * chunk)), draw(st.integers(1, chunk // 2))
-        return ([(float(i), 0.0) for i in range(length + 1)]
-                + [(float(i), 2.0 * h) for i in range(length, -1, -1)])
-    steps = draw(st.lists(step, min_size=chunk + 1, max_size=6 * chunk))
-    pts = [(0.0, 0.0)]
-    for sx, sy in steps:
-        pts.append((pts[-1][0] + sx, pts[-1][1] + sy))
+        h = int(rng.integers(1, chunk // 2 + 1))
+        return ([(float(i), 0.0) for i in range(size + 1)]
+                + [(float(i), 2.0 * h) for i in range(size, -1, -1)])
+    walk = np.cumsum(rng.integers(-3, 4, size=(size, 2)), axis=0).astype(float)
+    pts = [(0.0, 0.0)] + [tuple(p) for p in walk.tolist()]
     if kind == "loop":
         pts = pts + [pts[0]]
     elif kind == "out_and_back":
         pts = pts + pts[-2::-1]
-    for k in draw(st.lists(st.integers(1, (len(pts) - 1) // chunk), max_size=3, unique=True)):
+    boundaries = np.arange(1, (len(pts) - 1) // chunk + 1)
+    for k in rng.permutation(boundaries)[:rng.integers(0, 4)].tolist():
         pts.insert(k * chunk, pts[k * chunk])
     return pts
 
@@ -120,38 +117,57 @@ def _between(a, b, t):
     return a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
 
 
+def long_queries(rng, chunk, pts, n):
+    """``n`` pings of nine kinds, drawn alike: points anywhere, on and near
+    vertices and on chunk boundaries; points midway between two vertices,
+    or between vertex i and vertex -1 - i within two chunks of the middle,
+    which on a hairpin lie between the passes near the turn, where the
+    turn's chunk is the nearest box but the outward pass is as near; and
+    points along segments and, in two kinds of the nine, along the last
+    segment of a chunk, which a box without the chunk's last vertex would
+    miss."""
+    segments, middle, boundaries = len(pts) - 1, len(pts) // 2, pts[::chunk]
+    queries = []
+    for kind in rng.integers(9, size=n).tolist():
+        a, b = pts[rng.integers(len(pts))], pts[rng.integers(len(pts))]
+        t = float(rng.choice(FRACTIONS))
+        if kind == 0:
+            q = tuple(rng.uniform(-100.0, 100.0, 2).tolist())
+        elif kind == 1:
+            q = a
+        elif kind == 2:
+            q = boundaries[rng.integers(len(boundaries))]
+        elif kind == 3:
+            q = _between(a, b, 0.5)
+        elif kind == 4:
+            i = int(rng.integers(max(0, middle - 2 * chunk), middle + 1))
+            q = _between(pts[i], pts[-1 - i], 0.5)
+        elif kind == 5:  # offsets rounded to 0-2 decimals, so often exact
+            dx, dy = np.round(rng.uniform(-3.0, 3.0, 2), rng.integers(0, 3)).tolist()
+            q = (a[0] + dx, a[1] + dy)
+        elif kind == 6:
+            j = int(rng.integers(segments))
+            q = _between(pts[j], pts[j + 1], t)
+        else:
+            c = chunk * int(rng.integers(1, segments // chunk + 1))
+            q = _between(pts[c - 1], pts[c], t)
+        queries.append(q)
+    return queries
+
+
 @st.composite
 def long_cases(draw):
-    """A chunk size, a shape of several chunks and pings. Besides points
-    anywhere, on and near vertices and chunk boundaries, the pings include:
-    points midway between vertex i and vertex -1 - i within two chunks of
-    the middle, which on a hairpin lie between the passes near the turn,
-    where the turn's chunk is the nearest box but the outward pass is as
-    near; and points along segments, chiefly the last segment of a chunk,
-    which a box without the chunk's last vertex would miss. At the default
-    chunk size there are at most 40 pings; at a small one up to twice the
-    segment count, so the first pass also runs grouped by chunk."""
+    """A chunk size, a shape of several chunks and pings. Hypothesis draws
+    the seed and the sizes; one numpy generator of that seed draws the walk
+    and the pings. At the default chunk size there are at most 40 pings; at
+    a small one up to twice the segment count, so the first pass also runs
+    grouped by chunk."""
     chunk = draw(st.sampled_from((4, 8, CHUNK)))
-    pts = draw(long_shapes(chunk))
-    segments = len(pts) - 1
-    vertex = st.sampled_from(pts)
-    boundary = st.sampled_from(pts[::chunk])
-    midway = st.tuples(vertex, vertex).map(lambda ab: _between(*ab, 0.5))
-    middle = len(pts) // 2
-    mirror = st.integers(max(0, middle - 2 * chunk), middle).map(
-        lambda i: _between(pts[i], pts[-1 - i], 0.5))
-    near = st.tuples(vertex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
-        lambda v: (v[0][0] + v[1], v[0][1] + v[2]))
-    fraction = st.sampled_from((0.25, 0.5, 0.75, 0.875))
-    along = st.tuples(st.integers(0, segments - 1), fraction).map(
-        lambda jt: _between(pts[jt[0]], pts[jt[0] + 1], jt[1]))
-    chunk_end = st.tuples(st.integers(1, segments // chunk), fraction).map(
-        lambda ct: _between(pts[ct[0] * chunk - 1], pts[ct[0] * chunk], ct[1]))
-    n = draw(st.integers(1, 40 if chunk == CHUNK else 2 * segments))
-    queries = draw(st.lists(
-        st.one_of(anywhere, vertex, boundary, midway, mirror, near, along, chunk_end, chunk_end),
-        min_size=n, max_size=n))
-    return chunk, pts, queries
+    kind = draw(st.sampled_from(("open", "loop", "out_and_back", "hairpin")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = long_shape(rng, chunk, kind, draw(st.integers(chunk + 1, 6 * chunk)))
+    n = draw(st.integers(1, 40 if chunk == CHUNK else 2 * (len(pts) - 1)))
+    return chunk, pts, long_queries(rng, chunk, pts, n)
 
 
 @given(case=long_cases(), chunks_per_block=st.sampled_from([1, 4, None]))

@@ -22,7 +22,7 @@ def test_observation_round_trip(tmp_path):
     obs = [sample_observation(1), sample_observation(2, interp=True)]
     path = tmp_path / "obs.csv"
     write_observations(path, obs)
-    again = read_observations(path)
+    again = list(read_observations(path))
     assert again == obs
 
 
@@ -48,6 +48,30 @@ def test_observation_non_finite_number_rejected(tmp_path, field, value):
         read_observations(path)
     assert e.value.kind == "parse"
     assert "obs.csv:2:" in str(e.value)
+
+
+def _drop_last_field(parts):
+    parts.pop()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda parts: parts.__setitem__(3, "1692354017.0x"),
+     "could not convert string to float: '1692354017.0x'"),
+    (lambda parts: parts.__setitem__(6, "nan"), "'nan' is not a finite number"),
+    (_drop_last_field, "expected 13 fields, got 12"),
+    (lambda parts: parts.__setitem__(7, "X1;X2=0.0"), "intersection time 'X1' is not id=seconds"),
+], ids=["bad_float", "nan", "field_count", "no_equals"])
+def test_observation_error_names_its_line_deep_in_the_file(tmp_path, edit, message):
+    path = tmp_path / "obs.csv"
+    write_observations(path, [sample_observation(1 + i % 5) for i in range(5000)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    parts = lines[4998].split(",")
+    edit(parts)
+    lines[4998] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        read_observations(path)
+    assert str(e.value) == f"parse: obs.csv:4999: {message}"
 
 
 def test_empty_observation_file(tmp_path):

@@ -48,7 +48,7 @@ def observations(draw):
 def test_observation_file_round_trip(tmp_path, rows):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     write_observations(first, rows)
-    again = read_observations(first)
+    again = list(read_observations(first))
     assert again == rows
     write_observations(second, again)
     assert first.read_bytes() == second.read_bytes()
