@@ -7,9 +7,7 @@ The historical-mean band takes its 2.5/97.5 quantiles from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from statistics import NormalDist
 
 import numpy as np
@@ -17,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, FitError, MetricError
 from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
                          predict_interval, predict_point)
-from .ingest import local_datetime
+from .ingest import day_number
 from .stats import active_columns, percentile_band
 
 
@@ -147,27 +145,15 @@ def modal_covariates(X) -> np.ndarray:
     return rows[np.argmax(counts)]
 
 
-def _cut_instant(cut_date: str, tz_offset: float) -> float:
-    """The earliest POSIX timestamp whose local date (``local_datetime``)
-    is ``cut_date`` (``YYYY-MM-DD``) or later."""
-    try:
-        day = datetime.fromisoformat(cut_date).replace(tzinfo=timezone.utc)
-    except ValueError:
-        day = None
-    if day is None or day.date().isoformat() != cut_date:
-        raise ConfigError("bad_config", f"cut_date {cut_date!r} is not a YYYY-MM-DD date")
-    t = (day - timedelta(hours=tz_offset)).timestamp()
-    # datetime rounds a timestamp to the microsecond, so the instants just
-    # under half a microsecond before the cut already read as its date
-    while local_datetime(math.nextafter(t, -math.inf), tz_offset) >= day:
-        t = math.nextafter(t, -math.inf)
-    return t
-
-
 def split_by_date(table, cut_date: str, tz_offset: float) -> np.ndarray:
     """Date-cut split of an ``ObservationTable`` on depart_prev: True where
-    the local date is before the cut (train), False from it on (test)."""
-    return table.depart_prev < _cut_instant(cut_date, tz_offset)
+    the local date (``ingest.local_day_hour``) is before the ``YYYY-MM-DD``
+    cut (train), False from it on (test)."""
+    try:
+        cut_day = day_number(cut_date)
+    except ValueError:
+        raise ConfigError("bad_config", f"cut_date {cut_date!r} is not a YYYY-MM-DD date") from None
+    return table.depart_prev + 3600 * tz_offset < 86400 * cut_day
 
 
 def evaluate_split(table, cut_date: str, tz_offset: float,

@@ -162,7 +162,7 @@ def fit(ys, X, min_samples: int = 30) -> HetLogNormalModel:
                              active_mask=mask, loglik=float(ll))
 
 
-def _augmented(model: HetLogNormalModel, x) -> np.ndarray:
+def _augmented(x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != COVARIATE_COUNT:
         raise ValueError(f"expected {COVARIATE_COUNT} covariates")
@@ -171,7 +171,7 @@ def _augmented(model: HetLogNormalModel, x) -> np.ndarray:
 
 def predict_point(model: HetLogNormalModel, x) -> float:
     """Median road time in seconds: exp(beta' [1, x]), masked terms = 0."""
-    a = _augmented(model, x)
+    a = _augmented(x)
     return float(np.exp(np.dot(model.beta_effective, a)))
 
 
@@ -189,8 +189,7 @@ class PredictionWithBounds:
 
 def mu_interval_stddev(model: HetLogNormalModel, x) -> float:
     """Asymptotic std dev of the fitted mean at covariates x."""
-    a = _augmented(model, x)[model.active_mask]
-    k = int(np.sum(model.active_mask))
+    a = _augmented(x)[model.active_mask]
     idx = np.flatnonzero(model.active_mask)
     f_bb = model.fim[np.ix_(idx, idx)]
     try:
@@ -205,7 +204,7 @@ def mu_interval_stddev(model: HetLogNormalModel, x) -> float:
 
 def predict_interval(model: HetLogNormalModel, x, level: float = 0.95) -> PredictionWithBounds:
     """Point estimate with confidence bounds exp(mu_hat -+ z * sd(mu_hat))."""
-    a = _augmented(model, x)
+    a = _augmented(x)
     mu = float(np.dot(model.beta_effective, a))
     sd = mu_interval_stddev(model, x)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)

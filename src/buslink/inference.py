@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InferenceError
 from .geometry import RouteModel, project_many
-from .ingest import DEFAULT_RAIN_LABELS, Traversal, WeatherTable, local_datetime
+from .ingest import DEFAULT_RAIN_LABELS, Traversal, WeatherTable, local_day_hour
 
 DEFAULT_SPEED_THRESHOLD_MS = 5.0
 DEFAULT_PEAK_HOURS = frozenset({7, 8, 16, 17})
@@ -32,13 +32,11 @@ MAX_INTERP_FRACTION = 0.5  # of the crossed features; above it a traversal is to
 class ProjectedPing:
     timestamp: float
     arc_pos: float
-    offset: float
 
 
 def project_traversal(trav: Traversal, rm: RouteModel) -> list:
-    arcs, offs = project_many(rm.polyline, trav.lats, trav.lons)
-    return list(map(ProjectedPing, trav.timestamps.astype(float).tolist(), arcs.tolist(),
-                    offs.tolist()))
+    arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
+    return list(map(ProjectedPing, trav.timestamps.astype(float).tolist(), arcs.tolist()))
 
 
 def repair_mask(arcs, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> np.ndarray:
@@ -129,11 +127,11 @@ def build_covariates(t: float, weather: WeatherTable, traffic: int,
     """Covariates at a timestamp: rain from the weather table, peak from the
     local hour, weekday Mon-Fri, traffic passed through."""
     labels = DEFAULT_RAIN_LABELS if rain_labels is None else rain_labels
-    local = local_datetime(t, tz_offset)
-    rain = 1 if weather.condition(local.strftime("%Y-%m-%d"), local.hour) in labels else 0
+    day, hour = local_day_hour(t, tz_offset)
+    rain = 1 if weather.condition(day, hour) in labels else 0
     return CovariateVector(rain=rain,
-                           peak=1 if local.hour in peak_hours else 0,
-                           weekday=1 if local.weekday() < 5 else 0,
+                           peak=1 if hour in peak_hours else 0,
+                           weekday=1 if (day + 3) % 7 < 5 else 0,
                            traffic=int(traffic))
 
 

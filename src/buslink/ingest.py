@@ -4,8 +4,8 @@ All loaders are pure functions of their input files and return
 structures that are not changed after loading. Pings are columnar: each
 traversal segment holds int64 timestamp and float lat/lon arrays, and
 its ``Ping`` rows are built only when something reads them. Timestamps
-are POSIX seconds UTC throughout; calendar logic (hour of day, weekday,
-service date) applies a single signed ``tz_offset`` in hours. Every
+are POSIX seconds UTC throughout; all calendar logic (hour, weekday, date)
+is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
 line-oriented text input of the package is read by ``data_lines``.
 """
 
@@ -15,7 +15,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date
 from functools import cached_property
 from itertools import count, islice, repeat
 from operator import itemgetter, methodcaller
@@ -29,16 +29,36 @@ from .errors import IngestError
 DEFAULT_TZ_OFFSET = -5  # US Eastern standard time; the feeds carry no zone info
 DEFAULT_MAX_GAP_S = 120.0
 DEFAULT_RAIN_LABELS = frozenset({"Rain", "Thunderstorm", "Drizzle"})
+EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day number 0
 
 
-def local_datetime(t: float, tz_offset: float) -> datetime:
-    """Local wall-clock datetime for a POSIX timestamp under a fixed offset."""
-    return datetime.fromtimestamp(t, tz=timezone.utc) + timedelta(hours=tz_offset)
+def local_day_hour(t: float, tz_offset: float) -> tuple:
+    """``(day, hour)`` of POSIX time ``t`` on the local clock at a fixed
+    offset of ``tz_offset`` hours, both floored; ``day`` counts days since
+    1970-01-01, and ``(day + 3) % 7`` is its weekday (0 = Monday). Exact
+    from 2004 to 2038, where ``t`` and ``t + 3600 * tz_offset`` share a binade."""
+    day, second = divmod(t + 3600 * tz_offset, 86400)
+    return int(day), int(second // 3600)
+
+
+def day_number(text: str) -> int:
+    """Day number of a ``YYYY-MM-DD`` date; ValueError for other text,
+    such as the ``20231009`` that Python 3.11's ``fromisoformat`` takes."""
+    parsed = date.fromisoformat(text)
+    if parsed.isoformat() != text:
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return parsed.toordinal() - EPOCH_ORDINAL
+
+
+def date_text(day: int) -> str:
+    """The ``YYYY-MM-DD`` date of a day number in years 1-9999."""
+    return date.fromordinal(day + EPOCH_ORDINAL).isoformat()
 
 
 def local_date_hour(t: float, tz_offset: float):
-    dt = local_datetime(t, tz_offset)
-    return dt.strftime("%Y-%m-%d"), dt.hour
+    """``local_day_hour`` with the day as ``YYYY-MM-DD`` text."""
+    day, hour = local_day_hour(t, tz_offset)
+    return date_text(day), hour
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +367,18 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
 
 @dataclass(frozen=True)
 class WeatherTable:
-    entries: dict  # (date "YYYY-MM-DD", hour 0-23) -> condition label
+    entries: dict  # (day number, hour 0-23) -> condition label
 
-    def condition(self, date: str, hour: int) -> str:
-        key = (date, hour)
-        if key not in self.entries:
-            raise IngestError("missing_weather", f"no weather entry for {date} hour {hour}")
-        return self.entries[key]
+    def condition(self, day: int, hour: int) -> str:
+        if (day, hour) not in self.entries:
+            dated = 0 < day + EPOCH_ORDINAL <= date.max.toordinal()
+            when = date_text(day) if dated else f"day number {day}"
+            raise IngestError("missing_weather", f"no weather entry for {when} hour {hour}")
+        return self.entries[(day, hour)]
 
 
 def _weather_row(f) -> tuple:
-    day, hour = f[0], int(f[1])
-    if datetime.fromisoformat(day).date().isoformat() != day:
-        raise ValueError(f"{day!r} is not a YYYY-MM-DD date")
+    day, hour = day_number(f[0]), int(f[1])
     if not 0 <= hour <= 23:
         raise ValueError(f"hour {hour} out of range")
     return day, hour, f[2]
@@ -370,7 +389,8 @@ def load_weather(path) -> WeatherTable:
     entries = {}
     for day, hour, condition in read_rows(path, ("date", "hour", "condition"), _weather_row):
         if (day, hour) in entries:
-            raise IngestError("duplicate", f"duplicate weather entry for {day} hour {hour}")
+            raise IngestError("duplicate",
+                              f"duplicate weather entry for {date_text(day)} hour {hour}")
         entries[(day, hour)] = condition
     return WeatherTable(entries=entries)
 

@@ -124,7 +124,7 @@ def _ols_r2(y: np.ndarray, Z: np.ndarray):
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return coef, fitted, r2
+    return fitted, r2
 
 
 def active_columns(Z: np.ndarray) -> np.ndarray:
@@ -152,9 +152,9 @@ def breusch_pagan(ys, Z) -> TestResult:
         raise StatError("insufficient_data", f"need more than {10 * k} rows, have {n}")
     if np.linalg.matrix_rank(Za) < k:
         raise StatError("rank_deficient", "active design is rank deficient")
-    _, fitted, _ = _ols_r2(y, Za)
+    fitted, _ = _ols_r2(y, Za)
     e2 = (y - fitted) ** 2
-    _, _, r2 = _ols_r2(e2, Za)
+    _, r2 = _ols_r2(e2, Za)
     lm = n * r2
     df = k - 1
     if df == 0:

@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IngestError
+from .inference import build_covariates
+from .ingest import WeatherTable, date_text, day_number
 
 RUN_SPEED = 12.5  # m/s, non-crawl speed on congested links
 CRAWL_SPEED = 2.0  # m/s, must sit well below any sane speed threshold
@@ -73,19 +74,23 @@ class TruthSpec:
 
 
 def load_truth(path) -> TruthSpec:
+    """Read and validate a truth spec; bad keys or values are a ConfigError."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    links = []
-    for lk in raw.pop("links"):
-        xs = tuple(TruthIntersection(intersection_id=x["id"], offset=float(x["offset"]),
-                                     mu=float(x["mu"]), sigma=float(x["sigma"]))
-                   for x in lk.get("intersections", []))
-        links.append(TruthLink(length=float(lk["length"]),
-                               beta=tuple(float(v) for v in lk["beta"]),
-                               gamma=tuple(float(v) for v in lk["gamma"]),
-                               dwell_pool=tuple(float(v) for v in lk["dwell_pool"]),
-                               intersections=xs))
-    spec = TruthSpec(links=tuple(links), **raw)
+    try:
+        links = []
+        for lk in raw.pop("links"):
+            xs = tuple(TruthIntersection(intersection_id=x["id"], offset=float(x["offset"]),
+                                         mu=float(x["mu"]), sigma=float(x["sigma"]))
+                       for x in lk.get("intersections", []))
+            links.append(TruthLink(length=float(lk["length"]),
+                                   beta=tuple(float(v) for v in lk["beta"]),
+                                   gamma=tuple(float(v) for v in lk["gamma"]),
+                                   dwell_pool=tuple(float(v) for v in lk["dwell_pool"]),
+                                   intersections=xs))
+        spec = TruthSpec(links=tuple(links), **raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("bad_config", f"{path}: {exc!r}") from None
     validate_truth(spec)
     return spec
 
@@ -104,6 +109,10 @@ def _combo_windows(spec: TruthSpec, link: TruthLink):
 
 def validate_truth(spec: TruthSpec) -> None:
     """Reject truths whose draws could not be realized or labeled correctly."""
+    try:
+        day_number(spec.start_date)
+    except ValueError as exc:
+        raise ConfigError("bad_config", f"start_date: {exc}") from None
     if spec.ping_interval < 1:
         raise ConfigError("infeasible_truth", "ping_interval must be >= 1 second")
     zone_cross = 2.0 * spec.buffer_radius / spec.zone_speed
@@ -160,12 +169,6 @@ def _stop_arcs(spec: TruthSpec):
     return arcs
 
 
-def _posix(spec: TruthSpec, day: int, second_of_day: float) -> float:
-    base = datetime.strptime(spec.start_date, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    local = base + timedelta(days=day, seconds=second_of_day)
-    return local.timestamp() - spec.tz_offset * 3600.0
-
-
 # ---------------------------------------------------------------------------
 # corpus generation
 # ---------------------------------------------------------------------------
@@ -198,10 +201,11 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
     _write_gtfs(spec, gtfs)
     _write_intersections(spec, paths.intersections)
     rng = np.random.default_rng(spec.seed)
-    rain = _write_weather(spec, paths.weather, rng)
+    first_day = day_number(spec.start_date)
+    days = range(first_day, first_day + spec.n_days)
+    weather = _write_weather(days, paths.weather, rng, spec.rain_hour_prob)
 
     stop_arcs = _stop_arcs(spec)
-    peak_hours = {7, 8, 16, 17}
     b = spec.buffer_radius
     zone_half = b / spec.zone_speed
     zone_cross = 2.0 * zone_half
@@ -210,15 +214,12 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
     event_lines = []
     link_lines = []
     n_trav = 0
-    for day in range(spec.n_days):
-        date = (datetime.strptime(spec.start_date, "%Y-%m-%d")
-                + timedelta(days=day)).strftime("%Y-%m-%d")
-        weekday = 1 if (datetime.strptime(spec.start_date, "%Y-%m-%d")
-                        + timedelta(days=day)).weekday() < 5 else 0
+    for day in days:
+        date = date_text(day)
         for slot in range(spec.slots_per_day):
             trip_id = f"T{slot:03d}"
             vehicle = f"B{slot % 7}"
-            t0 = _posix(spec, day, spec.first_slot_s + slot * spec.headway_s)
+            t0 = 86400 * day + spec.first_slot_s + slot * spec.headway_s - spec.tz_offset * 3600.0
             bp_t = [t0]
             bp_a = [stop_arcs[0]]
             t = t0 + float(rng.choice(np.asarray(spec.links[0].dwell_pool))) - zone_cross
@@ -230,11 +231,13 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
             bp_a.append(stop_arcs[0] + b)
             for li, link in enumerate(spec.links, start=1):
                 depart_prev = t
-                hour = int(_local_seconds(spec, t) // 3600) % 24
-                x_rain = rain.get((date, hour), 0)
-                x_peak = 1 if hour in peak_hours else 0
                 x_traffic = 1 if rng.random() < spec.congestion_prob else 0
-                x = np.array([1.0, x_rain, x_peak, weekday, x_traffic])
+                try:  # the covariates infer will read off this departure
+                    cov = build_covariates(t, weather, x_traffic, spec.tz_offset)
+                except IngestError as exc:
+                    raise ConfigError("infeasible_truth",
+                                      f"trip {trip_id} of {date}, link {li}: {exc}") from None
+                x = np.array([1.0, *cov])
                 mu = float(np.asarray(link.beta) @ x)
                 sigma = math.exp(0.5 * float(np.asarray(link.gamma) @ x))
                 d_open, w0, w1 = _combo_windows(spec, link)
@@ -301,7 +304,7 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
                 xs_txt = ";".join(f"{xid}={dur!r}" for xid, dur in xs_realized)
                 link_lines.append(
                     f"{trip_id},{date},{li},{depart_prev!r},{t_road!r},{dwell_total!r},"
-                    f"{xs_txt},{x_rain},{x_peak},{weekday},{x_traffic}")
+                    f"{xs_txt},{','.join(map(str, cov))}")
             # sample pings on the grid; one trailing ping past the terminal
             end_t = bp_t[-1] + spec.ping_interval
             times = np.arange(math.ceil(t0), end_t + 1.0, spec.ping_interval)
@@ -323,12 +326,6 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
     paths.n_traversals = n_trav
     paths.n_pings = len(ping_lines)
     return paths
-
-
-def _local_seconds(spec: TruthSpec, t: float) -> float:
-    base = datetime.strptime(spec.start_date, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    local = t + spec.tz_offset * 3600.0
-    return local - base.timestamp() - math.floor((local - base.timestamp()) / 86400.0) * 86400.0
 
 
 def _crawl_allocation(spec: TruthSpec, runs, d_open: float, t_road: float,
@@ -415,16 +412,11 @@ def _write_intersections(spec: TruthSpec, path: Path) -> None:
                 fh.write(f"{x.intersection_id},{spec.origin_lat!r},{_lon_at(spec, arc)!r}\n")
 
 
-def _write_weather(spec: TruthSpec, path: Path, rng: np.random.Generator) -> dict:
-    rain = {}
-    lines = ["date,hour,condition"]
-    for day in range(spec.n_days):
-        date = (datetime.strptime(spec.start_date, "%Y-%m-%d")
-                + timedelta(days=day)).strftime("%Y-%m-%d")
-        for hour in range(24):
-            wet = 1 if rng.random() < spec.rain_hour_prob else 0
-            rain[(date, hour)] = wet
-            lines.append(f"{date},{hour},{'Rain' if wet else 'Clear'}")
+def _write_weather(days, path: Path, rng: np.random.Generator,
+                   rain_hour_prob: float) -> WeatherTable:
+    entries = {(day, hour): "Rain" if rng.random() < rain_hour_prob else "Clear"
+               for day in days for hour in range(24)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return rain
+        fh.write("date,hour,condition\n")
+        fh.writelines(f"{date_text(day)},{hour},{label}\n" for (day, hour), label in entries.items())
+    return WeatherTable(entries=entries)

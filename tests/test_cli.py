@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 from buslink.cli import main
 from buslink.inference import CovariateVector, LinkObservation
 from buslink.store import write_observations
+
+from conftest import SMALL_TRUTH, write_truth
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,41 @@ def test_missing_weather_hour_exit_2(workdir, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "hour" in err
+
+
+@pytest.mark.parametrize("shift, when", [(10**9, r"2055-\d\d-\d\d"),
+                                         (9 * 10**17, r"day number \d+")],
+                         ids=["year_2055", "past_year_9999"])
+def test_timestamp_past_the_weather_exit_2(workdir, tmp_path, capsys, shift, when):
+    # one trip's pings moved 31 years on, or far past year 9999
+    lines = workdir["paths"].pings.read_text(encoding="utf-8").splitlines()
+    shifted = []
+    for line in lines:
+        trip, vehicle, ts, rest = line.split(",", 3)
+        if trip == "T001":
+            ts = str(int(ts) + shift)
+        shifted.append(",".join((trip, vehicle, ts, rest)))
+    pings = tmp_path / "pings.csv"
+    pings.write_text("\n".join(shifted) + "\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--pings", str(pings),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert re.search(f"error: missing_weather: no weather entry for {when} hour \\d+$",
+                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: t.update(colour="red"),
+    lambda t: t["links"][1].pop("beta"),
+    lambda t: t.update(start_date="2023-13-01"),
+], ids=["unknown_key", "link_without_beta", "bad_start_date"])
+def test_bad_truth_exit_2(tmp_path, capsys, change):
+    truth = json.loads(json.dumps(SMALL_TRUTH))
+    change(truth)
+    rc = main(["synth", "--truth", str(write_truth(tmp_path / "t.json", truth)),
+               "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "error: bad_config: " in capsys.readouterr().err
 
 
 def test_delimiter_in_intersection_id_exit_2(workdir, tmp_path, capsys):

@@ -151,16 +151,16 @@ class TestSplit:
     @pytest.mark.parametrize("tz_offset", [-5.0, 5.5])
     def test_split_at_the_cut_instant(self, tz_offset, tmp_path):
         # local midnight starting 2023-10-09, then rows around it: a row
-        # less than half a microsecond early reads as the cut date too
+        # less than half a microsecond early still reads as the day before
         cut = 1696809600 - tz_offset * 3600
         deltas = (-1e-6, -2.5e-7, 0.0, 1e-6)
         rows = [_obs(("R", 0), 1, cut + d, 30.0, (0, 0, 1, 0)) for d in deltas]
         table = observation_table(tmp_path / "obs.csv", rows)
         train = split_by_date(table, "2023-10-09", tz_offset)
-        assert train.tolist() == [True, False, False, False]
+        assert train.tolist() == [True, True, False, False]
         from buslink.ingest import local_date_hour
         assert [local_date_hour(o.depart_prev, tz_offset)[0] for o in rows] == \
-            ["2023-10-08"] + ["2023-10-09"] * 3
+            ["2023-10-08"] * 2 + ["2023-10-09"] * 2
 
     @pytest.mark.parametrize("cut_date", ["2023-10-9", "20231009", "2023-10-09x", ""])
     def test_bad_cut_date_rejected(self, cut_date, tmp_path):

@@ -21,7 +21,7 @@ def single_link_rm():
 
 
 def pp(t, arc):
-    return ProjectedPing(timestamp=float(t), arc_pos=float(arc), offset=0.0)
+    return ProjectedPing(timestamp=float(t), arc_pos=float(arc))
 
 
 def events_of(pings, rm):

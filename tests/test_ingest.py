@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from buslink import ingest
 from buslink.errors import IngestError
 from buslink.inference import build_covariates
-from buslink.ingest import (Ping, _ping, load_gtfs_static, load_intersections, load_pings,
-                            load_weather, read_rows)
+from buslink.ingest import (Ping, _ping, day_number, load_gtfs_static, load_intersections,
+                            load_pings, load_weather, read_rows)
 
 GTFS_MINIMAL = {
     "stops.txt": "stop_id,stop_name,stop_lat,stop_lon\nA,Alpha,29.0,-82.0\nB,Beta,29.0,-81.99\n",
@@ -458,7 +458,7 @@ def write_weather(tmp_path, rows):
 
 def test_weather_lookup(tmp_path):
     w = load_weather(write_weather(tmp_path, ["2023-09-01,14,Rain"]))
-    assert w.condition("2023-09-01", 14) == "Rain"
+    assert w.condition(day_number("2023-09-01"), 14) == "Rain"
 
 
 def test_weather_duplicate(tmp_path):

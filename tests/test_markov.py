@@ -201,7 +201,7 @@ class TestSessionUpdateRule:
 
     def ping(self, t, arc):
         from buslink.inference import ProjectedPing
-        return ProjectedPing(timestamp=float(t), arc_pos=float(arc), offset=0.0)
+        return ProjectedPing(timestamp=float(t), arc_pos=float(arc))
 
     def test_flip_sequence(self, session):
         assert session.start(self.ping(0, 100.0)) is not None

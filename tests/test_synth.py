@@ -149,3 +149,56 @@ def test_corpus_traffic_labels_match_truth(corpus, corpus_observations):
             mismatches += 1
     assert total > 0.9 * len(observations)
     assert mismatches / total < 0.01
+
+
+# Trips start at 23:57:50 local. Road times depend only on the weekday, so
+# the slow Friday trip's second link departs after midnight, on Saturday,
+# while the fast weekend trips finish their links before midnight.
+MIDNIGHT_TRUTH = {
+    "route_id": "R1", "direction_id": 0, "start_date": "2023-09-08", "n_days": 3,
+    "slots_per_day": 1, "first_slot_s": 86400 - 130, "seed": 5,
+    "congestion_prob": 0.0, "rain_hour_prob": 0.5,
+    "links": [
+        {"length": 1040.0, "beta": [4.174, 0.0, 0.0, 0.956, 0.4],
+         "gamma": [-30.0, 0.0, 0.0, 0.0, 0.0], "dwell_pool": [8.0], "intersections": []},
+    ] * 2,
+}
+
+
+def test_truth_covariates_equal_inferred_across_midnight(tmp_path):
+    from buslink.ingest import local_date_hour
+
+    spec = load_spec(tmp_path, MIDNIGHT_TRUTH)
+    paths = synth.generate_corpus(spec, tmp_path / "c")
+    rm = build_route_model(load_gtfs_static(paths.gtfs_dir),
+                           load_intersections(paths.intersections), ("R1", 0))
+    weather = load_weather(paths.weather)
+    truth = []
+    crossed = []
+    for line in paths.truth_links.read_text().splitlines()[1:]:
+        p = line.split(",")
+        truth.append((int(p[2]), float(p[3]), tuple(map(int, p[7:10]))))
+        if local_date_hour(float(p[3]), -5.0)[0] != p[1]:
+            crossed.append((p[1], int(p[2]), p[9]))
+    assert crossed == [("2023-09-08", 2, "0")]
+
+    inferred = []
+    for trav in load_pings(paths.pings).segments:
+        arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
+        inferred += observations_from_traversal(trav, arcs, rm, weather, tz_offset=-5.0)[0]
+    assert len(inferred) == len(truth) == 6
+    for o in inferred:
+        # a measured departure trails the true one by at most one ping interval
+        match = [cov for li, dep, cov in truth
+                 if li == o.link_index and 0.0 <= o.depart_prev - dep <= spec.ping_interval]
+        assert match == [tuple(o.covariates)[:3]]
+
+
+def test_truth_link_without_weather_rejected(tmp_path):
+    # the fourth day's trip, on a slow Monday, leaves its second link on
+    # Tuesday, a day without weather
+    spec = load_spec(tmp_path, dict(MIDNIGHT_TRUTH, n_days=4))
+    with pytest.raises(ConfigError) as e:
+        synth.generate_corpus(spec, tmp_path / "c")
+    assert e.value.kind == "infeasible_truth"
+    assert "trip T000 of 2023-09-11" in str(e.value) and "2023-09-12 hour 0" in str(e.value)
