@@ -16,6 +16,7 @@ from pathlib import Path
 from . import pipeline, synth
 from .errors import (ConfigError, FitError, GeometryError, IngestError,
                      MetricError, NumericalError, SimError)
+from .evaluation import METRICS
 
 INPUT_ERRORS = (IngestError, GeometryError, ConfigError, MetricError, SimError)
 NUMERIC_ERRORS = (FitError, NumericalError)
@@ -119,16 +120,16 @@ def cmd_validate(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _config_from(args)
     x = [args.rain, args.peak, args.weekday, args.traffic]
-    point, bounds = pipeline.run_predict(cfg, args.route, args.direction,
-                                         args.link, x, level=args.level)
+    bounds = pipeline.run_predict(cfg, args.route, args.direction,
+                                  args.link, x, level=args.level)
     if args.json:
         print(json.dumps({"route_id": args.route, "direction_id": args.direction,
-                          "link_index": args.link, "covariates": x, "point_s": point,
+                          "link_index": args.link, "covariates": x, "point_s": bounds.point,
                           "lower_s": bounds.lower, "upper_s": bounds.upper,
                           "level": bounds.level}, indent=2, sort_keys=True))
     else:
         print("point_s,lower_s,upper_s,level")
-        print(f"{point!r},{bounds.lower!r},{bounds.upper!r},{bounds.level!r}")
+        print(f"{bounds.point!r},{bounds.lower!r},{bounds.upper!r},{bounds.level!r}")
     return 0
 
 
@@ -164,36 +165,26 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "evaluation.csv"
-    header = ("route_id,direction_id,link_index,n_train,n_test,"
-              "mae_ln,rmse_ln,bw_ln,mae_hm,rmse_hm,bw_hm,mae_lr,rmse_lr,bw_lr")
-    lines = [header]
+    lines = [",".join(("route_id,direction_id,link_index,n_train,n_test", *METRICS))]
     for r in rows:
         cells = [r.route_key[0], str(r.route_key[1]), str(r.link_index),
                  str(r.n_train), str(r.n_test)]
-        for v in (r.mae_ln, r.rmse_ln, r.bw_ln, r.mae_hm, r.rmse_hm, r.bw_hm,
-                  r.mae_lr, r.rmse_lr, r.bw_lr):
-            cells.append("" if v is None else repr(v))
+        cells += ["" if v is None else repr(v) for v in (getattr(r, k) for k in METRICS)]
         lines.append(",".join(cells))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.json:
         print(json.dumps([{
             "route_id": r.route_key[0], "direction_id": r.route_key[1],
             "link_index": r.link_index, "n_train": r.n_train, "n_test": r.n_test,
-            "mae_ln": r.mae_ln, "rmse_ln": r.rmse_ln, "bw_ln": r.bw_ln,
-            "mae_hm": r.mae_hm, "rmse_hm": r.rmse_hm, "bw_hm": r.bw_hm,
-            "mae_lr": r.mae_lr, "rmse_lr": r.rmse_lr, "bw_lr": r.bw_lr,
+            **{k: getattr(r, k) for k in METRICS},
             "note": r.note} for r in rows], indent=2, sort_keys=True))
     else:
         print(f"wrote {csv_path}")
-        hdr = (f"{'link':<14} {'MAE ln':>8} {'RMSE ln':>8} {'BW ln':>8} "
-               f"{'MAE hm':>8} {'RMSE hm':>8} {'BW hm':>8} "
-               f"{'MAE lr':>8} {'RMSE lr':>8} {'BW lr':>8}")
-        print(hdr)
+        heads = [f"{kind.upper()} {model}" for kind, _, model in (k.partition("_") for k in METRICS)]
+        print(" ".join([f"{'link':<14}", *(f"{h:>8}" for h in heads)]))
         for r in rows:
             label = f"{r.route_key[0]}/{r.route_key[1]}#{r.link_index}"
-            print(f"{label:<14} {_fmt(r.mae_ln):>8} {_fmt(r.rmse_ln):>8} {_fmt(r.bw_ln):>8} "
-                  f"{_fmt(r.mae_hm):>8} {_fmt(r.rmse_hm):>8} {_fmt(r.bw_hm):>8} "
-                  f"{_fmt(r.mae_lr):>8} {_fmt(r.rmse_lr):>8} {_fmt(r.bw_lr):>8}")
+            print(" ".join([f"{label:<14}", *(f"{_fmt(getattr(r, k)):>8}" for k in METRICS)]))
     return 0
 
 

@@ -23,7 +23,6 @@ DEFAULT_MIN_COMPONENT_SAMPLES = 10
 class EmpiricalDwell:
     stop_id: str
     samples: np.ndarray  # sorted, non-negative seconds
-    mean: float
     pooled: bool = False
 
 
@@ -35,7 +34,7 @@ def fit_dwell(stop_id: str, samples, min_samples: int = DEFAULT_MIN_COMPONENT_SA
                        f"stop {stop_id}: need {min_samples} dwell samples, have {s.shape[0]}")
     if np.any(s < 0.0):
         raise FitError("invalid_sample", f"stop {stop_id}: negative dwell sample")
-    return EmpiricalDwell(stop_id=stop_id, samples=s, mean=float(np.mean(s)), pooled=pooled)
+    return EmpiricalDwell(stop_id=stop_id, samples=s, pooled=pooled)
 
 
 def bootstrap_pick(samples: np.ndarray, u: float) -> float:

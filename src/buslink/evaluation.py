@@ -7,50 +7,40 @@ The historical-mean band takes its 2.5/97.5 quantiles from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ConfigError, FitError, MetricError
-from .hetlognorm import (PredictionWithBounds, design_matrix, fit as ln_fit,
-                         predict_interval, predict_point)
+from .hetlognorm import PredictionWithBounds, design_matrix, fit as ln_fit, predict_interval
 from .ingest import day_number
 from .stats import active_columns, percentile_band
 
 
-@dataclass(frozen=True)
-class HistoricalMean:
-    mean: float
-    q2_5: float
-    q97_5: float
-    n: int
+def linear_rows(Z, coef) -> np.ndarray:
+    """coef'z at each row z of a design matrix, summed term by term in
+    column order: the one rule for the test-row scores and ``lr_predict``.
+    (``Z @ coef`` can differ from it in the last bit.)"""
+    return (Z * coef).sum(axis=1)
 
 
-def hm_fit(samples, min_samples: int = 10) -> HistoricalMean:
+def hm_fit(samples, min_samples: int = 10) -> PredictionWithBounds:
+    """Historical-mean band: point = training mean, bounds = training
+    2.5/97.5 quantiles. The mean is not guaranteed to lie inside the band."""
     s = np.asarray(samples, dtype=float)
     if s.shape[0] < min_samples:
         raise FitError("insufficient_data", f"need {min_samples} samples, have {s.shape[0]}")
     q2_5, q97_5 = percentile_band(s[:, None])[:, 0].tolist()
-    return HistoricalMean(mean=float(np.mean(s)), q2_5=q2_5, q97_5=q97_5, n=int(s.shape[0]))
-
-
-def hm_predict(m: HistoricalMean) -> PredictionWithBounds:
-    """Point = training mean; bounds = training 2.5/97.5 quantiles. Note the
-    mean is not guaranteed to lie inside the quantile band."""
-    return PredictionWithBounds(point=m.mean, lower=m.q2_5, upper=m.q97_5)
+    return PredictionWithBounds(point=float(np.mean(s)), lower=q2_5, upper=q97_5)
 
 
 @dataclass(frozen=True)
 class LinearBaseline:
-    coef: np.ndarray  # (5,), NaN at masked positions
+    coef: np.ndarray  # (5,), 0.0 at masked positions
     active_mask: np.ndarray  # (5,) bool
     residual_variance: float  # unbiased, raw seconds^2
     gram_inv: np.ndarray  # (k, k) inverse of Z'Z on the active design
-    n: int
-
-    def coef_effective(self) -> np.ndarray:
-        return np.where(self.active_mask, np.nan_to_num(self.coef), 0.0)
 
 
 def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
@@ -71,22 +61,16 @@ def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
     resid = y - Z @ coef
     dof = max(n - k, 1)
     s2 = float(resid @ resid) / dof
-    coef5 = np.full(Z_full.shape[1], np.nan)
+    coef5 = np.zeros(Z_full.shape[1])
     coef5[mask] = coef
-    return LinearBaseline(coef=coef5, active_mask=mask, residual_variance=s2,
-                          gram_inv=gram_inv, n=n)
-
-
-def lr_points(m: LinearBaseline, X) -> list:
-    """Mean predictions at the rows of X, one ``np.dot`` per row, with no interval."""
-    coef = m.coef_effective()
-    return [float(np.dot(coef, a)) for a in design_matrix(X)]
+    return LinearBaseline(coef=coef5, active_mask=mask, residual_variance=s2, gram_inv=gram_inv)
 
 
 def lr_predict(m: LinearBaseline, x, level: float = 0.95) -> PredictionWithBounds:
     """Mean prediction with its sampling CI (constant-variance normal errors)."""
-    point = lr_points(m, [x])[0]
-    a = design_matrix(x)[0, m.active_mask]
+    row = design_matrix(x)
+    point = float(linear_rows(row, m.coef)[0])
+    a = row[0, m.active_mask]
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(m.residual_variance * (a @ m.gram_inv @ a))
     return PredictionWithBounds(point=point, lower=point - float(half),
@@ -139,6 +123,10 @@ class LinkEvaluation:
     note: str = ""
 
 
+# the nine scores in column order, the fields a failed fit leaves None
+METRICS = tuple(f.name for f in fields(LinkEvaluation) if f.default is None)
+
+
 def modal_covariates(X) -> np.ndarray:
     """Most frequent row of a covariate matrix; ties break lexicographically."""
     rows, counts = np.unique(X, axis=0, return_counts=True)
@@ -176,14 +164,14 @@ def evaluate_split(table, cut_date: str, tz_offset: float,
             results.append(LinkEvaluation(**base, note="empty side"))
             continue
         y_tr, X_tr = table.road[tr], table.covariates[tr]
-        y_te, X_te = table.road[te], table.covariates[te]
+        y_te, Z_te = table.road[te], design_matrix(table.covariates[te])
         modal = modal_covariates(X_tr)
         # (name, fit, points at the test rows, bounds at x), scored in this order
         models = (
             ("ln", lambda: ln_fit(np.log(y_tr), X_tr, min_samples=min_fit_samples),
-             lambda m: [predict_point(m, x) for x in X_te], predict_interval),
-            ("hm", lambda: hm_fit(y_tr), lambda m: [m.mean] * len(te), lambda m, x: hm_predict(m)),
-            ("lr", lambda: lr_fit(y_tr, X_tr), lambda m: lr_points(m, X_te), lr_predict),
+             lambda m: np.exp(linear_rows(Z_te, m.beta_effective)), predict_interval),
+            ("hm", lambda: hm_fit(y_tr), lambda b: np.full(len(te), b.point), lambda b, x: b),
+            ("lr", lambda: lr_fit(y_tr, X_tr), lambda m: linear_rows(Z_te, m.coef), lr_predict),
         )
         vals: dict = {}
         notes = []
@@ -193,7 +181,7 @@ def evaluate_split(table, cut_date: str, tz_offset: float,
             except FitError as exc:
                 notes.append(f"{name.upper()}: {exc.kind}")
                 continue
-            pred = np.array(points(m))
+            pred = points(m)
             vals[f"mae_{name}"] = mae(y_te, pred)
             vals[f"rmse_{name}"] = rmse(y_te, pred)
             vals[f"bw_{name}"] = bounds(m, modal).width

@@ -87,16 +87,6 @@ class Link:
 
 
 @dataclass(frozen=True)
-class Zone:
-    kind: str  # "stop" | "intersection" | "road"
-    feature_id: str | None = None
-    arc: float | None = None
-
-
-ROAD_ZONE = Zone(kind="road")
-
-
-@dataclass(frozen=True)
 class RouteModel:
     route_key: tuple
     polyline: Polyline
@@ -213,15 +203,6 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
                       projected_intersections=tuple(kept),
                       links=tuple(links), buffer_radius=buffer_radius,
                       merge_log=tuple(merge_log))
-
-
-def feature_zone_test(rm: RouteModel, arc_pos: float) -> Zone:
-    """Zone tag at an arc position: the unique feature within the buffer
-    radius (boundary inclusive), else open road."""
-    for kind, fid, arc in rm.features:
-        if abs(arc_pos - arc) <= rm.buffer_radius:
-            return Zone(kind=kind, feature_id=fid, arc=arc)
-    return ROAD_ZONE
 
 
 def link_index_at(rm: RouteModel, arc_pos: float) -> int | None:

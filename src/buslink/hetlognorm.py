@@ -212,21 +212,3 @@ def predict_interval(model: HetLogNormalModel, x, level: float = 0.95) -> Predic
                                 lower=float(np.exp(mu - z * sd)),
                                 upper=float(np.exp(mu + z * sd)),
                                 level=level)
-
-
-def generate_synthetic(beta, gamma, n: int, covariate_law=None, seed: int = 0):
-    """Draw (ys, X) from the model; the oracle for consistency checks.
-
-    ``covariate_law`` maps (rng, n) to an (n, 4) array; the default is four
-    independent Bernoulli(0.5) columns. Same seed, same bits.
-    """
-    rng = np.random.default_rng(seed)
-    if covariate_law is None:
-        X = (rng.random((n, COVARIATE_COUNT)) < 0.5).astype(float)
-    else:
-        X = np.asarray(covariate_law(rng, n), dtype=float)
-    Z = design_matrix(X)
-    mu = Z @ np.asarray(beta, dtype=float)
-    sd = np.exp(0.5 * (Z @ np.asarray(gamma, dtype=float)))
-    ys = mu + sd * rng.standard_normal(n)
-    return ys, X

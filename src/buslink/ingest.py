@@ -282,7 +282,6 @@ class Traversal:
 @dataclass(frozen=True)
 class PingSeries:
     segments: tuple  # (Traversal, ...) split at gaps > max_gap_s
-    max_gap_s: float
 
     @cached_property
     def records(self) -> tuple:
@@ -346,7 +345,7 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     if not blocks:
         if trip_id is None:
             raise IngestError("empty", f"{path} contains no records")
-        return PingSeries(segments=(), max_gap_s=max_gap_s)
+        return PingSeries(segments=())
     group, ts, coords = (np.concatenate(columns, axis=-1) for columns in zip(*blocks))
     keys = sorted(codes)
     group = np.argsort([codes[key] for key in keys])[group]  # code -> its key's sorted place
@@ -358,7 +357,7 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     split = (group[1:] != group[:-1]) | (np.diff(ts.view(np.uint64)) > max_gap_s)
     bounds = np.flatnonzero(np.concatenate(([True], split, [True]))).tolist()
     return PingSeries(segments=tuple(Traversal(*keys[group[a]], ts[a:b], lats[a:b], lons[a:b])
-                                     for a, b in zip(bounds, bounds[1:])), max_gap_s=max_gap_s)
+                                     for a, b in zip(bounds, bounds[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import evaluation, stats
 from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersection)
 from .errors import BuslinkError, ConfigError, FitError, InferenceError
 from .geometry import build_route_model, project_many
-from .hetlognorm import design_matrix, fit as ln_fit, predict_interval, predict_point
+from .hetlognorm import design_matrix, fit as ln_fit, predict_interval
 from .inference import (DEFAULT_PEAK_HOURS, build_covariates, observations_from_traversal,
                         project_traversal, repair_monotonic)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
@@ -334,8 +334,7 @@ def run_predict(cfg: RunConfig, route_id: str, direction_id: int, link_index: in
     key = ((route_id, direction_id), link_index)
     if key not in store.road:
         raise ConfigError("not_fitted", f"no fitted model for {key}")
-    model = store.road[key]
-    return predict_point(model, x), predict_interval(model, x, level=level)
+    return predict_interval(store.road[key], x, level=level)
 
 
 @dataclass

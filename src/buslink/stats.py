@@ -84,12 +84,10 @@ class TestResult:
     statistic: float
     p_value: float
     n: int
-    decision_at_0_05: str  # "reject" | "retain"
 
 
 def _result(name: str, stat: float, p: float, n: int) -> TestResult:
-    return TestResult(test_name=name, statistic=float(stat), p_value=float(p),
-                      n=int(n), decision_at_0_05="reject" if p < 0.05 else "retain")
+    return TestResult(test_name=name, statistic=float(stat), p_value=float(p), n=int(n))
 
 
 def ks_lognormal(samples, min_samples: int = 20) -> TestResult:

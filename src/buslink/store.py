@@ -340,8 +340,7 @@ def _model(kind: str, ident, fields: dict):
         samples = fields["samples"]
         if fields["n"] != samples.shape[0]:
             raise ValueError(f"n = {fields['n']} but {samples.shape[0]} samples")
-        return EmpiricalDwell(stop_id=ident, samples=samples, mean=float(np.mean(samples)),
-                              pooled=fields["pooled"])
+        return EmpiricalDwell(stop_id=ident, samples=samples, pooled=fields["pooled"])
     return IntersectionLogNormal(
         intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"], n=fields["n"],
         excluded_zero_fraction=fields["excluded_zero_fraction"], pooled=fields["pooled"])

@@ -19,10 +19,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, IngestError
+from .geometry import EARTH_RADIUS_M
 from .inference import build_covariates
 from .ingest import WeatherTable, date_text, day_number
 
@@ -73,23 +75,46 @@ class TruthSpec:
     seed: int = 0
 
 
+_JSON_TYPES = {int: int, float: (int, float), str: str}  # field type -> accepted JSON values
+
+
+def _typed(path, name: str, value, kind: type):
+    """``value`` if its JSON type suits a ``kind`` field; true/false are no numbers."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError("bad_config", f"{path}: {name} must be a JSON {kind.__name__}, "
+                          f"not {value!r}")
+    return value
+
+
+def _truth_link(path, li: int, lk: dict) -> TruthLink:
+    """Link ``li`` of a truth file, its numbers as floats."""
+    def num(key, value):
+        return float(_typed(path, f"link {li} {key}", value, float))
+    xs = tuple(TruthIntersection(intersection_id=_typed(path, f"link {li} intersection id",
+                                                        x["id"], str),
+                                 offset=num("offset", x["offset"]),
+                                 mu=num("mu", x["mu"]), sigma=num("sigma", x["sigma"]))
+               for x in lk.get("intersections", []))
+    return TruthLink(length=num("length", lk["length"]),
+                     beta=tuple(num("beta", v) for v in lk["beta"]),
+                     gamma=tuple(num("gamma", v) for v in lk["gamma"]),
+                     dwell_pool=tuple(num("dwell_pool", v) for v in lk["dwell_pool"]),
+                     intersections=xs)
+
+
 def load_truth(path) -> TruthSpec:
-    """Read and validate a truth spec; bad keys or values are a ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read and validate a truth spec; bad JSON, keys, types or values are a
+    ConfigError."""
     try:
-        links = []
-        for lk in raw.pop("links"):
-            xs = tuple(TruthIntersection(intersection_id=x["id"], offset=float(x["offset"]),
-                                         mu=float(x["mu"]), sigma=float(x["sigma"]))
-                       for x in lk.get("intersections", []))
-            links.append(TruthLink(length=float(lk["length"]),
-                                   beta=tuple(float(v) for v in lk["beta"]),
-                                   gamma=tuple(float(v) for v in lk["gamma"]),
-                                   dwell_pool=tuple(float(v) for v in lk["dwell_pool"]),
-                                   intersections=xs))
-        spec = TruthSpec(links=tuple(links), **raw)
-    except (KeyError, TypeError, ValueError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)  # a JSONDecodeError is a ValueError
+        kinds = get_type_hints(TruthSpec)
+        for key, value in raw.items():
+            if kinds.get(key) in _JSON_TYPES:
+                _typed(path, key, value, kinds[key])
+        links = tuple(_truth_link(path, li, lk) for li, lk in enumerate(raw.pop("links"), start=1))
+        spec = TruthSpec(links=links, **raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad_config", f"{path}: {exc!r}") from None
     validate_truth(spec)
     return spec
@@ -153,9 +178,6 @@ def validate_truth(spec: TruthSpec) -> None:
 # ---------------------------------------------------------------------------
 # geometry helpers (straight east-west route)
 # ---------------------------------------------------------------------------
-
-EARTH_RADIUS_M = 6371000.0
-
 
 def _lon_at(spec: TruthSpec, arc: float) -> float:
     rad = arc / (EARTH_RADIUS_M * math.cos(math.radians(spec.origin_lat)))

@@ -1,10 +1,13 @@
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from buslink import synth
-from buslink.geometry import build_route_model, project_many
+from buslink.geometry import RouteModel, build_route_model, project_many
+from buslink.hetlognorm import COVARIATE_COUNT, design_matrix
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
@@ -102,3 +105,42 @@ def small_corpus(tmp_path_factory):
     spec = synth.load_truth(truth_path)
     paths = synth.generate_corpus(spec, root)
     return {"spec": spec, "paths": paths, "truth_path": truth_path}
+
+
+def generate_synthetic(beta, gamma, n: int, covariate_law=None, seed: int = 0):
+    """Draw (ys, X) from the heteroscedastic log-normal model; the oracle
+    for consistency checks.
+
+    ``covariate_law`` maps (rng, n) to an (n, 4) array; the default is four
+    independent Bernoulli(0.5) columns. Same seed, same bits.
+    """
+    rng = np.random.default_rng(seed)
+    if covariate_law is None:
+        X = (rng.random((n, COVARIATE_COUNT)) < 0.5).astype(float)
+    else:
+        X = np.asarray(covariate_law(rng, n), dtype=float)
+    Z = design_matrix(X)
+    mu = Z @ np.asarray(beta, dtype=float)
+    sd = np.exp(0.5 * (Z @ np.asarray(gamma, dtype=float)))
+    ys = mu + sd * rng.standard_normal(n)
+    return ys, X
+
+
+@dataclass(frozen=True)
+class Zone:
+    kind: str  # "stop" | "intersection" | "road"
+    feature_id: str | None = None
+    arc: float | None = None
+
+
+ROAD_ZONE = Zone(kind="road")
+
+
+def feature_zone_test(rm: RouteModel, arc_pos: float) -> Zone:
+    """Zone tag at an arc position: the unique feature within the buffer
+    radius (boundary inclusive), else open road. The brute-force reference
+    for ``inference.open_road_link_of``."""
+    for kind, fid, arc in rm.features:
+        if abs(arc_pos - arc) <= rm.buffer_radius:
+            return Zone(kind=kind, feature_id=fid, arc=arc)
+    return ROAD_ZONE

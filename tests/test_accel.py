@@ -32,7 +32,7 @@ def markov_case(seed=1, m=400):
     xs = ([(2.0, 0.3)], [(2.5, 0.4), (1.5, 0.2)], [], [])
     plans = [LinkPlan(link_index=i + 1, end_stop_id=f"S{i + 1}", remaining_dist=100.0,
                       speed=10.0, steps=1.0 / (1.0 - p), p_stay=p,
-                      dwell=EmpiricalDwell(f"S{i + 1}", np.array(pool), float(np.mean(pool))),
+                      dwell=EmpiricalDwell(f"S{i + 1}", np.array(pool)),
                       intersections=tuple(IntersectionLogNormal(f"X{i + 1}{k}", mu, sigma, 10)
                                           for k, (mu, sigma) in enumerate(x)))
              for i, (p, pool, x) in enumerate(zip(p_stay, pools, xs))]

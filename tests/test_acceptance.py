@@ -10,8 +10,7 @@ import pytest
 from buslink.cli import main
 from buslink.components import fit_dwell
 from buslink.evaluation import evaluate_split, mae, rmse
-from buslink.hetlognorm import (design_matrix, fisher_information, fit,
-                                generate_synthetic, log_likelihood,
+from buslink.hetlognorm import (design_matrix, fisher_information, fit, log_likelihood,
                                 mu_interval_stddev, score)
 from buslink.inference import build_covariates, project_traversal, repair_monotonic
 from buslink.ingest import local_date_hour
@@ -20,7 +19,7 @@ from buslink.markov import (LinkPlan, MarkovConfig, PredictionSession, build_pla
 from buslink.pipeline import RunConfig, fit_all
 from buslink.stats import breusch_pagan, ks_lognormal, runs_test
 
-from conftest import CUT_DATE, TZ, observation_table
+from conftest import CUT_DATE, TZ, generate_synthetic, observation_table
 
 TRUE_BETA = np.array([3.0, 0.1, 0.2, -0.1, 0.5])
 TRUE_GAMMA = np.array([-2.0, 0.0, 0.3, 0.0, 0.8])

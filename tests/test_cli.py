@@ -220,18 +220,29 @@ def test_timestamp_past_the_weather_exit_2(workdir, tmp_path, capsys, shift, whe
                      capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("change", [
-    lambda t: t.update(colour="red"),
-    lambda t: t["links"][1].pop("beta"),
-    lambda t: t.update(start_date="2023-13-01"),
-], ids=["unknown_key", "link_without_beta", "bad_start_date"])
-def test_bad_truth_exit_2(tmp_path, capsys, change):
-    truth = json.loads(json.dumps(SMALL_TRUTH))
-    change(truth)
-    rc = main(["synth", "--truth", str(write_truth(tmp_path / "t.json", truth)),
-               "--out", str(tmp_path / "c")])
+@pytest.mark.parametrize("change, named", [
+    (lambda t: t.update(colour="red"), "colour"),
+    (lambda t: t["links"][1].pop("beta"), "beta"),
+    (lambda t: t.update(start_date="2023-13-01"), "start_date"),
+    (lambda t: t.update(n_days="3"), "n_days"),
+    (lambda t: t.update(seed=1.5), "seed"),
+    (lambda t: t["links"][0]["beta"].__setitem__(1, True), "link 1 beta"),
+    (None, "t.json"),
+], ids=["unknown_key", "link_without_beta", "bad_start_date", "str_for_int", "float_for_int",
+        "bool_for_float", "truncated_file"])
+def test_bad_truth_exit_2(tmp_path, capsys, change, named):
+    path = write_truth(tmp_path / "t.json", SMALL_TRUTH)
+    if change is None:
+        path.write_text(path.read_text(encoding="utf-8")[:200], encoding="utf-8")
+    else:
+        truth = json.loads(json.dumps(SMALL_TRUTH))
+        change(truth)
+        write_truth(path, truth)
+    rc = main(["synth", "--truth", str(path), "--out", str(tmp_path / "c")])
     assert rc == 2
-    assert "error: bad_config: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: bad_config: " in err
+    assert named in err
 
 
 def test_delimiter_in_intersection_id_exit_2(workdir, tmp_path, capsys):

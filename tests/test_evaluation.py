@@ -1,38 +1,38 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from buslink import evaluation
 from buslink.errors import ConfigError, FitError, MetricError
-from buslink.evaluation import (evaluate_split, hm_fit, hm_predict,
-                                lr_fit, lr_points, lr_predict, mae, modal_covariates,
-                                rmse, split_by_date)
-from buslink.hetlognorm import PredictionWithBounds
+from buslink.evaluation import (evaluate_split, hm_fit, lr_fit, lr_predict, mae,
+                                modal_covariates, rmse, split_by_date)
+from buslink.hetlognorm import PredictionWithBounds, fit as ln_fit
 from buslink.inference import CovariateVector, LinkObservation
 from buslink.stats import percentile_band
 
-from conftest import observation_table
+from conftest import generate_synthetic, observation_table
 
 
 class TestHistoricalMean:
     def test_four_point_quantiles(self):
-        m = hm_fit([10, 20, 30, 40], min_samples=4)
-        assert m.mean == 25.0
-        assert m.q2_5 == pytest.approx(10.75, abs=1e-12)
-        assert m.q97_5 == pytest.approx(39.25, abs=1e-12)
+        b = hm_fit([10, 20, 30, 40], min_samples=4)
+        assert b.point == 25.0
+        assert b.lower == pytest.approx(10.75, abs=1e-12)
+        assert b.upper == pytest.approx(39.25, abs=1e-12)
 
     def test_constant_sample(self):
-        m = hm_fit([7, 7, 7, 7], min_samples=4)
-        b = hm_predict(m)
+        b = hm_fit([7, 7, 7, 7], min_samples=4)
         assert (b.point, b.lower, b.upper) == (7.0, 7.0, 7.0)
 
     def test_outlier_shifts_mean_not_low_quantile(self):
         # per the project-wide (n-1)q rule: q97.5 at position 2.925 of
         # [10,10,10,100] interpolates to 10 + 0.925*90 = 93.25
-        m = hm_fit([10, 10, 10, 100], min_samples=4)
-        assert m.mean == 32.5
-        assert m.q97_5 == pytest.approx(93.25, abs=1e-12)
-        assert m.q2_5 == pytest.approx(10.0, abs=1e-12)
+        b = hm_fit([10, 10, 10, 100], min_samples=4)
+        assert b.point == 32.5
+        assert b.upper == pytest.approx(93.25, abs=1e-12)
+        assert b.lower == pytest.approx(10.0, abs=1e-12)
 
     def test_insufficient(self):
         with pytest.raises(FitError):
@@ -42,8 +42,8 @@ class TestHistoricalMean:
         base = np.array([20.0, 25.0, 30.0, 35.0, 40.0] * 10)
         narrow = hm_fit(base)
         wide = hm_fit(30.0 + 2.0 * (base - 30.0))
-        assert hm_predict(wide).width >= hm_predict(narrow).width
-        assert wide.mean == pytest.approx(narrow.mean)
+        assert wide.width >= narrow.width
+        assert wide.point == pytest.approx(narrow.point)
 
 
 class TestLinearBaseline:
@@ -65,19 +65,6 @@ class TestLinearBaseline:
         assert m.residual_variance == pytest.approx(100.0)
         half = 1.959963984540054 * math.sqrt(100.0 / 3.0)
         assert b.upper - b.point == pytest.approx(half, rel=1e-9)
-
-    def test_points_match_per_row_dot_bit_for_bit(self):
-        rng = np.random.default_rng(8)
-        X = rng.integers(0, 2, size=(400, 4)).astype(float)
-        X[:, 2] = 0.0  # a constant column: its coefficient is masked
-        y = rng.lognormal(4.0, 0.3, size=400) + 7.0 * X[:, 0]
-        m = lr_fit(y, X)
-        points = lr_points(m, X)
-        assert all(type(p) is float for p in points)
-        # per row, one np.dot of the effective coefficients with [1, x]
-        expected = [float(np.dot(m.coef_effective(), np.concatenate([[1.0], x]))) for x in X]
-        assert np.array(points).tobytes() == np.array(expected).tobytes()
-        assert [lr_predict(m, x).point for x in X] == points
 
     def test_rank_deficient(self):
         X = np.zeros((30, 4))
@@ -185,7 +172,6 @@ class TestSplit:
 def test_lr_on_log_homoscedastic_data_recovers_coefficients():
     # cross-module check: OLS on log responses generated with constant
     # variance recovers the mean coefficients within standard OLS error
-    from buslink.hetlognorm import generate_synthetic
     beta = np.array([3.0, 0.1, 0.2, -0.1, 0.5])
     ys, X = generate_synthetic(beta, [-3.0, 0, 0, 0, 0], 5000, seed=6)
     m = lr_fit(ys, X)
@@ -202,5 +188,44 @@ def test_hm_quantiles_match_numpy():
         expected = np.percentile(vals, [2.5, 97.5], method="linear")
         assert percentile_band(vals[:, None])[:, 0].tobytes() == expected.tobytes()
         if n >= 10:
-            m = hm_fit(vals)
-            assert (m.q2_5, m.q97_5) == tuple(expected.tolist())
+            b = hm_fit(vals)
+            assert (b.lower, b.upper) == tuple(expected.tolist())
+
+
+def _sequential_sum(coef, z) -> float:
+    """coef'z as a Python loop: one product and one addition per term, in
+    column order."""
+    total = 0.0
+    for c, v in zip(coef.tolist(), z.tolist()):
+        total += c * v
+    return total
+
+
+def test_scores_are_sequential_row_sums_bit_for_bit(tmp_path, monkeypatch):
+    # random real covariates, so the order of the additions shows in the
+    # last bits; column 2 is constant, so both fits mask its coefficient
+    n = 300
+    rows = [_obs(("R", 0), 1, 1693526400.0 + 3600 * i, 30.0, (0, 0, 1, 0)) for i in range(n)]
+    ys, X = generate_synthetic([3.0, 0.2, -0.1, 0.0, 0.3], [-3.0, 0.1, 0, 0, 0], n, seed=4,
+                               covariate_law=lambda rng, k: 3.0 * rng.random((k, 4)))
+    X[:, 2] = 1.0
+    road = np.exp(ys)
+    table = dataclasses.replace(observation_table(tmp_path / "obs.csv", rows),
+                                covariates=X, road=road)
+    scored = []  # the points evaluate scores, per model in ln, hm, lr order
+    monkeypatch.setattr(evaluation, "mae", lambda obs, pred: scored.append(pred) or 0.0)
+    evaluate_split(table, "2023-09-10", tz_offset=0.0)  # 216 train, 84 test rows
+
+    train = split_by_date(table, "2023-09-10", tz_offset=0.0)
+    ln = ln_fit(np.log(road[train]), X[train])
+    lr = lr_fit(road[train], X[train])
+    assert list(ln.active_mask) == list(lr.active_mask) == [True, True, True, False, True]
+    Z_te = np.column_stack([np.ones(n), X])[~train]
+    ln_points = [float(np.exp(_sequential_sum(ln.beta_effective, z))) for z in Z_te]
+    lr_points = [_sequential_sum(lr.coef, z) for z in Z_te]
+    assert len(scored) == 3
+    assert scored[0].tobytes() == np.array(ln_points).tobytes()
+    assert scored[1].tolist() == [float(np.mean(road[train]))] * len(Z_te)
+    assert scored[2].tobytes() == np.array(lr_points).tobytes()
+    assert np.array([lr_predict(lr, x).point for x in X[~train]]).tobytes() == \
+        np.array(lr_points).tobytes()

@@ -5,9 +5,10 @@ import pytest
 
 from buslink.errors import GeometryError
 from buslink.geometry import (EARTH_RADIUS_M, Polyline, build_polyline,
-                              build_route_model, feature_zone_test, link_index_at,
-                              project_many)
+                              build_route_model, link_index_at, project_many)
 from buslink.ingest import IntersectionSet, StaticNetwork, Trip
+
+from conftest import feature_zone_test
 
 LAT0 = 29.65
 LON0 = -82.33

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from buslink.errors import FitError
 from buslink.hetlognorm import (HetLogNormalModel, design_matrix, fisher_information,
-                                fit, generate_synthetic, log_likelihood,
-                                mu_interval_stddev, predict_interval, predict_point,
-                                score)
+                                fit, log_likelihood, mu_interval_stddev, predict_interval,
+                                predict_point, score)
+
+from conftest import generate_synthetic
 
 Z1 = design_matrix(np.zeros((1, 4)))
 

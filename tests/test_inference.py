@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from buslink.errors import InferenceError
-from buslink.geometry import build_route_model, feature_zone_test, link_index_at
+from buslink.geometry import build_route_model, link_index_at
 from buslink.inference import (ProjectedPing, build_covariates, detect_events,
                                observations_from_traversal, open_road_link_of, repair_mask,
                                repair_monotonic, space_mean_speed)
 from buslink.ingest import Traversal, load_weather
 
+from conftest import feature_zone_test
 from test_geometry import network_with
 
 

@@ -15,8 +15,6 @@ PACKAGE = ROOT / "src" / "buslink"
 ORACLES = {
     "_project_scalar": "loop reference for the projection kernel accel.project_onto_polyline",
     "_markov_scalar": "loop reference for the Markov kernel accel.markov_offsets",
-    "generate_synthetic": "in-memory corpus with known truth that the acceptance tests fit",
-    "feature_zone_test": "brute-force zone reference for inference.open_road_link_of",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
