@@ -29,9 +29,10 @@ class EmpiricalDwell:
 def fit_dwell(stop_id: str, samples, min_samples: int = DEFAULT_MIN_COMPONENT_SAMPLES,
               pooled: bool = False) -> EmpiricalDwell:
     s = np.sort(np.asarray(samples, dtype=float))
-    if s.shape[0] < min_samples:
+    need = max(min_samples, 1)  # an empty pool is no model at any minimum
+    if s.shape[0] < need:
         raise FitError("insufficient_data",
-                       f"stop {stop_id}: need {min_samples} dwell samples, have {s.shape[0]}")
+                       f"stop {stop_id}: need {need} dwell samples, have {s.shape[0]}")
     if np.any(s < 0.0):
         raise FitError("invalid_sample", f"stop {stop_id}: negative dwell sample")
     return EmpiricalDwell(stop_id=stop_id, samples=s, pooled=pooled)
@@ -63,9 +64,10 @@ def fit_intersection(intersection_id: str, samples,
                      pooled: bool = False) -> IntersectionLogNormal:
     """Log-normal MLE from strictly positive waiting/passing times."""
     s = np.asarray(samples, dtype=float)
-    if s.shape[0] < min_samples:
+    need = max(min_samples, 1)  # an empty sample is no model at any minimum
+    if s.shape[0] < need:
         raise FitError("insufficient_data",
-                       f"intersection {intersection_id}: need {min_samples} samples, have {s.shape[0]}")
+                       f"intersection {intersection_id}: need {need} samples, have {s.shape[0]}")
     if np.any(s <= 0.0):
         raise FitError("invalid_sample",
                        f"intersection {intersection_id}: nonpositive sample in log-normal fit")

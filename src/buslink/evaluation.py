@@ -2,7 +2,10 @@
 metrics, and the train/test comparison driver.
 
 The historical-mean band takes its 2.5/97.5 quantiles from
-``stats.percentile_band``, the rule of the Markov bands.
+``stats.percentile_band``, the rule of the Markov bands. The LN points
+at the test rows are ``hetlognorm.predict_point`` and the LR points
+``hetlognorm.linear_rows``, the one beta'z rule of every prediction;
+both fits hold 0.0 at masked coefficients.
 """
 
 from __future__ import annotations
@@ -13,16 +16,10 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, FitError, MetricError
-from .hetlognorm import PredictionWithBounds, design_matrix, fit as ln_fit, predict_interval
+from .hetlognorm import (COVARIATE_COUNT, PredictionWithBounds, design_matrix, fit as ln_fit,
+                         linear_rows, predict_interval, predict_point)
 from .ingest import day_number
 from .stats import active_columns, percentile_band
-
-
-def linear_rows(Z, coef) -> np.ndarray:
-    """coef'z at each row z of a design matrix, summed term by term in
-    column order: the one rule for the test-row scores and ``lr_predict``.
-    (``Z @ coef`` can differ from it in the last bit.)"""
-    return (Z * coef).sum(axis=1)
 
 
 def hm_fit(samples, min_samples: int = 10) -> PredictionWithBounds:
@@ -42,6 +39,10 @@ class LinearBaseline:
     residual_variance: float  # unbiased, raw seconds^2
     gram_inv: np.ndarray  # (k, k) inverse of Z'Z on the active design
 
+    def mean_variance(self, a: np.ndarray):
+        """Sampling variance of the fitted mean at an active design row a."""
+        return self.residual_variance * (a @ self.gram_inv @ a)
+
 
 def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
     """OLS of raw seconds on the binary covariates with intercept."""
@@ -55,8 +56,7 @@ def lr_fit(ys, X, min_samples: int = 11) -> LinearBaseline:
     k = Z.shape[1]
     if np.linalg.matrix_rank(Z) < k:
         raise FitError("rank_deficient", "active design is rank deficient")
-    gram = Z.T @ Z
-    gram_inv = np.linalg.inv(gram)
+    gram_inv = np.linalg.inv(Z.T @ Z)
     coef = gram_inv @ (Z.T @ y)
     resid = y - Z @ coef
     dof = max(n - k, 1)
@@ -70,9 +70,8 @@ def lr_predict(m: LinearBaseline, x, level: float = 0.95) -> PredictionWithBound
     """Mean prediction with its sampling CI (constant-variance normal errors)."""
     row = design_matrix(x)
     point = float(linear_rows(row, m.coef)[0])
-    a = row[0, m.active_mask]
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * np.sqrt(m.residual_variance * (a @ m.gram_inv @ a))
+    half = z * np.sqrt(m.mean_variance(row[0, m.active_mask]))
     return PredictionWithBounds(point=point, lower=point - float(half),
                                 upper=point + float(half), level=level)
 
@@ -128,9 +127,11 @@ METRICS = tuple(f.name for f in fields(LinkEvaluation) if f.default is None)
 
 
 def modal_covariates(X) -> np.ndarray:
-    """Most frequent row of a covariate matrix; ties break lexicographically."""
-    rows, counts = np.unique(X, axis=0, return_counts=True)
-    return rows[np.argmax(counts)]
+    """Most frequent row of a 0/1 covariate matrix; a tie goes to the
+    lexicographically smallest row, which has the smallest code."""
+    bits = 1 << np.arange(COVARIATE_COUNT)[::-1]  # a row's code: first column highest
+    code = np.argmax(np.bincount(X.astype(bool) @ bits))
+    return ((code & bits) > 0).astype(float)
 
 
 def split_by_date(table, cut_date: str, tz_offset: float) -> np.ndarray:
@@ -164,14 +165,15 @@ def evaluate_split(table, cut_date: str, tz_offset: float,
             results.append(LinkEvaluation(**base, note="empty side"))
             continue
         y_tr, X_tr = table.road[tr], table.covariates[tr]
-        y_te, Z_te = table.road[te], design_matrix(table.covariates[te])
+        y_te, X_te = table.road[te], table.covariates[te]
         modal = modal_covariates(X_tr)
         # (name, fit, points at the test rows, bounds at x), scored in this order
         models = (
             ("ln", lambda: ln_fit(np.log(y_tr), X_tr, min_samples=min_fit_samples),
-             lambda m: np.exp(linear_rows(Z_te, m.beta_effective)), predict_interval),
+             lambda m: predict_point(m, X_te), predict_interval),
             ("hm", lambda: hm_fit(y_tr), lambda b: np.full(len(te), b.point), lambda b, x: b),
-            ("lr", lambda: lr_fit(y_tr, X_tr), lambda m: linear_rows(Z_te, m.coef), lr_predict),
+            ("lr", lambda: lr_fit(y_tr, X_tr),
+             lambda m: linear_rows(design_matrix(X_te), m.coef), lr_predict),
         )
         vals: dict = {}
         notes = []

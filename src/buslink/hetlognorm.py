@@ -6,12 +6,15 @@ with analytic score and the closed-form block-diagonal information
 matrix, started from OLS. The information matrix is stored as the total
 over observations; interval variances are a' (F^-1)_bb a with no extra
 sample-size division.
+
+A coefficient whose covariate column was constant in the fit is masked
+and held as 0.0. ``linear_rows`` is the one beta'z of every prediction:
+point, interval, evaluate's test-row scores and each forecast's speeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -34,6 +37,13 @@ def design_matrix(X) -> np.ndarray:
     if X.shape[1] != COVARIATE_COUNT:
         raise ValueError(f"expected {COVARIATE_COUNT} covariates, got {X.shape[1]}")
     return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def linear_rows(Z, coef) -> np.ndarray:
+    """coef'z per row of ``Z * coef`` (design rows against one coefficient
+    vector, or one row against stacked coefficient rows), summed term by
+    term in column order; ``Z @ coef`` can differ from it in the last bit."""
+    return (Z * coef).sum(axis=1)
 
 
 def log_likelihood(beta, gamma, ys, Z) -> float:
@@ -73,9 +83,9 @@ def fisher_information(beta, gamma, Z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HetLogNormalModel:
-    """Fitted per-link model. Masked (constant-column) coefficients are NaN
-    in ``beta``/``gamma`` and contribute zero to predictions; ``fim`` is the
-    10x10 total information with zero rows/columns at masked positions."""
+    """Fitted per-link model. Masked (constant-column) coefficients are 0.0
+    in ``beta``/``gamma``, so they contribute nothing to beta'z; ``fim`` is
+    the 10x10 total information with zero rows/columns at masked positions."""
 
     beta: np.ndarray  # (5,)
     gamma: np.ndarray  # (5,)
@@ -83,11 +93,6 @@ class HetLogNormalModel:
     n: int
     active_mask: np.ndarray  # (5,) bool, intercept always True
     loglik: float
-
-    @cached_property
-    def beta_effective(self) -> np.ndarray:
-        """``beta`` with masked terms 0, computed once per model."""
-        return np.where(self.active_mask, np.nan_to_num(self.beta), 0.0)
 
 
 def fit(ys, X, min_samples: int = 30) -> HetLogNormalModel:
@@ -118,14 +123,12 @@ def fit(ys, X, min_samples: int = 30) -> HetLogNormalModel:
     gamma[0] = np.log(msr)
 
     ll = log_likelihood(beta, gamma, ys, Z)
-    converged = False
     for _ in range(MAX_ITER):
         if np.min(Z @ gamma) < GAMMA_FLOOR:
             raise FitError("degenerate_variance",
                            f"log variance below {GAMMA_FLOOR}; sample is (near) deterministic")
         grad = score(beta, gamma, ys, Z)
         if np.linalg.norm(grad) / n <= SCORE_TOL:
-            converged = True
             break
         fim = fisher_information(beta, gamma, Z)
         try:
@@ -133,46 +136,34 @@ def fit(ys, X, min_samples: int = 30) -> HetLogNormalModel:
         except np.linalg.LinAlgError as exc:
             raise FitError("singular_design", f"information matrix singular: {exc}") from exc
         scale = 1.0
-        improved = False
         for _ in range(40):
             b_new = beta + scale * step[:k]
             g_new = gamma + scale * step[k:]
             ll_new = log_likelihood(b_new, g_new, ys, Z)
             if ll_new >= ll - 1e-12:
                 beta, gamma, ll = b_new, g_new, ll_new
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
-            break
-    if not converged:
-        grad = score(beta, gamma, ys, Z)
-        if np.linalg.norm(grad) / n > SCORE_TOL:
-            raise FitError("no_convergence",
-                           f"score norm {np.linalg.norm(grad) / n:.3e} after {MAX_ITER} iterations")
+        else:
+            break  # no step length raised the likelihood
+    score_norm = np.linalg.norm(score(beta, gamma, ys, Z)) / n
+    if score_norm > SCORE_TOL:
+        raise FitError("no_convergence",
+                       f"score norm {score_norm:.3e} after {MAX_ITER} iterations")
 
-    beta5 = np.full(COEF_COUNT, np.nan)
-    gamma5 = np.full(COEF_COUNT, np.nan)
-    beta5[mask] = beta
-    gamma5[mask] = gamma
+    coefs = np.zeros((2, COEF_COUNT))  # masked coefficients stay 0.0
+    coefs[:, mask] = beta, gamma
     fim10 = np.zeros((2 * COEF_COUNT, 2 * COEF_COUNT))
-    idx = np.concatenate([np.flatnonzero(mask), COEF_COUNT + np.flatnonzero(mask)])
-    fim10[np.ix_(idx, idx)] = fisher_information(beta, gamma, Z)
-    return HetLogNormalModel(beta=beta5, gamma=gamma5, fim=fim10, n=n,
+    fim10[np.ix_(np.tile(mask, 2), np.tile(mask, 2))] = fisher_information(beta, gamma, Z)
+    return HetLogNormalModel(beta=coefs[0], gamma=coefs[1], fim=fim10, n=n,
                              active_mask=mask, loglik=float(ll))
 
 
-def _augmented(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != COVARIATE_COUNT:
-        raise ValueError(f"expected {COVARIATE_COUNT} covariates")
-    return np.concatenate([[1.0], x])
-
-
-def predict_point(model: HetLogNormalModel, x) -> float:
-    """Median road time in seconds: exp(beta' [1, x]), masked terms = 0."""
-    a = _augmented(x)
-    return float(np.exp(np.dot(model.beta_effective, a)))
+def predict_point(model: HetLogNormalModel, x):
+    """Median road time in seconds, exp(beta'z) through ``linear_rows``: a
+    float for one covariate row x, an array for an (n, 4) matrix of rows."""
+    points = np.exp(linear_rows(design_matrix(x), model.beta))
+    return float(points[0]) if np.ndim(x) == 1 else points
 
 
 @dataclass(frozen=True)
@@ -189,9 +180,8 @@ class PredictionWithBounds:
 
 def mu_interval_stddev(model: HetLogNormalModel, x) -> float:
     """Asymptotic std dev of the fitted mean at covariates x."""
-    a = _augmented(x)[model.active_mask]
-    idx = np.flatnonzero(model.active_mask)
-    f_bb = model.fim[np.ix_(idx, idx)]
+    a = design_matrix(x)[0, model.active_mask]
+    f_bb = model.fim[np.ix_(model.active_mask, model.active_mask)]
     try:
         sol = np.linalg.solve(f_bb, a)
     except np.linalg.LinAlgError as exc:
@@ -204,11 +194,8 @@ def mu_interval_stddev(model: HetLogNormalModel, x) -> float:
 
 def predict_interval(model: HetLogNormalModel, x, level: float = 0.95) -> PredictionWithBounds:
     """Point estimate with confidence bounds exp(mu_hat -+ z * sd(mu_hat))."""
-    a = _augmented(x)
-    mu = float(np.dot(model.beta_effective, a))
+    mu = float(linear_rows(design_matrix(x), model.beta)[0])
     sd = mu_interval_stddev(model, x)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    return PredictionWithBounds(point=float(np.exp(mu)),
-                                lower=float(np.exp(mu - z * sd)),
-                                upper=float(np.exp(mu + z * sd)),
-                                level=level)
+    lower, point, upper = np.exp([mu - z * sd, mu, mu + z * sd]).tolist()
+    return PredictionWithBounds(point=point, lower=lower, upper=upper, level=level)

@@ -1,6 +1,10 @@
 """Link-state Markov chain: stay probabilities from predicted speeds, M-run
 Monte-Carlo simulation of remaining time to every downstream stop.
 
+A plan's road time on each link is ``hetlognorm.predict_point``'s
+median exp(beta'z); ``build_plan`` takes it for all downstream links
+from one ``hetlognorm.linear_rows`` call over their stacked betas.
+
 The per-link step count is geometric with success probability
 ``1 - p_stay``; drawing it directly (inverse CDF of a pre-drawn uniform)
 is distribution-identical to stepping the chain and exponentially
@@ -14,7 +18,7 @@ matching the link-total telescoping of the decomposition identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .accel import markov_offsets
 from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel, link_index_at
-from .hetlognorm import HetLogNormalModel, predict_point
+from .hetlognorm import design_matrix, linear_rows
 from .inference import open_road_link_of, resolve_threshold, space_mean_speed
 from .stats import percentile_band
 
@@ -87,14 +91,14 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     are unidentifiable otherwise); the partially completed origin link is
     clamped instead.
     """
-    x = np.asarray(covariates, dtype=float)
+    links = [link for link in rm.links if link.index >= origin_link]
+    if not links:
+        raise SimError("no_links", "origin has no downstream links")
+    betas = np.array([road_models[link.index].beta for link in links])
+    road_times = np.exp(linear_rows(design_matrix(covariates), betas)).tolist()
     x_arc = dict(rm.projected_intersections)
     plans = []
-    for link in rm.links:
-        if link.index < origin_link:
-            continue
-        model: HetLogNormalModel = road_models[link.index]
-        road_time = predict_point(model, x)
+    for link, road_time in zip(links, road_times):
         speed = link.length / road_time
         if link.index == origin_link:
             remaining = link.end_arc - origin_arc
@@ -116,8 +120,6 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
             p_stay=(steps - 1.0) / steps,
             dwell=dwell_models[link.to_stop],
             intersections=tuple(intersection_models[x] for x in x_ids)))
-    if not plans:
-        raise SimError("no_links", "origin has no downstream links")
     return plans
 
 
@@ -178,27 +180,19 @@ class PredictionSession:
         self._prev_tag = -1  # open_road_link_of tag of the previous ping; -1: none
         self._emissions = 0
 
-    def _locate(self, ping):
-        arc = min(max(ping.arc_pos, self.rm.first_arc), self.rm.last_arc)
-        if arc >= self.rm.last_arc:
-            return None, arc
-        link = link_index_at(self.rm, arc)
-        return link, arc
-
     def _emit(self, ping) -> SimulationSummary | None:
-        link, arc = self._locate(ping)
-        if link is None:
+        arc = max(ping.arc_pos, self.rm.first_arc)
+        if arc >= self.rm.last_arc:
             return None
         covariates = self.covariate_fn(ping.timestamp, self.traffic)
         plans = build_plan(self.rm, self.road_models, self.dwell_models,
-                           self.intersection_models, covariates, link, arc,
-                           self.config.delta_t)
-        cfg = MarkovConfig(delta_t=self.config.delta_t, runs=self.config.runs,
-                           seed=self.config.seed + self._emissions)
+                           self.intersection_models, covariates,
+                           link_index_at(self.rm, arc), arc, self.config.delta_t)
+        cfg = replace(self.config, seed=self.config.seed + self._emissions)
         self._emissions += 1
         return simulate(plans, cfg, origin_arc=arc, origin_time=ping.timestamp)
 
-    def _advance(self, ping) -> bool:
+    def observe(self, ping) -> bool:
         """Fold one ping into the indicator state; True when it flipped."""
         prev, prev_tag = self._prev_ping, self._prev_tag
         tag = self._remember(ping)
@@ -221,13 +215,10 @@ class PredictionSession:
         self._remember(ping)
         return self._emit(ping)
 
-    def observe(self, ping) -> None:
-        self._advance(ping)
-
     def update(self, ping) -> SimulationSummary | None:
         """Fold in one new ping; re-predict only on an indicator flip."""
-        return self._emit(ping) if self._advance(ping) else None
+        return self._emit(ping) if self.observe(ping) else None
 
     def emit_at(self, ping) -> SimulationSummary | None:
-        self._advance(ping)
+        self.observe(ping)
         return self._emit(ping)

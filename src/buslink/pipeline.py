@@ -54,8 +54,15 @@ class RunConfig:
     link_speed_thresholds: str = ""  # per-link overrides, e.g. "2:4.0,5:6.5"
 
     def __post_init__(self):
-        if not self.backward_tolerance >= 0.0:
-            raise ConfigError("bad_config", "backward_tolerance must be >= 0")
+        rules = [(key, "> 0", getattr(self, key) > 0)
+                 for key in ("buffer_radius", "off_route", "max_gap", "delta_t")]
+        rules += [(key, ">= 1", getattr(self, key) >= 1)
+                  for key in ("runs", "min_fit_samples", "min_component_samples")]
+        rules += [("backward_tolerance", ">= 0", self.backward_tolerance >= 0.0),
+                  ("peak_hours", "hours 0-23", set(self.peak_hours) <= set(range(24)))]
+        for key, rule, ok in rules:
+            if not ok:
+                raise ConfigError("bad_config", f"{key} = {getattr(self, key)!r} must be {rule}")
 
     @property
     def peak_hour_set(self):

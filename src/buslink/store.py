@@ -268,11 +268,13 @@ def write_store(path, store: ModelStore) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _coefs(value: str) -> np.ndarray:
-    out = np.array([np.nan if t == "absent" else finite_float(t) for t in value.split(",")])
-    if out.shape != (COEF_COUNT,):
-        raise ValueError(f"{out.shape[0]} coefficients, not {COEF_COUNT}")
-    return out
+def _coefs(value: str) -> tuple:
+    """The coefficients, 0.0 where ``absent``, and where they are absent."""
+    tokens = value.split(",")
+    if len(tokens) != COEF_COUNT:
+        raise ValueError(f"{len(tokens)} coefficients, not {COEF_COUNT}")
+    absent = np.array(tokens) == "absent"
+    return np.array([0.0 if a else finite_float(t) for t, a in zip(tokens, absent)]), absent
 
 
 def _floats(value: str) -> np.ndarray:
@@ -294,8 +296,8 @@ def _count(value: str) -> int:
 
 
 # model-store field -> parser of its value; each value is of the shape and
-# range its writer gives it. Every number is finite: only an ``absent``
-# coefficient reads as NaN.
+# range its writer gives it. Every number is finite; an ``absent``
+# coefficient reads as 0.0, the value of a masked one.
 _STORE_FIELDS = {
     "n": _count, "pooled": lambda v: bool(_bits(v, 1)[0]),
     "loglik": finite_float, "mu_s": finite_float, "sigma_s": finite_float,
@@ -330,11 +332,16 @@ def _model(kind: str, ident, fields: dict):
         raise ValueError(f"has no {', '.join(missing)}")
     if kind == "road":
         size = 2 * COEF_COUNT
-        fim = fields["fim"]
+        fim, mask = fields["fim"], fields["active_mask"]
         if len(fim) != size or any(r.shape != (size,) for r in fim):
             raise ValueError(f"FIM is not {size}x{size}")
-        return HetLogNormalModel(beta=fields["beta"], gamma=fields["gamma"], fim=np.array(fim),
-                                 n=fields["n"], active_mask=fields["active_mask"],
+        if not mask[0]:
+            raise ValueError("active_mask masks the intercept")
+        for name in ("beta", "gamma"):
+            if (fields[name][1] == mask).any():
+                raise ValueError(f"{name} is not absent exactly where active_mask is 0")
+        return HetLogNormalModel(beta=fields["beta"][0], gamma=fields["gamma"][0],
+                                 fim=np.array(fim), n=fields["n"], active_mask=mask,
                                  loglik=fields["loglik"])
     if kind == "dwell":
         samples = fields["samples"]
@@ -349,7 +356,9 @@ def _model(kind: str, ident, fields: dict):
 def read_store(path) -> ModelStore:
     """Parse a model store. A line its writer would not write raises
     IngestError("parse") naming the file and line, as does a section that
-    lacks a field or whose dwell ``n`` is not its sample count."""
+    lacks a field, whose dwell ``n`` is not its sample count, whose
+    ``active_mask`` masks the intercept, or whose ``beta`` or ``gamma`` is
+    ``absent`` anywhere but at the masked positions."""
     path = Path(path)
     sections: dict = {}  # (kind, route_key, id) -> (header line number, fields)
     fields = None

@@ -10,8 +10,8 @@ import pytest
 from buslink.cli import main
 from buslink.components import fit_dwell
 from buslink.evaluation import evaluate_split, mae, rmse
-from buslink.hetlognorm import (design_matrix, fisher_information, fit, log_likelihood,
-                                mu_interval_stddev, score)
+from buslink.hetlognorm import (design_matrix, fisher_information, fit, linear_rows,
+                                log_likelihood, mu_interval_stddev, score)
 from buslink.inference import build_covariates, project_traversal, repair_monotonic
 from buslink.ingest import local_date_hour
 from buslink.markov import (LinkPlan, MarkovConfig, PredictionSession, build_plan,
@@ -99,7 +99,7 @@ def test_criterion_03_ci_calibration():
         m = fit(ys, X)
         x = np.array(_modal_combo(X))
         mu_true = float(TRUE_BETA @ np.concatenate([[1.0], x]))
-        mu_hat = float(m.beta_effective @ np.concatenate([[1.0], x]))
+        mu_hat = float(linear_rows(design_matrix(x), m.beta)[0])
         sd = mu_interval_stddev(m, x)
         if mu_hat - z * sd <= mu_true <= mu_hat + z * sd:
             covered += 1

@@ -313,6 +313,19 @@ def test_negative_backward_tolerance_exit_2(tmp_path, capsys):
     assert_input_error(rc, capsys, "bad_config", "backward_tolerance")
 
 
+@pytest.mark.parametrize("line", [
+    "buffer_radius = -5", "off_route = 0", "max_gap = -1", "delta_t = 0", "runs = 0",
+    "min_fit_samples = 0", "min_component_samples = 0", "peak_hours = 7,24",
+], ids=lambda line: line.split(" = ")[0])
+def test_out_of_range_config_exit_2(tmp_path, capsys, line):
+    """A value no run can use is rejected before any input is read."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "bad_config", line.split(" = ")[0])
+    assert not (tmp_path / "observations.csv").exists()
+
+
 @pytest.mark.parametrize("line", ["delta_t = nan", "off_route = inf", "tz_offset = -inf",
                                   "link_speed_thresholds = 2:nan"])
 def test_non_finite_number_in_config_exit_2(workdir, tmp_path, capsys, line):

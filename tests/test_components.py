@@ -97,3 +97,11 @@ class TestIntersection:
     def test_fit_then_predict_constant_round_trip(self):
         m = fit_intersection("X1", [13.25] * 10)
         assert lognormal_from_z(m.mu_s, m.sigma_s, 0.0) == pytest.approx(13.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("fit", [fit_dwell, fit_intersection])
+@pytest.mark.parametrize("min_samples", [0, -1])
+def test_empty_sample_rejected_at_any_minimum(fit, min_samples):
+    with pytest.raises(FitError) as e:
+        fit("F1", [], min_samples=min_samples)
+    assert e.value.kind == "insufficient_data"

@@ -168,6 +168,17 @@ class TestSplit:
         table = observation_table(tmp_path / "obs.csv", rows)
         assert modal_covariates(table.covariates).tolist() == [0, 1, 1, 0]
 
+    def test_modal_covariates_is_the_unique_rule(self):
+        """Tied rows (in 12 of the 20 draws): the most frequent row is the
+        lexicographically smallest of the tied ones, as ``np.unique``'s
+        sorted rows give it."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            combos = (rng.random((rng.integers(1, 6), 4)) < 0.5).astype(float)
+            X = rng.permutation(np.repeat(combos, rng.integers(1, 3, len(combos)), axis=0))
+            rows, counts = np.unique(X, axis=0, return_counts=True)
+            assert modal_covariates(X).tobytes() == rows[np.argmax(counts)].tobytes(), seed
+
 
 def test_lr_on_log_homoscedastic_data_recovers_coefficients():
     # cross-module check: OLS on log responses generated with constant
@@ -221,7 +232,7 @@ def test_scores_are_sequential_row_sums_bit_for_bit(tmp_path, monkeypatch):
     lr = lr_fit(road[train], X[train])
     assert list(ln.active_mask) == list(lr.active_mask) == [True, True, True, False, True]
     Z_te = np.column_stack([np.ones(n), X])[~train]
-    ln_points = [float(np.exp(_sequential_sum(ln.beta_effective, z))) for z in Z_te]
+    ln_points = [float(np.exp(_sequential_sum(ln.beta, z))) for z in Z_te]
     lr_points = [_sequential_sum(lr.coef, z) for z in Z_te]
     assert len(scored) == 3
     assert scored[0].tobytes() == np.array(ln_points).tobytes()

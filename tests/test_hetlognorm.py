@@ -127,8 +127,8 @@ class TestFit:
         X[:, 0] = 0.0  # rain never observed
         m = fit(ys, X)
         assert list(m.active_mask) == [True, False, True, True, True]
-        assert np.isnan(m.beta[1]) and np.isnan(m.gamma[1])
-        assert np.isfinite(m.beta[[0, 2, 3, 4]]).all()
+        assert m.beta[1] == m.gamma[1] == 0.0
+        assert (m.beta[[0, 2, 3, 4]] != 0.0).all()
 
 
 class TestPrediction:
@@ -158,16 +158,21 @@ class TestPrediction:
                                 min_size=4, max_size=4), min_size=1, max_size=5))
     @settings(deadline=None, max_examples=200)
     def test_point_equals_the_per_call_expression(self, beta, masked, xs):
-        """The effective beta is computed once per model; every prediction
-        equals the expression that rebuilt it on each call, bit for bit."""
+        """Masked coefficients are 0.0; every prediction, of one row or of
+        all rows in one call, is exp of the coefficient sum spelled out
+        term by term in column order, bit for bit."""
         mask = np.array([True] + [not m for m in masked])
-        beta = np.where(mask, beta, np.nan)
+        beta = np.where(mask, beta, 0.0)
         m = HetLogNormalModel(beta=beta, gamma=np.zeros(5), fim=np.eye(10), n=1,
                               active_mask=mask, loglik=0.0)
+        expected = []
         for x in xs:
-            expected = float(np.exp(np.dot(np.where(mask, np.nan_to_num(beta), 0.0),
-                                           np.concatenate([[1.0], np.asarray(x)]))))
-            assert predict_point(m, x) == expected
+            total = 0.0
+            for c, v in zip(beta.tolist(), [1.0, *x]):
+                total += c * v
+            expected.append(float(np.exp(total)))
+        assert [predict_point(m, x) for x in xs] == expected
+        assert predict_point(m, np.array(xs)).tolist() == expected
 
     def test_point_identity(self):
         m = HetLogNormalModel(beta=np.zeros(5), gamma=np.zeros(5), fim=np.eye(10),

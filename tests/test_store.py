@@ -111,12 +111,17 @@ def test_store_round_trip_bit_exact(tmp_path):
 
     m0 = store.road[(("R1", 0), 1)]
     m1 = loaded.road[(("R1", 0), 1)]
-    assert np.array_equal(m0.beta, m1.beta, equal_nan=True)
-    assert np.array_equal(m0.gamma, m1.gamma, equal_nan=True)
+    assert np.array_equal(m0.beta, m1.beta)
+    assert np.array_equal(m0.gamma, m1.gamma)
     assert np.array_equal(m0.fim, m1.fim)
     assert m0.loglik == m1.loglik and m0.n == m1.n
     masked = loaded.road[(("R1", 0), 2)]
     assert list(masked.active_mask) == [True, True, True, False, True]
+    # the file says absent at the masked coefficient; it reads back as 0.0
+    assert "beta = " in p1.read_text() and ",absent," in p1.read_text()
+    assert masked.beta[3] == masked.gamma[3] == 0.0
+    assert masked.beta.tobytes() == store.road[(("R1", 0), 2)].beta.tobytes()
+    assert masked.gamma.tobytes() == store.road[(("R1", 0), 2)].gamma.tobytes()
 
     d0 = store.dwell[(("R1", 0), "S1")]
     d1 = loaded.dwell[(("R1", 0), "S1")]

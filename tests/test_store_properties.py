@@ -1,11 +1,15 @@
 """Round trips of the observation file and the model store on random
 content: write -> read gives the same rows, and writing them again gives
-the same bytes."""
+the same bytes. A road model's masked coefficients are 0.0 in memory and
+``absent`` in the file, and a file whose ``absent`` positions disagree
+with its ``active_mask`` does not read."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from buslink.components import EmpiricalDwell, IntersectionLogNormal
+from buslink.errors import IngestError
 from buslink.hetlognorm import COEF_COUNT, HetLogNormalModel
 from buslink.inference import CovariateVector, LinkObservation
 from buslink.store import (ModelStore, read_observations, read_store,
@@ -61,7 +65,7 @@ def road_entries(draw):
     coefs = st.lists(finite, min_size=COEF_COUNT, max_size=COEF_COUNT)
     size = 2 * COEF_COUNT
     return (draw(route_keys), draw(st.integers(1, 99))), HetLogNormalModel(
-        beta=np.where(mask, draw(coefs), np.nan), gamma=np.where(mask, draw(coefs), np.nan),
+        beta=np.where(mask, draw(coefs), 0.0), gamma=np.where(mask, draw(coefs), 0.0),
         fim=np.array(draw(st.lists(st.lists(finite, min_size=size, max_size=size),
                                    min_size=size, max_size=size))),
         n=draw(st.integers(0, 10**6)), active_mask=mask, loglik=draw(finite))
@@ -97,8 +101,8 @@ def assert_same_store(a: ModelStore, b: ModelStore):
     for key, m in a.road.items():
         r = b.road[key]
         assert np.array_equal(m.active_mask, r.active_mask)
-        assert np.array_equal(m.beta, r.beta, equal_nan=True)
-        assert np.array_equal(m.gamma, r.gamma, equal_nan=True)
+        assert m.beta.tobytes() == r.beta.tobytes()
+        assert m.gamma.tobytes() == r.gamma.tobytes()
         assert np.array_equal(m.fim, r.fim)
         assert (m.n, m.loglik) == (r.n, r.loglik)
     assert a.dwell.keys() == b.dwell.keys()
@@ -118,3 +122,46 @@ def test_model_store_round_trip(tmp_path, store):
     assert_same_store(store, again)
     write_store(second, again)
     assert first.read_bytes() == second.read_bytes()
+    # the file says absent exactly at the masked coefficients, read as 0.0
+    lines = first.read_text(encoding="utf-8").splitlines()
+    for (rk, link), m in again.road.items():
+        header = lines.index(f"[road {rk[0]} {rk[1]} {link}]")
+        for name in ("beta", "gamma"):
+            line = next(t for t in lines[header:] if t.startswith(f"{name} = "))
+            absent = np.array(line.partition(" = ")[2].split(",")) == "absent"
+            assert absent.tolist() == (~m.active_mask).tolist()
+            assert getattr(m, name)[absent].tobytes() == bytes(8 * absent.sum())
+
+
+MASKED_ROAD = """\
+# buslink model store v1
+[road R 0 1]
+n = 40
+loglik = -1.5
+active_mask = 1,0,1,1,1
+beta = 3.5,absent,0.25,-0.5,0.75
+gamma = -2,absent,0.5,0,1
+""" + "fim = 0,0,0,0,0,0,0,0,0,0\n" * 10
+
+
+@pytest.mark.parametrize("old,new", [
+    ("beta = 3.5,", "beta = absent,"),  # absent at an active position
+    ("beta = 3.5,absent,", "beta = 3.5,0,"),  # a number at a masked one
+    ("gamma = -2,absent,0.5", "gamma = -2,absent,absent"),
+    ("gamma = -2,absent,", "gamma = -2,0.125,"),
+    ("active_mask = 1,0,1,1,1\nbeta = 3.5,absent,0.25,-0.5,0.75\ngamma = -2,absent,",
+     "active_mask = 0,0,1,1,1\nbeta = absent,absent,0.25,-0.5,0.75\ngamma = absent,absent,"),
+], ids=["beta_absent_at_active", "beta_number_at_masked", "gamma_absent_at_active",
+        "gamma_number_at_masked", "intercept_masked"])
+def test_absent_not_at_the_mask_is_a_parse_error(tmp_path, old, new):
+    path = tmp_path / "m.txt"
+    path.write_text(MASKED_ROAD, encoding="utf-8")
+    m = read_store(path).road[(("R", 0), 1)]
+    assert m.beta.tolist() == [3.5, 0.0, 0.25, -0.5, 0.75]
+    assert m.gamma.tolist() == [-2.0, 0.0, 0.5, 0.0, 1.0]
+    assert MASKED_ROAD.count(old) == 1
+    path.write_text(MASKED_ROAD.replace(old, new), encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        read_store(path)
+    assert e.value.kind == "parse"
+    assert "m.txt:2: [road R 0 1]" in str(e.value)
