@@ -204,10 +204,3 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
                       links=tuple(links), buffer_radius=buffer_radius,
                       merge_log=tuple(merge_log))
 
-
-def link_index_at(rm: RouteModel, arc_pos: float) -> int | None:
-    """1-based link whose [start, end) arc interval contains the position."""
-    for link in rm.links:
-        if link.start_arc <= arc_pos < link.end_arc:
-            return link.index
-    return None

@@ -8,11 +8,15 @@ then decompose each link's total time into road, dwell, and
 per-intersection components; the decomposition identity
 ``total = road + dwell + sum(intersections)`` holds exactly by
 construction.
+
+Infer and ``markov.PredictionSession`` read the rules ``pipeline`` builds
+once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, and one
+link lookup: the link at a position is ``bisect_right(rm.stop_arcs, arc)``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,9 +24,8 @@ import numpy as np
 
 from .errors import InferenceError
 from .geometry import RouteModel, project_many
-from .ingest import DEFAULT_RAIN_LABELS, Traversal, WeatherTable, local_day_hour
+from .ingest import Traversal, WeatherTable, local_day_hour
 
-DEFAULT_SPEED_THRESHOLD_MS = 5.0
 DEFAULT_PEAK_HOURS = frozenset({7, 8, 16, 17})
 DEFAULT_BACKWARD_TOLERANCE_M = 5.0
 MAX_INTERP_FRACTION = 0.5  # of the crossed features; above it a traversal is too sparse
@@ -120,15 +123,12 @@ class CovariateVector(NamedTuple):
     traffic: int
 
 
-def build_covariates(t: float, weather: WeatherTable, traffic: int,
-                     tz_offset: float,
-                     peak_hours=DEFAULT_PEAK_HOURS,
-                     rain_labels=None) -> CovariateVector:
+def build_covariates(t: float, weather: WeatherTable, traffic: int, tz_offset: float,
+                     peak_hours, rain_labels) -> CovariateVector:
     """Covariates at a timestamp: rain from the weather table, peak from the
     local hour, weekday Mon-Fri, traffic passed through."""
-    labels = DEFAULT_RAIN_LABELS if rain_labels is None else rain_labels
     day, hour = local_day_hour(t, tz_offset)
-    rain = 1 if weather.condition(day, hour) in labels else 0
+    rain = 1 if weather.condition(day, hour) in rain_labels else 0
     return CovariateVector(rain=rain,
                            peak=1 if hour in peak_hours else 0,
                            weekday=1 if (day + 3) % 7 < 5 else 0,
@@ -151,20 +151,8 @@ class LinkObservation(NamedTuple):
         return self.total_time - parts
 
 
-def resolve_threshold(speed_threshold, link_index: int) -> float:
-    """The congestion threshold is configurable globally (a float) or per
-    link (a mapping from link index, falling back to the global default)."""
-    if isinstance(speed_threshold, dict):
-        return float(speed_threshold.get(link_index,
-                                         speed_threshold.get(None, DEFAULT_SPEED_THRESHOLD_MS)))
-    return float(speed_threshold)
-
-
 def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteModel,
-                                weather: WeatherTable, *, tz_offset: float,
-                                speed_threshold=DEFAULT_SPEED_THRESHOLD_MS,
-                                peak_hours=DEFAULT_PEAK_HOURS,
-                                rain_labels=None,
+                                covariates, thresholds,
                                 backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M):
     """Per-traversal inference from the pings' arc positions on the route:
     repair, detect, decompose.
@@ -173,9 +161,10 @@ def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteMode
     end stop's departure gives total = t_dep(stop) - t_dep(prev stop),
     dwell = t_dep(stop) - t_arr(stop) and road = t_arr(stop) -
     t_dep(prev stop) - sum of its intersection durations. Its traffic
-    covariate is 1 when its slowest open-road ping pair is below the
-    link's threshold, and 0 with the flag ``unobs_traffic`` when it has
-    no open-road pair.
+    covariate is 1 when its slowest open-road ping pair is below
+    ``thresholds[link]``, and 0 with the flag ``unobs_traffic`` when it
+    has no open-road pair; ``covariates(t, traffic)`` at the start stop's
+    departure gives its covariate vector.
 
     Returns (observations, skip_log); a link whose road time is not
     positive is recorded and skipped rather than raised.
@@ -202,9 +191,7 @@ def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteMode
                             f"road time {road:.3f}s at stop {link.to_stop}")
             continue
         speed = slowest.get(link.index)
-        traffic = speed is not None and speed < resolve_threshold(speed_threshold, link.index)
-        cov = build_covariates(depart_prev, weather, traffic, tz_offset, peak_hours,
-                               rain_labels)
+        cov = covariates(depart_prev, speed is not None and speed < thresholds[link.index])
         flags = ["interp_stop"] if interp_stop else []
         flags += [f"interp_x={xid}" for xid, _, interpolated in xs if interpolated]
         if speed is None:
@@ -218,9 +205,9 @@ def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteMode
 
 
 def open_road_link_of(arcs, rm: RouteModel) -> list:
-    """Per arc position: the 1-based link index if it is open road inside a
-    link, else -1 (in a buffer zone, boundary inclusive, or not strictly
-    inside the stop span)."""
+    """Per arc position: the 1-based link index (``bisect_right`` over the
+    stop arcs) if it is open road inside a link, else -1 (in a buffer zone,
+    boundary inclusive, or not strictly inside the stop span)."""
     feats, stops = rm.feature_arcs, rm.stop_arcs
     buffer = rm.buffer_radius
     tags = []
@@ -229,7 +216,7 @@ def open_road_link_of(arcs, rm: RouteModel) -> list:
         in_zone = ((k > 0 and arc - feats[k - 1] <= buffer)
                    or (k < len(feats) and feats[k] - arc <= buffer))
         on_span = stops[0] < arc < stops[-1]
-        tags.append(bisect_left(stops, arc) if on_span and not in_zone else -1)
+        tags.append(bisect_right(stops, arc) if on_span and not in_zone else -1)
     return tags
 
 

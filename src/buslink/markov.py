@@ -14,10 +14,14 @@ the plans themselves, to ``accel.markov_offsets``, whose scalar twin
 ``accel._markov_scalar`` is the one reference for the transform.
 Remaining time to a stop means time until *departure from* that stop,
 matching the link-total telescoping of the decomposition identity.
+
+``PredictionSession`` reads infer's rules: ``covariates(t, traffic)``,
+``thresholds[link]`` and, for the origin link, ``bisect_right(rm.stop_arcs, arc)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,9 +29,9 @@ import numpy as np
 from .accel import markov_offsets
 from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
-from .geometry import RouteModel, link_index_at
+from .geometry import RouteModel
 from .hetlognorm import design_matrix, linear_rows
-from .inference import open_road_link_of, resolve_threshold, space_mean_speed
+from .inference import open_road_link_of, space_mean_speed
 from .stats import percentile_band
 
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
@@ -158,23 +162,22 @@ class PredictionSession:
     Feed projected pings in time order; a simulation summary comes back
     for the first ping and thereafter whenever the traffic indicator
     flips. The indicator starts at 0 and follows the latest open-road
-    ping pair on the current link: below the speed threshold switches it
+    ping pair on the current link: below ``thresholds[link]`` switches it
     to 1, at or above switches it back to 0. Rain/peak/weekday covariates
-    are rebuilt at each emission time through ``covariate_fn(t, traffic)``.
+    are rebuilt at each emission time through ``covariates(t, traffic)``.
     Each emission draws from a fresh seed derived from (base seed, emission
     index), so a replay is deterministic.
     """
 
     def __init__(self, rm: RouteModel, road_models: dict, dwell_models: dict,
-                 intersection_models: dict, covariate_fn, config: MarkovConfig,
-                 speed_threshold: float):
+                 intersection_models: dict, covariates, config: MarkovConfig, thresholds):
         self.rm = rm
         self.road_models = road_models
         self.dwell_models = dwell_models
         self.intersection_models = intersection_models
-        self.covariate_fn = covariate_fn
+        self.covariates = covariates
         self.config = config
-        self.speed_threshold = speed_threshold
+        self.thresholds = thresholds
         self.traffic = 0
         self._prev_ping = None
         self._prev_tag = -1  # open_road_link_of tag of the previous ping; -1: none
@@ -184,10 +187,10 @@ class PredictionSession:
         arc = max(ping.arc_pos, self.rm.first_arc)
         if arc >= self.rm.last_arc:
             return None
-        covariates = self.covariate_fn(ping.timestamp, self.traffic)
+        covariates = self.covariates(ping.timestamp, self.traffic)
         plans = build_plan(self.rm, self.road_models, self.dwell_models,
                            self.intersection_models, covariates,
-                           link_index_at(self.rm, arc), arc, self.config.delta_t)
+                           bisect_right(self.rm.stop_arcs, arc), arc, self.config.delta_t)
         cfg = replace(self.config, seed=self.config.seed + self._emissions)
         self._emissions += 1
         return simulate(plans, cfg, origin_arc=arc, origin_time=ping.timestamp)
@@ -199,7 +202,7 @@ class PredictionSession:
         if tag < 1 or tag != prev_tag:
             return False  # not an open-road pair on one link
         v = space_mean_speed(prev, ping)
-        new_traffic = 1 if v < resolve_threshold(self.speed_threshold, tag) else 0
+        new_traffic = 1 if v < self.thresholds[tag] else 0
         if new_traffic == self.traffic:
             return False
         self.traffic = new_traffic

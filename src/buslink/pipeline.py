@@ -3,11 +3,15 @@
 A RunConfig comes from a ``key = value`` text file with CLI-flag
 overrides on top (flags win). Every driver is deterministic given the
 inputs and the seed.
+
+``run_infer`` and the session of ``run_simulate`` share one covariate
+function, ``covariates_for(cfg, weather)``, and one threshold map,
+``cfg.speed_threshold_by_link``, each built once per run.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -55,14 +59,33 @@ class RunConfig:
 
     def __post_init__(self):
         rules = [(key, "> 0", getattr(self, key) > 0)
-                 for key in ("buffer_radius", "off_route", "max_gap", "delta_t")]
+                 for key in ("buffer_radius", "off_route", "max_gap", "delta_t",
+                             "speed_threshold")]
         rules += [(key, ">= 1", getattr(self, key) >= 1)
                   for key in ("runs", "min_fit_samples", "min_component_samples")]
         rules += [("backward_tolerance", ">= 0", self.backward_tolerance >= 0.0),
+                  ("seed", ">= 0", self.seed >= 0),
                   ("peak_hours", "hours 0-23", set(self.peak_hours) <= set(range(24)))]
         for key, rule, ok in rules:
             if not ok:
                 raise ConfigError("bad_config", f"{key} = {getattr(self, key)!r} must be {rule}")
+        # The one threshold map of the run: link index -> m/s, every other
+        # link reading speed_threshold. Not a field, so not a config key.
+        default = float(self.speed_threshold)
+        table = self.speed_threshold_by_link = defaultdict(lambda: default)
+        for tok in self.link_speed_thresholds.split(",") if self.link_speed_thresholds else ():
+            link, _, value = tok.partition(":")
+            try:
+                link, value = int(link), finite_float(value)
+            except ValueError:
+                raise ConfigError("bad_config", f"link_speed_thresholds entry {tok!r} "
+                                  "is not index:value") from None
+            problem = ("link index must be >= 1" if link < 1
+                       else "threshold must be > 0" if not value > 0
+                       else f"repeats link {link}" if link in table else "")
+            if problem:
+                raise ConfigError("bad_config", f"link_speed_thresholds entry {tok!r}: {problem}")
+            table[link] = value
 
     @property
     def peak_hour_set(self):
@@ -72,20 +95,12 @@ class RunConfig:
     def rain_label_set(self):
         return frozenset(self.rain_labels)
 
-    @property
-    def speed_threshold_by_link(self):
-        """Global threshold or, with overrides, a link-index mapping."""
-        if not self.link_speed_thresholds:
-            return self.speed_threshold
-        table: dict = {None: self.speed_threshold}
-        for tok in self.link_speed_thresholds.split(","):
-            link, _, value = tok.partition(":")
-            try:
-                table[int(link)] = finite_float(value)
-            except ValueError:
-                raise ConfigError("bad_config", f"link_speed_thresholds entry {tok!r} "
-                                  "is not index:value") from None
-        return table
+
+def covariates_for(cfg: RunConfig, weather):
+    """The run's ``covariates(t, traffic)`` over ``weather`` and the calendar
+    rules of ``cfg``."""
+    peak, rain = cfg.peak_hour_set, cfg.rain_label_set
+    return lambda t, traffic: build_covariates(t, weather, traffic, cfg.tz_offset, peak, rain)
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -145,39 +160,35 @@ def run_infer(cfg: RunConfig) -> InferReport:
     series = load_pings(cfg.pings, max_gap_s=cfg.max_gap)
 
     by_route: dict = {}  # route key -> its segments
-    for trav in series.segments:
-        trip = net.trips.get(trav.trip_id)
-        if trip is not None:
-            by_route.setdefault((trip.route_id, trip.direction_id), []).append(trav)
-    models = _route_models_for(net, xs, cfg, sorted(by_route))
-    arcs = {}  # segment -> arc positions of its pings; one projection per route
-    for rk, segs in by_route.items():
-        route_arcs, _ = project_many(models[rk].polyline, np.concatenate([t.lats for t in segs]),
-                                     np.concatenate([t.lons for t in segs]))
-        arcs.update(zip(segs, np.split(route_arcs, np.cumsum([len(t.lats) for t in segs[:-1]]))))
-
-    observations = []
     skipped = []
-    n_used = 0
     for trav in series.segments:
         trip = net.trips.get(trav.trip_id)
         if trip is None:
             skipped.append(f"{trav.trip_id}: unknown trip")
-            continue
-        rm = models[(trip.route_id, trip.direction_id)]
-        try:
-            obs, skips = observations_from_traversal(
-                trav, arcs[trav], rm, weather, tz_offset=cfg.tz_offset,
-                speed_threshold=cfg.speed_threshold_by_link,
-                peak_hours=cfg.peak_hour_set, rain_labels=cfg.rain_label_set,
-                backward_tolerance=cfg.backward_tolerance)
-        except InferenceError as exc:
-            skipped.append(f"{trav.trip_id}@{trav.timestamps[0]}: {exc}")
-            continue
-        observations.extend(obs)
-        skipped.extend(skips)
-        if obs:
-            n_used += 1
+        else:
+            by_route.setdefault((trip.route_id, trip.direction_id), []).append(trav)
+    models = _route_models_for(net, xs, cfg, sorted(by_route))
+    covariates, thresholds = covariates_for(cfg, weather), cfg.speed_threshold_by_link
+
+    observations = []
+    n_used = 0
+    for rk, segs in by_route.items():
+        rm = models[rk]
+        # one projection per route, split back into its segments
+        route_arcs, _ = project_many(rm.polyline, np.concatenate([t.lats for t in segs]),
+                                     np.concatenate([t.lons for t in segs]))
+        splits = np.cumsum([len(t.lats) for t in segs[:-1]])
+        for trav, arcs in zip(segs, np.split(route_arcs, splits)):
+            try:
+                obs, skips = observations_from_traversal(trav, arcs, rm, covariates, thresholds,
+                                                         cfg.backward_tolerance)
+            except InferenceError as exc:
+                skipped.append(f"{trav.trip_id}@{trav.timestamps[0]}: {exc}")
+                continue
+            observations.extend(obs)
+            skipped.extend(skips)
+            if obs:
+                n_used += 1
 
     observations.sort(key=lambda o: (o.route_key, o.link_index, o.depart_prev))
     out_path = Path(cfg.out_dir) / cfg.observations
@@ -360,12 +371,7 @@ def _session_for(cfg: RunConfig, rm, store: ModelStore, weather):
                or any(x not in inters for x in l.intersection_ids)]
     if missing:
         raise ConfigError("not_fitted", f"links without fitted models: {missing}")
-
-    def covariate_fn(t, traffic):
-        return build_covariates(t, weather, traffic, cfg.tz_offset,
-                                cfg.peak_hour_set, cfg.rain_label_set)
-
-    return PredictionSession(rm, road, dwell, inters, covariate_fn,
+    return PredictionSession(rm, road, dwell, inters, covariates_for(cfg, weather),
                              MarkovConfig(delta_t=cfg.delta_t, runs=cfg.runs, seed=cfg.seed),
                              cfg.speed_threshold_by_link)
 

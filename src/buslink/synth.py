@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, IngestError
 from .geometry import EARTH_RADIUS_M
-from .inference import build_covariates
-from .ingest import WeatherTable, date_text, day_number
+from .inference import DEFAULT_PEAK_HOURS, build_covariates
+from .ingest import DEFAULT_RAIN_LABELS, WeatherTable, date_text, day_number
 
 RUN_SPEED = 12.5  # m/s, non-crawl speed on congested links
 CRAWL_SPEED = 2.0  # m/s, must sit well below any sane speed threshold
@@ -67,7 +67,6 @@ class TruthSpec:
     slots_per_day: int = 60
     origin_lat: float = 29.651
     origin_lon: float = -82.325
-    speed_threshold: float = 5.0
     congestion_prob: float = 0.35
     rain_hour_prob: float = 0.3
     zone_speed: float = 8.0
@@ -134,6 +133,8 @@ def _combo_windows(spec: TruthSpec, link: TruthLink):
 
 def validate_truth(spec: TruthSpec) -> None:
     """Reject truths whose draws could not be realized or labeled correctly."""
+    if spec.seed < 0:
+        raise ConfigError("bad_config", f"seed = {spec.seed!r} must be >= 0")
     try:
         day_number(spec.start_date)
     except ValueError as exc:
@@ -255,7 +256,8 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
                 depart_prev = t
                 x_traffic = 1 if rng.random() < spec.congestion_prob else 0
                 try:  # the covariates infer will read off this departure
-                    cov = build_covariates(t, weather, x_traffic, spec.tz_offset)
+                    cov = build_covariates(t, weather, x_traffic, spec.tz_offset,
+                                           DEFAULT_PEAK_HOURS, DEFAULT_RAIN_LABELS)
                 except IngestError as exc:
                     raise ConfigError("infeasible_truth",
                                       f"trip {trip_id} of {date}, link {li}: {exc}") from None

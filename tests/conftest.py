@@ -11,6 +11,7 @@ from buslink.hetlognorm import COVARIATE_COUNT, design_matrix
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
+from buslink.pipeline import RunConfig, covariates_for
 from buslink.store import read_observations, write_observations
 
 # Five-link truth used by the end-to-end and acceptance tests. Chosen so that
@@ -90,9 +91,12 @@ def corpus_observations(corpus):
     observations = []
     skipped = []
     rm = corpus["rm"]
+    cfg = RunConfig(tz_offset=TZ)
+    covariates = covariates_for(cfg, corpus["weather"])
     for trav in corpus["series"].segments:
         arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
-        obs, sk = observations_from_traversal(trav, arcs, rm, corpus["weather"], tz_offset=TZ)
+        obs, sk = observations_from_traversal(trav, arcs, rm, covariates,
+                                              cfg.speed_threshold_by_link)
         observations.extend(obs)
         skipped.extend(sk)
     return observations, skipped
@@ -144,3 +148,11 @@ def feature_zone_test(rm: RouteModel, arc_pos: float) -> Zone:
         if abs(arc_pos - arc) <= rm.buffer_radius:
             return Zone(kind=kind, feature_id=fid, arc=arc)
     return ROAD_ZONE
+
+
+def link_scan(rm: RouteModel, arc_pos: float):
+    """The 1-based link whose [start, end) arc interval holds the position,
+    else None: a scan over the links, the brute-force reference for the
+    link lookup ``bisect_right(rm.stop_arcs, arc)``."""
+    return next((link.index for link in rm.links if link.start_arc <= arc_pos < link.end_arc),
+                None)

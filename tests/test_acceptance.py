@@ -12,11 +12,11 @@ from buslink.components import fit_dwell
 from buslink.evaluation import evaluate_split, mae, rmse
 from buslink.hetlognorm import (design_matrix, fisher_information, fit, linear_rows,
                                 log_likelihood, mu_interval_stddev, score)
-from buslink.inference import build_covariates, project_traversal, repair_monotonic
+from buslink.inference import project_traversal, repair_monotonic
 from buslink.ingest import local_date_hour
 from buslink.markov import (LinkPlan, MarkovConfig, PredictionSession, build_plan,
                             simulate)
-from buslink.pipeline import RunConfig, fit_all
+from buslink.pipeline import RunConfig, covariates_for, fit_all
 from buslink.stats import breusch_pagan, ks_lognormal, runs_test
 
 from conftest import CUT_DATE, TZ, generate_synthetic, observation_table
@@ -187,7 +187,6 @@ def test_criterion_07_interval_coverage(corpus, fitted):
     start = time.time()
     rm = corpus["rm"]
     road, dwell, inters = fitted.for_route(rm.route_key)
-    weather = corpus["weather"]
 
     truth_dep = {}
     for line in corpus["paths"].truth_events.read_text().splitlines()[1:]:
@@ -195,18 +194,17 @@ def test_criterion_07_interval_coverage(corpus, fitted):
         if p[2] == "stop":
             truth_dep[(p[0], p[1], p[3])] = float(p[5])
 
-    def covariate_fn(t, traffic):
-        return build_covariates(t, weather, traffic, TZ)
-
+    run = RunConfig(tz_offset=TZ)
+    covariates = covariates_for(run, corpus["weather"])
     test_travs = [t for t in corpus["series"].segments
                   if local_date_hour(t.pings[0].timestamp, TZ)[0] >= CUT_DATE]
     inside = total = 0
     for trav in test_travs[:100]:
         date, _ = local_date_hour(trav.pings[0].timestamp, TZ)
         pps = repair_monotonic(project_traversal(trav, rm))
-        session = PredictionSession(rm, road, dwell, inters, covariate_fn,
+        session = PredictionSession(rm, road, dwell, inters, covariates,
                                     MarkovConfig(delta_t=5.0, runs=1000, seed=909),
-                                    speed_threshold=5.0)
+                                    run.speed_threshold_by_link)
         for i, ping in enumerate(pps):
             if i == 0:
                 summary = session.start(ping)

@@ -226,10 +226,12 @@ def test_timestamp_past_the_weather_exit_2(workdir, tmp_path, capsys, shift, whe
     (lambda t: t.update(start_date="2023-13-01"), "start_date"),
     (lambda t: t.update(n_days="3"), "n_days"),
     (lambda t: t.update(seed=1.5), "seed"),
+    (lambda t: t.update(seed=-1), "seed"),
+    (lambda t: t.update(speed_threshold=5.0), "speed_threshold"),
     (lambda t: t["links"][0]["beta"].__setitem__(1, True), "link 1 beta"),
     (None, "t.json"),
 ], ids=["unknown_key", "link_without_beta", "bad_start_date", "str_for_int", "float_for_int",
-        "bool_for_float", "truncated_file"])
+        "negative_seed", "no_threshold_key", "bool_for_float", "truncated_file"])
 def test_bad_truth_exit_2(tmp_path, capsys, change, named):
     path = write_truth(tmp_path / "t.json", SMALL_TRUTH)
     if change is None:
@@ -344,6 +346,64 @@ def test_bad_link_speed_threshold_exit_2(workdir, tmp_path, capsys):
     rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
     assert_input_error(rc, capsys, "bad_config", "a:4.0")
     assert not (tmp_path / "observations.csv").exists()
+
+
+@pytest.mark.parametrize("line, named", [
+    ("speed_threshold = -5", "speed_threshold"),
+    ("speed_threshold = 0", "speed_threshold"),
+    ("link_speed_thresholds = 0:4.0", "'0:4.0'"),
+    ("link_speed_thresholds = 1:4.0,-3:1.0", "'-3:1.0'"),
+    ("link_speed_thresholds = 2:-1.0", "'2:-1.0'"),
+    ("link_speed_thresholds = 2:0", "'2:0'"),
+    ("link_speed_thresholds = 2:4.0,2:9.0", "'2:9.0'"),
+], ids=["negative_default", "zero_default", "link_0", "negative_link", "negative_value",
+        "zero_value", "repeated_link"])
+def test_out_of_range_link_speed_threshold_exit_2(workdir, tmp_path, capsys, line, named):
+    """Link indices start at 1, thresholds are > 0 and a link has one
+    override; the entry that breaks a rule is named."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(workdir["cfg"].read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "bad_config", named)
+    assert not (tmp_path / "observations.csv").exists()
+
+
+def test_link_speed_threshold_override_changes_only_its_link(workdir, tmp_path):
+    """Under a 0.001 m/s threshold on link 2 no pair of link 2 is congested:
+    its traffic column turns all 0 and nothing else in the file changes."""
+    rows = {}
+    for name, extra in (("default", ""), ("override", "link_speed_thresholds = 2:0.001\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(workdir["cfg"].read_text(encoding="utf-8") + extra, encoding="utf-8")
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        text = (tmp_path / name / "observations.csv").read_text(encoding="utf-8")
+        rows[name] = [line.split(",") for line in text.splitlines()]
+    header = rows["default"][0]
+    link, traffic = header.index("link_index"), header.index("traffic")
+    assert len(rows["override"]) == len(rows["default"])
+    changed = 0
+    for old, new in zip(rows["default"], rows["override"]):
+        assert new[:traffic] + new[traffic + 1:] == old[:traffic] + old[traffic + 1:]
+        if old[link] == "2":
+            changed += old[traffic] != new[traffic]
+            assert new[traffic] == "0"
+        else:
+            assert new[traffic] == old[traffic]
+    assert changed > 0
+
+
+def test_negative_seed_synth_exit_2(small_corpus, tmp_path, capsys):
+    rc = main(["synth", "--truth", str(small_corpus["truth_path"]), "--seed", "-1",
+               "--out", str(tmp_path / "c")])
+    assert_input_error(rc, capsys, "bad_config", "seed")
+    assert not (tmp_path / "c").exists()
+
+
+def test_negative_seed_simulate_exit_2(workdir, capsys):
+    trip, _ = _first_trip_start(workdir["paths"])
+    rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--replay",
+               "--seed", "-1"])
+    assert_input_error(rc, capsys, "bad_config", "seed")
 
 
 def test_bad_number_in_gtfs_table_exit_2(workdir, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from buslink.errors import GeometryError
 from buslink.geometry import (EARTH_RADIUS_M, Polyline, build_polyline,
-                              build_route_model, link_index_at, project_many)
+                              build_route_model, project_many)
 from buslink.ingest import IntersectionSet, StaticNetwork, Trip
 
 from conftest import feature_zone_test
@@ -181,14 +181,3 @@ def test_zone_sequence_matches_feature_order():
             seen.append(z.feature_id)
     assert seen == ["S0", "X1", "S1", "X2", "S2"]
 
-
-def test_link_index_at():
-    net, xs = network_with([0.0, 500.0, 1200.0], [])
-    rm = build_route_model(net, xs, ("R", 0))
-    mid_arc = rm.projected_stops[1][1]
-    last_arc = rm.projected_stops[2][1]
-    assert link_index_at(rm, rm.projected_stops[0][1]) == 1
-    assert link_index_at(rm, mid_arc - 1.0) == 1
-    assert link_index_at(rm, mid_arc) == 2
-    assert link_index_at(rm, last_arc - 0.1) == 2
-    assert link_index_at(rm, last_arc) is None

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from buslink.errors import InferenceError
-from buslink.geometry import build_route_model, link_index_at
-from buslink.inference import (ProjectedPing, build_covariates, detect_events,
-                               observations_from_traversal, open_road_link_of, repair_mask,
-                               repair_monotonic, space_mean_speed)
-from buslink.ingest import Traversal, load_weather
+from buslink.geometry import build_route_model
+from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, build_covariates,
+                               detect_events, observations_from_traversal, open_road_link_of,
+                               repair_mask, repair_monotonic, space_mean_speed)
+from buslink.ingest import DEFAULT_RAIN_LABELS, Traversal, load_weather
+from buslink.pipeline import RunConfig, covariates_for
 
-from conftest import feature_zone_test
+from conftest import feature_zone_test, link_scan
 from test_geometry import network_with
 
 
@@ -80,12 +81,17 @@ class AnyWeather:
         return "Rain" if hour % 2 else "Clear"
 
 
-def infer(rm, pings, **kwargs):
-    """observations_from_traversal on (timestamp, arc) pairs."""
+COVARIATES = covariates_for(RunConfig(tz_offset=-5.0), AnyWeather())
+
+
+def infer(rm, pings, speed_threshold=5.0):
+    """observations_from_traversal on (timestamp, arc) pairs, one threshold
+    for every link."""
     ts = np.array([t for t, _ in pings], dtype=np.int64)
     trav = Traversal("T1", "V1", ts, np.zeros(len(ts)), np.zeros(len(ts)))
+    thresholds = RunConfig(speed_threshold=speed_threshold).speed_threshold_by_link
     return observations_from_traversal(trav, np.array([a for _, a in pings], dtype=float), rm,
-                                       AnyWeather(), tz_offset=-5.0, **kwargs)
+                                       COVARIATES, thresholds)
 
 
 class TestDecompose:
@@ -155,11 +161,9 @@ class TestSpeeds:
             assert (obs.covariates.traffic, obs.flags) == (traffic, flags)
 
     def test_per_link_threshold_resolution(self):
-        from buslink.inference import resolve_threshold
-        assert resolve_threshold(5.0, 3) == 5.0
-        table = {None: 5.0, 2: 3.5}
-        assert resolve_threshold(table, 2) == 3.5
-        assert resolve_threshold(table, 1) == 5.0
+        assert RunConfig().speed_threshold_by_link[3] == 5.0
+        table = RunConfig(speed_threshold=4.5, link_speed_thresholds="2:3.5").speed_threshold_by_link
+        assert (table[1], table[2], table[3]) == (4.5, 3.5, 4.5)
 
     def test_traffic_monotone_in_threshold(self, single_link_rm):
         rng = np.random.default_rng(5)
@@ -189,17 +193,17 @@ class TestCovariates:
 
     def test_tuesday_peak_clear(self, weather):
         t = self._posix_local("2023-09-05", 8, 30)  # Tuesday
-        cov = build_covariates(t, weather, 0, tz_offset=-5.0)
+        cov = build_covariates(t, weather, 0, -5.0, DEFAULT_PEAK_HOURS, DEFAULT_RAIN_LABELS)
         assert cov == (0, 1, 1, 0)
 
     def test_saturday_rain_traffic(self, weather):
         t = self._posix_local("2023-09-09", 12, 0)  # Saturday
-        cov = build_covariates(t, weather, 1, tz_offset=-5.0)
+        cov = build_covariates(t, weather, 1, -5.0, DEFAULT_PEAK_HOURS, DEFAULT_RAIN_LABELS)
         assert cov == (1, 0, 0, 1)
 
     def test_friday_16_boundary_is_peak(self, weather):
         t = self._posix_local("2023-09-08", 16, 0)  # Friday
-        cov = build_covariates(t, weather, 0, tz_offset=-5.0)
+        cov = build_covariates(t, weather, 0, -5.0, DEFAULT_PEAK_HOURS, DEFAULT_RAIN_LABELS)
         assert cov.peak == 1 and cov.weekday == 1
 
 
@@ -269,8 +273,8 @@ def test_monotone_pings_give_the_identity_or_a_typed_skip(three_link_rm, start, 
     arcs = start_arc + np.cumsum([0.0] + [da for _, da in steps])
     trav = Traversal("T1", "V1", ts.astype(np.int64), np.zeros(len(ts)), np.zeros(len(ts)))
     try:
-        observations, skips = observations_from_traversal(trav, arcs, three_link_rm,
-                                                          AnyWeather(), tz_offset=-5.0)
+        observations, skips = observations_from_traversal(trav, arcs, three_link_rm, COVARIATES,
+                                                          RunConfig().speed_threshold_by_link)
     except InferenceError as exc:
         assert exc.kind == "too_sparse"
         return
@@ -314,7 +318,7 @@ class TestOpenRoadLinkOf:
     def oracle(rm, arc):
         if feature_zone_test(rm, arc).kind != "road" or not rm.first_arc < arc < rm.last_arc:
             return -1
-        return link_index_at(rm, arc)
+        return link_scan(rm, arc)
 
     def check(self, rm, arcs):
         tags = open_road_link_of([float(a) for a in arcs], rm)

@@ -5,9 +5,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buslink import ingest
 from buslink.errors import IngestError
-from buslink.inference import build_covariates
-from buslink.ingest import (Ping, _ping, day_number, load_gtfs_static, load_intersections,
-                            load_pings, load_weather, read_rows)
+from buslink.inference import DEFAULT_PEAK_HOURS, build_covariates
+from buslink.ingest import (DEFAULT_RAIN_LABELS, Ping, _ping, day_number, load_gtfs_static,
+                            load_intersections, load_pings, load_weather, read_rows)
 
 GTFS_MINIMAL = {
     "stops.txt": "stop_id,stop_name,stop_lat,stop_lon\nA,Alpha,29.0,-82.0\nB,Beta,29.0,-81.99\n",
@@ -477,19 +477,24 @@ def _posix(y, mo, d, h, mi):
     return datetime(y, mo, d, h, mi, tzinfo=timezone.utc).timestamp()
 
 
+def _rain(t, weather, tz_offset):
+    return build_covariates(t, weather, 0, tz_offset, DEFAULT_PEAK_HOURS,
+                            DEFAULT_RAIN_LABELS).rain
+
+
 def test_rain_indicator_labels(tmp_path):
     w = load_weather(write_weather(tmp_path, ["2023-09-01,14,Thunderstorm",
                                               "2023-09-01,15,Clear"]))
     t_wet = _posix(2023, 9, 1, 14, 30)  # tz 0 for simplicity
     t_dry = _posix(2023, 9, 1, 15, 30)
-    assert build_covariates(t_wet, w, 0, 0).rain == 1
-    assert build_covariates(t_dry, w, 0, 0).rain == 0
+    assert _rain(t_wet, w, 0) == 1
+    assert _rain(t_dry, w, 0) == 0
 
 
 def test_rain_indicator_missing_hour(tmp_path):
     w = load_weather(write_weather(tmp_path, ["2023-09-01,14,Clear"]))
     with pytest.raises(IngestError) as e:
-        build_covariates(_posix(2023, 9, 1, 16, 0), w, 0, 0)
+        _rain(_posix(2023, 9, 1, 16, 0), w, 0)
     assert e.value.kind == "missing_weather"
 
 
@@ -498,13 +503,13 @@ def test_rain_indicator_tz_boundary(tmp_path):
     # the same local date
     w = load_weather(write_weather(tmp_path, ["2023-09-01,23,Rain"]))
     t = _posix(2023, 9, 2, 3, 30)
-    assert build_covariates(t, w, 0, -4).rain == 1
+    assert _rain(t, w, -4) == 1
 
 
 def test_rain_indicator_constant_within_hour(tmp_path):
     w = load_weather(write_weather(tmp_path, ["2023-09-01,14,Rain"]))
     base = _posix(2023, 9, 1, 14, 0)
-    values = {build_covariates(base + s, w, 0, 0).rain for s in (0, 600, 1800, 3599)}
+    values = {_rain(base + s, w, 0) for s in (0, 600, 1800, 3599)}
     assert values == {1}
 
 

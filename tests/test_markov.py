@@ -9,9 +9,12 @@ from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
 from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
 from buslink.hetlognorm import HetLogNormalModel
-from buslink.markov import (LinkPlan, MarkovConfig, build_plan, percentile_band, simulate,
-                            steps_to_complete)
+from buslink.inference import CovariateVector, ProjectedPing, open_road_link_of
+from buslink.markov import (LinkPlan, MarkovConfig, PredictionSession, build_plan,
+                            percentile_band, simulate, steps_to_complete)
+from buslink.pipeline import RunConfig
 
+from conftest import link_scan
 from test_geometry import network_with
 
 
@@ -23,6 +26,10 @@ def constant_model(road_seconds: float) -> HetLogNormalModel:
 
 def dwell_const(v: float) -> EmpiricalDwell:
     return fit_dwell("S", [v], min_samples=1)
+
+
+def fixed_covariates(t, traffic):
+    return CovariateVector(rain=0, peak=0, weekday=1, traffic=traffic)
 
 
 def plan(p_stay, dwell=0.0, intersections=(), index=1):
@@ -184,23 +191,17 @@ class TestSessionUpdateRule:
     def session(self):
         return self.new_session()
 
-    def new_session(self):
-        from buslink.inference import CovariateVector
-        from buslink.markov import PredictionSession
+    def new_session(self, link_speed_thresholds=""):
         net, xs = network_with([0.0, 800.0, 1600.0], [])
         rm = build_route_model(net, xs, ("R", 0))
         road = {1: constant_model(80.0), 2: constant_model(80.0)}
         dwells = {"S1": dwell_const(10.0), "S2": dwell_const(5.0)}
-
-        def covariate_fn(t, traffic):
-            return CovariateVector(rain=0, peak=0, weekday=1, traffic=traffic)
-
-        return PredictionSession(rm, road, dwells, {}, covariate_fn,
+        cfg = RunConfig(speed_threshold=5.0, link_speed_thresholds=link_speed_thresholds)
+        return PredictionSession(rm, road, dwells, {}, fixed_covariates,
                                  MarkovConfig(delta_t=5.0, runs=200, seed=1),
-                                 speed_threshold=5.0)
+                                 cfg.speed_threshold_by_link)
 
     def ping(self, t, arc):
-        from buslink.inference import ProjectedPing
         return ProjectedPing(timestamp=float(t), arc_pos=float(arc))
 
     def test_flip_sequence(self, session):
@@ -253,6 +254,45 @@ class TestSessionUpdateRule:
         assert replay.update(pings[1]) is None
         assert replay.update(pings[2]) == emitted
         assert replay.traffic == 1
+
+    def test_link_override_reaches_observe(self, session):
+        """Under a 2.5 m/s override on link 1 the 3 m/s pair that flips the
+        default session is open road; link 2 keeps the 5 m/s default."""
+        session.start(self.ping(0, 100.0))
+        assert session.observe(self.ping(10, 130.0))  # 3 m/s < 5
+        override = self.new_session("1:2.5")
+        override.start(self.ping(0, 100.0))
+        assert not override.observe(self.ping(10, 130.0))  # 3 m/s >= 2.5
+        assert override.observe(self.ping(20, 150.0))  # 2 m/s < 2.5
+        assert not override.observe(self.ping(100, 900.0))  # a pair across links
+        assert not override.observe(self.ping(110, 940.0))  # 4 m/s < 5 on link 2
+        assert override.traffic == 1
+
+
+def test_link_lookup_is_the_link_interval_scan():
+    """The session's origin link and open_road_link_of's link are the
+    [start, end) link interval that a scan finds, on random arcs and on
+    each stop arc with its nextafter neighbours. With buffer radius 0 only
+    the stop arcs themselves are in a zone."""
+    net, xs = network_with([0.0, 500.0, 1200.0, 1500.0], [])
+    rm = build_route_model(net, xs, ("R", 0), buffer_radius=0.0)
+    road = {link.index: constant_model(80.0) for link in rm.links}
+    dwells = {link.to_stop: dwell_const(5.0) for link in rm.links}
+    first, mid, last = rm.stop_arcs[0], rm.stop_arcs[1], rm.stop_arcs[-1]
+    arcs = [float(a) for stop in rm.stop_arcs
+            for a in (np.nextafter(stop, -np.inf), stop, np.nextafter(stop, np.inf))]
+    arcs += [mid - 1.0, last - 0.1, *np.random.default_rng(3).uniform(-50.0, last + 50.0, 300)]
+    for arc in arcs:
+        session = PredictionSession(rm, road, dwells, {}, fixed_covariates,
+                                    MarkovConfig(runs=1), RunConfig().speed_threshold_by_link)
+        summary = session.start(ProjectedPing(timestamp=0.0, arc_pos=arc))
+        # the session starts a position before the first stop at the first stop
+        expected = link_scan(rm, max(arc, first))
+        assert (summary and summary.origin_link) == expected
+    cases = (first, mid - 1.0, mid, last - 0.1, last)
+    assert [link_scan(rm, a) for a in cases] == [1, 1, 2, 3, None]
+    assert open_road_link_of(arcs, rm) == [
+        link_scan(rm, a) if first < a < last and a not in rm.stop_arcs else -1 for a in arcs]
 
 
 class TestBuildPlan:

@@ -8,8 +8,11 @@ from buslink.geometry import build_route_model, project_many
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
+from buslink.pipeline import RunConfig, covariates_for
 
 from conftest import SMALL_TRUTH, write_truth
+
+RUN = RunConfig(tz_offset=-5.0)  # synth's zone, default rules
 
 
 def load_spec(tmp_path, truth):
@@ -89,7 +92,8 @@ def test_zero_variance_truth_recovered_within_quantization(tmp_path):
     checked = 0
     for trav in series.segments:
         arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
-        obs, _ = observations_from_traversal(trav, arcs, rm, weather, tz_offset=-5.0)
+        obs, _ = observations_from_traversal(trav, arcs, rm, covariates_for(RUN, weather),
+                                             RUN.speed_threshold_by_link)
         for o in obs:
             match = [v for (tid, li, dep), v in truth.items()
                      if tid == trav.trip_id and li == o.link_index
@@ -185,7 +189,8 @@ def test_truth_covariates_equal_inferred_across_midnight(tmp_path):
     inferred = []
     for trav in load_pings(paths.pings).segments:
         arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
-        inferred += observations_from_traversal(trav, arcs, rm, weather, tz_offset=-5.0)[0]
+        inferred += observations_from_traversal(trav, arcs, rm, covariates_for(RUN, weather),
+                                                RUN.speed_threshold_by_link)[0]
     assert len(inferred) == len(truth) == 6
     for o in inferred:
         # a measured departure trails the true one by at most one ping interval
