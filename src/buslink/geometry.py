@@ -75,7 +75,6 @@ def project_many(polyline: Polyline, lats, lons):
 @dataclass(frozen=True)
 class Link:
     index: int
-    from_stop: str
     to_stop: str
     start_arc: float
     end_arc: float
@@ -194,8 +193,7 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
     for i in range(1, len(projected_stops)):
         a0, a1 = projected_stops[i - 1][1], projected_stops[i][1]
         in_link = tuple(xid for xid, arc in kept if a0 < arc < a1)
-        links.append(Link(index=i, from_stop=projected_stops[i - 1][0],
-                          to_stop=projected_stops[i][0],
+        links.append(Link(index=i, to_stop=projected_stops[i][0],
                           start_arc=a0, end_arc=a1, intersection_ids=in_link))
 
     return RouteModel(route_key=tuple(route_key), polyline=polyline,

@@ -2,15 +2,19 @@
 tables, ping records, weather, and intersections, so the whole pipeline
 can be checked against exact known values.
 
-The fixture route is a straight east-west line. Per link and traversal,
-the road time is drawn from the truth's log-normal (given the realized
-covariates) and turned into a kinematic plan whose open-road speeds
-respect the traffic-indicator semantics: uncongested traversals never
-drop below the speed threshold between buffer zones, congested ones
-crawl well below it for a stretch long enough that ping pairs must see
-it. Buffer zones are crossed at a fixed zone speed plus standing time,
-so measured dwell and intersection durations reproduce the truth pools
-up to ping quantization.
+Per link and traversal, the road time is drawn from the truth's
+log-normal (given the realized covariates) and turned into a kinematic
+plan whose open-road speeds respect the traffic-indicator semantics:
+uncongested traversals never drop below the speed threshold between
+buffer zones, congested ones crawl well below it for a stretch long
+enough that ping pairs must see it. Two motion primitives append a
+traversal's ``(time, arc)`` breakpoints: ``_emit_run`` drives one
+open-road run, and ``_cross_zone`` crosses a stop's or an intersection's
+buffer zone at a fixed zone speed plus standing time, so measured dwell
+and intersection durations reproduce the truth pools up to ping
+quantization. Pings sample the breakpoints on the ping grid. One
+coordinate map, ``_lat_lon``, writes the coordinates of every table; it
+alone knows the route's shape, a straight east-west line.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, IngestError
 from .geometry import EARTH_RADIUS_M
 from .inference import DEFAULT_PEAK_HOURS, build_covariates
-from .ingest import DEFAULT_RAIN_LABELS, WeatherTable, date_text, day_number
+from .ingest import DEFAULT_RAIN_LABELS, WeatherTable, _checked_id, date_text, day_number
 
 RUN_SPEED = 12.5  # m/s, non-crawl speed on congested links
 CRAWL_SPEED = 2.0  # m/s, must sit well below any sane speed threshold
@@ -120,27 +125,54 @@ def load_truth(path) -> TruthSpec:
 
 
 def _combo_windows(spec: TruthSpec, link: TruthLink):
-    """Kinematically realizable road-time windows (congested, uncongested)."""
+    """The link's open-road distance and its kinematically realizable
+    road-time windows (uncongested, congested)."""
     d_open = link.length - 2.0 * spec.buffer_radius \
         - len(link.intersections) * 2.0 * spec.buffer_radius
-    t0_lo = d_open / FREE_SPEED_MAX
-    t0_hi = d_open / FREE_SPEED_MIN
-    w_min = CRAWL_SPEED * MIN_CRAWL_S
-    t1_lo = (d_open - w_min) / RUN_SPEED + MIN_CRAWL_S
-    t1_hi = 0.95 * d_open / CRAWL_SPEED
-    return d_open, (t0_lo, t0_hi), (t1_lo, t1_hi)
+    return d_open, (d_open / FREE_SPEED_MAX, d_open / FREE_SPEED_MIN), \
+        ((d_open - CRAWL_SPEED * MIN_CRAWL_S) / RUN_SPEED + MIN_CRAWL_S,
+         0.95 * d_open / CRAWL_SPEED)
 
 
 def validate_truth(spec: TruthSpec) -> None:
-    """Reject truths whose draws could not be realized or labeled correctly."""
-    if spec.seed < 0:
-        raise ConfigError("bad_config", f"seed = {spec.seed!r} must be >= 0")
+    """Reject truths that the generator could not realize, whose corpus
+    ``infer`` would reject or read otherwise, or whose draws it could not
+    label correctly. Ranges and shapes are ``bad_config``, ids the readers
+    could not read back ``bad_id``, the rest ``infeasible_truth``."""
+    ids = [x.intersection_id for link in spec.links for x in link.intersections]
+    repeated = [xid for k, xid in enumerate(ids) if xid in ids[:k]]
+    rules = [(key, getattr(spec, key), rule, ok(getattr(spec, key))) for keys, rule, ok in (
+        (("buffer_radius", "zone_speed", "delta_t"), "> 0", lambda v: v > 0),
+        (("n_days", "slots_per_day", "ping_interval"), ">= 1", lambda v: v >= 1),
+        (("congestion_prob", "rain_hour_prob"), "in [0, 1]", lambda v: 0 <= v <= 1),
+        (("seed",), ">= 0", lambda v: v >= 0),
+        (("direction_id",), "0 or 1", lambda v: v in (0, 1)),
+        (("origin_lat",), "in [-90, 90]", lambda v: -90 <= v <= 90),
+        (("origin_lon",), "in [-180, 180]", lambda v: -180 <= v <= 180),
+        (("links",), "non-empty", len)) for key in keys]
+    for li, link in enumerate(spec.links, start=1):
+        rules += [(f"link {li} dwell_pool", link.dwell_pool, "non-empty", len(link.dwell_pool) > 0),
+                  (f"link {li} beta", link.beta, "5 numbers", len(link.beta) == 5),
+                  (f"link {li} gamma", link.gamma, "5 numbers", len(link.gamma) == 5)]
+        rules += [(f"intersection {x.intersection_id} sigma", x.sigma, ">= 0", x.sigma >= 0)
+                  for x in link.intersections]
+    rules.append(("intersection id", repeated[:1], "used once", not repeated))
+    for name, value, rule, ok in rules:
+        if not ok:
+            raise ConfigError("bad_config", f"{name} = {value!r} must be {rule}")
+    end = _lat_lon(spec, [sum(link.length for link in spec.links) + SHAPE_TAIL_M])[0]
+    end_lat, end_lon = map(float, end.split(","))
+    if not (-90 <= end_lat <= 90 and -180 <= end_lon <= 180):
+        raise ConfigError("bad_config", f"the shape's last vertex = {end!r} must be inside "
+                          "[-90, 90] x [-180, 180]")
     try:
         day_number(spec.start_date)
     except ValueError as exc:
         raise ConfigError("bad_config", f"start_date: {exc}") from None
-    if spec.ping_interval < 1:
-        raise ConfigError("infeasible_truth", "ping_interval must be >= 1 second")
+    for xid in ids:
+        _checked_id(xid, "intersection_id")
+    _checked_id(spec.route_id, "route_id")
+
     zone_cross = 2.0 * spec.buffer_radius / spec.zone_speed
     for li, link in enumerate(spec.links, start=1):
         d_open, w0, w1 = _combo_windows(spec, link)
@@ -167,29 +199,30 @@ def validate_truth(spec: TruthSpec) -> None:
             raise ConfigError("infeasible_truth",
                               f"link {li}: dwell pool minimum below zone crossing time "
                               f"{zone_cross:.1f}s")
+        # infer merges away a feature within 2 * buffer_radius of the one before
+        offsets = [0.0, *(x.offset for x in link.intersections), link.length]
+        if not all(q - p > 2.0 * spec.buffer_radius for p, q in zip(offsets, offsets[1:])):
+            raise ConfigError("infeasible_truth", f"link {li}: stop and intersection offsets "
+                              f"{offsets} m must each exceed the one before by more than "
+                              f"2 * buffer_radius")
         for x in link.intersections:
-            if not (2.0 * spec.buffer_radius < x.offset < link.length - 2.0 * spec.buffer_radius):
-                raise ConfigError("infeasible_truth",
-                                  f"intersection {x.intersection_id} too close to a stop")
             if math.exp(x.mu - 2 * x.sigma) < 2.0 * spec.buffer_radius / RUN_SPEED:
                 raise ConfigError("infeasible_truth",
                                   f"intersection {x.intersection_id}: zone times too short to realize")
 
 
-# ---------------------------------------------------------------------------
-# geometry helpers (straight east-west route)
-# ---------------------------------------------------------------------------
-
-def _lon_at(spec: TruthSpec, arc: float) -> float:
-    rad = arc / (EARTH_RADIUS_M * math.cos(math.radians(spec.origin_lat)))
-    return spec.origin_lon + math.degrees(rad)
+SHAPE_TAIL_M = 30.0  # the shape runs on this far past the terminal stop
 
 
-def _stop_arcs(spec: TruthSpec):
-    arcs = [0.0]
-    for link in spec.links:
-        arcs.append(arcs[-1] + link.length)
-    return arcs
+def _lat_lon(spec: TruthSpec, arcs) -> list:
+    """``lat,lon`` text of each arc position: the one place that knows the
+    route's shape, a line due east from the origin along its parallel."""
+    rad = np.asarray(arcs, dtype=float) / (EARTH_RADIUS_M * math.cos(math.radians(spec.origin_lat)))
+    return [f"{spec.origin_lat!r},{lon!r}" for lon in (spec.origin_lon + np.degrees(rad)).tolist()]
+
+
+def _stop_arcs(spec: TruthSpec) -> list:
+    return list(accumulate((link.length for link in spec.links), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +248,8 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
     out = Path(out_dir)
     gtfs = out / "gtfs"
     gtfs.mkdir(parents=True, exist_ok=True)
-    paths = CorpusPaths(root=out, gtfs_dir=gtfs, pings=out / "pings.csv",
-                        weather=out / "weather.csv",
-                        intersections=out / "intersections.csv",
-                        truth_events=out / "truth_events.csv",
-                        truth_links=out / "truth_links.csv")
+    paths = CorpusPaths(out, gtfs, *(out / f"{name}.csv" for name in (
+        "pings", "weather", "intersections", "truth_events", "truth_links")))
 
     _write_gtfs(spec, gtfs)
     _write_intersections(spec, paths.intersections)
@@ -232,27 +262,26 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
     b = spec.buffer_radius
     zone_half = b / spec.zone_speed
     zone_cross = 2.0 * zone_half
+    per_link = []  # each link's coefficients, road-time windows, open runs and dwell pool
+    for link, a0, a1 in zip(spec.links, stop_arcs, stop_arcs[1:]):
+        edges = [a0 + b, *(a0 + xt.offset + side for xt in link.intersections for side in (-b, b)),
+                 a1 - b]
+        per_link.append((np.asarray(link.beta), np.asarray(link.gamma), *_combo_windows(spec, link),
+                         list(zip(edges[::2], edges[1::2])), np.asarray(link.dwell_pool)))
 
-    ping_lines = []
-    event_lines = []
-    link_lines = []
-    n_trav = 0
+    ping_lines, event_lines, link_lines = [], [], []
     for day in days:
         date = date_text(day)
         for slot in range(spec.slots_per_day):
             trip_id = f"T{slot:03d}"
-            vehicle = f"B{slot % 7}"
             t0 = 86400 * day + spec.first_slot_s + slot * spec.headway_s - spec.tz_offset * 3600.0
-            bp_t = [t0]
-            bp_a = [stop_arcs[0]]
-            t = t0 + float(rng.choice(np.asarray(spec.links[0].dwell_pool))) - zone_cross
-            bp_t.append(t)
-            bp_a.append(stop_arcs[0])
-            # exit the origin stop's zone
-            t += zone_half
-            bp_t.append(t)
-            bp_a.append(stop_arcs[0] + b)
-            for li, link in enumerate(spec.links, start=1):
+            t = t0 + float(rng.choice(per_link[0][-1])) - zone_cross  # link 1's dwell pool
+            # stand at the origin stop, then exit its zone
+            bp_t = [t0, t, t + zone_half]
+            bp_a = [stop_arcs[0], stop_arcs[0], stop_arcs[0] + b]
+            t = bp_t[-1]
+            for li, (link, constants) in enumerate(zip(spec.links, per_link), start=1):
+                beta, gamma, d_open, w0, w1, runs, dwell_pool = constants
                 depart_prev = t
                 x_traffic = 1 if rng.random() < spec.congestion_prob else 0
                 try:  # the covariates infer will read off this departure
@@ -262,98 +291,58 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
                     raise ConfigError("infeasible_truth",
                                       f"trip {trip_id} of {date}, link {li}: {exc}") from None
                 x = np.array([1.0, *cov])
-                mu = float(np.asarray(link.beta) @ x)
-                sigma = math.exp(0.5 * float(np.asarray(link.gamma) @ x))
-                d_open, w0, w1 = _combo_windows(spec, link)
+                mu = float(beta @ x)
+                sigma = math.exp(0.5 * float(gamma @ x))
                 lo, hi = (w1 if x_traffic else w0)
                 t_road = min(max(math.exp(mu + sigma * rng.standard_normal()), lo), hi)
 
-                start_arc = stop_arcs[li - 1]
-                end_arc = stop_arcs[li]
-                # open-road runs between zone edges, in arc order
-                edges = [start_arc + b]
-                x_events = []
-                for xt in link.intersections:
-                    edges.append(start_arc + xt.offset - b)
-                    edges.append(start_arc + xt.offset + b)
-                edges.append(end_arc - b)
-                runs = [(edges[2 * i], edges[2 * i + 1]) for i in range(len(edges) // 2)]
-                crawl_by_run = _crawl_allocation(spec, runs, d_open, t_road, x_traffic)
-
-                xs_realized = []
-                for ri, (p, q) in enumerate(runs):
-                    t = _emit_run(bp_t, bp_a, t, p, q, d_open, t_road, x_traffic,
-                                  crawl_by_run[ri])
-                    if ri < len(link.intersections):
-                        xt = link.intersections[ri]
-                        t_arr = t
+                crawl_by_run = _crawl_allocation(runs, d_open, t_road, x_traffic)
+                crossings = []  # (intersection id, arrival, departure)
+                for (p, q), crawl_m, xt in zip(runs, crawl_by_run, (*link.intersections, None)):
+                    t = _emit_run(bp_t, bp_a, t, p, q, d_open, t_road, x_traffic, crawl_m)
+                    if xt is not None:
                         total = max(math.exp(xt.mu + xt.sigma * rng.standard_normal()),
                                     2.0 * b / RUN_SPEED)
                         stand = max(total - zone_cross, 0.0)
-                        speed_in = spec.zone_speed if stand > 0 else 2.0 * b / total
-                        t += b / speed_in
-                        bp_t.append(t)
-                        bp_a.append(start_arc + xt.offset)
-                        if stand > 0:
-                            t += stand
-                            bp_t.append(t)
-                            bp_a.append(start_arc + xt.offset)
-                        t += b / speed_in
-                        bp_t.append(t)
-                        bp_a.append(start_arc + xt.offset + b)
-                        xs_realized.append((xt.intersection_id, t - t_arr))
-                        x_events.append((xt.intersection_id, t_arr, t))
-                # end stop zone
+                        half = zone_half if stand > 0 else b / (2.0 * b / total)
+                        arc = stop_arcs[li - 1] + xt.offset
+                        t_arr, t = t, _cross_zone(bp_t, bp_a, t, arc, b, half, stand)
+                        crossings.append((xt.intersection_id, t_arr, t))
                 t_arr = t
-                dwell_total = float(rng.choice(np.asarray(link.dwell_pool)))
-                stand = dwell_total - zone_cross
-                t += zone_half
-                bp_t.append(t)
-                bp_a.append(end_arc)
-                if stand > 0:
-                    t += stand
-                    bp_t.append(t)
-                    bp_a.append(end_arc)
-                t += zone_half
-                bp_t.append(t)
-                bp_a.append(end_arc + b)
+                dwell_total = float(rng.choice(dwell_pool))
+                t = _cross_zone(bp_t, bp_a, t, stop_arcs[li], b, zone_half,
+                                dwell_total - zone_cross)
                 event_lines.append(f"{trip_id},{date},stop,S{li},{t_arr!r},{t!r}")
-                if li == len(spec.links):
-                    # drive clear of the terminal zone so the last departure registers
-                    t += 8.0 / spec.zone_speed
-                    bp_t.append(t)
-                    bp_a.append(end_arc + b + 8.0)
-                for xid, xa, xd in x_events:
-                    event_lines.append(f"{trip_id},{date},intersection,{xid},{xa!r},{xd!r}")
-                xs_txt = ";".join(f"{xid}={dur!r}" for xid, dur in xs_realized)
+                event_lines += [f"{trip_id},{date},intersection,{xid},{xa!r},{xd!r}"
+                                for xid, xa, xd in crossings]
+                xs_txt = ";".join(f"{xid}={xd - xa!r}" for xid, xa, xd in crossings)
                 link_lines.append(
                     f"{trip_id},{date},{li},{depart_prev!r},{t_road!r},{dwell_total!r},"
                     f"{xs_txt},{','.join(map(str, cov))}")
+            # drive clear of the terminal zone so the last departure registers
+            bp_t.append(t + 8.0 / spec.zone_speed)
+            bp_a.append(stop_arcs[-1] + b + 8.0)
             # sample pings on the grid; one trailing ping past the terminal
-            end_t = bp_t[-1] + spec.ping_interval
-            times = np.arange(math.ceil(t0), end_t + 1.0, spec.ping_interval)
-            arcs = np.interp(times, bp_t, bp_a)
-            lons = [_lon_at(spec, a) for a in arcs]
-            for ts, lon in zip(times, lons):
-                ping_lines.append(f"{trip_id},{vehicle},{int(ts)},{spec.origin_lat!r},{lon!r}")
-            n_trav += 1
+            times = np.arange(math.ceil(t0), bp_t[-1] + spec.ping_interval + 1.0,
+                              spec.ping_interval)
+            coords = _lat_lon(spec, np.interp(times, bp_t, bp_a))
+            ping_lines += [f"{trip_id},B{slot % 7},{int(ts)},{ll}"
+                           for ts, ll in zip(times.tolist(), coords)]
 
-    with open(paths.pings, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(ping_lines) + "\n")
-    with open(paths.truth_events, "w", encoding="utf-8") as fh:
-        fh.write("trip_id,date,kind,feature_id,t_arrival,t_departure\n")
-        fh.write("\n".join(event_lines) + "\n")
-    with open(paths.truth_links, "w", encoding="utf-8") as fh:
-        fh.write("trip_id,date,link_index,depart_prev,road,dwell,intersections,"
-                 "rain,peak,weekday,traffic\n")
-        fh.write("\n".join(link_lines) + "\n")
-    paths.n_traversals = n_trav
+    for path, header, lines in (
+            (paths.pings, "", ping_lines),
+            (paths.truth_events, "trip_id,date,kind,feature_id,t_arrival,t_departure\n",
+             event_lines),
+            (paths.truth_links, "trip_id,date,link_index,depart_prev,road,dwell,intersections,"
+             "rain,peak,weekday,traffic\n", link_lines)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n".join(lines) + "\n")
+    paths.n_traversals = len(days) * spec.slots_per_day
     paths.n_pings = len(ping_lines)
     return paths
 
 
-def _crawl_allocation(spec: TruthSpec, runs, d_open: float, t_road: float,
-                      congested: int):
+def _crawl_allocation(runs, d_open: float, t_road: float, congested: int):
     """Crawl meters per open run: zero when uncongested, else the slow-speed
     distance that makes the total open time equal the drawn road time,
     packed into the longest runs first."""
@@ -365,8 +354,7 @@ def _crawl_allocation(spec: TruthSpec, runs, d_open: float, t_road: float,
     order = sorted(range(len(runs)), key=lambda i: runs[i][1] - runs[i][0], reverse=True)
     left = w_total
     for i in order:
-        cap = 0.98 * (runs[i][1] - runs[i][0])
-        take = min(cap, left)
+        take = min(0.98 * (runs[i][1] - runs[i][0]), left)
         alloc[i] = take
         left -= take
         if left <= 0.0:
@@ -380,8 +368,7 @@ def _emit_run(bp_t, bp_a, t, p, q, d_open, t_road, congested, crawl_m):
     if length <= 0.0:
         return t
     if not congested:
-        v0 = d_open / t_road
-        t += length / v0
+        t += length / (d_open / t_road)
         bp_t.append(t)
         bp_a.append(q)
         return t
@@ -396,18 +383,32 @@ def _emit_run(bp_t, bp_a, t, p, q, d_open, t_road, congested, crawl_m):
     return t
 
 
+def _cross_zone(bp_t, bp_a, t, arc, b, half, stand):
+    """Append breakpoints for one buffer-zone crossing: in to the feature at
+    ``arc`` in ``half`` seconds, stand ``stand`` seconds there when that is
+    positive, out to ``arc + b`` in ``half`` seconds; returns the exit time."""
+    t += half
+    bp_t.append(t)
+    bp_a.append(arc)
+    if stand > 0:
+        t += stand
+        bp_t.append(t)
+        bp_a.append(arc)
+    t += half
+    bp_t.append(t)
+    bp_a.append(arc + b)
+    return t
+
+
 def _write_gtfs(spec: TruthSpec, gtfs: Path) -> None:
     arcs = _stop_arcs(spec)
     with open(gtfs / "stops.txt", "w", encoding="utf-8") as fh:
         fh.write("stop_id,stop_name,stop_lat,stop_lon\n")
-        for i, arc in enumerate(arcs):
-            fh.write(f"S{i},Stop {i},{spec.origin_lat!r},{_lon_at(spec, arc)!r}\n")
+        fh.writelines(f"S{i},Stop {i},{ll}\n" for i, ll in enumerate(_lat_lon(spec, arcs)))
     with open(gtfs / "shapes.txt", "w", encoding="utf-8") as fh:
         fh.write("shape_id,shape_pt_lat,shape_pt_lon,shape_pt_sequence\n")
-        total = arcs[-1]
-        for k in range(11):
-            arc = total * k / 10.0 if k < 10 else total + 30.0  # small tail past the terminal
-            fh.write(f"SH1,{spec.origin_lat!r},{_lon_at(spec, arc)!r},{k}\n")
+        shape_arcs = [arcs[-1] * k / 10.0 for k in range(10)] + [arcs[-1] + SHAPE_TAIL_M]
+        fh.writelines(f"SH1,{ll},{k}\n" for k, ll in enumerate(_lat_lon(spec, shape_arcs)))
     with open(gtfs / "routes.txt", "w", encoding="utf-8") as fh:
         fh.write("route_id,route_short_name\n")
         fh.write(f"{spec.route_id},{spec.route_id}\n")
@@ -427,13 +428,12 @@ def _write_gtfs(spec: TruthSpec, gtfs: Path) -> None:
 
 
 def _write_intersections(spec: TruthSpec, path: Path) -> None:
-    arcs = _stop_arcs(spec)
+    xs = [(x.intersection_id, a0 + x.offset) for a0, link in zip(_stop_arcs(spec), spec.links)
+          for x in link.intersections]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("intersection_id,lat,lon\n")
-        for li, link in enumerate(spec.links, start=1):
-            for x in link.intersections:
-                arc = arcs[li - 1] + x.offset
-                fh.write(f"{x.intersection_id},{spec.origin_lat!r},{_lon_at(spec, arc)!r}\n")
+        coords = _lat_lon(spec, [arc for _, arc in xs])
+        fh.writelines(f"{xid},{ll}\n" for (xid, _), ll in zip(xs, coords))
 
 
 def _write_weather(days, path: Path, rng: np.random.Generator,

@@ -230,8 +230,34 @@ def test_timestamp_past_the_weather_exit_2(workdir, tmp_path, capsys, shift, whe
     (lambda t: t.update(speed_threshold=5.0), "speed_threshold"),
     (lambda t: t["links"][0]["beta"].__setitem__(1, True), "link 1 beta"),
     (None, "t.json"),
+    (lambda t: t.update(buffer_radius=0.0), "buffer_radius"),
+    (lambda t: t.update(zone_speed=0.0), "zone_speed"),
+    (lambda t: t.update(zone_speed=-8.0), "zone_speed"),
+    (lambda t: t.update(delta_t=0.0), "delta_t"),
+    (lambda t: t.update(n_days=0), "n_days"),
+    (lambda t: t.update(n_days=-2), "n_days"),
+    (lambda t: t.update(slots_per_day=0), "slots_per_day"),
+    (lambda t: t.update(ping_interval=0), "ping_interval"),
+    (lambda t: t.update(congestion_prob=1.5), "congestion_prob"),
+    (lambda t: t.update(rain_hour_prob=-1), "rain_hour_prob"),
+    (lambda t: t.update(direction_id=3), "direction_id"),
+    (lambda t: t.update(links=[]), "links"),
+    (lambda t: t["links"][0].update(dwell_pool=[]), "link 1 dwell_pool"),
+    (lambda t: t["links"][0]["beta"].pop(), "link 1 beta"),
+    (lambda t: t["links"][1]["gamma"].append(0.0), "link 2 gamma"),
+    (lambda t: t["links"][1]["intersections"][0].update(sigma=-0.35), "intersection X1 sigma"),
+    (lambda t: t.update(origin_lat=95.0), "origin_lat"),
+    (lambda t: t.update(origin_lon=-181.0), "origin_lon"),
+    (lambda t: t.update(origin_lon=179.99), "the shape's last vertex"),
+    (lambda t: t["links"][0]["intersections"].append(
+        {"id": "X1", "offset": 350.0, "mu": 2.8, "sigma": 0.35}), "intersection id"),
 ], ids=["unknown_key", "link_without_beta", "bad_start_date", "str_for_int", "float_for_int",
-        "negative_seed", "no_threshold_key", "bool_for_float", "truncated_file"])
+        "negative_seed", "no_threshold_key", "bool_for_float", "truncated_file",
+        "zero_buffer_radius", "zero_zone_speed", "negative_zone_speed", "zero_delta_t",
+        "zero_days", "negative_days", "zero_slots", "zero_ping_interval",
+        "congestion_prob_above_1", "negative_rain_prob", "direction_3", "no_links",
+        "empty_dwell_pool", "four_betas", "six_gammas", "negative_sigma", "origin_lat_95",
+        "origin_lon_below_-180", "shape_past_180", "repeated_intersection_id"])
 def test_bad_truth_exit_2(tmp_path, capsys, change, named):
     path = write_truth(tmp_path / "t.json", SMALL_TRUTH)
     if change is None:
@@ -245,6 +271,7 @@ def test_bad_truth_exit_2(tmp_path, capsys, change, named):
     err = capsys.readouterr().err
     assert "error: bad_config: " in err
     assert named in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_delimiter_in_intersection_id_exit_2(workdir, tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from buslink import synth
-from buslink.errors import ConfigError
+from buslink.errors import ConfigError, IngestError
 from buslink.geometry import build_route_model, project_many
 from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
@@ -47,6 +47,41 @@ class TestValidation:
         truth["links"][1]["intersections"][0]["offset"] = 25.0
         with pytest.raises(ConfigError):
             load_spec(tmp_path, truth)
+
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda t: t.update(route_id="R 1"), "route_id"),
+        (lambda t: t["links"][1]["intersections"][0].update(id="X=1"), "intersection_id"),
+    ], ids=["route_id", "intersection_id"])
+    def test_rejects_ids_the_readers_cannot_read_back(self, tmp_path, change, named):
+        truth = json.loads(json.dumps(SMALL_TRUTH))
+        change(truth)
+        with pytest.raises(IngestError) as e:
+            load_spec(tmp_path, truth)
+        assert e.value.kind == "bad_id" and named in str(e.value)
+
+    @pytest.mark.parametrize("offsets", [(425.0, 440.0), (425.0, 465.0), (600.0, 300.0)],
+                             ids=["15_m_apart", "2_buffer_radii_apart", "out_of_order"])
+    def test_rejects_intersections_infer_would_merge(self, tmp_path, offsets):
+        with pytest.raises(ConfigError) as e:
+            load_spec(tmp_path, with_link_2_intersections(offsets))
+        assert e.value.kind == "infeasible_truth" and "link 2" in str(e.value)
+
+    def test_intersections_just_past_the_merge_distance_both_reach_infer(self, tmp_path):
+        truth = with_link_2_intersections((425.0, 466.0), n_days=1, slots_per_day=1)
+        paths = synth.generate_corpus(load_spec(tmp_path, truth), tmp_path / "c")
+        rm = build_route_model(load_gtfs_static(paths.gtfs_dir),
+                               load_intersections(paths.intersections), ("R1", 0))
+        assert [xid for xid, _ in rm.projected_intersections] == ["X1", "X2"]
+        assert rm.merge_log == ()
+
+
+def with_link_2_intersections(offsets, **changes):
+    """SMALL_TRUTH with intersections X1, X2, ... at ``offsets`` on link 2."""
+    truth = dict(json.loads(json.dumps(SMALL_TRUTH)), **changes)
+    truth["links"][1]["intersections"] = [{"id": f"X{k}", "offset": at, "mu": 2.8, "sigma": 0.35}
+                                          for k, at in enumerate(offsets, start=1)]
+    return truth
 
 
 def test_corpus_bytes_deterministic(tmp_path):
