@@ -9,22 +9,32 @@ per-intersection components; the decomposition identity
 ``total = road + dwell + sum(intersections)`` holds exactly by
 construction.
 
+``route_observations`` makes one array pass per route over the
+concatenated pings of its traversals: the repair, the open-road tags and
+the slowest speed per (traversal, link) are array operations, event
+detection stays a scalar scan per traversal, and the decomposition runs
+link by link across all traversals into an ``ObservationTable``.
+
 Infer and ``markov.PredictionSession`` read the rules ``pipeline`` builds
 once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, and one
-link lookup: the link at a position is ``bisect_right(rm.stop_arcs, arc)``.
+link lookup: the link at a position is ``bisect_right(rm.stop_arcs, arc)``,
+``np.searchsorted(..., "right")`` over an array.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import reduce
+from itertools import compress
+from operator import add
 
 import numpy as np
 
 from .errors import InferenceError
 from .geometry import RouteModel, project_many
 from .ingest import Traversal, WeatherTable, local_day_hour
+from .store import CovariateVector, ObservationTable
 
 DEFAULT_PEAK_HOURS = frozenset({7, 8, 16, 17})
 DEFAULT_BACKWARD_TOLERANCE_M = 5.0
@@ -116,13 +126,6 @@ def space_mean_speed(ping_prev: ProjectedPing, ping_curr: ProjectedPing) -> floa
     return (ping_curr.arc_pos - ping_prev.arc_pos) / dt
 
 
-class CovariateVector(NamedTuple):
-    rain: int
-    peak: int
-    weekday: int
-    traffic: int
-
-
 def build_covariates(t: float, weather: WeatherTable, traffic: int, tz_offset: float,
                      peak_hours, rain_labels) -> CovariateVector:
     """Covariates at a timestamp: rain from the weather table, peak from the
@@ -135,73 +138,100 @@ def build_covariates(t: float, weather: WeatherTable, traffic: int, tz_offset: f
                            traffic=int(traffic))
 
 
-class LinkObservation(NamedTuple):
-    route_key: tuple
-    link_index: int
-    depart_prev: float
-    total_time: float
-    dwell_time: float
-    intersection_times: tuple  # ((intersection_id, seconds, interpolated), ...)
-    road_time: float
-    covariates: CovariateVector
-    flags: tuple = ()
-
-    def identity_residual(self) -> float:
-        parts = self.road_time + self.dwell_time + sum(x[1] for x in self.intersection_times)
-        return self.total_time - parts
-
-
 def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteModel,
                                 covariates, thresholds,
                                 backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M):
-    """Per-traversal inference from the pings' arc positions on the route:
-    repair, detect, decompose.
+    """``route_observations`` of one traversal: its ``LinkObservation``s in
+    link order and its skip log. Too sparse, it raises the InferenceError."""
+    table, skips, _ = route_observations([(rm, [trav], arcs)], covariates, thresholds,
+                                         backward_tolerance, strict=True)
+    return list(table), skips
 
-    A link the traversal covered from its start stop's departure to its
-    end stop's departure gives total = t_dep(stop) - t_dep(prev stop),
-    dwell = t_dep(stop) - t_arr(stop) and road = t_arr(stop) -
-    t_dep(prev stop) - sum of its intersection durations. Its traffic
-    covariate is 1 when its slowest open-road ping pair is below
-    ``thresholds[link]``, and 0 with the flag ``unobs_traffic`` when it
-    has no open-road pair; ``covariates(t, traffic)`` at the start stop's
-    departure gives its covariate vector.
 
-    Returns (observations, skip_log); a link whose road time is not
-    positive is recorded and skipped rather than raised.
-    InferenceError("too_sparse") and IngestError("missing_weather")
-    propagate (the whole traversal is unusable).
+def route_observations(routes: list, covariates, thresholds,
+                       backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M,
+                       strict: bool = False) -> tuple:
+    """Repair, detect and decompose in one array pass per ``(rm, travs,
+    arcs)`` of ``routes``: a route model, traversals and their pings' arcs.
+
+    A link covered from its start stop's departure to its end stop's gives
+    total = t_dep(stop) - t_dep(prev), dwell = t_dep(stop) - t_arr(stop) and
+    road = t_arr(stop) - t_dep(prev) - its intersection times in link order.
+    Traffic is 1 when its slowest open-road ping pair is below
+    ``thresholds[link]``, else 0, flagged ``unobs_traffic`` if it has none.
+    ``covariates(t_dep(prev), traffic)`` runs per row in the order of
+    ``routes``, traversals and links. Returns the ``ObservationTable``
+    ordered by route key, link and departure; the skip log in the order of
+    ``routes`` and traversals (a traversal too sparse to use, raised with
+    ``strict``, or a link whose road time is not positive); and the number
+    of traversals that gave a row.
     """
-    keep = repair_mask(arcs, backward_tolerance)
-    times, arcs = trav.timestamps[keep].astype(float).tolist(), arcs[keep].tolist()
-    events = detect_events(times, arcs, rm)
-    slowest = _open_road_speeds(times, arcs, rm)
-
-    observations = []
-    skip_log = []
-    for link, positions in zip(rm.links, rm.link_features):
-        link_events = [events[f] for f in positions]
-        if None in link_events:
-            continue  # link not fully covered by this traversal
-        (_, depart_prev, _), (arrive, depart, interp_stop), *x_events = link_events
-        xs = tuple((xid, t_dep - t_arr, interpolated)
-                   for xid, (t_arr, t_dep, interpolated) in zip(link.intersection_ids, x_events))
-        road = arrive - depart_prev - sum(x[1] for x in xs)
-        if road <= 0.0:
-            skip_log.append(f"{trav.trip_id} link {link.index}: nonpositive_road_time: "
-                            f"road time {road:.3f}s at stop {link.to_stop}")
-            continue
-        speed = slowest.get(link.index)
-        cov = covariates(depart_prev, speed is not None and speed < thresholds[link.index])
-        flags = ["interp_stop"] if interp_stop else []
-        flags += [f"interp_x={xid}" for xid, _, interpolated in xs if interpolated]
-        if speed is None:
-            flags.append("unobs_traffic")
-        observations.append(LinkObservation(
-            route_key=rm.route_key, link_index=link.index,
-            depart_prev=depart_prev, total_time=depart - depart_prev,
-            dwell_time=depart - arrive, intersection_times=xs,
-            road_time=road, covariates=cov, flags=tuple(flags)))
-    return observations, skip_log
+    by_key = sorted(range(len(routes)), key=lambda r: routes[r][0].route_key)
+    x_ids = sorted({xid for rm, _, _ in routes for link in rm.links
+                    for xid in link.intersection_ids})
+    # per link: its row columns and its intersection columns, after an empty entry
+    none, empty = np.zeros(0, np.int64), np.zeros(0)
+    rows = [(none, none, none, empty, empty, empty, empty, none > 0, none)]
+    xs, flags, skips = [(none, empty, none > 0)], [], []
+    for r in by_key:  # so that the rows come in table order
+        rm, travs, arcs = routes[r]
+        sizes = [t.timestamps.shape[0] for t in travs]
+        keep = np.concatenate([repair_mask(a, backward_tolerance)
+                               for a in np.split(arcs, np.cumsum(sizes)[:-1])])
+        traversal = np.repeat(np.arange(len(travs)), sizes)[keep]
+        times = np.concatenate([t.timestamps for t in travs])[keep].astype(float)
+        arcs = arcs[keep]
+        cuts = np.searchsorted(traversal, np.arange(1, len(travs)))
+        used, events = [], []
+        for u, (trav, t, a) in enumerate(zip(travs, np.split(times, cuts), np.split(arcs, cuts))):
+            try:
+                events += [e or (np.nan, np.nan, False)
+                           for e in detect_events(t.tolist(), a.tolist(), rm)]
+                used.append(u)
+            except InferenceError as exc:
+                if strict:
+                    raise
+                skips.append((r, u, 0, f"{trav.trip_id}@{trav.timestamps[0]}: {exc}"))
+        # per used traversal and feature: arrival, departure, interpolated; nan if not crossed
+        events = np.array(events, dtype=float).reshape(len(used), len(rm.features), 3)
+        slowest = slowest_speeds(times, arcs, traversal, len(travs), rm)[used]
+        used = np.array(used, dtype=np.int64)
+        for link, positions in zip(rm.links, rm.link_features):
+            t_arr, t_dep, interp = events[:, positions].transpose(2, 0, 1)
+            x = t_dep[:, 2:] - t_arr[:, 2:]
+            road = t_arr[:, 1] - t_dep[:, 0] - reduce(add, x.T, 0.0)  # nan: link not covered
+            for u, v in zip(used[road <= 0.0].tolist(), road[road <= 0.0].tolist()):
+                skips.append((r, u, link.index, f"{travs[u].trip_id} link {link.index}: "
+                              f"nonpositive_road_time: road time {v:.3f}s at stop {link.to_stop}"))
+            ok = np.flatnonzero(road > 0.0)
+            ok = ok[np.argsort(t_dep[ok, 0], kind="stable")]  # ties in traversal order
+            t_arr, t_dep, interp, x, road = t_arr[ok], t_dep[ok], interp[ok] > 0, x[ok], road[ok]
+            speed, n = slowest[ok, link.index], road.shape[0]
+            rows.append((np.full(n, r), used[ok], np.full(n, link.index), t_dep[:, 0],
+                         t_dep[:, 1] - t_dep[:, 0], t_dep[:, 1] - t_arr[:, 1], road,
+                         speed < thresholds[link.index], np.full(n, x.shape[1])))
+            codes = np.array([x_ids.index(xid) for xid in link.intersection_ids], np.int64)
+            xs.append((np.tile(codes, n), x.ravel(), interp[:, 2:].ravel()))
+            names = ["interp_stop", *(f"interp_x={xid}" for xid in link.intersection_ids),
+                     "unobs_traffic"]
+            marks = np.column_stack((interp[:, 1:], speed == np.inf)).tolist()
+            flags += [";".join(compress(names, m)) for m in marks]
+    r, traversal, link, depart_prev, total, dwell, road, traffic, x_count = map(np.concatenate,
+                                                                          zip(*rows))
+    x_id, x_secs, x_interp = map(np.concatenate, zip(*xs))
+    calls = np.lexsort((link, traversal, r))
+    covariate_rows = np.empty((calls.shape[0], 4))
+    covariate_rows[calls] = np.reshape(
+        [covariates(t, f) for t, f in zip(depart_prev[calls].tolist(), traffic[calls].tolist())],
+        (-1, 4))
+    table = ObservationTable(
+        route_keys=[routes[i][0].route_key for i in by_key], route=np.argsort(by_key)[r],
+        link=link, depart_prev=depart_prev, total=total, dwell=dwell, road=road,
+        covariates=covariate_rows, flags=flags, x_ids=x_ids,
+        x_row=np.repeat(np.arange(link.shape[0]), x_count), x_id=x_id, x_secs=x_secs,
+        x_interp=x_interp)
+    n_used = len(set(zip(r.tolist(), traversal.tolist())))
+    return table, [entry for *_, entry in sorted(skips)], n_used
 
 
 def open_road_link_of(arcs, rm: RouteModel) -> list:
@@ -220,9 +250,33 @@ def open_road_link_of(arcs, rm: RouteModel) -> list:
     return tags
 
 
+def open_road_links(arcs: np.ndarray, rm: RouteModel) -> np.ndarray:
+    """``open_road_link_of`` of an array of finite arc positions."""
+    feats, stops = np.array([-np.inf, *rm.feature_arcs, np.inf]), np.asarray(rm.stop_arcs)
+    k = np.searchsorted(feats, arcs)  # feats[k - 1] < arc <= feats[k]
+    in_zone = (arcs - feats[k - 1] <= rm.buffer_radius) | (feats[k] - arcs <= rm.buffer_radius)
+    on_span = (stops[0] < arcs) & (arcs < stops[-1])
+    return np.where(on_span & ~in_zone, np.searchsorted(stops, arcs, "right"), -1)
+
+
+def slowest_speeds(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n: int,
+                   rm: RouteModel) -> np.ndarray:
+    """``_open_road_speeds`` of ``n`` traversals at once, from their pings in
+    order with each ping's traversal number: per (traversal, link index) the
+    lowest speed, inf where the traversal has no open-road pair on the link."""
+    tags = open_road_links(arcs, rm)
+    j = 1 + np.flatnonzero((tags[1:] >= 1) & (tags[1:] == tags[:-1])
+                           & (traversal[1:] == traversal[:-1]) & (times[1:] > times[:-1]))
+    slowest = np.full((n, len(rm.links) + 1), np.inf)
+    np.minimum.at(slowest, (traversal[j], tags[j]),
+                  (arcs[j] - arcs[j - 1]) / (times[j] - times[j - 1]))
+    return slowest
+
+
 def _open_road_speeds(times, arcs, rm: RouteModel) -> dict:
     """Per link, the lowest space-mean speed of its consecutive open-road
-    ping pairs; a link without such a pair is absent."""
+    ping pairs; a link without such a pair is absent. The loop reference
+    for ``slowest_speeds``."""
     tags = open_road_link_of(arcs, rm)
     slowest: dict = {}
     for j in range(1, len(arcs)):

@@ -6,7 +6,7 @@ traversal segment holds int64 timestamp and float lat/lon arrays, and
 its ``Ping`` rows are built only when something reads them. Timestamps
 are POSIX seconds UTC throughout; all calendar logic (hour, weekday, date)
 is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
-line-oriented text input of the package is read by ``data_lines``.
+line-oriented text input of the package keeps the lines ``data_text`` keeps.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import count, islice, repeat
-from operator import itemgetter, methodcaller
+from itertools import groupby, islice, repeat
+from operator import methodcaller
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,15 +65,21 @@ def local_date_hour(t: float, tz_offset: float):
 # Text lines and fields
 # ---------------------------------------------------------------------------
 
+def data_text(lines, only: str | None = None) -> list:
+    """The stripped ``lines`` that are neither blank nor a ``#`` comment and,
+    with ``only``, whose first comma-separated field is ``only``."""
+    if only is None:
+        return [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    return [s for raw in lines if only in raw for s in (raw.strip(),)
+            if s and s[0] != "#" and s.partition(",")[0] == only]
+
+
 def data_lines(path, only: str | None = None):
-    """Yield ``(line number, stripped line)`` for every line of a text file
-    that is neither blank nor a ``#`` comment and, with ``only``, contains it."""
+    """Yield ``(line number, line)`` for every line of a text file that
+    ``data_text`` keeps."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if only is not None and only not in raw:
-                continue
-            line = raw.strip()
-            if line and not line.startswith("#"):
+            for line in data_text((raw,), only):
                 yield lineno, line
 
 
@@ -87,8 +93,6 @@ def read_rows(path, columns, convert, header: bool = True, only: str | None = No
     first = columns[0].lower()
     for lineno, line in data_lines(path, only):
         parts = line.split(",")
-        if only is not None and parts[0] != only:
-            continue
         if header and lineno == 1 and parts[0].lower() == first:
             continue
         if len(parts) != len(columns):
@@ -321,27 +325,27 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     ``max_gap_s`` split a group into separate traversal segments. With
     ``trip_id`` only that trip's lines are read and checked; none is no error.
 
-    Lines are parsed in blocks of ``PING_BLOCK_LINES``. A block that fails
-    the vectorized checks is re-read row by row through ``_ping``, so the
+    The file is read in blocks of ``PING_BLOCK_LINES`` lines, each kept by
+    ``data_text`` and parsed at once; a (trip_id, vehicle_id) key is coded
+    once per run of equal keys in a block. A block that fails the
+    vectorized checks is re-read row by row through ``_ping``, so the
     first bad line raises IngestError("parse") naming file:line.
     """
-    numbered = data_lines(path, trip_id)
-    lines = map(itemgetter(1), numbered)
-    if trip_id is not None:
-        lines = (line for line in lines if line.partition(",")[0] == trip_id)
     codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
     blocks = []
-    while block := list(islice(lines, PING_BLOCK_LINES)):
-        try:
-            trips, vehicles, ts, coords = _ping_block(block)
-        except (ValueError, OverflowError):
-            numbered.close()
-            for _ in read_rows(path, Ping._fields, _ping, header=False, only=trip_id):
-                pass  # raises at the file's first bad line, which is in this block
-            raise
-        keys = list(zip(trips, vehicles))
-        codes.update(zip(dict.fromkeys(keys).keys() - codes.keys(), count(len(codes))))
-        blocks.append((np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys)), ts, coords))
+    with open(path, encoding="utf-8") as fh:
+        while lines := list(islice(fh, PING_BLOCK_LINES)):
+            if not (lines := data_text(lines, trip_id)):
+                continue
+            try:
+                trips, vehicles, ts, coords = _ping_block(lines)
+            except (ValueError, OverflowError):
+                for _ in read_rows(path, Ping._fields, _ping, header=False, only=trip_id):
+                    pass  # raises at the file's first bad line, which is in this block
+                raise
+            runs = [(codes.setdefault(key, len(codes)), len(list(group)))
+                    for key, group in groupby(zip(trips, vehicles))]
+            blocks.append((np.repeat(*zip(*runs)), ts, coords))
     if not blocks:
         if trip_id is None:
             raise IngestError("empty", f"{path} contains no records")

@@ -11,7 +11,7 @@ function, ``covariates_for(cfg, weather)``, and one threshold map,
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -20,11 +20,11 @@ import numpy as np
 
 from . import evaluation, stats
 from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersection)
-from .errors import BuslinkError, ConfigError, FitError, InferenceError
+from .errors import BuslinkError, ConfigError, FitError
 from .geometry import build_route_model, project_many
 from .hetlognorm import design_matrix, fit as ln_fit, predict_interval
-from .inference import (DEFAULT_PEAK_HOURS, build_covariates, observations_from_traversal,
-                        project_traversal, repair_monotonic)
+from .inference import (DEFAULT_PEAK_HOURS, build_covariates, project_traversal,
+                        repair_monotonic, route_observations)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
                      finite_float, load_gtfs_static, load_intersections, load_pings,
                      load_weather)
@@ -170,36 +170,23 @@ def run_infer(cfg: RunConfig) -> InferReport:
     models = _route_models_for(net, xs, cfg, sorted(by_route))
     covariates, thresholds = covariates_for(cfg, weather), cfg.speed_threshold_by_link
 
-    observations = []
-    n_used = 0
+    routes = []
     for rk, segs in by_route.items():
         rm = models[rk]
-        # one projection per route, split back into its segments
-        route_arcs, _ = project_many(rm.polyline, np.concatenate([t.lats for t in segs]),
-                                     np.concatenate([t.lons for t in segs]))
-        splits = np.cumsum([len(t.lats) for t in segs[:-1]])
-        for trav, arcs in zip(segs, np.split(route_arcs, splits)):
-            try:
-                obs, skips = observations_from_traversal(trav, arcs, rm, covariates, thresholds,
-                                                         cfg.backward_tolerance)
-            except InferenceError as exc:
-                skipped.append(f"{trav.trip_id}@{trav.timestamps[0]}: {exc}")
-                continue
-            observations.extend(obs)
-            skipped.extend(skips)
-            if obs:
-                n_used += 1
-
-    observations.sort(key=lambda o: (o.route_key, o.link_index, o.depart_prev))
+        # one projection per route
+        arcs, _ = project_many(rm.polyline, np.concatenate([t.lats for t in segs]),
+                               np.concatenate([t.lons for t in segs]))
+        routes.append((rm, segs, arcs))
+    table, skips, n_used = route_observations(routes, covariates, thresholds,
+                                              cfg.backward_tolerance)
     out_path = Path(cfg.out_dir) / cfg.observations
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_observations(out_path, observations)
-    counts = dict(Counter((o.route_key, o.link_index) for o in observations))
-    n_interp = sum(1 for o in observations
-                   if any(f.startswith("interp") for f in o.flags))
+    write_observations(out_path, table)
     return InferReport(observations_path=str(out_path), n_traversals=len(series.segments),
-                       n_used=n_used, n_observations=len(observations),
-                       n_interpolated=n_interp, per_link_counts=counts, skipped=skipped)
+                       n_used=n_used, n_observations=table.link.shape[0],
+                       n_interpolated=sum("interp" in flags for flags in table.flags),
+                       per_link_counts={key: len(rows) for key, rows in table.groups.items()},
+                       skipped=skipped + skips)
 
 
 # ---------------------------------------------------------------------------

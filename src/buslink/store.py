@@ -14,13 +14,13 @@ from functools import cached_property
 from itertools import chain, count
 from operator import methodcaller
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
-from .inference import CovariateVector, LinkObservation
 from .ingest import data_lines, finite_float, read_rows
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
@@ -35,23 +35,28 @@ def _g17(v: float) -> str:
 # observation file
 # ---------------------------------------------------------------------------
 
-def format_observation(obs: LinkObservation) -> str:
-    xs = ";".join(f"{xid}={x_t!r}" for xid, x_t, _ in obs.intersection_times)
-    cov = obs.covariates
-    return ",".join([
-        obs.route_key[0], str(obs.route_key[1]), str(obs.link_index),
-        repr(float(obs.depart_prev)), repr(float(obs.total_time)),
-        repr(float(obs.dwell_time)), repr(float(obs.road_time)), xs,
-        str(cov.rain), str(cov.peak), str(cov.weekday), str(cov.traffic),
-        ";".join(obs.flags),
-    ])
+class CovariateVector(NamedTuple):
+    rain: int
+    peak: int
+    weekday: int
+    traffic: int
 
 
-def write_observations(path, observations) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(OBS_HEADER + "\n")
-        for obs in observations:
-            fh.write(format_observation(obs) + "\n")
+class LinkObservation(NamedTuple):
+    """One row of the observation file."""
+    route_key: tuple
+    link_index: int
+    depart_prev: float
+    total_time: float
+    dwell_time: float
+    intersection_times: tuple  # ((intersection_id, seconds, interpolated), ...)
+    road_time: float
+    covariates: CovariateVector
+    flags: tuple = ()
+
+    def identity_residual(self) -> float:
+        parts = self.road_time + self.dwell_time + sum(x[1] for x in self.intersection_times)
+        return self.total_time - parts
 
 
 def _int64(text: str) -> int:
@@ -215,6 +220,23 @@ def read_observations(path) -> ObservationTable:
         for _ in read_rows(path, OBS_HEADER.split(","), _observation):
             pass  # raises at the file's first bad line
         raise
+
+
+def write_observations(path, table: ObservationTable) -> None:
+    """Write a table in the layout ``read_observations`` reads, each float
+    as its ``repr``."""
+    bounds = np.searchsorted(table.x_row, np.arange(table.link.shape[0] + 1)).tolist()
+    xs = [f"{table.x_ids[i]}={secs!r}"
+          for i, secs in zip(table.x_id.tolist(), table.x_secs.tolist())]
+    keys = [f"{route_id},{direction}" for route_id, direction in table.route_keys]
+    fields = ([keys[r] for r in table.route.tolist()], map(str, table.link.tolist()),
+              *(map(repr, column.tolist())
+                for column in (table.depart_prev, table.total, table.dwell, table.road)),
+              [";".join(xs[a:b]) for a, b in zip(bounds, bounds[1:])],
+              (",".join(map(str, row)) for row in table.covariates.astype(int).tolist()),
+              table.flags)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in [OBS_HEADER, *map(",".join, zip(*fields))]))
 
 
 # ---------------------------------------------------------------------------

@@ -243,20 +243,17 @@ class CorpusPaths:
 
 
 def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
-    """Write the full synthetic corpus; deterministic for a given seed."""
+    """Write the full synthetic corpus; deterministic for a given seed. Every
+    table is built before the first write, so a rejected truth writes nothing."""
     validate_truth(spec)
     out = Path(out_dir)
-    gtfs = out / "gtfs"
-    gtfs.mkdir(parents=True, exist_ok=True)
-    paths = CorpusPaths(out, gtfs, *(out / f"{name}.csv" for name in (
+    paths = CorpusPaths(out, out / "gtfs", *(out / f"{name}.csv" for name in (
         "pings", "weather", "intersections", "truth_events", "truth_links")))
-
-    _write_gtfs(spec, gtfs)
-    _write_intersections(spec, paths.intersections)
     rng = np.random.default_rng(spec.seed)
     first_day = day_number(spec.start_date)
     days = range(first_day, first_day + spec.n_days)
-    weather = _write_weather(days, paths.weather, rng, spec.rain_hour_prob)
+    weather = WeatherTable(entries={(day, hour): "Rain" if rng.random() < spec.rain_hour_prob
+                                    else "Clear" for day in days for hour in range(24)})
 
     stop_arcs = _stop_arcs(spec)
     b = spec.buffer_radius
@@ -329,8 +326,14 @@ def generate_corpus(spec: TruthSpec, out_dir) -> CorpusPaths:
             ping_lines += [f"{trip_id},B{slot % 7},{int(ts)},{ll}"
                            for ts, ll in zip(times.tolist(), coords)]
 
+    paths.gtfs_dir.mkdir(parents=True, exist_ok=True)
+    _write_gtfs(spec, paths.gtfs_dir)
+    _write_intersections(spec, paths.intersections)
     for path, header, lines in (
             (paths.pings, "", ping_lines),
+            (paths.weather, "date,hour,condition\n",
+             [f"{date_text(day)},{hour},{label}"
+              for (day, hour), label in weather.entries.items()]),
             (paths.truth_events, "trip_id,date,kind,feature_id,t_arrival,t_departure\n",
              event_lines),
             (paths.truth_links, "trip_id,date,link_index,depart_prev,road,dwell,intersections,"
@@ -434,13 +437,3 @@ def _write_intersections(spec: TruthSpec, path: Path) -> None:
         fh.write("intersection_id,lat,lon\n")
         coords = _lat_lon(spec, [arc for _, arc in xs])
         fh.writelines(f"{xid},{ll}\n" for (xid, _), ll in zip(xs, coords))
-
-
-def _write_weather(days, path: Path, rng: np.random.Generator,
-                   rain_hour_prob: float) -> WeatherTable:
-    entries = {(day, hour): "Rain" if rng.random() < rain_hour_prob else "Clear"
-               for day in days for hour in range(24)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,hour,condition\n")
-        fh.writelines(f"{date_text(day)},{hour},{label}\n" for (day, hour), label in entries.items())
-    return WeatherTable(entries=entries)

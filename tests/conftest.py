@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from buslink import synth
 from buslink.geometry import RouteModel, build_route_model, project_many
@@ -12,7 +13,12 @@ from buslink.inference import observations_from_traversal
 from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
                             load_weather)
 from buslink.pipeline import RunConfig, covariates_for
-from buslink.store import read_observations, write_observations
+from buslink.store import ObservationTable, read_observations, write_observations
+
+# ``--hypothesis-profile ci``: the CI rerun of the route-pass and block-reader
+# property tests, which take the profile's number of examples, the same
+# examples on every run.
+settings.register_profile("ci", derandomize=True, max_examples=1000)
 
 # Five-link truth used by the end-to-end and acceptance tests. Chosen so that
 # every covariate combination stays inside the kinematically realizable road
@@ -80,9 +86,39 @@ def corpus(tmp_path_factory):
             "weather": weather, "series": series, "rm": rm}
 
 
+def table_of(rows) -> ObservationTable:
+    """The ``ObservationTable`` of ``LinkObservation`` rows, in their order."""
+    route_keys = sorted({o.route_key for o in rows})
+    xs = [(i, *x) for i, o in enumerate(rows) for x in o.intersection_times]
+    x_ids = sorted({x[1] for x in xs})
+
+    def column(values, dtype=float):
+        return np.array(list(values), dtype=dtype)
+
+    return ObservationTable(
+        route_keys=route_keys, route=column((route_keys.index(o.route_key) for o in rows), int),
+        link=column((o.link_index for o in rows), int),
+        depart_prev=column(o.depart_prev for o in rows), total=column(o.total_time for o in rows),
+        dwell=column(o.dwell_time for o in rows), road=column(o.road_time for o in rows),
+        covariates=column(o.covariates for o in rows).reshape(-1, 4),
+        flags=[";".join(o.flags) for o in rows], x_ids=x_ids,
+        x_row=column((x[0] for x in xs), int), x_id=column((x_ids.index(x[1]) for x in xs), int),
+        x_secs=column(x[2] for x in xs), x_interp=column((x[3] for x in xs), bool))
+
+
+def observation_line(obs) -> str:
+    """One observation-file line of a ``LinkObservation``, field by field:
+    the reference for ``store.write_observations``."""
+    xs = ";".join(f"{xid}={secs!r}" for xid, secs, _ in obs.intersection_times)
+    return ",".join([obs.route_key[0], str(obs.route_key[1]), str(obs.link_index),
+                     repr(float(obs.depart_prev)), repr(float(obs.total_time)),
+                     repr(float(obs.dwell_time)), repr(float(obs.road_time)), xs,
+                     *map(str, obs.covariates), ";".join(obs.flags)])
+
+
 def observation_table(path, rows):
     """The ``ObservationTable`` of ``rows``, written to ``path`` and read back."""
-    write_observations(path, rows)
+    write_observations(path, table_of(rows))
     return read_observations(path)
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from buslink.cli import main
-from buslink.inference import CovariateVector, LinkObservation
-from buslink.store import write_observations
+from buslink.store import CovariateVector, LinkObservation, write_observations
 
-from conftest import SMALL_TRUTH, write_truth
+from conftest import SMALL_TRUTH, table_of, write_truth
+from test_synth import MIDNIGHT_TRUTH
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +274,18 @@ def test_bad_truth_exit_2(tmp_path, capsys, change, named):
     assert not (tmp_path / "c").exists()
 
 
+def test_rejected_truth_writes_nothing(tmp_path, capsys):
+    """The fourth day's trip leaves its second link on a day without
+    weather: the truth is rejected before any file is written."""
+    path = write_truth(tmp_path / "t.json", dict(MIDNIGHT_TRUTH, n_days=4))
+    out = tmp_path / "c"
+    out.mkdir()
+    rc = main(["synth", "--truth", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "error: infeasible_truth: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_delimiter_in_intersection_id_exit_2(workdir, tmp_path, capsys):
     bad = tmp_path / "intersections.csv"
     bad.write_text("intersection_id,lat,lon\nX=1,29.0,-82.0\n", encoding="utf-8")
@@ -301,7 +313,7 @@ def test_fit_partial_failure_reports_gap(tmp_path, workdir, capsys):
             road_time=30.0, covariates=CovariateVector(0, 0, 1, 0)))
     obs_dir = tmp_path / "gap"
     obs_dir.mkdir()
-    write_observations(obs_dir / "observations.csv", rows)
+    write_observations(obs_dir / "observations.csv", table_of(rows))
     rc = main(["fit", "--config", str(workdir["cfg"]), "--out", str(obs_dir),
                "--json"])
     out = capsys.readouterr().out

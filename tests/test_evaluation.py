@@ -9,8 +9,8 @@ from buslink.errors import ConfigError, FitError, MetricError
 from buslink.evaluation import (evaluate_split, hm_fit, lr_fit, lr_predict, mae,
                                 modal_covariates, rmse, split_by_date)
 from buslink.hetlognorm import PredictionWithBounds, fit as ln_fit
-from buslink.inference import CovariateVector, LinkObservation
 from buslink.stats import percentile_band
+from buslink.store import CovariateVector, LinkObservation
 
 from conftest import generate_synthetic, observation_table
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from buslink.errors import InferenceError
 from buslink.geometry import build_route_model
-from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, build_covariates,
-                               detect_events, observations_from_traversal, open_road_link_of,
-                               repair_mask, repair_monotonic, space_mean_speed)
+from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, _open_road_speeds,
+                               build_covariates, detect_events, observations_from_traversal,
+                               open_road_link_of, open_road_links, repair_mask,
+                               repair_monotonic, route_observations, slowest_speeds,
+                               space_mean_speed)
 from buslink.ingest import DEFAULT_RAIN_LABELS, Traversal, load_weather
 from buslink.pipeline import RunConfig, covariates_for
 
@@ -302,6 +304,101 @@ def test_extra_open_road_pings_do_not_change_times(single_link_rm):
     observed = [[e if e is not None and not e[2] else None for e in events_of(p, single_link_rm)]
                 for p in (base, extra)]
     assert observed[0] == observed[1]
+
+
+# Route-pass properties. They take the default number of examples, so that
+# the ``ci`` profile (tests/conftest.py) can raise it.
+ROUTE_PASS = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def traversal_pings(draw):
+    """Timestamps and arcs of one traversal over three_link_rm: drives and
+    stands, with jitter inside the backward tolerance, regressions past it
+    and jumps over zones (too sparse when they recur), some starting past
+    the first features and some ending inside a zone. The steps come from a
+    seeded generator, at rates hypothesis picks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    dt = rng.integers(1, 7, n)
+    steps = rng.uniform(0.0, 9.0, n) * dt * (rng.random(n) > 0.15)
+    for low, high in ((-3.0, 3.0), (-60.0, -5.5), (300.0, 900.0)):
+        rate = draw(st.sampled_from([0.0, 0.01, 0.1]))
+        steps = np.where(rng.random(n) < rate, rng.uniform(low, high, n), steps)
+    arcs = draw(st.one_of(st.floats(-60.0, 40.0), st.floats(40.0, 1300.0))) + np.cumsum(steps)
+    if draw(st.booleans()):  # end inside a zone
+        arcs[-1] = draw(st.sampled_from([0.0, 250.0, 500.0, 900.0, 1200.0, 1500.0])) \
+            + draw(st.floats(-15.0, 15.0))
+    return draw(st.integers(0, 10**6)) + np.cumsum(dt), arcs
+
+
+@given(pings=st.lists(traversal_pings(), min_size=1, max_size=6), chained=st.booleans())
+@ROUTE_PASS
+def test_route_pass_is_batch_invariant(three_link_rm, pings, chained):
+    """One pass over k traversals gives the rows, skip entries and used count
+    of k one-traversal passes: no pair, running maximum or event leaks
+    across a traversal boundary, also where each starts after the last."""
+    thresholds = RunConfig().speed_threshold_by_link
+    if chained:
+        ends = np.cumsum([ts[-1] - ts[0] + 1 for ts, _ in pings])
+        pings = [(ts - ts[0] + end - (ts[-1] - ts[0]), arcs)
+                 for (ts, arcs), end in zip(pings, ends)]
+    travs = [Traversal(f"T{i}", "V1", ts, np.zeros(len(ts)), np.zeros(len(ts)))
+             for i, (ts, _) in enumerate(pings)]
+    table, skips, n_used = route_observations(
+        [(three_link_rm, travs, np.concatenate([arcs for _, arcs in pings]))], COVARIATES,
+        thresholds)
+    rows, one_skips, one_used = [], [], 0
+    for i, (trav, (_, arcs)) in enumerate(zip(travs, pings)):
+        one, s, u = route_observations([(three_link_rm, [trav], arcs)], COVARIATES, thresholds)
+        rows += [(o.link_index, o.depart_prev, i, o) for o in one]
+        one_skips += s
+        one_used += u
+    assert list(table) == [o for *_, o in sorted(rows, key=lambda r: r[:3])]
+    assert (skips, n_used) == (one_skips, one_used)
+
+
+def exact_arcs(rm):
+    """Each feature's arc and the arcs at its buffer radius, each stop's arc,
+    and the floats either side of each."""
+    r = rm.buffer_radius
+    points = [a + d for a in rm.feature_arcs for d in (-r, 0.0, r)] + list(rm.stop_arcs)
+    return [b for a in points for b in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))]
+
+
+def arcs_on(rm):
+    return st.one_of(st.floats(-100.0, rm.last_arc + 100.0), st.sampled_from(exact_arcs(rm)))
+
+
+@given(data=st.data())
+@ROUTE_PASS
+def test_route_pass_tags_are_the_scalar_rule(three_link_rm, data):
+    arcs = data.draw(st.lists(arcs_on(three_link_rm), max_size=60))
+    tags = open_road_links(np.array(arcs, dtype=float), three_link_rm)
+    assert tags.tolist() == open_road_link_of(arcs, three_link_rm)
+
+
+@given(data=st.data())
+@ROUTE_PASS
+def test_route_pass_slowest_speeds_are_the_scalar_rule(three_link_rm, data):
+    """The grouped minimum over several traversals, whose times run on
+    across their boundaries and repeat, equals ``_open_road_speeds`` on each
+    traversal alone. A ping moves a step from the last or lands on an exact
+    arc."""
+    moves = st.one_of(st.floats(-30.0, 60.0).map(lambda d: (d, False)),
+                      st.sampled_from(exact_arcs(three_link_rm)).map(lambda a: (a, True)))
+    pings = data.draw(st.lists(st.lists(st.tuples(st.integers(0, 3), moves), max_size=20),
+                               min_size=1, max_size=5))
+    arc = data.draw(arcs_on(three_link_rm))
+    arcs = [np.array([arc := (a if exact else arc + a) for _, (a, exact) in p]) for p in pings]
+    times = np.split(np.cumsum([float(dt) for p in pings for dt, _ in p]),
+                     np.cumsum([len(p) for p in pings])[:-1])
+    slowest = slowest_speeds(np.concatenate(times), np.concatenate(arcs),
+                             np.repeat(np.arange(len(pings)), [len(p) for p in pings]),
+                             len(pings), three_link_rm)
+    for speeds, t, a in zip(slowest.tolist(), times, arcs):
+        expected = _open_road_speeds(t.tolist(), a.tolist(), three_link_rm)
+        assert {li: v for li, v in enumerate(speeds) if v != math.inf} == expected
 
 
 class TestOpenRoadLinkOf:

@@ -305,6 +305,54 @@ def test_chunked_load_pings_matches_brute_force_grouping(tmp_path, monkeypatch, 
     assert_brute_force_grouping(series, rows, max_gap)
 
 
+# Block-reader properties. They take the default number of examples, so that
+# the ``ci`` profile (tests/conftest.py) can raise it.
+@given(runs=st.lists(st.tuples(st.sampled_from([("T1", "V1"), ("T1", "V2"), ("T2", "V1")]),
+                               st.integers(1, 4)), min_size=1, max_size=12),
+       block=st.integers(1, 3), data=st.data())
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_block_reader_key_runs_match_brute_force(tmp_path, monkeypatch, runs, block, data):
+    """Runs of one key that recur apart and cross block boundaries, with
+    repeated timestamps, blank lines and comments: one code per key."""
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    rows = [(trip, vehicle, 15 * data.draw(st.integers(0, 20)), 29.0, -82.0)
+            for (trip, vehicle), n in runs for _ in range(n)]
+    lines = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    for filler in data.draw(st.lists(st.sampled_from(["", "  ", "# note"]), max_size=3)):
+        lines.insert(data.draw(st.integers(0, len(lines))), filler)
+    series = load_pings(write_ping_file(tmp_path, lines), max_gap_s=40.0)
+    assert_brute_force_grouping(series, rows, 40.0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_key_runs_and_fillers_across_block_boundaries(tmp_path, monkeypatch, block):
+    """One key in three runs apart, each crossing a boundary of blocks of 1-3
+    lines, and a blank line and a comment on either side of the first
+    boundary: the segments of one block."""
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    rows = [("T1", "V1", 0), ("T1", "V1", 15), ("T2", "V1", 0), ("T1", "V1", 30),
+            ("T1", "V1", 45), ("T1", "V1", 60), ("T1", "V2", 0), ("T2", "V1", 15),
+            ("T1", "V1", 75), ("T1", "V1", 90)]
+    rows = [(*row, 29.0, -82.0) for row in rows]
+    lines = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    lines[block - 1:block - 1] = ["", "# between blocks"]
+    series = load_pings(write_ping_file(tmp_path, lines))
+    assert_brute_force_grouping(series, rows, ingest.DEFAULT_MAX_GAP_S)
+    assert [(s.trip_id, s.vehicle_id, len(s.pings)) for s in series.segments] == [
+        ("T1", "V1", 7), ("T1", "V2", 1), ("T2", "V1", 2)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_bad_first_line_of_the_second_block_names_its_line(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    lines = [f"T1,V1,{15 * k},29.0,-82.0" for k in range(block)]
+    lines += ["T1,V1,x,29.0,-82.0", "T1,V1,900,29.0"]
+    with pytest.raises(IngestError) as e:
+        load_pings(write_ping_file(tmp_path, lines))
+    assert str(e.value) == (f"parse: pings.csv:{block + 1}: "
+                            "invalid literal for int() with base 10: 'x'")
+
+
 def test_duplicate_across_block_boundary_keeps_the_first(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "PING_BLOCK_LINES", 2)
     p = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", "T1,V1,15,29.5,-82.0",

@@ -15,6 +15,7 @@ PACKAGE = ROOT / "src" / "buslink"
 ORACLES = {
     "_project_scalar": "loop reference for the projection kernel accel.project_onto_polyline",
     "_markov_scalar": "loop reference for the Markov kernel accel.markov_offsets",
+    "_open_road_speeds": "loop reference for the grouped minimum inference.slowest_speeds",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

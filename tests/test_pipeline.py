@@ -6,8 +6,8 @@ import pytest
 
 from buslink import pipeline
 from buslink.geometry import build_route_model
-from buslink.inference import CovariateVector, LinkObservation
 from buslink.pipeline import RunConfig, fit_all
+from buslink.store import CovariateVector, LinkObservation
 
 from conftest import observation_table
 from test_geometry import network_with

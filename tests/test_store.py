@@ -4,11 +4,10 @@ import pytest
 from buslink.components import fit_dwell, fit_intersection
 from buslink.errors import IngestError
 from buslink.hetlognorm import fit
-from buslink.inference import CovariateVector, LinkObservation
-from buslink.store import (ModelStore, read_observations, read_store,
-                           write_observations, write_store)
+from buslink.store import (CovariateVector, LinkObservation, ModelStore, read_observations,
+                           read_store, write_observations, write_store)
 
-from conftest import generate_synthetic
+from conftest import generate_synthetic, table_of
 
 
 def sample_observation(link=1, interp=False):
@@ -23,7 +22,7 @@ def sample_observation(link=1, interp=False):
 def test_observation_round_trip(tmp_path):
     obs = [sample_observation(1), sample_observation(2, interp=True)]
     path = tmp_path / "obs.csv"
-    write_observations(path, obs)
+    write_observations(path, table_of(obs))
     again = list(read_observations(path))
     assert again == obs
 
@@ -32,7 +31,7 @@ def test_observation_round_trip_is_byte_stable(tmp_path):
     obs = [sample_observation()]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_observations(p1, obs)
+    write_observations(p1, table_of(obs))
     write_observations(p2, read_observations(p1))
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -41,7 +40,7 @@ def test_observation_round_trip_is_byte_stable(tmp_path):
                                          (7, "X1=nan;X2=0.0")])
 def test_observation_non_finite_number_rejected(tmp_path, field, value):
     path = tmp_path / "obs.csv"
-    write_observations(path, [sample_observation()])
+    write_observations(path, table_of([sample_observation()]))
     header, line = path.read_text(encoding="utf-8").splitlines()
     parts = line.split(",")
     parts[field] = value
@@ -65,7 +64,7 @@ def _drop_last_field(parts):
 ], ids=["bad_float", "nan", "field_count", "no_equals"])
 def test_observation_error_names_its_line_deep_in_the_file(tmp_path, edit, message):
     path = tmp_path / "obs.csv"
-    write_observations(path, [sample_observation(1 + i % 5) for i in range(5000)])
+    write_observations(path, table_of([sample_observation(1 + i % 5) for i in range(5000)]))
     lines = path.read_text(encoding="utf-8").splitlines()
     parts = lines[4998].split(",")
     edit(parts)

@@ -1,8 +1,10 @@
 """Round trips of the observation file and the model store on random
 content: write -> read gives the same rows, and writing them again gives
-the same bytes. A road model's masked coefficients are 0.0 in memory and
-``absent`` in the file, and a file whose ``absent`` positions disagree
-with its ``active_mask`` does not read."""
+the same bytes. The table writer writes each row as the field-by-field
+reference ``conftest.observation_line`` does. A road model's masked
+coefficients are 0.0 in memory and ``absent`` in the file, and a file
+whose ``absent`` positions disagree with its ``active_mask`` does not
+read."""
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from buslink.components import EmpiricalDwell, IntersectionLogNormal
 from buslink.errors import IngestError
 from buslink.hetlognorm import COEF_COUNT, HetLogNormalModel
-from buslink.inference import CovariateVector, LinkObservation
-from buslink.store import (ModelStore, read_observations, read_store,
-                           write_observations, write_store)
+from buslink.store import (OBS_HEADER, CovariateVector, LinkObservation, ModelStore,
+                           read_observations, read_store, write_observations, write_store)
+
+from conftest import observation_line, table_of
 
 SETTINGS = settings(deadline=None, max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -51,10 +54,12 @@ def observations(draw):
 @SETTINGS
 def test_observation_file_round_trip(tmp_path, rows):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_observations(first, rows)
-    again = list(read_observations(first))
-    assert again == rows
-    write_observations(second, again)
+    write_observations(first, table_of(rows))
+    lines = [OBS_HEADER, *map(observation_line, rows)]
+    assert first.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in lines)
+    table = read_observations(first)
+    assert list(table) == rows
+    write_observations(second, table)
     assert first.read_bytes() == second.read_bytes()
 
 
