@@ -143,7 +143,6 @@ def cmd_simulate(args) -> int:
             "origin": {"link_index": b.summary.origin_link,
                        "arc_pos_m": b.summary.origin_arc,
                        "timestamp": b.summary.origin_time},
-            "runs": b.summary.runs,
             "stops": [{"stop_id": s.stop_id, "mean_s": s.mean_remaining,
                        "p2_5_s": s.p2_5, "p97_5_s": s.p97_5}
                       for s in b.summary.stops],

@@ -2,7 +2,7 @@
 metrics, and the train/test comparison driver.
 
 The historical-mean band takes its 2.5/97.5 quantiles from
-``stats.percentile_band``, the rule of the Markov bands. The LN points
+``stats.percentile_band``, ``np.percentile``'s linear rule. The LN points
 at the test rows are ``hetlognorm.predict_point`` and the LR points
 ``hetlognorm.linear_rows``, the one beta'z rule of every prediction;
 both fits hold 0.0 at masked coefficients.

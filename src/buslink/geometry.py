@@ -57,6 +57,9 @@ def build_polyline(points) -> Polyline:
     return Polyline(xs=xs, ys=ys, cum=cum, anchor_lat=anchor_lat, anchor_lon=anchor_lon)
 
 
+PROJECT_BLOCK = 1 << 12  # points per projection call: a route's work arrays stay small
+
+
 def project_many(polyline: Polyline, lats, lons):
     """Arc position and perpendicular offset for a batch of lat/lon points.
 
@@ -64,12 +67,17 @@ def project_many(polyline: Polyline, lats, lons):
     The coordinates must be finite: a NaN or infinite one raises
     GeometryError("non_finite").
     """
+    lats = np.atleast_1d(np.asarray(lats, dtype=float))
+    lons = np.atleast_1d(np.asarray(lons, dtype=float))
     if not (np.isfinite(lats).all() and np.isfinite(lons).all()):
         raise GeometryError("non_finite", "coordinates must be finite numbers")
-    qx, qy = planar_xy(lats, lons, polyline.anchor_lat, polyline.anchor_lon)
-    qx = np.atleast_1d(np.asarray(qx, dtype=float))
-    qy = np.atleast_1d(np.asarray(qy, dtype=float))
-    return project_onto_polyline(qx, qy, polyline.xs, polyline.ys, polyline.cum)
+    arcs, offsets = np.empty(lats.shape[0]), np.empty(lats.shape[0])
+    for lo in range(0, lats.shape[0], PROJECT_BLOCK):
+        part = slice(lo, lo + PROJECT_BLOCK)
+        qx, qy = planar_xy(lats[part], lons[part], polyline.anchor_lat, polyline.anchor_lon)
+        arcs[part], offsets[part] = project_onto_polyline(qx, qy, polyline.xs, polyline.ys,
+                                                          polyline.cum)
+    return arcs, offsets
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from itertools import groupby, islice, repeat
-from operator import methodcaller
 from pathlib import Path
 from typing import NamedTuple
 
@@ -276,9 +275,10 @@ class Traversal:
     lats: np.ndarray
     lons: np.ndarray
 
-    @cached_property
+    @property
     def pings(self) -> tuple:
-        """The segment as ``Ping`` rows, built on first use."""
+        """The segment as ``Ping`` rows, built on each use and not kept: a
+        caller that reads one row of every segment holds one segment's rows."""
         return tuple(map(Ping, repeat(self.trip_id), repeat(self.vehicle_id),
                          self.timestamps.tolist(), self.lats.tolist(), self.lons.tolist()))
 
@@ -293,7 +293,7 @@ class PingSeries:
         return tuple(p for seg in self.segments for p in seg.pings)
 
 
-PING_BLOCK_LINES = 1 << 14  # lines parsed per vectorized block
+PING_BLOCK_LINES = 1 << 10  # lines parsed per vectorized block; few, so its strings stay few
 
 
 def _ping(f) -> Ping:
@@ -306,8 +306,13 @@ def _ping(f) -> Ping:
 def _ping_block(lines):
     """Trip ids, vehicle ids, int64 timestamps and 2 x n lats and lons of ping
     lines, each field converted with ``int`` or ``float`` as ``_ping`` does;
-    a ValueError or OverflowError means some line is not valid for ``_ping``."""
-    if set(map(methodcaller("count", ","), lines)) != {len(Ping._fields) - 1}:
+    a ValueError or OverflowError means some line is not valid for ``_ping``.
+    Joined by newlines, n lines of 5 fields hold 5n - 1 separators, every
+    fifth of them a newline, exactly when each line has 5 fields."""
+    b = np.frombuffer("\n".join(lines).encode(), dtype=np.uint8)
+    sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    k = len(Ping._fields)
+    if sep.shape[0] != k * len(lines) - 1 or not (b[sep[k - 1::k]] == ord("\n")).all():
         raise ValueError("wrong field count")
     f = ",".join(lines).split(",")
     coords = np.array([f[3::5], f[4::5]], dtype=float)
@@ -350,13 +355,21 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
         if trip_id is None:
             raise IngestError("empty", f"{path} contains no records")
         return PingSeries(segments=())
-    group, ts, coords = (np.concatenate(columns, axis=-1) for columns in zip(*blocks))
+    # One column at a time, each copy replacing the one it was made from, so
+    # that the file's columns are held about once.
+    columns = list(zip(*blocks))
+    blocks.clear()
+    group, ts, coords = (np.concatenate(columns.pop(0), axis=-1) for _ in range(3))
     keys = sorted(codes)
     group = np.argsort([codes[key] for key in keys])[group]  # code -> its key's sorted place
     order = np.lexsort((ts, group))  # stable: the file's first duplicate leads
-    group, ts, coords = group[order], ts[order], coords[:, order]
+    group = group[order]
+    ts = ts[order]
+    coords = coords[:, order]
     keep = np.concatenate(([True], (group[1:] != group[:-1]) | (ts[1:] != ts[:-1])))
-    group, ts, lats, lons = group[keep], ts[keep], *coords[:, keep]
+    group = group[keep]
+    ts = ts[keep]
+    lats, lons = coords[:, keep]
     # unsigned differences cannot overflow within a sorted group
     split = (group[1:] != group[:-1]) | (np.diff(ts.view(np.uint64)) > max_gap_s)
     bounds = np.flatnonzero(np.concatenate(([True], split, [True]))).tolist()

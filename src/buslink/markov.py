@@ -1,19 +1,50 @@
-"""Link-state Markov chain: stay probabilities from predicted speeds, M-run
-Monte-Carlo simulation of remaining time to every downstream stop.
+"""Link-state Markov chain: stay probabilities from predicted speeds, and
+the exact law of the remaining time to every downstream stop.
 
 A plan's road time on each link is ``hetlognorm.predict_point``'s
 median exp(beta'z); ``build_plan`` takes it for all downstream links
 from one ``hetlognorm.linear_rows`` call over their stacked betas.
 
-The per-link step count is geometric with success probability
-``1 - p_stay``; drawing it directly (inverse CDF of a pre-drawn uniform)
-is distribution-identical to stepping the chain and exponentially
-faster. Dwell and intersection times are sampled once per run and
-feature. ``simulate`` draws every variate up front and hands them, with
-the plans themselves, to ``accel.markov_offsets``, whose scalar twin
-``accel._markov_scalar`` is the one reference for the transform.
-Remaining time to a stop means time until *departure from* that stop,
-matching the link-total telescoping of the decomposition identity.
+Link i adds ``delta_t`` times a geometric step count G_i, P(G_i > m) =
+p_stay^m, a bootstrap dwell (uniform over the end stop's pool) and its
+intersections' log-normal times. The remaining time to stop k, their sum
+up to k, is a phase-type law (Neuts, 1981). ``simulate`` draws no
+variates: it returns that law's mean and 2.5/97.5 percent points, by
+one inverse FFT of the product of the link transforms (the
+Fourier-series method of Abate & Whitt, 1992).
+
+* Mean: analytic, per link ``delta_t / (1 - p_stay)`` + the pool mean +
+  ``exp(mu + sigma^2 / 2)`` per intersection, summed down the route.
+* Grid: h = delta_t / ceil(delta_t / 1 s), the longest step of at most
+  1 s that divides delta_t, so the geometric steps are exact, and so are
+  whole-second dwell pools when delta_t is whole. Dwell atoms and
+  intersection times are rounded *down* to the grid; a log-normal's mass
+  above exp(mu + 7 sigma) (< 1.3e-12) sits at that point's floor. A
+  component with every atom on the grid is exact.
+* Quantile error: with N_k the components up to stop k that are not
+  exact (at most the links up to k and their intersections), the
+  floored time S- obeys S- <= S <= S- + N_k h (but for that < 1.3e-12
+  per intersection). So [q_2.5(S-), q_97.5(S-) + N_k h] holds the exact
+  band, each end within N_k h of it. A band end is the first grid point
+  whose CDF reaches the level less TAIL_EPS, so FFT rounding cannot
+  move it off an exact tie.
+* Tail bound: n >= m r + (every component's top grid point) + 1, where
+  m is the Chernoff bound at TAIL_EPS on the geometric sum, the least
+  over theta of (sum_i log E[e^(theta G_i)] - log TAIL_EPS) / theta, for
+  theta below min(-log max p_stay, 30). Under 1e-9 of the mass wraps past
+  n h. n is the next power of two; past MAX_GRID (an array of
+  about 24 * links * n bytes) a plan raises SimError("grid_too_large")
+  before anything of grid size is allocated.
+* Cost: a dwell or intersection model gets its grid law once per object
+  and step, and its transform once, at the largest grid size it has met
+  (a smaller power of two takes every (N / n)-th frequency). A forecast multiplies
+  the link transforms down the route, turns each stop's product into its
+  CDF's transform, and inverts all stops in one ``np.fft.irfft``.
+
+``accel.markov_offsets`` is the M-run Monte-Carlo simulation of the same
+chain, the oracle the tests check this law against. Remaining time to a
+stop means time until *departure from* that stop, matching the link-total
+telescoping of the decomposition identity.
 
 ``PredictionSession`` reads infer's rules: ``covariates(t, traffic)``,
 ``thresholds[link]`` and, for the origin link, ``bisect_right(rm.stop_arcs, arc)``.
@@ -21,24 +52,33 @@ matching the link-total telescoping of the decomposition identity.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .accel import markov_offsets
 from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel
 from .hetlognorm import design_matrix, linear_rows
 from .inference import open_road_link_of, space_mean_speed
-from .stats import percentile_band
 
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
+GRID_STEP_MAX = 1.0  # s; the longest grid step h
+TAIL_EPS = 1e-9  # bound on the mass past the grid, and the quantile read's slack
+MAX_GRID = 1 << 17  # grid points of one forecast
+LOGNORMAL_TOP_Z = 7.0  # an intersection's grid ends at exp(mu + 7 sigma)
+BAND = (0.025, 0.975)
+_THETA = np.linspace(0.02, 0.98, 49)  # Chernoff exponents, in units of their bound
 
 
 @dataclass(frozen=True)
 class MarkovConfig:
+    """``delta_t`` is the chain's time step. Forecasts read no other field;
+    ``runs`` and ``seed`` remain for the callers that still set them."""
+
     delta_t: float = 5.0
     runs: int = 1000
     seed: int = 0
@@ -71,7 +111,6 @@ class SimulationSummary:
     origin_link: int
     origin_arc: float
     origin_time: float
-    runs: int
     stops: tuple  # (StopForecast, ...) in route order
 
 
@@ -127,33 +166,134 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
+class _GridLaw:
+    """A dwell pool or intersection time rounded down to the h grid: its
+    PMF from 0, its exact mean (s), its grid mean (steps), whether it was
+    on the grid already, and its ``rfft`` at the largest grid size asked
+    for so far."""
+
+    def __init__(self, pmf, mean: float, exact: bool):
+        self.pmf, self.mean, self.exact = pmf, mean, exact
+        self.top = pmf.shape[0] - 1
+        self.grid_mean = float(pmf @ np.arange(pmf.shape[0]))
+        self._n, self._transform = 0, None
+
+    def transform(self, n: int):
+        """The ``rfft`` on n points: grid sizes are powers of two, so it is
+        every (N / n)-th frequency of the one at the largest size N."""
+        if n > self._n:
+            self._n, self._transform = n, np.fft.rfft(self.pmf, n)
+        return self._transform[::self._n // n]
+
+
+def _grid_law(model, h: float) -> _GridLaw:
+    """``model``'s law on the h grid, built once per model object and step
+    and kept in the instance dict, out of sight of the dataclass fields.
+    A law whose top grid point lies past MAX_GRID is refused unbuilt."""
+    laws = model.__dict__.setdefault("_grid_laws", {})
+    law = laws.get(h)
+    if law is None:
+        if isinstance(model, EmpiricalDwell):
+            atoms, counts = np.unique(model.samples, return_counts=True)
+            _check_grid(atoms[-1] / h, f"stop {model.stop_id}'s dwell pool", h)
+            law = _floored_atoms(atoms, counts / counts.sum(), float(model.samples.mean()), h)
+        else:
+            mu, sigma = model.mu_s, model.sigma_s
+            log_top = mu + LOGNORMAL_TOP_Z * sigma - math.log(h)
+            _check_grid(math.exp(min(log_top, 100.0)),
+                        f"intersection {model.intersection_id}", h)
+            if sigma == 0.0:
+                law = _floored_atoms(np.array([math.exp(mu)]), np.ones(1), math.exp(mu), h)
+            else:
+                # a subnormal sigma sends z to +-inf, where erfc is exact
+                with np.errstate(over="ignore"):
+                    z = (np.log(h * np.arange(1, math.floor(math.exp(log_top)) + 1)) - mu) / sigma
+                cdf = 0.5 * np.vectorize(math.erfc, otypes=[float])(-z / math.sqrt(2.0))
+                law = _GridLaw(np.diff(cdf, prepend=0.0, append=1.0),
+                               math.exp(mu + sigma * sigma / 2.0), exact=False)
+        laws[h] = law
+    return law
+
+
+def _check_grid(points: float, what: str, h: float) -> None:
+    if not points < MAX_GRID:  # also refuses nan
+        raise SimError("grid_too_large", f"{what} needs {points:.4g} grid points of "
+                                         f"{h:g} s, more than {MAX_GRID}")
+
+
+def _floored_atoms(atoms, weights, mean: float, h: float) -> _GridLaw:
+    q = atoms / h
+    idx = np.floor(q)
+    return _GridLaw(np.bincount(idx.astype(np.intp), weights), mean, exact=bool(np.all(q == idx)))
+
+
+@lru_cache(maxsize=64)
+def _phases(n: int, r: int):
+    """1 / w for w = e^(-2 pi i f r / n), the transform of an r-step shift at
+    each rfft frequency f, and 1 / (1 - e^(-2 pi i f / n)) (0 at f = 0),
+    which turns a PMF's transform into its CDF's. Callers do not write to them."""
+    f = np.arange(n // 2 + 1)
+    step = 1.0 - np.exp(-2j * np.pi / n * f)
+    step[0] = np.inf
+    return np.exp(2j * np.pi * r / n * f), 1.0 / step
+
+
+def _grid_size(n_min: int) -> int:
+    """The least power of two >= n_min (at least 64)."""
+    return 1 << max((n_min - 1).bit_length(), 6)
+
+
+def _geometric_steps(p) -> int:
+    """Chernoff bound m with P(sum of the geometric step counts >= m) <= TAIL_EPS."""
+    p_max = float(p.max())
+    if p_max == 0.0:
+        return p.shape[0]
+    theta = min(-math.log(p_max), 30.0) * _THETA  # any theta below -log p_max bounds
+    log_mgf = np.log1p(-p)[:, None] + theta - np.log1p(-np.multiply.outer(p, np.exp(theta)))
+    return math.ceil(float(((log_mgf.sum(axis=0) - math.log(TAIL_EPS)) / theta).min()))
+
+
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
              origin_time: float = float("nan")) -> SimulationSummary:
-    """M-run simulation summary: mean and 2.5/97.5 percentiles per stop.
+    """The exact law's mean and 2.5/97.5 percent band at every stop of the
+    plans, under the grid rule of the module docstring."""
+    delta_t = float(config.delta_t)
+    r = math.ceil(delta_t / GRID_STEP_MAX - 1e-9)  # grid steps per delta_t
+    h = delta_t / r
+    p = np.array([plan.p_stay for plan in plans])
+    if not p.max() < 1.0:
+        raise SimError("grid_too_large", "a link with p_stay >= 1 never completes")
+    laws = [[_grid_law(plan.dwell, h), *(_grid_law(x, h) for x in plan.intersections)]
+            for plan in plans]
+    n_min = _geometric_steps(p) * r + sum(law.top for link in laws for law in link) + 1
+    _check_grid(n_min, "the remaining time", h)
+    n = _grid_size(n_min)
 
-    Deterministic given the seed: all variates are drawn up front from one
-    Generator, in this order: road uniforms (M x links), dwell uniforms
-    (M x links), then intersection normals (M x all intersections of the
-    plans, none when there are none). ``accel.markov_offsets`` transforms
-    them on the plans.
-    """
-    m = int(config.runs)
-    if m < 1:
-        raise SimError("nonpositive", "runs must be >= 1")
-    rng = np.random.default_rng(config.seed)
-    u_road = rng.random((m, len(plans)))
-    u_dwell = rng.random((m, len(plans)))
-    z_x = rng.standard_normal((m, sum(len(p.intersections) for p in plans)))
-    offsets = markov_offsets(plans, u_road, u_dwell, z_x, float(config.delta_t))
-
-    means = offsets.mean(axis=0)
-    lo, hi = percentile_band(offsets)
-    stops = tuple(StopForecast(stop_id=p.end_stop_id, mean_remaining=float(means[i]),
-                               p2_5=float(lo[i]), p97_5=float(hi[i]))
-                  for i, p in enumerate(plans))
-    return SimulationSummary(origin_link=plans[0].link_index,
-                             origin_arc=origin_arc, origin_time=origin_time,
-                             runs=m, stops=stops)
+    # Per link, the geometric transform (1-p) w / (1 - p w) = (1-p) / (1/w - p),
+    # times the transforms of its dwell and intersections; then the product
+    # down the route.
+    inverse_shift, to_cdf = _phases(n, r)
+    rows = (1.0 - p)[:, None] / (inverse_shift - p[:, None])
+    for i, link in enumerate(laws):
+        for law in link:
+            rows[i] *= law.transform(n)
+        if i:
+            rows[i] *= rows[i - 1]
+    # CDF transform: (P - 1) / (1 - e^(-2 pi i f / n)), and at f = 0 the sum
+    # of the CDF over the grid, n less the grid mean.
+    steps_mean = r / (1.0 - p) + [sum(law.grid_mean for law in link) for link in laws]
+    rows -= 1.0
+    rows *= to_cdf
+    rows[:, 0] = n - np.cumsum(steps_mean)
+    cdf = np.fft.irfft(rows, n, axis=1)
+    inexact = np.cumsum([sum(not law.exact for law in link) for link in laws])
+    lo = np.argmax(cdf >= BAND[0] - TAIL_EPS, axis=1) * h
+    hi = (np.argmax(cdf >= BAND[1] - TAIL_EPS, axis=1) + inexact) * h
+    means = np.cumsum(delta_t / (1.0 - p) + [sum(law.mean for law in link) for link in laws])
+    stops = tuple(StopForecast(stop_id=plan.end_stop_id, mean_remaining=m, p2_5=l, p97_5=u)
+                  for plan, m, l, u in zip(plans, means.tolist(), lo.tolist(), hi.tolist()))
+    return SimulationSummary(origin_link=plans[0].link_index, origin_arc=origin_arc,
+                             origin_time=origin_time, stops=stops)
 
 
 class PredictionSession:
@@ -165,8 +305,6 @@ class PredictionSession:
     ping pair on the current link: below ``thresholds[link]`` switches it
     to 1, at or above switches it back to 0. Rain/peak/weekday covariates
     are rebuilt at each emission time through ``covariates(t, traffic)``.
-    Each emission draws from a fresh seed derived from (base seed, emission
-    index), so a replay is deterministic.
     """
 
     def __init__(self, rm: RouteModel, road_models: dict, dwell_models: dict,
@@ -181,7 +319,6 @@ class PredictionSession:
         self.traffic = 0
         self._prev_ping = None
         self._prev_tag = -1  # open_road_link_of tag of the previous ping; -1: none
-        self._emissions = 0
 
     def _emit(self, ping) -> SimulationSummary | None:
         arc = max(ping.arc_pos, self.rm.first_arc)
@@ -191,9 +328,7 @@ class PredictionSession:
         plans = build_plan(self.rm, self.road_models, self.dwell_models,
                            self.intersection_models, covariates,
                            bisect_right(self.rm.stop_arcs, arc), arc, self.config.delta_t)
-        cfg = replace(self.config, seed=self.config.seed + self._emissions)
-        self._emissions += 1
-        return simulate(plans, cfg, origin_arc=arc, origin_time=ping.timestamp)
+        return simulate(plans, self.config, origin_arc=arc, origin_time=ping.timestamp)
 
     def observe(self, ping) -> bool:
         """Fold one ping into the indicator state; True when it flipped."""

@@ -1,8 +1,9 @@
 """End-to-end drivers behind the CLI commands plus the run configuration.
 
 A RunConfig comes from a ``key = value`` text file with CLI-flag
-overrides on top (flags win). Every driver is deterministic given the
-inputs and the seed.
+overrides on top (flags win). Every driver is deterministic given its
+inputs. ``runs`` and ``seed`` are still read and checked, but no
+forecast reads them: ``simulate`` returns the chain's exact law.
 
 ``run_infer`` and the session of ``run_simulate`` share one covariate
 function, ``covariates_for(cfg, weather)``, and one threshold map,
@@ -47,8 +48,8 @@ class RunConfig:
     speed_threshold: float = 5.0
     peak_hours: tuple = tuple(sorted(DEFAULT_PEAK_HOURS))
     delta_t: float = 5.0
-    runs: int = 1000
-    seed: int = 0
+    runs: int = 1000  # checked (>= 1); changes no forecast
+    seed: int = 0  # checked (>= 0); changes no forecast
     cut_date: str = ""
     max_gap: float = DEFAULT_MAX_GAP_S
     min_fit_samples: int = 30
@@ -359,7 +360,7 @@ def _session_for(cfg: RunConfig, rm, store: ModelStore, weather):
     if missing:
         raise ConfigError("not_fitted", f"links without fitted models: {missing}")
     return PredictionSession(rm, road, dwell, inters, covariates_for(cfg, weather),
-                             MarkovConfig(delta_t=cfg.delta_t, runs=cfg.runs, seed=cfg.seed),
+                             MarkovConfig(delta_t=cfg.delta_t),
                              cfg.speed_threshold_by_link)
 
 

@@ -1,5 +1,5 @@
 """Validation tests (K-S log-normality, Breusch-Pagan, runs test), the
-distribution tails they need, and the package's one quantile rule.
+distribution tails they need, and the sample quantile rule.
 
 The tails, and their distance from a 50-digit reference as measured: the
 normal quantile of the interval bounds is ``statistics.NormalDist().inv_cdf``

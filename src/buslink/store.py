@@ -236,7 +236,7 @@ def write_observations(path, table: ObservationTable) -> None:
               (",".join(map(str, row)) for row in table.covariates.astype(int).tolist()),
               table.flags)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{line}\n" for line in [OBS_HEADER, *map(",".join, zip(*fields))]))
+        fh.writelines(f"{line}\n" for line in [OBS_HEADER, *map(",".join, zip(*fields))])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from buslink.accel import markov_offsets
 from buslink.cli import main
 from buslink.components import fit_dwell
 from buslink.evaluation import evaluate_split, mae, rmse
@@ -181,6 +182,41 @@ def test_criterion_06_markov_expectation(corpus, fitted):
         prev_mean = f.mean_remaining
     report(6, f"per-link E[road] within 3*sd/sqrt(M)+dt of length/speed at "
               f"M={m_runs}; intervals contain means; remaining times monotone")
+
+
+def test_exact_law_against_a_million_runs_on_truth_plans(corpus, fitted):
+    """The fitted TRUTH plans from three origins, free-flowing and congested,
+    against 10^6 runs of ``accel.markov_offsets``: at every stop each band
+    tail holds at most 0.03 of the runs, and the exact mean lies within 4
+    standard errors of theirs."""
+    rm = corpus["rm"]
+    road, dwell, inters = fitted.for_route(rm.route_key)
+    rng = np.random.default_rng(808)
+    chunk, chunks = 250_000, 4
+    for traffic in (0.0, 1.0):
+        x = np.array([0.0, 1.0, 1.0, traffic])
+        for origin_link, origin_arc in ((1, rm.first_arc), (2, rm.stop_arcs[1] + 1.0),
+                                        (4, rm.stop_arcs[3] + 1.0)):
+            plans = build_plan(rm, road, dwell, inters, x, origin_link=origin_link,
+                               origin_arc=origin_arc, delta_t=5.0)
+            summary = simulate(plans, MarkovConfig(delta_t=5.0))
+            lo = np.array([f.p2_5 for f in summary.stops])
+            hi = np.array([f.p97_5 for f in summary.stops])
+            k, n_x = len(plans), sum(len(p.intersections) for p in plans)
+            below = above = total = squares = 0.0
+            for _ in range(chunks):
+                runs = markov_offsets(plans, rng.random((chunk, k)), rng.random((chunk, k)),
+                                      rng.standard_normal((chunk, n_x)), 5.0)
+                below = below + (runs < lo).sum(axis=0)
+                above = above + (runs > hi).sum(axis=0)
+                total = total + runs.sum(axis=0)
+                squares = squares + (runs * runs).sum(axis=0)
+            m = chunk * chunks
+            mean = total / m
+            se = np.sqrt((squares / m - mean * mean) / m)
+            assert (below / m <= 0.03).all() and (above / m <= 0.03).all()
+            exact = np.array([f.mean_remaining for f in summary.stops])
+            assert (np.abs(exact - mean) <= 4 * se).all()
 
 
 def test_criterion_07_interval_coverage(corpus, fitted):

@@ -102,6 +102,20 @@ def test_simulate_replay_emits_batches(workdir, capsys):
             assert s["p2_5_s"] <= s["mean_s"] <= s["p97_5_s"]
 
 
+def test_simulate_grid_too_large_exit_2(workdir, tmp_path, capsys):
+    """A last link whose predicted road time is e^16 s: its stay
+    probability is 1 - 6e-7, and the law's grid would need ~10^8 points."""
+    text = (workdir["out"] / "models.txt").read_text(encoding="utf-8")
+    head, sep, last = text.rpartition("[road ")
+    beta = re.search(r"^beta = ([^,\n]+)", last, flags=re.M)
+    last = last[:beta.start(1)] + "16" + last[beta.end(1):]
+    (tmp_path / "models.txt").write_text(head + sep + last, encoding="utf-8")
+    trip, t0 = _first_trip_start(workdir["paths"])
+    rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip,
+               "--at", str(t0 + 150), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "grid_too_large")
+
+
 def test_simulate_unknown_trip(workdir, capsys):
     rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", "NOPE"])
     assert rc == 2

@@ -15,6 +15,8 @@ PACKAGE = ROOT / "src" / "buslink"
 ORACLES = {
     "_project_scalar": "loop reference for the projection kernel accel.project_onto_polyline",
     "_markov_scalar": "loop reference for the Markov kernel accel.markov_offsets",
+    "markov_offsets": "Monte-Carlo oracle of the exact law markov.simulate; perfbench "
+                      "traces it by name",
     "_open_road_speeds": "loop reference for the grouped minimum inference.slowest_speeds",
 }
 
