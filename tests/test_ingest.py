@@ -230,7 +230,8 @@ def test_pings_non_finite_number_rejected(tmp_path, line):
     assert "pings.csv:2:" in str(e.value)
 
 
-@pytest.mark.parametrize("block", [1, 2, ingest.PING_BLOCK_LINES])
+# Blocks of one and two lines, the default block and a block of 16K lines.
+@pytest.mark.parametrize("block", [1, 2, ingest.PING_BLOCK_LINES, 1 << 14])
 @pytest.mark.parametrize("lat,lon,message", OUT_OF_RANGE)
 def test_pings_out_of_range_coordinate_rejected(tmp_path, monkeypatch, block, lat, lon, message):
     monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
