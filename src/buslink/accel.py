@@ -4,17 +4,12 @@ Batch point-to-polyline projection (every ping of every traversal) is
 the inner loop that dominates runtime on real feeds. ``markov_offsets``
 is the M-run simulation of the link-state chain. No forecast calls it:
 ``markov.simulate`` returns the chain's exact law. It stays as the
-Monte-Carlo oracle that the tests check that law against. The law
-rounds each dwell atom and intersection time down to a grid of h <= 1 s
-that divides delta_t; the grid reaches past the Chernoff bound of the
-geometric steps at 1e-9 plus every component's top grid point, so under
-1e-9 of the mass wraps. Each band end then lies outside the exact
-percentile by at most N_k h, where N_k counts the off-grid dwell pools
-and intersections up to stop k (at most the links plus their
-intersections). ``project_onto_polyline`` and ``markov_offsets`` are
-vectorized numpy; ``_project_scalar`` and ``_markov_scalar`` are plain
-loops over the same elementwise expressions, each the one reference the
-tests check its kernel against. Both kernels are bit-reproducible;
+Monte-Carlo oracle that the tests check that law against; the law's grid
+and its error bound are stated in ``markov``'s module docstring.
+``project_onto_polyline`` and ``markov_offsets`` are vectorized numpy;
+``_project_scalar`` and ``_markov_scalar`` are plain loops over the same
+elementwise expressions, each the one reference the tests check its
+kernel against. Both kernels are bit-reproducible;
 projection is bit-identical to its reference and the Markov transform
 agrees with its own to float rounding.
 

@@ -3,7 +3,8 @@ synth.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure. Errors print
 as single machine-parseable lines prefixed ``error:``. Every command is
-deterministic given its inputs, configuration, and seed.
+deterministic given its inputs and configuration (``synth``: and its
+``--seed``), and takes only the flags it reads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synth
@@ -18,7 +20,8 @@ from .errors import (ConfigError, FitError, GeometryError, IngestError,
                      MetricError, NumericalError, SimError)
 from .evaluation import METRICS
 
-INPUT_ERRORS = (IngestError, GeometryError, ConfigError, MetricError, SimError)
+# OSError: a file that is missing or cannot be read or written
+INPUT_ERRORS = (IngestError, GeometryError, ConfigError, MetricError, SimError, OSError)
 NUMERIC_ERRORS = (FitError, NumericalError)
 
 
@@ -41,17 +44,19 @@ _INPUT_FLAGS = {
 
 
 def _shared_flags(sub, *inputs):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--seed", type=int, default=None)
+    """``--out``, ``--json`` and, for a command run on a ``RunConfig`` (one
+    that names its ``inputs``), ``--config`` and the input flags."""
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--json", action="store_true", help="JSON output instead of tables")
+    if inputs:
+        sub.add_argument("--config", help="key = value configuration file")
     for flag in inputs:
         sub.add_argument(f"--{flag}", help=_INPUT_FLAGS[flag][1])
 
 
 def _config_from(args) -> pipeline.RunConfig:
     overrides = {key: getattr(args, flag, None) for flag, (key, _) in _INPUT_FLAGS.items()}
-    overrides.update(seed=args.seed, out_dir=args.out)
+    overrides["out_dir"] = args.out
     return pipeline.load_config(args.config, overrides)
 
 
@@ -190,10 +195,8 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     spec = synth.load_truth(args.truth)
     if args.seed is not None:
-        from dataclasses import replace
         spec = replace(spec, seed=args.seed)
-    out_dir = args.out or "."
-    paths = synth.generate_corpus(spec, out_dir)
+    paths = synth.generate_corpus(spec, args.out or ".")
     if args.json:
         print(json.dumps({"root": str(paths.root), "gtfs": str(paths.gtfs_dir),
                           "pings": str(paths.pings), "weather": str(paths.weather),
@@ -252,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic corpus from a truth spec")
     _shared_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides the truth spec's seed")
     p.add_argument("--truth", required=True, help="truth spec JSON")
     p.set_defaults(func=cmd_synth)
 
@@ -259,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NUMERIC_ERRORS as exc:
@@ -268,9 +271,6 @@ def main(argv=None) -> int:
         return 3
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
         return 2
 
 

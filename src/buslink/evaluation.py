@@ -2,7 +2,7 @@
 metrics, and the train/test comparison driver.
 
 The historical-mean band takes its 2.5/97.5 quantiles from
-``stats.percentile_band``, ``np.percentile``'s linear rule. The LN points
+``np.percentile``'s linear rule. The LN points
 at the test rows are ``hetlognorm.predict_point`` and the LR points
 ``hetlognorm.linear_rows``, the one beta'z rule of every prediction;
 both fits hold 0.0 at masked coefficients.
@@ -19,7 +19,7 @@ from .errors import ConfigError, FitError, MetricError
 from .hetlognorm import (COVARIATE_COUNT, PredictionWithBounds, design_matrix, fit as ln_fit,
                          linear_rows, predict_interval, predict_point)
 from .ingest import day_number
-from .stats import active_columns, percentile_band
+from .stats import active_columns
 
 
 def hm_fit(samples, min_samples: int = 10) -> PredictionWithBounds:
@@ -28,7 +28,7 @@ def hm_fit(samples, min_samples: int = 10) -> PredictionWithBounds:
     s = np.asarray(samples, dtype=float)
     if s.shape[0] < min_samples:
         raise FitError("insufficient_data", f"need {min_samples} samples, have {s.shape[0]}")
-    q2_5, q97_5 = percentile_band(s[:, None])[:, 0].tolist()
+    q2_5, q97_5 = np.percentile(s, [2.5, 97.5]).tolist()
     return PredictionWithBounds(point=float(np.mean(s)), lower=q2_5, upper=q97_5)
 
 

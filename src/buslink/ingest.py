@@ -6,7 +6,8 @@ traversal segment holds int64 timestamp and float lat/lon arrays, and
 its ``Ping`` rows are built only when something reads them. Timestamps
 are POSIX seconds UTC throughout; all calendar logic (hour, weekday, date)
 is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
-line-oriented text input of the package keeps the lines ``data_text`` keeps.
+text input of the package is opened by ``open_text``, and every
+line-oriented one keeps the lines ``data_text`` keeps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -64,6 +66,17 @@ def local_date_hour(t: float, tz_offset: float):
 # Text lines and fields
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def open_text(path, newline: str | None = None):
+    """``path`` open for reading as UTF-8 text, a leading byte-order mark
+    dropped; a byte that is not UTF-8 raises IngestError naming the file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise IngestError("not_utf8", f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def data_text(lines, only: str | None = None) -> list:
     """The stripped ``lines`` that are neither blank nor a ``#`` comment and,
     with ``only``, whose first comma-separated field is ``only``."""
@@ -76,7 +89,7 @@ def data_text(lines, only: str | None = None) -> list:
 def data_lines(path, only: str | None = None):
     """Yield ``(line number, line)`` for every line of a text file that
     ``data_text`` keeps."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             for line in data_text((raw,), only):
                 yield lineno, line
@@ -146,7 +159,7 @@ def _read_table(dir_path: Path, name: str):
     path = dir_path / name
     if not path.is_file():
         raise IngestError("missing_table", f"{name} not found in {dir_path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         return [(f"{name}:{reader.line_num}", row) for row in reader]
 
@@ -338,7 +351,7 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     """
     codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
     blocks = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         while lines := list(islice(fh, PING_BLOCK_LINES)):
             if not (lines := data_text(lines, trip_id)):
                 continue

@@ -76,8 +76,8 @@ _THETA = np.linspace(0.02, 0.98, 49)  # Chernoff exponents, in units of their bo
 
 @dataclass(frozen=True)
 class MarkovConfig:
-    """``delta_t`` is the chain's time step. Forecasts read no other field;
-    ``runs`` and ``seed`` remain for the callers that still set them."""
+    """``delta_t`` is the chain's time step, the one field a forecast reads;
+    ``runs`` and ``seed`` are kept for perfbench alone (ROADMAP items 1-2)."""
 
     delta_t: float = 5.0
     runs: int = 1000

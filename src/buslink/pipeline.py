@@ -1,9 +1,9 @@
 """End-to-end drivers behind the CLI commands plus the run configuration.
 
 A RunConfig comes from a ``key = value`` text file with CLI-flag
-overrides on top (flags win). Every driver is deterministic given its
-inputs. ``runs`` and ``seed`` are still read and checked, but no
-forecast reads them: ``simulate`` returns the chain's exact law.
+overrides on top (flags win). A file sets each key at most once, and
+only keys some driver reads. Every driver is deterministic given its
+inputs: ``simulate`` returns the chain's exact law and draws nothing.
 
 ``run_infer`` and the session of ``run_simulate`` share one covariate
 function, ``covariates_for(cfg, weather)``, and one threshold map,
@@ -48,8 +48,9 @@ class RunConfig:
     speed_threshold: float = 5.0
     peak_hours: tuple = tuple(sorted(DEFAULT_PEAK_HOURS))
     delta_t: float = 5.0
-    runs: int = 1000  # checked (>= 1); changes no forecast
-    seed: int = 0  # checked (>= 0); changes no forecast
+    # read by no driver and not config keys: kept for perfbench (ROADMAP items 1-2)
+    runs: int = 1000
+    seed: int = 0
     cut_date: str = ""
     max_gap: float = DEFAULT_MAX_GAP_S
     min_fit_samples: int = 30
@@ -63,9 +64,8 @@ class RunConfig:
                  for key in ("buffer_radius", "off_route", "max_gap", "delta_t",
                              "speed_threshold")]
         rules += [(key, ">= 1", getattr(self, key) >= 1)
-                  for key in ("runs", "min_fit_samples", "min_component_samples")]
+                  for key in ("min_fit_samples", "min_component_samples")]
         rules += [("backward_tolerance", ">= 0", self.backward_tolerance >= 0.0),
-                  ("seed", ">= 0", self.seed >= 0),
                   ("peak_hours", "hours 0-23", set(self.peak_hours) <= set(range(24)))]
         for key, rule, ok in rules:
             if not ok:
@@ -105,6 +105,7 @@ def covariates_for(cfg: RunConfig, weather):
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
+_CONFIG_KEYS = _FIELD_TYPES.keys() - {"runs", "seed"}
 _DEFAULTS = RunConfig()
 _PARSERS = {float: finite_float}  # other types parse with their constructor
 
@@ -129,13 +130,14 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         for lineno, line in data_lines(path):
             key, sep, value = line.partition("=")
             key = key.strip()
-            if not sep or key not in _FIELD_TYPES:
+            if not sep or key not in _CONFIG_KEYS:
                 raise ConfigError("bad_config", f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError("bad_config", f"{path}:{lineno}: repeats key {key!r}")
             values[key] = _coerce(key, value.strip())
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        values[key] = _coerce(key, value) if isinstance(value, str) else value
+        if value is not None:
+            values[key] = _coerce(key, value) if isinstance(value, str) else value
     return RunConfig(**values)
 
 

@@ -1,5 +1,5 @@
-"""Validation tests (K-S log-normality, Breusch-Pagan, runs test), the
-distribution tails they need, and the sample quantile rule.
+"""Validation tests (K-S log-normality, Breusch-Pagan, runs test) and the
+distribution tails they need.
 
 The tails, and their distance from a 50-digit reference as measured: the
 normal quantile of the interval bounds is ``statistics.NormalDist().inv_cdf``
@@ -24,18 +24,6 @@ from .errors import StatError
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def percentile_band(offsets: np.ndarray) -> np.ndarray:
-    """The 2.5 and 97.5 percentiles of each column from one partition, bit for
-    bit ``np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")``, whose
-    lerp counts down from the upper value when the weight is >= 0.5."""
-    v = np.array([2.5, 97.5]) / 100 * (len(offsets) - 1)
-    lo = np.minimum(np.floor(v).astype(np.intp), len(offsets) - 2)  # M = 1: -1, weight v + 1
-    g = (v - lo)[:, None]
-    part = np.partition(offsets, [*lo, *lo + 1], axis=0)
-    a, b = part[lo], part[lo + 1]
-    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
-
 
 def chi2_sf(x: float, df: int) -> float:
     """Upper tail of the chi-square distribution for a positive integer df.

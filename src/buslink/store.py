@@ -21,7 +21,7 @@ import numpy as np
 from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
-from .ingest import data_lines, finite_float, read_rows
+from .ingest import data_lines, finite_float, open_text, read_rows
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
               "intersection_times,rain,peak,weekday,traffic,flags")
@@ -206,7 +206,7 @@ def read_observations(path) -> ObservationTable:
     whole. A file that fails the vectorized checks is read again row by row
     through ``_observation``, so the first bad line raises
     IngestError("parse") naming file:line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().split("\n")
     first = OBS_HEADER.partition(",")[0]
     if lines[0].strip().partition(",")[0].lower() == first:

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import ConfigError, IngestError
 from .geometry import EARTH_RADIUS_M
 from .inference import DEFAULT_PEAK_HOURS, build_covariates
-from .ingest import DEFAULT_RAIN_LABELS, WeatherTable, _checked_id, date_text, day_number
+from .ingest import (DEFAULT_RAIN_LABELS, WeatherTable, _checked_id, date_text, day_number,
+                     open_text)
 
 RUN_SPEED = 12.5  # m/s, non-crawl speed on congested links
 CRAWL_SPEED = 2.0  # m/s, must sit well below any sane speed threshold
@@ -110,7 +111,7 @@ def load_truth(path) -> TruthSpec:
     """Read and validate a truth spec; bad JSON, keys, types or values are a
     ConfigError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             raw = json.load(fh)  # a JSONDecodeError is a ValueError
         kinds = get_type_hints(TruthSpec)
         for key, value in raw.items():

@@ -355,7 +355,6 @@ def test_criterion_12_cli_determinism(small_corpus, tmp_path):
             f"intersections = {corpus_dir / 'intersections.csv'}",
             f"out_dir = {out}",
             "tz_offset = -5",
-            "seed = 7",
             "cut_date = 2023-08-22",
         ]) + "\n", encoding="utf-8")
         assert main(["infer", "--config", str(cfg)]) == 0

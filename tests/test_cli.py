@@ -1,13 +1,18 @@
+import argparse
+import ast
+import inspect
 import json
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from buslink import cli
 from buslink.cli import main
 from buslink.store import CovariateVector, LinkObservation, write_observations
 
@@ -30,7 +35,6 @@ def workdir(small_corpus, tmp_path_factory):
         f"intersections = {paths.intersections}",
         f"out_dir = {out}",
         "tz_offset = -5",
-        "seed = 7",
         "cut_date = 2023-08-22",
     ]) + "\n", encoding="utf-8")
     rc = main(["infer", "--config", str(cfg)])
@@ -203,6 +207,36 @@ def test_empty_pings_exit_2(workdir, tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["pings", "weather"])
+def test_byte_order_mark_is_dropped(workdir, tmp_path, capsys, flag):
+    """An input that starts with a UTF-8 byte-order mark reads as without it."""
+    marked = tmp_path / f"{flag}.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + getattr(workdir["paths"], flag).read_bytes())
+    rc = main(["infer", "--config", str(workdir["cfg"]), f"--{flag}", str(marked),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "skipped 0" in capsys.readouterr().out
+    assert ((tmp_path / "observations.csv").read_bytes()
+            == (workdir["out"] / "observations.csv").read_bytes())
+
+
+@pytest.mark.parametrize("flag", ["pings", "weather"])
+def test_input_not_utf8_exit_2(workdir, tmp_path, capsys, flag):
+    """A latin-1 byte in an input is one error line naming the file."""
+    text = getattr(workdir["paths"], flag).read_bytes()
+    bad = tmp_path / f"{flag}.csv"
+    bad.write_bytes(text + text.splitlines()[-1].replace(b",", b"\xe9,", 1) + b"\n")
+    rc = main(["infer", "--config", str(workdir["cfg"]), f"--{flag}", str(bad),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "not_utf8", str(bad))
+
+
+def test_input_that_is_a_directory_exit_2(workdir, tmp_path, capsys):
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--pings", str(tmp_path),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "Is a directory", str(tmp_path))
+
+
 def test_missing_weather_hour_exit_2(workdir, tmp_path, capsys):
     bad = tmp_path / "weather.csv"
     bad.write_text("date,hour,condition\n2023-08-18,0,Clear\n", encoding="utf-8")
@@ -355,9 +389,27 @@ def assert_input_error(rc, capsys, *words):
 
 def test_bad_number_in_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("runs = abc\n", encoding="utf-8")
+    cfg.write_text("delta_t = abc\n", encoding="utf-8")
     rc = main(["validate", "--config", str(cfg)])
-    assert_input_error(rc, capsys, "bad_config", "runs")
+    assert_input_error(rc, capsys, "bad_config", "delta_t")
+
+
+@pytest.mark.parametrize("key", ["runs", "seed"])
+def test_retired_config_key_exit_2(tmp_path, capsys, key):
+    """No driver reads ``runs`` or ``seed``, so a file that sets one is
+    refused like any other unknown key, naming file and line."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"delta_t = 5\n{key} = 7\n", encoding="utf-8")
+    rc = main(["validate", "--config", str(cfg)])
+    assert_input_error(rc, capsys, "bad_config", f"bad.cfg:2: unknown key '{key}'")
+
+
+def test_repeated_config_key_exit_2(tmp_path, capsys):
+    """A key set twice is refused at its second line, not read as the last."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("delta_t = 5\n# the step\ndelta_t = 7\n", encoding="utf-8")
+    rc = main(["validate", "--config", str(cfg)])
+    assert_input_error(rc, capsys, "bad_config", "bad.cfg:3: repeats key 'delta_t'")
 
 
 def test_negative_backward_tolerance_exit_2(tmp_path, capsys):
@@ -369,7 +421,7 @@ def test_negative_backward_tolerance_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "buffer_radius = -5", "off_route = 0", "max_gap = -1", "delta_t = 0", "runs = 0",
+    "buffer_radius = -5", "off_route = 0", "max_gap = -1", "delta_t = 0",
     "min_fit_samples = 0", "min_component_samples = 0", "peak_hours = 7,24",
 ], ids=lambda line: line.split(" = ")[0])
 def test_out_of_range_config_exit_2(tmp_path, capsys, line):
@@ -384,9 +436,11 @@ def test_out_of_range_config_exit_2(tmp_path, capsys, line):
 @pytest.mark.parametrize("line", ["delta_t = nan", "off_route = inf", "tz_offset = -inf",
                                   "link_speed_thresholds = 2:nan"])
 def test_non_finite_number_in_config_exit_2(workdir, tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    kept = [s for s in workdir["cfg"].read_text(encoding="utf-8").splitlines()
+            if s.split(" = ")[0] != key]  # a key may be set once
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(workdir["cfg"].read_text(encoding="utf-8") + line + "\n",
-                   encoding="utf-8")
+    cfg.write_text("\n".join([*kept, line]) + "\n", encoding="utf-8")
     rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
     assert_input_error(rc, capsys, "bad_config", line.split(" = ")[1])
     assert not (tmp_path / "observations.csv").exists()
@@ -452,11 +506,39 @@ def test_negative_seed_synth_exit_2(small_corpus, tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
-def test_negative_seed_simulate_exit_2(workdir, capsys):
+def test_seed_flag_refused_outside_synth_exit_2(workdir, capsys):
+    """A forecast draws no random numbers, so ``simulate`` has no ``--seed``."""
     trip, _ = _first_trip_start(workdir["paths"])
-    rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--replay",
-               "--seed", "-1"])
-    assert_input_error(rc, capsys, "bad_config", "seed")
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip, "--replay",
+              "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _args_read(func) -> set:
+    """The ``args.<name>`` attributes that ``func``'s source reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_option_is_read():
+    """Each option of a subcommand is read by its handler or, for a handler
+    that builds a RunConfig, by ``_config_from``, which also reads every
+    input flag through ``_INPUT_FLAGS``: no flag is accepted and ignored."""
+    config_reads = _args_read(cli._config_from) | set(cli._INPUT_FLAGS)
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    inert = []
+    for name, sub in subcommands.choices.items():
+        handler = sub.get_default("func")
+        reads = _args_read(handler)
+        if "_config_from(args)" in inspect.getsource(handler):
+            reads |= config_reads
+        inert += [f"{name} {action.option_strings[0]}" for action in sub._actions
+                  if action.option_strings and action.dest not in reads | {"help"}]
+    assert inert == []
 
 
 def test_bad_number_in_gtfs_table_exit_2(workdir, tmp_path, capsys):

@@ -9,7 +9,6 @@ from buslink.errors import ConfigError, FitError, MetricError
 from buslink.evaluation import (evaluate_split, hm_fit, lr_fit, lr_predict, mae,
                                 modal_covariates, rmse, split_by_date)
 from buslink.hetlognorm import PredictionWithBounds, fit as ln_fit
-from buslink.stats import percentile_band
 from buslink.store import CovariateVector, LinkObservation
 
 from conftest import generate_synthetic, observation_table
@@ -194,13 +193,11 @@ def test_lr_on_log_homoscedastic_data_recovers_coefficients():
 def test_hm_quantiles_match_numpy():
     """The historical-mean band is numpy's linear percentile rule bit for bit."""
     rng = np.random.default_rng(5)
-    for n in (1, 2, 10, 37, 301):
+    for n in (10, 37, 301):
         vals = rng.lognormal(3.0, 0.5, size=n).round(n % 3)
         expected = np.percentile(vals, [2.5, 97.5], method="linear")
-        assert percentile_band(vals[:, None])[:, 0].tobytes() == expected.tobytes()
-        if n >= 10:
-            b = hm_fit(vals)
-            assert (b.lower, b.upper) == tuple(expected.tolist())
+        b = hm_fit(vals)
+        assert (b.lower, b.upper) == tuple(expected.tolist())
 
 
 def _sequential_sum(coef, z) -> float:

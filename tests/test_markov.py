@@ -13,7 +13,6 @@ from buslink.inference import CovariateVector, ProjectedPing, open_road_link_of
 from buslink.markov import (MAX_GRID, LinkPlan, MarkovConfig, PredictionSession, build_plan,
                             simulate, steps_to_complete)
 from buslink.pipeline import RunConfig
-from buslink.stats import percentile_band
 
 from conftest import link_scan
 from test_geometry import network_with
@@ -281,22 +280,6 @@ def test_exact_law_against_monte_carlo_oracle(links, seed):
         assert np.mean(ref[:, i] > f.p97_5 + 1e-9) <= 0.03
         assert (abs(ref[:, i].mean() - f.mean_remaining)
                 <= 4 * sd[i] / math.sqrt(m) + 1e-9 * f.mean_remaining)
-
-
-@given(m=st.sampled_from([1, 2, 3, 39, 1000, 10000]), stops=st.integers(1, 12),
-       seed=st.integers(0, 2**32 - 1), ties=st.booleans(), spread=st.floats(1e-3, 1e6))
-@settings(deadline=None, max_examples=120)
-def test_percentile_band_is_numpy_linear_bit_for_bit(m, stops, seed, ties, spread):
-    """Random offsets, with many tied values and signed zeros when rounded:
-    the partition band equals np.percentile's linear rule byte for byte."""
-    rng = np.random.default_rng(seed)
-    offsets = rng.standard_normal((m, stops)) * spread
-    if ties:
-        offsets = np.round(offsets / spread * 2)
-    expected = np.percentile(offsets, [2.5, 97.5], axis=0, method="linear")
-    before = offsets.copy()
-    assert percentile_band(offsets).tobytes() == expected.tobytes()
-    assert offsets.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("delta_t", [5.0, 2.0, 1.0])
