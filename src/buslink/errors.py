@@ -21,7 +21,7 @@ class GeometryError(BuslinkError):
 
 
 class InferenceError(BuslinkError):
-    """Event inference failures (too sparse, nonpositive road time)."""
+    """Event inference failures; its one kind is ``too_sparse``."""
 
 
 class FitError(BuslinkError):

@@ -16,8 +16,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, FitError, MetricError
-from .hetlognorm import (COVARIATE_COUNT, PredictionWithBounds, design_matrix, fit as ln_fit,
-                         linear_rows, predict_interval, predict_point)
+from .hetlognorm import (COVARIATE_COUNT, DEFAULT_MIN_FIT_SAMPLES, PredictionWithBounds,
+                         design_matrix, fit as ln_fit, linear_rows, predict_interval, predict_point)
 from .ingest import day_number
 from .stats import active_columns
 
@@ -146,7 +146,7 @@ def split_by_date(table, cut_date: str, tz_offset: float) -> np.ndarray:
 
 
 def evaluate_split(table, cut_date: str, tz_offset: float,
-                   min_fit_samples: int = 30) -> list:
+                   min_fit_samples: int = DEFAULT_MIN_FIT_SAMPLES) -> list:
     """Fit LN-MLE / HM / LR per link of an ``ObservationTable`` on the
     training side of the date cut and score them on the test side. Per-link
     failures become table gaps."""

@@ -27,6 +27,7 @@ COEF_COUNT = COVARIATE_COUNT + 1  # intercept + covariates
 GAMMA_FLOOR = -30.0  # exp floor guarding 1/sigma^2 overflow
 SCORE_TOL = 1e-6  # converged when the score norm over n is at most this
 MAX_ITER = 500  # Fisher-scoring steps before no_convergence
+DEFAULT_MIN_FIT_SAMPLES = 30  # road samples a link needs for a fit
 
 
 def design_matrix(X) -> np.ndarray:
@@ -95,7 +96,7 @@ class HetLogNormalModel:
     loglik: float
 
 
-def fit(ys, X, min_samples: int = 30) -> HetLogNormalModel:
+def fit(ys, X, min_samples: int = DEFAULT_MIN_FIT_SAMPLES) -> HetLogNormalModel:
     """Maximum-likelihood fit of (beta, gamma) for one link.
 
     ys are log road seconds, X the (n, 4) binary covariates. Starts from

@@ -16,18 +16,19 @@ detection stays a scalar scan per traversal, and the decomposition runs
 link by link across all traversals into an ``ObservationTable``.
 
 Infer and ``markov.PredictionSession`` read the rules ``pipeline`` builds
-once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, and one
+once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, one
 link lookup: the link at a position is ``bisect_right(rm.stop_arcs, arc)``,
-``np.searchsorted(..., "right")`` over an array.
+``np.searchsorted(..., "right")`` over an array, and one open-road pair rule:
+both pings open road on one link, time strictly increasing (``slowest_speeds``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,15 +42,17 @@ DEFAULT_BACKWARD_TOLERANCE_M = 5.0
 MAX_INTERP_FRACTION = 0.5  # of the crossed features; above it a traversal is too sparse
 
 
-@dataclass(slots=True)
-class ProjectedPing:
+class ProjectedPing(NamedTuple):
+    """A (time, arc) pair, all that ``markov.PredictionSession`` reads of a ping."""
     timestamp: float
     arc_pos: float
 
 
 def project_traversal(trav: Traversal, rm: RouteModel) -> list:
+    """The traversal's ``ProjectedPing``s, for perfbench alone (ROADMAP item 2)."""
     arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
-    return list(map(ProjectedPing, trav.timestamps.astype(float).tolist(), arcs.tolist()))
+    return list(map(ProjectedPing._make, zip(trav.timestamps.astype(float).tolist(),
+                                             arcs.tolist())))
 
 
 def repair_mask(arcs, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> np.ndarray:
@@ -62,7 +65,7 @@ def repair_mask(arcs, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) 
 
 
 def repair_monotonic(pps, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> list:
-    """The projected pings that ``repair_mask`` keeps."""
+    """The projected pings that ``repair_mask`` keeps, for perfbench alone (ROADMAP item 2)."""
     return [p for p, k in zip(pps, repair_mask([q.arc_pos for q in pps], backward_tolerance)) if k]
 
 
@@ -116,14 +119,6 @@ def detect_events(times, arcs, rm: RouteModel) -> list:
         raise InferenceError("too_sparse",
                              f"{n_interp}/{n_crossed} features interpolated")
     return events
-
-
-def space_mean_speed(ping_prev: ProjectedPing, ping_curr: ProjectedPing) -> float:
-    """Arc distance over elapsed time between two consecutive records."""
-    dt = ping_curr.timestamp - ping_prev.timestamp
-    if dt <= 0.0:
-        raise InferenceError("bad_pair", "timestamps must strictly increase")
-    return (ping_curr.arc_pos - ping_prev.arc_pos) / dt
 
 
 def build_covariates(t: float, weather: WeatherTable, traffic: int, tz_offset: float,

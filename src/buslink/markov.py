@@ -46,8 +46,9 @@ chain, the oracle the tests check this law against. Remaining time to a
 stop means time until *departure from* that stop, matching the link-total
 telescoping of the decomposition identity.
 
-``PredictionSession`` reads infer's rules: ``covariates(t, traffic)``,
-``thresholds[link]`` and, for the origin link, ``bisect_right(rm.stop_arcs, arc)``.
+``PredictionSession`` reads (time, arc) pairs and infer's rules: ``covariates(t,
+traffic)``, ``thresholds[link]``, the open-road pair rule of ``inference`` and,
+for the origin link, ``bisect_right(rm.stop_arcs, arc)``.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel
 from .hetlognorm import design_matrix, linear_rows
-from .inference import open_road_link_of, space_mean_speed
+from .inference import open_road_link_of
 
+DEFAULT_DELTA_T_S = 5.0  # the chain's time step
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
 GRID_STEP_MAX = 1.0  # s; the longest grid step h
 TAIL_EPS = 1e-9  # bound on the mass past the grid, and the quantile read's slack
@@ -79,7 +81,7 @@ class MarkovConfig:
     """``delta_t`` is the chain's time step, the one field a forecast reads;
     ``runs`` and ``seed`` are kept for perfbench alone (ROADMAP items 1-2)."""
 
-    delta_t: float = 5.0
+    delta_t: float = DEFAULT_DELTA_T_S
     runs: int = 1000
     seed: int = 0
 
@@ -258,7 +260,7 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
     """The exact law's mean and 2.5/97.5 percent band at every stop of the
     plans, under the grid rule of the module docstring."""
     delta_t = float(config.delta_t)
-    r = math.ceil(delta_t / GRID_STEP_MAX - 1e-9)  # grid steps per delta_t
+    r = max(math.ceil(delta_t / GRID_STEP_MAX - 1e-9), 1)  # grid steps per delta_t
     h = delta_t / r
     p = np.array([plan.p_stay for plan in plans])
     if not p.max() < 1.0:
@@ -299,12 +301,12 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
 class PredictionSession:
     """Replay-style real-time prediction for one traversal.
 
-    Feed projected pings in time order; a simulation summary comes back
+    Feed (time, arc) pairs in time order; a simulation summary comes back
     for the first ping and thereafter whenever the traffic indicator
     flips. The indicator starts at 0 and follows the latest open-road
-    ping pair on the current link: below ``thresholds[link]`` switches it
-    to 1, at or above switches it back to 0. Rain/peak/weekday covariates
-    are rebuilt at each emission time through ``covariates(t, traffic)``.
+    ping pair: below ``thresholds[link]`` switches it to 1, at or above
+    switches it back to 0. Rain/peak/weekday covariates are rebuilt at
+    each emission time through ``covariates(t, traffic)``.
     """
 
     def __init__(self, rm: RouteModel, road_models: dict, dwell_models: dict,
@@ -317,46 +319,36 @@ class PredictionSession:
         self.config = config
         self.thresholds = thresholds
         self.traffic = 0
-        self._prev_ping = None
-        self._prev_tag = -1  # open_road_link_of tag of the previous ping; -1: none
+        self._prev = (math.nan, math.nan, -1)  # time, arc and open_road_link_of tag
 
-    def _emit(self, ping) -> SimulationSummary | None:
-        arc = max(ping.arc_pos, self.rm.first_arc)
+    def _emit(self, t: float, arc: float) -> SimulationSummary | None:
+        arc = max(arc, self.rm.first_arc)
         if arc >= self.rm.last_arc:
             return None
-        covariates = self.covariates(ping.timestamp, self.traffic)
         plans = build_plan(self.rm, self.road_models, self.dwell_models,
-                           self.intersection_models, covariates,
+                           self.intersection_models, self.covariates(t, self.traffic),
                            bisect_right(self.rm.stop_arcs, arc), arc, self.config.delta_t)
-        return simulate(plans, self.config, origin_arc=arc, origin_time=ping.timestamp)
+        return simulate(plans, self.config, origin_arc=arc, origin_time=t)
 
     def observe(self, ping) -> bool:
         """Fold one ping into the indicator state; True when it flipped."""
-        prev, prev_tag = self._prev_ping, self._prev_tag
-        tag = self._remember(ping)
-        if tag < 1 or tag != prev_tag:
-            return False  # not an open-road pair on one link
-        v = space_mean_speed(prev, ping)
-        new_traffic = 1 if v < self.thresholds[tag] else 0
-        if new_traffic == self.traffic:
+        (t0, arc0, tag0), t, arc = self._prev, ping[0], ping[1]  # a NamedTuple unpacks slowly
+        tag = open_road_link_of([arc], self.rm)[0]
+        self._prev = (t, arc, tag)
+        if tag < 1 or tag != tag0 or not t > t0:
+            return False  # not an open-road pair
+        traffic = 1 if (arc - arc0) / (t - t0) < self.thresholds[tag] else 0
+        if traffic == self.traffic:
             return False
-        self.traffic = new_traffic
+        self.traffic = traffic
         return True
-
-    def _remember(self, ping) -> int:
-        """Make ``ping`` the previous ping, classified once; its tag."""
-        self._prev_ping = ping
-        self._prev_tag = open_road_link_of([ping.arc_pos], self.rm)[0]
-        return self._prev_tag
-
-    def start(self, ping) -> SimulationSummary | None:
-        self._remember(ping)
-        return self._emit(ping)
 
     def update(self, ping) -> SimulationSummary | None:
         """Fold in one new ping; re-predict only on an indicator flip."""
-        return self._emit(ping) if self.observe(ping) else None
+        return self._emit(*ping) if self.observe(ping) else None
 
     def emit_at(self, ping) -> SimulationSummary | None:
         self.observe(ping)
-        return self._emit(ping)
+        return self._emit(*ping)
+
+    start = emit_at  # a first ping has no pair, so it cannot flip

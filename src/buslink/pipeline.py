@@ -22,14 +22,14 @@ import numpy as np
 from . import evaluation, stats
 from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersection)
 from .errors import BuslinkError, ConfigError, FitError
-from .geometry import build_route_model, project_many
-from .hetlognorm import design_matrix, fit as ln_fit, predict_interval
-from .inference import (DEFAULT_PEAK_HOURS, build_covariates, project_traversal,
-                        repair_monotonic, route_observations)
+from .geometry import DEFAULT_BUFFER_RADIUS_M, DEFAULT_OFF_ROUTE_M, build_route_model, project_many
+from .hetlognorm import DEFAULT_MIN_FIT_SAMPLES, design_matrix, fit as ln_fit, predict_interval
+from .inference import (DEFAULT_BACKWARD_TOLERANCE_M, DEFAULT_PEAK_HOURS, build_covariates,
+                        repair_mask, route_observations)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
                      finite_float, load_gtfs_static, load_intersections, load_pings,
                      load_weather)
-from .markov import MarkovConfig, PredictionSession
+from .markov import DEFAULT_DELTA_T_S, MarkovConfig, PredictionSession
 from .store import ModelStore, read_observations, read_store, write_observations, write_store
 
 
@@ -43,19 +43,19 @@ class RunConfig:
     model_store: str = "models.txt"
     out_dir: str = "."
     tz_offset: float = DEFAULT_TZ_OFFSET
-    buffer_radius: float = 20.0
-    off_route: float = 30.0
+    buffer_radius: float = DEFAULT_BUFFER_RADIUS_M
+    off_route: float = DEFAULT_OFF_ROUTE_M
     speed_threshold: float = 5.0
     peak_hours: tuple = tuple(sorted(DEFAULT_PEAK_HOURS))
-    delta_t: float = 5.0
+    delta_t: float = DEFAULT_DELTA_T_S
     # read by no driver and not config keys: kept for perfbench (ROADMAP items 1-2)
     runs: int = 1000
     seed: int = 0
     cut_date: str = ""
     max_gap: float = DEFAULT_MAX_GAP_S
-    min_fit_samples: int = 30
+    min_fit_samples: int = DEFAULT_MIN_FIT_SAMPLES
     min_component_samples: int = DEFAULT_MIN_COMPONENT_SAMPLES
-    backward_tolerance: float = 5.0
+    backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M
     rain_labels: tuple = tuple(sorted(DEFAULT_RAIN_LABELS))
     link_speed_thresholds: str = ""  # per-link overrides, e.g. "2:4.0,5:6.5"
 
@@ -66,6 +66,7 @@ class RunConfig:
         rules += [(key, ">= 1", getattr(self, key) >= 1)
                   for key in ("min_fit_samples", "min_component_samples")]
         rules += [("backward_tolerance", ">= 0", self.backward_tolerance >= 0.0),
+                  ("tz_offset", "in [-12, 14]", -12 <= self.tz_offset <= 14),
                   ("peak_hours", "hours 0-23", set(self.peak_hours) <= set(range(24)))]
         for key, rule, ok in rules:
             if not ok:
@@ -362,8 +363,17 @@ def _session_for(cfg: RunConfig, rm, store: ModelStore, weather):
     if missing:
         raise ConfigError("not_fitted", f"links without fitted models: {missing}")
     return PredictionSession(rm, road, dwell, inters, covariates_for(cfg, weather),
-                             MarkovConfig(delta_t=cfg.delta_t),
-                             cfg.speed_threshold_by_link)
+                             MarkovConfig(delta_t=cfg.delta_t), cfg.speed_threshold_by_link)
+
+
+def replay_pairs(trav, rm, backward_tolerance: float, at: float | None = None) -> list:
+    """The segment's (time, arc) pairs: ``run_infer``'s projection and repair, cut after ``at``."""
+    arcs, _ = project_many(rm.polyline, trav.lats, trav.lons)
+    times = trav.timestamps.astype(float)
+    keep = repair_mask(arcs, backward_tolerance)
+    if at is not None:
+        keep &= times <= at
+    return list(zip(times[keep].tolist(), arcs[keep].tolist()))
 
 
 def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
@@ -394,25 +404,23 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
     trav = candidates[-1]
     route_key = (trip.route_id, trip.direction_id)
     rm = _route_models_for(net, xs, cfg, [route_key])[route_key]
-    pps = repair_monotonic(project_traversal(trav, rm), cfg.backward_tolerance)
-    if at is not None:
-        pps = [p for p in pps if p.timestamp <= at]
-        if not pps:
-            raise ConfigError("not_found", f"trip {trip_id} has no pings at or before {at}")
+    pings = replay_pairs(trav, rm, cfg.backward_tolerance, at)
+    if not pings:
+        raise ConfigError("not_found", f"trip {trip_id} has no pings at or before {at}")
 
     session = _session_for(cfg, rm, store, weather)
     segment = (int(trav.timestamps[0]), len(series.segments))
     batches = []
     if replay:
-        for i, ping in enumerate(pps):
+        for i, ping in enumerate(pings):
             summary = session.start(ping) if i == 0 else session.update(ping)
             if summary is not None:
-                batches.append(SimulationBatch(ping.timestamp, trip_id, summary, *segment))
+                batches.append(SimulationBatch(ping[0], trip_id, summary, *segment))
     else:
-        for ping in pps[:-1]:
+        for ping in pings[:-1]:
             session.observe(ping)
-        summary = session.emit_at(pps[-1])
+        summary = session.emit_at(pings[-1])
         if summary is None:
             raise ConfigError("not_found", f"trip {trip_id} already past the terminal at {at}")
-        batches.append(SimulationBatch(pps[-1].timestamp, trip_id, summary, *segment))
+        batches.append(SimulationBatch(pings[-1][0], trip_id, summary, *segment))
     return batches

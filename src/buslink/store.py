@@ -21,7 +21,7 @@ import numpy as np
 from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
-from .ingest import data_lines, finite_float, open_text, read_rows
+from .ingest import data_lines, data_text, finite_float, open_text, read_rows
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
               "intersection_times,rain,peak,weekday,traffic,flags")
@@ -211,7 +211,7 @@ def read_observations(path) -> ObservationTable:
     first = OBS_HEADER.partition(",")[0]
     if lines[0].strip().partition(",")[0].lower() == first:
         lines[0] = ""  # the header, allowed on line 1 only
-    lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    lines = data_text(lines)
     if not lines:
         raise IngestError("empty", f"{path} contains no observations")
     try:

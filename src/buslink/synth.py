@@ -150,6 +150,7 @@ def validate_truth(spec: TruthSpec) -> None:
         (("direction_id",), "0 or 1", lambda v: v in (0, 1)),
         (("origin_lat",), "in [-90, 90]", lambda v: -90 <= v <= 90),
         (("origin_lon",), "in [-180, 180]", lambda v: -180 <= v <= 180),
+        (("tz_offset",), "in [-12, 14]", lambda v: -12 <= v <= 14),
         (("links",), "non-empty", len)) for key in keys]
     for li, link in enumerate(spec.links, start=1):
         rules += [(f"link {li} dwell_pool", link.dwell_pool, "non-empty", len(link.dwell_pool) > 0),
@@ -167,9 +168,11 @@ def validate_truth(spec: TruthSpec) -> None:
         raise ConfigError("bad_config", f"the shape's last vertex = {end!r} must be inside "
                           "[-90, 90] x [-180, 180]")
     try:
-        day_number(spec.start_date)
+        last_day = day_number(spec.start_date) + spec.n_days - 1
     except ValueError as exc:
         raise ConfigError("bad_config", f"start_date: {exc}") from None
+    if last_day > day_number("9999-12-31"):
+        raise ConfigError("bad_config", f"n_days = {spec.n_days} must end by 9999-12-31")
     for xid in ids:
         _checked_id(xid, "intersection_id")
     _checked_id(spec.route_id, "route_id")

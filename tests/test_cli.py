@@ -14,6 +14,8 @@ import pytest
 
 from buslink import cli
 from buslink.cli import main
+from buslink.errors import ConfigError
+from buslink.pipeline import RunConfig
 from buslink.store import CovariateVector, LinkObservation, write_observations
 
 from conftest import SMALL_TRUTH, table_of, write_truth
@@ -117,6 +119,18 @@ def test_simulate_grid_too_large_exit_2(workdir, tmp_path, capsys):
     trip, t0 = _first_trip_start(workdir["paths"])
     rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip,
                "--at", str(t0 + 150), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "grid_too_large")
+
+
+@pytest.mark.parametrize("delta_t", ["1e-10", "1e-9"])
+def test_simulate_tiny_delta_t_exit_2(workdir, tmp_path, capsys, delta_t):
+    """A step of at most 1e-9 s still gets one grid step per delta_t, not
+    zero, so its plans need too large a grid rather than a division by 0."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(workdir["cfg"].read_text(encoding="utf-8") + f"delta_t = {delta_t}\n",
+                   encoding="utf-8")
+    trip, _ = _first_trip_start(workdir["paths"])
+    rc = main(["simulate", "--config", str(cfg), "--trip", trip, "--replay"])
     assert_input_error(rc, capsys, "grid_too_large")
 
 
@@ -297,6 +311,9 @@ def test_timestamp_past_the_weather_exit_2(workdir, tmp_path, capsys, shift, whe
     (lambda t: t.update(origin_lat=95.0), "origin_lat"),
     (lambda t: t.update(origin_lon=-181.0), "origin_lon"),
     (lambda t: t.update(origin_lon=179.99), "the shape's last vertex"),
+    (lambda t: t.update(tz_offset=1e306), "tz_offset"),
+    (lambda t: t.update(tz_offset=-12.5), "tz_offset"),
+    (lambda t: t.update(start_date="9999-12-31", n_days=2), "9999-12-31"),
     (lambda t: t["links"][0]["intersections"].append(
         {"id": "X1", "offset": 350.0, "mu": 2.8, "sigma": 0.35}), "intersection id"),
 ], ids=["unknown_key", "link_without_beta", "bad_start_date", "str_for_int", "float_for_int",
@@ -305,7 +322,8 @@ def test_timestamp_past_the_weather_exit_2(workdir, tmp_path, capsys, shift, whe
         "zero_days", "negative_days", "zero_slots", "zero_ping_interval",
         "congestion_prob_above_1", "negative_rain_prob", "direction_3", "no_links",
         "empty_dwell_pool", "four_betas", "six_gammas", "negative_sigma", "origin_lat_95",
-        "origin_lon_below_-180", "shape_past_180", "repeated_intersection_id"])
+        "origin_lon_below_-180", "shape_past_180", "tz_offset_1e306", "tz_offset_below_-12",
+        "past_year_9999", "repeated_intersection_id"])
 def test_bad_truth_exit_2(tmp_path, capsys, change, named):
     path = write_truth(tmp_path / "t.json", SMALL_TRUTH)
     if change is None:
@@ -423,6 +441,7 @@ def test_negative_backward_tolerance_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "buffer_radius = -5", "off_route = 0", "max_gap = -1", "delta_t = 0",
     "min_fit_samples = 0", "min_component_samples = 0", "peak_hours = 7,24",
+    "tz_offset = 1e306",
 ], ids=lambda line: line.split(" = ")[0])
 def test_out_of_range_config_exit_2(tmp_path, capsys, line):
     """A value no run can use is rejected before any input is read."""
@@ -431,6 +450,14 @@ def test_out_of_range_config_exit_2(tmp_path, capsys, line):
     rc = main(["infer", "--config", str(cfg), "--out", str(tmp_path)])
     assert_input_error(rc, capsys, "bad_config", line.split(" = ")[0])
     assert not (tmp_path / "observations.csv").exists()
+
+
+def test_tz_offset_span_is_inclusive():
+    """UTC offsets in use run from -12 to +14 hours, both ends taken."""
+    assert [RunConfig(tz_offset=v).tz_offset for v in (-12, 14)] == [-12, 14]
+    for v in (-12.5, 14.25):
+        with pytest.raises(ConfigError, match="tz_offset"):
+            RunConfig(tz_offset=v)
 
 
 @pytest.mark.parametrize("line", ["delta_t = nan", "off_route = inf", "tz_offset = -inf",

@@ -9,8 +9,7 @@ from buslink.geometry import build_route_model
 from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, _open_road_speeds,
                                build_covariates, detect_events, observations_from_traversal,
                                open_road_link_of, open_road_links, repair_mask,
-                               repair_monotonic, route_observations, slowest_speeds,
-                               space_mean_speed)
+                               repair_monotonic, route_observations, slowest_speeds)
 from buslink.ingest import DEFAULT_RAIN_LABELS, Traversal, load_weather
 from buslink.pipeline import RunConfig, covariates_for
 
@@ -151,11 +150,6 @@ def through_link(speeds, dt=2):
 
 
 class TestSpeeds:
-    def test_space_mean_speed(self):
-        assert space_mean_speed(pp(0, 100), pp(20, 250)) == 7.5
-        assert space_mean_speed(pp(0, 100), pp(15, 100)) == 0.0
-        assert space_mean_speed(pp(0, 0), pp(15, 100)) == pytest.approx(100 / 15, abs=1e-9)
-
     def test_traffic_indicator(self, single_link_rm):
         for speeds, traffic, flags in (([7.5, 2.0, 8.0], 1, ()), ([7.5, 8.0], 0, ()),
                                        ([], 0, ("unobs_traffic",))):

@@ -9,13 +9,16 @@ from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
 from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
 from buslink.hetlognorm import HetLogNormalModel
-from buslink.inference import CovariateVector, ProjectedPing, open_road_link_of
+from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of,
+                               project_traversal, repair_monotonic)
+from buslink.ingest import Traversal
 from buslink.markov import (MAX_GRID, LinkPlan, MarkovConfig, PredictionSession, build_plan,
                             simulate, steps_to_complete)
-from buslink.pipeline import RunConfig
+from buslink.pipeline import RunConfig, replay_pairs
 
 from conftest import link_scan
-from test_geometry import network_with
+from test_geometry import LAT0, lon_at, network_with
+from test_inference import ROUTE_PASS, traversal_pings
 
 
 def constant_model(road_seconds: float) -> HetLogNormalModel:
@@ -301,7 +304,7 @@ class TestSessionUpdateRule:
     def session(self):
         return self.new_session()
 
-    def new_session(self, link_speed_thresholds=""):
+    def new_session(self, link_speed_thresholds="", thresholds=None):
         net, xs = network_with([0.0, 800.0, 1600.0], [])
         rm = build_route_model(net, xs, ("R", 0))
         road = {1: constant_model(80.0), 2: constant_model(80.0)}
@@ -309,10 +312,11 @@ class TestSessionUpdateRule:
         cfg = RunConfig(speed_threshold=5.0, link_speed_thresholds=link_speed_thresholds)
         return PredictionSession(rm, road, dwells, {}, fixed_covariates,
                                  MarkovConfig(delta_t=5.0),
-                                 cfg.speed_threshold_by_link)
+                                 thresholds or cfg.speed_threshold_by_link)
 
     def ping(self, t, arc):
-        return ProjectedPing(timestamp=float(t), arc_pos=float(arc))
+        """A (time, arc) pair, all that the session reads of a ping."""
+        return float(t), float(arc)
 
     def test_flip_sequence(self, session):
         assert session.start(self.ping(0, 100.0)) is not None
@@ -327,6 +331,27 @@ class TestSessionUpdateRule:
         # recovers to 7 m/s: 1 -> 0, new summary
         assert session.update(self.ping(40, 300.0)) is not None
         assert session.traffic == 0
+
+    def test_pair_flips_just_below_its_speed(self):
+        """A pair's speed is its arc distance over its elapsed time: a link
+        threshold at that speed keeps the indicator at 0, and the next
+        float above it flips it to 1."""
+        for first, second, speed in (((0, 100), (20, 250), 7.5), ((0, 100), (15, 100), 0.0),
+                                     ((0, 50), (15, 150), 100 / 15)):
+            for threshold, flips in ((speed, False), (np.nextafter(speed, np.inf), True)):
+                session = self.new_session(thresholds={1: threshold})
+                session.start(self.ping(*first))
+                assert session.observe(self.ping(*second)) is flips
+                assert session.traffic == flips
+
+    def test_equal_timestamps_are_not_a_pair(self, session):
+        """Two open-road pings on one link at one time are no pair, as in
+        infer's ``slowest_speeds``; the next pair that moves in time counts."""
+        assert session.start(self.ping(0, 100.0)) is not None
+        assert session.update(self.ping(0, 101.0)) is None
+        assert session.traffic == 0
+        assert session.update(self.ping(10, 131.0)) is not None  # 3 m/s
+        assert session.traffic == 1
 
     def test_zone_pair_does_not_update(self, session):
         assert session.start(self.ping(0, 100.0)) is not None
@@ -445,3 +470,46 @@ class TestBuildPlan:
                        delta_t=5.0)
         assert e.value.kind == "delta_t_too_large"
         assert "2" in str(e.value)  # names the violating downstream link
+
+
+@pytest.fixture(scope="module")
+def replay_route():
+    """The three-link route of ``traversal_pings`` and a session's models on it."""
+    net, xs = network_with([0.0, 500.0, 1200.0, 1500.0], [("X1", 250.0), ("X2", 900.0)])
+    rm = build_route_model(net, xs, ("R", 0))
+    road = {link.index: constant_model(80.0) for link in rm.links}
+    dwells = {link.to_stop: fit_dwell(link.to_stop, [4.0, 9.0, 20.0], min_samples=1)
+              for link in rm.links}
+    inters = {xid: IntersectionLogNormal(xid, mu_s=2.0, sigma_s=0.4, n=10) for xid in ("X1", "X2")}
+    return rm, (road, dwells, inters)
+
+
+def session_outputs(rm, models, pings) -> tuple:
+    """A replay's summary or None per ping, and the ``--at`` summary at the last ping."""
+    def session():
+        return PredictionSession(rm, *models, fixed_covariates, MarkovConfig(),
+                                 RunConfig().speed_threshold_by_link)
+    replay, at = session(), session()
+    summaries = [replay.start(pings[0]), *map(replay.update, pings[1:])]
+    for ping in pings[:-1]:
+        at.observe(ping)
+    return summaries, at.emit_at(pings[-1])
+
+
+@given(pings=traversal_pings(), cut=st.one_of(st.none(), st.integers(-1, 2500)))
+@ROUTE_PASS
+def test_replay_pairs_are_the_benchmark_pings(replay_route, pings, cut):
+    """``run_simulate``'s pairs, projected and repaired on the segment's
+    arrays with the ``at`` cut in the keep mask, are perfbench's
+    ``repair_monotonic(project_traversal(...))`` pings up to ``at``, and a
+    session fed either gives the same summaries, replayed and at the cut."""
+    rm, models = replay_route
+    times, arcs = pings
+    trav = Traversal("T1", "V1", times, np.full(len(arcs), LAT0), np.array([lon_at(a) for a in arcs]))
+    at = None if cut is None else float(times[0] + cut)
+    pairs = replay_pairs(trav, rm, 5.0, at)
+    benchmark = [p for p in repair_monotonic(project_traversal(trav, rm), 5.0)
+                 if at is None or p.timestamp <= at]
+    assert pairs == benchmark
+    if pairs:
+        assert session_outputs(rm, models, pairs) == session_outputs(rm, models, benchmark)

@@ -3,7 +3,9 @@ outside ``tests/``: code in ``src/`` itself or the benchmark in
 ``perfbench/``. A name counts as referenced where it is read as a name or
 an attribute, imported, or spelled out in a (dotted) string literal, such
 as the span names ``perfbench/spans.py`` traces. Reference oracles that
-only tests call are listed below, each with its reason."""
+only tests call are listed below, each with its reason, and so is every
+definition that the benchmark alone keeps: ``BENCHMARK_ONLY`` is what
+ROADMAP item 2 deletes once perfbench reads the program's arrays."""
 
 import ast
 import re
@@ -18,6 +20,14 @@ ORACLES = {
     "markov_offsets": "Monte-Carlo oracle of the exact law markov.simulate; perfbench "
                       "traces it by name",
     "_open_road_speeds": "loop reference for the grouped minimum inference.slowest_speeds",
+}
+
+BENCHMARK_ONLY = {
+    "backend_name": "perfbench writes the projection backend into its run record",
+    "local_date_hour": "perfbench's set-up and gen.py split traversals at the cut date",
+    "observations_from_traversal": "perfbench traces it by name",
+    "project_traversal": "perfbench's set-up builds its streamed ProjectedPings with it",
+    "repair_monotonic": "perfbench's set-up repairs its streamed ProjectedPings with it",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -51,10 +61,13 @@ def entry_points() -> set:
     return set(re.findall(r'"buslink\.\w+:(\w+)"', text))
 
 
+def names_read_in(paths) -> set:
+    return set().union(*map(referenced_names, paths))
+
+
 def test_no_code_only_tests_call():
-    callers = entry_points()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
-        callers |= referenced_names(path)
+    callers = entry_points() | names_read_in([*PACKAGE.glob("*.py"),
+                                              *(ROOT / "perfbench").glob("*.py")])
     unused = [f"{module}.{name}" for module, name in top_level_definitions()
               if name not in callers and name not in ORACLES]
     assert unused == [], "no caller in src/ or perfbench/: " + ", ".join(unused)
@@ -63,3 +76,15 @@ def test_no_code_only_tests_call():
 def test_every_oracle_exists():
     defined = {name for _, name in top_level_definitions()}
     assert set(ORACLES) <= defined
+
+
+def test_benchmark_only_code_is_listed():
+    """A definition whose one caller outside ``tests/`` is perfbench is in
+    BENCHMARK_ONLY, and no listed name has a caller in ``src/``."""
+    in_src = entry_points() | names_read_in(PACKAGE.glob("*.py"))
+    in_bench = names_read_in((ROOT / "perfbench").glob("*.py"))
+    defined = {name for _, name in top_level_definitions()}
+    only_bench = {name for name in defined - in_src - set(ORACLES) if name in in_bench}
+    assert sorted(only_bench - set(BENCHMARK_ONLY)) == [], "perfbench alone calls these"
+    assert sorted(set(BENCHMARK_ONLY) & in_src) == [], "src/ calls these"
+    assert set(BENCHMARK_ONLY) <= only_bench, "not defined, or not called by perfbench"
