@@ -17,13 +17,15 @@ link by link across all traversals into an ``ObservationTable``.
 
 Infer and ``markov.PredictionSession`` read the rules ``pipeline`` builds
 once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, one
-link lookup: the link at a position is ``bisect_right(rm.stop_arcs, arc)``,
-``np.searchsorted(..., "right")`` over an array, and one open-road pair rule:
-both pings open road on one link, time strictly increasing (``slowest_speeds``).
+link lookup, ``bisect_right(rm.stop_arcs, arc)``, and one open-road rule,
+``open_road_link_of``, which fills ``open_road_table``: a ping reads its tag
+by ``bisect_right`` over the edges, an array by ``np.searchsorted``. A pair
+is open road when both pings are on one link and time strictly increases.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import compress
@@ -245,13 +247,34 @@ def open_road_link_of(arcs, rm: RouteModel) -> list:
     return tags
 
 
+def _zone_edge(f: float, r: float, toward: float) -> float:
+    """Where f's zone ``abs(x - f) <= r`` starts (toward -inf: its least float) or
+    stops (+inf: the float above its greatest): bisected from f and f +- (2 r + 1),
+    cut short by four ``nextafter`` steps from f +- r unless f +- r cancels."""
+    inside, outside, x = f, f + math.copysign(2.0 * r + 1.0, toward), f + math.copysign(r, toward)
+    for _ in range(4):
+        inside, outside, x = ((x, outside, math.nextafter(x, toward)) if abs(x - f) <= r
+                              else (inside, x, math.nextafter(x, -toward)))
+    while (mid := inside / 2 + outside / 2) not in (inside, outside):
+        inside, outside = (mid, outside) if abs(mid - f) <= r else (inside, mid)
+    return inside if toward < 0 else outside
+
+
+def open_road_table(rm: RouteModel) -> tuple:
+    """``open_road_link_of`` as a step table: ``edges``, the sorted floats where a
+    comparison of the rule can change (each stop and the float above it, each
+    feature, each zone's least arc and the float above its greatest), and ``tags``,
+    -1 and the rule at each edge: ``tags[bisect_right(edges, arc)]`` for any arc."""
+    feats, stops, r = rm.feature_arcs, rm.stop_arcs, rm.buffer_radius
+    edges = sorted({*stops, *(math.nextafter(s, math.inf) for s in stops), *feats,
+                    *(_zone_edge(f, r, t) for f in feats for t in (-math.inf, math.inf))})
+    return edges, [-1, *open_road_link_of(edges, rm)]
+
+
 def open_road_links(arcs: np.ndarray, rm: RouteModel) -> np.ndarray:
-    """``open_road_link_of`` of an array of finite arc positions."""
-    feats, stops = np.array([-np.inf, *rm.feature_arcs, np.inf]), np.asarray(rm.stop_arcs)
-    k = np.searchsorted(feats, arcs)  # feats[k - 1] < arc <= feats[k]
-    in_zone = (arcs - feats[k - 1] <= rm.buffer_radius) | (feats[k] - arcs <= rm.buffer_radius)
-    on_span = (stops[0] < arcs) & (arcs < stops[-1])
-    return np.where(on_span & ~in_zone, np.searchsorted(stops, arcs, "right"), -1)
+    """``open_road_link_of`` of an array of arc positions, read off ``open_road_table``."""
+    edges, tags = open_road_table(rm)
+    return np.array(tags)[np.searchsorted(edges, arcs, "right")]
 
 
 def slowest_speeds(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n: int,

@@ -47,8 +47,8 @@ stop means time until *departure from* that stop, matching the link-total
 telescoping of the decomposition identity.
 
 ``PredictionSession`` reads (time, arc) pairs and infer's rules: ``covariates(t,
-traffic)``, ``thresholds[link]``, the open-road pair rule of ``inference`` and,
-for the origin link, ``bisect_right(rm.stop_arcs, arc)``.
+traffic)``, ``thresholds[link]``, the open-road pair rule of ``inference`` on the
+tags of its ``open_road_table`` and, for the origin link, ``bisect_right``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel
 from .hetlognorm import design_matrix, linear_rows
-from .inference import open_road_link_of
+from .inference import open_road_table
 
 DEFAULT_DELTA_T_S = 5.0  # the chain's time step
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
@@ -319,7 +319,8 @@ class PredictionSession:
         self.config = config
         self.thresholds = thresholds
         self.traffic = 0
-        self._prev = (math.nan, math.nan, -1)  # time, arc and open_road_link_of tag
+        self._prev = (math.nan, math.nan, -1)  # time, arc and open-road tag
+        self._edges, self._tags = open_road_table(rm)
 
     def _emit(self, t: float, arc: float) -> SimulationSummary | None:
         arc = max(arc, self.rm.first_arc)
@@ -333,7 +334,7 @@ class PredictionSession:
     def observe(self, ping) -> bool:
         """Fold one ping into the indicator state; True when it flipped."""
         (t0, arc0, tag0), t, arc = self._prev, ping[0], ping[1]  # a NamedTuple unpacks slowly
-        tag = open_road_link_of([arc], self.rm)[0]
+        tag = self._tags[bisect_right(self._edges, arc)]
         self._prev = (t, arc, tag)
         if tag < 1 or tag != tag0 or not t > t0:
             return False  # not an open-road pair

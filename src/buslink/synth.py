@@ -29,10 +29,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError, IngestError
-from .geometry import EARTH_RADIUS_M
+from .geometry import DEFAULT_BUFFER_RADIUS_M, EARTH_RADIUS_M
 from .inference import DEFAULT_PEAK_HOURS, build_covariates
-from .ingest import (DEFAULT_RAIN_LABELS, WeatherTable, _checked_id, date_text, day_number,
-                     open_text)
+from .ingest import (DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, WeatherTable, _checked_id, date_text,
+                     day_number, open_text)
+from .markov import DEFAULT_DELTA_T_S
 
 RUN_SPEED = 12.5  # m/s, non-crawl speed on congested links
 CRAWL_SPEED = 2.0  # m/s, must sit well below any sane speed threshold
@@ -63,8 +64,8 @@ class TruthSpec:
     links: tuple
     route_id: str = "R1"
     direction_id: int = 0
-    tz_offset: float = -5.0
-    buffer_radius: float = 20.0
+    tz_offset: float = float(DEFAULT_TZ_OFFSET)
+    buffer_radius: float = DEFAULT_BUFFER_RADIUS_M
     ping_interval: int = 5
     start_date: str = "2023-08-18"
     n_days: int = 59
@@ -76,7 +77,7 @@ class TruthSpec:
     congestion_prob: float = 0.35
     rain_hour_prob: float = 0.3
     zone_speed: float = 8.0
-    delta_t: float = 5.0
+    delta_t: float = DEFAULT_DELTA_T_S
     seed: int = 0
 
 

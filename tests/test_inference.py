@@ -1,15 +1,19 @@
 import math
+import struct
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from buslink.errors import InferenceError
-from buslink.geometry import build_route_model
+from buslink.geometry import RouteModel, build_route_model
 from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, _open_road_speeds,
                                build_covariates, detect_events, observations_from_traversal,
-                               open_road_link_of, open_road_links, repair_mask,
-                               repair_monotonic, route_observations, slowest_speeds)
+                               open_road_link_of, open_road_links, open_road_table,
+                               repair_mask, repair_monotonic, route_observations,
+                               slowest_speeds)
 from buslink.ingest import DEFAULT_RAIN_LABELS, Traversal, load_weather
 from buslink.pipeline import RunConfig, covariates_for
 
@@ -393,6 +397,80 @@ def test_route_pass_slowest_speeds_are_the_scalar_rule(three_link_rm, data):
     for speeds, t, a in zip(slowest.tolist(), times, arcs):
         expected = _open_road_speeds(t.tolist(), a.tolist(), three_link_rm)
         assert {li: v for li, v in enumerate(speeds) if v != math.inf} == expected
+
+
+def float_rank(x: float) -> int:
+    """A float's place in the order of the floats, -0.0 and 0.0 one place."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def ranked_float(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -(2**63) - k))[0]
+
+
+def zone_ends(f: float, r: float) -> tuple:
+    """The least and the greatest float x with ``abs(x - f) <= r``: a
+    bisection over the floats' order, independent of the table's search."""
+    ends = []
+    for far in (f - 2.0 * r - 1.0, f + 2.0 * r + 1.0):
+        inside, outside = float_rank(f), float_rank(far)
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            inside, outside = (mid, outside) if abs(ranked_float(mid) - f) <= r else (inside, mid)
+        ends.append(ranked_float(inside))
+    return tuple(ends)
+
+
+@given(data=st.data())
+@ROUTE_PASS
+def test_open_road_table_is_the_scalar_rule(data):
+    """On random route models, overlapping zones included, ``open_road_table``
+    looked up by ``bisect_right`` and ``open_road_links`` give
+    ``open_road_link_of`` at every arc: uniform draws, nan and +-inf, and
+    near each stop, feature, zone end and table edge. Stops lie up to 1e6 m
+    from the start, where a float's step is 1.2e-10 m. Features at about +-r,
+    where f -+ r cancels, put zone ends up to 4e18 float steps from f -+ r."""
+    r = data.draw(st.sampled_from([0.0, 1e-9, 20.0, 400.0]))
+    first = data.draw(st.one_of(st.floats(-1e6, 1e6),
+                                st.sampled_from([0.0, 1e-9, r, 2 * r, -3 * r - 1.0, 1e6])))
+    gaps = data.draw(st.lists(st.one_of(st.floats(1e-3, 2000.0), st.sampled_from([r, 2 * r])),
+                              min_size=1, max_size=6))
+    stops = sorted({*accumulate(gaps, initial=first)})
+    assume(len(stops) >= 2)
+    xs = [stops[0] + u * (stops[-1] - stops[0])
+          for u in data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))]
+    xs += [s + d for s in data.draw(st.lists(st.sampled_from(stops), max_size=2))
+           for d in data.draw(st.lists(st.sampled_from([-r, r, 2 * r]), max_size=2))]
+    xs += data.draw(st.lists(st.sampled_from([r, r + 1e-6, -r, -r - 1e-6]), max_size=2))
+    check_open_road_table(route_model(stops, xs, r), data.draw(
+        st.lists(st.floats(stops[0] - 2 * r - 10.0, stops[-1] + 2 * r + 10.0), max_size=50)))
+
+
+def test_open_road_table_past_a_cancelling_zone_end():
+    """X0's zone starts 512 float steps below 400.5 - 400 = 0.5, on open road."""
+    rm = route_model([-1000.0, 2000.0], [400.5], 400.0)
+    assert zone_ends(400.5, 400.0)[0] == 0.5 - 2**-45
+    check_open_road_table(rm, [])
+
+
+def route_model(stops, xs, r):
+    """A route model with only what the open-road rule reads."""
+    return RouteModel(("R", 0), None, tuple((f"S{i}", a) for i, a in enumerate(stops)),
+                      tuple((f"X{i}", a) for i, a in enumerate(xs)), (), r)
+
+
+def check_open_road_table(rm, arcs):
+    """The table and ``open_road_links`` at ``arcs``, nan, +-inf and two
+    floats either side of each stop, feature, zone end and table edge."""
+    edges, tags = open_road_table(rm)
+    points = [*rm.feature_arcs, *edges,
+              *(e for f in rm.feature_arcs for e in zone_ends(f, rm.buffer_radius))]
+    arcs = [*arcs, math.nan, math.inf, -math.inf,
+            *(ranked_float(float_rank(p) + d) for p in points for d in (-2, -1, 0, 1, 2))]
+    expected = open_road_link_of(arcs, rm)
+    assert [tags[bisect_right(edges, a)] for a in arcs] == expected
+    assert open_road_links(np.array(arcs), rm).tolist() == expected
 
 
 class TestOpenRoadLinkOf:

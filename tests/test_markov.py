@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from buslink.accel import _markov_scalar, markov_offsets
 from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
@@ -12,13 +12,13 @@ from buslink.hetlognorm import HetLogNormalModel
 from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of,
                                project_traversal, repair_monotonic)
 from buslink.ingest import Traversal
-from buslink.markov import (MAX_GRID, LinkPlan, MarkovConfig, PredictionSession, build_plan,
-                            simulate, steps_to_complete)
+from buslink.markov import (LOGNORMAL_TOP_Z, MAX_GRID, LinkPlan, MarkovConfig, PredictionSession,
+                            _geometric_steps, build_plan, simulate, steps_to_complete)
 from buslink.pipeline import RunConfig, replay_pairs
 
 from conftest import link_scan
 from test_geometry import LAT0, lon_at, network_with
-from test_inference import ROUTE_PASS, traversal_pings
+from test_inference import ROUTE_PASS, exact_arcs, traversal_pings
 
 
 def constant_model(road_seconds: float) -> HetLogNormalModel:
@@ -263,15 +263,33 @@ LINKS = st.lists(st.tuples(st.floats(0.0, 0.97), POOLS,
                  min_size=1, max_size=6)
 
 
+def grid_points(links, r):
+    """The least grid size of the module docstring's rule at h = 1 s: the
+    Chernoff steps times r, every component's top grid point, and one."""
+    tops = [math.floor(max(pool)) for _, pool, _ in links]
+    tops += [math.floor(math.exp(mu + LOGNORMAL_TOP_Z * sigma)) for *_, xs in links
+             for mu, sigma in xs]
+    return _geometric_steps(np.array([p for p, _, _ in links])) * r + sum(tops) + 1
+
+
 @given(links=LINKS, seed=st.integers(0, 2**32 - 1))
+# three signals whose exp(mu + 7 sigma) tops add up past MAX_GRID
+@example(links=[(0.0, [0.0], [(3.0, 1.0)]), (0.0, [0.0], [(4.0, 1.0)]),
+                (0.0, [0.0], [(4.0, 1.0)])], seed=0)
 @settings(deadline=None)  # the default examples, so that the ci profile can raise them
 def test_exact_law_against_monte_carlo_oracle(links, seed):
     """Random plans against 2 x 10^5 runs of ``accel.markov_offsets``:
     under the reference, each band tail holds at most 0.025 + 0.005 of the
     runs, and their mean is within 4 standard errors of the exact one. The
     standard error is the law's own: a p_stay of 1e-6 moves the mean by
-    5e-6 s, but may show in no run."""
+    5e-6 s, but may show in no run. A plan whose grid would pass MAX_GRID
+    is refused as ``grid_too_large``."""
     plans = random_plan(links)
+    if not grid_points(links, 5) < MAX_GRID:
+        with pytest.raises(SimError) as e:
+            simulate(plans, MarkovConfig(delta_t=5.0))
+        assert e.value.kind == "grid_too_large"
+        return
     summary = simulate(plans, MarkovConfig(delta_t=5.0))
     rng = np.random.default_rng(seed)
     m, k = 200_000, len(plans)
@@ -513,3 +531,41 @@ def test_replay_pairs_are_the_benchmark_pings(replay_route, pings, cut):
     assert pairs == benchmark
     if pairs:
         assert session_outputs(rm, models, pairs) == session_outputs(rm, models, benchmark)
+
+
+class ScalarRuleSession(PredictionSession):
+    """The session that classifies each ping by ``open_road_link_of`` itself,
+    the reference for the session's table lookup."""
+
+    def observe(self, ping) -> bool:
+        (t0, arc0, tag0), t, arc = self._prev, ping[0], ping[1]
+        tag = open_road_link_of([arc], self.rm)[0]
+        self._prev = (t, arc, tag)
+        if tag < 1 or tag != tag0 or not t > t0:
+            return False
+        traffic = 1 if (arc - arc0) / (t - t0) < self.thresholds[tag] else 0
+        if traffic == self.traffic:
+            return False
+        self.traffic = traffic
+        return True
+
+
+@given(pings=traversal_pings(), seed=st.integers(0, 2**32 - 1),
+       rate=st.sampled_from([0.0, 0.2, 0.6]))
+@ROUTE_PASS
+def test_session_flips_where_the_scalar_rule_does(replay_route, pings, seed, rate):
+    """On a random ping walk through the zones, some pings on a zone end,
+    a stop or a float beside one, the session flips and emits at the pings
+    where the reference session does, with the same summaries."""
+    rm, models = replay_route
+    times, arcs = pings
+    rng = np.random.default_rng(seed)
+    arcs = np.where(rng.random(len(arcs)) < rate, rng.choice(exact_arcs(rm), len(arcs)), arcs)
+    pairs = list(zip(times.astype(float).tolist(), arcs.tolist()))
+    runs = []
+    for kind in (PredictionSession, ScalarRuleSession):
+        session = kind(rm, *models, fixed_covariates, MarkovConfig(),
+                       RunConfig().speed_threshold_by_link)
+        runs.append([(session.start(pairs[0]), session.traffic),
+                     *((session.update(p), session.traffic) for p in pairs[1:])])
+    assert runs[0] == runs[1]
