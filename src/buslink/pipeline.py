@@ -381,6 +381,7 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
     """Replay a traversal through the prediction session.
 
     With ``at``: one batch from the bus position at the last ping <= at.
+    With neither ``at`` nor ``replay``: one batch from the segment's last ping.
     With ``replay``: a batch at the first ping and at every traffic
     indicator flip. Only the trip's own ping lines are read. The last of its
     ping segments (with ``at``: the one running then) is replayed and named.
@@ -421,6 +422,7 @@ def run_simulate(cfg: RunConfig, trip_id: str, at: float | None = None,
             session.observe(ping)
         summary = session.emit_at(pings[-1])
         if summary is None:
-            raise ConfigError("not_found", f"trip {trip_id} already past the terminal at {at}")
+            raise ConfigError("not_found", f"trip {trip_id} already past the terminal at "
+                              f"{int(pings[-1][0]) if at is None else at}")
         batches.append(SimulationBatch(pings[-1][0], trip_id, summary, *segment))
     return batches

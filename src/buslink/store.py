@@ -1,7 +1,11 @@
 """Plain-text persistence: the link-observation file and the model store.
 
 The observation file is read whole into an ``ObservationTable`` of
-column arrays, its rows grouped by link. Model-store floats are written with 17 significant digits so that
+column arrays, its rows grouped by link; like ``infer``'s rows, each has
+a road time > 0 and dwell and intersection times >= 0. The model store's
+format is the table ``_SECTIONS``: per section kind, the model class and
+its fields in written order, each with its writer and its parser.
+Model-store floats are written with 17 significant digits so that
 write -> read -> write reproduces the file byte for byte. Ids never
 contain whitespace or any of ``, ; = [ ]``: ingest rejects them
 (``bad_id``), since neither file could read them back.
@@ -9,12 +13,13 @@ contain whitespace or any of ``, ; = [ ]``: ingest rejects them
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count
 from operator import methodcaller
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,11 +85,19 @@ def _observation(f) -> LinkObservation:
         xid, sep, secs = tok.partition("=")
         if not sep:
             raise ValueError(f"intersection time {tok!r} is not id=seconds")
-        xs.append((xid, finite_float(secs), xid in interp_ids))
+        seconds = finite_float(secs)
+        if seconds < 0.0:
+            raise ValueError(f"intersection time {tok!r} is negative")
+        xs.append((xid, seconds, xid in interp_ids))
+    route_key, link_index = (f[0], _int64(f[1])), _int64(f[2])
+    depart_prev, total, dwell, road = map(finite_float, f[3:7])
+    if dwell < 0.0:
+        raise ValueError(f"dwell time {f[5]!r} is negative")
+    if road <= 0.0:
+        raise ValueError(f"road time {f[6]!r} is not positive")
     return LinkObservation(
-        route_key=(f[0], _int64(f[1])), link_index=_int64(f[2]), depart_prev=finite_float(f[3]),
-        total_time=finite_float(f[4]), dwell_time=finite_float(f[5]),
-        road_time=finite_float(f[6]), intersection_times=tuple(xs),
+        route_key=route_key, link_index=link_index, depart_prev=depart_prev, total_time=total,
+        dwell_time=dwell, intersection_times=tuple(xs), road_time=road,
         covariates=CovariateVector(*map(_bit, f[8:12])), flags=flags)
 
 
@@ -175,8 +188,9 @@ def _table(lines: list) -> ObservationTable:
     ints = np.array([f[1::width], f[2::width]], dtype=np.int64)
     floats = np.array([f[k::width] for k in (3, 4, 5, 6)], dtype=float)
     cov = list(chain.from_iterable(f[k::width] for k in (8, 9, 10, 11)))
-    if not (np.isfinite(floats).all() and set(cov) <= {"0", "1"}):
-        raise ValueError("non-finite number or covariate not 0 or 1")
+    if not (np.isfinite(floats).all() and (floats[2] >= 0.0).all() and (floats[3] > 0.0).all()
+            and set(cov) <= {"0", "1"}):
+        raise ValueError("non-finite number, dwell time < 0, road time <= 0 or covariate not 0/1")
     route_keys, route = _codes(list(zip(f[0::width], ints[0].tolist())))
     cells, flags = f[7::width], f[12::width]
     tokens = [t for c in cells if c for t in c.split(";")]
@@ -185,8 +199,8 @@ def _table(lines: list) -> ObservationTable:
     x_row = np.repeat(np.arange(len(lines)), [c.count(";") + 1 if c else 0 for c in cells])
     pairs = "=".join(tokens).split("=") if tokens else []
     x_secs = np.array(pairs[1::2], dtype=float)
-    if not np.isfinite(x_secs).all():
-        raise ValueError("non-finite intersection time")
+    if not (np.isfinite(x_secs).all() and (x_secs >= 0.0).all()):
+        raise ValueError("non-finite or negative intersection time")
     marked = {(i, t.partition("=")[2]) for i, fl in enumerate(flags) if "interp_x=" in fl
               for t in fl.split(";") if t.startswith("interp_x=")}
     x_interp = np.fromiter(map(marked.__contains__, zip(x_row.tolist(), pairs[0::2])), bool,
@@ -203,9 +217,10 @@ def _table(lines: list) -> ObservationTable:
 
 def read_observations(path) -> ObservationTable:
     """The observation file as one ``ObservationTable``, read and split
-    whole. A file that fails the vectorized checks is read again row by row
-    through ``_observation``, so the first bad line raises
-    IngestError("parse") naming file:line."""
+    whole. A file that fails the vectorized checks, among them a road time
+    <= 0 or a dwell or intersection time < 0 (``infer`` writes none), is
+    read again row by row through ``_observation``, so the first bad line
+    raises IngestError("parse") naming file:line."""
     with open_text(path) as fh:
         lines = fh.read().split("\n")
     first = OBS_HEADER.partition(",")[0]
@@ -256,51 +271,34 @@ class ModelStore:
                 {xid: m for (r, xid), m in self.intersections.items() if r == rk})
 
 
+def _g17s(values) -> str:
+    return ",".join(map(_g17, values))
+
+
 def _coef_line(values: np.ndarray, mask: np.ndarray) -> str:
     return ",".join(_g17(v) if m else "absent" for v, m in zip(values, mask))
 
 
-def write_store(path, store: ModelStore) -> None:
-    lines = ["# buslink model store v1"]
-    for (rk, link_index) in sorted(store.road):
-        m = store.road[(rk, link_index)]
-        lines.append(f"[road {rk[0]} {rk[1]} {link_index}]")
-        lines.append(f"n = {m.n}")
-        lines.append(f"loglik = {_g17(m.loglik)}")
-        lines.append("active_mask = " + ",".join("1" if b else "0" for b in m.active_mask))
-        lines.append("beta = " + _coef_line(m.beta, m.active_mask))
-        lines.append("gamma = " + _coef_line(m.gamma, m.active_mask))
-        for row in m.fim:
-            lines.append("fim = " + ",".join(_g17(v) for v in row))
-    for (rk, stop_id) in sorted(store.dwell):
-        d = store.dwell[(rk, stop_id)]
-        lines.append(f"[dwell {rk[0]} {rk[1]} {stop_id}]")
-        lines.append(f"n = {d.samples.shape[0]}")
-        lines.append(f"pooled = {int(d.pooled)}")
-        lines.append("samples = " + ",".join(_g17(v) for v in d.samples))
-    for (rk, xid) in sorted(store.intersections):
-        x = store.intersections[(rk, xid)]
-        lines.append(f"[intersection {rk[0]} {rk[1]} {xid}]")
-        lines.append(f"mu_s = {_g17(x.mu_s)}")
-        lines.append(f"sigma_s = {_g17(x.sigma_s)}")
-        lines.append(f"n = {x.n}")
-        lines.append(f"excluded_zero_fraction = {_g17(x.excluded_zero_fraction)}")
-        lines.append(f"pooled = {int(x.pooled)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _coefs(value: str) -> tuple:
-    """The coefficients, 0.0 where ``absent``, and where they are absent."""
+def _coefs(value: str) -> np.ndarray:
+    """The coefficients, nan where ``absent``."""
     tokens = value.split(",")
     if len(tokens) != COEF_COUNT:
         raise ValueError(f"{len(tokens)} coefficients, not {COEF_COUNT}")
-    absent = np.array(tokens) == "absent"
-    return np.array([0.0 if a else finite_float(t) for t, a in zip(tokens, absent)]), absent
+    return np.array([math.nan if t == "absent" else finite_float(t) for t in tokens])
 
 
-def _floats(value: str) -> np.ndarray:
-    return np.array([finite_float(t) for t in value.split(",")])
+def _within(text: str, low: float, high: float = math.inf) -> float:
+    value = finite_float(text)
+    if not low <= value <= high:
+        raise ValueError(f"{text!r} is outside [{low:g}, {high:g}]")
+    return value
+
+
+def _floats(value: str, low: float = -math.inf) -> np.ndarray:
+    values = np.array([finite_float(t) for t in value.split(",")])
+    if (values < low).any():
+        raise ValueError(f"{float(values[values < low][0])!r} is outside [{low:g}, inf]")
+    return values
 
 
 def _bits(value: str, size: int) -> np.ndarray:
@@ -310,6 +308,10 @@ def _bits(value: str, size: int) -> np.ndarray:
     return np.array(tokens) == "1"
 
 
+def _flag(value: str) -> bool:
+    return bool(_bits(value, 1)[0])
+
+
 def _count(value: str) -> int:
     n = int(value)
     if n < 0:
@@ -317,39 +319,70 @@ def _count(value: str) -> int:
     return n
 
 
-# model-store field -> parser of its value; each value is of the shape and
-# range its writer gives it. Every number is finite; an ``absent``
-# coefficient reads as 0.0, the value of a masked one.
-_STORE_FIELDS = {
-    "n": _count, "pooled": lambda v: bool(_bits(v, 1)[0]),
-    "loglik": finite_float, "mu_s": finite_float, "sigma_s": finite_float,
-    "excluded_zero_fraction": finite_float,
-    "active_mask": lambda v: _bits(v, COEF_COUNT),
-    "beta": _coefs, "gamma": _coefs, "fim": _floats, "samples": _floats,
+class _Field(NamedTuple):
+    # how one ``name = value`` line of a section is written from its model
+    # and read back; a ``rows`` field has one such line per row of a matrix
+    write: Callable  # model -> the value, or with ``rows`` the value of each line
+    read: Callable  # one value -> what the model holds, or with ``rows`` one row
+    rows: bool = False
+
+
+# section kind -> (its model from the header's id and the fields by name,
+# its fields in written order), kinds in ModelStore's field order. Each
+# parser refuses what its writer never writes: every number is finite and
+# in its field's range. The model holds an ``absent`` (masked) coefficient
+# as 0.0; a dwell model holds no ``n``, which is its sample count.
+_SECTIONS = {
+    "road": (lambda _, **fields: HetLogNormalModel(**fields), {
+        "n": _Field(lambda m: m.n, _count),
+        "loglik": _Field(lambda m: _g17(m.loglik), finite_float),
+        "active_mask": _Field(lambda m: _g17s(m.active_mask), partial(_bits, size=COEF_COUNT)),
+        "beta": _Field(lambda m: _coef_line(m.beta, m.active_mask), _coefs),
+        "gamma": _Field(lambda m: _coef_line(m.gamma, m.active_mask), _coefs),
+        "fim": _Field(lambda m: map(_g17s, m.fim), _floats, rows=True),
+    }),
+    "dwell": (lambda stop_id, n, **fields: EmpiricalDwell(stop_id, **fields), {
+        "n": _Field(lambda d: d.samples.shape[0], _count),
+        "pooled": _Field(lambda d: int(d.pooled), _flag),
+        "samples": _Field(lambda d: _g17s(d.samples), partial(_floats, low=0.0)),
+    }),
+    "intersection": (IntersectionLogNormal, {
+        "mu_s": _Field(lambda x: _g17(x.mu_s), finite_float),
+        "sigma_s": _Field(lambda x: _g17(x.sigma_s), partial(_within, low=0.0)),
+        "n": _Field(lambda x: x.n, _count),
+        "excluded_zero_fraction": _Field(lambda x: _g17(x.excluded_zero_fraction),
+                                         partial(_within, low=0.0, high=1.0)),
+        "pooled": _Field(lambda x: int(x.pooled), _flag),
+    }),
 }
-# section kind -> the fields its writer gives it, each once, except that a
-# road section has one ``fim`` line per row of its information matrix
-_SECTION_FIELDS = {
-    "road": ("n", "loglik", "active_mask", "beta", "gamma", "fim"),
-    "dwell": ("n", "pooled", "samples"),
-    "intersection": ("mu_s", "sigma_s", "n", "excluded_zero_fraction", "pooled"),
-}
+
+
+def write_store(path, store: ModelStore) -> None:
+    lines = ["# buslink model store v1"]
+    kinds = zip(_SECTIONS.items(), (store.road, store.dwell, store.intersections))
+    for (kind, (_, fields)), models in kinds:
+        for (rk, ident), model in sorted(models.items()):
+            lines.append(f"[{kind} {rk[0]} {rk[1]} {ident}]")
+            for name, field in fields.items():
+                values = field.write(model)
+                lines.extend(f"{name} = {v}" for v in (values if field.rows else (values,)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _section(line: str):
     """``(kind, route_key, id)`` of a ``[kind route direction id]`` header."""
     parts = line.strip("[]").split()
-    if len(parts) != 4 or parts[0] not in _SECTION_FIELDS:
-        raise ValueError(f"bad section header {line!r}: not [road|dwell|intersection "
+    if len(parts) != 4 or parts[0] not in _SECTIONS:
+        raise ValueError(f"bad section header {line!r}: not [{'|'.join(_SECTIONS)} "
                          "route direction id]")
     kind, route_id, direction, ident = parts
     return kind, (route_id, int(direction)), int(ident) if kind == "road" else ident
 
 
 def _model(kind: str, ident, fields: dict):
-    """The model of one section; ValueError when a field is missing or the
-    fields disagree."""
-    missing = [f for f in _SECTION_FIELDS[kind] if f not in fields]
+    """The model of a section's fields; ValueError if one is missing or they disagree."""
+    make, written = _SECTIONS[kind]
+    missing = [name for name in written if name not in fields]
     if missing:
         raise ValueError(f"has no {', '.join(missing)}")
     if kind == "road":
@@ -360,27 +393,19 @@ def _model(kind: str, ident, fields: dict):
         if not mask[0]:
             raise ValueError("active_mask masks the intercept")
         for name in ("beta", "gamma"):
-            if (fields[name][1] == mask).any():
+            if (np.isnan(fields[name]) == mask).any():
                 raise ValueError(f"{name} is not absent exactly where active_mask is 0")
-        return HetLogNormalModel(beta=fields["beta"][0], gamma=fields["gamma"][0],
-                                 fim=np.array(fim), n=fields["n"], active_mask=mask,
-                                 loglik=fields["loglik"])
-    if kind == "dwell":
-        samples = fields["samples"]
-        if fields["n"] != samples.shape[0]:
-            raise ValueError(f"n = {fields['n']} but {samples.shape[0]} samples")
-        return EmpiricalDwell(stop_id=ident, samples=samples, pooled=fields["pooled"])
-    return IntersectionLogNormal(
-        intersection_id=ident, mu_s=fields["mu_s"], sigma_s=fields["sigma_s"], n=fields["n"],
-        excluded_zero_fraction=fields["excluded_zero_fraction"], pooled=fields["pooled"])
+            fields[name] = np.where(mask, fields[name], 0.0)
+        fields["fim"] = np.array(fim)
+    elif kind == "dwell" and fields["n"] != fields["samples"].shape[0]:
+        raise ValueError(f"n = {fields['n']} but {fields['samples'].shape[0]} samples")
+    return make(ident, **fields)
 
 
 def read_store(path) -> ModelStore:
-    """Parse a model store. A line its writer would not write raises
-    IngestError("parse") naming the file and line, as does a section that
-    lacks a field, whose dwell ``n`` is not its sample count, whose
-    ``active_mask`` masks the intercept, or whose ``beta`` or ``gamma`` is
-    ``absent`` anywhere but at the masked positions."""
+    """Parse a model store. A line its writer would not write, a value outside
+    its field's range among them, raises IngestError("parse") naming the file
+    and line; so does a section that breaks a rule of ``_model``."""
     path = Path(path)
     sections: dict = {}  # (kind, route_key, id) -> (header line number, fields)
     fields = None
@@ -390,7 +415,7 @@ def read_store(path) -> ModelStore:
                 section = _section(line)
                 if section in sections:
                     raise ValueError(f"section {line!r} repeated")
-                fields = {}
+                fields, table = {}, _SECTIONS[section[0]][1]
                 sections[section] = (lineno, fields)
                 continue
             key, sep, value = (t.strip() for t in line.partition("="))
@@ -398,10 +423,10 @@ def read_store(path) -> ModelStore:
                 raise ValueError(f"{line!r} is neither a [section] header nor field = value")
             if fields is None:
                 raise ValueError(f"field {key!r} before the first section header")
-            if key not in _SECTION_FIELDS[section[0]]:
+            if key not in table:
                 raise ValueError(f"{section[0]} section has no field {key!r}")
-            parsed = _STORE_FIELDS[key](value)
-            if key == "fim":
+            parsed = table[key].read(value)
+            if table[key].rows:
                 fields.setdefault(key, []).append(parsed)
             elif key in fields:
                 raise ValueError(f"field {key!r} repeated")
@@ -409,14 +434,13 @@ def read_store(path) -> ModelStore:
                 fields[key] = parsed
         except ValueError as exc:
             raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
-    store = ModelStore(road={}, dwell={}, intersections={})
-    by_kind = {"road": store.road, "dwell": store.dwell, "intersection": store.intersections}
+    models: dict = {kind: {} for kind in _SECTIONS}
     for (kind, rk, ident), (lineno, fields) in sections.items():
         try:
-            by_kind[kind][(rk, ident)] = _model(kind, ident, fields)
+            models[kind][(rk, ident)] = _model(kind, ident, fields)
         except ValueError as exc:
             raise IngestError("parse", f"{path.name}:{lineno}: [{kind} {rk[0]} {rk[1]} {ident}] "
                               f"{exc}") from exc
-    if not store.road and not store.dwell and not store.intersections:
+    if not any(models.values()):
         raise IngestError("empty", f"{path} contains no models")
-    return store
+    return ModelStore(*models.values())

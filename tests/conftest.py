@@ -15,10 +15,17 @@ from buslink.ingest import (load_gtfs_static, load_intersections, load_pings,
 from buslink.pipeline import RunConfig, covariates_for
 from buslink.store import ObservationTable, read_observations, write_observations
 
-# ``--hypothesis-profile ci``: the CI rerun of the route-pass and block-reader
-# property tests, which take the profile's number of examples, the same
-# examples on every run.
+# ``--hypothesis-profile ci``: the CI rerun of some property tests with the
+# profile's number of examples, the same examples on every run.
 settings.register_profile("ci", derandomize=True, max_examples=1000)
+
+
+def examples(n: int) -> int:
+    """``n`` examples, or the loaded profile's number when a profile such as
+    ``ci`` is loaded: a property test that pins its count still takes the
+    profile's."""
+    default = settings.default
+    return n if default is settings.get_profile("default") else default.max_examples
 
 # Five-link truth used by the end-to-end and acceptance tests. Chosen so that
 # every covariate combination stays inside the kinematically realizable road

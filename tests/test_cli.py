@@ -134,6 +134,27 @@ def test_simulate_tiny_delta_t_exit_2(workdir, tmp_path, capsys, delta_t):
     assert_input_error(rc, capsys, "grid_too_large")
 
 
+def test_simulate_from_the_last_ping(workdir, tmp_path, capsys):
+    """Without ``--at`` or ``--replay`` the forecast starts at the segment's
+    last ping: the ``--at`` batch of that ping, or past the terminal an error
+    that names its time."""
+    trip, t0 = _first_trip_start(workdir["paths"])
+    base = ["simulate", "--config", str(workdir["cfg"]), "--trip", trip]
+    own = [line.split(",") for line in workdir["paths"].pings.read_text().splitlines()
+           if line.startswith(trip + ",")]
+    assert main(base) == 2
+    assert capsys.readouterr().err == \
+        f"error: not_found: trip {trip} already past the terminal at {own[-1][2]}\n"
+    pings = tmp_path / "pings.csv"
+    pings.write_text("".join(",".join(f) + "\n" for f in own if int(f[2]) <= t0 + 150),
+                     encoding="utf-8")
+    assert main(base + ["--pings", str(pings)]) == 0
+    expected = capsys.readouterr().out
+    assert main(base + ["--pings", str(pings), "--at", str(t0 + 150)]) == 0
+    assert capsys.readouterr().out == expected
+    assert "stop_id,mean_s,p2_5_s,p97_5_s" in expected
+
+
 def test_simulate_unknown_trip(workdir, capsys):
     rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", "NOPE"])
     assert rc == 2
@@ -592,6 +613,25 @@ def test_bad_number_in_model_store_exit_2(workdir, tmp_path, capsys):
     assert_input_error(rc, capsys, "parse", f"models.txt:{lineno}:")
 
 
+@pytest.mark.parametrize("column,value,words", [
+    (6, "-3.5", ["road time '-3.5' is not positive"]),
+    (6, "0.0", ["road time '0.0' is not positive"]),
+    (5, "-0.5", ["dwell time '-0.5' is negative"]),
+    (7, "X1=-2.0", ["intersection time 'X1=-2.0' is negative"]),
+], ids=["negative_road", "zero_road", "negative_dwell", "negative_intersection"])
+def test_observation_out_of_range_exit_2(workdir, tmp_path, capsys, column, value, words):
+    """``infer`` never writes these values; ``fit`` refuses them, naming the line."""
+    lines = (workdir["out"] / "observations.csv").read_text(encoding="utf-8").splitlines()
+    lineno = len(lines) // 2
+    parts = lines[lineno - 1].split(",")
+    parts[column] = value
+    lines[lineno - 1] = ",".join(parts)
+    (tmp_path / "observations.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["fit", "--config", str(workdir["cfg"]), "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "parse", f"observations.csv:{lineno}:", *words)
+    assert not (tmp_path / "models.txt").exists()
+
+
 def _predict_with_store(workdir, tmp_path, lines):
     (tmp_path / "models.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return main(["predict", "--config", str(workdir["cfg"]), "--out", str(tmp_path),
@@ -693,8 +733,15 @@ def _replace_first(prefix, new_line):
     (_replace_first("active_mask = ", "active_mask = 1,2,1,1,1"), ["'1,2,1,1,1'", "0/1"]),
     (_replace_first("pooled = ", "pooled = 7"), ["'7'", "0/1"]),
     (_replace_first("n = ", "n = -5"), ["count -5 is negative"]),
+    (_replace_first("sigma_s = ", "sigma_s = -0.25"), ["'-0.25' is outside [0, inf]"]),
+    (_replace_first("samples = ", "samples = -5,5,5"), ["-5.0 is outside [0, inf]"]),
+    (_replace_first("excluded_zero_fraction = ", "excluded_zero_fraction = 1.5"),
+     ["'1.5' is outside [0, 1]"]),
+    (_replace_first("excluded_zero_fraction = ", "excluded_zero_fraction = -0.125"),
+     ["'-0.125' is outside [0, 1]"]),
 ], ids=["beta_3_values", "gamma_6_values", "mask_3_flags", "mask_flag_2", "pooled_7",
-        "negative_n"])
+        "negative_n", "negative_sigma_s", "negative_dwell_sample", "zero_fraction_above_1",
+        "negative_zero_fraction"])
 def test_model_store_value_of_wrong_shape_or_range_exit_2(workdir, tmp_path, capsys, edit,
                                                           words):
     lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()

@@ -11,14 +11,19 @@ from buslink.errors import IngestError
 from buslink.ingest import read_rows
 from buslink.store import OBS_HEADER, _observation, read_observations
 
-SETTINGS = settings(deadline=None, max_examples=150,
+from conftest import examples
+
+SETTINGS = settings(deadline=None, max_examples=examples(150),
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 ROUTE_IDS = ("R1", "R10", "r1")
 XIDS = ("X1", "X2", "X10")
 # spellings that int() reads as the same direction
 DIRECTIONS = {0: ("0", "00", "+0", "-0"), 1: ("1", "01", "+1", " 1")}
-SECONDS = st.sampled_from([0.0, -0.0, 1.5, 2.0, 17.25, -3.0, 1e-300, 123456.789])
+# total times; dwell and intersection times are >= 0, road times > 0
+SECONDS = [0.0, -0.0, 1.5, 2.0, 17.25, -3.0, 1e-300, 123456.789]
+NONNEGATIVE = [s for s in SECONDS if s >= 0.0]
+POSITIVE = [s for s in SECONDS if s > 0.0]
 PADDING = st.sampled_from(["", " ", "\t", "  \t"])
 # edits of a data line; each gives a line the row reader rejects
 CORRUPTIONS = {
@@ -33,6 +38,9 @@ CORRUPTIONS = {
     "float_direction": lambda f: f.__setitem__(1, "1.0"),
     "12_fields": lambda f: f.pop(),
     "14_fields": lambda f: f.append(""),
+    "negative_dwell": lambda f: f.__setitem__(5, "-0.5"),
+    "zero_road": lambda f: f.__setitem__(6, "0.0"),
+    "negative_intersection_time": lambda f: f.__setitem__(7, "X1=-2.0"),
 }
 
 
@@ -47,8 +55,8 @@ def data_line(draw, route_keys):
         route_id, draw(st.sampled_from(DIRECTIONS[direction])),
         draw(st.sampled_from(["1", "2", "3", "03"])),
         repr(draw(st.sampled_from([1692354000.0, 1692354000.5, 1692357600.0]))),
-        *(repr(draw(SECONDS)) for _ in range(3)),
-        ";".join(f"{x}={draw(SECONDS)!r}" for x in xids),
+        *(repr(draw(st.sampled_from(values))) for values in (SECONDS, NONNEGATIVE, POSITIVE)),
+        ";".join(f"{x}={draw(st.sampled_from(NONNEGATIVE))!r}" for x in xids),
         *(draw(st.sampled_from("01")) for _ in range(4)),
         ";".join(draw(st.permutations(flags))),
     ]

@@ -16,9 +16,9 @@ from buslink.hetlognorm import COEF_COUNT, HetLogNormalModel
 from buslink.store import (OBS_HEADER, CovariateVector, LinkObservation, ModelStore,
                            read_observations, read_store, write_observations, write_store)
 
-from conftest import observation_line, table_of
+from conftest import examples, observation_line, table_of
 
-SETTINGS = settings(deadline=None, max_examples=60,
+SETTINGS = settings(deadline=None, max_examples=examples(60),
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # ids may hold anything but whitespace and , ; = [ ], and may not begin
@@ -27,6 +27,9 @@ ids = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"),
                             blacklist_characters=",;=[]"), min_size=1, max_size=8
               ).filter(lambda s: not s.startswith("#"))
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# the readers refuse a negative dwell or intersection time, sample, sigma_s
+# or excluded_zero_fraction, and a road time <= 0
+nonnegative = st.floats(min_value=-0.0, allow_infinity=False)
 route_keys = st.tuples(ids, st.integers(0, 1))
 bits = st.integers(0, 1)
 
@@ -34,14 +37,15 @@ bits = st.integers(0, 1)
 @st.composite
 def observations(draw):
     xids = draw(st.lists(ids, unique=True, max_size=3))
-    xs = tuple((xid, draw(finite), draw(st.booleans())) for xid in xids)
+    xs = tuple((xid, draw(nonnegative), draw(st.booleans())) for xid in xids)
     flags = (["interp_stop"] if draw(st.booleans()) else []) \
         + [f"interp_x={xid}" for xid, _, interpolated in xs if interpolated] \
         + (["unobs_traffic"] if draw(st.booleans()) else [])
     return LinkObservation(
         route_key=draw(route_keys), link_index=draw(st.integers(1, 99)),
-        depart_prev=draw(finite), total_time=draw(finite), dwell_time=draw(finite),
-        intersection_times=xs, road_time=draw(finite),
+        depart_prev=draw(finite), total_time=draw(finite), dwell_time=draw(nonnegative),
+        intersection_times=xs,
+        road_time=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         covariates=CovariateVector(*draw(st.tuples(bits, bits, bits, bits))),
         flags=tuple(flags))
 
@@ -88,8 +92,8 @@ def dwell_entries(draw):
 def intersection_entries(draw):
     xid = draw(ids)
     return (draw(route_keys), xid), IntersectionLogNormal(
-        intersection_id=xid, mu_s=draw(finite), sigma_s=draw(finite),
-        n=draw(st.integers(0, 10**6)), excluded_zero_fraction=draw(finite),
+        intersection_id=xid, mu_s=draw(finite), sigma_s=draw(nonnegative),
+        n=draw(st.integers(0, 10**6)), excluded_zero_fraction=draw(st.floats(-0.0, 1.0)),
         pooled=draw(st.booleans()))
 
 
