@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import groupby, islice, repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -306,7 +306,8 @@ class PingSeries:
         return tuple(p for seg in self.segments for p in seg.pings)
 
 
-PING_BLOCK_LINES = 1 << 10  # lines parsed per vectorized block; few, so its strings stay few
+PING_BLOCK_LINES = 1 << 10  # most lines per vectorized parse, so its strings stay few
+_PING_CHUNK_CHARS = 1 << 15  # characters per read; below 8 Ki, whole-file reads slow down
 
 
 def _ping(f) -> Ping:
@@ -335,6 +336,23 @@ def _ping_block(lines):
     return f[0::5], f[1::5], np.array(f[2::5], dtype=np.int64), coords
 
 
+def _line_blocks(fh, only: str | None):
+    """The lines of text file ``fh``, split on ``"\\n"`` alone as iterating over it splits
+    them, in lists of at most ``PING_BLOCK_LINES``. With ``only``, lines that end in a chunk
+    that lacks ``only``, with the line it continues, are dropped unsplit: none holds it."""
+    pieces = []  # the unfinished line, joined once where it ends
+    while chunk := fh.read(_PING_CHUNK_CHARS):
+        pieces.append(chunk)
+        if "\n" not in chunk:
+            continue
+        text = "".join(pieces)
+        lines = [text[text.rindex("\n") + 1:]] if only and only not in text else text.split("\n")
+        pieces = [lines.pop()]
+        for start in range(0, len(lines), PING_BLOCK_LINES):
+            yield lines[start:start + PING_BLOCK_LINES]
+    yield ["".join(pieces)]
+
+
 def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
                trip_id: str | None = None) -> PingSeries:
     """Load ``trip_id,vehicle_id,timestamp,lat,lon`` lines (no header),
@@ -343,16 +361,16 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     ``max_gap_s`` split a group into separate traversal segments. With
     ``trip_id`` only that trip's lines are read and checked; none is no error.
 
-    The file is read in blocks of ``PING_BLOCK_LINES`` lines, each kept by
-    ``data_text`` and parsed at once; a (trip_id, vehicle_id) key is coded
-    once per run of equal keys in a block. A block that fails the
-    vectorized checks is re-read row by row through ``_ping``, so the
-    first bad line raises IngestError("parse") naming file:line.
+    The file is read in the blocks of ``_line_blocks``, which skips text that
+    cannot hold ``trip_id``, each kept by ``data_text`` and parsed at once; a
+    (trip_id, vehicle_id) key is coded once per run of equal keys in a block.
+    A block that fails the vectorized checks is re-read row by row through
+    ``_ping``, so the first bad line raises IngestError("parse") naming file:line.
     """
     codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
     blocks = []
     with open_text(path) as fh:
-        while lines := list(islice(fh, PING_BLOCK_LINES)):
+        for lines in _line_blocks(fh, trip_id):
             if not (lines := data_text(lines, trip_id)):
                 continue
             try:

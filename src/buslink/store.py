@@ -295,7 +295,9 @@ def _within(text: str, low: float, high: float = math.inf) -> float:
 
 
 def _floats(value: str, low: float = -math.inf) -> np.ndarray:
-    values = np.array([finite_float(t) for t in value.split(",")])
+    values = np.array(tokens := value.split(","), dtype=float)  # each token as float() reads it
+    if not np.isfinite(values).all():
+        list(map(finite_float, tokens))  # raises, naming the first nan or inf token
     if (values < low).any():
         raise ValueError(f"{float(values[values < low][0])!r} is outside [{low:g}, inf]")
     return values

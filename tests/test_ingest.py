@@ -369,7 +369,7 @@ def row_read(path):
         return str(exc)
 
 
-@pytest.mark.parametrize("bad, message", [
+BAD_LINES = [
     ("T1,V1,45,29.0", "pings.csv:8: expected 5 fields, got 4"),
     ("T1,V1,45,29.0,-82.0,7", "pings.csv:8: expected 5 fields, got 6"),
     ("T1,V1,4.5,29.0,-82.0", "pings.csv:8: invalid literal for int() with base 10: '4.5'"),
@@ -378,7 +378,10 @@ def row_read(path):
      "pings.csv:8: timestamp 9223372036854775808 is outside int64"),
     ("T1,V1,-9223372036854775809,29.0,-82.0",
      "pings.csv:8: timestamp -9223372036854775809 is outside int64"),
-])
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_LINES)
 def test_bad_line_in_a_later_block_names_its_line(tmp_path, monkeypatch, bad, message):
     monkeypatch.setattr(ingest, "PING_BLOCK_LINES", 2)
     lines = ["T1,V1,0,29.0,-82.0", "", "T1,V1,15,29.0,-82.0", "# comment",
@@ -388,6 +391,23 @@ def test_bad_line_in_a_later_block_names_its_line(tmp_path, monkeypatch, bad, me
     with pytest.raises(IngestError) as e:
         load_pings(path)
     assert str(e.value) == f"parse: {message}" == row_read(path)
+
+
+# Chunks of 1-3 characters: every line straddles chunk boundaries.
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("bad, message", BAD_LINES)
+def test_bad_line_in_a_later_block_names_its_line_in_small_chunks(tmp_path, monkeypatch, bad,
+                                                                  message, chunk):
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", chunk)
+    test_bad_line_in_a_later_block_names_its_line(tmp_path, monkeypatch, bad, message)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_bad_first_line_of_the_second_block_names_its_line_in_small_chunks(tmp_path, monkeypatch,
+                                                                           block, chunk):
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", chunk)
+    test_bad_first_line_of_the_second_block_names_its_line(tmp_path, monkeypatch, block)
 
 
 def test_a_bad_line_leaves_no_file_open(tmp_path, monkeypatch):
@@ -483,6 +503,143 @@ def test_one_trip_read_checks_only_its_lines(tmp_path):
     assert e.value.kind == "parse" and "pings.csv:4:" in str(e.value)
     p.write_text("T1,V1,0,29.0,-82.0\nT10,V1,0,29.0\nT1,V1,15,29.0,-82.0\n", encoding="utf-8")
     assert [len(s.pings) for s in load_pings(p, trip_id="T1").segments] == [2]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_one_trip_read_checks_only_its_lines_in_small_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", chunk)
+    test_one_trip_read_checks_only_its_lines(tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_one_trip_read_skips_chunks_without_the_id(tmp_path, monkeypatch, chunk):
+    """Another trip's malformed line in a chunk that lacks the id is never
+    stripped, filtered or parsed, so it raises nothing."""
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", chunk)
+    seen = []
+    keep = ingest.data_text
+
+    def data_text(lines, only=None):
+        seen.extend(lines)
+        return keep(lines, only)
+
+    monkeypatch.setattr(ingest, "data_text", data_text)
+    p = write_ping_file(tmp_path, ["T2,V2,0,nan", "T1,V1,0,29.0,-82.0", "T2,V2,15,x,y",
+                                   "T1,V1,15,29.0,-82.0", "T2,V2,30"])
+    (seg,) = load_pings(p, trip_id="T1").segments
+    assert seg.timestamps.tolist() == [0, 15]
+    assert not any("T2" in line for line in seen)
+
+
+def test_pings_not_utf8(tmp_path, monkeypatch):
+    """A byte that is not UTF-8 is ``not_utf8`` in the full and one-trip
+    reads, also when it lies in a chunk the one-trip read skips."""
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", 4)
+    p = tmp_path / "pings.csv"
+    p.write_bytes(b"T1,V1,0,29.0,-82.0\nT2,V\xff,0,29.0,-82.0\n")
+    for trip in (None, "T1", "T3"):
+        with pytest.raises(IngestError) as e:
+            load_pings(p, trip_id=trip)
+        assert e.value.kind == "not_utf8"
+
+
+# (lines, line pattern, report): the bad byte after the 1,200th short line,
+# more than 1,024 lines past the bad line but in its chunk of the default
+# size; after the 900th long line, in the next chunk but within 1,024 lines
+# of the bad line; right after the bad line; and far past it. Each chunk is
+# decoded whole before its lines are parsed, so the chunk the byte lies in
+# decides, not the line count.
+@pytest.mark.parametrize("lines, good, report", [
+    (1200, "T1,V1,{},29.0,-82.0", "not_utf8"),
+    (900, "T1,V1,{},29.123456789,-82.123456789", "parse"),
+    (2, "T1,V1,{},29.0,-82.0", "not_utf8"),
+    (3000, "T1,V1,{},29.0,-82.0", "parse"),
+])
+def test_first_of_a_bad_line_and_a_bad_byte(tmp_path, lines, good, report):
+    """Of a bad line and a byte that is not UTF-8, the byte is reported
+    when it lies in the bad line's chunk or before it, else the line."""
+    text = "".join(f"{good.format(15 * k)}\n" for k in range(lines)).replace("15,", "x,", 1)
+    assert (len(text) < ingest._PING_CHUNK_CHARS) == (report == "not_utf8")
+    p = tmp_path / "pings.csv"
+    p.write_bytes(text.encode() + b"T2,\xff\n")
+    for trip in (None, "T1"):
+        with pytest.raises(IngestError) as e:
+            load_pings(p, trip_id=trip)
+        assert e.value.kind == report
+        assert report == "not_utf8" or str(e.value) == (
+            "parse: pings.csv:2: invalid literal for int() with base 10: 'x'")
+
+
+@pytest.mark.parametrize("offset", [1 << 13, 1 << 15])
+@pytest.mark.parametrize("chunk", [4, 1 << 15])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_crlf_at_the_end_of_a_decoded_read(tmp_path, monkeypatch, offset, chunk, end):
+    """A CRLF whose CR is the last byte the text reader decodes at once (it
+    reads 8 KiB, or as many bytes as characters asked for) ends one line."""
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", chunk)
+    rows = [("T1", "V1", 15 * k, 29.0, -82.0) for k in range(3)]
+    first, *rest = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    comment = "#" + "x" * (offset - len(first) - len(end) - 2)
+    text = first + end + comment + "\r\n" + end.join(rest)
+    assert text.index("\r\n", len(first) + len(end)) == offset - 1
+    p = tmp_path / "pings.csv"
+    p.write_bytes(text.encode())
+    for only in (None, "T1"):
+        assert_brute_force_grouping(load_pings(p, trip_id=only), rows, 120.0)
+
+
+# Ids that hold another trip id, and ids with characters that splitlines, but
+# not iterating over a file, would split a line at.
+CHUNK_TRIPS = ["T1", "T10", "xT1", "T\x1c1", "T\x851", "T\u20281"]
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(CHUNK_TRIPS), st.sampled_from(["V1", "T1", "VT10"]),
+                               st.integers(0, 40).map(lambda k: 15 * k),
+                               st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)), max_size=16),
+       trip=st.sampled_from(CHUNK_TRIPS + ["T", "T10x"]), chunk=st.integers(1, 9),
+       max_gap=st.sampled_from([15.0, 120.0]), data=st.data())
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chunk_source_matches_file_iteration(tmp_path, monkeypatch, rows, trip, chunk, max_gap,
+                                             data):
+    """Chunks of 1-9 characters over LF, CRLF and lone CR endings (a CR may
+    end a chunk), a byte-order mark, a last line with no newline, padded
+    lines and comments longer than several chunks, and ids that hold the
+    requested one: the full and one-trip reads give the segments of the
+    lines that ``data_text`` keeps when iterating over the file."""
+    pad = st.sampled_from(["", " ", " " * 12])
+    lines = [f"{data.draw(pad)}{t},{v},{ts},{lat!r},{lon!r}{data.draw(pad)}"
+             for t, v, ts, lat, lon in rows]
+    for filler in data.draw(st.lists(st.sampled_from(["", "  ", "# T1", "#T10,V1,0,1.0,2.0",
+                                                      "# a comment longer than chunks, T1 T10"]),
+                                     max_size=4)):
+        lines.insert(data.draw(st.integers(0, len(lines))), filler)
+    ends = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and data.draw(st.booleans()):
+        ends[-1] = ""
+    text = data.draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, ends))
+    path = tmp_path / "pings.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(ingest, "_PING_CHUNK_CHARS", chunk)
+    for only in (None, trip):
+        with ingest.open_text(path) as fh:
+            kept = ingest.data_text(fh, only)
+        expected = [tuple(_ping(line.split(","))) for line in kept]
+        assert expected == [row for row in rows if only in (None, row[0])]
+        if only is None and not rows:
+            with pytest.raises(IngestError, match="no records"):
+                load_pings(path, max_gap_s=max_gap)
+            continue
+        series = load_pings(path, max_gap_s=max_gap, trip_id=only)
+        assert_brute_force_grouping(series, expected, max_gap)
+        with monkeypatch.context() as m:  # the whole file as one block of iterated lines
+            m.setattr(ingest, "_line_blocks", lambda fh, only: [list(fh)])
+            plain = load_pings(path, max_gap_s=max_gap, trip_id=only)
+        assert segment_bytes(series) == segment_bytes(plain)
+
+
+def segment_bytes(series):
+    return [(s.trip_id, s.vehicle_id, s.timestamps.tobytes(), s.lats.tobytes(), s.lons.tobytes())
+            for s in series.segments]
 
 
 def test_grouping_is_partition(tmp_path):

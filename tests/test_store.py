@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from buslink.components import fit_dwell, fit_intersection
 from buslink.errors import IngestError
 from buslink.hetlognorm import fit
+from buslink.ingest import finite_float
 from buslink.store import (CovariateVector, LinkObservation, ModelStore, read_observations,
-                           read_store, write_observations, write_store)
+                           _floats, read_store, write_observations, write_store)
 
 from conftest import generate_synthetic, table_of
 
@@ -140,3 +143,28 @@ def test_store_for_route_filters():
     assert set(inters) == {"X1"}
     road_b, _, _ = store.for_route(("R9", 1))
     assert road_b == {}
+
+
+def per_token_floats(value, low=-math.inf):
+    """The model store's list of floats parsed one ``finite_float`` at a time."""
+    values = np.array([finite_float(t) for t in value.split(",")])
+    if (values < low).any():
+        raise ValueError(f"{float(values[values < low][0])!r} is outside [{low:g}, inf]")
+    return values
+
+
+def parsed(parse, *args):
+    try:
+        return parse(*args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", ["1,2.5,-0.0,1e-320", "nan", "1,inf", "-inf,2", "2,1e400,nan",
+                                   "1,,2", "", "1_000,2", "\u0661,2.5", "-5,1", " 1, 2 ", "0x1f"])
+@pytest.mark.parametrize("low", [-math.inf, 0.0])
+def test_floats_parse_as_the_per_token_parser(value, low):
+    """One array conversion per line gives the values, and the messages,
+    of one ``finite_float`` per token: non-finite, empty and malformed
+    tokens, underscores, non-ASCII digits, and a negative dwell sample."""
+    assert parsed(_floats, value, low) == parsed(per_token_floats, value, low)
