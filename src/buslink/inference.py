@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InferenceError
-from .geometry import RouteModel, project_many
+from .geometry import PROJECT_BLOCK, RouteModel, project_many
 from .ingest import Traversal, WeatherTable, local_day_hour
 from .store import CovariateVector, ObservationTable
 
@@ -271,23 +271,29 @@ def open_road_table(rm: RouteModel) -> tuple:
     return edges, [-1, *open_road_link_of(edges, rm)]
 
 
-def open_road_links(arcs: np.ndarray, rm: RouteModel) -> np.ndarray:
-    """``open_road_link_of`` of an array of arc positions, read off ``open_road_table``."""
-    edges, tags = open_road_table(rm)
-    return np.array(tags)[np.searchsorted(edges, arcs, "right")]
+def open_road_links(arcs: np.ndarray, table: tuple) -> np.ndarray:
+    """``open_road_link_of`` of an array of arc positions, read off ``table``,
+    an ``open_road_table``."""
+    edges, tags = table
+    return np.asarray(tags)[np.searchsorted(edges, arcs, "right")]
 
 
 def slowest_speeds(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n: int,
                    rm: RouteModel) -> np.ndarray:
     """``_open_road_speeds`` of ``n`` traversals at once, from their pings in
     order with each ping's traversal number: per (traversal, link index) the
-    lowest speed, inf where the traversal has no open-road pair on the link."""
-    tags = open_road_links(arcs, rm)
-    j = 1 + np.flatnonzero((tags[1:] >= 1) & (tags[1:] == tags[:-1])
-                           & (traversal[1:] == traversal[:-1]) & (times[1:] > times[:-1]))
+    lowest speed, inf where the traversal has no open-road pair on the link.
+    The pairs are taken ``PROJECT_BLOCK`` pings at a time, so that the work
+    arrays stay small."""
+    table = open_road_table(rm)
     slowest = np.full((n, len(rm.links) + 1), np.inf)
-    np.minimum.at(slowest, (traversal[j], tags[j]),
-                  (arcs[j] - arcs[j - 1]) / (times[j] - times[j - 1]))
+    for lo in range(0, arcs.shape[0], PROJECT_BLOCK):
+        part = slice(max(lo - 1, 0), lo + PROJECT_BLOCK)  # the block's pairs, and the ping before
+        t, a, v = times[part], arcs[part], traversal[part]
+        tags = open_road_links(a, table)
+        j = 1 + np.flatnonzero((tags[1:] >= 1) & (tags[1:] == tags[:-1])
+                               & (v[1:] == v[:-1]) & (t[1:] > t[:-1]))
+        np.minimum.at(slowest, (v[j], tags[j]), (a[j] - a[j - 1]) / (t[j] - t[j - 1]))
     return slowest
 
 

@@ -6,8 +6,9 @@ traversal segment holds int64 timestamp and float lat/lon arrays, and
 its ``Ping`` rows are built only when something reads them. Timestamps
 are POSIX seconds UTC throughout; all calendar logic (hour, weekday, date)
 is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
-text input of the package is opened by ``open_text``, and every
-line-oriented one keeps the lines ``data_text`` keeps.
+text input of the package is opened by ``open_text``, every
+line-oriented one keeps the lines ``data_text`` keeps, and every number
+of a data file is in the one grammar of ``number``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -117,11 +118,27 @@ def read_rows(path, columns, convert, header: bool = True, only: str | None = No
         yield row
 
 
+def number(text: str, kind: type = float):
+    """``kind(text)`` (``float`` or ``int``) of a number, which is ASCII text that
+    ``kind`` accepts with no ``_``: ValueError for ``1_000`` or ``١٥``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number: not ASCII, or holds _")
+    return kind(text)
+
+
 def finite_float(text: str) -> float:
-    """float() that also rejects ``nan`` and ``inf`` with a ValueError."""
-    value = float(text)
+    """A ``number`` that is not ``nan`` or ``inf``; ValueError for any other text."""
+    value = number(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def int64(text: str) -> int:
+    """A ``number`` read by ``int``; ValueError outside int64."""
+    value = number(text, int)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text!r} is outside int64")
     return value
 
 
@@ -130,6 +147,43 @@ def position(lat: float, lon: float) -> tuple:
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise ValueError(f"({lat!r}, {lon!r}) is outside [-90, 90] x [-180, 180]")
     return lat, lon
+
+
+def without_nul(fields: list) -> list:
+    """``fields``, or ValueError if one holds a NUL, which ``np.loadtxt`` drops
+    from the end of a text field: no ping or observation line may."""
+    if any("\0" in f for f in fields):
+        raise ValueError("a field holds a NUL")
+    return fields
+
+
+_LOADTXT_DIFFERS = re.compile("[\0\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f"
+                              "\u205f\u3000]")
+
+
+def read_records(lines: list, fields: list, reference) -> np.ndarray:
+    """Comma-separated ``lines`` read by ``np.loadtxt`` as records of the dtypes
+    ``fields`` (``U``, ``i8``, ``f8``). It reads numbers as ``number`` does but
+    for padding of NUL or whitespace other than space, tab, ``\\x0b`` and
+    ``\\x0c``, and drops a text field's last NULs: lines that hold one of these
+    (``_LOADTXT_DIFFERS``) are checked by ``reference`` too. A text field that
+    a value fills is widened in ``fields`` and read again, so that none is cut.
+    A ValueError means that either of them refuses a line."""
+    while True:
+        records = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                             dtype=[(f"f{k}", t) for k, t in enumerate(fields)])
+        full = [k for k, t in enumerate(fields) if t.kind == "U"  # last code unit not 0
+                and records[f"f{k}"].view((np.uint32, t.itemsize // 4))[:, -1].any()]
+        if not full:
+            break
+        for k in full:
+            fields[k] = np.dtype(f"U{2 * fields[k].itemsize // 4}")
+    text = "".join(lines)
+    if (any(c in text for c in "\0\x1c\x1d\x1e\x1f") if text.isascii()
+            else _LOADTXT_DIFFERS.search(text)):
+        for line in lines:
+            reference(line.split(","))  # loadtxt has checked each line's field count
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +266,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
     for where, row in _read_table(dir_path, "shapes.txt"):
         sid = _req(row, "shape_id", where)
         shape_pts.setdefault(sid, []).append(
-            (_req(row, "shape_pt_sequence", where, int),
+            (_req(row, "shape_pt_sequence", where, int64),
              *_req_position(row, "shape_pt_", where)))
     shapes = {}
     for sid, pts in shape_pts.items():
@@ -239,7 +293,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         shape_id = _req(row, "shape_id", where)
         if shape_id not in shapes:
             raise IngestError("referential", f"trip {tid} references unknown shape {shape_id}")
-        direction = _req(row, "direction_id", where, int) if row.get("direction_id") else 0
+        direction = _req(row, "direction_id", where, int64) if row.get("direction_id") else 0
         if direction not in (0, 1):
             raise IngestError("parse", f"{where}: trip {tid}: direction_id must be 0 or 1")
         trip_rows[tid] = (rid, direction, shape_id)
@@ -252,7 +306,7 @@ def load_gtfs_static(dir_path) -> StaticNetwork:
         sid = _checked_id(_req(row, "stop_id", where), "stop_id")
         if sid not in stops:
             raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
-        seq.setdefault(tid, []).append((_req(row, "stop_sequence", where, int), sid))
+        seq.setdefault(tid, []).append((_req(row, "stop_sequence", where, int64), sid))
 
     trips = {}
     for tid, (rid, direction, shape_id) in trip_rows.items():
@@ -311,29 +365,21 @@ _PING_CHUNK_CHARS = 1 << 15  # characters per read; below 8 Ki, whole-file reads
 
 
 def _ping(f) -> Ping:
-    ts = int(f[2])
+    ts = number(without_nul(f)[2], int)
     if not -2**63 <= ts < 2**63:
         raise ValueError(f"timestamp {ts} is outside int64")
     return Ping(f[0], f[1], ts, *position(finite_float(f[3]), finite_float(f[4])))
 
 
-def _ping_block(lines):
-    """Trip ids, vehicle ids, int64 timestamps and 2 x n lats and lons of ping
-    lines, each field converted with ``int`` or ``float`` as ``_ping`` does;
-    a ValueError or OverflowError means some line is not valid for ``_ping``.
-    Joined by newlines, n lines of 5 fields hold 5n - 1 separators, every
-    fifth of them a newline, exactly when each line has 5 fields."""
-    b = np.frombuffer("\n".join(lines).encode(), dtype=np.uint8)
-    sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    k = len(Ping._fields)
-    if sep.shape[0] != k * len(lines) - 1 or not (b[sep[k - 1::k]] == ord("\n")).all():
-        raise ValueError("wrong field count")
-    f = ",".join(lines).split(",")
-    coords = np.array([f[3::5], f[4::5]], dtype=float)
-    bound = np.array([90.0, 180.0])  # a nan fails both comparisons
-    if not ((coords.min(axis=1) >= -bound) & (coords.max(axis=1) <= bound)).all():
+def _ping_block(lines, fields: list):
+    """Trip ids and vehicle ids (text arrays), int64 timestamps and 2 x n lats
+    and lons of ping lines, read by ``read_records`` into ``fields`` as
+    ``_ping`` reads them; a ValueError means some line is not valid for ``_ping``."""
+    records = read_records(lines, fields, _ping)
+    coords = np.array([records["f3"], records["f4"]])
+    if not (np.abs(coords).max(axis=1) <= [90.0, 180.0]).all():  # a nan fails
         raise ValueError("coordinate out of range or nan")
-    return f[0::5], f[1::5], np.array(f[2::5], dtype=np.int64), coords
+    return records["f0"], records["f1"], records["f2"].copy(), coords
 
 
 def _line_blocks(fh, only: str | None):
@@ -362,26 +408,31 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     ``trip_id`` only that trip's lines are read and checked; none is no error.
 
     The file is read in the blocks of ``_line_blocks``, which skips text that
-    cannot hold ``trip_id``, each kept by ``data_text`` and parsed at once; a
-    (trip_id, vehicle_id) key is coded once per run of equal keys in a block.
-    A block that fails the vectorized checks is re-read row by row through
-    ``_ping``, so the first bad line raises IngestError("parse") naming file:line.
+    cannot hold ``trip_id``, each kept by ``data_text`` and parsed by one
+    ``read_records`` call; a (trip_id, vehicle_id) key is coded once per run
+    of equal keys in a block, found by comparing the id arrays. A block that
+    fails the vectorized checks is re-read row by row through ``_ping``
+    (no NUL, numbers in the grammar of ``number``), so the first bad line
+    raises IngestError("parse") naming file:line.
     """
     codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
     blocks = []
+    fields = [np.dtype("U8"), np.dtype("U8"), np.dtype("i8"), np.dtype("f8"), np.dtype("f8")]
     with open_text(path) as fh:
         for lines in _line_blocks(fh, trip_id):
             if not (lines := data_text(lines, trip_id)):
                 continue
             try:
-                trips, vehicles, ts, coords = _ping_block(lines)
-            except (ValueError, OverflowError):
+                trips, vehicles, ts, coords = _ping_block(lines, fields)
+            except ValueError:
                 for _ in read_rows(path, Ping._fields, _ping, header=False, only=trip_id):
                     pass  # raises at the file's first bad line, which is in this block
                 raise
-            runs = [(codes.setdefault(key, len(codes)), len(list(group)))
-                    for key, group in groupby(zip(trips, vehicles))]
-            blocks.append((np.repeat(*zip(*runs)), ts, coords))
+            first = np.concatenate(([True], (trips[1:] != trips[:-1])
+                                    | (vehicles[1:] != vehicles[:-1])))  # of a run of one key
+            runs = [codes.setdefault(key, len(codes))
+                    for key in zip(trips[first].tolist(), vehicles[first].tolist())]
+            blocks.append((np.array(runs)[first.cumsum() - 1], ts, coords))
     if not blocks:
         if trip_id is None:
             raise IngestError("empty", f"{path} contains no records")
@@ -425,7 +476,7 @@ class WeatherTable:
 
 
 def _weather_row(f) -> tuple:
-    day, hour = day_number(f[0]), int(f[1])
+    day, hour = day_number(f[0]), int64(f[1])
     if not 0 <= hour <= 23:
         raise ValueError(f"hour {hour} out of range")
     return day, hour, f[2]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, count
+from itertools import count
 from operator import methodcaller
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -26,10 +26,14 @@ import numpy as np
 from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
-from .ingest import data_lines, data_text, finite_float, open_text, read_rows
+from .ingest import (data_lines, data_text, finite_float, int64, open_text, read_records,
+                     read_rows, without_nul)
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
               "intersection_times,rain,peak,weekday,traffic,flags")
+# the record ``read_records`` reads a line into, text fields at their first
+# widths: a covariate is one character, so none fills two
+_RECORD = ("U16", "i8", "i8", "f8", "f8", "f8", "f8", "U16", "U2", "U2", "U2", "U2", "U16")
 
 
 def _g17(v: float) -> str:
@@ -64,13 +68,6 @@ class LinkObservation(NamedTuple):
         return self.total_time - parts
 
 
-def _int64(text: str) -> int:
-    value = int(text)
-    if not -2**63 <= value < 2**63:
-        raise ValueError(f"{text!r} is outside int64")
-    return value
-
-
 def _bit(text: str) -> int:
     if text not in ("0", "1"):
         raise ValueError(f"covariate {text!r} is not 0 or 1")
@@ -78,7 +75,7 @@ def _bit(text: str) -> int:
 
 
 def _observation(f) -> LinkObservation:
-    flags = tuple(t for t in f[12].split(";") if t)
+    flags = tuple(t for t in without_nul(f)[12].split(";") if t)
     interp_ids = {t.split("=", 1)[1] for t in flags if t.startswith("interp_x=")}
     xs = []
     for tok in f[7].split(";") if f[7] else ():
@@ -89,7 +86,7 @@ def _observation(f) -> LinkObservation:
         if seconds < 0.0:
             raise ValueError(f"intersection time {tok!r} is negative")
         xs.append((xid, seconds, xid in interp_ids))
-    route_key, link_index = (f[0], _int64(f[1])), _int64(f[2])
+    route_key, link_index = (f[0], int64(f[1])), int64(f[2])
     depart_prev, total, dwell, road = map(finite_float, f[3:7])
     if dwell < 0.0:
         raise ValueError(f"dwell time {f[5]!r} is negative")
@@ -178,26 +175,24 @@ def _codes(values: list) -> tuple:
 
 
 def _table(lines: list) -> ObservationTable:
-    """The table of data lines, each field converted with ``int`` or
-    ``float`` as ``_observation`` does; a ValueError or OverflowError means
-    some line is not valid for ``_observation``."""
-    width = len(OBS_HEADER.split(","))
-    if set(map(methodcaller("count", ","), lines)) != {width - 1}:
-        raise ValueError("wrong field count")
-    f = ",".join(lines).split(",")
-    ints = np.array([f[1::width], f[2::width]], dtype=np.int64)
-    floats = np.array([f[k::width] for k in (3, 4, 5, 6)], dtype=float)
-    cov = list(chain.from_iterable(f[k::width] for k in (8, 9, 10, 11)))
+    """The table of data lines, read by ``read_records`` as ``_observation``
+    reads them; a ValueError means some line is not valid for ``_observation``."""
+    records = read_records(lines, [np.dtype(t) for t in _RECORD], _observation)
+    floats = np.array([records[f"f{k}"] for k in (3, 4, 5, 6)])
+    cov = np.array([records[f"f{k}"] for k in (8, 9, 10, 11)])
+    ones = cov == "1"
     if not (np.isfinite(floats).all() and (floats[2] >= 0.0).all() and (floats[3] > 0.0).all()
-            and set(cov) <= {"0", "1"}):
+            and (ones | (cov == "0")).all()):
         raise ValueError("non-finite number, dwell time < 0, road time <= 0 or covariate not 0/1")
-    route_keys, route = _codes(list(zip(f[0::width], ints[0].tolist())))
-    cells, flags = f[7::width], f[12::width]
+    route_keys, route = _codes(list(zip(records["f0"].tolist(), records["f1"].tolist())))
+    cells, flags = records["f7"].tolist(), records["f12"].tolist()
     tokens = [t for c in cells if c for t in c.split(";")]
     if set(map(methodcaller("count", "="), tokens)) - {1}:
         raise ValueError("intersection time not id=seconds")
     x_row = np.repeat(np.arange(len(lines)), [c.count(";") + 1 if c else 0 for c in cells])
     pairs = "=".join(tokens).split("=") if tokens else []
+    if not (secs := "=".join(pairs[1::2])).isascii() or "_" in secs:
+        raise ValueError("intersection time not a number")
     x_secs = np.array(pairs[1::2], dtype=float)
     if not (np.isfinite(x_secs).all() and (x_secs >= 0.0).all()):
         raise ValueError("non-finite or negative intersection time")
@@ -206,21 +201,21 @@ def _table(lines: list) -> ObservationTable:
     x_interp = np.fromiter(map(marked.__contains__, zip(x_row.tolist(), pairs[0::2])), bool,
                            x_secs.shape[0])
     x_ids, x_id = _codes(pairs[0::2])
-    # every covariate is the one character 0 or 1
-    covariates = (np.frombuffer("".join(cov).encode(), np.uint8) == ord("1")).reshape(4, -1)
     return ObservationTable(
-        route_keys=route_keys, route=route, link=ints[1], depart_prev=floats[0],
+        route_keys=route_keys, route=route, link=records["f2"].copy(), depart_prev=floats[0],
         total=floats[1], dwell=floats[2], road=floats[3],
-        covariates=np.ascontiguousarray(covariates.T, dtype=float), flags=flags,
+        covariates=np.ascontiguousarray(ones.T, dtype=float), flags=flags,
         x_ids=x_ids, x_row=x_row, x_id=x_id, x_secs=x_secs, x_interp=x_interp)
 
 
 def read_observations(path) -> ObservationTable:
-    """The observation file as one ``ObservationTable``, read and split
-    whole. A file that fails the vectorized checks, among them a road time
-    <= 0 or a dwell or intersection time < 0 (``infer`` writes none), is
-    read again row by row through ``_observation``, so the first bad line
-    raises IngestError("parse") naming file:line."""
+    """The observation file as one ``ObservationTable``, read whole and
+    parsed by one ``read_records`` call: numbers in the grammar of
+    ``ingest.number``, and no NUL. A file that fails the vectorized checks,
+    among them a road time <= 0 or a dwell or intersection time < 0
+    (``infer`` writes none), is read again row by row through
+    ``_observation``, so the first bad line raises IngestError("parse")
+    naming file:line."""
     with open_text(path) as fh:
         lines = fh.read().split("\n")
     first = OBS_HEADER.partition(",")[0]
@@ -231,7 +226,7 @@ def read_observations(path) -> ObservationTable:
         raise IngestError("empty", f"{path} contains no observations")
     try:
         return _table(lines)
-    except (ValueError, OverflowError):
+    except ValueError:
         for _ in read_rows(path, OBS_HEADER.split(","), _observation):
             pass  # raises at the file's first bad line
         raise
@@ -295,9 +290,11 @@ def _within(text: str, low: float, high: float = math.inf) -> float:
 
 
 def _floats(value: str, low: float = -math.inf) -> np.ndarray:
-    values = np.array(tokens := value.split(","), dtype=float)  # each token as float() reads it
-    if not np.isfinite(values).all():
-        list(map(finite_float, tokens))  # raises, naming the first nan or inf token
+    tokens = value.split(",")
+    # each token as float() reads it, once the text is in the number grammar
+    if not value.isascii() or "_" in value or not np.isfinite(
+            values := np.array(tokens, dtype=float)).all():
+        list(map(finite_float, tokens))  # raises, naming the first bad token
     if (values < low).any():
         raise ValueError(f"{float(values[values < low][0])!r} is outside [{low:g}, inf]")
     return values
@@ -315,7 +312,7 @@ def _flag(value: str) -> bool:
 
 
 def _count(value: str) -> int:
-    n = int(value)
+    n = int64(value)
     if n < 0:
         raise ValueError(f"count {n} is negative")
     return n
@@ -378,7 +375,7 @@ def _section(line: str):
         raise ValueError(f"bad section header {line!r}: not [{'|'.join(_SECTIONS)} "
                          "route direction id]")
     kind, route_id, direction, ident = parts
-    return kind, (route_id, int(direction)), int(ident) if kind == "road" else ident
+    return kind, (route_id, int64(direction)), int64(ident) if kind == "road" else ident
 
 
 def _model(kind: str, ident, fields: dict):

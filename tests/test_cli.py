@@ -209,6 +209,34 @@ def test_simulate_malformed_line_of_its_trip_exit_2(workdir, tmp_path, capsys):
         f"error: parse: pings.csv:{lineno}: expected 5 fields, got 4\n"
 
 
+@pytest.mark.parametrize("token, message", [
+    ("1_000", "'1_000' is not a number: not ASCII, or holds _"),
+    ("\u0661\u0665", "'\u0661\u0665' is not a number: not ASCII, or holds _"),
+    ("\x1c15", "could not convert string to float: '\\x1c15'"),
+    ("NUL", "a field holds a NUL")])
+def test_token_outside_the_number_grammar_exit_2(workdir, tmp_path, capsys, token, message):
+    """infer on a ping line, and fit on an observation line, with a token
+    that int() or float() or np.loadtxt would take: exit 2, ``parse`` at
+    file:line."""
+    trip, t0 = _first_trip_start(workdir["paths"])
+    line = f"{trip}\0,B0,{t0 + 3},29.651,-82.3" if token == "NUL" else \
+        f"{trip},B0,{t0 + 3},{token},-82.3"
+    pings, lineno = _pings_with(workdir, tmp_path, line)
+    assert main(["infer", "--config", str(workdir["cfg"]), "--pings", str(pings),
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: parse: pings.csv:{lineno}: {message}\n"
+    lines = (workdir["out"] / "observations.csv").read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split(",")
+    if token == "NUL":
+        fields[0] += "\0"
+    else:
+        fields[3] = token
+    lines.append(",".join(fields))
+    (tmp_path / "observations.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["fit", "--config", str(workdir["cfg"]), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: parse: observations.csv:{len(lines)}: {message}\n"
+
+
 def test_simulate_trip_without_pings_exit_2(workdir, tmp_path, capsys):
     trip, _ = _first_trip_start(workdir["paths"])
     pings = tmp_path / "pings.csv"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from buslink import inference
 from buslink.errors import InferenceError
 from buslink.geometry import RouteModel, build_route_model
 from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, _open_road_speeds,
@@ -372,17 +373,18 @@ def arcs_on(rm):
 @ROUTE_PASS
 def test_route_pass_tags_are_the_scalar_rule(three_link_rm, data):
     arcs = data.draw(st.lists(arcs_on(three_link_rm), max_size=60))
-    tags = open_road_links(np.array(arcs, dtype=float), three_link_rm)
+    tags = open_road_links(np.array(arcs, dtype=float), open_road_table(three_link_rm))
     assert tags.tolist() == open_road_link_of(arcs, three_link_rm)
 
 
-@given(data=st.data())
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, 4096]))
 @ROUTE_PASS
-def test_route_pass_slowest_speeds_are_the_scalar_rule(three_link_rm, data):
+def test_route_pass_slowest_speeds_are_the_scalar_rule(three_link_rm, monkeypatch, data, block):
     """The grouped minimum over several traversals, whose times run on
     across their boundaries and repeat, equals ``_open_road_speeds`` on each
-    traversal alone. A ping moves a step from the last or lands on an exact
-    arc."""
+    traversal alone, also in blocks of 1-3 pings, whose pairs straddle them.
+    A ping moves a step from the last or lands on an exact arc."""
+    monkeypatch.setattr(inference, "PROJECT_BLOCK", block)
     moves = st.one_of(st.floats(-30.0, 60.0).map(lambda d: (d, False)),
                       st.sampled_from(exact_arcs(three_link_rm)).map(lambda a: (a, True)))
     pings = data.draw(st.lists(st.lists(st.tuples(st.integers(0, 3), moves), max_size=20),
@@ -470,7 +472,7 @@ def check_open_road_table(rm, arcs):
             *(ranked_float(float_rank(p) + d) for p in points for d in (-2, -1, 0, 1, 2))]
     expected = open_road_link_of(arcs, rm)
     assert [tags[bisect_right(edges, a)] for a in arcs] == expected
-    assert open_road_links(np.array(arcs), rm).tolist() == expected
+    assert open_road_links(np.array(arcs), (edges, tags)).tolist() == expected
 
 
 class TestOpenRoadLinkOf:

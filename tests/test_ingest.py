@@ -1,3 +1,4 @@
+import math
 from datetime import datetime, timezone
 
 import pytest
@@ -434,11 +435,14 @@ def test_int64_timestamp_limits_are_kept(tmp_path):
     assert [s.pings[0].timestamp for s in load_pings(p).segments] == [-2**63, 2**63 - 1]
 
 
-# tokens on which int(), float() and numpy's conversion of str could disagree
+# tokens on which int(), float(), np.loadtxt and the number grammar could
+# disagree: among them padding that float() takes and loadtxt skips or not
 odd_token = st.sampled_from(["0", "15", " 30 ", "+45", "1_5", "\u0661\u0665", "4.5", "1e3", "nan",
                              "-inf", "1e400", "", "x", "29.0", "-82.0", "0x1f",
                              "9223372036854775807", "9223372036854775808",
-                             "-9223372036854775808", "-9223372036854775809"])
+                             "-9223372036854775808", "-9223372036854775809",
+                             "\x0b15\x0c", "\x1c15", "15\x1f", "\x8515", "15\xa0", "\u202815",
+                             "15\u3000", "15\x00", "\x00"])
 
 
 @given(lines=st.lists(st.lists(odd_token, min_size=3, max_size=4).map(
@@ -778,3 +782,183 @@ def test_intersection_coordinate_on_the_bound_kept(tmp_path, lat, lon):
     p = tmp_path / "x.csv"
     p.write_text(f"X1,{lat},{lon}\n", encoding="utf-8")
     assert load_intersections(p).points == (("X1", float(lat), float(lon)),)
+
+
+# The number grammar: ASCII text that int() or float() accepts, with no _.
+# Hypothesis tokens draw on the characters of numbers, inf and nan and on
+# those where Python, np.loadtxt and the grammar could part: underscores,
+# non-ASCII digits, NUL, and whitespace that float() takes or np.loadtxt skips.
+GRAMMAR_TEXT = "0123456789+-.eEinfaINFA_"
+HAZARD_TEXT = "\u0661\u0665\u06f3\0\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 \t"
+number_token = st.text(st.sampled_from(GRAMMAR_TEXT + HAZARD_TEXT), max_size=7)
+
+
+def stated_grammar(token, kind):
+    """The grammar as README states it: the value, or None for no number."""
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        value = kind(token)
+    except ValueError:
+        return None
+    return value if kind is float or -2**63 <= value < 2**63 else None
+
+
+def ping_outcome(tmp_path, token, column):
+    """A ping file with ``token`` in ``column`` of its second line: what the
+    grammar says, the row reference reads and the block parse reads."""
+    fields = ["T1", "V1", "15", "29.0", "-82.0"]
+    fields[column] = token
+    path = write_ping_file(tmp_path, ["T1,V0,0,29.5,-82.5", ",".join(fields)])  # no duplicate
+    # data_text strips the line, so the end of the last field
+    value = stated_grammar(token.rstrip() if column == 4 else token, int if column == 2 else float)
+    if value is not None and column != 2:
+        bound = 90.0 if column == 3 else 180.0
+        value = value if abs(value) <= bound else None  # also refuses nan
+    if value is not None:
+        fields[column] = value
+        value = [("T1", "V0", 0, 29.5, -82.5), (*fields[:2], int(fields[2]), *map(float,
+                                                                                 fields[3:]))]
+    try:
+        block = [tuple(p) for p in load_pings(path, max_gap_s=1e30).records]
+    except IngestError as exc:
+        block = str(exc)
+    return value, row_read(path), block
+
+
+def observation_outcome(tmp_path, token, column):
+    """An observation file with ``token`` in ``column`` of its second data
+    line, 7 being the seconds of its intersection time: what the grammar says,
+    the row reference reads and the table reads."""
+    from buslink.store import OBS_HEADER, _observation, read_observations
+    fields = "R1,0,1,1692354000.0,61.25,10.5,35.0,X1=15.75,1,0,1,0,".split(",")
+    good = ",".join(fields)
+    fields[column] = "X1=" + token if column == 7 else token
+    path = tmp_path / "observations.csv"
+    path.write_text("\n".join([OBS_HEADER, good, ",".join(fields)]) + "\n", encoding="utf-8")
+    value = stated_grammar(token, int if column in (1, 2) else float)
+    if column >= 3 and value is not None and not (math.isfinite(value)
+                                                  and (column == 3 or value >= 0.0)):
+        value = None  # a departure is finite, an intersection time finite and >= 0
+    try:
+        rows = list(read_rows(path, OBS_HEADER.split(","), _observation))
+        reference = [(o.route_key, o.link_index, o.depart_prev, o.intersection_times)
+                     for o in rows]
+    except IngestError as exc:
+        reference = str(exc)
+    try:
+        table = [(o.route_key, o.link_index, o.depart_prev, o.intersection_times)
+                 for o in read_observations(path)]
+    except IngestError as exc:
+        table = str(exc)
+    if value is not None:
+        key = ("R1", value if column == 1 else 0)
+        link = value if column == 2 else 1
+        depart = value if column == 3 else 1692354000.0
+        seconds = value if column == 7 else 15.75
+        value = [(("R1", 0), 1, 1692354000.0, (("X1", 15.75, False),)),
+                 (key, link, depart, (("X1", seconds, False),))]
+    return value, reference, table
+
+
+def assert_one_grammar(value, reference, block):
+    """The grammar's outcome, the row reference's and the block parse's agree:
+    the same rows, or the same ``parse`` error naming the second line."""
+    if value is None:
+        assert isinstance(reference, str) and reference.startswith("parse: ")
+        assert block == reference
+    else:
+        assert reference == block == value
+
+
+@given(token=number_token, column=st.sampled_from([2, 3, 4]))
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_number_grammar_pings(tmp_path, token, column):
+    """A timestamp, lat or lon token: the stated grammar, ``_ping`` row by
+    row and ``load_pings``' block parse accept the same tokens, with the
+    same values."""
+    value, reference, block = ping_outcome(tmp_path, token, column)
+    assert_one_grammar(value, reference, block)
+    assert isinstance(reference, list) or "pings.csv:2: " in reference
+
+
+@given(token=number_token, column=st.sampled_from([1, 2, 3, 7]))
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_number_grammar_observations(tmp_path, token, column):
+    """A direction, link index, departure or intersection-time token: the
+    stated grammar, ``_observation`` row by row and the observation table's
+    parse accept the same tokens, with the same values."""
+    value, reference, table = observation_outcome(tmp_path, token, column)
+    assert_one_grammar(value, reference, table)
+    assert isinstance(reference, list) or "observations.csv:3: " in reference
+
+
+# every code point below U+3001 that is whitespace or below " ", but the two
+# that end a line
+PADS = [chr(c) for c in range(0x3001) if (chr(c).isspace() or c < 0x20) and chr(c) not in "\n\r"]
+
+
+@pytest.mark.parametrize("pad", PADS, ids=[f"U+{ord(c):04X}" for c in PADS])
+def test_number_grammar_padding(tmp_path, pad):
+    """A number padded on either side, or on both: the grammar, the row
+    references and both block parses agree. Space, tab, \\x0b and \\x0c are
+    padding; \\x1c-\\x1f, NUL and all non-ASCII whitespace are not."""
+    for token in (pad + "15", "15" + pad, pad + "15" + pad):
+        for column in (2, 3):
+            assert_one_grammar(*ping_outcome(tmp_path, token, column))
+        for column in (2, 3, 7):
+            assert_one_grammar(*observation_outcome(tmp_path, token, column))
+    assert (stated_grammar(pad + "15", float) is not None) == (pad in " \t\x0b\x0c")
+
+
+@pytest.mark.parametrize("token", ["1_000", "\u0661\u0665"])
+def test_number_outside_the_grammar_is_refused(tmp_path, token):
+    """int() and float() take both tokens; the grammar takes neither."""
+    for column in (2, 3):
+        value, reference, block = ping_outcome(tmp_path, token, column)
+        assert value is None and block == reference == (
+            f"parse: pings.csv:2: {token!r} is not a number: not ASCII, or holds _")
+    for column in (2, 3, 7):
+        value, reference, table = observation_outcome(tmp_path, token, column)
+        assert value is None and table == reference == (
+            f"parse: observations.csv:3: {token!r} is not a number: not ASCII, or holds _")
+
+
+def test_id_with_a_trailing_nul_is_refused(tmp_path):
+    """np.loadtxt would read ``T1\\x00`` as ``T1``; no data line may hold a NUL."""
+    from buslink.store import OBS_HEADER, read_observations
+    path = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0", "T1\0,V1,15,29.0,-82.0"])
+    for trip in (None, "T1\0"):
+        with pytest.raises(IngestError) as e:
+            load_pings(path, trip_id=trip)
+        assert str(e.value) == "parse: pings.csv:2: a field holds a NUL"
+    path = tmp_path / "observations.csv"
+    path.write_text("\n".join([OBS_HEADER, "R1\0,0,1,1692354000.0,61.25,10.5,35.0,,1,0,1,0,"]),
+                    encoding="utf-8")
+    with pytest.raises(IngestError) as e:
+        read_observations(path)
+    assert str(e.value) == "parse: observations.csv:2: a field holds a NUL"
+
+
+@pytest.mark.parametrize("block", [1, 2, ingest.PING_BLOCK_LINES])
+def test_long_id_after_short_ones_is_read_whole(tmp_path, monkeypatch, block):
+    """A 40-character trip id, and then a vehicle id, in a block after short
+    ones: their text fields are widened, not cut, and later blocks keep the
+    width."""
+    from buslink.store import OBS_HEADER, read_observations
+    monkeypatch.setattr(ingest, "PING_BLOCK_LINES", block)
+    long_trip, long_vehicle = "T" * 40, "V" * 17
+    rows = [("T1", "V1", 0), ("T1", "V1", 15), (long_trip, "V1", 0), ("T2", long_vehicle, 0),
+            ("T2", "V2", 15)]
+    rows = [(*row, 29.0, -82.0) for row in rows]
+    lines = [f"{t},{v},{ts},{lat!r},{lon!r}" for t, v, ts, lat, lon in rows]
+    assert_brute_force_grouping(load_pings(write_ping_file(tmp_path, lines)), rows, 120.0)
+    path = tmp_path / "observations.csv"
+    flags = ";".join(["interp_x=" + "X" * 30, "unobs_traffic"])
+    path.write_text("\n".join([OBS_HEADER, "R1,0,1,1692354000.0,61.25,10.5,35.0,,1,0,1,0,",
+                               f"{long_trip},1,2,1692354000.0,61.25,10.5,35.0,"
+                               f"{'X' * 30}=15.75,1,0,1,0,{flags}"]), encoding="utf-8")
+    table = read_observations(path)
+    assert table.route_keys == [("R1", 0), (long_trip, 1)]
+    assert table.x_ids == ["X" * 30] and table.x_interp.tolist() == [True]
+    assert table.flags == ["", flags]

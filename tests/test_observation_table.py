@@ -16,10 +16,11 @@ from conftest import examples
 SETTINGS = settings(deadline=None, max_examples=examples(150),
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-ROUTE_IDS = ("R1", "R10", "r1")
-XIDS = ("X1", "X2", "X10")
-# spellings that int() reads as the same direction
-DIRECTIONS = {0: ("0", "00", "+0", "-0"), 1: ("1", "01", "+1", " 1")}
+# an id may hold the characters at which np.loadtxt and the number grammar part
+ROUTE_IDS = ("R1", "R10", "r1", "R\x1c1", "R\u30001")
+XIDS = ("X1", "X2", "X10", "X\xa0")
+# spellings that int() reads as the same direction, in the number grammar
+DIRECTIONS = {0: ("0", "00", "+0", "-0", "\x0b0"), 1: ("1", "01", "+1", " 1", "1\x0c")}
 # total times; dwell and intersection times are >= 0, road times > 0
 SECONDS = [0.0, -0.0, 1.5, 2.0, 17.25, -3.0, 1e-300, 123456.789]
 NONNEGATIVE = [s for s in SECONDS if s >= 0.0]
@@ -41,6 +42,13 @@ CORRUPTIONS = {
     "negative_dwell": lambda f: f.__setitem__(5, "-0.5"),
     "zero_road": lambda f: f.__setitem__(6, "0.0"),
     "negative_intersection_time": lambda f: f.__setitem__(7, "X1=-2.0"),
+    # int() or float() takes each, the number grammar none
+    "underscore": lambda f: f.__setitem__(2, "1_0"),
+    "arabic_digits": lambda f: f.__setitem__(4, "\u0661\u0665"),
+    "padded_by_x1c": lambda f: f.__setitem__(3, "\x1c" + f[3]),
+    "padded_by_nbsp": lambda f: f.__setitem__(7, "X1=\xa015.75"),
+    "padded_by_u3000": lambda f: f.__setitem__(1, f[1] + "\u3000"),
+    "nul_in_flags": lambda f: f.__setitem__(12, f[12] + "\x00"),
 }
 
 

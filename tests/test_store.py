@@ -161,10 +161,13 @@ def parsed(parse, *args):
 
 
 @pytest.mark.parametrize("value", ["1,2.5,-0.0,1e-320", "nan", "1,inf", "-inf,2", "2,1e400,nan",
-                                   "1,,2", "", "1_000,2", "\u0661,2.5", "-5,1", " 1, 2 ", "0x1f"])
+                                   "1,,2", "", "1_000,2", "\u0661,2.5", "-5,1", " 1, 2 ", "0x1f",
+                                   "\x0b1,2\x0c", "\x1c1,2", "1,2\x1f", "\x851,2", "1,\xa02",
+                                   "\u20281,2", "1,2\u3000", "1\x00,2", "inf,1_0"])
 @pytest.mark.parametrize("low", [-math.inf, 0.0])
 def test_floats_parse_as_the_per_token_parser(value, low):
     """One array conversion per line gives the values, and the messages,
     of one ``finite_float`` per token: non-finite, empty and malformed
-    tokens, underscores, non-ASCII digits, and a negative dwell sample."""
+    tokens, underscores, non-ASCII digits, padding that float() takes or
+    refuses, NUL, and a negative dwell sample."""
     assert parsed(_floats, value, low) == parsed(per_token_floats, value, low)
