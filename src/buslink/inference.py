@@ -283,8 +283,7 @@ def slowest_speeds(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n
     """``_open_road_speeds`` of ``n`` traversals at once, from their pings in
     order with each ping's traversal number: per (traversal, link index) the
     lowest speed, inf where the traversal has no open-road pair on the link.
-    The pairs are taken ``PROJECT_BLOCK`` pings at a time, so that the work
-    arrays stay small."""
+    Pairs are taken ``PROJECT_BLOCK`` pings at a time, to keep work arrays small."""
     table = open_road_table(rm)
     slowest = np.full((n, len(rm.links) + 1), np.inf)
     for lo in range(0, arcs.shape[0], PROJECT_BLOCK):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -118,10 +119,15 @@ def read_rows(path, columns, convert, header: bool = True, only: str | None = No
         yield row
 
 
+def number_text(text: str) -> bool:
+    """Whether ``text`` may hold numbers: ASCII, with no ``_``."""
+    return text.isascii() and "_" not in text
+
+
 def number(text: str, kind: type = float):
-    """``kind(text)`` (``float`` or ``int``) of a number, which is ASCII text that
-    ``kind`` accepts with no ``_``: ValueError for ``1_000`` or ``١٥``."""
-    if not text.isascii() or "_" in text:
+    """``kind(text)`` (``float`` or ``int``) of a number, which is ``number_text``
+    that ``kind`` accepts: ValueError for ``1_000`` or ``١٥``."""
+    if not number_text(text):
         raise ValueError(f"{text!r} is not a number: not ASCII, or holds _")
     return kind(text)
 
@@ -157,30 +163,29 @@ def without_nul(fields: list) -> list:
     return fields
 
 
-_LOADTXT_DIFFERS = re.compile("[\0\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f"
-                              "\u205f\u3000]")
-
-
 def read_records(lines: list, fields: list, reference) -> np.ndarray:
     """Comma-separated ``lines`` read by ``np.loadtxt`` as records of the dtypes
     ``fields`` (``U``, ``i8``, ``f8``). It reads numbers as ``number`` does but
-    for padding of NUL or whitespace other than space, tab, ``\\x0b`` and
-    ``\\x0c``, and drops a text field's last NULs: lines that hold one of these
-    (``_LOADTXT_DIFFERS``) are checked by ``reference`` too. A text field that
-    a value fills is widened in ``fields`` and read again, so that none is cut.
-    A ValueError means that either of them refuses a line."""
+    for padding of NUL, ``\\x1c``-``\\x1f`` or non-ASCII whitespace, and drops a
+    text field's last NULs: lines that are not ASCII or hold one of these are
+    checked by ``reference`` too. A text field that a value fills is widened in
+    ``fields`` and read again, so that none is cut. A ValueError means that
+    either of them refuses a line."""
     while True:
-        records = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
-                             dtype=[(f"f{k}", t) for k, t in enumerate(fields)])
+        with warnings.catch_warnings():  # numpy 1.23 on read i8 text 4.5 as 4, warning only
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                records = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                                     ndmin=1, dtype=[(f"f{k}", t) for k, t in enumerate(fields)])
+            except DeprecationWarning as exc:
+                raise ValueError(exc) from None
         full = [k for k, t in enumerate(fields) if t.kind == "U"  # last code unit not 0
                 and records[f"f{k}"].view((np.uint32, t.itemsize // 4))[:, -1].any()]
         if not full:
             break
         for k in full:
             fields[k] = np.dtype(f"U{2 * fields[k].itemsize // 4}")
-    text = "".join(lines)
-    if (any(c in text for c in "\0\x1c\x1d\x1e\x1f") if text.isascii()
-            else _LOADTXT_DIFFERS.search(text)):
+    if not (text := "".join(lines)).isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
         for line in lines:
             reference(line.split(","))  # loadtxt has checked each line's field count
     return records
@@ -409,11 +414,10 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
 
     The file is read in the blocks of ``_line_blocks``, which skips text that
     cannot hold ``trip_id``, each kept by ``data_text`` and parsed by one
-    ``read_records`` call; a (trip_id, vehicle_id) key is coded once per run
-    of equal keys in a block, found by comparing the id arrays. A block that
-    fails the vectorized checks is re-read row by row through ``_ping``
-    (no NUL, numbers in the grammar of ``number``), so the first bad line
-    raises IngestError("parse") naming file:line.
+    ``read_records`` call; a (trip_id, vehicle_id) key is coded once per run of
+    equal keys in a block. A block that fails is re-read row by row through
+    ``_ping`` (no NUL, numbers in the grammar of ``number``), so the first bad
+    line raises IngestError("parse") naming file:line.
     """
     codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
     blocks = []

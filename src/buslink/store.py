@@ -26,13 +26,12 @@ import numpy as np
 from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
-from .ingest import (data_lines, data_text, finite_float, int64, open_text, read_records,
-                     read_rows, without_nul)
+from .ingest import (data_lines, data_text, finite_float, int64, number_text, open_text,
+                     read_records, read_rows, without_nul)
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
               "intersection_times,rain,peak,weekday,traffic,flags")
-# the record ``read_records`` reads a line into, text fields at their first
-# widths: a covariate is one character, so none fills two
+# a line's fields for ``read_records``, text at its first widths (a covariate fills no U2)
 _RECORD = ("U16", "i8", "i8", "f8", "f8", "f8", "f8", "U16", "U2", "U2", "U2", "U2", "U16")
 
 
@@ -191,11 +190,10 @@ def _table(lines: list) -> ObservationTable:
         raise ValueError("intersection time not id=seconds")
     x_row = np.repeat(np.arange(len(lines)), [c.count(";") + 1 if c else 0 for c in cells])
     pairs = "=".join(tokens).split("=") if tokens else []
-    if not (secs := "=".join(pairs[1::2])).isascii() or "_" in secs:
-        raise ValueError("intersection time not a number")
     x_secs = np.array(pairs[1::2], dtype=float)
-    if not (np.isfinite(x_secs).all() and (x_secs >= 0.0).all()):
-        raise ValueError("non-finite or negative intersection time")
+    if not (number_text("=".join(pairs[1::2])) and np.isfinite(x_secs).all()
+            and (x_secs >= 0.0).all()):
+        raise ValueError("intersection time not a number, not finite or negative")
     marked = {(i, t.partition("=")[2]) for i, fl in enumerate(flags) if "interp_x=" in fl
               for t in fl.split(";") if t.startswith("interp_x=")}
     x_interp = np.fromiter(map(marked.__contains__, zip(x_row.tolist(), pairs[0::2])), bool,
@@ -209,13 +207,11 @@ def _table(lines: list) -> ObservationTable:
 
 
 def read_observations(path) -> ObservationTable:
-    """The observation file as one ``ObservationTable``, read whole and
-    parsed by one ``read_records`` call: numbers in the grammar of
-    ``ingest.number``, and no NUL. A file that fails the vectorized checks,
-    among them a road time <= 0 or a dwell or intersection time < 0
-    (``infer`` writes none), is read again row by row through
-    ``_observation``, so the first bad line raises IngestError("parse")
-    naming file:line."""
+    """The observation file as one ``ObservationTable``, read whole by one
+    ``read_records`` call (numbers in the grammar of ``ingest.number``, no NUL).
+    A file that fails, by a road time <= 0 or a dwell or intersection time < 0
+    (``infer`` writes none) among others, is read again row by row through
+    ``_observation``, so the first bad line raises IngestError("parse") naming file:line."""
     with open_text(path) as fh:
         lines = fh.read().split("\n")
     first = OBS_HEADER.partition(",")[0]
@@ -292,8 +288,7 @@ def _within(text: str, low: float, high: float = math.inf) -> float:
 def _floats(value: str, low: float = -math.inf) -> np.ndarray:
     tokens = value.split(",")
     # each token as float() reads it, once the text is in the number grammar
-    if not value.isascii() or "_" in value or not np.isfinite(
-            values := np.array(tokens, dtype=float)).all():
+    if not number_text(value) or not np.isfinite(values := np.array(tokens, dtype=float)).all():
         list(map(finite_float, tokens))  # raises, naming the first bad token
     if (values < low).any():
         raise ValueError(f"{float(values[values < low][0])!r} is outside [{low:g}, inf]")

@@ -1,6 +1,8 @@
 import math
+import warnings
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -923,6 +925,28 @@ def test_number_outside_the_grammar_is_refused(tmp_path, token):
         assert value is None and table == reference == (
             f"parse: observations.csv:3: {token!r} is not a number: not ASCII, or holds _")
 
+
+
+def test_integer_read_through_float_is_refused(tmp_path, monkeypatch):
+    """numpy 1.23 and later releases read int64 text such as ``4.5`` as 4 with
+    only a DeprecationWarning; here ``np.loadtxt`` does so whatever numpy is
+    installed, and both block parses still refuse the token as the row
+    references do."""
+    loadtxt = np.loadtxt
+
+    def through_float(lines, **kwargs):
+        if any(",4.5," in line for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        return loadtxt([line.replace(",4.5,", ",4,") for line in lines], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", through_float)
+    value, reference, block = ping_outcome(tmp_path, "4.5", 2)
+    assert value is None and "pings.csv:2: " in reference
+    assert_one_grammar(value, reference, block)
+    value, reference, table = observation_outcome(tmp_path, "4.5", 2)
+    assert value is None and "observations.csv:3: " in reference
+    assert_one_grammar(value, reference, table)
 
 def test_id_with_a_trailing_nul_is_refused(tmp_path):
     """np.loadtxt would read ``T1\\x00`` as ``T1``; no data line may hold a NUL."""
