@@ -19,22 +19,25 @@ pairs, and each ping takes the lexicographic minimum of (d2, arc): the
 smallest ``d2``, then the smallest arc, so a point equidistant from two
 passes of a looping shape lands on the earlier one, whatever the order
 in which pairs are visited. A zero-length segment is its start vertex.
-A shape of at most ``CHUNK_SEGMENTS`` segments, or a call of at most
-``PING_BLOCK_ELEMENTS`` pairs, is broadcast whole, block by block. A
-longer shape is cut into chunks of ``CHUNK_SEGMENTS`` consecutive
-segments, each with the bounding box of its vertices. A first pass
-evaluates each ping on its nearest box's chunk (grouped by chunk when
-there are at least ``CHUNK_SEGMENTS`` pings per chunk, else gathered),
-which gives it ``U``, a ``d2`` it has seen; a second pass evaluates it
-only on the chunks whose box lies within ``sqrt(U) + tau``. That pruning
-is exact: a segment lies in its box, and every computed distance is
-within a few ulps of ``1 + max |coordinate|`` (pings and vertices) of
-the exact one, about 1e-14 of it, while ``tau = 1e-9 * (1 + max
-|coordinate|)``. So every segment of a skipped chunk has a computed
+Two rules, chosen by the call's size alone:
+
+1. A call of at most ``PING_BLOCK_ELEMENTS`` ping x segment pairs is one
+   broadcast, segments on axis 0 and pings on axis 1.
+2. Every other call runs a pruned search. The shape is cut into chunks
+   of ``min(segments, CHUNK_SEGMENTS)`` consecutive segments, each with
+   the bounding box of its vertices. A first pass evaluates each ping on
+   its nearest box's chunk, gathered, which gives it ``U``, a ``d2`` it
+   has seen; a second pass evaluates it only on the other chunks whose
+   box lies within ``sqrt(U) + tau``.
+
+The pruning is exact: a segment lies in its box, and every computed
+distance is within a few ulps of ``1 + max |coordinate|`` (pings and
+vertices) of the exact one, about 1e-14 of it, while ``tau = 1e-9 * (1 +
+max |coordinate|)``. So every segment of a skipped chunk has a computed
 ``d2`` above ``U`` and can neither win nor tie, and the result is
-bit-identical to ``_project_scalar``. Every work array with a segment or
-chunk axis holds at most ``PING_BLOCK_ELEMENTS`` elements (at least one
-ping).
+bit-identical to ``_project_scalar``. Every work array with a ping axis
+holds at most ``PING_BLOCK_ELEMENTS`` elements (at least one ping), but
+for the gathered chunks, seven arrays of that size.
 
 ``markov_offsets`` reads the ``markov.LinkPlan`` of each in-scope link:
 it loops over the links and is vectorized over the M runs. Variates are
@@ -55,14 +58,14 @@ from .components import bootstrap_pick, lognormal_from_z
 # point-to-polyline projection
 # ---------------------------------------------------------------------------
 
-PING_BLOCK_ELEMENTS = 1 << 14  # ping x segment elements per broadcast block
-CHUNK_SEGMENTS = 32  # consecutive segments per chunk of the pruned search
+PING_BLOCK_ELEMENTS = 1 << 14  # most ping x segment (or chunk) elements per work array
+CHUNK_SEGMENTS = 32  # most consecutive segments per chunk of the pruned search
 
 
-def _nearest(bx, by, x0, y0, dx, dy, den, seg, c0, axis=0):
+def _nearest(bx, by, x0, y0, dx, dy, den, seg, c0):
     """``(d2, arc)`` of each ping's lexicographically nearest segment, with
-    segments along ``axis`` and pings along the other (they broadcast)."""
-    # Works in place in three ping x segment buffers.
+    segments on axis 0 and pings on axis 1 (they broadcast)."""
+    # Works in place in three segment x ping buffers.
     ex = bx - x0
     ey = by - y0
     t = ex * dx
@@ -83,9 +86,9 @@ def _nearest(bx, by, x0, y0, dx, dy, den, seg, c0, axis=0):
     t += c0                                       # arc = cum + t*seg
     # Tie rule: among the segments at the smallest distance, the smallest
     # arc wins.
-    m = ex.min(axis=axis, keepdims=True)
+    m = ex.min(axis=0)
     np.copyto(t, np.inf, where=ex != m)
-    return m.reshape(-1), t.min(axis=axis)
+    return m, t.min(axis=0)
 
 
 def project_onto_polyline(qx, qy, vx, vy, cum):
@@ -94,67 +97,48 @@ def project_onto_polyline(qx, qy, vx, vy, cum):
     dy = vy[1:] - y0
     seg2 = dx * dx + dy * dy
     den = np.where(seg2 > 0.0, seg2, 1.0)  # a zero-length segment is its start vertex
-    segs = (x0, y0, dx, dy, den, np.sqrt(seg2), cum[:-1])
+    segs = np.stack((x0, y0, dx, dy, den, np.sqrt(seg2), cum[:-1]))
     n, s = qx.shape[0], dx.shape[0]
-    if s <= CHUNK_SEGMENTS or n * s <= PING_BLOCK_ELEMENTS:  # broadcast whole
-        d2, arc = np.empty(n), np.empty(n)
-        step = max(1, PING_BLOCK_ELEMENTS // s)
-        for lo in range(0, n, step):
-            d2[lo:lo + step], arc[lo:lo + step] = _nearest(
-                qx[lo:lo + step, None], qy[lo:lo + step, None], *segs, axis=1)
+    if n * s <= PING_BLOCK_ELEMENTS:  # rule 1: one broadcast
+        d2, arc = _nearest(qx, qy, *segs[:, :, None])
         return arc, np.sqrt(d2)
 
-    d2, arc = np.full(n, np.inf), np.full(n, np.inf)
-    k = -(-s // CHUNK_SEGMENTS)
-    # Chunk c is column c of (C, k) arrays: segments c*C to c*C + C - 1, the
-    # last chunk padded with copies of the last segment.
-    idx = np.minimum(np.arange(k * CHUNK_SEGMENTS), s - 1).reshape(k, CHUNK_SEGMENTS)
-    chunks = [np.ascontiguousarray(a[idx].T) for a in segs]
-    iv = np.minimum(idx[:, :1] + np.arange(CHUNK_SEGMENTS + 1), s)  # chunk vertices
+    # Rule 2: the pruned search. Chunk c is column c of the (7, size, k) array
+    # ``chunks``: segments c*size to c*size + size - 1, the last chunk padded
+    # with copies of the last segment.
+    size = min(s, CHUNK_SEGMENTS)
+    k = -(-s // size)
+    idx = np.minimum(np.arange(k * size), s - 1).reshape(k, size)
+    chunks = segs[:, idx.T]
+    iv = np.minimum(idx[:, :1] + np.arange(size + 1), s)  # chunk vertices
     box = [f(v, axis=1, keepdims=True) for v in (vx[iv], vy[iv]) for f in (np.min, np.max)]
     tau = 1e-9 * (1.0 + max(np.abs(a).max(initial=0.0) for a in (qx, qy, vx, vy)))
     step = max(1, PING_BLOCK_ELEMENTS // k)
-    pairs = PING_BLOCK_ELEMENTS // CHUNK_SEGMENTS
-
-    def box_distance(lo):  # (chunks, pings): from a block of pings to each box
-        bx, by = qx[lo:lo + step], qy[lo:lo + step]
+    pairs = PING_BLOCK_ELEMENTS // size
+    d2, arc = np.empty(n), np.empty(n)
+    for lo in range(0, n, step):
+        bx, by, bd2, barc = (a[lo:lo + step] for a in (qx, qy, d2, arc))
         gx = bx - np.minimum(np.maximum(bx, box[0]), box[1])
         gy = by - np.minimum(np.maximum(by, box[2]), box[3])
-        return np.sqrt(gx * gx + gy * gy)
-
-    def merge(lo, ps, cs):  # evaluate pings lo + ps on chunks cs, merge by the rule
-        bd2, barc = d2[lo:lo + step], arc[lo:lo + step]
+        near = np.sqrt(gx * gx + gy * gy)  # (chunks, pings): from each ping to each box
+        # First pass: each ping on its nearest box's chunk, which gives it U.
+        first = near.argmin(axis=0)
+        for i in range(0, bx.shape[0], pairs):
+            bd2[i:i + pairs], barc[i:i + pairs] = _nearest(
+                bx[i:i + pairs], by[i:i + pairs], *np.take(chunks, first[i:i + pairs], axis=2))
+        # Second pass: every other chunk whose box lies within sqrt(U) + tau,
+        # merged by the tie rule.
+        visit = near <= np.sqrt(bd2) + tau
+        visit[first, np.arange(bx.shape[0])] = False
+        cs, ps = np.nonzero(visit)
         for i in range(0, ps.shape[0], pairs):
             p = ps[i:i + pairs]
-            pd2, parc = _nearest(qx[lo + p], qy[lo + p],
-                                 *(np.take(a, cs[i:i + pairs], axis=1) for a in chunks))
+            pd2, parc = _nearest(bx[p], by[p], *np.take(chunks, cs[i:i + pairs], axis=2))
             m = bd2.copy()
             np.minimum.at(m, p, pd2)
             np.copyto(barc, np.inf, where=bd2 != m)
             np.minimum.at(barc, p, np.where(pd2 == m[p], parc, np.inf))
             bd2[:] = m
-
-    first = np.empty(n, dtype=np.intp)  # each ping's nearest box
-    sliced = n >= CHUNK_SEGMENTS * k
-    if sliced:  # broadcast each chunk's pings against its segments, no gather
-        for lo in range(0, n, step):
-            first[lo:lo + step] = box_distance(lo).argmin(axis=0)
-        for c in range(k):
-            group = np.flatnonzero(first == c)
-            for i in range(0, group.shape[0], pairs):
-                sel = group[i:i + pairs]
-                d2[sel], arc[sel] = _nearest(qx[sel], qy[sel], *(a[:, c:c + 1] for a in chunks))
-    for lo in range(0, n, step):
-        near = box_distance(lo)
-        ps = np.arange(near.shape[1])
-        if not sliced:  # first pass, gathered
-            first[lo:lo + step] = near.argmin(axis=0)
-            merge(lo, ps, first[lo:lo + step])
-        # Second pass: every other chunk whose box lies within sqrt(U) + tau.
-        visit = near <= np.sqrt(d2[lo:lo + step]) + tau
-        visit[first[lo:lo + step], ps] = False
-        cs, vs = np.nonzero(visit)
-        merge(lo, vs, cs)
     return arc, np.sqrt(d2)
 
 

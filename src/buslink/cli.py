@@ -19,6 +19,7 @@ from . import pipeline, synth
 from .errors import (ConfigError, FitError, GeometryError, IngestError,
                      MetricError, NumericalError, SimError)
 from .evaluation import METRICS
+from .ingest import int64
 
 # OSError: a file that is missing or cannot be read or written
 INPUT_ERRORS = (IngestError, GeometryError, ConfigError, MetricError, SimError, OSError)
@@ -232,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("predict", help="point + interval for one link")
     _shared_flags(p, "store")
     p.add_argument("--route", required=True)
-    p.add_argument("--direction", type=int, default=0)
-    p.add_argument("--link", type=int, required=True)
-    p.add_argument("--rain", type=int, default=0, choices=(0, 1))
-    p.add_argument("--peak", type=int, default=0, choices=(0, 1))
-    p.add_argument("--weekday", type=int, default=0, choices=(0, 1))
-    p.add_argument("--traffic", type=int, default=0, choices=(0, 1))
+    p.add_argument("--direction", type=int64, default=0)
+    p.add_argument("--link", type=int64, required=True)
+    p.add_argument("--rain", type=int64, default=0, choices=(0, 1))
+    p.add_argument("--peak", type=int64, default=0, choices=(0, 1))
+    p.add_argument("--weekday", type=int64, default=0, choices=(0, 1))
+    p.add_argument("--traffic", type=int64, default=0, choices=(0, 1))
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(func=cmd_predict)
 
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic corpus from a truth spec")
     _shared_flags(p)
-    p.add_argument("--seed", type=int, default=None, help="overrides the truth spec's seed")
+    p.add_argument("--seed", type=int64, default=None, help="overrides the truth spec's seed")
     p.add_argument("--truth", required=True, help="truth spec JSON")
     p.set_defaults(func=cmd_synth)
 

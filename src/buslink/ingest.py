@@ -370,21 +370,20 @@ _PING_CHUNK_CHARS = 1 << 15  # characters per read; below 8 Ki, whole-file reads
 
 
 def _ping(f) -> Ping:
-    ts = number(without_nul(f)[2], int)
-    if not -2**63 <= ts < 2**63:
-        raise ValueError(f"timestamp {ts} is outside int64")
-    return Ping(f[0], f[1], ts, *position(finite_float(f[3]), finite_float(f[4])))
+    return Ping(f[0], f[1], int64(without_nul(f)[2]),
+                *position(finite_float(f[3]), finite_float(f[4])))
 
 
 def _ping_block(lines, fields: list):
-    """Trip ids and vehicle ids (text arrays), int64 timestamps and 2 x n lats
-    and lons of ping lines, read by ``read_records`` into ``fields`` as
-    ``_ping`` reads them; a ValueError means some line is not valid for ``_ping``."""
+    """Trip ids and vehicle ids (text arrays), int64 timestamps, lats and lons
+    of ping lines, read by ``read_records`` into ``fields`` as ``_ping`` reads
+    them; a ValueError means some line is not valid for ``_ping``."""
     records = read_records(lines, fields, _ping)
-    coords = np.array([records["f3"], records["f4"]])
-    if not (np.abs(coords).max(axis=1) <= [90.0, 180.0]).all():  # a nan fails
+    # copies, not views: the block's records are freed once its ids are coded
+    ts, lats, lons = (records[f].copy() for f in ("f2", "f3", "f4"))
+    if not (np.abs(lats).max() <= 90.0 and np.abs(lons).max() <= 180.0):  # a nan fails
         raise ValueError("coordinate out of range or nan")
-    return records["f0"], records["f1"], records["f2"].copy(), coords
+    return records["f0"], records["f1"], ts, lats, lons
 
 
 def _line_blocks(fh, only: str | None):
@@ -427,7 +426,7 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
             if not (lines := data_text(lines, trip_id)):
                 continue
             try:
-                trips, vehicles, ts, coords = _ping_block(lines, fields)
+                trips, vehicles, ts, lats, lons = _ping_block(lines, fields)
             except ValueError:
                 for _ in read_rows(path, Ping._fields, _ping, header=False, only=trip_id):
                     pass  # raises at the file's first bad line, which is in this block
@@ -436,7 +435,7 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
                                     | (vehicles[1:] != vehicles[:-1])))  # of a run of one key
             runs = [codes.setdefault(key, len(codes))
                     for key in zip(trips[first].tolist(), vehicles[first].tolist())]
-            blocks.append((np.array(runs)[first.cumsum() - 1], ts, coords))
+            blocks.append((np.array(runs)[first.cumsum() - 1], ts, lats, lons))
     if not blocks:
         if trip_id is None:
             raise IngestError("empty", f"{path} contains no records")
@@ -445,17 +444,19 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     # that the file's columns are held about once.
     columns = list(zip(*blocks))
     blocks.clear()
-    group, ts, coords = (np.concatenate(columns.pop(0), axis=-1) for _ in range(3))
+    group, ts, lats, lons = (np.concatenate(columns.pop(0)) for _ in range(4))
     keys = sorted(codes)
     group = np.argsort([codes[key] for key in keys])[group]  # code -> its key's sorted place
     order = np.lexsort((ts, group))  # stable: the file's first duplicate leads
     group = group[order]
     ts = ts[order]
-    coords = coords[:, order]
+    lats = lats[order]
+    lons = lons[order]
     keep = np.concatenate(([True], (group[1:] != group[:-1]) | (ts[1:] != ts[:-1])))
     group = group[keep]
     ts = ts[keep]
-    lats, lons = coords[:, keep]
+    lats = lats[keep]
+    lons = lons[keep]
     # unsigned differences cannot overflow within a sorted group
     split = (group[1:] != group[:-1]) | (np.diff(ts.view(np.uint64)) > max_gap_s)
     bounds = np.flatnonzero(np.concatenate(([True], split, [True]))).tolist()

@@ -27,8 +27,8 @@ from .hetlognorm import DEFAULT_MIN_FIT_SAMPLES, design_matrix, fit as ln_fit, p
 from .inference import (DEFAULT_BACKWARD_TOLERANCE_M, DEFAULT_PEAK_HOURS, build_covariates,
                         repair_mask, route_observations)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
-                     finite_float, load_gtfs_static, load_intersections, load_pings,
-                     load_weather)
+                     finite_float, int64, load_gtfs_static, load_intersections,
+                     load_pings, load_weather)
 from .markov import DEFAULT_DELTA_T_S, MarkovConfig, PredictionSession
 from .store import ModelStore, read_observations, read_store, write_observations, write_store
 
@@ -78,7 +78,7 @@ class RunConfig:
         for tok in self.link_speed_thresholds.split(",") if self.link_speed_thresholds else ():
             link, _, value = tok.partition(":")
             try:
-                link, value = int(link), finite_float(value)
+                link, value = int64(link), finite_float(value)
             except ValueError:
                 raise ConfigError("bad_config", f"link_speed_thresholds entry {tok!r} "
                                   "is not index:value") from None
@@ -108,7 +108,7 @@ def covariates_for(cfg: RunConfig, weather):
 _FIELD_TYPES = get_type_hints(RunConfig)
 _CONFIG_KEYS = _FIELD_TYPES.keys() - {"runs", "seed"}
 _DEFAULTS = RunConfig()
-_PARSERS = {float: finite_float}  # other types parse with their constructor
+_PARSERS = {float: finite_float, int: int64}  # other types parse with their constructor
 
 
 def _coerce(key: str, value: str):

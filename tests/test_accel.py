@@ -56,24 +56,34 @@ def test_projection_backends_agree():
     assert_projection_matches_scalar(*projection_case())
 
 
-def collinear_case(n_pings, seed=5):
-    """250 vertices 20 m apart on the x axis; pings on vertices, between
-    them, off to the side and past both ends."""
+def collinear_case(n_pings, n_vertices=250, seed=5):
+    """``n_vertices`` vertices 20 m apart on the x axis; pings on vertices,
+    between them, off to the side and past both ends."""
     rng = np.random.default_rng(seed)
-    vx = np.arange(250) * 20.0
-    vy = np.zeros(250)
+    vx = np.arange(n_vertices) * 20.0
+    vy = np.zeros(n_vertices)
     cum = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(vx), np.diff(vy)))))
-    qx = np.where(rng.random(n_pings) < 0.3, vx[rng.integers(0, 250, n_pings)],
+    qx = np.where(rng.random(n_pings) < 0.3, vx[rng.integers(0, n_vertices, n_pings)],
                   rng.uniform(-100.0, vx[-1] + 100.0, n_pings))
     qy = np.where(rng.random(n_pings) < 0.5, 0.0, rng.uniform(-40.0, 40.0, n_pings))
     return qx, qy, vx, vy, cum
 
 
-@pytest.mark.parametrize("offset", [None, -1, 0, 1])
-def test_projection_collinear_250_vertices_across_block_boundary(offset):
-    block = accel.PING_BLOCK_ELEMENTS // 249
-    n_pings = 1 if offset is None else block + offset
-    qx, qy, vx, vy, cum = collinear_case(n_pings)
+BLOCK = accel.PING_BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("n_vertices, n_pings", [
+    pytest.param(250, 1, id="None"),
+    *(pytest.param(250, BLOCK // 249 + d, id=str(d)) for d in (-1, 0, 1)),
+    *(pytest.param(11, BLOCK // 10 + d, id=f"11_vertices{d:+d}") for d in (-1, 0, 1)),
+    # 341 segments in chunks: two blocks of pings, the first not a multiple
+    # of the pairs the pruned search gathers at once.
+    pytest.param(342, BLOCK // -(-341 // accel.CHUNK_SEGMENTS) + 1, id="342_vertices"),
+])
+def test_projection_collinear_250_vertices_across_block_boundary(n_vertices, n_pings):
+    """Calls on either side of the one-broadcast rule's bound, on 250 and 11
+    vertices (one chunk), and a call of several blocks of pings on 342."""
+    qx, qy, vx, vy, cum = collinear_case(n_pings, n_vertices)
     arc, off = assert_projection_matches_scalar(qx, qy, vx, vy, cum)
     on_line = (qy == 0.0) & (qx >= 0.0) & (qx <= vx[-1])
     np.testing.assert_allclose(arc[on_line], qx[on_line], rtol=0, atol=1e-9)

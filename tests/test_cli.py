@@ -455,10 +455,28 @@ def assert_input_error(rc, capsys, *words):
 
 
 def test_bad_number_in_config_exit_2(tmp_path, capsys):
+    """A float or integer field, a tuple's integer and a threshold's link
+    index read every number in the number grammar: ASCII, with no ``_``."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("delta_t = abc\n", encoding="utf-8")
-    rc = main(["validate", "--config", str(cfg)])
-    assert_input_error(rc, capsys, "bad_config", "delta_t")
+    for line in ("delta_t = abc", "min_fit_samples = 1_000", "peak_hours = 7,1_7",
+                 "link_speed_thresholds = \u0661:4.0"):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        rc = main(["validate", "--config", str(cfg)])
+        assert_input_error(rc, capsys, "bad_config", line.split(" = ")[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--route", "R1", "--link", "\u0661"],
+    ["predict", "--route", "R1", "--link", "1", "--rain", "\u0661"],
+    ["predict", "--route", "R1", "--link", "1", "--direction", "0_0"],
+    ["synth", "--truth", "truth.json", "--seed", "1_0"],
+], ids=["link", "rain", "direction", "seed"])
+def test_integer_flag_outside_the_number_grammar_exit_2(capsys, argv):
+    """Integer flags read their value as the config file's integers are read."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"invalid int64 value: {argv[-1]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["runs", "seed"])

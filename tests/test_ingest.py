@@ -378,9 +378,9 @@ BAD_LINES = [
     ("T1,V1,4.5,29.0,-82.0", "pings.csv:8: invalid literal for int() with base 10: '4.5'"),
     ("T1,V1,45,29.0,inf", "pings.csv:8: 'inf' is not a finite number"),
     ("T1,V1,9223372036854775808,29.0,-82.0",
-     "pings.csv:8: timestamp 9223372036854775808 is outside int64"),
+     "pings.csv:8: '9223372036854775808' is outside int64"),
     ("T1,V1,-9223372036854775809,29.0,-82.0",
-     "pings.csv:8: timestamp -9223372036854775809 is outside int64"),
+     "pings.csv:8: '-9223372036854775809' is outside int64"),
 ]
 
 

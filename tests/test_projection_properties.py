@@ -2,7 +2,8 @@
 shapes: open, looping and out-and-back polylines (the same street passed
 twice), with repeated vertices (zero-length segments), queried at random
 points, exactly on vertices and midway between two passes. The results
-must be equal byte for byte, finite, and free of numpy warnings."""
+must be equal byte for byte, finite, and free of numpy warnings. Each
+test takes conftest's ``examples``, so the ``ci`` profile's count."""
 
 import warnings
 
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from buslink import accel, geometry
+from conftest import examples
 
 # small integer coordinates make exact ties (vertices, equidistant passes) common
 coord = st.integers(-60, 60).map(float)
@@ -54,11 +56,18 @@ def project_both(pts, queries):
                 accel._project_scalar(qx, qy, vx, vy, cum))
 
 
-@given(case=cases())
-@example(case=([(0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (10.0, 10.0)], [(10.0, 0.0), (12.0, 5.0)]))
-@example(case=([(0.0, 0.0), (20.0, 0.0), (20.0, 6.0), (0.0, 6.0)], [(7.0, 3.0), (-1.0, 3.0)]))
-@settings(deadline=None, max_examples=300)
-def test_projection_equals_scalar_reference(case):
+@given(case=cases(), block=st.sampled_from((32, 48, 64, 128, accel.PING_BLOCK_ELEMENTS)))
+@example(case=([(0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (10.0, 10.0)], [(10.0, 0.0), (12.0, 5.0)]),
+         block=accel.PING_BLOCK_ELEMENTS)
+@example(case=([(0.0, 0.0), (20.0, 0.0), (20.0, 6.0), (0.0, 6.0)], [(7.0, 3.0), (-1.0, 3.0)]),
+         block=accel.PING_BLOCK_ELEMENTS)
+@settings(deadline=None, max_examples=examples(300),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_projection_equals_scalar_reference(monkeypatch, case, block):
+    """A block of 32 to 128 pairs, never below a chunk, sends a call of more
+    pairs to the pruned search, so these short shapes (under 32 segments)
+    also run it, in one chunk; the default block broadcasts each call whole."""
+    monkeypatch.setattr(accel, "PING_BLOCK_ELEMENTS", block)
     (arc, off), (ref_arc, ref_off) = project_both(*case)
     assert arc.tobytes() == ref_arc.tobytes()
     assert off.tobytes() == ref_off.tobytes()
@@ -67,7 +76,7 @@ def test_projection_equals_scalar_reference(case):
 
 @given(n_vertices=st.integers(2, 400), sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
        seed=st.integers(0, 2**32 - 1))
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 def test_one_projection_per_route_equals_one_per_traversal(n_vertices, sizes, seed):
     """``run_infer`` projects all pings of a route in one call. The kernel
     works per ping and its block size depends only on the segment count, so
@@ -160,8 +169,8 @@ def long_cases(draw):
     """A chunk size, a shape of several chunks and pings. Hypothesis draws
     the seed and the sizes; one numpy generator of that seed draws the walk
     and the pings. At the default chunk size there are at most 40 pings; at
-    a small one up to twice the segment count, so the first pass also runs
-    grouped by chunk."""
+    a small one up to twice the segment count, so a call also spans several
+    blocks of pings."""
     chunk = draw(st.sampled_from((4, 8, CHUNK)))
     kind = draw(st.sampled_from(("open", "loop", "out_and_back", "hairpin")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -180,14 +189,13 @@ def long_cases(draw):
 # No shrink phase: shrinking a failing shape of up to 385 vertices against
 # the pure-Python reference takes minutes; the first failing example is
 # reported as drawn.
-@settings(deadline=None, max_examples=200, phases=[phase for phase in Phase if phase is not Phase.shrink],
+@settings(deadline=None, max_examples=examples(200), phases=[phase for phase in Phase if phase is not Phase.shrink],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_multi_chunk_projection_equals_scalar_reference(monkeypatch, case, chunks_per_block):
     """At most 40 pings on at most 385 segments fit in one broadcast block of
     the default size, so blocks of one or four chunks make the call take the
-    pruned search, gathered or grouped by chunk, and in several blocks of
-    pings. Both sizes are set on every example: the patch lasts for all of
-    them."""
+    pruned search, in several blocks of pings. Both sizes are set on every
+    example: the patch lasts for all of them."""
     chunk, pts, queries = case
     monkeypatch.setattr(accel, "CHUNK_SEGMENTS", chunk)
     monkeypatch.setattr(accel, "PING_BLOCK_ELEMENTS",
