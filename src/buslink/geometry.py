@@ -4,10 +4,18 @@ All distances are planar meters from an equirectangular projection
 anchored at the route's centroid. Routes span well under 20 km, so the
 flat-earth error is orders of magnitude below the 20 m buffer radius
 that event detection works at.
+
+The open-road rule, ``open_road_link_of``, is a fact about the route: a
+position is open road when it lies strictly inside the stop span and
+outside every buffer zone. ``RouteModel.open_road`` holds it as a step
+table, built once per route model and read by infer and every
+``markov.PredictionSession`` of the route.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,7 +24,7 @@ import numpy as np
 
 from .accel import project_onto_polyline
 from .errors import GeometryError
-from .ingest import IntersectionSet, StaticNetwork
+from .ingest import StaticNetwork
 
 EARTH_RADIUS_M = 6371000.0
 DEFAULT_BUFFER_RADIUS_M = 20.0
@@ -135,6 +143,47 @@ class RouteModel:
         return tuple((stops[link.index - 1], stops[link.index],
                       *(xs[xid] for xid in link.intersection_ids)) for link in self.links)
 
+    @cached_property
+    def open_road(self) -> tuple:
+        """``open_road_link_of`` as a step table: ``edges``, the sorted floats where a
+        comparison of the rule can change (each stop and the float above it, each
+        feature, each zone's least arc and the float above its greatest), and ``tags``,
+        -1 and the rule at each edge: ``tags[bisect_right(edges, arc)]`` for any arc,
+        ``tags[np.searchsorted(edges, arcs, "right")]`` for an array."""
+        feats, stops, r = self.feature_arcs, self.stop_arcs, self.buffer_radius
+        edges = sorted({*stops, *(math.nextafter(s, math.inf) for s in stops), *feats,
+                        *(_zone_edge(f, r, t) for f in feats for t in (-math.inf, math.inf))})
+        return tuple(edges), (-1, *open_road_link_of(edges, self))
+
+
+def open_road_link_of(arcs, rm: RouteModel) -> list:
+    """Per arc position: the 1-based link index (``bisect_right`` over the
+    stop arcs) if it is open road inside a link, else -1 (in a buffer zone,
+    boundary inclusive, or not strictly inside the stop span)."""
+    feats, stops = rm.feature_arcs, rm.stop_arcs
+    buffer = rm.buffer_radius
+    tags = []
+    for arc in arcs:
+        k = bisect_left(feats, arc)
+        in_zone = ((k > 0 and arc - feats[k - 1] <= buffer)
+                   or (k < len(feats) and feats[k] - arc <= buffer))
+        on_span = stops[0] < arc < stops[-1]
+        tags.append(bisect_right(stops, arc) if on_span and not in_zone else -1)
+    return tags
+
+
+def _zone_edge(f: float, r: float, toward: float) -> float:
+    """Where f's zone ``abs(x - f) <= r`` starts (toward -inf: its least float) or
+    stops (+inf: the float above its greatest): bisected from f and f +- (2 r + 1),
+    cut short by four ``nextafter`` steps from f +- r unless f +- r cancels."""
+    inside, outside, x = f, f + math.copysign(2.0 * r + 1.0, toward), f + math.copysign(r, toward)
+    for _ in range(4):
+        inside, outside, x = ((x, outside, math.nextafter(x, toward)) if abs(x - f) <= r
+                              else (inside, x, math.nextafter(x, -toward)))
+    while (mid := inside / 2 + outside / 2) not in (inside, outside):
+        inside, outside = (mid, outside) if abs(mid - f) <= r else (inside, mid)
+    return inside if toward < 0 else outside
+
 
 def _modal_trip(net: StaticNetwork, route_key) -> str:
     trips = [t for t in net.trips.values()
@@ -148,15 +197,17 @@ def _modal_trip(net: StaticNetwork, route_key) -> str:
     return min(t.trip_id for t in trips if t.stop_ids == best_seq)
 
 
-def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
+def build_route_model(net: StaticNetwork, xs: tuple, route_key,
                       buffer_radius: float = DEFAULT_BUFFER_RADIUS_M,
                       off_route_m: float = DEFAULT_OFF_ROUTE_M) -> RouteModel:
     """Build the arc-length model for one (route_id, direction_id).
 
     The representative trip is the modal stop sequence among the route's
-    trips. Intersections more than ``off_route_m`` from the shape are
-    excluded; intersections whose buffer zone would overlap another
-    feature's zone are merged away and recorded in the merge log.
+    trips. ``xs`` holds ``(intersection_id, lat, lon)`` per intersection, as
+    ``ingest.load_intersections`` returns them. Intersections more than
+    ``off_route_m`` from the shape are excluded; intersections whose buffer
+    zone would overlap another feature's zone are merged away and recorded
+    in the merge log.
     """
     trip = net.trips[_modal_trip(net, route_key)]
     polyline = build_polyline(net.shapes[trip.shape_id])
@@ -174,10 +225,9 @@ def build_route_model(net: StaticNetwork, xs: IntersectionSet, route_key,
 
     merge_log = []
     kept = []
-    if xs.points:
-        x_ids = [p[0] for p in xs.points]
-        x_arcs, x_offs = project_many(polyline, [p[1] for p in xs.points],
-                                      [p[2] for p in xs.points])
+    if xs:
+        x_ids = [p[0] for p in xs]
+        x_arcs, x_offs = project_many(polyline, [p[1] for p in xs], [p[2] for p in xs])
         order = np.argsort(x_arcs, kind="stable")
         first_arc, last_arc = float(arcs[0]), float(arcs[-1])
         stop_arcs = np.asarray(arcs, dtype=float)

@@ -18,15 +18,14 @@ link by link across all traversals into an ``ObservationTable``.
 Infer and ``markov.PredictionSession`` read the rules ``pipeline`` builds
 once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, one
 link lookup, ``bisect_right(rm.stop_arcs, arc)``, and one open-road rule,
-``open_road_link_of``, which fills ``open_road_table``: a ping reads its tag
-by ``bisect_right`` over the edges, an array by ``np.searchsorted``. A pair
+``geometry.open_road_link_of``, through the route model's table
+``rm.open_road``, built once per route model: a ping reads its tag by
+``bisect_right`` over the edges, an array by ``np.searchsorted``. A pair
 is open road when both pings are on one link and time strictly increases.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import compress
 from operator import add
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InferenceError
-from .geometry import PROJECT_BLOCK, RouteModel, project_many
+from .geometry import PROJECT_BLOCK, RouteModel, open_road_link_of, project_many
 from .ingest import Traversal, WeatherTable, local_day_hour
 from .store import CovariateVector, ObservationTable
 
@@ -231,65 +230,18 @@ def route_observations(routes: list, covariates, thresholds,
     return table, [entry for *_, entry in sorted(skips)], n_used
 
 
-def open_road_link_of(arcs, rm: RouteModel) -> list:
-    """Per arc position: the 1-based link index (``bisect_right`` over the
-    stop arcs) if it is open road inside a link, else -1 (in a buffer zone,
-    boundary inclusive, or not strictly inside the stop span)."""
-    feats, stops = rm.feature_arcs, rm.stop_arcs
-    buffer = rm.buffer_radius
-    tags = []
-    for arc in arcs:
-        k = bisect_left(feats, arc)
-        in_zone = ((k > 0 and arc - feats[k - 1] <= buffer)
-                   or (k < len(feats) and feats[k] - arc <= buffer))
-        on_span = stops[0] < arc < stops[-1]
-        tags.append(bisect_right(stops, arc) if on_span and not in_zone else -1)
-    return tags
-
-
-def _zone_edge(f: float, r: float, toward: float) -> float:
-    """Where f's zone ``abs(x - f) <= r`` starts (toward -inf: its least float) or
-    stops (+inf: the float above its greatest): bisected from f and f +- (2 r + 1),
-    cut short by four ``nextafter`` steps from f +- r unless f +- r cancels."""
-    inside, outside, x = f, f + math.copysign(2.0 * r + 1.0, toward), f + math.copysign(r, toward)
-    for _ in range(4):
-        inside, outside, x = ((x, outside, math.nextafter(x, toward)) if abs(x - f) <= r
-                              else (inside, x, math.nextafter(x, -toward)))
-    while (mid := inside / 2 + outside / 2) not in (inside, outside):
-        inside, outside = (mid, outside) if abs(mid - f) <= r else (inside, mid)
-    return inside if toward < 0 else outside
-
-
-def open_road_table(rm: RouteModel) -> tuple:
-    """``open_road_link_of`` as a step table: ``edges``, the sorted floats where a
-    comparison of the rule can change (each stop and the float above it, each
-    feature, each zone's least arc and the float above its greatest), and ``tags``,
-    -1 and the rule at each edge: ``tags[bisect_right(edges, arc)]`` for any arc."""
-    feats, stops, r = rm.feature_arcs, rm.stop_arcs, rm.buffer_radius
-    edges = sorted({*stops, *(math.nextafter(s, math.inf) for s in stops), *feats,
-                    *(_zone_edge(f, r, t) for f in feats for t in (-math.inf, math.inf))})
-    return edges, [-1, *open_road_link_of(edges, rm)]
-
-
-def open_road_links(arcs: np.ndarray, table: tuple) -> np.ndarray:
-    """``open_road_link_of`` of an array of arc positions, read off ``table``,
-    an ``open_road_table``."""
-    edges, tags = table
-    return np.asarray(tags)[np.searchsorted(edges, arcs, "right")]
-
-
 def slowest_speeds(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n: int,
                    rm: RouteModel) -> np.ndarray:
     """``_open_road_speeds`` of ``n`` traversals at once, from their pings in
     order with each ping's traversal number: per (traversal, link index) the
     lowest speed, inf where the traversal has no open-road pair on the link.
     Pairs are taken ``PROJECT_BLOCK`` pings at a time, to keep work arrays small."""
-    table = open_road_table(rm)
+    edges, link_of = map(np.asarray, rm.open_road)
     slowest = np.full((n, len(rm.links) + 1), np.inf)
     for lo in range(0, arcs.shape[0], PROJECT_BLOCK):
         part = slice(max(lo - 1, 0), lo + PROJECT_BLOCK)  # the block's pairs, and the ping before
         t, a, v = times[part], arcs[part], traversal[part]
-        tags = open_road_links(a, table)
+        tags = link_of[np.searchsorted(edges, a, "right")]
         j = 1 + np.flatnonzero((tags[1:] >= 1) & (tags[1:] == tags[:-1])
                                & (v[1:] == v[:-1]) & (t[1:] > t[:-1]))
         np.minimum.at(slowest, (v[j], tags[j]), (a[j] - a[j - 1]) / (t[j] - t[j - 1]))

@@ -502,13 +502,9 @@ def load_weather(path) -> WeatherTable:
 # Intersections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntersectionSet:
-    points: tuple  # ((intersection_id, lat, lon), ...)
-
-
-def load_intersections(path) -> IntersectionSet:
-    """Load ``intersection_id,lat,lon`` rows; a duplicate id is an error."""
+def load_intersections(path) -> tuple:
+    """Load ``intersection_id,lat,lon`` rows as ``((intersection_id, lat, lon),
+    ...)``; a duplicate id is an error."""
     points = []
     seen = set()
     for xid, lat, lon in read_rows(path, ("intersection_id", "lat", "lon"),
@@ -518,4 +514,4 @@ def load_intersections(path) -> IntersectionSet:
             raise IngestError("duplicate", f"duplicate intersection id {xid}")
         seen.add(xid)
         points.append((xid, lat, lon))
-    return IntersectionSet(points=tuple(points))
+    return tuple(points)

@@ -48,7 +48,8 @@ telescoping of the decomposition identity.
 
 ``PredictionSession`` reads (time, arc) pairs and infer's rules: ``covariates(t,
 traffic)``, ``thresholds[link]``, the open-road pair rule of ``inference`` on the
-tags of its ``open_road_table`` and, for the origin link, ``bisect_right``.
+tags of ``rm.open_road``, the route model's table that every session of the
+route shares, and, for the origin link, ``bisect_right``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel
 from .hetlognorm import design_matrix, linear_rows
-from .inference import open_road_table
 
 DEFAULT_DELTA_T_S = 5.0  # the chain's time step
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
@@ -320,7 +320,7 @@ class PredictionSession:
         self.thresholds = thresholds
         self.traffic = 0
         self._prev = (math.nan, math.nan, -1)  # time, arc and open-road tag
-        self._edges, self._tags = open_road_table(rm)
+        self._edges, self._tags = rm.open_road
 
     def _emit(self, t: float, arc: float) -> SimulationSummary | None:
         arc = max(arc, self.rm.first_arc)

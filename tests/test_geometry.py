@@ -6,7 +6,7 @@ import pytest
 from buslink.errors import GeometryError
 from buslink.geometry import (EARTH_RADIUS_M, Polyline, build_polyline,
                               build_route_model, project_many)
-from buslink.ingest import IntersectionSet, StaticNetwork, Trip
+from buslink.ingest import StaticNetwork, Trip
 
 from conftest import feature_zone_test
 
@@ -93,7 +93,7 @@ def network_with(stop_arcs, x_arcs, off_meters=0.0):
     trips = {"T1": Trip(trip_id="T1", route_id="R", direction_id=0, shape_id="S",
                         stop_ids=tuple(f"S{i}" for i in range(len(stop_arcs))))}
     net = StaticNetwork(routes=(("R", 0),), shapes={"S": shape}, stops=stops, trips=trips)
-    xs = IntersectionSet(points=tuple((xid, LAT0, lon_at(a)) for xid, a in x_arcs))
+    xs = tuple((xid, LAT0, lon_at(a)) for xid, a in x_arcs)
     return net, xs
 
 
@@ -114,7 +114,7 @@ def test_intersection_near_stop_dropped_and_logged():
 
 def test_off_route_intersection_excluded():
     net, _ = network_with([0.0, 800.0], [])
-    xs = IntersectionSet(points=(("X1", lat_at(45.0), lon_at(400.0)),))
+    xs = (("X1", lat_at(45.0), lon_at(400.0)),)
     rm = build_route_model(net, xs, ("R", 0))
     assert rm.projected_intersections == ()
     assert rm.merge_log[0][1] == "off_route"

@@ -12,8 +12,7 @@ from buslink.errors import InferenceError
 from buslink.geometry import RouteModel, build_route_model
 from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, _open_road_speeds,
                                build_covariates, detect_events, observations_from_traversal,
-                               open_road_link_of, open_road_links, open_road_table,
-                               repair_mask, repair_monotonic, route_observations,
+                               open_road_link_of, repair_mask, repair_monotonic, route_observations,
                                slowest_speeds)
 from buslink.ingest import DEFAULT_RAIN_LABELS, Traversal, load_weather
 from buslink.pipeline import RunConfig, covariates_for
@@ -373,7 +372,8 @@ def arcs_on(rm):
 @ROUTE_PASS
 def test_route_pass_tags_are_the_scalar_rule(three_link_rm, data):
     arcs = data.draw(st.lists(arcs_on(three_link_rm), max_size=60))
-    tags = open_road_links(np.array(arcs, dtype=float), open_road_table(three_link_rm))
+    edges, tags = three_link_rm.open_road
+    tags = np.asarray(tags)[np.searchsorted(edges, np.array(arcs, dtype=float), "right")]
     assert tags.tolist() == open_road_link_of(arcs, three_link_rm)
 
 
@@ -427,8 +427,8 @@ def zone_ends(f: float, r: float) -> tuple:
 @given(data=st.data())
 @ROUTE_PASS
 def test_open_road_table_is_the_scalar_rule(data):
-    """On random route models, overlapping zones included, ``open_road_table``
-    looked up by ``bisect_right`` and ``open_road_links`` give
+    """On random route models, overlapping zones included, ``RouteModel.open_road``
+    looked up by ``bisect_right`` and by ``np.searchsorted`` gives
     ``open_road_link_of`` at every arc: uniform draws, nan and +-inf, and
     near each stop, feature, zone end and table edge. Stops lie up to 1e6 m
     from the start, where a float's step is 1.2e-10 m. Features at about +-r,
@@ -463,16 +463,17 @@ def route_model(stops, xs, r):
 
 
 def check_open_road_table(rm, arcs):
-    """The table and ``open_road_links`` at ``arcs``, nan, +-inf and two
-    floats either side of each stop, feature, zone end and table edge."""
-    edges, tags = open_road_table(rm)
+    """The table, looked up by ``bisect_right`` and by ``np.searchsorted``, at
+    ``arcs``, nan, +-inf and two floats either side of each stop, feature,
+    zone end and table edge."""
+    edges, tags = rm.open_road
     points = [*rm.feature_arcs, *edges,
               *(e for f in rm.feature_arcs for e in zone_ends(f, rm.buffer_radius))]
     arcs = [*arcs, math.nan, math.inf, -math.inf,
             *(ranked_float(float_rank(p) + d) for p in points for d in (-2, -1, 0, 1, 2))]
     expected = open_road_link_of(arcs, rm)
     assert [tags[bisect_right(edges, a)] for a in arcs] == expected
-    assert open_road_links(np.array(arcs), (edges, tags)).tolist() == expected
+    assert np.asarray(tags)[np.searchsorted(edges, np.array(arcs), "right")].tolist() == expected
 
 
 class TestOpenRoadLinkOf:

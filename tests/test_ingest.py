@@ -12,6 +12,8 @@ from buslink.inference import DEFAULT_PEAK_HOURS, build_covariates
 from buslink.ingest import (DEFAULT_RAIN_LABELS, Ping, _ping, day_number, load_gtfs_static,
                             load_intersections, load_pings, load_weather, read_rows)
 
+from conftest import examples
+
 GTFS_MINIMAL = {
     "stops.txt": "stop_id,stop_name,stop_lat,stop_lon\nA,Alpha,29.0,-82.0\nB,Beta,29.0,-81.99\n",
     "shapes.txt": ("shape_id,shape_pt_lat,shape_pt_lon,shape_pt_sequence\n"
@@ -311,8 +313,16 @@ def test_chunked_load_pings_matches_brute_force_grouping(tmp_path, monkeypatch, 
 
 # Block-reader properties. They take the default number of examples, so that
 # the ``ci`` profile (tests/conftest.py) can raise it.
-@given(runs=st.lists(st.tuples(st.sampled_from([("T1", "V1"), ("T1", "V2"), ("T2", "V1")]),
-                               st.integers(1, 4)), min_size=1, max_size=12),
+# Ids of 8 characters fill the reader's first text width; 9, 16, 17 and 40
+# make it widen once or more, in whichever block they first appear.
+ID_LENGTHS = (8, 9, 16, 17, 40)
+KEY_POOL = [("T1", "V1"), ("T1", "V2"), ("T2", "V1"),
+            *((f"T{n}".ljust(n, "t"), "V1") for n in ID_LENGTHS),
+            *(("T1", f"V{n}".ljust(n, "v")) for n in ID_LENGTHS)]
+
+
+@given(runs=st.lists(st.tuples(st.sampled_from(KEY_POOL), st.integers(1, 4)),
+                     min_size=1, max_size=12),
        block=st.integers(1, 3), data=st.data())
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_block_reader_key_runs_match_brute_force(tmp_path, monkeypatch, runs, block, data):
@@ -450,7 +460,7 @@ odd_token = st.sampled_from(["0", "15", " 30 ", "+45", "1_5", "\u0661\u0665", "4
 @given(lines=st.lists(st.lists(odd_token, min_size=3, max_size=4).map(
            lambda f: ",".join(["T1", "V1"] + f)), min_size=1, max_size=12),
        block=st.integers(1, 4))
-@settings(deadline=None, max_examples=200,
+@settings(deadline=None, max_examples=examples(200),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_block_parse_accepts_what_the_row_parse_accepts(tmp_path, monkeypatch, lines, block):
     """``_ping`` row by row is the definition of a valid line: the block
@@ -729,7 +739,7 @@ def test_intersections_load_and_duplicates(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("intersection_id,lat,lon\nX1,29.0,-82.0\nX2,29.1,-82.1\n", encoding="utf-8")
     xs = load_intersections(p)
-    assert [x[0] for x in xs.points] == ["X1", "X2"]
+    assert [x[0] for x in xs] == ["X1", "X2"]
     p.write_text("X1,29.0,-82.0\nX1,29.1,-82.1\n", encoding="utf-8")
     with pytest.raises(IngestError) as e:
         load_intersections(p)
@@ -757,7 +767,7 @@ def test_intersection_header_only_on_line_one(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("Intersection_ID,Lat,Lon\nX1,29.0,-82.0\nIntersection_ID,29.1,-82.1\n",
                  encoding="utf-8")
-    assert [x[0] for x in load_intersections(p).points] == ["X1", "Intersection_ID"]
+    assert [x[0] for x in load_intersections(p)] == ["X1", "Intersection_ID"]
 
 
 @pytest.mark.parametrize("line", ["X3,nan,inf", "X3,29.1,nan", "X3,-inf,-82.1"])
@@ -783,7 +793,7 @@ def test_intersection_out_of_range_coordinate_rejected(tmp_path, lat, lon, messa
 def test_intersection_coordinate_on_the_bound_kept(tmp_path, lat, lon):
     p = tmp_path / "x.csv"
     p.write_text(f"X1,{lat},{lon}\n", encoding="utf-8")
-    assert load_intersections(p).points == (("X1", float(lat), float(lon)),)
+    assert load_intersections(p) == (("X1", float(lat), float(lon)),)
 
 
 # The number grammar: ASCII text that int() or float() accepts, with no _.

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from buslink.accel import _markov_scalar, markov_offsets
+from buslink import geometry
 from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
 from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
 from buslink.hetlognorm import HetLogNormalModel
 from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of,
-                               project_traversal, repair_monotonic)
+                               project_traversal, repair_monotonic, slowest_speeds)
 from buslink.ingest import Traversal
 from buslink.markov import (LOGNORMAL_TOP_Z, MAX_GRID, LinkPlan, MarkovConfig, PredictionSession,
                             _geometric_steps, build_plan, simulate, steps_to_complete)
@@ -446,6 +447,27 @@ def test_link_lookup_is_the_link_interval_scan():
     assert [link_scan(rm, a) for a in cases] == [1, 1, 2, 3, None]
     assert open_road_link_of(arcs, rm) == [
         link_scan(rm, a) if first < a < last and a not in rm.stop_arcs else -1 for a in arcs]
+
+
+def test_sessions_and_infer_share_one_open_road_table(monkeypatch):
+    """The open-road rule is evaluated once per route model: three sessions
+    and infer's slowest speeds read the one table it fills."""
+    rule, calls = geometry.open_road_link_of, []
+
+    def counted(arcs, rm):
+        calls.append(len(arcs))
+        return rule(arcs, rm)
+
+    monkeypatch.setattr(geometry, "open_road_link_of", counted)
+    net, xs = network_with([0.0, 500.0, 1200.0], [("X1", 250.0)])
+    rm = build_route_model(net, xs, ("R", 0))
+    sessions = [PredictionSession(rm, {}, {}, {}, fixed_covariates, MarkovConfig(),
+                                  RunConfig().speed_threshold_by_link) for _ in range(3)]
+    slowest = slowest_speeds(np.array([0.0, 10.0]), np.array([100.0, 140.0]),
+                             np.zeros(2, np.int64), 1, rm)
+    assert len(calls) == 1
+    assert slowest[0, 1] == pytest.approx(4.0)  # below the 5 m/s threshold: a flip
+    assert [sessions[0].observe(p) for p in ((0.0, 100.0), (10.0, 140.0))] == [False, True]
 
 
 class TestBuildPlan:
