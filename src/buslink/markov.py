@@ -31,13 +31,13 @@ Fourier-series method of Abate & Whitt, 1992).
 * Tail bound: n >= m r + (every component's top grid point) + 1, where
   m is the Chernoff bound at TAIL_EPS on the geometric sum, the least
   over theta of (sum_i log E[e^(theta G_i)] - log TAIL_EPS) / theta, for
-  theta below min(-log max p_stay, 30). Under 1e-9 of the mass wraps past
-  n h. n is the next power of two; past MAX_GRID (an array of
-  about 24 * links * n bytes) a plan raises SimError("grid_too_large")
-  before anything of grid size is allocated.
-* Cost: a dwell or intersection model gets its grid law once per object
-  and step, and its transform once, at the largest grid size it has met
-  (a smaller power of two takes every (N / n)-th frequency). A forecast multiplies
+  theta below min(-log max p_stay, 30). Under 1e-9 of the mass wraps past n h.
+  n is the least of 2^k, 3 2^k, 5 2^k and 15 2^k at or above that and 64, at most
+  1.25 times it; past MAX_GRID (an array of about 24 * links * n bytes) a plan raises
+  SimError("grid_too_large") before anything of grid size is allocated.
+* Cost: a dwell or intersection model gets its grid law once per object and step, and
+  its transform once per odd part of n, at the largest size of that odd part it has met
+  (a smaller one takes every (N / n)-th frequency). A forecast multiplies
   the link transforms down the route, turns each stop's product into its
   CDF's transform, and inverts all stops in one ``np.fft.irfft``.
 
@@ -172,20 +172,22 @@ class _GridLaw:
     """A dwell pool or intersection time rounded down to the h grid: its
     PMF from 0, its exact mean (s), its grid mean (steps), whether it was
     on the grid already, and its ``rfft`` at the largest grid size asked
-    for so far."""
+    for so far of each odd part of the grid size."""
 
     def __init__(self, pmf, mean: float, exact: bool):
         self.pmf, self.mean, self.exact = pmf, mean, exact
         self.top = pmf.shape[0] - 1
         self.grid_mean = float(pmf @ np.arange(pmf.shape[0]))
-        self._n, self._transform = 0, None
+        self._transforms = {}  # odd part of the size: (the largest size N, rfft on N)
 
     def transform(self, n: int):
-        """The ``rfft`` on n points: grid sizes are powers of two, so it is
-        every (N / n)-th frequency of the one at the largest size N."""
-        if n > self._n:
-            self._n, self._transform = n, np.fft.rfft(self.pmf, n)
-        return self._transform[::self._n // n]
+        """The ``rfft`` on n = m 2^k points, m odd: every (N / n)-th frequency
+        of the one at the largest size N of the same m."""
+        odd = n // (n & -n)
+        big, rows = self._transforms.get(odd, (0, None))
+        if n > big:
+            big, rows = self._transforms[odd] = n, np.fft.rfft(self.pmf, n)
+        return rows[::big // n]
 
 
 def _grid_law(model, h: float) -> _GridLaw:
@@ -241,8 +243,8 @@ def _phases(n: int, r: int):
 
 
 def _grid_size(n_min: int) -> int:
-    """The least power of two >= n_min (at least 64)."""
-    return 1 << max((n_min - 1).bit_length(), 6)
+    """The least m 2^k >= max(n_min, 64), m in {1, 3, 5, 15}: FFT sizes of one per-point cost."""
+    return min(m << (-(-max(n_min, 64) // m) - 1).bit_length() for m in (1, 3, 5, 15))
 
 
 def _geometric_steps(p) -> int:
@@ -262,6 +264,8 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
     delta_t = float(config.delta_t)
     r = max(math.ceil(delta_t / GRID_STEP_MAX - 1e-9), 1)  # grid steps per delta_t
     h = delta_t / r
+    if not plans:
+        raise SimError("no_links", "origin has no downstream links")
     p = np.array([plan.p_stay for plan in plans])
     if not p.max() < 1.0:
         raise SimError("grid_too_large", "a link with p_stay >= 1 never completes")

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from buslink import markov
 from buslink.accel import markov_offsets
 from buslink.cli import main
 from buslink.components import fit_dwell
@@ -219,22 +220,16 @@ def test_exact_law_against_a_million_runs_on_truth_plans(corpus, fitted):
             assert (np.abs(exact - mean) <= 4 * se).all()
 
 
-def test_criterion_07_interval_coverage(corpus, fitted):
-    start = time.time()
+def criterion_07_forecasts(corpus, fitted):
+    """(trip id, local date, ping time, summary) of criterion 7's sessions:
+    the first 100 test-period traversals, each forecast at its first ping
+    and at every 6th ping after it."""
     rm = corpus["rm"]
     road, dwell, inters = fitted.for_route(rm.route_key)
-
-    truth_dep = {}
-    for line in corpus["paths"].truth_events.read_text().splitlines()[1:]:
-        p = line.split(",")
-        if p[2] == "stop":
-            truth_dep[(p[0], p[1], p[3])] = float(p[5])
-
     run = RunConfig(tz_offset=TZ)
     covariates = covariates_for(run, corpus["weather"])
     test_travs = [t for t in corpus["series"].segments
                   if local_date_hour(t.pings[0].timestamp, TZ)[0] >= CUT_DATE]
-    inside = total = 0
     for trav in test_travs[:100]:
         date, _ = local_date_hour(trav.pings[0].timestamp, TZ)
         pps = repair_monotonic(project_traversal(trav, rm))
@@ -249,17 +244,29 @@ def test_criterion_07_interval_coverage(corpus, fitted):
             else:
                 session.observe(ping)
                 continue
-            if summary is None:
+            if summary is not None:
+                yield trav.trip_id, date, ping.timestamp, summary
+
+
+def test_criterion_07_interval_coverage(corpus, fitted):
+    start = time.time()
+    truth_dep = {}
+    for line in corpus["paths"].truth_events.read_text().splitlines()[1:]:
+        p = line.split(",")
+        if p[2] == "stop":
+            truth_dep[(p[0], p[1], p[3])] = float(p[5])
+
+    inside = total = 0
+    for trip_id, date, t, summary in criterion_07_forecasts(corpus, fitted):
+        for s in summary.stops:
+            key = (trip_id, date, s.stop_id)
+            if key not in truth_dep:
                 continue
-            for s in summary.stops:
-                key = (trav.trip_id, date, s.stop_id)
-                if key not in truth_dep:
-                    continue
-                true_remaining = truth_dep[key] - ping.timestamp
-                if true_remaining <= 0:
-                    continue
-                total += 1
-                inside += int(s.p2_5 <= true_remaining <= s.p97_5)
+            true_remaining = truth_dep[key] - t
+            if true_remaining <= 0:
+                continue
+            total += 1
+            inside += int(s.p2_5 <= true_remaining <= s.p97_5)
     rate = inside / total
     elapsed = time.time() - start
     assert total > 1000
@@ -267,6 +274,31 @@ def test_criterion_07_interval_coverage(corpus, fitted):
     assert elapsed < 600.0
     report(7, f"true remaining time inside [p2.5, p97.5] at {inside}/{total} "
               f"evaluation points (rate {rate:.3f} >= 0.90, M=1000), {elapsed:.1f}s")
+
+
+def test_ladder_forecasts_equal_power_of_two_forecasts(corpus, fitted, monkeypatch):
+    """Criterion 7's forecasts on grid sizes m 2^k, m in {1, 3, 5, 15}, are
+    those on the next power of two, float for float. Each pass starts from
+    cold grid-law caches, as a new process would."""
+    rm = corpus["rm"]
+    _road, dwell, inters = fitted.for_route(rm.route_key)
+    sizes = []
+
+    def forecasts(grid_size):
+        for model in [*dwell.values(), *inters.values()]:
+            model.__dict__.pop("_grid_laws", None)
+
+        def recorded(n_min):
+            sizes.append(grid_size(n_min))
+            return sizes[-1]
+
+        monkeypatch.setattr(markov, "_grid_size", recorded)
+        return [repr(f) for f in criterion_07_forecasts(corpus, fitted)]
+
+    ladder = forecasts(markov._grid_size)
+    off_two = sum(n & (n - 1) != 0 for n in sizes)
+    assert ladder == forecasts(lambda n_min: 1 << max((n_min - 1).bit_length(), 6))
+    assert off_two > len(ladder) // 2  # most forecasts ran on a size that is no power of two
 
 
 def test_criterion_08_bound_width_ordering(corpus_observations, tmp_path):

@@ -14,10 +14,11 @@ from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of
                                project_traversal, repair_monotonic, slowest_speeds)
 from buslink.ingest import Traversal
 from buslink.markov import (LOGNORMAL_TOP_Z, MAX_GRID, LinkPlan, MarkovConfig, PredictionSession,
-                            _geometric_steps, build_plan, simulate, steps_to_complete)
+                            _geometric_steps, _grid_size, _GridLaw, build_plan, simulate,
+                            steps_to_complete)
 from buslink.pipeline import RunConfig, replay_pairs
 
-from conftest import link_scan
+from conftest import examples, link_scan
 from test_geometry import LAT0, lon_at, network_with
 from test_inference import ROUTE_PASS, exact_arcs, traversal_pings
 
@@ -245,6 +246,57 @@ class TestSimulate:
             with pytest.raises(SimError) as e:
                 simulate(plans, MarkovConfig(delta_t=5.0))
             assert e.value.kind == "grid_too_large"
+
+    def test_no_plans_is_no_links(self):
+        """No downstream link: the kind and message of ``build_plan``'s refusal."""
+        net, xs = network_with([0.0, 800.0, 1600.0], [])
+        rm = build_route_model(net, xs, ("R", 0))
+        with pytest.raises(SimError) as built:
+            build_plan(rm, {}, {}, {}, fixed_covariates(0.0, 0), 3, rm.last_arc, 5.0)
+        with pytest.raises(SimError) as simulated:
+            simulate([], MarkovConfig())
+        assert simulated.value.kind == built.value.kind == "no_links"
+        assert str(simulated.value) == str(built.value)
+
+
+# every grid size m 2^k, m in {1, 3, 5, 15}, from the least (64) to the cap
+LADDER = sorted(m << k for m in (1, 3, 5, 15) for k in range(18)
+                if 64 <= m << k <= MAX_GRID)
+
+
+def test_grid_size_is_the_least_ladder_point():
+    """For every n_min up to MAX_GRID, the grid size is the least ladder
+    point at or above max(n_min, 64): never below either, never past the
+    cap, and at most 1.25 times max(n_min, 64)."""
+    n_min = np.arange(1, MAX_GRID + 1)
+    n = np.array([_grid_size(int(k)) for k in n_min])
+    assert np.array_equal(n, np.array(LADDER)[np.searchsorted(LADDER, np.maximum(n_min, 64))])
+    assert (n >= 64).all() and (n >= n_min).all() and (n <= MAX_GRID).all()
+    assert (n <= 1.25 * np.maximum(n_min, 64)).all()
+
+
+@st.composite
+def pmf_and_sizes(draw):
+    """A PMF of 1-300 points and ladder sizes that hold it, in increasing,
+    decreasing or drawn order."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300).filter(any))
+    fits = [n for n in LADDER if len(weights) <= n <= 1 << 14]
+    sizes = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=12))
+    order = draw(st.sampled_from([sorted, lambda x: sorted(x, reverse=True), list]))
+    return np.array(weights) / sum(weights), order(sizes)
+
+
+@given(pmf_and_sizes())
+@settings(deadline=None, max_examples=examples(200))
+def test_grid_law_transform_any_order(case):
+    """Whatever the order of the grid sizes asked for, a law's transform
+    is the ``rfft`` on that many points, and it caches at most one array
+    per odd part (1, 3, 5 or 15) of the size."""
+    pmf, sizes = case
+    law = _GridLaw(pmf, mean=0.0, exact=False)
+    for n in sizes:
+        np.testing.assert_allclose(law.transform(n), np.fft.rfft(pmf, n), rtol=0, atol=1e-12)
+        assert len(law._transforms) <= 4
 
 
 def random_plan(draw_links):
