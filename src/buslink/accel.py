@@ -19,12 +19,14 @@ pairs, and each ping takes the lexicographic minimum of (d2, arc): the
 smallest ``d2``, then the smallest arc, so a point equidistant from two
 passes of a looping shape lands on the earlier one, whatever the order
 in which pairs are visited. A zero-length segment is its start vertex.
-Two rules, chosen by the call's size alone:
+Two rules, chosen by the call's ping and segment counts:
 
-1. A call of at most ``PING_BLOCK_ELEMENTS`` ping x segment pairs is one
-   broadcast, segments on axis 0 and pings on axis 1.
+1. A call of at most ``PING_BLOCK_ELEMENTS`` ping x segment pairs, or on a
+   shape of at most ``CHUNK_SEGMENTS`` segments, is a broadcast, segments
+   on axis 0 and pings on axis 1, in blocks of ``PING_BLOCK_ELEMENTS //
+   segments`` pings.
 2. Every other call runs a pruned search. The shape is cut into chunks
-   of ``min(segments, CHUNK_SEGMENTS)`` consecutive segments, each with
+   of ``CHUNK_SEGMENTS`` consecutive segments, each with
    the bounding box of its vertices. A first pass evaluates each ping on
    its nearest box's chunk, gathered, which gives it ``U``, a ``d2`` it
    has seen; a second pass evaluates it only on the other chunks whose
@@ -99,14 +101,18 @@ def project_onto_polyline(qx, qy, vx, vy, cum):
     den = np.where(seg2 > 0.0, seg2, 1.0)  # a zero-length segment is its start vertex
     segs = np.stack((x0, y0, dx, dy, den, np.sqrt(seg2), cum[:-1]))
     n, s = qx.shape[0], dx.shape[0]
-    if n * s <= PING_BLOCK_ELEMENTS:  # rule 1: one broadcast
-        d2, arc = _nearest(qx, qy, *segs[:, :, None])
+    d2, arc = np.empty(n), np.empty(n)
+    if n * s <= PING_BLOCK_ELEMENTS or s <= CHUNK_SEGMENTS:  # rule 1: broadcast
+        step = max(1, PING_BLOCK_ELEMENTS // s)
+        for lo in range(0, n, step):
+            d2[lo:lo + step], arc[lo:lo + step] = _nearest(qx[lo:lo + step], qy[lo:lo + step],
+                                                           *segs[:, :, None])
         return arc, np.sqrt(d2)
 
     # Rule 2: the pruned search. Chunk c is column c of the (7, size, k) array
     # ``chunks``: segments c*size to c*size + size - 1, the last chunk padded
     # with copies of the last segment.
-    size = min(s, CHUNK_SEGMENTS)
+    size = CHUNK_SEGMENTS
     k = -(-s // size)
     idx = np.minimum(np.arange(k * size), s - 1).reshape(k, size)
     chunks = segs[:, idx.T]
@@ -115,7 +121,6 @@ def project_onto_polyline(qx, qy, vx, vy, cum):
     tau = 1e-9 * (1.0 + max(np.abs(a).max(initial=0.0) for a in (qx, qy, vx, vy)))
     step = max(1, PING_BLOCK_ELEMENTS // k)
     pairs = PING_BLOCK_ELEMENTS // size
-    d2, arc = np.empty(n), np.empty(n)
     for lo in range(0, n, step):
         bx, by, bd2, barc = (a[lo:lo + step] for a in (qx, qy, d2, arc))
         gx = bx - np.minimum(np.maximum(bx, box[0]), box[1])

@@ -152,7 +152,7 @@ class RouteModel:
         ``tags[np.searchsorted(edges, arcs, "right")]`` for an array."""
         feats, stops, r = self.feature_arcs, self.stop_arcs, self.buffer_radius
         edges = sorted({*stops, *(math.nextafter(s, math.inf) for s in stops), *feats,
-                        *(_zone_edge(f, r, t) for f in feats for t in (-math.inf, math.inf))})
+                        *(zone_edge(f, r, t) for f in feats for t in (-math.inf, math.inf))})
         return tuple(edges), (-1, *open_road_link_of(edges, self))
 
 
@@ -172,7 +172,7 @@ def open_road_link_of(arcs, rm: RouteModel) -> list:
     return tags
 
 
-def _zone_edge(f: float, r: float, toward: float) -> float:
+def zone_edge(f: float, r: float, toward: float) -> float:
     """Where f's zone ``abs(x - f) <= r`` starts (toward -inf: its least float) or
     stops (+inf: the float above its greatest): bisected from f and f +- (2 r + 1),
     cut short by four ``nextafter`` steps from f +- r unless f +- r cancels."""

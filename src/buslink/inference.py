@@ -12,11 +12,13 @@ construction.
 ``route_observations`` makes one array pass per route over the
 concatenated pings of its traversals: the repair, the open-road tags and
 the slowest speed per (traversal, link) are array operations, event
-detection stays a scalar scan per traversal, and the decomposition runs
-link by link across all traversals into an ``ObservationTable``.
+detection (``route_events``) runs the scan of ``detect_events`` feature by
+feature over all traversals at once, and the decomposition runs link by
+link across all traversals into an ``ObservationTable``.
 
 Infer and ``markov.PredictionSession`` read the rules ``pipeline`` builds
-once per run, ``covariates(t, traffic)`` and ``thresholds[link]``, one
+once per run, ``covariates(t, traffic)`` (``covariates.rows`` for many
+rows, once per local hour and traffic) and ``thresholds[link]``, one
 link lookup, ``bisect_right(rm.stop_arcs, arc)``, and one open-road rule,
 ``geometry.open_road_link_of``, through the route model's table
 ``rm.open_road``, built once per route model: a ping reads its tag by
@@ -26,6 +28,8 @@ is open road when both pings are on one link and time strictly increases.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import add
@@ -34,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InferenceError
-from .geometry import PROJECT_BLOCK, RouteModel, open_road_link_of, project_many
+from .geometry import (PROJECT_BLOCK, RouteModel, open_road_link_of, project_many,
+                       zone_edge)
 from .ingest import Traversal, WeatherTable, local_day_hour
 from .store import CovariateVector, ObservationTable
 
@@ -56,13 +61,20 @@ def project_traversal(trav: Traversal, rm: RouteModel) -> list:
                                              arcs.tolist())))
 
 
-def repair_mask(arcs, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> np.ndarray:
-    """Keep mask of the monotone repair: drop a ping that regresses more than
-    the tolerance (>= 0) behind the running maximum arc position (GPS jitter
-    near stops). A dropped ping never raises that maximum, and ``fmax`` skips
-    NaN as the comparison does, so it is the maximum over the kept pings."""
+def repair_mask(arcs, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M,
+                sizes=None) -> np.ndarray:
+    """Keep mask of the monotone repair of each run of ``sizes`` pings (one run
+    if None): drop a ping that regresses more than the tolerance (>= 0) behind
+    its run's running maximum arc position (GPS jitter near stops). A dropped
+    ping never raises that maximum, and ``fmax`` skips NaN as the comparison
+    does, so it is the maximum over the kept pings."""
     arcs = np.asarray(arcs, dtype=float)
-    return ~(arcs < np.fmax.accumulate(arcs) - backward_tolerance)
+    peak = np.empty_like(arcs)
+    ends = np.cumsum([arcs.shape[0]] if sizes is None else sizes)
+    for lo, hi in zip((0, *ends[:-1]), ends):
+        np.fmax.accumulate(arcs[lo:hi], out=peak[lo:hi])
+    peak -= backward_tolerance
+    return ~(arcs < peak)
 
 
 def repair_monotonic(pps, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M) -> list:
@@ -72,7 +84,8 @@ def repair_monotonic(pps, backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE
 
 def detect_events(times, arcs, rm: RouteModel) -> list:
     """Per position of ``rm.features``: ``(t_arrival, t_departure,
-    interpolated)`` if the traversal crossed that feature, else None.
+    interpolated)`` if the traversal crossed that feature, else None. The
+    loop reference for ``route_events``.
 
     ``times`` and ``arcs`` are the pings' lists after the monotone repair.
     Raises InferenceError("too_sparse") when more than
@@ -134,6 +147,35 @@ def build_covariates(t: float, weather: WeatherTable, traffic: int, tz_offset: f
                            traffic=int(traffic))
 
 
+@dataclass(frozen=True)
+class CovariateRule:
+    """``build_covariates`` over one weather table and calendar: ``rule(t,
+    traffic)`` for one row, ``rule.rows(ts, traffic)`` for many."""
+    weather: WeatherTable
+    tz_offset: float
+    peak_hours: frozenset
+    rain_labels: frozenset
+
+    def __call__(self, t: float, traffic: int) -> CovariateVector:
+        return build_covariates(t, self.weather, traffic, self.tz_offset, self.peak_hours,
+                                self.rain_labels)
+
+    def rows(self, ts: np.ndarray, traffic: np.ndarray) -> np.ndarray:
+        """The rule at each ``(ts[i], traffic[i])`` as an (n, 4) float array. It
+        reads ``t`` only through ``local_day_hour``, so it runs once per distinct
+        local (day, hour) and traffic, in order of first occurrence: a missing
+        weather hour raises as at its first row."""
+        day, second = np.divmod(ts + 3600 * self.tz_offset, 86400)  # local_day_hour's arithmetic
+        _, first, group = np.unique((day * 24 + second // 3600) * 2 + traffic,
+                                    return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        values = np.empty((first.shape[0], 4))
+        values[order] = np.reshape([self(t, f) for t, f in zip(ts[first[order]].tolist(),
+                                                                traffic[first[order]].tolist())],
+                                   (-1, 4))
+        return values[group]
+
+
 def observations_from_traversal(trav: Traversal, arcs: np.ndarray, rm: RouteModel,
                                 covariates, thresholds,
                                 backward_tolerance: float = DEFAULT_BACKWARD_TOLERANCE_M):
@@ -155,8 +197,8 @@ def route_observations(routes: list, covariates, thresholds,
     road = t_arr(stop) - t_dep(prev) - its intersection times in link order.
     Traffic is 1 when its slowest open-road ping pair is below
     ``thresholds[link]``, else 0, flagged ``unobs_traffic`` if it has none.
-    ``covariates(t_dep(prev), traffic)`` runs per row in the order of
-    ``routes``, traversals and links. Returns the ``ObservationTable``
+    ``covariates.rows`` takes the rows' ``(t_dep(prev), traffic)`` in the
+    order of ``routes``, traversals and links. Returns the ``ObservationTable``
     ordered by route key, link and departure; the skip log in the order of
     ``routes`` and traversals (a traversal too sparse to use, raised with
     ``strict``, or a link whose road time is not positive); and the number
@@ -172,54 +214,50 @@ def route_observations(routes: list, covariates, thresholds,
     for r in by_key:  # so that the rows come in table order
         rm, travs, arcs = routes[r]
         sizes = [t.timestamps.shape[0] for t in travs]
-        keep = np.concatenate([repair_mask(a, backward_tolerance)
-                               for a in np.split(arcs, np.cumsum(sizes)[:-1])])
+        keep = repair_mask(arcs, backward_tolerance, sizes)
         traversal = np.repeat(np.arange(len(travs)), sizes)[keep]
-        times = np.concatenate([t.timestamps for t in travs])[keep].astype(float)
+        times = np.concatenate([t.timestamps for t in travs], dtype=float)[keep]
         arcs = arcs[keep]
-        cuts = np.searchsorted(traversal, np.arange(1, len(travs)))
-        used, events = [], []
-        for u, (trav, t, a) in enumerate(zip(travs, np.split(times, cuts), np.split(arcs, cuts))):
-            try:
-                events += [e or (np.nan, np.nan, False)
-                           for e in detect_events(t.tolist(), a.tolist(), rm)]
-                used.append(u)
-            except InferenceError as exc:
-                if strict:
-                    raise
-                skips.append((r, u, 0, f"{trav.trip_id}@{trav.timestamps[0]}: {exc}"))
-        # per used traversal and feature: arrival, departure, interpolated; nan if not crossed
-        events = np.array(events, dtype=float).reshape(len(used), len(rm.features), 3)
+        t_arr, t_dep, interp, n_interp, n_crossed = route_events(times, arcs, traversal,
+                                                                    len(travs), rm)
+        sparse = n_interp > MAX_INTERP_FRACTION * n_crossed
+        for u in np.flatnonzero(sparse).tolist():
+            exc = InferenceError("too_sparse", f"{n_interp[u]}/{n_crossed[u]} features interpolated")
+            if strict:
+                raise exc
+            skips.append((r, u, 0, f"{travs[u].trip_id}@{travs[u].timestamps[0]}: {exc}"))
+        used = np.flatnonzero(~sparse)
+        t_arr, t_dep, interp = t_arr[used], t_dep[used], interp[used]
         slowest = slowest_speeds(times, arcs, traversal, len(travs), rm)[used]
-        used = np.array(used, dtype=np.int64)
         for link, positions in zip(rm.links, rm.link_features):
-            t_arr, t_dep, interp = events[:, positions].transpose(2, 0, 1)
-            x = t_dep[:, 2:] - t_arr[:, 2:]
-            road = t_arr[:, 1] - t_dep[:, 0] - reduce(add, x.T, 0.0)  # nan: link not covered
+            ta, td, ti = t_arr[:, positions], t_dep[:, positions], interp[:, positions]
+            x = td[:, 2:] - ta[:, 2:]
+            road = ta[:, 1] - td[:, 0] - reduce(add, x.T, 0.0)  # nan: link not covered
             for u, v in zip(used[road <= 0.0].tolist(), road[road <= 0.0].tolist()):
                 skips.append((r, u, link.index, f"{travs[u].trip_id} link {link.index}: "
                               f"nonpositive_road_time: road time {v:.3f}s at stop {link.to_stop}"))
             ok = np.flatnonzero(road > 0.0)
-            ok = ok[np.argsort(t_dep[ok, 0], kind="stable")]  # ties in traversal order
-            t_arr, t_dep, interp, x, road = t_arr[ok], t_dep[ok], interp[ok] > 0, x[ok], road[ok]
+            ok = ok[np.argsort(td[ok, 0], kind="stable")]  # ties in traversal order
+            ta, td, ti, x, road = ta[ok], td[ok], ti[ok], x[ok], road[ok]
             speed, n = slowest[ok, link.index], road.shape[0]
-            rows.append((np.full(n, r), used[ok], np.full(n, link.index), t_dep[:, 0],
-                         t_dep[:, 1] - t_dep[:, 0], t_dep[:, 1] - t_arr[:, 1], road,
+            rows.append((np.full(n, r), used[ok], np.full(n, link.index), td[:, 0],
+                         td[:, 1] - td[:, 0], td[:, 1] - ta[:, 1], road,
                          speed < thresholds[link.index], np.full(n, x.shape[1])))
             codes = np.array([x_ids.index(xid) for xid in link.intersection_ids], np.int64)
-            xs.append((np.tile(codes, n), x.ravel(), interp[:, 2:].ravel()))
+            xs.append((np.tile(codes, n), x.ravel(), ti[:, 2:].ravel()))
+            # each distinct flag pattern joined once
             names = ["interp_stop", *(f"interp_x={xid}" for xid in link.intersection_ids),
                      "unobs_traffic"]
-            marks = np.column_stack((interp[:, 1:], speed == np.inf)).tolist()
-            flags += [";".join(compress(names, m)) for m in marks]
+            marks, which = np.unique(np.column_stack((ti[:, 1:], speed == np.inf)), axis=0,
+                                     return_inverse=True)
+            text = [";".join(compress(names, m)) for m in marks.tolist()]
+            flags += map(text.__getitem__, which.tolist())
     r, traversal, link, depart_prev, total, dwell, road, traffic, x_count = map(np.concatenate,
                                                                           zip(*rows))
     x_id, x_secs, x_interp = map(np.concatenate, zip(*xs))
     calls = np.lexsort((link, traversal, r))
     covariate_rows = np.empty((calls.shape[0], 4))
-    covariate_rows[calls] = np.reshape(
-        [covariates(t, f) for t, f in zip(depart_prev[calls].tolist(), traffic[calls].tolist())],
-        (-1, 4))
+    covariate_rows[calls] = covariates.rows(depart_prev[calls], traffic[calls])
     table = ObservationTable(
         route_keys=[routes[i][0].route_key for i in by_key], route=np.argsort(by_key)[r],
         link=link, depart_prev=depart_prev, total=total, dwell=dwell, road=road,
@@ -228,6 +266,99 @@ def route_observations(routes: list, covariates, thresholds,
         x_interp=x_interp)
     n_used = len(set(zip(r.tolist(), traversal.tolist())))
     return table, [entry for *_, entry in sorted(skips)], n_used
+
+
+def route_events(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n: int,
+                 rm: RouteModel) -> tuple:
+    """``detect_events`` of ``n`` traversals at once, from their repaired pings
+    in order with each ping's traversal number (each has a ping): per
+    traversal and feature the arrival and departure (nan where it was not
+    crossed) and whether they were interpolated, and per traversal the
+    interpolated and crossed counts.
+
+    The scan runs feature by feature over the traversals still scanning. The
+    first ping at or after a pointer whose arc is not below a bound is the
+    traversal's first such ping, one ``searchsorted`` over integer keys that
+    never fall within a traversal, unless an earlier ping already reached the
+    bound (zones less than two radii apart). Then, as where a ping between a
+    zone's arrival and its first ping above it falls below it, the pointer
+    steps one ping at a time.
+    """
+    r, farcs = rm.buffer_radius, rm.feature_arcs
+    # the scan's bounds: where each zone starts, ``farc - r``, and the least arc above it
+    enter, above = [f - r for f in farcs], [zone_edge(f, r, math.inf) for f in farcs]
+    bounds = np.sort(enter + above)
+    # per ping: its traversal, then how many bounds its traversal has reached
+    key = np.searchsorted(bounds, arcs, "right")  # nan reaches every bound
+    for lo in range(0, key.shape[0], PROJECT_BLOCK):  # in blocks, to keep work arrays small
+        key[lo:lo + PROJECT_BLOCK] += traversal[lo:lo + PROJECT_BLOCK] * (bounds.shape[0] + 1)
+    np.maximum.accumulate(key, out=key)
+
+    def first(u, bound):
+        """Per traversal of ``u``, its first ping not below ``bound``, or its end."""
+        return np.searchsorted(key, u * (bounds.shape[0] + 1)
+                               + np.searchsorted(bounds, bound) + 1)
+
+    starts = np.searchsorted(traversal, np.arange(n + 1))
+    ends = starts[1:]
+    t_arr, t_dep = np.full((2, n, len(farcs)), np.nan)
+    interp = np.zeros((n, len(farcs)), bool)
+    n_interp, n_crossed = np.zeros((2, n), np.int64)
+    ptr, prev_dep = starts[:-1].copy(), np.full(n, -np.inf)
+    live = np.arange(n)  # in traversal order, so that reduceat's pieces stay disjoint
+    for f, farc in enumerate(farcs):
+        i = first(live, enter[f])
+        lag = np.flatnonzero(i < ptr[live])
+        i[lag] = _step(ptr[live[lag]], ends[live[lag]], lambda j: arcs[j] < enter[f])
+        met = i < ends[live]
+        live, i = live[met], i[met]  # else the feature was never reached
+        zone = np.abs(arcs[i] - farc) <= r
+        # arrival in the zone: departure at the first later ping outside it, the
+        # first above it unless one between falls below it. That one is after
+        # the arrival: the pings before the pointer lie at most a radius past
+        # the previous feature, whose arc is not greater, so none is above.
+        uz, iz = live[zone], i[zone]
+        k = first(uz, above[f])
+        redo = k >= arcs.shape[0]
+        span = np.flatnonzero(~redo & (k > iz + 1))
+        if span.shape[0]:
+            low = np.minimum.reduceat(arcs, np.column_stack((iz[span] + 1, k[span])).ravel())
+            redo[span] = ~(np.abs(low[::2] - farc) <= r)
+        redo = np.flatnonzero(redo)
+        k[redo] = _step(iz[redo] + 1, ends[uz[redo]], lambda j: np.abs(arcs[j] - farc) <= r)
+        out = k < ends[uz]  # else the traversal ends inside the zone
+        uz, iz, k = uz[out], iz[out], k[out]
+        # zone jumped between pings i - 1 and i; none before the first ping
+        uj, ij = live[~zone], i[~zone]
+        ptr[uj], ptr[uz] = ij, k
+        cross = ij > starts[uj]
+        uj, ij = uj[cross], ij[cross]
+        frac = (farc - arcs[ij - 1]) / (arcs[ij] - arcs[ij - 1])
+        # on detect_events' 2**-22 s grid; rint rounds half to even as round
+        # does, and + 0.0 turns its -0.0 into round's 0
+        t = (np.rint((times[ij - 1] + frac * (times[ij] - times[ij - 1])) * 2**22) + 0.0) / 2**22
+        # keep event times monotone
+        u = np.concatenate((uz, uj))
+        arrive = np.maximum(np.concatenate((times[iz], t)), prev_dep[u])
+        prev_dep[u] = t_dep[u, f] = np.maximum(np.concatenate((times[k], t)), arrive)
+        t_arr[u, f] = arrive
+        interp[uj, f] = True
+        n_interp[uj] += 1
+        n_crossed[u] += 1
+        live = np.sort(np.concatenate((live[~zone], uz)))
+    return t_arr, t_dep, interp, n_interp, n_crossed
+
+
+def _step(idx: np.ndarray, end: np.ndarray, moving) -> np.ndarray:
+    """Each of ``idx`` moved on one ping at a time while it is below its ``end``
+    and ``moving`` holds at its ping."""
+    idx = idx.copy()
+    go = np.flatnonzero(idx < end)
+    while go.shape[0]:
+        go = go[moving(idx[go])]
+        idx[go] += 1
+        go = go[idx[go] < end[go]]
+    return idx
 
 
 def slowest_speeds(times: np.ndarray, arcs: np.ndarray, traversal: np.ndarray, n: int,

@@ -6,7 +6,7 @@ only keys some driver reads. Every driver is deterministic given its
 inputs: ``simulate`` returns the chain's exact law and draws nothing.
 
 ``run_infer`` and the session of ``run_simulate`` share one covariate
-function, ``covariates_for(cfg, weather)``, and one threshold map,
+rule, ``covariates_for(cfg, weather)``, and one threshold map,
 ``cfg.speed_threshold_by_link``, each built once per run.
 """
 
@@ -24,7 +24,7 @@ from .components import (DEFAULT_MIN_COMPONENT_SAMPLES, fit_dwell, fit_intersect
 from .errors import BuslinkError, ConfigError, FitError
 from .geometry import DEFAULT_BUFFER_RADIUS_M, DEFAULT_OFF_ROUTE_M, build_route_model, project_many
 from .hetlognorm import DEFAULT_MIN_FIT_SAMPLES, design_matrix, fit as ln_fit, predict_interval
-from .inference import (DEFAULT_BACKWARD_TOLERANCE_M, DEFAULT_PEAK_HOURS, build_covariates,
+from .inference import (DEFAULT_BACKWARD_TOLERANCE_M, DEFAULT_PEAK_HOURS, CovariateRule,
                         repair_mask, route_observations)
 from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
                      finite_float, int64, load_gtfs_static, load_intersections,
@@ -98,11 +98,10 @@ class RunConfig:
         return frozenset(self.rain_labels)
 
 
-def covariates_for(cfg: RunConfig, weather):
-    """The run's ``covariates(t, traffic)`` over ``weather`` and the calendar
-    rules of ``cfg``."""
-    peak, rain = cfg.peak_hour_set, cfg.rain_label_set
-    return lambda t, traffic: build_covariates(t, weather, traffic, cfg.tz_offset, peak, rain)
+def covariates_for(cfg: RunConfig, weather) -> CovariateRule:
+    """The run's covariate rule over ``weather`` and the calendar rules of
+    ``cfg``: ``covariates(t, traffic)``, or ``covariates.rows(ts, traffic)``."""
+    return CovariateRule(weather, cfg.tz_offset, cfg.peak_hour_set, cfg.rain_label_set)
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)

@@ -69,7 +69,7 @@ def collinear_case(n_pings, n_vertices=250, seed=5):
     return qx, qy, vx, vy, cum
 
 
-BLOCK = accel.PING_BLOCK_ELEMENTS
+BLOCK, CHUNK = accel.PING_BLOCK_ELEMENTS, accel.CHUNK_SEGMENTS
 
 
 @pytest.mark.parametrize("n_vertices, n_pings", [
@@ -79,10 +79,16 @@ BLOCK = accel.PING_BLOCK_ELEMENTS
     # 341 segments in chunks: two blocks of pings, the first not a multiple
     # of the pairs the pruned search gathers at once.
     pytest.param(342, BLOCK // -(-341 // accel.CHUNK_SEGMENTS) + 1, id="342_vertices"),
+    # the most segments the broadcast takes at any ping count, and one more,
+    # which the pruned search takes in two chunks: two blocks of pings each
+    pytest.param(CHUNK + 1, BLOCK // CHUNK + 1, id="chunk_segments"),
+    pytest.param(CHUNK + 2, BLOCK // 2 + 1, id="chunk_segments+1"),
 ])
 def test_projection_collinear_250_vertices_across_block_boundary(n_vertices, n_pings):
-    """Calls on either side of the one-broadcast rule's bound, on 250 and 11
-    vertices (one chunk), and a call of several blocks of pings on 342."""
+    """Calls on either side of the one-broadcast-block bound on 250 vertices;
+    on 11 vertices (one chunk, so the broadcast) in one block of pings and
+    across two; and calls of several blocks of pings on 342 vertices and on
+    shapes of ``CHUNK_SEGMENTS`` and ``CHUNK_SEGMENTS + 1`` segments."""
     qx, qy, vx, vy, cum = collinear_case(n_pings, n_vertices)
     arc, off = assert_projection_matches_scalar(qx, qy, vx, vy, cum)
     on_line = (qy == 0.0) & (qx >= 0.0) & (qx <= vx[-1])

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from bisect import bisect_right
 from itertools import accumulate
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from buslink import inference
-from buslink.errors import InferenceError
+from buslink.errors import InferenceError, IngestError
 from buslink.geometry import RouteModel, build_route_model
 from buslink.inference import (DEFAULT_PEAK_HOURS, ProjectedPing, _open_road_speeds,
                                build_covariates, detect_events, observations_from_traversal,
-                               open_road_link_of, repair_mask, repair_monotonic, route_observations,
-                               slowest_speeds)
-from buslink.ingest import DEFAULT_RAIN_LABELS, Traversal, load_weather
+                               open_road_link_of, repair_mask, repair_monotonic, route_events,
+                               route_observations, slowest_speeds)
+from buslink.ingest import (DEFAULT_RAIN_LABELS, Traversal, WeatherTable, load_weather,
+                            local_day_hour)
 from buslink.pipeline import RunConfig, covariates_for
 
 from conftest import feature_zone_test, link_scan
@@ -399,6 +401,109 @@ def test_route_pass_slowest_speeds_are_the_scalar_rule(three_link_rm, monkeypatc
     for speeds, t, a in zip(slowest.tolist(), times, arcs):
         expected = _open_road_speeds(t.tolist(), a.tolist(), three_link_rm)
         assert {li: v for li, v in enumerate(speeds) if v != math.inf} == expected
+
+
+@pytest.fixture(scope="module", params=["three_link", "spaced", "crowded"])
+def event_rm(request, three_link_rm):
+    """three_link_rm; a route whose features lie 2 buffer radii + 1 m apart,
+    just past the merge distance; and one with stops 12-15 m apart, whose
+    zones overlap, so that a ping before the pointer has passed the next
+    zone's start and the route pass steps."""
+    if request.param == "three_link":
+        return three_link_rm
+    if request.param == "spaced":
+        gap = 2.0 * three_link_rm.buffer_radius + 1.0
+        net, xs = network_with([2 * k * gap for k in range(19)],
+                               [(f"X{k}", (2 * k + 1) * gap) for k in range(18)])
+    else:
+        net, xs = network_with([0.0, 12.0, 250.0, 262.0, 277.0, 500.0, 900.0, 1200.0, 1215.0,
+                                1500.0], [("X1", 700.0)])
+    return build_route_model(net, xs, ("R", 0))
+
+
+@given(pings=st.lists(traversal_pings(), min_size=1, max_size=6),
+       block=st.sampled_from([1, 3, 4096]))
+# the first zone jumped from far behind just before time 0: round gives 0.0, not -0.0
+@example(pings=[(np.array([-1, 0, 10, 20, 30, 40, 50, 60, 70, 80]),
+                 np.array([-1e10, 30.0, 250.0, 300.0, 500.0, 560.0, 900.0, 950.0, 1200.0,
+                           1300.0]))], block=4096)
+@ROUTE_PASS
+def test_route_pass_events_are_the_scalar_scan(event_rm, monkeypatch, pings, block):
+    """Per traversal, the route pass's events (arrival, departure,
+    interpolated; none where not crossed) are ``detect_events``' on its
+    repaired pings, to the sign of a zero, also with its keys built in
+    blocks of 1 or 3 pings; and it is skipped as too sparse, with the scan's
+    text, exactly when the scan raises; with ``strict`` the pass raises it."""
+    monkeypatch.setattr(inference, "PROJECT_BLOCK", block)
+    rm = event_rm
+    travs = [Traversal(f"T{i}", "V1", ts, np.zeros(len(ts)), np.zeros(len(ts)))
+             for i, (ts, _) in enumerate(pings)]
+    sizes = [len(ts) for ts, _ in pings]
+    arcs = np.concatenate([a for _, a in pings])
+    keep = repair_mask(arcs, sizes=sizes)
+    t_arr, t_dep, interp, _, _ = route_events(
+        np.concatenate([ts for ts, _ in pings]).astype(float)[keep], arcs[keep],
+        np.repeat(np.arange(len(pings)), sizes)[keep], len(pings), rm)
+    sparse = []
+    for u, (ts, a) in enumerate(pings):
+        kept = repair_mask(a)
+        try:
+            events = detect_events(ts[kept].astype(float).tolist(), a[kept].tolist(), rm)
+        except InferenceError as exc:
+            sparse.append(f"T{u}@{ts[0]}: {exc}")
+            with pytest.raises(InferenceError, match=f"^{re.escape(str(exc))}$"):
+                observations_from_traversal(travs[u], a, rm, COVARIATES,
+                                            RunConfig().speed_threshold_by_link)
+            continue
+        assert repr([None if math.isnan(ta) else (ta, td, ti) for ta, td, ti in
+                     zip(t_arr[u].tolist(), t_dep[u].tolist(), interp[u].tolist())]) == repr(events)
+    _, skips, _ = route_observations([(rm, travs, arcs)], COVARIATES,
+                                     RunConfig().speed_threshold_by_link)
+    assert [s for s in skips if ": too_sparse: " in s] == sparse
+
+
+# where in a local hour a departure falls
+HOUR_PLACES = {"ulp before": lambda b: math.nextafter(b, -math.inf), "start": lambda b: b,
+               "ulp after": lambda b: math.nextafter(b, math.inf), "half past": lambda b: b + 1800.0}
+
+
+@given(day=st.integers(12_000, 24_000), tz=st.sampled_from([-5.0, 5.5]),
+       picks=st.lists(st.tuples(st.one_of(st.integers(22, 26), st.integers(0, 72)),
+                                st.sampled_from(sorted(HOUR_PLACES)), st.booleans()),
+                      min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1), missing=st.lists(st.integers(0, 39), max_size=3))
+# an ulp either side of Friday midnight, and 06:30 and 07:00 (a peak hour) on
+# Saturday under one traffic value
+@example(day=18_999, tz=-5.0, picks=[(24, "ulp before", False), (24, "start", False),
+                                     (30, "half past", False), (31, "start", False),
+                                     (31, "ulp before", True)], seed=1, missing=[])
+# two hours missing, the later one first in call order
+@example(day=18_999, tz=5.5, picks=[(30, "start", False), (25, "start", False)], seed=1,
+         missing=[0, 1])
+@ROUTE_PASS
+def test_route_pass_covariates_are_the_row_rule(day, tz, picks, seed, missing):
+    """Departures on local hour and day boundaries (``day`` counts local days
+    since 1970: 2002-2035), an ulp either side and in between, with both
+    traffic values: the grouped rule gives each row ``build_covariates``'
+    values, and with weather hours missing it raises the message the
+    per-row calls raise first."""
+    ts = np.array([HOUR_PLACES[place]((day * 24 + h) * 3600.0 - 3600 * tz) for h, place, _ in picks])
+    traffic = np.array([f for *_, f in picks])
+    rng = np.random.default_rng(seed)
+    entries = {(d, h): rng.choice(["Clear", "Rain", "Snow"]).item()
+               for d in range(day - 1, day + 5) for h in range(24)}
+    for i in missing:
+        entries.pop(local_day_hour(ts[i % len(ts)], tz), None)
+    weather = WeatherTable(entries)
+    rule = covariates_for(RunConfig(tz_offset=tz), weather)
+    try:
+        expected = [build_covariates(t, weather, f, tz, rule.peak_hours, rule.rain_labels)
+                    for t, f in zip(ts.tolist(), traffic.tolist())]
+    except IngestError as exc:
+        with pytest.raises(IngestError, match=f"^{re.escape(str(exc))}$"):
+            rule.rows(ts, traffic)
+        return
+    assert rule.rows(ts, traffic).tolist() == [list(map(float, c)) for c in expected]
 
 
 def float_rank(x: float) -> int:

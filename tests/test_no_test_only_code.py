@@ -20,6 +20,8 @@ ORACLES = {
     "markov_offsets": "Monte-Carlo oracle of the exact law markov.simulate; perfbench "
                       "traces it by name",
     "_open_road_speeds": "loop reference for the grouped minimum inference.slowest_speeds",
+    "detect_events": "loop reference for the route pass's event detection; perfbench traces it "
+                     "by name",
 }
 
 BENCHMARK_ONLY = {

@@ -64,9 +64,9 @@ def project_both(pts, queries):
 @settings(deadline=None, max_examples=examples(300),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_projection_equals_scalar_reference(monkeypatch, case, block):
-    """A block of 32 to 128 pairs, never below a chunk, sends a call of more
-    pairs to the pruned search, so these short shapes (under 32 segments)
-    also run it, in one chunk; the default block broadcasts each call whole."""
+    """These short shapes (at most 32 segments, one chunk) take the
+    broadcast: a block of 32 to 128 pairs splits a call into blocks of a few
+    pings; the default block broadcasts each call whole."""
     monkeypatch.setattr(accel, "PING_BLOCK_ELEMENTS", block)
     (arc, off), (ref_arc, ref_off) = project_both(*case)
     assert arc.tobytes() == ref_arc.tobytes()
