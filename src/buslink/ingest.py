@@ -8,12 +8,16 @@ are POSIX seconds UTC throughout; all calendar logic (hour, weekday, date)
 is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
 text input of the package is opened by ``open_text``, every
 line-oriented one keeps the lines ``data_text`` keeps, and every number
-of a data file is in the one grammar of ``number``.
+of a data file is in the one grammar of ``number``. The GTFS tables and
+the weather file are read whole and checked on columns; the row rules
+(``_req``, ``_weather_row``, ...) run only when a check fails, to name
+the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 import warnings
@@ -21,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, count, repeat, zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -119,6 +123,16 @@ def read_rows(path, columns, convert, header: bool = True, only: str | None = No
         yield row
 
 
+def headed_lines(path, first: str) -> list:
+    """The lines of a text file that ``read_rows`` reads with the header column
+    ``first``: those ``data_text`` keeps, less line 1 if its first field is ``first``."""
+    with open_text(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[0].strip().partition(",")[0].lower() == first:
+        lines[0] = ""  # the header, allowed on line 1 only
+    return data_text(lines)
+
+
 def number_text(text: str) -> bool:
     """Whether ``text`` may hold numbers: ASCII, with no ``_``."""
     return text.isascii() and "_" not in text
@@ -212,15 +226,34 @@ class StaticNetwork:
     trips: dict  # trip_id -> Trip
 
 
-def _read_table(dir_path: Path, name: str):
-    """``(where, row)`` for each row of a GTFS table, where ``where`` is
-    ``table:line`` (the row's last physical line)."""
-    path = dir_path / name
+def _columns(path: Path) -> tuple:
+    """A GTFS table as ``(n, column)``: its n data rows and ``column(name, default)``,
+    the name's n fields as ``csv.DictReader`` reads them: blank lines dropped, of two
+    columns of one name the later, None past the end of a short row, and ``default``
+    (n Nones) for a name not in the header. A table with a ``"`` (or a NUL, which
+    Python 3.10's csv refuses) is read by one ``csv.reader`` pass; any other is split
+    on line ends and commas as ``csv.reader`` splits it, with no list per row."""
     if not path.is_file():
-        raise IngestError("missing_table", f"{name} not found in {dir_path}")
+        raise IngestError("missing_table", f"{path.name} not found in {path.parent}")
     with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(f"{name}:{reader.line_num}", row) for row in reader]
+        text = fh.read()
+    if '"' in text or "\0" in text:
+        header, *rows = [*csv.reader(io.StringIO(text, newline=""))] or [[]]
+        rows = list(filter(None, rows))
+        widths, cells = set(map(len, rows)), list(chain.from_iterable(rows))
+    else:
+        first, *rows = text.replace("\r", "\n").split("\n")
+        header, rows = first.split(",") if first else [], list(filter(None, rows))
+        widths = {c + 1 for c in set(map(str.count, rows, repeat(",")))}
+        cells = ",".join(rows).split(",") if rows else []
+        rows = rows if widths <= {len(header)} else [row.split(",") for row in rows]
+    n, width, none = len(rows), len(header), [None] * len(rows)
+    if widths <= {width}:  # each column a stride of the row-major fields
+        get = lambda k: cells[k::width]
+    else:
+        get = [*zip_longest(*rows), *repeat(none, width)].__getitem__
+    index = dict(zip(header, count()))
+    return n, lambda name, default=none: default if (k := index.get(name)) is None else get(k)
 
 
 def _req(row: dict, key: str, where: str, conv=str):
@@ -240,6 +273,42 @@ def _req_position(row: dict, prefix: str, where: str) -> tuple:
         raise IngestError("parse", f"{where}: {exc}") from None
 
 
+def _texts(column) -> list:
+    """``column``; ValueError if a field is missing or empty, as for ``_req``."""
+    if not all(column):
+        raise ValueError("missing field")
+    return column
+
+
+def _numbers(column, kind: type = float) -> np.ndarray:
+    """The fields as ``number(text, kind)`` reads each, in an array of ``kind``
+    (``float`` or ``np.int64``); ValueError, TypeError or OverflowError if not."""
+    if not number_text("".join(column)):
+        raise ValueError("not a number")
+    return np.array(column, dtype=kind)  # each field as float() or int() reads it
+
+
+def _positions(column, prefix: str) -> tuple:
+    """The lat and lon arrays of ``_req_position``; ValueError if a row fails it."""
+    lat, lon = (_numbers(column(prefix + c)) for c in ("lat", "lon"))
+    if not ((np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):  # nan fails
+        raise ValueError("not a position")
+    return lat, lon
+
+
+def _by_key(keys, seq: np.ndarray, groups) -> tuple:
+    """``(order, bounds)``: rows by the place of their key in ``groups`` (KeyError
+    for another key), then by ``seq``, and where each key's rows begin and end;
+    ValueError if a ``(key, seq)`` repeats."""
+    index = dict(zip(groups, count()))
+    code = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+    order = np.lexsort((seq, code))
+    code, seq = code[order], seq[order]
+    if ((code[1:] == code[:-1]) & (seq[1:] == seq[:-1])).any():
+        raise ValueError("a key repeats")
+    return order, np.searchsorted(code, np.arange(len(index) + 1)).tolist()
+
+
 _BAD_ID = re.compile(r"^#|[\s,;=\[\]]")
 
 
@@ -253,76 +322,136 @@ def _checked_id(value: str, what: str) -> str:
     return value
 
 
+# Each GTFS table has a row rule, which states its field and reference rules
+# on one ``csv.DictReader`` row in the order they are checked, and a column
+# pass, which checks the same rules on whole columns.
+
+def _stop(row: dict, where: str) -> tuple:
+    return _req(row, "stop_id", where), *_req_position(row, "stop_", where)
+
+
+def _stops(n: int, column) -> dict:
+    ids = _texts(column("stop_id"))
+    lat, lon = _positions(column, "stop_")
+    if len(set(ids)) < n:
+        raise ValueError("a stop_id repeats")
+    return dict(zip(ids, zip(lat.tolist(), lon.tolist(), column("stop_name", repeat("")))))
+
+
+def _shape_point(row: dict, where: str) -> tuple:
+    return (_req(row, "shape_id", where), _req(row, "shape_pt_sequence", where, int64),
+            *_req_position(row, "shape_pt_", where))
+
+
+def _shapes(n: int, column) -> dict:
+    ids = _texts(column("shape_id"))
+    seq = _numbers(column("shape_pt_sequence"), np.int64)
+    lat, lon = _positions(column, "shape_pt_")
+    order, bounds = _by_key(ids, seq, groups := dict.fromkeys(ids))  # in first-row order
+    points = list(zip(lat[order].tolist(), lon[order].tolist()))
+    shapes = {}
+    for sid, a, b in zip(groups, bounds, bounds[1:]):
+        # exact consecutive duplicates dropped
+        shapes[sid] = tuple(p for p, q in zip(points[a:b], [None, *points[a:b]]) if p != q)
+        if len(shapes[sid]) < 2:
+            raise IngestError("referential", f"shape {sid} has fewer than 2 distinct points")
+    return shapes
+
+
+def _trip(row: dict, where: str, route_ids: set, shapes: dict) -> tuple:
+    tid = _req(row, "trip_id", where)
+    rid = _checked_id(_req(row, "route_id", where), "route_id")
+    if rid not in route_ids:
+        raise IngestError("referential", f"trip {tid} references unknown route {rid}")
+    shape_id = _req(row, "shape_id", where)
+    if shape_id not in shapes:
+        raise IngestError("referential", f"trip {tid} references unknown shape {shape_id}")
+    direction = _req(row, "direction_id", where, int64) if row.get("direction_id") else 0
+    if direction not in (0, 1):
+        raise IngestError("parse", f"{where}: trip {tid}: direction_id must be 0 or 1")
+    return tid, rid, direction, shape_id
+
+
+def _trips(n: int, column, route_ids: set, shapes: dict) -> dict:
+    """trip_id -> (route_id, direction_id, shape_id), in file order."""
+    tids, rids, shape_ids = map(_texts, map(column, ("trip_id", "route_id", "shape_id")))
+    texts = column("direction_id")
+    directions = {t: int64(t) if t else 0 for t in set(texts)}
+    if (len(set(tids)) < n or not set(rids) <= route_ids or any(map(_BAD_ID.search, set(rids)))
+            or not set(shape_ids) <= shapes.keys() or not set(directions.values()) <= {0, 1}):
+        raise ValueError("a trips.txt row breaks a rule")
+    return dict(zip(tids, zip(rids, map(directions.__getitem__, texts), shape_ids)))
+
+
+def _stop_time(row: dict, where: str, trips: dict, stops: dict) -> tuple:
+    tid = _req(row, "trip_id", where)
+    if tid not in trips:
+        raise IngestError("referential", f"stop_times references unknown trip {tid}")
+    sid = _checked_id(_req(row, "stop_id", where), "stop_id")
+    if sid not in stops:
+        raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
+    return tid, _req(row, "stop_sequence", where, int64), sid
+
+
+def _stop_times(n: int, column, trips: dict, stops: dict) -> tuple:
+    """The stop ids by trip, in the order of ``trips``, then by stop_sequence, and
+    where each trip's ids begin and end. No key of trips or stops is missing."""
+    tids, sids, seq = column("trip_id"), column("stop_id"), column("stop_sequence")
+    seq, used = _numbers(seq, np.int64), set(sids)
+    if not used <= stops.keys() or any(map(_BAD_ID.search, used)):
+        raise ValueError("a stop_times.txt row breaks a rule")
+    order, bounds = _by_key(tids, seq, trips)
+    return list(map(sids.__getitem__, order.tolist())), bounds
+
+
+def _gtfs_table(dir_path: Path, name: str, key: tuple, columns, row, *context):
+    """The column pass ``columns(n, column, *context)`` of a table. If it fails,
+    the error of the table's first row that ``row(fields, where, *context)``
+    refuses, or whose first ``len(key)`` values, its ``key`` columns, repeat an
+    earlier row's: IngestError("duplicate") naming ``table:line``."""
+    path = dir_path / name
+    try:
+        return columns(*_columns(path), *context)
+    except (ValueError, TypeError, OverflowError, KeyError):
+        seen = set()
+        with open_text(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for fields in reader:
+                where = f"{name}:{reader.line_num}"  # the row's last physical line
+                values = row(fields, where, *context)[:len(key)]
+                if key and values in seen:
+                    raise IngestError("duplicate", f"{where}: duplicate " + ", ".join(
+                        f"{k} {v!r}" for k, v in zip(key, values))) from None
+                seen.add(values)
+        raise
+
+
 def load_gtfs_static(dir_path) -> StaticNetwork:
     """Parse the five core GTFS tables into a validated StaticNetwork.
 
-    The route and stop ids that trips use must be usable in the output
-    files (see ``_checked_id``); others are kept as read.
+    Each table is read whole and checked column by column (``_gtfs_table``).
+    A repeated stop_id, trip_id, (shape_id, shape_pt_sequence) or (trip_id,
+    stop_sequence) is an error. The route and stop ids that trips use must
+    be usable in the output files (see ``_checked_id``); others are kept as read.
     """
     dir_path = Path(dir_path)
-
-    stops = {}
-    for where, row in _read_table(dir_path, "stops.txt"):
-        sid = _req(row, "stop_id", where)
-        stops[sid] = (*_req_position(row, "stop_", where),
-                      row.get("stop_name", ""))
-
-    shape_pts = {}
-    for where, row in _read_table(dir_path, "shapes.txt"):
-        sid = _req(row, "shape_id", where)
-        shape_pts.setdefault(sid, []).append(
-            (_req(row, "shape_pt_sequence", where, int64),
-             *_req_position(row, "shape_pt_", where)))
-    shapes = {}
-    for sid, pts in shape_pts.items():
-        pts.sort(key=lambda p: p[0])
-        coords = []
-        for _, lat, lon in pts:
-            if coords and coords[-1] == (lat, lon):
-                continue  # drop exact consecutive duplicates
-            coords.append((lat, lon))
-        if len(coords) < 2:
-            raise IngestError("referential", f"shape {sid} has fewer than 2 distinct points")
-        shapes[sid] = tuple(coords)
-
-    route_ids = set()
-    for where, row in _read_table(dir_path, "routes.txt"):
-        route_ids.add(_req(row, "route_id", where))
-
-    trip_rows = {}
-    for where, row in _read_table(dir_path, "trips.txt"):
-        tid = _req(row, "trip_id", where)
-        rid = _checked_id(_req(row, "route_id", where), "route_id")
-        if rid not in route_ids:
-            raise IngestError("referential", f"trip {tid} references unknown route {rid}")
-        shape_id = _req(row, "shape_id", where)
-        if shape_id not in shapes:
-            raise IngestError("referential", f"trip {tid} references unknown shape {shape_id}")
-        direction = _req(row, "direction_id", where, int64) if row.get("direction_id") else 0
-        if direction not in (0, 1):
-            raise IngestError("parse", f"{where}: trip {tid}: direction_id must be 0 or 1")
-        trip_rows[tid] = (rid, direction, shape_id)
-
-    seq = {}
-    for where, row in _read_table(dir_path, "stop_times.txt"):
-        tid = _req(row, "trip_id", where)
-        if tid not in trip_rows:
-            raise IngestError("referential", f"stop_times references unknown trip {tid}")
-        sid = _checked_id(_req(row, "stop_id", where), "stop_id")
-        if sid not in stops:
-            raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
-        seq.setdefault(tid, []).append((_req(row, "stop_sequence", where, int64), sid))
-
+    stops = _gtfs_table(dir_path, "stops.txt", ("stop_id",), _stops, _stop)
+    shapes = _gtfs_table(dir_path, "shapes.txt", ("shape_id", "shape_pt_sequence"),
+                         _shapes, _shape_point)
+    route_ids = _gtfs_table(dir_path, "routes.txt", (),
+                            lambda n, column: set(_texts(column("route_id"))),
+                            lambda row, where: (_req(row, "route_id", where),))
+    trip_rows = _gtfs_table(dir_path, "trips.txt", ("trip_id",), _trips, _trip,
+                            route_ids, shapes)
+    stop_ids, bounds = _gtfs_table(dir_path, "stop_times.txt", ("trip_id", "stop_sequence"),
+                                   _stop_times, _stop_time, trip_rows, stops)
     trips = {}
-    for tid, (rid, direction, shape_id) in trip_rows.items():
-        if tid not in seq:
-            raise IngestError("referential", f"trip {tid} has no stop_times rows")
-        ordered = [sid for _, sid in sorted(seq[tid], key=lambda p: p[0])]
-        if len(ordered) < 2:
-            raise IngestError("referential", f"trip {tid} has fewer than 2 stops")
+    for (tid, (rid, direction, shape_id)), a, b in zip(trip_rows.items(), bounds, bounds[1:]):
+        if b - a < 2:
+            raise IngestError("referential", f"trip {tid} has no stop_times rows" if a == b
+                              else f"trip {tid} has fewer than 2 stops")
         trips[tid] = Trip(trip_id=tid, route_id=rid, direction_id=direction,
-                          shape_id=shape_id, stop_ids=tuple(ordered))
-
+                          shape_id=shape_id, stop_ids=tuple(stop_ids[a:b]))
     routes = tuple(sorted({(t.route_id, t.direction_id) for t in trips.values()}))
     return StaticNetwork(routes=routes, shapes=shapes, stops=stops, trips=trips)
 
@@ -488,14 +617,29 @@ def _weather_row(f) -> tuple:
 
 
 def load_weather(path) -> WeatherTable:
-    """Load ``date,hour,condition`` rows; duplicate (date, hour) is an error."""
-    entries = {}
-    for day, hour, condition in read_rows(path, ("date", "hour", "condition"), _weather_row):
-        if (day, hour) in entries:
-            raise IngestError("duplicate",
-                              f"duplicate weather entry for {date_text(day)} hour {hour}")
-        entries[(day, hour)] = condition
-    return WeatherTable(entries=entries)
+    """Load ``date,hour,condition`` rows; duplicate (date, hour) is an error.
+    The file is read whole and checked column by column: each distinct date by
+    ``day_number``, all hours by one ``np.array`` call. A file that fails is read
+    again through ``read_rows``, so that its first bad line is the one named."""
+    lines = headed_lines(path, "date")
+    fields = ",".join(lines).split(",") if lines else []
+    try:
+        if set(map(str.count, lines, repeat(","))) - {2}:
+            raise ValueError("a line without 3 fields")
+        hours = _numbers(fields[1::3], np.int64)
+        days = {text: day_number(text) for text in set(fields[0::3])}
+        keys = list(zip(map(days.__getitem__, fields[0::3]), hours.tolist()))
+        if not ((hours >= 0) & (hours <= 23)).all() or len(set(keys)) < len(keys):
+            raise ValueError("an hour out of range or repeated")
+    except (ValueError, OverflowError):
+        seen = set()
+        for day, hour, _ in read_rows(path, ("date", "hour", "condition"), _weather_row):
+            if (day, hour) in seen:
+                raise IngestError("duplicate", f"duplicate weather entry for {date_text(day)} "
+                                  f"hour {hour}") from None
+            seen.add((day, hour))
+        raise
+    return WeatherTable(entries=dict(zip(keys, fields[2::3])))
 
 
 # ---------------------------------------------------------------------------

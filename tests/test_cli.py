@@ -649,6 +649,23 @@ def test_bad_number_in_gtfs_table_exit_2(workdir, tmp_path, capsys):
     assert_input_error(rc, capsys, "parse", "stops.txt:2:", "stop_lat")
 
 
+@pytest.mark.parametrize("table,key", [
+    ("stops.txt", "stop_id"), ("shapes.txt", "shape_id"), ("trips.txt", "trip_id"),
+    ("stop_times.txt", "stop_sequence")])
+def test_duplicate_gtfs_key_exit_2(workdir, tmp_path, capsys, table, key):
+    """A second row with an earlier row's key (stop_id, trip_id, shape_id and
+    shape_pt_sequence, trip_id and stop_sequence) is refused, naming the line
+    of the second row, where it used to overwrite or follow the first."""
+    gtfs = tmp_path / "gtfs"
+    shutil.copytree(workdir["paths"].gtfs_dir, gtfs)
+    lines = (gtfs / table).read_text(encoding="utf-8").splitlines()
+    lines.insert(3, lines[1])
+    (gtfs / table).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--gtfs", str(gtfs),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "duplicate", f"{table}:4:", key)
+
+
 def test_bad_number_in_model_store_exit_2(workdir, tmp_path, capsys):
     lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("loglik"))

@@ -13,9 +13,9 @@ from buslink.hetlognorm import HetLogNormalModel
 from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of,
                                project_traversal, repair_monotonic, slowest_speeds)
 from buslink.ingest import Traversal
-from buslink.markov import (LOGNORMAL_TOP_Z, MAX_GRID, LinkPlan, MarkovConfig, PredictionSession,
-                            _geometric_steps, _grid_size, _GridLaw, build_plan, simulate,
-                            steps_to_complete)
+from buslink.markov import (BAND, LOGNORMAL_TOP_Z, MAX_GRID, TAIL_EPS, LinkPlan, MarkovConfig,
+                            PredictionSession, _geometric_steps, _grid_size, _GridLaw, build_plan,
+                            simulate, steps_to_complete)
 from buslink.pipeline import RunConfig, replay_pairs
 
 from conftest import examples, link_scan
@@ -325,35 +325,77 @@ def grid_points(links, r):
     return _geometric_steps(np.array([p for p, _, _ in links])) * r + sum(tops) + 1
 
 
-@given(links=LINKS, seed=st.integers(0, 2**32 - 1))
+def floored_lognormal(mu: float, sigma: float, size: int) -> np.ndarray:
+    """The PMF on the 1 s grid, to ``size`` points, of a log-normal time
+    rounded down, its mass above exp(mu + 7 sigma) at that point's floor."""
+    if sigma == 0.0:
+        return np.bincount([math.floor(math.exp(mu))], minlength=1).astype(float)
+    top = min(math.floor(math.exp(mu + LOGNORMAL_TOP_Z * sigma)), size)
+    cdf = [0.5 * math.erfc((mu - math.log(t)) / (sigma * math.sqrt(2.0)))
+           for t in range(1, top + 1)]
+    return np.diff(cdf, prepend=0.0, append=1.0)
+
+
+def convolved_cdfs(links, r: int, size: int) -> list:
+    """At each stop, the CDF on the first ``size`` points of the 1 s grid of
+    the remaining time with every dwell and intersection time rounded down:
+    per link, ``r`` grid points per geometric step, the floored pool and the
+    floored log-normals, convolved in the time domain. A law's first ``size``
+    points need no more of any part."""
+    law, cdfs = np.ones(1), []
+    k = np.arange(1, (size - 1) // r + 1)
+    for p, pool, xs in links:
+        steps = np.zeros(size)
+        steps[k * r] = (1.0 - p) * p ** (k - 1)
+        dwell = np.bincount(np.floor(pool).astype(np.intp)) / len(pool)
+        for part in (steps, dwell, *(floored_lognormal(mu, sigma, size) for mu, sigma in xs)):
+            law = np.convolve(law, part[:size])[:size]
+        cdfs.append(np.cumsum(law))
+    return cdfs
+
+
+def band_end(cdf, level: float, at: float) -> None:
+    """``at`` is the first grid point whose CDF reaches ``level`` less
+    TAIL_EPS. The FFT's CDF lies within TAIL_EPS (the mass that wraps past the
+    grid) and rounding of the convolved one, so where the convolved CDF comes
+    within 2 TAIL_EPS below the level, ``at`` may lie at any point in that reach."""
+    low, high = cdf >= level - 2 * TAIL_EPS - 1e-12, cdf >= level + 1e-12
+    assert low.any() and np.argmax(low) <= at <= (np.argmax(high) if high.any() else cdf.size)
+
+
+@given(links=LINKS)
 # three signals whose exp(mu + 7 sigma) tops add up past MAX_GRID
 @example(links=[(0.0, [0.0], [(3.0, 1.0)]), (0.0, [0.0], [(4.0, 1.0)]),
-                (0.0, [0.0], [(4.0, 1.0)])], seed=0)
+                (0.0, [0.0], [(4.0, 1.0)])])
 @settings(deadline=None)  # the default examples, so that the ci profile can raise them
-def test_exact_law_against_monte_carlo_oracle(links, seed):
-    """Random plans against 2 x 10^5 runs of ``accel.markov_offsets``:
-    under the reference, each band tail holds at most 0.025 + 0.005 of the
-    runs, and their mean is within 4 standard errors of the exact one. The
-    standard error is the law's own: a p_stay of 1e-6 moves the mean by
-    5e-6 s, but may show in no run. A plan whose grid would pass MAX_GRID
-    is refused as ``grid_too_large``."""
+def test_exact_law_against_monte_carlo_oracle(links):
+    """Random plans against an exact oracle of the floored law, the
+    ``np.convolve`` of its parts: each band end is the convolved CDF's first
+    point at its level but where that CDF comes within 2 TAIL_EPS of the
+    level, the upper end lies one grid step further per component that is
+    not on the grid, and each mean is the exact one to float rounding. The
+    floor itself, S- <= S <= S- + N_k h per run, is left to the million runs
+    of ``accel.markov_offsets`` in ``test_acceptance``. A plan whose grid would
+    pass MAX_GRID is refused as ``grid_too_large``."""
     plans = random_plan(links)
     if not grid_points(links, 5) < MAX_GRID:
         with pytest.raises(SimError) as e:
             simulate(plans, MarkovConfig(delta_t=5.0))
         assert e.value.kind == "grid_too_large"
         return
-    summary = simulate(plans, MarkovConfig(delta_t=5.0))
-    rng = np.random.default_rng(seed)
-    m, k = 200_000, len(plans)
-    sd = law_sd(plans, 5.0)
-    ref = markov_offsets(plans, rng.random((m, k)), rng.random((m, k)),
-                         rng.standard_normal((m, sum(len(xs) for _, _, xs in links))), 5.0)
-    for i, f in enumerate(summary.stops):  # 1e-9 s: float sums in the runs
-        assert np.mean(ref[:, i] < f.p2_5 - 1e-9) <= 0.03
-        assert np.mean(ref[:, i] > f.p97_5 + 1e-9) <= 0.03
-        assert (abs(ref[:, i].mean() - f.mean_remaining)
-                <= 4 * sd[i] / math.sqrt(m) + 1e-9 * f.mean_remaining)
+    summary = simulate(plans, MarkovConfig(delta_t=5.0))  # r = 5 grid points of h = 1 s
+    inexact = np.cumsum([(np.floor(pool) != pool).any()
+                         + sum(sigma > 0.0 or math.exp(mu) % 1.0 != 0.0 for mu, sigma in xs)
+                         for _, pool, xs in links])
+    size = round(summary.stops[-1].p97_5) + 64  # past the last band end
+    assert size <= MAX_GRID + 64
+    mean = np.cumsum([5.0 / (1.0 - p) + np.mean(np.sort(pool))
+                      + sum(math.exp(mu + sigma * sigma / 2.0) for mu, sigma in xs)
+                      for p, pool, xs in links])
+    for f, cdf, n_k, m in zip(summary.stops, convolved_cdfs(links, 5, size), inexact, mean):
+        band_end(cdf, BAND[0], f.p2_5)
+        band_end(cdf, BAND[1], f.p97_5 - n_k)
+        assert f.mean_remaining == pytest.approx(m, rel=1e-12)
 
 
 @pytest.mark.parametrize("delta_t", [5.0, 2.0, 1.0])
