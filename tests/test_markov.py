@@ -327,11 +327,13 @@ def grid_points(links, r):
 
 def floored_lognormal(mu: float, sigma: float, size: int) -> np.ndarray:
     """The PMF on the 1 s grid, to ``size`` points, of a log-normal time
-    rounded down, its mass above exp(mu + 7 sigma) at that point's floor."""
+    rounded down, its mass above exp(mu + 7 sigma) at that point's floor.
+    The standard score is taken before the 1 / sqrt(2): a subnormal sigma
+    times sqrt(2) rounds back to sigma."""
     if sigma == 0.0:
         return np.bincount([math.floor(math.exp(mu))], minlength=1).astype(float)
     top = min(math.floor(math.exp(mu + LOGNORMAL_TOP_Z * sigma)), size)
-    cdf = [0.5 * math.erfc((mu - math.log(t)) / (sigma * math.sqrt(2.0)))
+    cdf = [0.5 * math.erfc((mu - math.log(t)) / sigma / math.sqrt(2.0))
            for t in range(1, top + 1)]
     return np.diff(cdf, prepend=0.0, append=1.0)
 
@@ -367,6 +369,8 @@ def band_end(cdf, level: float, at: float) -> None:
 # three signals whose exp(mu + 7 sigma) tops add up past MAX_GRID
 @example(links=[(0.0, [0.0], [(3.0, 1.0)]), (0.0, [0.0], [(4.0, 1.0)]),
                 (0.0, [0.0], [(4.0, 1.0)])])
+# a subnormal sigma: P(X <= 1) is Phi(-mu / sigma) = Phi(-1)
+@example(links=[(0.328125, [0.0, 0.0, 0.0, 16.0], [(5e-324, 5e-324)])])
 @settings(deadline=None)  # the default examples, so that the ci profile can raise them
 def test_exact_law_against_monte_carlo_oracle(links):
     """Random plans against an exact oracle of the floored law, the
