@@ -19,7 +19,7 @@ from . import pipeline, synth
 from .errors import (ConfigError, FitError, GeometryError, IngestError,
                      MetricError, NumericalError, SimError)
 from .evaluation import METRICS
-from .ingest import int64
+from .ingest import finite_float, int64
 
 # OSError: a file that is missing or cannot be read or written
 INPUT_ERRORS = (IngestError, GeometryError, ConfigError, MetricError, SimError, OSError)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="remaining-time simulation for a trip")
     _shared_flags(p, "gtfs", "pings", "weather", "intersections", "store")
     p.add_argument("--trip", required=True)
-    p.add_argument("--at", type=float, default=None, help="POSIX timestamp")
+    p.add_argument("--at", type=finite_float, default=None, help="POSIX timestamp")
     p.add_argument("--replay", action="store_true",
                    help="emit a batch at start and at each traffic-indicator flip")
     p.set_defaults(func=cmd_simulate)

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -168,11 +168,20 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
+def _strided(tables: dict, n: int, build):
+    """``build(n)`` for n = m 2^k, m odd, where ``build(N)`` holds it as every
+    (N / n)-th entry along its last axis: that of the largest N of that m asked
+    for so far, kept in ``tables``."""
+    big, table = tables.get(odd := n // (n & -n), (0, None))
+    if n > big:
+        big, table = tables[odd] = n, build(n)
+    return table[..., ::big // n]
+
+
 class _GridLaw:
     """A dwell pool or intersection time rounded down to the h grid: its
     PMF from 0, its exact mean (s), its grid mean (steps), whether it was
-    on the grid already, and its ``rfft`` at the largest grid size asked
-    for so far of each odd part of the grid size."""
+    on the grid already, and its ``rfft``, kept as ``_strided`` keeps it."""
 
     def __init__(self, pmf, mean: float, exact: bool):
         self.pmf, self.mean, self.exact = pmf, mean, exact
@@ -181,13 +190,7 @@ class _GridLaw:
         self._transforms = {}  # odd part of the size: (the largest size N, rfft on N)
 
     def transform(self, n: int):
-        """The ``rfft`` on n = m 2^k points, m odd: every (N / n)-th frequency
-        of the one at the largest size N of the same m."""
-        odd = n // (n & -n)
-        big, rows = self._transforms.get(odd, (0, None))
-        if n > big:
-            big, rows = self._transforms[odd] = n, np.fft.rfft(self.pmf, n)
-        return rows[::big // n]
+        return _strided(self._transforms, n, partial(np.fft.rfft, self.pmf))
 
 
 def _grid_law(model, h: float) -> _GridLaw:
@@ -231,15 +234,20 @@ def _floored_atoms(atoms, weights, mean: float, h: float) -> _GridLaw:
     return _GridLaw(np.bincount(idx.astype(np.intp), weights), mean, exact=bool(np.all(q == idx)))
 
 
-@lru_cache(maxsize=64)
+_PHASES: dict = {}  # r -> the tables of ``_strided``
+
+
 def _phases(n: int, r: int):
     """1 / w for w = e^(-2 pi i f r / n), the transform of an r-step shift at
-    each rfft frequency f, and 1 / (1 - e^(-2 pi i f / n)) (0 at f = 0),
-    which turns a PMF's transform into its CDF's. Callers do not write to them."""
-    f = np.arange(n // 2 + 1)
-    step = 1.0 - np.exp(-2j * np.pi / n * f)
-    step[0] = np.inf
-    return np.exp(2j * np.pi * r / n * f), 1.0 / step
+    each rfft frequency f, and 1 / (1 - e^(-2 pi i f / n)) (0 at f = 0), which
+    turns a PMF's transform into its CDF's. 2 pi r / N * (f N / n) rounds as
+    2 pi r / n * f, so ``_strided`` reads them bit for bit. Callers do not write to them."""
+    def tables(n):
+        f = np.arange(n // 2 + 1)
+        step = 1.0 - np.exp(-2j * np.pi / n * f)
+        step[0] = np.inf
+        return np.stack([np.exp(2j * np.pi * r / n * f), 1.0 / step])
+    return _strided(_PHASES.setdefault(r, {}), n, tables)
 
 
 def _grid_size(n_min: int) -> int:

@@ -7,7 +7,7 @@ format is the table ``_SECTIONS``: per section kind, the model class and
 its fields in written order, each with its writer and its parser.
 Model-store floats are written with 17 significant digits so that
 write -> read -> write reproduces the file byte for byte; the reader
-parses every float list of the file by one ``np.array`` call. Ids never
+parses each value at its own line by its field's reader. Ids never
 contain whitespace or any of ``, ; = [ ]``: ingest rejects them
 (``bad_id``), since neither file could read them back.
 """
@@ -295,15 +295,6 @@ def _floats(value: str, low: float = -math.inf) -> np.ndarray:
     return values
 
 
-class _Floats(NamedTuple):
-    """The reader of a list of finite floats >= ``low``; ``read_store`` reads
-    every such list of a file by one ``np.array`` call."""
-    low: float = -math.inf
-
-    def __call__(self, value: str) -> np.ndarray:
-        return _floats(value, self.low)
-
-
 def _bits(value: str, size: int) -> np.ndarray:
     tokens = value.split(",")
     if len(tokens) != size or not set(tokens) <= {"0", "1"}:
@@ -342,12 +333,12 @@ _SECTIONS = {
         "active_mask": _Field(lambda m: _g17s(m.active_mask), partial(_bits, size=COEF_COUNT)),
         "beta": _Field(lambda m: _coef_line(m.beta, m.active_mask), _coefs),
         "gamma": _Field(lambda m: _coef_line(m.gamma, m.active_mask), _coefs),
-        "fim": _Field(lambda m: map(_g17s, m.fim), _Floats(), rows=True),
+        "fim": _Field(lambda m: map(_g17s, m.fim), _floats, rows=True),
     }),
     "dwell": (lambda stop_id, n, **fields: EmpiricalDwell(stop_id, **fields), {
         "n": _Field(lambda d: d.samples.shape[0], _count),
         "pooled": _Field(lambda d: int(d.pooled), _flag),
-        "samples": _Field(lambda d: _g17s(d.samples), _Floats(low=0.0)),
+        "samples": _Field(lambda d: _g17s(d.samples), partial(_floats, low=0.0)),
     }),
     "intersection": (IntersectionLogNormal, {
         "mu_s": _Field(lambda x: _g17(x.mu_s), finite_float),
@@ -406,27 +397,12 @@ def _model(kind: str, ident, fields: dict):
 
 
 def read_store(path) -> ModelStore:
-    """Parse a model store. A line its writer would not write, a value outside
-    its field's range among them, raises IngestError("parse") naming the file
-    and line; so does a section that breaks a rule of ``_model``.
-
-    The file is read in one pass over its lines. Every float list in it (FIM
-    rows, dwell samples) is then read by one ``np.array`` call; if that fails,
-    or a later line does, each list is read again by its ``_Floats`` reader, in
-    file order, so that the first bad line is the one named.
-    """
+    """Parse a model store in one pass over its lines, each value by its field's reader. The
+    first line its writer would not write, a value outside its field's range among them,
+    raises IngestError("parse") naming the file and line; so does a section ``_model`` refuses."""
     path = Path(path)
     sections: dict = {}  # (kind, route_key, id) -> (header line number, fields)
-    pending = []  # per float list: line number, text, reader, and where its array goes
     fields = None
-
-    def first_bad_list() -> None:
-        for lineno, value, read, *_ in pending:
-            try:
-                read(value)
-            except ValueError as exc:
-                raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
-
     with open_text(path) as fh:
         lines = fh.read().split("\n")
     for lineno, line in enumerate(map(str.strip, lines), start=1):
@@ -448,34 +424,15 @@ def read_store(path) -> ModelStore:
                 raise ValueError(f"field {key!r} before the first section header")
             if key not in table:
                 raise ValueError(f"{section[0]} section has no field {key!r}")
-            field = table[key]
-            parsed = None if isinstance(field.read, _Floats) else field.read(value)
-            if parsed is None:  # read below, with every float list of the file
-                slot = ((fields.setdefault(key, []), len(fields[key])) if field.rows
-                        else (fields, key))
-                pending.append((lineno, value, field.read, *slot))
-            if field.rows:
+            parsed = table[key].read(value)
+            if table[key].rows:
                 fields.setdefault(key, []).append(parsed)
             elif key in fields:
                 raise ValueError(f"field {key!r} repeated")
             else:
                 fields[key] = parsed
         except ValueError as exc:
-            first_bad_list()
             raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from exc
-    text = ",".join(p[1] for p in pending)
-    sizes = [p[1].count(",") + 1 for p in pending]
-    try:
-        floats = np.array(text.split(",") if pending else [], dtype=float)
-        if not (number_text(text) and np.isfinite(floats).all()
-                and (floats >= np.repeat([p[2].low for p in pending], sizes)).all()):
-            raise ValueError("a float list breaks its rule")
-    except ValueError:
-        first_bad_list()
-        raise
-    ends = np.cumsum(sizes).tolist()
-    for (*_, container, slot), a, b in zip(pending, [0, *ends], ends):
-        container[slot] = floats[a:b]
     models: dict = {kind: {} for kind in _SECTIONS}
     for (kind, rk, ident), (lineno, fields) in sections.items():
         try:

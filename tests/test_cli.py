@@ -479,6 +479,16 @@ def test_integer_flag_outside_the_number_grammar_exit_2(capsys, argv):
     assert f"invalid int64 value: {argv[-1]!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e999", "1_0"])
+def test_at_flag_outside_the_number_grammar_exit_2(capsys, value):
+    """``simulate --at`` reads its value as the config file's floats are read:
+    a finite number in the number grammar."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--trip", "T005", "--at", value])
+    assert exit_.value.code == 2
+    assert f"invalid finite_float value: {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["runs", "seed"])
 def test_retired_config_key_exit_2(tmp_path, capsys, key):
     """No driver reads ``runs`` or ``seed``, so a file that sets one is

@@ -14,8 +14,8 @@ from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of
                                project_traversal, repair_monotonic, slowest_speeds)
 from buslink.ingest import Traversal
 from buslink.markov import (BAND, LOGNORMAL_TOP_Z, MAX_GRID, TAIL_EPS, LinkPlan, MarkovConfig,
-                            PredictionSession, _geometric_steps, _grid_size, _GridLaw, build_plan,
-                            simulate, steps_to_complete)
+                            PredictionSession, _PHASES, _geometric_steps, _grid_size, _GridLaw,
+                            _phases, build_plan, simulate, steps_to_complete)
 from buslink.pipeline import RunConfig, replay_pairs
 
 from conftest import examples, link_scan
@@ -297,6 +297,31 @@ def test_grid_law_transform_any_order(case):
     for n in sizes:
         np.testing.assert_allclose(law.transform(n), np.fft.rfft(pmf, n), rtol=0, atol=1e-12)
         assert len(law._transforms) <= 4
+
+
+def direct_phases(n: int, r: int):
+    """The shift and CDF tables of ``_phases``, built at n itself."""
+    f = np.arange(n // 2 + 1)
+    step = 1.0 - np.exp(-2j * np.pi / n * f)
+    step[0] = np.inf
+    return np.exp(2j * np.pi * r / n * f), 1.0 / step
+
+
+@given(st.lists(st.tuples(st.sampled_from([n for n in LADDER if n <= 1 << 15]),
+                          st.integers(1, 10)), min_size=1, max_size=12),
+       st.sampled_from([sorted, lambda x: sorted(x, reverse=True), list]))
+@settings(deadline=None, max_examples=examples(200))
+def test_phase_tables_any_order(asked, order):
+    """Whatever the order of the grid sizes and steps asked for, the phase
+    tables equal those built at that size bit for bit, and they are kept
+    once per step r and odd part (1, 3, 5 or 15) of the size, at the
+    largest size asked for."""
+    _PHASES.clear()
+    for n, r in order(asked):
+        for got, want in zip(_phases(n, r), direct_phases(n, r), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert len(_PHASES[r]) <= 4
+    assert all(_PHASES[r][n // (n & -n)][0] >= n for n, r in asked)
 
 
 def random_plan(draw_links):

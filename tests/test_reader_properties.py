@@ -1,11 +1,14 @@
-"""The column readers of the static inputs against their row references.
+"""The readers of the static inputs against their row references.
 
-``load_gtfs_static``, ``load_weather`` and ``read_store`` read each file
-whole and check its rules on columns. Each reference below reads the same
-file row by row, as those readers did before they read columns, with the
-duplicate-key rule of the GTFS tables added. On random files, clean and
-corrupted, a reader and its reference return equal values, with dict keys
-in the same order, or raise the same IngestError."""
+``load_gtfs_static`` and ``load_weather`` read each file whole and check
+its rules on columns; ``read_store`` reads its file whole and then line by
+line, each value by its field's reader. Each reference below reads the same
+file row by row, as the GTFS and weather readers did before they read
+columns, with the duplicate-key rule of the GTFS tables added; the store's
+reference reads the file by lines from the open file, and stays as a guard
+on the reader. On random files, clean and corrupted, a reader and its
+reference return equal values, with dict keys in the same order, or raise
+the same IngestError."""
 
 import csv
 import io
@@ -400,7 +403,7 @@ def corrupted_lines(draw, lines):
                                      "add"]))
         lists = [k for k, line in enumerate(lines) if line.startswith(kind)]
         bad = st.sampled_from(BAD_TOKENS)
-        if kind in ("fim", "samples") and lists:  # a float list, read with all others at once
+        if kind in ("fim", "samples") and lists:  # a float list, read by ``_floats``
             i, kind, bad = draw(st.sampled_from(lists)), "token", st.sampled_from(BAD_FLOATS)
         if kind == "token":
             head, sep, value = lines[i].partition(" = ")
@@ -422,8 +425,8 @@ def corrupted_lines(draw, lines):
 @SETTINGS
 def test_store_reader_equals_the_row_reference(tmp_path, store, data):
     """Model stores of ``test_store_properties``' strategy, written and then
-    corrupted: ``read_store``, which reads every float list of the file at
-    once, returns the row reference's models or raises its error."""
+    corrupted: ``read_store``, which reads the file whole and then each value
+    at its own line, returns the row reference's models or raises its error."""
     path = tmp_path / "models.txt"
     write_store(path, store)
     lines = data.draw(corrupted_lines(path.read_text(encoding="utf-8").splitlines()))
