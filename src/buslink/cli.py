@@ -19,7 +19,7 @@ from . import pipeline, synth
 from .errors import (ConfigError, FitError, GeometryError, IngestError,
                      MetricError, NumericalError, SimError)
 from .evaluation import METRICS
-from .ingest import finite_float, int64
+from .ingest import finite_float, int64, number
 
 # OSError: a file that is missing or cannot be read or written
 INPUT_ERRORS = (IngestError, GeometryError, ConfigError, MetricError, SimError, OSError)
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak", type=int64, default=0, choices=(0, 1))
     p.add_argument("--weekday", type=int64, default=0, choices=(0, 1))
     p.add_argument("--traffic", type=int64, default=0, choices=(0, 1))
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=number, default=0.95)
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("simulate", help="remaining-time simulation for a trip")

@@ -9,9 +9,9 @@ is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
 text input of the package is opened by ``open_text``, every
 line-oriented one keeps the lines ``data_text`` keeps, and every number
 of a data file is in the one grammar of ``number``. The GTFS tables and
-the weather file are read whole and checked on columns; the row rules
-(``_req``, ``_weather_row``, ...) run only when a check fails, to name
-the first bad row.
+the weather file are read whole and checked on columns. To name the first
+bad row, a GTFS table that fails is checked again on prefixes of its rows,
+and a weather file is read again by its row rule ``_weather_row``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import io
 import math
 import re
 import warnings
-from contextlib import contextmanager
+from bisect import bisect_left
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -228,7 +229,7 @@ class StaticNetwork:
 
 def _columns(path: Path) -> tuple:
     """A GTFS table as ``(n, column)``: its n data rows and ``column(name, default)``,
-    the name's n fields as ``csv.DictReader`` reads them: blank lines dropped, of two
+    the name's n fields as csv's dict reader reads them: blank lines dropped, of two
     columns of one name the later, None past the end of a short row, and ``default``
     (n Nones) for a name not in the header. A table with a ``"`` (or a NUL, which
     Python 3.10's csv refuses) is read by one ``csv.reader`` pass; any other is split
@@ -256,30 +257,6 @@ def _columns(path: Path) -> tuple:
     return n, lambda name, default=none: default if (k := index.get(name)) is None else get(k)
 
 
-def _req(row: dict, key: str, where: str, conv=str):
-    val = row.get(key)
-    if val is None or val == "":
-        raise IngestError("parse", f"{where}: missing field {key!r}")
-    try:
-        return conv(val)
-    except ValueError:
-        raise IngestError("parse", f"{where}: field {key!r} is not a number: {val!r}") from None
-
-
-def _req_position(row: dict, prefix: str, where: str) -> tuple:
-    try:
-        return position(*(_req(row, prefix + c, where, finite_float) for c in ("lat", "lon")))
-    except ValueError as exc:
-        raise IngestError("parse", f"{where}: {exc}") from None
-
-
-def _texts(column) -> list:
-    """``column``; ValueError if a field is missing or empty, as for ``_req``."""
-    if not all(column):
-        raise ValueError("missing field")
-    return column
-
-
 def _numbers(column, kind: type = float) -> np.ndarray:
     """The fields as ``number(text, kind)`` reads each, in an array of ``kind``
     (``float`` or ``np.int64``); ValueError, TypeError or OverflowError if not."""
@@ -288,24 +265,47 @@ def _numbers(column, kind: type = float) -> np.ndarray:
     return np.array(column, dtype=kind)  # each field as float() or int() reads it
 
 
-def _positions(column, prefix: str) -> tuple:
-    """The lat and lon arrays of ``_req_position``; ValueError if a row fails it."""
-    lat, lon = (_numbers(column(prefix + c)) for c in ("lat", "lon"))
-    if not ((np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):  # nan fails
-        raise ValueError("not a position")
+# The column checks of a GTFS table. Each states one rule of its rows, in the
+# order a row is checked, and raises its IngestError if a row breaks it,
+# naming the last row (``where``, as ``table:line``) and its values: in the
+# least prefix of rows that fails, that row is the first bad row.
+
+def _required(column, key: str, where: str, kind: type | None = None):
+    """The fields of ``key``, as an array of ``kind`` (``float`` read as
+    ``finite_float``, ``np.int64`` as ``int64``) if given; IngestError("parse")
+    if one is missing or empty, or is not such a number."""
+    fields = column(key)
+    if kind is not None:
+        with suppress(ValueError, TypeError, OverflowError):  # a missing field too
+            if np.isfinite(values := _numbers(fields, kind)).all():
+                return values
+    if not all(fields):
+        raise IngestError("parse", f"{where}: missing field {key!r}")
+    if kind is not None:
+        raise IngestError("parse", f"{where}: field {key!r} is not a number: {fields[-1]!r}")
+    return fields
+
+
+def _positions(column, prefix: str, where: str) -> tuple:
+    """The lat and lon arrays, each in range, as ``position`` takes them."""
+    lat, lon = (_required(column, prefix + c, where, float) for c in ("lat", "lon"))
+    if not ((np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):
+        raise IngestError("parse", f"{where}: ({lat[-1].item()!r}, {lon[-1].item()!r}) is "
+                          "outside [-90, 90] x [-180, 180]")
     return lat, lon
 
 
-def _by_key(keys, seq: np.ndarray, groups) -> tuple:
-    """``(order, bounds)``: rows by the place of their key in ``groups`` (KeyError
-    for another key), then by ``seq``, and where each key's rows begin and end;
-    ValueError if a ``(key, seq)`` repeats."""
+def _by_key(keys, seq: np.ndarray, groups, where: str, names: tuple) -> tuple:
+    """``(order, bounds)``: rows by the place of their key in ``groups``, then by
+    ``seq``, and where each key's rows begin and end; IngestError("duplicate") if
+    a ``(key, seq)``, of the columns ``names``, repeats."""
     index = dict(zip(groups, count()))
     code = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
     order = np.lexsort((seq, code))
-    code, seq = code[order], seq[order]
-    if ((code[1:] == code[:-1]) & (seq[1:] == seq[:-1])).any():
-        raise ValueError("a key repeats")
+    code, ordered = code[order], seq[order]
+    if ((code[1:] == code[:-1]) & (ordered[1:] == ordered[:-1])).any():
+        raise IngestError("duplicate", f"{where}: duplicate {names[0]} {keys[-1]!r}, "
+                          f"{names[1]} {seq[-1].item()!r}")
     return order, np.searchsorted(code, np.arange(len(index) + 1)).tolist()
 
 
@@ -322,129 +322,113 @@ def _checked_id(value: str, what: str) -> str:
     return value
 
 
-# Each GTFS table has a row rule, which states its field and reference rules
-# on one ``csv.DictReader`` row in the order they are checked, and a column
-# pass, which checks the same rules on whole columns.
-
-def _stop(row: dict, where: str) -> tuple:
-    return _req(row, "stop_id", where), *_req_position(row, "stop_", where)
-
-
-def _stops(n: int, column) -> dict:
-    ids = _texts(column("stop_id"))
-    lat, lon = _positions(column, "stop_")
-    if len(set(ids)) < n:
-        raise ValueError("a stop_id repeats")
-    return dict(zip(ids, zip(lat.tolist(), lon.tolist(), column("stop_name", repeat("")))))
+def _checked_ids(ids, what: str) -> set:
+    """The distinct ``ids``; the error of ``_checked_id`` for the first it refuses."""
+    if any(map(_BAD_ID.search, distinct := set(ids))):
+        _checked_id(next(filter(_BAD_ID.search, ids)), what)
+    return distinct
 
 
-def _shape_point(row: dict, where: str) -> tuple:
-    return (_req(row, "shape_id", where), _req(row, "shape_pt_sequence", where, int64),
-            *_req_position(row, "shape_pt_", where))
+def _stops(column, where: str) -> dict:
+    ids = _required(column, "stop_id", where)
+    lat, lon = _positions(column, "stop_", where)
+    if len(set(ids)) < len(ids):
+        raise IngestError("duplicate", f"{where}: duplicate stop_id {ids[-1]!r}")
+    return dict(zip(ids, zip(lat.tolist(), lon.tolist(), column("stop_name", [""] * len(ids)))))
 
 
-def _shapes(n: int, column) -> dict:
-    ids = _texts(column("shape_id"))
-    seq = _numbers(column("shape_pt_sequence"), np.int64)
-    lat, lon = _positions(column, "shape_pt_")
-    order, bounds = _by_key(ids, seq, groups := dict.fromkeys(ids))  # in first-row order
+def _shapes(column, where: str) -> dict:
+    """shape_id -> its points by shape_pt_sequence, exact consecutive repeats dropped."""
+    ids = _required(column, "shape_id", where)
+    seq = _required(column, "shape_pt_sequence", where, np.int64)
+    lat, lon = _positions(column, "shape_pt_", where)
+    groups = dict.fromkeys(ids)  # in first-row order
+    order, bounds = _by_key(ids, seq, groups, where, ("shape_id", "shape_pt_sequence"))
     points = list(zip(lat[order].tolist(), lon[order].tolist()))
-    shapes = {}
-    for sid, a, b in zip(groups, bounds, bounds[1:]):
-        # exact consecutive duplicates dropped
-        shapes[sid] = tuple(p for p, q in zip(points[a:b], [None, *points[a:b]]) if p != q)
-        if len(shapes[sid]) < 2:
-            raise IngestError("referential", f"shape {sid} has fewer than 2 distinct points")
-    return shapes
+    return {sid: tuple(p for p, q in zip(points[a:b], [None, *points[a:b]]) if p != q)
+            for sid, a, b in zip(groups, bounds, bounds[1:])}
 
 
-def _trip(row: dict, where: str, route_ids: set, shapes: dict) -> tuple:
-    tid = _req(row, "trip_id", where)
-    rid = _checked_id(_req(row, "route_id", where), "route_id")
-    if rid not in route_ids:
-        raise IngestError("referential", f"trip {tid} references unknown route {rid}")
-    shape_id = _req(row, "shape_id", where)
-    if shape_id not in shapes:
-        raise IngestError("referential", f"trip {tid} references unknown shape {shape_id}")
-    direction = _req(row, "direction_id", where, int64) if row.get("direction_id") else 0
-    if direction not in (0, 1):
-        raise IngestError("parse", f"{where}: trip {tid}: direction_id must be 0 or 1")
-    return tid, rid, direction, shape_id
-
-
-def _trips(n: int, column, route_ids: set, shapes: dict) -> dict:
+def _trips(column, where: str, route_ids: set, shapes: dict) -> dict:
     """trip_id -> (route_id, direction_id, shape_id), in file order."""
-    tids, rids, shape_ids = map(_texts, map(column, ("trip_id", "route_id", "shape_id")))
+    tids = _required(column, "trip_id", where)
+    rids = _required(column, "route_id", where)
+    if not _checked_ids(rids, "route_id") <= route_ids:
+        raise IngestError("referential", f"trip {tids[-1]} references unknown route {rids[-1]}")
+    shape_ids = _required(column, "shape_id", where)
+    if not set(shape_ids) <= shapes.keys():
+        raise IngestError("referential",
+                          f"trip {tids[-1]} references unknown shape {shape_ids[-1]}")
     texts = column("direction_id")
-    directions = {t: int64(t) if t else 0 for t in set(texts)}
-    if (len(set(tids)) < n or not set(rids) <= route_ids or any(map(_BAD_ID.search, set(rids)))
-            or not set(shape_ids) <= shapes.keys() or not set(directions.values()) <= {0, 1}):
-        raise ValueError("a trips.txt row breaks a rule")
+    try:  # a missing or empty direction_id is 0
+        directions = {t: int64(t) if t else 0 for t in set(texts)}
+    except ValueError:
+        raise IngestError("parse", f"{where}: field 'direction_id' is not a number: "
+                          f"{texts[-1]!r}") from None
+    if not set(directions.values()) <= {0, 1}:
+        raise IngestError("parse", f"{where}: trip {tids[-1]}: direction_id must be 0 or 1")
+    if len(set(tids)) < len(tids):
+        raise IngestError("duplicate", f"{where}: duplicate trip_id {tids[-1]!r}")
     return dict(zip(tids, zip(rids, map(directions.__getitem__, texts), shape_ids)))
 
 
-def _stop_time(row: dict, where: str, trips: dict, stops: dict) -> tuple:
-    tid = _req(row, "trip_id", where)
-    if tid not in trips:
-        raise IngestError("referential", f"stop_times references unknown trip {tid}")
-    sid = _checked_id(_req(row, "stop_id", where), "stop_id")
-    if sid not in stops:
-        raise IngestError("referential", f"trip {tid} references unknown stop {sid}")
-    return tid, _req(row, "stop_sequence", where, int64), sid
-
-
-def _stop_times(n: int, column, trips: dict, stops: dict) -> tuple:
+def _stop_times(column, where: str, trips: dict, stops: dict) -> tuple:
     """The stop ids by trip, in the order of ``trips``, then by stop_sequence, and
-    where each trip's ids begin and end. No key of trips or stops is missing."""
-    tids, sids, seq = column("trip_id"), column("stop_id"), column("stop_sequence")
-    seq, used = _numbers(seq, np.int64), set(sids)
-    if not used <= stops.keys() or any(map(_BAD_ID.search, used)):
-        raise ValueError("a stop_times.txt row breaks a rule")
-    order, bounds = _by_key(tids, seq, trips)
+    where each trip's ids begin and end."""
+    tids = _required(column, "trip_id", where)
+    if not set(tids) <= trips.keys():
+        raise IngestError("referential", f"stop_times references unknown trip {tids[-1]}")
+    sids = _required(column, "stop_id", where)
+    if not _checked_ids(sids, "stop_id") <= stops.keys():
+        raise IngestError("referential", f"trip {tids[-1]} references unknown stop {sids[-1]}")
+    seq = _required(column, "stop_sequence", where, np.int64)
+    order, bounds = _by_key(tids, seq, trips, where, ("trip_id", "stop_sequence"))
     return list(map(sids.__getitem__, order.tolist())), bounds
 
 
-def _gtfs_table(dir_path: Path, name: str, key: tuple, columns, row, *context):
-    """The column pass ``columns(n, column, *context)`` of a table. If it fails,
-    the error of the table's first row that ``row(fields, where, *context)``
-    refuses, or whose first ``len(key)`` values, its ``key`` columns, repeat an
-    earlier row's: IngestError("duplicate") naming ``table:line``."""
+def _gtfs_table(dir_path: Path, name: str, check, *context):
+    """``check(column, where, *context)`` on a table's columns (``_columns``).
+    If it fails, the error it raises on the least prefix of rows that fails,
+    with ``where`` naming that prefix's last row: each row rule holds or fails
+    on a prefix, and a longer prefix fails if a shorter one does, so bisection
+    over the row count finds that prefix, which ends at the first bad row."""
     path = dir_path / name
-    try:
-        return columns(*_columns(path), *context)
-    except (ValueError, TypeError, OverflowError, KeyError):
-        seen = set()
-        with open_text(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for fields in reader:
-                where = f"{name}:{reader.line_num}"  # the row's last physical line
-                values = row(fields, where, *context)[:len(key)]
-                if key and values in seen:
-                    raise IngestError("duplicate", f"{where}: duplicate " + ", ".join(
-                        f"{k} {v!r}" for k, v in zip(key, values))) from None
-                seen.add(values)
-        raise
+    n, column = _columns(path)
+    with suppress(IngestError):  # whose message is found again below
+        return check(column, name, *context)
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # the header, as in ``_columns``
+        lines = [reader.line_num for row in reader if row]  # each row's last line
+
+    def error(k: int):  # of the first k rows, or None
+        try:
+            check(lambda *a: column(*a)[:k], f"{name}:{lines[k - 1]}", *context)
+        except IngestError as exc:
+            return exc
+
+    raise error(1 + bisect_left(range(1, n + 1), True, key=lambda k: error(k) is not None))
 
 
 def load_gtfs_static(dir_path) -> StaticNetwork:
     """Parse the five core GTFS tables into a validated StaticNetwork.
 
-    Each table is read whole and checked column by column (``_gtfs_table``).
-    A repeated stop_id, trip_id, (shape_id, shape_pt_sequence) or (trip_id,
-    stop_sequence) is an error. The route and stop ids that trips use must
-    be usable in the output files (see ``_checked_id``); others are kept as read.
+    Each table is read whole and checked column by column (``_gtfs_table``);
+    an error names the first bad row. A repeated stop_id, trip_id, (shape_id,
+    shape_pt_sequence) or (trip_id, stop_sequence) is an error. The route and
+    stop ids that trips use must be usable in the output files (see
+    ``_checked_id``); others are kept as read.
     """
     dir_path = Path(dir_path)
-    stops = _gtfs_table(dir_path, "stops.txt", ("stop_id",), _stops, _stop)
-    shapes = _gtfs_table(dir_path, "shapes.txt", ("shape_id", "shape_pt_sequence"),
-                         _shapes, _shape_point)
-    route_ids = _gtfs_table(dir_path, "routes.txt", (),
-                            lambda n, column: set(_texts(column("route_id"))),
-                            lambda row, where: (_req(row, "route_id", where),))
-    trip_rows = _gtfs_table(dir_path, "trips.txt", ("trip_id",), _trips, _trip,
-                            route_ids, shapes)
-    stop_ids, bounds = _gtfs_table(dir_path, "stop_times.txt", ("trip_id", "stop_sequence"),
-                                   _stop_times, _stop_time, trip_rows, stops)
+    stops = _gtfs_table(dir_path, "stops.txt", _stops)
+    shapes = _gtfs_table(dir_path, "shapes.txt", _shapes)
+    for sid, points in shapes.items():
+        if len(points) < 2:
+            raise IngestError("referential", f"shape {sid} has fewer than 2 distinct points")
+    route_ids = _gtfs_table(dir_path, "routes.txt",
+                            lambda column, where: set(_required(column, "route_id", where)))
+    trip_rows = _gtfs_table(dir_path, "trips.txt", _trips, route_ids, shapes)
+    stop_ids, bounds = _gtfs_table(dir_path, "stop_times.txt", _stop_times, trip_rows, stops)
     trips = {}
     for (tid, (rid, direction, shape_id)), a, b in zip(trip_rows.items(), bounds, bounds[1:]):
         if b - a < 2:

@@ -365,7 +365,8 @@ def write_store(path, store: ModelStore) -> None:
 
 def _section(line: str):
     """``(kind, route_key, id)`` of a ``[kind route direction id]`` header."""
-    parts = line.strip("[]").split()
+    inner = line[1:-1]  # a header opens with one [ and closes with one ]
+    parts = inner.split() if line[-1] == "]" and "[" not in inner and "]" not in inner else []
     if len(parts) != 4 or parts[0] not in _SECTIONS:
         raise ValueError(f"bad section header {line!r}: not [{'|'.join(_SECTIONS)} "
                          "route direction id]")

@@ -489,6 +489,16 @@ def test_at_flag_outside_the_number_grammar_exit_2(capsys, value):
     assert f"invalid finite_float value: {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0.9_5", "1_0"])
+def test_level_flag_outside_the_number_grammar_exit_2(capsys, value):
+    """``predict --level`` reads its value in the number grammar, so ``0.9_5``
+    is refused where Python's ``float`` reads it as 0.95."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["predict", "--route", "R1", "--link", "1", "--level", value])
+    assert exit_.value.code == 2
+    assert f"invalid number value: {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["runs", "seed"])
 def test_retired_config_key_exit_2(tmp_path, capsys, key):
     """No driver reads ``runs`` or ``seed``, so a file that sets one is
@@ -751,6 +761,17 @@ def test_model_store_unknown_section_exit_2(workdir, tmp_path, capsys):
     lines[i] = "[bus R1 0 2]"
     rc = _predict_with_store(workdir, tmp_path, lines)
     assert_input_error(rc, capsys, "parse", f"models.txt:{i + 1}:", "[bus R1 0 2]")
+
+
+@pytest.mark.parametrize("header", ["[road R1 0 2", "[[road R1 0 2]", "[road R1 0 2]]"],
+                         ids=["no_close", "two_open", "two_close"])
+def test_model_store_section_brackets_exit_2(workdir, tmp_path, capsys, header):
+    """A header opens with exactly one ``[`` and closes with exactly one ``]``."""
+    lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
+    i = lines.index("[road R1 0 2]")
+    lines[i] = header
+    rc = _predict_with_store(workdir, tmp_path, lines)
+    assert_input_error(rc, capsys, "parse", f"models.txt:{i + 1}:", header)
 
 
 def _insert_after(prefix, new_line):

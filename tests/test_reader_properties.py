@@ -6,9 +6,12 @@ line, each value by its field's reader. Each reference below reads the same
 file row by row, as the GTFS and weather readers did before they read
 columns, with the duplicate-key rule of the GTFS tables added; the store's
 reference reads the file by lines from the open file, and stays as a guard
-on the reader. On random files, clean and corrupted, a reader and its
-reference return equal values, with dict keys in the same order, or raise
-the same IngestError."""
+on the reader. The GTFS rules are stated row by row only here (``_req``,
+``_req_position``): the package states each once, on columns, and names a
+table's first bad row by bisection over prefixes of its rows. On random
+files, clean and corrupted, and on long tables with one bad row, a reader
+and its reference return equal values, with dict keys in the same order,
+or raise the same IngestError."""
 
 import csv
 import io
@@ -17,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buslink.errors import IngestError
-from buslink.ingest import (StaticNetwork, Trip, _checked_id, _req, _req_position, _weather_row,
-                            date_text, int64, load_gtfs_static, load_weather, read_rows)
+from buslink.ingest import (StaticNetwork, Trip, _checked_id, _weather_row, date_text,
+                            finite_float, int64, load_gtfs_static, load_weather, position,
+                            read_rows)
 from buslink.store import _SECTIONS, ModelStore, _model, _section, read_store, write_store
 
 from conftest import examples
@@ -39,6 +43,23 @@ def outcome(read, path):
 # ---------------------------------------------------------------------------
 # GTFS
 # ---------------------------------------------------------------------------
+
+def _req(row: dict, key: str, where: str, conv=str):
+    val = row.get(key)
+    if val is None or val == "":
+        raise IngestError("parse", f"{where}: missing field {key!r}")
+    try:
+        return conv(val)
+    except ValueError:
+        raise IngestError("parse", f"{where}: field {key!r} is not a number: {val!r}") from None
+
+
+def _req_position(row: dict, prefix: str, where: str) -> tuple:
+    try:
+        return position(*(_req(row, prefix + c, where, finite_float) for c in ("lat", "lon")))
+    except ValueError as exc:
+        raise IngestError("parse", f"{where}: {exc}") from None
+
 
 def reference_gtfs(dir_path) -> StaticNetwork:
     """The five tables read row by row through ``csv.DictReader``; a row's
@@ -239,6 +260,54 @@ def test_gtfs_reader_equals_the_row_reference(tmp_path, feed, quote_all, crlf, b
     d = tmp_path / "gtfs"
     write_feed(d, feed, quote_all, crlf, bom, short, blank)
     assert_same_network(outcome(load_gtfs_static, d), outcome(reference_gtfs, d))
+
+
+def long_feed() -> dict:
+    """A valid feed whose shapes.txt and stop_times.txt hold 1,000 rows each;
+    every seventh row has a quoted field holding a line end. Stop ``A B`` is
+    in stops.txt, where ids are not checked, but no trip may use it."""
+    note = lambda i: "two\r\nlines" if i % 7 == 3 else ""
+    stops = [{"stop_id": s, "stop_lat": "29.0", "stop_lon": f"-82.{k}"}
+             for k, s in enumerate([*"ABCDE", "A B"])]
+    shapes = [{"shape_id": "P", "shape_pt_sequence": str(i + 1),
+               "shape_pt_lat": "29.0", "shape_pt_lon": f"{-82 + i / 1000}", "note": note(i)}
+              for i in range(1000)]
+    trips = [{"trip_id": f"T{t}", "route_id": "R", "shape_id": "P"} for t in range(100)]
+    stop_times = [{"trip_id": f"T{i // 10}", "stop_id": "ABCDE"[i % 5],
+                   "stop_sequence": str(i % 10 + 1), "stop_headsign": note(i)}
+                  for i in range(1000)]
+    tables = {"stops.txt": stops, "shapes.txt": shapes, "routes.txt": [{"route_id": "R"}],
+              "trips.txt": trips, "stop_times.txt": stop_times}
+    return {name: (list(rows[0]), rows) for name, rows in tables.items()}
+
+
+@pytest.mark.parametrize("row", [1, 2, 500, 999, 1000])
+@pytest.mark.parametrize("table,bad", [
+    ("shapes.txt", "number"), ("shapes.txt", "repeat"), ("stop_times.txt", "number"),
+    ("stop_times.txt", "unknown_stop"), ("stop_times.txt", "bad_id"),
+    ("stop_times.txt", "repeat")])
+def test_gtfs_first_bad_row_at_scale(tmp_path, table, bad, row):
+    """One bad row among 1,000, after blank rows and quoted line ends, at
+    either end of the table or in its middle: the column reader names the
+    row that the row reference names, with the same error."""
+    feed = long_feed()
+    rows = feed[table][1]
+    target = rows[row - 1]
+    if bad == "number":
+        target["shape_pt_sequence" if table == "shapes.txt" else "stop_sequence"] = "1.5"
+    elif bad == "unknown_stop":
+        target["stop_id"] = "X9"
+    elif bad == "bad_id":
+        target["stop_id"] = "A B"
+    else:  # the key of the row before, or for row 1 of row 2, whose error it becomes
+        for column in KEYS[table]:
+            target[column] = rows[row - 2 if row > 1 else 1][column]
+    d = tmp_path / "gtfs"
+    write_feed(d, feed, quote_all=False, crlf=table == "stop_times.txt", bom=False,
+               short=("", 0), blank={0, row - 2} - {-1})
+    want = outcome(reference_gtfs, d)
+    assert isinstance(want, str) and any(w in want for w in (f"{table}:", "X9", "'A B'"))
+    assert outcome(load_gtfs_static, d) == want
 
 
 @pytest.mark.parametrize("quote", ["", '"'], ids=["split", "csv_reader"])
