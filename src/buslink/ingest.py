@@ -229,11 +229,11 @@ class StaticNetwork:
 
 def _columns(path: Path) -> tuple:
     """A GTFS table as ``(n, column)``: its n data rows and ``column(name, default)``,
-    the name's n fields as csv's dict reader reads them: blank lines dropped, of two
-    columns of one name the later, None past the end of a short row, and ``default``
-    (n Nones) for a name not in the header. A table with a ``"`` (or a NUL, which
-    Python 3.10's csv refuses) is read by one ``csv.reader`` pass; any other is split
-    on line ends and commas as ``csv.reader`` splits it, with no list per row."""
+    the name's n fields as csv's dict reader reads them (a blank header line refused):
+    blank lines dropped, of two columns of one name the later, None past the end of a
+    short row, and ``default`` (n Nones) for a name not in the header. A table with a ``"``
+    (or a NUL, which Python 3.10's csv refuses) is read by one ``csv.reader`` pass; any
+    other is split on line ends and commas as ``csv.reader`` splits it, with no list per row."""
     if not path.is_file():
         raise IngestError("missing_table", f"{path.name} not found in {path.parent}")
     with open_text(path, newline="") as fh:
@@ -248,6 +248,8 @@ def _columns(path: Path) -> tuple:
         widths = {c + 1 for c in set(map(str.count, rows, repeat(",")))}
         cells = ",".join(rows).split(",") if rows else []
         rows = rows if widths <= {len(header)} else [row.split(",") for row in rows]
+    if not header and text:
+        raise IngestError("parse", f"{path.name}:1: blank header line")
     n, width, none = len(rows), len(header), [None] * len(rows)
     if widths <= {width}:  # each column a stride of the row-major fields
         get = lambda k: cells[k::width]

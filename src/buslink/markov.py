@@ -28,23 +28,30 @@ Fourier-series method of Abate & Whitt, 1992).
   band, each end within N_k h of it. A band end is the first grid point
   whose CDF reaches the level less TAIL_EPS, so FFT rounding cannot
   move it off an exact tie.
-* Tail bound: n >= m r + (every component's top grid point) + 1, where
-  m is the Chernoff bound at TAIL_EPS on the geometric sum, the least
-  over theta of (sum_i log E[e^(theta G_i)] - log TAIL_EPS) / theta, for
-  theta below min(-log max p_stay, 30). Under 1e-9 of the mass wraps past n h.
+* Tail bound: n >= m r + q + 1: m is the Chernoff bound at GRID_TAIL / 2 on the geometric
+  sum G, the least over theta of (sum_i log E[e^(theta G_i)] - log(GRID_TAIL / 2)) / theta for
+  theta below min(-log max p_stay, 30); q sums the (1 - GRID_TAIL / 2K) quantiles of the K grid
+  laws. S- >= n needs G > m or a part above its quantile, so P(S- >= n) <= GRID_TAIL = 1e-5.
   n is the least of 2^k, 3 2^k, 5 2^k and 15 2^k at or above that and 64, at most
   1.25 times it; past MAX_GRID (an array of about 24 * links * n bytes) a plan raises
   SimError("grid_too_large") before anything of grid size is allocated.
-* Cost: a dwell or intersection model gets its grid law once per object and step, and
-  its transform once per odd part of n, at the largest size of that odd part it has met
-  (a smaller one takes every (N / n)-th frequency). A forecast multiplies
-  the link transforms down the route, turns each stop's product into its
-  CDF's transform, and inverts all stops in one ``np.fft.irfft``.
+* Damping: transforms are taken at z = rho e^(-2 pi i f / n), rho^n = DAMPING = 5e-5. The
+  inverse FFT of (1 - P(z)) / (1 - z) times rho^(-k) is P(S- > k) + sum_(j >= 1) P(S- > k + j n)
+  DAMPING^j, so aliasing lowers the CDF by at most GRID_TAIL DAMPING / (1 - DAMPING) = 5.0e-10.
+  Rounding, about 2.2e-16 (K + log2 n) in the usual model of the FFT's, is scaled by rho^(-k)
+  <= 2e4 (<= 141 below n / 2): the two stay under TAIL_EPS while K + log2 n <= 110.
+* Cost: a dwell or intersection model gets its grid law once per object and step, its quantile
+  once per tail, and its transform once per n: the PMF weighted by rho^j, folded mod n (what
+  sampling the transform at n points does) and ``rfft``'d. The shift, survival and undamping
+  tables are kept per (n, r). A forecast multiplies the link transforms down the route, turns
+  each stop's product into its survival transform, and inverts all stops in one ``np.fft.irfft``.
+  ROADMAP item 5 still has ``_grid_law`` evaluate an intersection's CDF by ``np.vectorize(
+  math.erfc)`` at every grid point up to exp(mu + 7 sigma), and no coarser h past MAX_GRID.
 
-``accel.markov_offsets`` is the M-run Monte-Carlo simulation of the same
-chain, the oracle the tests check this law against. Remaining time to a
-stop means time until *departure from* that stop, matching the link-total
-telescoping of the decomposition identity.
+The tests check this law against the time-domain convolution of its floored parts, and the
+floor S- <= S <= S- + N_k h against a million runs of ``accel.markov_offsets``, the chain's
+Monte-Carlo simulation. Remaining time to a stop means time until *departure from* that
+stop, matching the link-total telescoping of the decomposition identity.
 
 ``PredictionSession`` reads (time, arc) pairs and infer's rules: ``covariates(t,
 traffic)``, ``thresholds[link]``, the open-road pair rule of ``inference`` on the
@@ -57,7 +64,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -69,7 +75,9 @@ from .hetlognorm import design_matrix, linear_rows
 DEFAULT_DELTA_T_S = 5.0  # the chain's time step
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
 GRID_STEP_MAX = 1.0  # s; the longest grid step h
-TAIL_EPS = 1e-9  # bound on the mass past the grid, and the quantile read's slack
+TAIL_EPS = 1e-9  # bound on the CDF's error on the grid, and the quantile read's slack
+GRID_TAIL = 1e-5  # bound on the mass of the remaining time past the grid
+DAMPING = 5e-5  # rho^n: the transforms' weight on the mass that wraps once around the grid
 MAX_GRID = 1 << 17  # grid points of one forecast
 LOGNORMAL_TOP_Z = 7.0  # an intersection's grid ends at exp(mu + 7 sigma)
 BAND = (0.025, 0.975)
@@ -168,29 +176,29 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     return plans
 
 
-def _strided(tables: dict, n: int, build):
-    """``build(n)`` for n = m 2^k, m odd, where ``build(N)`` holds it as every
-    (N / n)-th entry along its last axis: that of the largest N of that m asked
-    for so far, kept in ``tables``."""
-    big, table = tables.get(odd := n // (n & -n), (0, None))
-    if n > big:
-        big, table = tables[odd] = n, build(n)
-    return table[..., ::big // n]
-
-
 class _GridLaw:
     """A dwell pool or intersection time rounded down to the h grid: its
-    PMF from 0, its exact mean (s), its grid mean (steps), whether it was
-    on the grid already, and its ``rfft``, kept as ``_strided`` keeps it."""
+    PMF from 0, its exact mean (s), whether it was on the grid already, its
+    upper quantiles and its damped transform at each grid size asked for."""
 
     def __init__(self, pmf, mean: float, exact: bool):
         self.pmf, self.mean, self.exact = pmf, mean, exact
-        self.top = pmf.shape[0] - 1
-        self.grid_mean = float(pmf @ np.arange(pmf.shape[0]))
-        self._transforms = {}  # odd part of the size: (the largest size N, rfft on N)
+        self._quantiles = {}  # tail mass: the least grid point with at most that mass above
+        self._transforms = {}  # grid size n: the damped, folded rfft on n points
+
+    def quantile(self, tail: float) -> int:
+        if tail not in self._quantiles:  # count the j below the top with P(X > j) > tail
+            self._quantiles[tail] = int(np.count_nonzero(np.cumsum(self.pmf[:0:-1]) > tail))
+        return self._quantiles[tail]
 
     def transform(self, n: int):
-        return _strided(self._transforms, n, partial(np.fft.rfft, self.pmf))
+        """The transform at z = rho e^(-2 pi i f / n), rho^n = DAMPING: the PMF
+        weighted by rho^j, folded mod n and ``rfft``'d."""
+        if n not in self._transforms:
+            j = np.arange(self.pmf.shape[0])
+            damped = self.pmf * np.exp(j * (math.log(DAMPING) / n))
+            self._transforms[n] = np.fft.rfft(np.bincount(j % n, damped, minlength=n))
+        return self._transforms[n]
 
 
 def _grid_law(model, h: float) -> _GridLaw:
@@ -234,20 +242,20 @@ def _floored_atoms(atoms, weights, mean: float, h: float) -> _GridLaw:
     return _GridLaw(np.bincount(idx.astype(np.intp), weights), mean, exact=bool(np.all(q == idx)))
 
 
-_PHASES: dict = {}  # r -> the tables of ``_strided``
+_TABLES: dict = {}  # (n, r) -> the tables of ``_tables``
 
 
-def _phases(n: int, r: int):
-    """1 / w for w = e^(-2 pi i f r / n), the transform of an r-step shift at
-    each rfft frequency f, and 1 / (1 - e^(-2 pi i f / n)) (0 at f = 0), which
-    turns a PMF's transform into its CDF's. 2 pi r / N * (f N / n) rounds as
-    2 pi r / n * f, so ``_strided`` reads them bit for bit. Callers do not write to them."""
-    def tables(n):
-        f = np.arange(n // 2 + 1)
-        step = 1.0 - np.exp(-2j * np.pi / n * f)
-        step[0] = np.inf
-        return np.stack([np.exp(2j * np.pi * r / n * f), 1.0 / step])
-    return _strided(_PHASES.setdefault(r, {}), n, tables)
+def _tables(n: int, r: int):
+    """At z = rho e^(-2 pi i f / n), rho^n = DAMPING, for each rfft frequency f:
+    1 / w for w = z^r, the transform of an r-step shift, and 1 / (1 - z), which
+    turns P - 1, P a PMF's transform, into minus its survival function's; and
+    rho^(-k) at each grid point k, which undoes the damping. Callers do not write to them."""
+    if (n, r) not in _TABLES:
+        log_rho, f = math.log(DAMPING) / n, np.arange(n // 2 + 1)
+        _TABLES[n, r] = (np.exp(r * (2j * np.pi / n * f - log_rho)),
+                         1.0 / (1.0 - np.exp(log_rho - 2j * np.pi / n * f)),
+                         np.exp(-log_rho * np.arange(n)))
+    return _TABLES[n, r]
 
 
 def _grid_size(n_min: int) -> int:
@@ -255,14 +263,48 @@ def _grid_size(n_min: int) -> int:
     return min(m << (-(-max(n_min, 64) // m) - 1).bit_length() for m in (1, 3, 5, 15))
 
 
-def _geometric_steps(p) -> int:
-    """Chernoff bound m with P(sum of the geometric step counts >= m) <= TAIL_EPS."""
+def _geometric_steps(p, tail: float) -> int:
+    """Chernoff bound m with P(sum of the geometric step counts >= m) <= tail."""
     p_max = float(p.max())
     if p_max == 0.0:
         return p.shape[0]
     theta = min(-math.log(p_max), 30.0) * _THETA  # any theta below -log p_max bounds
     log_mgf = np.log1p(-p)[:, None] + theta - np.log1p(-np.multiply.outer(p, np.exp(theta)))
-    return math.ceil(float(((log_mgf.sum(axis=0) - math.log(TAIL_EPS)) / theta).min()))
+    return math.ceil(float(((log_mgf.sum(axis=0) - math.log(tail)) / theta).min()))
+
+
+def _cdfs(plans, r: int, h: float):
+    """Each stop's CDF of the floored remaining time on the grid of the module
+    docstring, h = delta_t / r; with the plans' stay probabilities and grid laws."""
+    if not plans:
+        raise SimError("no_links", "origin has no downstream links")
+    p = np.array([plan.p_stay for plan in plans])
+    if not p.max() < 1.0:
+        raise SimError("grid_too_large", "a link with p_stay >= 1 never completes")
+    laws = [[_grid_law(plan.dwell, h), *(_grid_law(x, h) for x in plan.intersections)]
+            for plan in plans]
+    tail = GRID_TAIL / (2 * sum(map(len, laws)))
+    n_min = (_geometric_steps(p, GRID_TAIL / 2) * r
+             + sum(law.quantile(tail) for link in laws for law in link) + 1)
+    _check_grid(n_min, "the remaining time", h)
+    n = _grid_size(n_min)
+
+    # Per link, the geometric transform (1-p) w / (1 - p w) = (1-p) / (1/w - p),
+    # times the transforms of its dwell and intersections; then the product P
+    # down the route, and (P - 1) / (1 - z), minus its survival function's transform.
+    inverse_shift, to_survival, undamp = _tables(n, r)
+    rows = (1.0 - p)[:, None] / (inverse_shift - p[:, None])
+    for i, link in enumerate(laws):
+        for law in link:
+            rows[i] *= law.transform(n)
+        if i:
+            rows[i] *= rows[i - 1]
+    rows -= 1.0
+    rows *= to_survival
+    cdf = np.fft.irfft(rows, n, axis=1)
+    cdf *= undamp
+    cdf += 1.0
+    return cdf, p, laws
 
 
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
@@ -272,34 +314,7 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
     delta_t = float(config.delta_t)
     r = max(math.ceil(delta_t / GRID_STEP_MAX - 1e-9), 1)  # grid steps per delta_t
     h = delta_t / r
-    if not plans:
-        raise SimError("no_links", "origin has no downstream links")
-    p = np.array([plan.p_stay for plan in plans])
-    if not p.max() < 1.0:
-        raise SimError("grid_too_large", "a link with p_stay >= 1 never completes")
-    laws = [[_grid_law(plan.dwell, h), *(_grid_law(x, h) for x in plan.intersections)]
-            for plan in plans]
-    n_min = _geometric_steps(p) * r + sum(law.top for link in laws for law in link) + 1
-    _check_grid(n_min, "the remaining time", h)
-    n = _grid_size(n_min)
-
-    # Per link, the geometric transform (1-p) w / (1 - p w) = (1-p) / (1/w - p),
-    # times the transforms of its dwell and intersections; then the product
-    # down the route.
-    inverse_shift, to_cdf = _phases(n, r)
-    rows = (1.0 - p)[:, None] / (inverse_shift - p[:, None])
-    for i, link in enumerate(laws):
-        for law in link:
-            rows[i] *= law.transform(n)
-        if i:
-            rows[i] *= rows[i - 1]
-    # CDF transform: (P - 1) / (1 - e^(-2 pi i f / n)), and at f = 0 the sum
-    # of the CDF over the grid, n less the grid mean.
-    steps_mean = r / (1.0 - p) + [sum(law.grid_mean for law in link) for link in laws]
-    rows -= 1.0
-    rows *= to_cdf
-    rows[:, 0] = n - np.cumsum(steps_mean)
-    cdf = np.fft.irfft(rows, n, axis=1)
+    cdf, p, laws = _cdfs(plans, r, h)
     inexact = np.cumsum([sum(not law.exact for law in link) for link in laws])
     lo = np.argmax(cdf >= BAND[0] - TAIL_EPS, axis=1) * h
     hi = (np.argmax(cdf >= BAND[1] - TAIL_EPS, axis=1) + inexact) * h

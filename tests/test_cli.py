@@ -686,6 +686,20 @@ def test_duplicate_gtfs_key_exit_2(workdir, tmp_path, capsys, table, key):
     assert_input_error(rc, capsys, "duplicate", f"{table}:4:", key)
 
 
+@pytest.mark.parametrize("table", ["stops.txt", "shapes.txt", "routes.txt", "trips.txt",
+                                   "stop_times.txt"])
+def test_blank_gtfs_header_exit_2(workdir, tmp_path, capsys, table):
+    """A table whose first line is blank has no header: the error names line
+    1, where it used to read the blank line as a header with no columns."""
+    gtfs = tmp_path / "gtfs"
+    shutil.copytree(workdir["paths"].gtfs_dir, gtfs)
+    (gtfs / table).write_text("\n" + (gtfs / table).read_text(encoding="utf-8"),
+                              encoding="utf-8")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--gtfs", str(gtfs),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "parse", f"{table}:1:", "blank header line")
+
+
 def test_bad_number_in_model_store_exit_2(workdir, tmp_path, capsys):
     lines = (workdir["out"] / "models.txt").read_text(encoding="utf-8").splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("loglik"))

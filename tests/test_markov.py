@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from buslink.hetlognorm import HetLogNormalModel
 from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of,
                                project_traversal, repair_monotonic, slowest_speeds)
 from buslink.ingest import Traversal
-from buslink.markov import (BAND, LOGNORMAL_TOP_Z, MAX_GRID, TAIL_EPS, LinkPlan, MarkovConfig,
-                            PredictionSession, _PHASES, _geometric_steps, _grid_size, _GridLaw,
-                            _phases, build_plan, simulate, steps_to_complete)
+from buslink.markov import (BAND, DAMPING, GRID_TAIL, LOGNORMAL_TOP_Z, MAX_GRID, TAIL_EPS,
+                            LinkPlan, MarkovConfig, PredictionSession, _TABLES, _cdfs,
+                            _geometric_steps, _grid_size, _GridLaw, _tables, build_plan,
+                            simulate, steps_to_complete)
 from buslink.pipeline import RunConfig, replay_pairs
 
 from conftest import examples, link_scan
@@ -277,51 +279,66 @@ def test_grid_size_is_the_least_ladder_point():
 
 @st.composite
 def pmf_and_sizes(draw):
-    """A PMF of 1-300 points and ladder sizes that hold it, in increasing,
-    decreasing or drawn order."""
+    """A PMF of 1-300 drawn points with 0, 64, 640 or 3,200 zeros between
+    its halves, so that it can reach up to 50 grid sizes out and fold; and
+    ladder sizes in increasing, decreasing or drawn order, some asked twice."""
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300).filter(any))
-    fits = [n for n in LADDER if len(weights) <= n <= 1 << 14]
-    sizes = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=12))
+    spread = draw(st.sampled_from([0, 64, 640, 3200]))  # zeros between the halves
+    half = len(weights) // 2
+    weights = weights[:half] + [0.0] * spread + weights[half:]
+    sizes = draw(st.lists(st.sampled_from([n for n in LADDER if n <= 1 << 14]),
+                          min_size=1, max_size=12))
     order = draw(st.sampled_from([sorted, lambda x: sorted(x, reverse=True), list]))
-    return np.array(weights) / sum(weights), order(sizes)
+    return np.array(weights) / sum(weights), order(sizes + sizes[:draw(st.integers(0, 3))])
+
+
+def direct_transform(pmf, n: int):
+    """The transform of ``_GridLaw.transform`` built at n alone: the PMF
+    weighted by rho^j, rho^n = DAMPING, summed over j mod n, ``rfft``'d."""
+    j = np.arange(pmf.shape[0])
+    damped = pmf * np.exp(j * (math.log(DAMPING) / n))
+    folded = np.zeros(n)
+    np.add.at(folded, j % n, damped)
+    return np.fft.rfft(folded)
 
 
 @given(pmf_and_sizes())
 @settings(deadline=None, max_examples=examples(200))
-def test_grid_law_transform_any_order(case):
-    """Whatever the order of the grid sizes asked for, a law's transform
-    is the ``rfft`` on that many points, and it caches at most one array
-    per odd part (1, 3, 5 or 15) of the size."""
+def test_damped_law_transform_any_order(case):
+    """Whatever the order of the grid sizes asked for, a law's transform at
+    each is bit-identical to one built at that size alone, also where the
+    PMF is longer than the size and folds, and the law keeps one array per
+    size asked for."""
     pmf, sizes = case
     law = _GridLaw(pmf, mean=0.0, exact=False)
     for n in sizes:
-        np.testing.assert_allclose(law.transform(n), np.fft.rfft(pmf, n), rtol=0, atol=1e-12)
-        assert len(law._transforms) <= 4
+        assert law.transform(n).tobytes() == direct_transform(pmf, n).tobytes()
+    assert sorted(law._transforms) == sorted(set(sizes))
 
 
-def direct_phases(n: int, r: int):
-    """The shift and CDF tables of ``_phases``, built at n itself."""
-    f = np.arange(n // 2 + 1)
-    step = 1.0 - np.exp(-2j * np.pi / n * f)
-    step[0] = np.inf
-    return np.exp(2j * np.pi * r / n * f), 1.0 / step
+def direct_tables(n: int, r: int):
+    """The shift, survival and undamping tables of ``_tables``, built at n
+    itself: 1 / z^r and 1 / (1 - z) at z = rho e^(-2 pi i f / n), and
+    rho^(-k), with rho = DAMPING^(1 / n)."""
+    log_rho, f = math.log(DAMPING) / n, np.arange(n // 2 + 1)
+    return (np.exp(r * (2j * np.pi / n * f - log_rho)),
+            1.0 / (1.0 - np.exp(log_rho - 2j * np.pi / n * f)),
+            np.exp(-log_rho * np.arange(n)))
 
 
 @given(st.lists(st.tuples(st.sampled_from([n for n in LADDER if n <= 1 << 15]),
                           st.integers(1, 10)), min_size=1, max_size=12),
        st.sampled_from([sorted, lambda x: sorted(x, reverse=True), list]))
 @settings(deadline=None, max_examples=examples(200))
-def test_phase_tables_any_order(asked, order):
-    """Whatever the order of the grid sizes and steps asked for, the phase
-    tables equal those built at that size bit for bit, and they are kept
-    once per step r and odd part (1, 3, 5 or 15) of the size, at the
-    largest size asked for."""
-    _PHASES.clear()
-    for n, r in order(asked):
-        for got, want in zip(_phases(n, r), direct_phases(n, r), strict=True):
+def test_damped_tables_any_order(asked, order):
+    """Whatever the order of the grid sizes and steps asked for, the tables
+    equal those built at that size and step bit for bit, and one set is kept
+    per (size, step) asked for."""
+    _TABLES.clear()
+    for n, r in order(asked) + asked[:2]:
+        for got, want in zip(_tables(n, r), direct_tables(n, r), strict=True):
             assert got.tobytes() == want.tobytes()
-        assert len(_PHASES[r]) <= 4
-    assert all(_PHASES[r][n // (n & -n)][0] >= n for n, r in asked)
+    assert set(_TABLES) == set(asked)
 
 
 def random_plan(draw_links):
@@ -341,13 +358,37 @@ LINKS = st.lists(st.tuples(st.floats(0.0, 0.97), POOLS,
                  min_size=1, max_size=6)
 
 
+def lognormal_quantile(mu: float, sigma: float, tail: float) -> int:
+    """The least q on the 1 s grid with P(floor(X) > q) <= tail, X log-normal
+    with its mass above exp(mu + 7 sigma) at that point's floor: the normal
+    quantile's estimate, then stepped to where P(X > q + 1) first reaches
+    the tail (the standard score taken before the 1 / sqrt(2))."""
+    top = math.floor(math.exp(mu + LOGNORMAL_TOP_Z * sigma))
+    if sigma == 0.0:
+        return top
+
+    def above(q):
+        return 0.0 if q >= top else 0.5 * math.erfc((math.log(q + 1) - mu) / sigma / math.sqrt(2))
+
+    q = min(max(math.ceil(math.exp(mu + sigma * NormalDist().inv_cdf(1 - tail))) - 1, 0), top)
+    while above(q) > tail:
+        q += 1
+    while q > 0 and above(q - 1) <= tail:
+        q -= 1
+    return q
+
+
 def grid_points(links, r):
     """The least grid size of the module docstring's rule at h = 1 s: the
-    Chernoff steps times r, every component's top grid point, and one."""
-    tops = [math.floor(max(pool)) for _, pool, _ in links]
-    tops += [math.floor(math.exp(mu + LOGNORMAL_TOP_Z * sigma)) for *_, xs in links
-             for mu, sigma in xs]
-    return _geometric_steps(np.array([p for p, _, _ in links])) * r + sum(tops) + 1
+    Chernoff steps at GRID_TAIL / 2 times r, each of the K components'
+    (1 - GRID_TAIL / 2K) quantile, and one. A pool's quantile is a pool
+    value: the one with at most that share of the pool above it."""
+    k = sum(1 + len(xs) for *_, xs in links)
+    tail = GRID_TAIL / (2 * k)
+    tops = [int(np.sort(np.floor(pool))[len(pool) - 1 - math.floor(tail * len(pool))])
+            for _, pool, _ in links]
+    tops += [lognormal_quantile(mu, sigma, tail) for *_, xs in links for mu, sigma in xs]
+    return _geometric_steps(np.array([p for p, _, _ in links]), GRID_TAIL / 2) * r + sum(tops) + 1
 
 
 def floored_lognormal(mu: float, sigma: float, size: int) -> np.ndarray:
@@ -390,12 +431,32 @@ def band_end(cdf, level: float, at: float) -> None:
     assert low.any() and np.argmax(low) <= at <= (np.argmax(high) if high.any() else cdf.size)
 
 
+def heavy_examples(test):
+    """The plans that the grid rule used to refuse, where the sum of the
+    components' tops passed MAX_GRID: three signals, and ROADMAP item 5's
+    8 links with one signal at mu 3.5 and sigma 1 each; and a subnormal
+    sigma: P(X <= 1) is Phi(-mu / sigma) = Phi(-1)."""
+    for links in ([(0.0, [0.0], [(3.0, 1.0)]), (0.0, [0.0], [(4.0, 1.0)]),
+                   (0.0, [0.0], [(4.0, 1.0)])],
+                  [(0.9, [5.0, 12.0, 30.0], [(3.5, 1.0)])] * 8,
+                  [(0.328125, [0.0, 0.0, 0.0, 16.0], [(5e-324, 5e-324)])]):
+        test = example(links=links)(test)
+    return test
+
+
+def refused(links) -> bool:
+    """Whether the plan's grid passes MAX_GRID, and if so that ``simulate``
+    refuses it as ``grid_too_large``."""
+    if grid_points(links, 5) < MAX_GRID:
+        return False
+    with pytest.raises(SimError) as e:
+        simulate(random_plan(links), MarkovConfig(delta_t=5.0))
+    assert e.value.kind == "grid_too_large"
+    return True
+
+
 @given(links=LINKS)
-# three signals whose exp(mu + 7 sigma) tops add up past MAX_GRID
-@example(links=[(0.0, [0.0], [(3.0, 1.0)]), (0.0, [0.0], [(4.0, 1.0)]),
-                (0.0, [0.0], [(4.0, 1.0)])])
-# a subnormal sigma: P(X <= 1) is Phi(-mu / sigma) = Phi(-1)
-@example(links=[(0.328125, [0.0, 0.0, 0.0, 16.0], [(5e-324, 5e-324)])])
+@heavy_examples
 @settings(deadline=None)  # the default examples, so that the ci profile can raise them
 def test_exact_law_against_monte_carlo_oracle(links):
     """Random plans against an exact oracle of the floored law, the
@@ -406,13 +467,9 @@ def test_exact_law_against_monte_carlo_oracle(links):
     floor itself, S- <= S <= S- + N_k h per run, is left to the million runs
     of ``accel.markov_offsets`` in ``test_acceptance``. A plan whose grid would
     pass MAX_GRID is refused as ``grid_too_large``."""
-    plans = random_plan(links)
-    if not grid_points(links, 5) < MAX_GRID:
-        with pytest.raises(SimError) as e:
-            simulate(plans, MarkovConfig(delta_t=5.0))
-        assert e.value.kind == "grid_too_large"
+    if refused(links):
         return
-    summary = simulate(plans, MarkovConfig(delta_t=5.0))  # r = 5 grid points of h = 1 s
+    summary = simulate(random_plan(links), MarkovConfig(delta_t=5.0))  # r = 5 points of 1 s
     inexact = np.cumsum([(np.floor(pool) != pool).any()
                          + sum(sigma > 0.0 or math.exp(mu) % 1.0 != 0.0 for mu, sigma in xs)
                          for _, pool, xs in links])
@@ -425,6 +482,25 @@ def test_exact_law_against_monte_carlo_oracle(links):
         band_end(cdf, BAND[0], f.p2_5)
         band_end(cdf, BAND[1], f.p97_5 - n_k)
         assert f.mean_remaining == pytest.approx(m, rel=1e-12)
+
+
+@given(links=LINKS)
+@heavy_examples
+@settings(deadline=None, max_examples=examples(100))
+def test_cdf_within_tail_eps_of_the_convolved_law(links):
+    """The grid is the ladder size of the module docstring's rule, and the
+    damped inversion's CDF at every stop lies within TAIL_EPS, the module
+    docstring's budget for aliasing and rounding, of the convolved law's
+    (and its rounding) at every grid point up to the last band end."""
+    if refused(links):
+        return
+    plans = random_plan(links)
+    last = round(simulate(plans, MarkovConfig(delta_t=5.0)).stops[-1].p97_5) + 1
+    cdf = _cdfs(plans, 5, 1.0)[0]
+    assert cdf.shape[1] == _grid_size(grid_points(links, 5))
+    cdf = cdf[:, :last]
+    want = np.array(convolved_cdfs(links, 5, cdf.shape[1]))
+    assert np.abs(cdf - want).max() <= TAIL_EPS + 1e-12
 
 
 @pytest.mark.parametrize("delta_t", [5.0, 2.0, 1.0])

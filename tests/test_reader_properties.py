@@ -72,6 +72,8 @@ def reference_gtfs(dir_path) -> StaticNetwork:
             raise IngestError("missing_table", f"{name} not found in {dir_path}")
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
+            if reader.fieldnames == []:  # a blank first line, where an empty file reads None
+                raise IngestError("parse", f"{name}:1: blank header line")
             return [(f"{name}:{reader.line_num}", row) for row in reader]
 
     def duplicate(where, **key):
