@@ -8,10 +8,10 @@ are POSIX seconds UTC throughout; all calendar logic (hour, weekday, date)
 is ``local_day_hour``, under a single signed ``tz_offset`` in hours. Every
 text input of the package is opened by ``open_text``, every
 line-oriented one keeps the lines ``data_text`` keeps, and every number
-of a data file is in the one grammar of ``number``. The GTFS tables and
-the weather file are read whole and checked on columns. To name the first
-bad row, a GTFS table that fails is checked again on prefixes of its rows,
-and a weather file is read again by its row rule ``_weather_row``.
+of a data file is in the one grammar of ``number``. Every input but the
+ping file is read once, whole. The GTFS tables and the weather file are
+checked on columns, each row rule stated once; a file that fails is checked
+again on prefixes of the rows read (``_first_bad_row``) to name its first bad row.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 import warnings
 from bisect import bisect_left
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from itertools import chain, count, repeat, zip_longest
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -84,54 +86,43 @@ def open_text(path, newline: str | None = None):
             raise IngestError("not_utf8", f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def file_lines(path, header: str | None = None) -> list:
+    """The lines of a whole text file; with ``header``, a lower-case column name, line 1
+    reads as blank if its first field is ``header`` in any case: a header is on line 1 only."""
+    with open_text(path) as fh:
+        lines = fh.read().split("\n")
+    if header and lines[0].strip().partition(",")[0].lower() == header:
+        lines[0] = ""
+    return lines
+
+
 def data_text(lines, only: str | None = None) -> list:
     """The stripped ``lines`` that are neither blank nor a ``#`` comment and,
     with ``only``, whose first comma-separated field is ``only``."""
-    if only is None:
-        return [s for s in map(str.strip, lines) if s and s[0] != "#"]
-    return [s for raw in lines if only in raw for s in (raw.strip(),)
-            if s and s[0] != "#" and s.partition(",")[0] == only]
+    kept = [s for s in map(str.strip, lines if only is None else
+                           [raw for raw in lines if only in raw]) if s and s[0] != "#"]
+    return kept if only is None else [s for s in kept if s.partition(",")[0] == only]
 
 
-def data_lines(path, only: str | None = None):
-    """Yield ``(line number, line)`` for every line of a text file that
-    ``data_text`` keeps."""
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            for line in data_text((raw,), only):
-                yield lineno, line
+def numbered(lines, only: str | None = None):
+    """``(line number, line)`` for each of ``lines`` that ``data_text`` keeps."""
+    return ((n, s) for n, raw in enumerate(lines, start=1) for s in data_text((raw,), only))
 
 
-def read_rows(path, columns, convert, header: bool = True, only: str | None = None):
-    """Yield ``convert(fields)`` for each data line of a comma-separated file
-    with the given ``columns``, or only of those whose first field is
-    ``only``. With ``header``, line 1 is skipped if its first field is the
-    first column name, ignoring case. A wrong field count or a ValueError
-    from ``convert`` raises IngestError("parse") naming file:line."""
-    path = Path(path)
-    first = columns[0].lower()
-    for lineno, line in data_lines(path, only):
+def read_rows(lines, name: str, columns, convert, only: str | None = None):
+    """Yield ``convert(fields)`` for each line ``numbered(lines, only)`` keeps, ``lines``
+    being those of the comma-separated file ``name`` with the given ``columns``. A wrong
+    field count or a ValueError from ``convert`` raises IngestError("parse") naming name:line."""
+    for lineno, line in numbered(lines, only):
         parts = line.split(",")
-        if header and lineno == 1 and parts[0].lower() == first:
-            continue
         if len(parts) != len(columns):
-            raise IngestError("parse", f"{path.name}:{lineno}: expected {len(columns)} "
+            raise IngestError("parse", f"{name}:{lineno}: expected {len(columns)} "
                               f"fields, got {len(parts)}")
         try:
             row = convert(parts)
         except ValueError as exc:
-            raise IngestError("parse", f"{path.name}:{lineno}: {exc}") from None
+            raise IngestError("parse", f"{name}:{lineno}: {exc}") from None
         yield row
-
-
-def headed_lines(path, first: str) -> list:
-    """The lines of a text file that ``read_rows`` reads with the header column
-    ``first``: those ``data_text`` keeps, less line 1 if its first field is ``first``."""
-    with open_text(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[0].strip().partition(",")[0].lower() == first:
-        lines[0] = ""  # the header, allowed on line 1 only
-    return data_text(lines)
 
 
 def number_text(text: str) -> bool:
@@ -227,38 +218,6 @@ class StaticNetwork:
     trips: dict  # trip_id -> Trip
 
 
-def _columns(path: Path) -> tuple:
-    """A GTFS table as ``(n, column)``: its n data rows and ``column(name, default)``,
-    the name's n fields as csv's dict reader reads them (a blank header line refused):
-    blank lines dropped, of two columns of one name the later, None past the end of a
-    short row, and ``default`` (n Nones) for a name not in the header. A table with a ``"``
-    (or a NUL, which Python 3.10's csv refuses) is read by one ``csv.reader`` pass; any
-    other is split on line ends and commas as ``csv.reader`` splits it, with no list per row."""
-    if not path.is_file():
-        raise IngestError("missing_table", f"{path.name} not found in {path.parent}")
-    with open_text(path, newline="") as fh:
-        text = fh.read()
-    if '"' in text or "\0" in text:
-        header, *rows = [*csv.reader(io.StringIO(text, newline=""))] or [[]]
-        rows = list(filter(None, rows))
-        widths, cells = set(map(len, rows)), list(chain.from_iterable(rows))
-    else:
-        first, *rows = text.replace("\r", "\n").split("\n")
-        header, rows = first.split(",") if first else [], list(filter(None, rows))
-        widths = {c + 1 for c in set(map(str.count, rows, repeat(",")))}
-        cells = ",".join(rows).split(",") if rows else []
-        rows = rows if widths <= {len(header)} else [row.split(",") for row in rows]
-    if not header and text:
-        raise IngestError("parse", f"{path.name}:1: blank header line")
-    n, width, none = len(rows), len(header), [None] * len(rows)
-    if widths <= {width}:  # each column a stride of the row-major fields
-        get = lambda k: cells[k::width]
-    else:
-        get = [*zip_longest(*rows), *repeat(none, width)].__getitem__
-    index = dict(zip(header, count()))
-    return n, lambda name, default=none: default if (k := index.get(name)) is None else get(k)
-
-
 def _numbers(column, kind: type = float) -> np.ndarray:
     """The fields as ``number(text, kind)`` reads each, in an array of ``kind``
     (``float`` or ``np.int64``); ValueError, TypeError or OverflowError if not."""
@@ -267,10 +226,28 @@ def _numbers(column, kind: type = float) -> np.ndarray:
     return np.array(column, dtype=kind)  # each field as float() or int() reads it
 
 
-# The column checks of a GTFS table. Each states one rule of its rows, in the
-# order a row is checked, and raises its IngestError if a row breaks it,
-# naming the last row (``where``, as ``table:line``) and its values: in the
-# least prefix of rows that fails, that row is the first bad row.
+def _first_bad_row(check, n: int, lines, name: str):
+    """``check(None, name)``, the check of all n rows of file ``name``; if it raises
+    IngestError, that of ``check(k, f"{name}:{lines()[k - 1]}")``, the check of the first
+    k rows, for the least k that fails. A row rule that fails on a prefix fails on every
+    longer one, so bisection over k finds that prefix, which ends at the first bad row."""
+    with suppress(IngestError):  # whose message is found again below
+        return check(None, name)
+    ends = lines()
+
+    def error(k: int):  # of the first k rows, or None
+        try:
+            check(k, f"{name}:{ends[k - 1]}")
+        except IngestError as exc:
+            return exc
+
+    raise error(1 + bisect_left(range(1, n + 1), True, key=lambda k: error(k) is not None))
+
+
+# The column checks of a GTFS table or the weather file. Each states one rule of its
+# rows, in the order a row is checked, and raises its IngestError if a row breaks it,
+# naming the last row (``where``, as ``file:line``) and the values of the last row or
+# of a bad row: in the least prefix of rows that fails, both are the first bad row.
 
 def _required(column, key: str, where: str, kind: type | None = None):
     """The fields of ``key``, as an array of ``kind`` (``float`` read as
@@ -311,7 +288,7 @@ def _by_key(keys, seq: np.ndarray, groups, where: str, names: tuple) -> tuple:
     return order, np.searchsorted(code, np.arange(len(index) + 1)).tolist()
 
 
-_BAD_ID = re.compile(r"^#|[\s,;=\[\]]")
+_BAD_ID = re.compile(r"^#|[\s,;=\[\]\0]")
 
 
 def _checked_id(value: str, what: str) -> str:
@@ -389,38 +366,55 @@ def _stop_times(column, where: str, trips: dict, stops: dict) -> tuple:
 
 
 def _gtfs_table(dir_path: Path, name: str, check, *context):
-    """``check(column, where, *context)`` on a table's columns (``_columns``).
-    If it fails, the error it raises on the least prefix of rows that fails,
-    with ``where`` naming that prefix's last row: each row rule holds or fails
-    on a prefix, and a longer prefix fails if a shorter one does, so bisection
-    over the row count finds that prefix, which ends at the first bad row."""
+    """``check(column, where, *context)`` by ``_first_bad_row`` on a table's n rows, where
+    ``column(key, default)`` is the key's fields as csv's dict reader reads them: blank
+    lines dropped, of two columns of one name the later, None past the end of a short
+    row, ``default`` (n Nones) for a key not in the header. A table with a ``"`` is read
+    by one ``csv.reader`` pass, any other split as it splits it. A blank header line and
+    a NUL (which Python 3.10's csv refuses) are refused at their line."""
     path = dir_path / name
-    n, column = _columns(path)
-    with suppress(IngestError):  # whose message is found again below
-        return check(column, name, *context)
+    if not path.is_file():
+        raise IngestError("missing_table", f"{path.name} not found in {path.parent}")
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # the header, as in ``_columns``
-        lines = [reader.line_num for row in reader if row]  # each row's last line
+        text = fh.read()
+    if text[:1] in ("\n", "\r"):
+        raise IngestError("parse", f"{name}:1: blank header line")
+    if "\0" in text:  # at the line after the line ends before it
+        line = len(re.findall(r"\r\n|\r|\n", text[:text.index("\0")])) + 1
+        raise IngestError("parse", f"{name}:{line}: a field holds a NUL")
+    if '"' in text:
+        header, *rows = [*csv.reader(io.StringIO(text, newline=""))] or [[]]
+        rows = list(filter(None, rows))
+        widths, cells = set(map(len, rows)), list(chain.from_iterable(rows))
+    else:
+        first, *rows = text.replace("\r", "\n").split("\n")
+        header, rows = first.split(",") if first else [], list(filter(None, rows))
+        widths = {c + 1 for c in set(map(str.count, rows, repeat(",")))}
+        cells = ",".join(rows).split(",") if rows else []
+        rows = rows if widths <= {len(header)} else [row.split(",") for row in rows]
+    n, width, none = len(rows), len(header), [None] * len(rows)
+    if widths <= {width}:  # each column a stride of the row-major fields
+        get = lambda k: cells[k::width]
+    else:
+        get = [*zip_longest(*rows), *repeat(none, width)].__getitem__
+    index = dict(zip(header, count()))
+    column = lambda key, default=none: default if (k := index.get(key)) is None else get(k)
 
-    def error(k: int):  # of the first k rows, or None
-        try:
-            check(lambda *a: column(*a)[:k], f"{name}:{lines[k - 1]}", *context)
-        except IngestError as exc:
-            return exc
+    def ends():  # the line each data row ends on
+        reader = csv.reader(io.StringIO(text, newline=""))
+        return [reader.line_num for row in reader if row][1:]  # the header is not blank
 
-    raise error(1 + bisect_left(range(1, n + 1), True, key=lambda k: error(k) is not None))
+    return _first_bad_row(
+        lambda k, where: check(column if k is None else (lambda *a: column(*a)[:k]), where,
+                               *context), n, ends, name)
 
 
 def load_gtfs_static(dir_path) -> StaticNetwork:
-    """Parse the five core GTFS tables into a validated StaticNetwork.
-
-    Each table is read whole and checked column by column (``_gtfs_table``);
-    an error names the first bad row. A repeated stop_id, trip_id, (shape_id,
-    shape_pt_sequence) or (trip_id, stop_sequence) is an error. The route and
-    stop ids that trips use must be usable in the output files (see
-    ``_checked_id``); others are kept as read.
-    """
+    """Parse the five core GTFS tables, each read once and checked on columns
+    (``_gtfs_table``), into a validated StaticNetwork. A repeated stop_id, trip_id,
+    (shape_id, shape_pt_sequence) or (trip_id, stop_sequence) is an error. The route
+    and stop ids that trips use must be usable in the output files (``_checked_id``);
+    others are kept as read."""
     dir_path = Path(dir_path)
     stops = _gtfs_table(dir_path, "stops.txt", _stops)
     shapes = _gtfs_table(dir_path, "shapes.txt", _shapes)
@@ -480,6 +474,7 @@ class PingSeries:
         return tuple(p for seg in self.segments for p in seg.pings)
 
 
+_stamp = attrgetter("st_ino", "st_size", "st_mtime_ns")  # of a stat; a rewrite changes it
 PING_BLOCK_LINES = 1 << 10  # most lines per vectorized parse, so its strings stay few
 _PING_CHUNK_CHARS = 1 << 15  # characters per read; below 8 Ki, whole-file reads slow down
 
@@ -530,21 +525,26 @@ def load_pings(path, max_gap_s: float = DEFAULT_MAX_GAP_S,
     cannot hold ``trip_id``, each kept by ``data_text`` and parsed by one
     ``read_records`` call; a (trip_id, vehicle_id) key is coded once per run of
     equal keys in a block. A block that fails is re-read row by row through
-    ``_ping`` (no NUL, numbers in the grammar of ``number``), so the first bad
-    line raises IngestError("parse") naming file:line.
+    ``_ping`` (no NUL, numbers in the grammar of ``number``) from a second open,
+    so the first bad line raises IngestError("parse") naming file:line, or if none
+    does, IngestError("changed") if the file's inode, size or mtime changed.
     """
     codes: dict = {}  # (trip_id, vehicle_id) -> a distinct int
     blocks = []
     fields = [np.dtype("U8"), np.dtype("U8"), np.dtype("i8"), np.dtype("f8"), np.dtype("f8")]
     with open_text(path) as fh:
+        opened = _stamp(os.fstat(fh.fileno()))
         for lines in _line_blocks(fh, trip_id):
             if not (lines := data_text(lines, trip_id)):
                 continue
             try:
                 trips, vehicles, ts, lats, lons = _ping_block(lines, fields)
             except ValueError:
-                for _ in read_rows(path, Ping._fields, _ping, header=False, only=trip_id):
-                    pass  # raises at the file's first bad line, which is in this block
+                with open_text(path) as again:
+                    for _ in read_rows(again, Path(path).name, Ping._fields, _ping, trip_id):
+                        pass  # raises at the file's first bad line, which is in this block
+                if _stamp(os.stat(path)) != opened:
+                    raise IngestError("changed", f"{path}: changed while it was read") from None
                 raise
             first = np.concatenate(([True], (trips[1:] != trips[:-1])
                                     | (vehicles[1:] != vehicles[:-1])))  # of a run of one key
@@ -595,37 +595,41 @@ class WeatherTable:
         return self.entries[(day, hour)]
 
 
-def _weather_row(f) -> tuple:
-    day, hour = day_number(f[0]), int64(f[1])
-    if not 0 <= hour <= 23:
-        raise ValueError(f"hour {hour} out of range")
-    return day, hour, f[2]
+def _weather(lines: list, where: str) -> dict:
+    """The entries of weather data lines by a row's rules, in order: 3 fields, a ``day_number``
+    date, an ``int64`` hour in 0-23, a condition not blank or padded, a new (date, hour)."""
+    if set(map(str.count, lines, repeat(","))) - {2}:
+        raise IngestError("parse", f"{where}: expected 3 fields, got {lines[-1].count(',') + 1}")
+    fields = ",".join(lines).split(",") if lines else []
+    dates, texts, conditions = fields[0::3], fields[1::3], fields[2::3]
+    try:
+        days = {text: day_number(text) for text in set(dates)}
+        try:
+            hours = _numbers(texts, np.int64)
+        except (ValueError, TypeError, OverflowError):  # the message of a bad hour
+            hours = np.array(list(map(int64, texts)), dtype=np.int64)
+    except ValueError as exc:
+        raise IngestError("parse", f"{where}: {exc}") from None
+    if not ((hours >= 0) & (hours <= 23)).all():
+        raise IngestError("parse", f"{where}: hour {hours[-1]} out of range")
+    if not all(c and c == c.strip() for c in set(conditions)):
+        raise IngestError("parse", f"{where}: condition {conditions[-1]!r} is blank or padded")
+    keys = list(zip(map(days.__getitem__, dates), hours.tolist()))
+    if len(set(keys)) < len(keys):
+        raise IngestError("duplicate", f"duplicate weather entry for {date_text(keys[-1][0])} "
+                          f"hour {keys[-1][1]}")
+    return dict(zip(keys, conditions))
 
 
 def load_weather(path) -> WeatherTable:
-    """Load ``date,hour,condition`` rows; duplicate (date, hour) is an error.
-    The file is read whole and checked column by column: each distinct date by
-    ``day_number``, all hours by one ``np.array`` call. A file that fails is read
-    again through ``read_rows``, so that its first bad line is the one named."""
-    lines = headed_lines(path, "date")
-    fields = ",".join(lines).split(",") if lines else []
-    try:
-        if set(map(str.count, lines, repeat(","))) - {2}:
-            raise ValueError("a line without 3 fields")
-        hours = _numbers(fields[1::3], np.int64)
-        days = {text: day_number(text) for text in set(fields[0::3])}
-        keys = list(zip(map(days.__getitem__, fields[0::3]), hours.tolist()))
-        if not ((hours >= 0) & (hours <= 23)).all() or len(set(keys)) < len(keys):
-            raise ValueError("an hour out of range or repeated")
-    except (ValueError, OverflowError):
-        seen = set()
-        for day, hour, _ in read_rows(path, ("date", "hour", "condition"), _weather_row):
-            if (day, hour) in seen:
-                raise IngestError("duplicate", f"duplicate weather entry for {date_text(day)} "
-                                  f"hour {hour}") from None
-            seen.add((day, hour))
-        raise
-    return WeatherTable(entries=dict(zip(keys, fields[2::3])))
+    """Load ``date,hour,condition`` rows; duplicate (date, hour) is an error. The
+    file's rows are checked on columns by ``_weather`` (each distinct date by
+    ``day_number``, all hours by one ``np.array`` call) under ``_first_bad_row``."""
+    path = Path(path)
+    lines = data_text(raw := file_lines(path, "date"))
+    return WeatherTable(entries=_first_bad_row(
+        lambda k, where: _weather(lines[:k], where), len(lines),
+        lambda: [lineno for lineno, _ in numbered(raw)], path.name))
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +639,12 @@ def load_weather(path) -> WeatherTable:
 def load_intersections(path) -> tuple:
     """Load ``intersection_id,lat,lon`` rows as ``((intersection_id, lat, lon),
     ...)``; a duplicate id is an error."""
-    points = []
-    seen = set()
-    for xid, lat, lon in read_rows(path, ("intersection_id", "lat", "lon"),
+    path = Path(path)
+    points = {}
+    for xid, lat, lon in read_rows(file_lines(path, "intersection_id"), path.name,
+                                   ("intersection_id", "lat", "lon"),
                                    lambda f: (f[0], *position(*map(finite_float, f[1:])))):
-        _checked_id(xid, "intersection_id")
-        if xid in seen:
+        if _checked_id(xid, "intersection_id") in points:
             raise IngestError("duplicate", f"duplicate intersection id {xid}")
-        seen.add(xid)
-        points.append((xid, lat, lon))
-    return tuple(points)
+        points[xid] = (xid, lat, lon)
+    return tuple(points.values())

@@ -26,9 +26,9 @@ from .geometry import DEFAULT_BUFFER_RADIUS_M, DEFAULT_OFF_ROUTE_M, build_route_
 from .hetlognorm import DEFAULT_MIN_FIT_SAMPLES, design_matrix, fit as ln_fit, predict_interval
 from .inference import (DEFAULT_BACKWARD_TOLERANCE_M, DEFAULT_PEAK_HOURS, CovariateRule,
                         repair_mask, route_observations)
-from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, data_lines,
+from .ingest import (DEFAULT_MAX_GAP_S, DEFAULT_RAIN_LABELS, DEFAULT_TZ_OFFSET, file_lines,
                      finite_float, int64, load_gtfs_static, load_intersections,
-                     load_pings, load_weather)
+                     load_pings, load_weather, numbered)
 from .markov import DEFAULT_DELTA_T_S, MarkovConfig, PredictionSession
 from .store import ModelStore, read_observations, read_store, write_observations, write_store
 
@@ -127,7 +127,7 @@ def _coerce(key: str, value: str):
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     if path:
-        for lineno, line in data_lines(path):
+        for lineno, line in numbered(file_lines(path)):
             key, sep, value = line.partition("=")
             key = key.strip()
             if not sep or key not in _CONFIG_KEYS:

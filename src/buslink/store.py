@@ -1,8 +1,9 @@
 """Plain-text persistence: the link-observation file and the model store.
 
-The observation file is read whole into an ``ObservationTable`` of
-column arrays, its rows grouped by link; like ``infer``'s rows, each has
-a road time > 0 and dwell and intersection times >= 0. The model store's
+Each file is read once, whole, by ``ingest.file_lines``. The observation
+file becomes an ``ObservationTable`` of column arrays, its rows grouped by
+link; like ``infer``'s rows, each has a road time > 0 and dwell and
+intersection times >= 0. The model store's
 format is the table ``_SECTIONS``: per section kind, the model class and
 its fields in written order, each with its writer and its parser.
 Model-store floats are written with 17 significant digits so that
@@ -27,8 +28,8 @@ import numpy as np
 from .components import EmpiricalDwell, IntersectionLogNormal
 from .errors import IngestError
 from .hetlognorm import COEF_COUNT, HetLogNormalModel
-from .ingest import (finite_float, headed_lines, int64, number_text, open_text, read_records,
-                     read_rows, without_nul)
+from .ingest import (data_text, file_lines, finite_float, int64, number_text, numbered,
+                     read_records, read_rows, without_nul)
 
 OBS_HEADER = ("route_id,direction_id,link_index,depart_prev,total,dwell,road,"
               "intersection_times,rain,peak,weekday,traffic,flags")
@@ -208,18 +209,18 @@ def _table(lines: list) -> ObservationTable:
 
 
 def read_observations(path) -> ObservationTable:
-    """The observation file as one ``ObservationTable``, read whole by one
-    ``read_records`` call (numbers in the grammar of ``ingest.number``, no NUL).
-    A file that fails, by a road time <= 0 or a dwell or intersection time < 0
-    (``infer`` writes none) among others, is read again row by row through
-    ``_observation``, so the first bad line raises IngestError("parse") naming file:line."""
-    lines = headed_lines(path, OBS_HEADER.partition(",")[0])
-    if not lines:
+    """The observation file as one ``ObservationTable``, parsed by one ``read_records``
+    call (numbers in the grammar of ``ingest.number``, no NUL). Lines that fail, by a
+    road time <= 0 or a dwell or intersection time < 0 (``infer`` writes none) among
+    others, are walked again row by row through ``_observation``, so the first bad
+    line raises IngestError("parse") naming file:line."""
+    path = Path(path)
+    if not (lines := data_text(raw := file_lines(path, OBS_HEADER.partition(",")[0]))):
         raise IngestError("empty", f"{path} contains no observations")
     try:
         return _table(lines)
     except ValueError:
-        for _ in read_rows(path, OBS_HEADER.split(","), _observation):
+        for _ in read_rows(raw, path.name, OBS_HEADER.split(","), _observation):
             pass  # raises at the file's first bad line
         raise
 
@@ -404,11 +405,7 @@ def read_store(path) -> ModelStore:
     path = Path(path)
     sections: dict = {}  # (kind, route_key, id) -> (header line number, fields)
     fields = None
-    with open_text(path) as fh:
-        lines = fh.read().split("\n")
-    for lineno, line in enumerate(map(str.strip, lines), start=1):
-        if not line or line[0] == "#":
-            continue
+    for lineno, line in numbered(file_lines(path)):
         try:
             if line.startswith("["):
                 section = _section(line)

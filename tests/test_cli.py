@@ -19,6 +19,7 @@ from buslink.pipeline import RunConfig
 from buslink.store import CovariateVector, LinkObservation, write_observations
 
 from conftest import SMALL_TRUTH, table_of, write_truth
+from test_ingest import completed_after_the_block_read
 from test_synth import MIDNIGHT_TRUTH
 
 
@@ -886,3 +887,63 @@ def test_console_entrypoint_subprocess(workdir):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "ks_lognormal" in out.stdout
+
+
+def test_nul_in_gtfs_id_exit_2(workdir, tmp_path, capsys):
+    """A route id holding a NUL is refused at its line, where it passed ``infer``
+    on Python 3.11 and then failed ``fit`` on the observation file."""
+    gtfs = tmp_path / "gtfs"
+    shutil.copytree(workdir["paths"].gtfs_dir, gtfs)
+    lines = (gtfs / "routes.txt").read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace(",", "\0,", 1)
+    (gtfs / "routes.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--gtfs", str(gtfs),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "parse", "routes.txt:2:", "a field holds a NUL")
+
+
+def test_ping_file_changed_while_read_exit_2(workdir, tmp_path, monkeypatch, capsys):
+    """A logger completes the partial last line after the block read: the
+    file is named as changed, where the block parse's ValueError escaped."""
+    lines = workdir["paths"].pings.read_text(encoding="utf-8").splitlines()
+    pings = tmp_path / "pings.csv"
+    pings.write_text("\n".join(lines[:-1] + [lines[-1].rpartition(",")[0]]), encoding="utf-8")
+    completed_after_the_block_read(monkeypatch, pings, "," + lines[-1].rpartition(",")[2] + "\n")
+    rc = main(["infer", "--config", str(workdir["cfg"]), "--pings", str(pings),
+               "--out", str(tmp_path)])
+    assert_input_error(rc, capsys, "changed", "pings.csv", "changed while it was read")
+
+
+def test_heavy_route_forecasts_end_to_end(tmp_path, capsys):
+    """ROADMAP item 5's heavy route: the first two truth links of the benchmark,
+    alternated over 8 links, each with one intersection at mid-link at mu 3.5 and
+    sigma 1, for 3 days at seed 7. ``synth``, ``infer``, ``fit`` and a replay of
+    one trip run, and every emission forecasts each stop left with a band that
+    holds its mean. Before the forecast law's grid was sized by the sum's tail,
+    every such replay was refused as ``grid_too_large``."""
+    bench_truth = Path(__file__).resolve().parents[1] / "perfbench" / "truth.json"
+    truth = json.loads(bench_truth.read_text(encoding="utf-8"))
+    links = truth["links"][:2]
+    truth.update(n_days=3, links=[dict(links[k % 2], intersections=[
+        {"id": f"X{k + 1}", "offset": links[k % 2]["length"] / 2, "mu": 3.5, "sigma": 1.0}])
+        for k in range(8)])
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--truth", str(write_truth(tmp_path / "truth.json", truth)),
+                 "--seed", "7", "--out", str(corpus)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([
+        f"gtfs_dir = {corpus / 'gtfs'}", f"pings = {corpus / 'pings.csv'}",
+        f"weather = {corpus / 'weather.csv'}",
+        f"intersections = {corpus / 'intersections.csv'}", f"out_dir = {tmp_path / 'out'}",
+        "tz_offset = -5"]) + "\n", encoding="utf-8")
+    assert main(["infer", "--config", str(cfg)]) == 0
+    assert main(["fit", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    trip = (corpus / "pings.csv").read_text(encoding="utf-8").partition(",")[0]
+    assert main(["simulate", "--config", str(cfg), "--trip", trip, "--replay", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload and payload[0]["origin"]["link_index"] == 1
+    for batch in payload:
+        stops = batch["stops"]
+        assert len(stops) == 9 - batch["origin"]["link_index"]
+        assert all(s["p2_5_s"] <= s["mean_s"] <= s["p97_5_s"] for s in stops)

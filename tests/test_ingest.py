@@ -1,16 +1,23 @@
+import builtins
 import math
 import warnings
+from collections import Counter
+from contextlib import contextmanager
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buslink import ingest
-from buslink.errors import IngestError
+from buslink.errors import BuslinkError, IngestError
 from buslink.inference import DEFAULT_PEAK_HOURS, build_covariates
-from buslink.ingest import (DEFAULT_RAIN_LABELS, Ping, _ping, day_number, load_gtfs_static,
-                            load_intersections, load_pings, load_weather, read_rows)
+from buslink.ingest import (DEFAULT_RAIN_LABELS, Ping, _ping, day_number, file_lines,
+                            load_gtfs_static, load_intersections, load_pings, load_weather,
+                            read_rows)
+from buslink.pipeline import load_config
+from buslink.store import OBS_HEADER, read_observations, read_store
 
 from conftest import examples
 
@@ -377,7 +384,7 @@ def test_duplicate_across_block_boundary_keeps_the_first(tmp_path, monkeypatch):
 def row_read(path):
     """The row-by-row reading of a ping file: its rows, or its error."""
     try:
-        return list(read_rows(path, Ping._fields, _ping, header=False))
+        return list(read_rows(file_lines(path), path.name, Ping._fields, _ping))
     except IngestError as exc:
         return str(exc)
 
@@ -746,7 +753,7 @@ def test_intersections_load_and_duplicates(tmp_path):
     assert e.value.kind == "duplicate"
 
 
-@pytest.mark.parametrize("bad", ["X=1", "X 1", "X;1", "X]"])
+@pytest.mark.parametrize("bad", ["X=1", "X 1", "X;1", "X]", "X\0"])
 def test_intersection_id_that_breaks_output_files_rejected(tmp_path, bad):
     p = tmp_path / "x.csv"
     p.write_text(f"intersection_id,lat,lon\nX0,29.0,-82.0\n{bad},29.1,-82.1\n",
@@ -853,7 +860,8 @@ def observation_outcome(tmp_path, token, column):
                                                   and (column == 3 or value >= 0.0)):
         value = None  # a departure is finite, an intersection time finite and >= 0
     try:
-        rows = list(read_rows(path, OBS_HEADER.split(","), _observation))
+        rows = list(read_rows(file_lines(path, "route_id"), path.name, OBS_HEADER.split(","),
+                              _observation))
         reference = [(o.route_key, o.link_index, o.depart_prev, o.intersection_times)
                      for o in rows]
     except IngestError as exc:
@@ -996,3 +1004,189 @@ def test_long_id_after_short_ones_is_read_whole(tmp_path, monkeypatch, block):
     assert table.route_keys == [("R1", 0), (long_trip, 1)]
     assert table.x_ids == ["X" * 30] and table.x_interp.tolist() == [True]
     assert table.flags == ["", flags]
+
+
+# ---------------------------------------------------------------------------
+# NUL, weather conditions, and one read per file
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["split", "csv_reader"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("table", sorted(GTFS_MINIMAL))
+def test_nul_in_a_gtfs_table_names_its_line(tmp_path, table, end, quote):
+    """A NUL in a GTFS table is a parse error at its line, on the split and the
+    csv.reader path alike: Python 3.10's csv refuses it with its own error, and
+    an id holding it would reach the observation file."""
+    tables = dict(GTFS_MINIMAL)
+    lines = tables[table].splitlines()
+    first, _, rest = lines[-1].partition(",")
+    lines[-1] = f"{quote}{first}\0{quote},{rest}"
+    tables[table] = end.join(lines) + end
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(write_gtfs(tmp_path, tables))
+    assert str(e.value) == f"parse: {table}:{len(lines)}: a field holds a NUL"
+
+
+@pytest.mark.parametrize("row, condition", [("2023-08-18,7, Rain", "' Rain'"),
+                                            ("2023-08-18,7,\tRain", "'\\tRain'"),
+                                            ("2023-08-18,7,", "''")])
+def test_blank_or_padded_weather_condition_names_its_line(tmp_path, row, condition):
+    """A condition padded inside its line used to read as not rain, and a blank
+    one as no label at all."""
+    with pytest.raises(IngestError) as e:
+        load_weather(write_weather(tmp_path, ["2023-08-18,6,Rain", row, "2023-08-18,8,Rain"]))
+    assert str(e.value) == f"parse: weather.csv:3: condition {condition} is blank or padded"
+
+
+def test_weather_condition_padded_at_the_line_end_is_stripped(tmp_path):
+    w = load_weather(write_weather(tmp_path, ["2023-08-18,7,Rain \t"]))
+    assert w.entries == {(day_number("2023-08-18"), 7): "Rain"}
+
+
+def opens(monkeypatch) -> Counter:
+    """The names of the files ``open`` is called on from now, counted."""
+    counts, real = Counter(), builtins.open
+
+    def counting(file, *args, **kwargs):
+        counts[Path(file).name] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    return counts
+
+
+OBS_LINE = "R1,0,1,1692354000.0,61.25,10.5,35.0,X1=15.75,1,0,1,0,"
+STORE_TEXT = ("[intersection R1 0 X1]\nmu_s = 2.5\nsigma_s = 0.5\nn = 10\n"
+              "excluded_zero_fraction = 0\npooled = {}\n")
+# reader, file name, a clean text, and the text with a bad last line
+READS = {
+    "weather": (load_weather, "weather.csv", "date,hour,condition\n2023-09-01,14,Rain\n",
+                "date,hour,condition\n2023-09-01,14,Rain\n2023-09-01,24,Rain\n"),
+    "observations": (read_observations, "observations.csv", f"{OBS_HEADER}\n{OBS_LINE}\n",
+                     f"{OBS_HEADER}\n{OBS_LINE}\n{OBS_LINE.replace('35.0', '-1.0')}\n"),
+    "intersections": (load_intersections, "intersections.csv",
+                      "intersection_id,lat,lon\nX1,29.0,-82.0\n",
+                      "intersection_id,lat,lon\nX1,29.0,-82.0\nX2,95,-82.0\n"),
+    "store": (read_store, "models.txt", STORE_TEXT.format("0"), STORE_TEXT.format("2")),
+    "config": (load_config, "run.cfg", "tz_offset = -5\n", "tz_offset = -5\nruns = 10\n"),
+}
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["clean", "refused"])
+@pytest.mark.parametrize("reader", sorted(READS))
+def test_each_reader_opens_its_file_once(tmp_path, monkeypatch, reader, refused):
+    """A clean file and one refused at its last line are each opened once: the
+    line that is named is found in the lines already read."""
+    read, name, clean, bad = READS[reader]
+    path = tmp_path / name
+    path.write_text(bad if refused else clean, encoding="utf-8")
+    counts = opens(monkeypatch)
+    if refused:
+        with pytest.raises(BuslinkError) as e:
+            read(path)
+        assert f"{name}:{len(bad.splitlines())}:" in str(e.value)
+    else:
+        read(path)
+    assert counts == {name: 1}
+
+
+GTFS_ORDER = ["stops.txt", "shapes.txt", "routes.txt", "trips.txt", "stop_times.txt"]
+BAD_GTFS_ROWS = {"stops.txt": "C,Gamma,north,-82.0", "shapes.txt": "S,29.0,-81.98,x",
+                 "routes.txt": ",R2", "trips.txt": "T2,R9,0,S",
+                 "stop_times.txt": "T1,06:10:00,06:10:00,Z,3"}
+
+
+@pytest.mark.parametrize("refused", [None, *GTFS_ORDER])
+def test_each_gtfs_table_is_opened_once(tmp_path, monkeypatch, refused):
+    """The tables up to the refused one, or all five, are each opened once."""
+    tables = dict(GTFS_MINIMAL)
+    if refused:
+        tables[refused] += BAD_GTFS_ROWS[refused] + "\n"
+    d = write_gtfs(tmp_path, tables)
+    counts = opens(monkeypatch)
+    if refused:
+        with pytest.raises(IngestError):
+            load_gtfs_static(d)
+    else:
+        load_gtfs_static(d)
+    read = GTFS_ORDER[:GTFS_ORDER.index(refused) + 1] if refused else GTFS_ORDER
+    assert counts == dict.fromkeys(read, 1)
+
+
+def rewritten_after_its_read(monkeypatch, path: Path, text: str) -> None:
+    """``open_text`` rewrites ``path`` with ``text`` as each read of it ends, as a
+    feed updater might between two reads."""
+    real = ingest.open_text
+
+    @contextmanager
+    def open_then_rewrite(file, *args, **kwargs):
+        with real(file, *args, **kwargs) as fh:
+            yield fh
+        if Path(file) == path:
+            path.write_text(text, encoding="utf-8")
+
+    monkeypatch.setattr(ingest, "open_text", open_then_rewrite)
+
+
+def test_gtfs_table_rewritten_after_its_read_gives_its_error(tmp_path, monkeypatch):
+    """The error names the row of the table as read, where a second read of
+    the rewritten table found fewer rows and raised IndexError."""
+    tables = dict(GTFS_MINIMAL)
+    tables["stop_times.txt"] += BAD_GTFS_ROWS["stop_times.txt"] + "\n"
+    d = write_gtfs(tmp_path, tables)
+    rewritten_after_its_read(monkeypatch, d / "stop_times.txt",
+                             GTFS_MINIMAL["stop_times.txt"].splitlines()[0] + "\n")
+    with pytest.raises(IngestError) as e:
+        load_gtfs_static(d)
+    assert str(e.value) == "referential: trip T1 references unknown stop Z"
+
+
+def test_observation_file_rewritten_after_its_read_gives_its_error(tmp_path, monkeypatch):
+    """The error names the line as read, where a second read of the mended
+    file found none and the first read's ValueError escaped."""
+    path = tmp_path / "observations.csv"
+    path.write_text(READS["observations"][3], encoding="utf-8")
+    rewritten_after_its_read(monkeypatch, path, READS["observations"][2])
+    with pytest.raises(IngestError) as e:
+        read_observations(path)
+    assert str(e.value) == "parse: observations.csv:3: road time '-1.0' is not positive"
+
+
+def completed_after_the_block_read(monkeypatch, path: Path, tail: str) -> None:
+    """The first ping block that fails makes a logger append ``tail`` to
+    ``path`` before its error reaches ``load_pings``."""
+    real = ingest._ping_block
+
+    def block_then_append(lines, fields):
+        try:
+            return real(lines, fields)
+        except ValueError:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(tail)
+            raise
+
+    monkeypatch.setattr(ingest, "_ping_block", block_then_append)
+
+
+def test_ping_file_changed_while_read(tmp_path, monkeypatch):
+    """A partial last line that a logger completes after the block read: the
+    second read finds no bad line, and the file is not as it was opened."""
+    path = tmp_path / "pings.csv"
+    path.write_text("T1,V1,0,29.0,-82.0\nT1,V1,15,29.0", encoding="utf-8")
+    completed_after_the_block_read(monkeypatch, path, ",-82.0\n")
+    with pytest.raises(IngestError) as e:
+        load_pings(path)
+    assert str(e.value) == f"changed: {path}: changed while it was read"
+
+
+def test_ping_block_fault_on_an_unchanged_file_keeps_its_traceback(tmp_path, monkeypatch):
+    """A block parse that refuses lines the row parse takes is a program fault:
+    its ValueError is raised, not an input error."""
+    path = write_ping_file(tmp_path, ["T1,V1,0,29.0,-82.0"])
+
+    def fault(lines, fields):
+        raise ValueError("block fault")
+
+    monkeypatch.setattr(ingest, "_ping_block", fault)
+    with pytest.raises(ValueError, match="block fault"):
+        load_pings(path)

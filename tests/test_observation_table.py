@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buslink.errors import IngestError
-from buslink.ingest import read_rows
+from buslink.ingest import file_lines, read_rows
 from buslink.store import OBS_HEADER, _observation, read_observations
 
 from conftest import examples
@@ -88,7 +88,8 @@ def observation_file(draw):
 
 
 def reference_rows(path):
-    return list(read_rows(path, OBS_HEADER.split(","), _observation))
+    return list(read_rows(file_lines(path, "route_id"), path.name, OBS_HEADER.split(","),
+                          _observation))
 
 
 def bits(values) -> list:

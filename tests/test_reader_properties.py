@@ -6,12 +6,12 @@ line, each value by its field's reader. Each reference below reads the same
 file row by row, as the GTFS and weather readers did before they read
 columns, with the duplicate-key rule of the GTFS tables added; the store's
 reference reads the file by lines from the open file, and stays as a guard
-on the reader. The GTFS rules are stated row by row only here (``_req``,
-``_req_position``): the package states each once, on columns, and names a
-table's first bad row by bisection over prefixes of its rows. On random
-files, clean and corrupted, and on long tables with one bad row, a reader
-and its reference return equal values, with dict keys in the same order,
-or raise the same IngestError."""
+on the reader. The GTFS and weather rules are stated row by row only here
+(``_req``, ``_req_position``, ``weather_row``): the package states each
+once, on columns, and names a file's first bad row by bisection over
+prefixes of its rows. On random files, clean and corrupted, and on long
+tables with one bad row, a reader and its reference return equal values,
+with dict keys in the same order, or raise the same IngestError."""
 
 import csv
 import io
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buslink.errors import IngestError
-from buslink.ingest import (StaticNetwork, Trip, _checked_id, _weather_row, date_text,
+from buslink.ingest import (StaticNetwork, Trip, _checked_id, date_text, day_number, file_lines,
                             finite_float, int64, load_gtfs_static, load_weather, position,
                             read_rows)
 from buslink.store import _SECTIONS, ModelStore, _model, _section, read_store, write_store
@@ -342,9 +342,19 @@ def test_short_row_ends_in_none(tmp_path, quote):
 # weather
 # ---------------------------------------------------------------------------
 
+def weather_row(f) -> tuple:
+    day, hour = day_number(f[0]), int64(f[1])
+    if not 0 <= hour <= 23:
+        raise ValueError(f"hour {hour} out of range")
+    if not f[2] or f[2] != f[2].strip():
+        raise ValueError(f"condition {f[2]!r} is blank or padded")
+    return day, hour, f[2]
+
+
 def reference_weather(path) -> dict:
     entries = {}
-    for day, hour, condition in read_rows(path, ("date", "hour", "condition"), _weather_row):
+    for day, hour, condition in read_rows(file_lines(path, "date"), path.name,
+                                          ("date", "hour", "condition"), weather_row):
         if (day, hour) in entries:
             raise IngestError("duplicate",
                               f"duplicate weather entry for {date_text(day)} hour {hour}")
@@ -356,6 +366,8 @@ DATES = ["2023-09-01", "2023-09-02", "2023-10-29"]
 BAD_DATES = ["", "2023-9-01", "20230901", "2023-02-30", "x", " 2023-09-01"]
 HOURS = [str(h) for h in range(0, 24, 5)] + ["23", "07", " 5", "+3", "\t4"]
 BAD_HOURS = ["", "24", "-1", "1.0", "1_0", "٣", "9223372036854775808", "x"]
+# blank or padded inside the line (refused), and padded at the line end (stripped)
+BAD_LABELS = ["", " ", " Rain", "\tClear", "Rain ", "Heavy Rain\t"]
 
 
 @st.composite
@@ -369,11 +381,13 @@ def weather_lines(draw):
             break
         i = draw(st.integers(0, len(lines) - 1))
         fields = lines[i].split(",")
-        kind = draw(st.sampled_from(["date", "hour", "fields", "shift", "repeat"]))
+        kind = draw(st.sampled_from(["date", "hour", "label", "fields", "shift", "repeat"]))
         if kind == "date":
             fields[0] = draw(st.sampled_from(BAD_DATES))
         elif kind == "hour":
             fields[1] = draw(st.sampled_from(BAD_HOURS))
+        elif kind == "label":
+            fields[2:] = [draw(st.sampled_from(BAD_LABELS))]
         elif kind == "fields":
             fields = fields[:2] if draw(st.booleans()) else [*fields, "x"]
         elif kind == "shift" and i + 1 < len(lines):  # 4 fields, then 2: as many as before
@@ -394,9 +408,10 @@ def weather_lines(draw):
 @given(lines=weather_lines(), crlf=st.booleans())
 @SETTINGS
 def test_weather_reader_equals_the_row_reference(tmp_path, lines, crlf):
-    """Headers, comments, blank and padded lines, bad dates and hours, wrong
-    field counts and repeated hours: the column reader returns the row
-    reference's entries, in the same order, or raises its error."""
+    """Headers, comments, blank and padded lines, bad dates and hours, blank
+    and padded conditions, wrong field counts and repeated hours: the column
+    reader returns the row reference's entries, in the same order, or raises
+    its error."""
     path = tmp_path / "weather.csv"
     path.write_text(("\r\n" if crlf else "\n").join(lines) + "\n", encoding="utf-8", newline="")
     got, want = outcome(load_weather, path), outcome(reference_weather, path)
