@@ -297,7 +297,7 @@ def _checked_id(value: str, what: str) -> str:
     could not read back, or that would start a line every reader skips."""
     if _BAD_ID.search(value):
         raise IngestError("bad_id", f"{what} {value!r} begins with # or contains "
-                          "whitespace or one of , ; = [ ]")
+                          "whitespace, a NUL or one of , ; = [ ]")
     return value
 
 

@@ -31,22 +31,29 @@ Fourier-series method of Abate & Whitt, 1992).
 * Tail bound: n >= m r + q + 1: m is the Chernoff bound at GRID_TAIL / 2 on the geometric
   sum G, the least over theta of (sum_i log E[e^(theta G_i)] - log(GRID_TAIL / 2)) / theta for
   theta below min(-log max p_stay, 30); q sums the (1 - GRID_TAIL / 2K) quantiles of the K grid
-  laws. S- >= n needs G > m or a part above its quantile, so P(S- >= n) <= GRID_TAIL = 1e-5.
+  laws. S- >= n needs G > m or a part above its quantile, so P(S- >= n) <= GRID_TAIL = 1e-2.
   n is the least of 2^k, 3 2^k, 5 2^k and 15 2^k at or above that and 64, at most
   1.25 times it; past MAX_GRID (an array of about 24 * links * n bytes) a plan raises
   SimError("grid_too_large") before anything of grid size is allocated.
-* Damping: transforms are taken at z = rho e^(-2 pi i f / n), rho^n = DAMPING = 5e-5. The
+* Damping: transforms are taken at z = rho e^(-2 pi i f / n), rho^n = DAMPING = 5e-8. The
   inverse FFT of (1 - P(z)) / (1 - z) times rho^(-k) is P(S- > k) + sum_(j >= 1) P(S- > k + j n)
   DAMPING^j, so aliasing lowers the CDF by at most GRID_TAIL DAMPING / (1 - DAMPING) = 5.0e-10.
-  Rounding, about 2.2e-16 (K + log2 n) in the usual model of the FFT's, is scaled by rho^(-k)
-  <= 2e4 (<= 141 below n / 2): the two stay under TAIL_EPS while K + log2 n <= 110.
+  Rounding, about 2.2e-16 (K + log2 n) in the usual model of the FFT's, is scaled by rho^(-k),
+  below 2e4 for k < L = READ_SHARE n, READ_SHARE = ln(2e4) / ln(1 / DAMPING) = 0.589: below L
+  the two stay under TAIL_EPS while K + log2 n <= 110. Past L the CDF is not read.
+* Read limit: each stop's CDF must reach 0.975 - TAIL_EPS below L. Where one does not (a plan
+  whose 97.5% point lies near n, such as a near-deterministic one), the law is inverted once
+  more, on the least ladder size at or above n's bound and m' / READ_SHARE, m' the tail bound's
+  point at 2.5%: the CDF, within TAIL_EPS of the law's, then reaches 0.975 - TAIL_EPS by
+  m' - 1 < L. Past MAX_GRID that size is refused as above. A 2.5% read precedes its 97.5% one.
 * Cost: a dwell or intersection model gets its grid law once per object and step, its quantile
   once per tail, and its transform once per n: the PMF weighted by rho^j, folded mod n (what
   sampling the transform at n points does) and ``rfft``'d. The shift, survival and undamping
   tables are kept per (n, r). A forecast multiplies the link transforms down the route, turns
-  each stop's product into its survival transform, and inverts all stops in one ``np.fft.irfft``.
-  ROADMAP item 5 still has ``_grid_law`` evaluate an intersection's CDF by ``np.vectorize(
-  math.erfc)`` at every grid point up to exp(mu + 7 sigma), and no coarser h past MAX_GRID.
+  each stop's product into its survival transform, and inverts all stops in one ``np.fft.irfft``
+  (twice on a re-inversion). ROADMAP item 5 still has n grow by one high quantile per part (no
+  Chernoff bound on the truncated sum), ``_grid_law`` evaluate an intersection's CDF by
+  ``np.vectorize(math.erfc)`` at every grid point up to exp(mu + 7 sigma), and no coarser h.
 
 The tests check this law against the time-domain convolution of its floored parts, and the
 floor S- <= S <= S- + N_k h against a million runs of ``accel.markov_offsets``, the chain's
@@ -76,8 +83,9 @@ DEFAULT_DELTA_T_S = 5.0  # the chain's time step
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
 GRID_STEP_MAX = 1.0  # s; the longest grid step h
 TAIL_EPS = 1e-9  # bound on the CDF's error on the grid, and the quantile read's slack
-GRID_TAIL = 1e-5  # bound on the mass of the remaining time past the grid
-DAMPING = 5e-5  # rho^n: the transforms' weight on the mass that wraps once around the grid
+GRID_TAIL = 1e-2  # bound on the mass of the remaining time past the grid
+DAMPING = 5e-8  # rho^n: the transforms' weight on the mass that wraps once around the grid
+READ_SHARE = math.log(2e4) / math.log(1.0 / DAMPING)  # reads below READ_SHARE n: rho^(-k) < 2e4
 MAX_GRID = 1 << 17  # grid points of one forecast
 LOGNORMAL_TOP_Z = 7.0  # an intersection's grid ends at exp(mu + 7 sigma)
 BAND = (0.025, 0.975)
@@ -273,6 +281,14 @@ def _geometric_steps(p, tail: float) -> int:
     return math.ceil(float(((log_mgf.sum(axis=0) - math.log(tail)) / theta).min()))
 
 
+def _tail_point(p, laws, r: int, tail: float) -> int:
+    """The union bound's m with P(S- >= m) <= tail: the geometric steps at
+    tail / 2, times r, plus each of the K grid laws' (1 - tail / 2K) quantile."""
+    k_tail = tail / (2 * sum(map(len, laws)))
+    return (_geometric_steps(p, tail / 2) * r
+            + sum(law.quantile(k_tail) for link in laws for law in link) + 1)
+
+
 def _cdfs(plans, r: int, h: float):
     """Each stop's CDF of the floored remaining time on the grid of the module
     docstring, h = delta_t / r; with the plans' stay probabilities and grid laws."""
@@ -283,12 +299,18 @@ def _cdfs(plans, r: int, h: float):
         raise SimError("grid_too_large", "a link with p_stay >= 1 never completes")
     laws = [[_grid_law(plan.dwell, h), *(_grid_law(x, h) for x in plan.intersections)]
             for plan in plans]
-    tail = GRID_TAIL / (2 * sum(map(len, laws)))
-    n_min = (_geometric_steps(p, GRID_TAIL / 2) * r
-             + sum(law.quantile(tail) for link in laws for law in link) + 1)
+    n_min = _tail_point(p, laws, r, GRID_TAIL)
     _check_grid(n_min, "the remaining time", h)
-    n = _grid_size(n_min)
+    cdf = _inverted(p, laws, r, n := _grid_size(n_min))
+    if not (cdf[:, :math.ceil(READ_SHARE * n)] >= BAND[1] - TAIL_EPS).any(axis=1).all():
+        n_min = max(n_min, _tail_point(p, laws, r, 1.0 - BAND[1]) / READ_SHARE)
+        _check_grid(n_min, "the remaining time", h)
+        cdf = _inverted(p, laws, r, _grid_size(math.ceil(n_min)))
+    return cdf, p, laws
 
+
+def _inverted(p, laws, r: int, n: int):
+    """The stops' CDFs on n grid points, by one damped inverse FFT."""
     # Per link, the geometric transform (1-p) w / (1 - p w) = (1-p) / (1/w - p),
     # times the transforms of its dwell and intersections; then the product P
     # down the route, and (P - 1) / (1 - z), minus its survival function's transform.
@@ -304,7 +326,7 @@ def _cdfs(plans, r: int, h: float):
     cdf = np.fft.irfft(rows, n, axis=1)
     cdf *= undamp
     cdf += 1.0
-    return cdf, p, laws
+    return cdf
 
 
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),

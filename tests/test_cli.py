@@ -97,13 +97,31 @@ def test_simulate_single_batch(workdir, capsys):
     assert means == sorted(means)
 
 
+def forecast_values(batch):
+    """One emission's stop ids, means and 2.5/97.5 percent band ends."""
+    return [(s["stop_id"], s["mean_s"], s["p2_5_s"], s["p97_5_s"]) for s in batch["stops"]]
+
+
+def assert_forecast_values(batch, want):
+    """The stop ids and band ends are ``want``'s, and each mean is within
+    1e-9 of its own: the means pass through the fit's linear algebra, whose
+    last bits may differ between numpy builds."""
+    got = forecast_values(batch)
+    assert [(i, lo, hi) for i, _, lo, hi in got] == [(i, lo, hi) for i, _, lo, hi in want]
+    assert [m for _, m, _, _ in got] == pytest.approx([m for _, m, _, _ in want], rel=1e-9)
+
+
 def test_simulate_replay_emits_batches(workdir, capsys):
+    """The replay's one emission, pinned: a change of the forecast law's grid
+    rule must leave every band end where it was."""
     trip, _ = _first_trip_start(workdir["paths"])
     rc = main(["simulate", "--config", str(workdir["cfg"]), "--trip", trip,
                "--replay", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload) >= 1
+    assert len(payload) == 1
+    assert_forecast_values(payload[0], [("S1", 74.14173769435679, 10.0, 230.0),
+                                        ("S2", 172.36880139058792, 57.0, 396.0)])
     for batch in payload:
         for s in batch["stops"]:
             assert s["p2_5_s"] <= s["mean_s"] <= s["p97_5_s"]
@@ -919,8 +937,9 @@ def test_heavy_route_forecasts_end_to_end(tmp_path, capsys):
     alternated over 8 links, each with one intersection at mid-link at mu 3.5 and
     sigma 1, for 3 days at seed 7. ``synth``, ``infer``, ``fit`` and a replay of
     one trip run, and every emission forecasts each stop left with a band that
-    holds its mean. Before the forecast law's grid was sized by the sum's tail,
-    every such replay was refused as ``grid_too_large``."""
+    holds its mean; the first emission's values are pinned. Before the forecast
+    law's grid was sized by the sum's tail, every such replay was refused as
+    ``grid_too_large``."""
     bench_truth = Path(__file__).resolve().parents[1] / "perfbench" / "truth.json"
     truth = json.loads(bench_truth.read_text(encoding="utf-8"))
     links = truth["links"][:2]
@@ -943,6 +962,11 @@ def test_heavy_route_forecasts_end_to_end(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--trip", trip, "--replay", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload and payload[0]["origin"]["link_index"] == 1
+    assert_forecast_values(payload[0], [
+        ("S1", 118.02874815847406, 32.0, 299.0), ("S2", 250.99918779311872, 94.0, 537.0),
+        ("S3", 373.7203287002252, 168.0, 719.0), ("S4", 501.5868958946, 253.0, 893.0),
+        ("S5", 625.7266757994536, 339.0, 1064.0), ("S6", 766.3247952993993, 435.0, 1264.0),
+        ("S7", 897.8157236455716, 530.0, 1440.0), ("S8", 1031.6145185097753, 628.0, 1617.0)])
     for batch in payload:
         stops = batch["stops"]
         assert len(stops) == 9 - batch["origin"]["link_index"]

@@ -761,6 +761,9 @@ def test_intersection_id_that_breaks_output_files_rejected(tmp_path, bad):
     with pytest.raises(IngestError) as e:
         load_intersections(p)
     assert e.value.kind == "bad_id"
+    if bad == "X\0":
+        assert str(e.value) == ("bad_id: intersection_id 'X\\x00' begins with # or contains "
+                                "whitespace, a NUL or one of , ; = [ ]")
 
 
 def test_weather_header_only_on_line_one(tmp_path):

@@ -378,17 +378,27 @@ def lognormal_quantile(mu: float, sigma: float, tail: float) -> int:
     return q
 
 
-def grid_points(links, r):
-    """The least grid size of the module docstring's rule at h = 1 s: the
-    Chernoff steps at GRID_TAIL / 2 times r, each of the K components'
-    (1 - GRID_TAIL / 2K) quantile, and one. A pool's quantile is a pool
-    value: the one with at most that share of the pool above it."""
-    k = sum(1 + len(xs) for *_, xs in links)
-    tail = GRID_TAIL / (2 * k)
-    tops = [int(np.sort(np.floor(pool))[len(pool) - 1 - math.floor(tail * len(pool))])
+def grid_points(links, r, tail=GRID_TAIL):
+    """The least grid size of the module docstring's tail rule at h = 1 s:
+    the Chernoff steps at tail / 2 times r, each of the K components'
+    (1 - tail / 2K) quantile, and one. A pool's quantile is a pool value:
+    the one with at most that share of the pool above it."""
+    k_tail = tail / (2 * sum(1 + len(xs) for *_, xs in links))
+    tops = [int(np.sort(np.floor(pool))[len(pool) - 1 - math.floor(k_tail * len(pool))])
             for _, pool, _ in links]
-    tops += [lognormal_quantile(mu, sigma, tail) for *_, xs in links for mu, sigma in xs]
-    return _geometric_steps(np.array([p for p, _, _ in links]), GRID_TAIL / 2) * r + sum(tops) + 1
+    tops += [lognormal_quantile(mu, sigma, k_tail) for *_, xs in links for mu, sigma in xs]
+    return _geometric_steps(np.array([p for p, _, _ in links]), tail / 2) * r + sum(tops) + 1
+
+
+# reads below this share of the grid keep rho^(-k) below 2e4, rho^n = DAMPING
+READ_LIMIT = math.log(2e4) / math.log(1.0 / DAMPING)
+
+
+def reread_points(links, r):
+    """The least grid size of the module docstring's re-inversion: the tail
+    rule's, and the union bound's point at the 97.5% read's 2.5% tail over
+    READ_LIMIT, so that the read lies below READ_LIMIT n."""
+    return max(grid_points(links, r), math.ceil(grid_points(links, r, 1.0 - BAND[1]) / READ_LIMIT))
 
 
 def floored_lognormal(mu: float, sigma: float, size: int) -> np.ndarray:
@@ -431,28 +441,34 @@ def band_end(cdf, level: float, at: float) -> None:
     assert low.any() and np.argmax(low) <= at <= (np.argmax(high) if high.any() else cdf.size)
 
 
+HEAVY = (0.9, [5.0, 12.0, 30.0], [(3.5, 1.0)])  # ROADMAP item 5's heavy link
+
+
 def heavy_examples(test):
     """The plans that the grid rule used to refuse, where the sum of the
     components' tops passed MAX_GRID: three signals, and ROADMAP item 5's
-    8 links with one signal at mu 3.5 and sigma 1 each; and a subnormal
-    sigma: P(X <= 1) is Phi(-mu / sigma) = Phi(-1)."""
+    8, 20 and 40 links with one signal at mu 3.5 and sigma 1 each; and a
+    subnormal sigma: P(X <= 1) is Phi(-mu / sigma) = Phi(-1)."""
     for links in ([(0.0, [0.0], [(3.0, 1.0)]), (0.0, [0.0], [(4.0, 1.0)]),
                    (0.0, [0.0], [(4.0, 1.0)])],
-                  [(0.9, [5.0, 12.0, 30.0], [(3.5, 1.0)])] * 8,
+                  [HEAVY] * 8, [HEAVY] * 20, [HEAVY] * 40,
                   [(0.328125, [0.0, 0.0, 0.0, 16.0], [(5e-324, 5e-324)])]):
         test = example(links=links)(test)
     return test
 
 
 def refused(links) -> bool:
-    """Whether the plan's grid passes MAX_GRID, and if so that ``simulate``
-    refuses it as ``grid_too_large``."""
-    if grid_points(links, 5) < MAX_GRID:
-        return False
-    with pytest.raises(SimError) as e:
+    """Whether ``simulate`` refuses the plan. A refusal must be
+    ``grid_too_large`` with the re-inversion's grid past MAX_GRID, and an
+    accepted plan's tail-rule grid must fit."""
+    try:
         simulate(random_plan(links), MarkovConfig(delta_t=5.0))
-    assert e.value.kind == "grid_too_large"
-    return True
+    except SimError as e:
+        assert e.kind == "grid_too_large"
+        assert reread_points(links, 5) >= MAX_GRID
+        return True
+    assert grid_points(links, 5) < MAX_GRID
+    return False
 
 
 @given(links=LINKS)
@@ -488,16 +504,18 @@ def test_exact_law_against_monte_carlo_oracle(links):
 @heavy_examples
 @settings(deadline=None, max_examples=examples(100))
 def test_cdf_within_tail_eps_of_the_convolved_law(links):
-    """The grid is the ladder size of the module docstring's rule, and the
-    damped inversion's CDF at every stop lies within TAIL_EPS, the module
-    docstring's budget for aliasing and rounding, of the convolved law's
-    (and its rounding) at every grid point up to the last band end."""
+    """The grid is the ladder size of the module docstring's tail rule or of
+    its re-inversion, and the damped inversion's CDF at every stop lies within
+    TAIL_EPS, the module docstring's budget for aliasing and rounding, of the
+    convolved law's (and its rounding) at every grid point up to the last
+    band end."""
     if refused(links):
         return
     plans = random_plan(links)
     last = round(simulate(plans, MarkovConfig(delta_t=5.0)).stops[-1].p97_5) + 1
     cdf = _cdfs(plans, 5, 1.0)[0]
-    assert cdf.shape[1] == _grid_size(grid_points(links, 5))
+    assert cdf.shape[1] in (_grid_size(grid_points(links, 5)),
+                            _grid_size(reread_points(links, 5)))
     cdf = cdf[:, :last]
     want = np.array(convolved_cdfs(links, 5, cdf.shape[1]))
     assert np.abs(cdf - want).max() <= TAIL_EPS + 1e-12
@@ -790,3 +808,30 @@ def test_session_flips_where_the_scalar_rule_does(replay_route, pings, seed, rat
         runs.append([(session.start(pairs[0]), session.traffic),
                      *((session.update(p), session.traffic) for p in pairs[1:])])
     assert runs[0] == runs[1]
+
+
+def test_aliasing_bound_is_half_of_tail_eps():
+    """The module docstring's bound on the aliased mass, GRID_TAIL DAMPING /
+    (1 - DAMPING) = 5.0e-10, is half of TAIL_EPS: the other half is left to
+    rounding below the read limit."""
+    assert GRID_TAIL * DAMPING / (1.0 - DAMPING) == pytest.approx(TAIL_EPS / 2, rel=1e-6)
+
+
+@given(links=LINKS)
+@heavy_examples
+@settings(deadline=None, max_examples=examples(100))
+def test_reads_below_the_read_limit_and_tail_past_the_grid(links):
+    """On every plan that ``simulate`` accepts, each stop's 97.5% read lies
+    below READ_LIMIT n, where rho^(-k) keeps rounding inside TAIL_EPS, and
+    the computed survival at the last grid point of the last stop is at most
+    GRID_TAIL up to its rounding: 1e-13, about four times the module
+    docstring's estimate at K + log2 n = 110, times rho^(-(n-1)) < 1 / DAMPING.
+    That survival is P(S- > n - 1) plus non-negative aliased terms, so it
+    bounds the mass past the grid, whichever grid the rule chose."""
+    if refused(links):
+        return
+    cdf = _cdfs(random_plan(links), 5, 1.0)[0]
+    reads = cdf >= BAND[1] - TAIL_EPS
+    assert reads.any(axis=1).all()
+    assert (np.argmax(reads, axis=1) < READ_LIMIT * cdf.shape[1]).all()
+    assert 1.0 - cdf[-1, -1] <= GRID_TAIL + 1e-13 / DAMPING

@@ -366,14 +366,15 @@ DATES = ["2023-09-01", "2023-09-02", "2023-10-29"]
 BAD_DATES = ["", "2023-9-01", "20230901", "2023-02-30", "x", " 2023-09-01"]
 HOURS = [str(h) for h in range(0, 24, 5)] + ["23", "07", " 5", "+3", "\t4"]
 BAD_HOURS = ["", "24", "-1", "1.0", "1_0", "٣", "9223372036854775808", "x"]
-# blank or padded inside the line (refused), and padded at the line end (stripped)
+# blank or padded inside the line (refused), and padded at the line end (stripped):
+# drawn only as the ``label`` corruption, so that most files reach the key rule
 BAD_LABELS = ["", " ", " Rain", "\tClear", "Rain ", "Heavy Rain\t"]
 
 
 @st.composite
 def weather_lines(draw):
     rows = draw(st.lists(st.tuples(st.sampled_from(DATES), st.sampled_from(HOURS),
-                                   st.sampled_from(["Rain", "Clear", "", "Heavy Rain"])),
+                                   st.sampled_from(["Rain", "Clear", "Heavy Rain"])),
                          max_size=8))
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
