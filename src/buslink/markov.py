@@ -49,11 +49,14 @@ Fourier-series method of Abate & Whitt, 1992).
 * Cost: a dwell or intersection model gets its grid law once per object and step, its quantile
   once per tail, and its transform once per n: the PMF weighted by rho^j, folded mod n (what
   sampling the transform at n points does) and ``rfft``'d. The shift, survival and undamping
-  tables are kept per (n, r). A forecast multiplies the link transforms down the route, turns
-  each stop's product into its survival transform, and inverts all stops in one ``np.fft.irfft``
-  (twice on a re-inversion). ROADMAP item 5 still has n grow by one high quantile per part (no
-  Chernoff bound on the truncated sum), ``_grid_law`` evaluate an intersection's CDF by
-  ``np.vectorize(math.erfc)`` at every grid point up to exp(mu + 7 sigma), and no coarser h.
+  tables are kept per (n, r). Per call, ``build_plan`` slices the links from the origin out of
+  ``rm.links``, with one covariate row for all their road times; ``simulate`` multiplies the link
+  transforms down the route, turns each stop's product into its survival transform, inverts all
+  stops in one ``np.fft.irfft`` (twice on a re-inversion), compares each band level once on the
+  read slice (the 97.5% comparison is the read limit's check), and sums the stops in one pass.
+  ROADMAP item 5 still has n grow by one high quantile per part (no Chernoff bound on the
+  truncated sum), ``_grid_law`` evaluate an intersection's CDF by ``np.vectorize(math.erfc)`` at
+  every grid point up to exp(mu + 7 sigma), and no coarser h.
 
 The tests check this law against the time-domain convolution of its floored parts, and the
 floor S- <= S <= S- + N_k h against a million runs of ``accel.markov_offsets``, the chain's
@@ -77,7 +80,7 @@ import numpy as np
 from .components import EmpiricalDwell
 from .errors import ConfigError, SimError
 from .geometry import RouteModel
-from .hetlognorm import design_matrix, linear_rows
+from .hetlognorm import linear_rows
 
 DEFAULT_DELTA_T_S = 5.0  # the chain's time step
 S_CLAMP = 1.0 + 1e-9  # keeps p_stay >= 0 on a nearly finished link
@@ -152,12 +155,11 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
     are unidentifiable otherwise); the partially completed origin link is
     clamped instead.
     """
-    links = [link for link in rm.links if link.index >= origin_link]
+    links = rm.links[max(origin_link, 1) - 1:]  # link i is rm.links[i - 1]
     if not links:
         raise SimError("no_links", "origin has no downstream links")
     betas = np.array([road_models[link.index].beta for link in links])
-    road_times = np.exp(linear_rows(design_matrix(covariates), betas)).tolist()
-    x_arc = dict(rm.projected_intersections)
+    road_times = np.exp(linear_rows(np.array((1.0, *covariates)), betas)).tolist()
     plans = []
     for link, road_time in zip(links, road_times):
         speed = link.length / road_time
@@ -165,6 +167,7 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
             remaining = link.end_arc - origin_arc
             if remaining <= 0.0:
                 raise SimError("nonpositive", "origin is at or past the link end")
+            x_arc = dict(rm.projected_intersections)
             x_ids = [xid for xid in link.intersection_ids if x_arc[xid] > origin_arc]
         else:
             remaining = link.length
@@ -173,14 +176,11 @@ def build_plan(rm: RouteModel, road_models: dict, dwell_models: dict,
                     "delta_t_too_large",
                     f"link {link.index}: predicted road time {road_time:.2f}s <= "
                     f"delta_t {delta_t:.2f}s")
-            x_ids = list(link.intersection_ids)
+            x_ids = link.intersection_ids
         steps = steps_to_complete(remaining, speed, delta_t)
-        plans.append(LinkPlan(
-            link_index=link.index, end_stop_id=link.to_stop,
-            remaining_dist=remaining, speed=speed, steps=steps,
-            p_stay=(steps - 1.0) / steps,
-            dwell=dwell_models[link.to_stop],
-            intersections=tuple(intersection_models[x] for x in x_ids)))
+        plans.append(LinkPlan(link.index, link.to_stop, remaining, speed, steps,
+                              (steps - 1.0) / steps, dwell_models[link.to_stop],
+                              tuple(intersection_models[x] for x in x_ids)))
     return plans
 
 
@@ -291,7 +291,8 @@ def _tail_point(p, laws, r: int, tail: float) -> int:
 
 def _cdfs(plans, r: int, h: float):
     """Each stop's CDF of the floored remaining time on the grid of the module
-    docstring, h = delta_t / r; with the plans' stay probabilities and grid laws."""
+    docstring, h = delta_t / r; with the plans' grid laws, and where on the read
+    slice (below READ_SHARE n) each CDF reaches the 97.5% level less TAIL_EPS."""
     if not plans:
         raise SimError("no_links", "origin has no downstream links")
     p = np.array([plan.p_stay for plan in plans])
@@ -301,16 +302,17 @@ def _cdfs(plans, r: int, h: float):
             for plan in plans]
     n_min = _tail_point(p, laws, r, GRID_TAIL)
     _check_grid(n_min, "the remaining time", h)
-    cdf = _inverted(p, laws, r, n := _grid_size(n_min))
-    if not (cdf[:, :math.ceil(READ_SHARE * n)] >= BAND[1] - TAIL_EPS).any(axis=1).all():
+    cdf, upper = _inverted(p, laws, r, _grid_size(n_min))
+    if not upper.any(axis=1).all():
         n_min = max(n_min, _tail_point(p, laws, r, 1.0 - BAND[1]) / READ_SHARE)
         _check_grid(n_min, "the remaining time", h)
-        cdf = _inverted(p, laws, r, _grid_size(math.ceil(n_min)))
-    return cdf, p, laws
+        cdf, upper = _inverted(p, laws, r, _grid_size(math.ceil(n_min)))
+    return cdf, laws, upper
 
 
 def _inverted(p, laws, r: int, n: int):
-    """The stops' CDFs on n grid points, by one damped inverse FFT."""
+    """The stops' CDFs on n grid points, by one damped inverse FFT, and where
+    they reach the 97.5% level less TAIL_EPS on the read slice."""
     # Per link, the geometric transform (1-p) w / (1 - p w) = (1-p) / (1/w - p),
     # times the transforms of its dwell and intersections; then the product P
     # down the route, and (P - 1) / (1 - z), minus its survival function's transform.
@@ -326,7 +328,7 @@ def _inverted(p, laws, r: int, n: int):
     cdf = np.fft.irfft(rows, n, axis=1)
     cdf *= undamp
     cdf += 1.0
-    return cdf
+    return cdf, cdf[:, :math.ceil(READ_SHARE * n)] >= BAND[1] - TAIL_EPS
 
 
 def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
@@ -336,15 +338,18 @@ def simulate(plans, config: MarkovConfig, origin_arc: float = float("nan"),
     delta_t = float(config.delta_t)
     r = max(math.ceil(delta_t / GRID_STEP_MAX - 1e-9), 1)  # grid steps per delta_t
     h = delta_t / r
-    cdf, p, laws = _cdfs(plans, r, h)
-    inexact = np.cumsum([sum(not law.exact for law in link) for link in laws])
-    lo = np.argmax(cdf >= BAND[0] - TAIL_EPS, axis=1) * h
-    hi = (np.argmax(cdf >= BAND[1] - TAIL_EPS, axis=1) + inexact) * h
-    means = np.cumsum(delta_t / (1.0 - p) + [sum(law.mean for law in link) for link in laws])
-    stops = tuple(StopForecast(stop_id=plan.end_stop_id, mean_remaining=m, p2_5=l, p97_5=u)
-                  for plan, m, l, u in zip(plans, means.tolist(), lo.tolist(), hi.tolist()))
-    return SimulationSummary(origin_link=plans[0].link_index, origin_arc=origin_arc,
-                             origin_time=origin_time, stops=stops)
+    cdf, laws, upper = _cdfs(plans, r, h)
+    # a 2.5% read precedes its 97.5% one, so it too lies on the read slice
+    lower = (cdf[:, :upper.shape[1]] >= BAND[0] - TAIL_EPS).argmax(axis=1).tolist()
+    stops, mean, inexact = [], 0.0, 0
+    for plan, link, lo, hi in zip(plans, laws, lower, upper.argmax(axis=1).tolist()):
+        parts = 0  # summed as ``sum`` would, so the means keep their last bit
+        for law in link:
+            parts += law.mean
+            inexact += not law.exact
+        mean += delta_t / (1.0 - plan.p_stay) + parts
+        stops.append(StopForecast(plan.end_stop_id, mean, lo * h, (hi + inexact) * h))
+    return SimulationSummary(plans[0].link_index, origin_arc, origin_time, tuple(stops))
 
 
 class PredictionSession:
@@ -360,13 +365,8 @@ class PredictionSession:
 
     def __init__(self, rm: RouteModel, road_models: dict, dwell_models: dict,
                  intersection_models: dict, covariates, config: MarkovConfig, thresholds):
-        self.rm = rm
-        self.road_models = road_models
-        self.dwell_models = dwell_models
-        self.intersection_models = intersection_models
-        self.covariates = covariates
-        self.config = config
-        self.thresholds = thresholds
+        self.rm, self.covariates, self.config, self.thresholds = rm, covariates, config, thresholds
+        self._models = road_models, dwell_models, intersection_models  # build_plan's, in order
         self.traffic = 0
         self._prev = (math.nan, math.nan, -1)  # time, arc and open-road tag
         self._edges, self._tags = rm.open_road
@@ -375,8 +375,7 @@ class PredictionSession:
         arc = max(arc, self.rm.first_arc)
         if arc >= self.rm.last_arc:
             return None
-        plans = build_plan(self.rm, self.road_models, self.dwell_models,
-                           self.intersection_models, self.covariates(t, self.traffic),
+        plans = build_plan(self.rm, *self._models, self.covariates(t, self.traffic),
                            bisect_right(self.rm.stop_arcs, arc), arc, self.config.delta_t)
         return simulate(plans, self.config, origin_arc=arc, origin_time=t)
 

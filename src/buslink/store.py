@@ -263,12 +263,12 @@ class ModelStore:
                 {xid: m for (r, xid), m in self.intersections.items() if r == rk})
 
 
-def _g17s(values) -> str:
-    return ",".join(map(_g17, values))
+def _g17s(values: np.ndarray) -> str:  # each value as _g17 writes it, by one format call
+    return ",".join(["%.17g"] * values.shape[0]) % tuple(values.tolist())
 
 
 def _coef_line(values: np.ndarray, mask: np.ndarray) -> str:
-    return ",".join(_g17(v) if m else "absent" for v, m in zip(values, mask))
+    return ",".join(["%.17g" if m else "absent" for m in mask]) % tuple(values[mask].tolist())
 
 
 def _coefs(value: str) -> np.ndarray:

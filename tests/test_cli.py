@@ -932,12 +932,39 @@ def test_ping_file_changed_while_read_exit_2(workdir, tmp_path, monkeypatch, cap
     assert_input_error(rc, capsys, "changed", "pings.csv", "changed while it was read")
 
 
+# The heavy route's replay: each emission's (stop id, mean, 2.5% end, 97.5% end).
+HEAVY_REPLAY = (
+    [("S1", 118.02874815847406, 32.0, 299.0), ("S2", 250.99918779311872, 94.0, 537.0),
+     ("S3", 373.7203287002252, 168.0, 719.0), ("S4", 501.5868958946, 253.0, 893.0),
+     ("S5", 625.7266757994536, 339.0, 1064.0), ("S6", 766.3247952993993, 435.0, 1264.0),
+     ("S7", 897.8157236455716, 530.0, 1440.0), ("S8", 1031.6145185097753, 628.0, 1617.0)],
+    [("S2", 184.77848796050557, 36.0, 534.0), ("S3", 360.84557669418984, 115.0, 814.0),
+     ("S4", 556.9826680553897, 222.0, 1114.0), ("S5", 737.6080225740111, 335.0, 1363.0),
+     ("S6", 941.5559942278074, 465.0, 1651.0), ("S7", 1130.0675622579313, 597.0, 1900.0),
+     ("S8", 1325.6215294875312, 734.0, 2158.0)],
+    [("S2", 103.04334791289162, 26.0, 295.0), ("S3", 225.76448881999806, 84.0, 507.0),
+     ("S4", 353.63105601437286, 159.0, 693.0), ("S5", 477.7708359192265, 238.0, 872.0),
+     ("S6", 618.3689554191722, 329.0, 1079.0), ("S7", 749.8598837653444, 421.0, 1259.0),
+     ("S8", 883.658678629548, 516.0, 1439.0)],
+    [("S4", 172.42524810097584, 37.0, 486.0), ("S5", 353.05060261959716, 116.0, 789.0),
+     ("S6", 556.9985742733935, 222.0, 1115.0), ("S7", 745.5101423035173, 338.0, 1381.0),
+     ("S8", 941.0641095331173, 464.0, 1653.0)],
+    [("S4", 101.75569645534671, 28.0, 264.0), ("S5", 225.89547636020035, 86.0, 490.0),
+     ("S6", 366.49359586014606, 163.0, 726.0), ("S7", 497.98452420631827, 245.0, 921.0),
+     ("S8", 631.7833190705219, 333.0, 1110.0)],
+    [("S6", 184.16991163911428, 36.0, 530.0), ("S7", 372.6814796692382, 118.0, 845.0),
+     ("S8", 568.2354468988381, 223.0, 1146.0)],
+    [("S6", 111.96010790623379, 27.0, 329.0), ("S7", 243.451036252406, 87.0, 563.0),
+     ("S8", 377.24983111660964, 162.0, 771.0)],
+)
+
+
 def test_heavy_route_forecasts_end_to_end(tmp_path, capsys):
     """ROADMAP item 5's heavy route: the first two truth links of the benchmark,
     alternated over 8 links, each with one intersection at mid-link at mu 3.5 and
     sigma 1, for 3 days at seed 7. ``synth``, ``infer``, ``fit`` and a replay of
-    one trip run, and every emission forecasts each stop left with a band that
-    holds its mean; the first emission's values are pinned. Before the forecast
+    one trip run, and every emission's values are pinned: each forecasts every
+    stop left, with a band that holds its mean. Before the forecast
     law's grid was sized by the sum's tail, every such replay was refused as
     ``grid_too_large``."""
     bench_truth = Path(__file__).resolve().parents[1] / "perfbench" / "truth.json"
@@ -961,13 +988,6 @@ def test_heavy_route_forecasts_end_to_end(tmp_path, capsys):
     trip = (corpus / "pings.csv").read_text(encoding="utf-8").partition(",")[0]
     assert main(["simulate", "--config", str(cfg), "--trip", trip, "--replay", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload and payload[0]["origin"]["link_index"] == 1
-    assert_forecast_values(payload[0], [
-        ("S1", 118.02874815847406, 32.0, 299.0), ("S2", 250.99918779311872, 94.0, 537.0),
-        ("S3", 373.7203287002252, 168.0, 719.0), ("S4", 501.5868958946, 253.0, 893.0),
-        ("S5", 625.7266757994536, 339.0, 1064.0), ("S6", 766.3247952993993, 435.0, 1264.0),
-        ("S7", 897.8157236455716, 530.0, 1440.0), ("S8", 1031.6145185097753, 628.0, 1617.0)])
-    for batch in payload:
-        stops = batch["stops"]
-        assert len(stops) == 9 - batch["origin"]["link_index"]
-        assert all(s["p2_5_s"] <= s["mean_s"] <= s["p97_5_s"] for s in stops)
+    assert [batch["origin"]["link_index"] for batch in payload] == [1, 2, 2, 4, 4, 6, 6]
+    for batch, want in zip(payload, HEAVY_REPLAY):
+        assert_forecast_values(batch, want)

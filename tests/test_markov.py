@@ -10,7 +10,7 @@ from buslink import geometry
 from buslink.components import EmpiricalDwell, IntersectionLogNormal, fit_dwell
 from buslink.errors import ConfigError, SimError
 from buslink.geometry import build_route_model
-from buslink.hetlognorm import HetLogNormalModel
+from buslink.hetlognorm import HetLogNormalModel, design_matrix, linear_rows
 from buslink.inference import (CovariateVector, ProjectedPing, open_road_link_of,
                                project_traversal, repair_monotonic, slowest_speeds)
 from buslink.ingest import Traversal
@@ -471,6 +471,13 @@ def refused(links) -> bool:
     return False
 
 
+def inexact_components(links):
+    """Per stop, the components up to it with an atom off the 1 s grid."""
+    return np.cumsum([(np.floor(pool) != pool).any()
+                      + sum(sigma > 0.0 or math.exp(mu) % 1.0 != 0.0 for mu, sigma in xs)
+                      for _, pool, xs in links])
+
+
 @given(links=LINKS)
 @heavy_examples
 @settings(deadline=None)  # the default examples, so that the ci profile can raise them
@@ -486,9 +493,7 @@ def test_exact_law_against_monte_carlo_oracle(links):
     if refused(links):
         return
     summary = simulate(random_plan(links), MarkovConfig(delta_t=5.0))  # r = 5 points of 1 s
-    inexact = np.cumsum([(np.floor(pool) != pool).any()
-                         + sum(sigma > 0.0 or math.exp(mu) % 1.0 != 0.0 for mu, sigma in xs)
-                         for _, pool, xs in links])
+    inexact = inexact_components(links)
     size = round(summary.stops[-1].p97_5) + 64  # past the last band end
     assert size <= MAX_GRID + 64
     mean = np.cumsum([5.0 / (1.0 - p) + np.mean(np.sort(pool))
@@ -835,3 +840,109 @@ def test_reads_below_the_read_limit_and_tail_past_the_grid(links):
     assert reads.any(axis=1).all()
     assert (np.argmax(reads, axis=1) < READ_LIMIT * cdf.shape[1]).all()
     assert 1.0 - cdf[-1, -1] <= GRID_TAIL + 1e-13 / DAMPING
+
+
+@given(links=LINKS)
+@heavy_examples
+@settings(deadline=None, max_examples=examples(100))
+def test_band_ends_are_the_first_crossings_on_the_whole_grid(links):
+    """``simulate`` reads each band end on the read slice alone. Each equals the
+    first point of the final inversion's whole grid where the stop's CDF reaches
+    its level less TAIL_EPS, the 97.5% end one grid step further per inexact
+    component; and each mean is the cumulative sum, in route order, of each
+    link's delta_t / (1 - p_stay) plus its parts' means."""
+    if refused(links):
+        return
+    plans = random_plan(links)
+    summary = simulate(plans, MarkovConfig(delta_t=5.0))  # r = 5 points of 1 s
+    cdf, laws = _cdfs(plans, 5, 1.0)[:2]
+    lower = np.argmax(cdf >= BAND[0] - TAIL_EPS, axis=1)
+    upper = np.argmax(cdf >= BAND[1] - TAIL_EPS, axis=1) + inexact_components(links)
+    mean = np.cumsum(5.0 / (1.0 - np.array([p for p, _, _ in links]))
+                     + [sum(law.mean for law in link) for link in laws])
+    assert [f.p2_5 for f in summary.stops] == lower.tolist()
+    assert [f.p97_5 for f in summary.stops] == upper.tolist()
+    assert [f.mean_remaining for f in summary.stops] == mean.tolist()
+
+
+PLAN_ROUTE = build_route_model(*network_with([0.0, 800.0, 1600.0, 2400.0],
+                                             [("X1", 250.0), ("X2", 550.0), ("X3", 1200.0),
+                                              ("X4", 2000.0)]), ("R", 0))
+
+
+def reference_plan(rm, road_models, dwell_models, intersection_models, covariates,
+                   origin_link, origin_arc, delta_t):
+    """``build_plan``'s rule, written out: the links at or past the origin by
+    a filter, the road times from ``design_matrix``'s row, and the origin
+    link's intersections past the origin by a lookup of every arc."""
+    links = [link for link in rm.links if link.index >= origin_link]
+    if not links:
+        raise SimError("no_links", "origin has no downstream links")
+    betas = np.array([road_models[link.index].beta for link in links])
+    road_times = np.exp(linear_rows(design_matrix(covariates), betas)).tolist()
+    x_arc = dict(rm.projected_intersections)
+    plans = []
+    for link, road_time in zip(links, road_times):
+        speed = link.length / road_time
+        if link.index == origin_link:
+            remaining = link.end_arc - origin_arc
+            if remaining <= 0.0:
+                raise SimError("nonpositive", "origin is at or past the link end")
+            x_ids = [xid for xid in link.intersection_ids if x_arc[xid] > origin_arc]
+        else:
+            remaining = link.length
+            if road_time <= delta_t:
+                raise ConfigError(
+                    "delta_t_too_large",
+                    f"link {link.index}: predicted road time {road_time:.2f}s <= "
+                    f"delta_t {delta_t:.2f}s")
+            x_ids = list(link.intersection_ids)
+        steps = steps_to_complete(remaining, speed, delta_t)
+        plans.append(LinkPlan(
+            link_index=link.index, end_stop_id=link.to_stop,
+            remaining_dist=remaining, speed=speed, steps=steps,
+            p_stay=(steps - 1.0) / steps,
+            dwell=dwell_models[link.to_stop],
+            intersections=tuple(intersection_models[x] for x in x_ids)))
+    return plans
+
+
+@st.composite
+def plan_origins(draw):
+    """An origin: a link index, from one before the first to one past the last,
+    and an arc on that link, up to 10 m past its end."""
+    k = draw(st.integers(0, len(PLAN_ROUTE.links) + 1))
+    if not 1 <= k <= len(PLAN_ROUTE.links):
+        return k, PLAN_ROUTE.first_arc
+    link = PLAN_ROUTE.links[k - 1]
+    return k, draw(st.floats(link.start_arc, link.end_arc + 10.0))
+
+
+@given(betas=st.lists(st.tuples(st.floats(math.log(2.0), math.log(300.0)),
+                                *[st.floats(-0.5, 0.5)] * 4), min_size=3, max_size=3),
+       covariates=st.one_of(st.builds(CovariateVector, *[st.integers(0, 1)] * 4),
+                            st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(np.array)),
+       origin=plan_origins(), delta_t=st.sampled_from([1.0, 2.0, 5.0, 7.5]))
+@example(betas=[(math.log(80.0), 0.0, 0.0, 0.0, 0.0)] * 3,
+         covariates=CovariateVector(1, 0, 1, 1), origin=(1, 400.0), delta_t=5.0)
+@settings(deadline=None)
+def test_build_plan_equals_the_reference_plan(betas, covariates, origin, delta_t):
+    """Random road models, covariates and origins, on a route whose first link
+    holds two intersections: ``build_plan``'s plans, or its refusal's kind and
+    message, are the reference rule's, to the last bit. The example's origin
+    lies between those two intersections."""
+    assert PLAN_ROUTE.links[0].intersection_ids == ("X1", "X2")
+    road = {k + 1: HetLogNormalModel(beta=np.array(b), gamma=np.zeros(5), fim=np.eye(10), n=100,
+                                     active_mask=np.ones(5, dtype=bool), loglik=0.0)
+            for k, b in enumerate(betas)}
+    dwells = {f"S{k}": dwell_const(2.0 * k) for k in range(1, 4)}
+    xs = {f"X{k}": IntersectionLogNormal(f"X{k}", mu_s=float(k), sigma_s=0.5, n=10)
+          for k in range(1, 5)}
+    args = (PLAN_ROUTE, road, dwells, xs, covariates, *origin, delta_t)
+
+    def outcome(rule):
+        try:
+            return repr(rule(*args))
+        except (SimError, ConfigError) as e:
+            return type(e), e.kind, str(e)
+    assert outcome(build_plan) == outcome(reference_plan)
